@@ -254,7 +254,7 @@ std::vector<ShardPoint> run_shard_scaling(std::size_t max_consumers,
 // Streaming mega-fleet stage: fit_streaming materialises one generated
 // series at a time (a million-consumer history would be tens of gigabytes;
 // the fitted state is ~3 GB), scores slot-major deliveries through
-// ingest_batch, then times the checkpoint save and the bulk v3 warm start.
+// ingest_batch, then times the checkpoint save and the bulk warm start.
 // Delivery values reuse each consumer's primed window (regenerating the
 // history just to read two slots per consumer would time the generator,
 // not the monitor).

@@ -264,7 +264,7 @@ void ConditionedKldDetector::save(persist::Encoder& enc) const {
   enc.u64(config_.bins);
   enc.f64(config_.significance);
   enc.f64(config_.epsilon);
-  enc.u8(config_.exclude_out_of_support ? 1 : 0);  // v3+
+  enc.u8(config_.exclude_out_of_support ? 1 : 0);
   for (std::size_t s = 0; s < kSlotsPerWeek; ++s) {
     enc.u32(static_cast<std::uint32_t>(config_.slot_group(s)));
   }
@@ -273,20 +273,17 @@ void ConditionedKldDetector::save(persist::Encoder& enc) const {
     enc.doubles(baselines_[g]);
     enc.f64(thresholds_[g]);
   }
-  // v5+: the training weeks' scalar margins, the calibration reference.
+  // The training weeks' scalar margins, the calibration reference.
   enc.doubles(training_margins_);
 }
 
-void ConditionedKldDetector::restore(persist::Decoder& dec,
-                                     std::uint32_t format_version) {
+void ConditionedKldDetector::restore(persist::Decoder& dec) {
   ConditionedKldDetectorConfig config;
   config.groups = dec.count("ckld groups", 1u << 16);
   config.bins = dec.count("ckld bins", 1u << 20);
   config.significance = dec.f64();
   config.epsilon = dec.f64();
-  // v2 payloads predate the flag; clamping keeps saved scores bit-exact.
-  config.exclude_out_of_support =
-      format_version >= 3 ? dec.u8() != 0 : false;
+  config.exclude_out_of_support = dec.u8() != 0;
   require(config.groups >= 2, "checkpoint: ckld needs >= 2 groups");
   require(config.bins >= 2, "checkpoint: ckld needs >= 2 bins");
   require(config.significance > 0.0 && config.significance < 1.0,
@@ -320,13 +317,10 @@ void ConditionedKldDetector::restore(persist::Decoder& dec,
     thresholds.push_back(dec.f64());
   }
 
-  // v5 payloads carry the training margins (the calibration reference);
-  // older checkpoints never persisted them, so those calibrate anchored at
-  // the margin threshold alone - the flag decisions are identical either
-  // way, only the sub-threshold score resolution differs.
-  std::vector<double> training_margins;
-  if (format_version >= 5) {
-    training_margins = dec.doubles("ckld training margins", 1u << 20);
+  std::vector<double> training_margins =
+      dec.doubles("ckld training margins", 1u << 20);
+  if (training_margins.empty()) {
+    throw DataError("checkpoint: ckld training margins missing");
   }
 
   config_ = std::move(config);
@@ -339,11 +333,8 @@ void ConditionedKldDetector::restore(persist::Decoder& dec,
   }
   thresholds_ = std::move(thresholds);
   training_margins_ = std::move(training_margins);
-  calibration_ =
-      training_margins_.empty()
-          ? ScoreCalibration::threshold_anchored(0.0, config_.significance)
-          : ScoreCalibration::from_reference(training_margins_, 0.0,
-                                             config_.significance);
+  calibration_ = ScoreCalibration::from_reference(training_margins_, 0.0,
+                                                  config_.significance);
   fitted_ = true;
 }
 

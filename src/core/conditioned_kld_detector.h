@@ -70,7 +70,7 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// is 0 and the raw score > threshold decision reproduces flag_week's
   /// "any group over its own threshold" rule exactly (for IEEE doubles,
   /// a - b > 0 iff a > b).  The calibration reference is the training weeks'
-  /// margins on that same scale (persisted since checkpoint format v5).
+  /// margins on that same scale (persisted in checkpoints).
   double raw_score_week(std::span<const Kw> week,
                         SlotIndex first_slot = 0) const override;
   double raw_decision_threshold() const override { return 0.0; }
@@ -83,10 +83,7 @@ class ConditionedKldDetector final : public ScoringDetector {
   KldExplanation raw_explain_week(std::span<const Kw> week,
                                   SlotIndex first_slot = 0) const override;
   void save_state(persist::Encoder& enc) const override { save(enc); }
-  void restore_state(persist::Decoder& dec,
-                     std::uint32_t format_version) override {
-    restore(dec, format_version);
-  }
+  void restore_state(persist::Decoder& dec) override { restore(dec); }
   std::string config_fingerprint() const override;
   std::unique_ptr<ScoringDetector> clone() const override {
     return std::make_unique<ConditionedKldDetector>(*this);
@@ -99,8 +96,7 @@ class ConditionedKldDetector final : public ScoringDetector {
   const std::vector<double>& thresholds() const;
 
   /// The training weeks' scalar margins (the calibration reference): one
-  /// max_g(K_i[g] - thresholds()[g]) per training week.  Empty when restored
-  /// from a pre-v5 checkpoint (those calibrate threshold-anchored).
+  /// max_g(K_i[g] - thresholds()[g]) per training week.
   const std::vector<double>& training_margins() const;
 
   /// Per-group per-bin breakdowns: explanations[g].score equals
@@ -113,10 +109,8 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// the table is the function's entire observable behaviour).
   void save(persist::Encoder& enc) const;
   /// Restores state saved by save(); scores bit-exactly match the saved
-  /// detector.  As KldDetector::restore, `format_version` is the enclosing
-  /// checkpoint version: v2 payloads restore with out-of-support clamping.
-  void restore(persist::Decoder& dec,
-               std::uint32_t format_version = persist::kFormatVersion);
+  /// detector.
+  void restore(persist::Decoder& dec);
 
  private:
   /// Readings of `week` falling into group `g`.
@@ -132,7 +126,7 @@ class ConditionedKldDetector final : public ScoringDetector {
   std::vector<std::vector<double>> baselines_;               // per group, raw
   std::vector<std::vector<double>> scorings_;  // per group, smoothed
   std::vector<double> thresholds_;             // per group
-  std::vector<double> training_margins_;       // per training week (v5+)
+  std::vector<double> training_margins_;       // per training week
   bool fitted_ = false;
 };
 

@@ -37,11 +37,6 @@ ScoreCalibration ScoreCalibration::from_reference(std::vector<double> reference,
   return out;
 }
 
-ScoreCalibration ScoreCalibration::threshold_anchored(double raw_threshold,
-                                                      double significance) {
-  return from_reference({}, raw_threshold, significance);
-}
-
 double ScoreCalibration::position(double x) const {
   const std::vector<double>& r = reference_;
   if (x <= r.front()) return 0.0;

@@ -85,24 +85,20 @@ class ScoreCalibration {
 
   /// Calibration over a reference sample of raw scores (the family's
   /// training scores on the same scale raw_score_week reports).  The
-  /// reference is sorted internally; it may be empty, which degrades to
-  /// threshold_anchored().  `significance` must be in (0, 1).
+  /// reference is sorted internally.  An empty reference degrades to a
+  /// threshold-anchored map: the flag boundary stays exact and raw margins
+  /// squash monotonically into the two segments.  `significance` must be
+  /// in (0, 1).
   static ScoreCalibration from_reference(std::vector<double> reference,
                                          double raw_threshold,
                                          double significance);
-
-  /// Fallback for legacy checkpoints that persisted a threshold but no
-  /// training reference: anchors the flag boundary exactly and squashes raw
-  /// margins monotonically into the two segments.
-  static ScoreCalibration threshold_anchored(double raw_threshold,
-                                             double significance);
 
   bool fitted() const { return fitted_; }
   double significance() const { return significance_; }
   double raw_threshold() const { return raw_threshold_; }
   /// The uniform calibrated decision threshold: 1 - significance.
   double decision_threshold() const { return 1.0 - significance_; }
-  /// The sorted reference sample (empty for threshold_anchored).
+  /// The sorted reference sample (empty for a threshold-anchored map).
   const std::vector<double>& reference() const { return reference_; }
 
   /// The calibrated anomaly quantile of a raw score, in [0, 1].  NaN inputs
@@ -115,7 +111,7 @@ class ScoreCalibration {
   /// between adjacent order statistics).
   double position(double x) const;
 
-  std::vector<double> reference_;  // sorted ascending; empty = legacy anchor
+  std::vector<double> reference_;  // sorted ascending; empty = anchor only
   double raw_threshold_ = 0.0;
   double significance_ = 0.05;
   double threshold_position_ = 0.0;  // cached position(raw_threshold_)
@@ -186,10 +182,7 @@ class ScoringDetector : public Detector {
 
   /// Restores state saved by save_state, replacing this detector's config
   /// and fit; scores bit-exactly match the detector that was saved.
-  /// `format_version` is the enclosing checkpoint's format version (families
-  /// that existed before v4 decode their historical layouts).
-  virtual void restore_state(persist::Decoder& dec,
-                             std::uint32_t format_version) = 0;
+  virtual void restore_state(persist::Decoder& dec) = 0;
 
   /// Deterministic one-line config summary (id + every scoring-relevant
   /// parameter).  Two fitted detectors with equal fingerprints are

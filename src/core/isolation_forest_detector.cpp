@@ -343,7 +343,7 @@ void IsolationForestDetector::save_state(persist::Encoder& enc) const {
   enc.u64(config_.trees);
   enc.u64(config_.sample_size);
   enc.f64(config_.significance);
-  enc.f64(config_.contamination);  // added in checkpoint format v5
+  enc.f64(config_.contamination);
   enc.u64(config_.seed);
   enc.u64(sample_size_);
   enc.u64(depth_limit_);
@@ -363,15 +363,12 @@ void IsolationForestDetector::save_state(persist::Encoder& enc) const {
   enc.f64(threshold_);
 }
 
-void IsolationForestDetector::restore_state(persist::Decoder& dec,
-                                            std::uint32_t format_version) {
+void IsolationForestDetector::restore_state(persist::Decoder& dec) {
   IsolationForestDetectorConfig config;
   config.trees = dec.count("iforest trees", 1u << 16);
   config.sample_size = dec.count("iforest sample size", 1u << 20);
   config.significance = dec.f64();
-  // v4 payloads predate the contamination knob; the restored value only
-  // matters for a refit, so old files pick up the current default.
-  config.contamination = format_version >= 5 ? dec.f64() : 0.20;
+  config.contamination = dec.f64();
   config.seed = dec.u64();
   validate_config(config);
   const std::size_t sample_size = dec.count("iforest sample", 1u << 20);
@@ -394,6 +391,8 @@ void IsolationForestDetector::restore_state(persist::Decoder& dec,
   for (Tree& tree : trees) {
     const std::size_t count = dec.count("iforest tree nodes", 1u << 22);
     if (count == 0) throw DataError("checkpoint: iforest tree is empty");
+    // An encoded node: feature, split, left, right, size.
+    dec.require_fits("iforest tree nodes", count, 4 + 8 + 4 + 4 + 4);
     tree.nodes.resize(count);
     for (Node& node : tree.nodes) {
       node.feature = dec.u32();

@@ -62,8 +62,7 @@ class IsolationForestDetector final : public ScoringDetector {
                         SlotIndex first_slot = 0) const override;
   double raw_decision_threshold() const override;
   void save_state(persist::Encoder& enc) const override;
-  void restore_state(persist::Decoder& dec,
-                     std::uint32_t format_version) override;
+  void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
   std::unique_ptr<ScoringDetector> clone() const override {
     return std::make_unique<IsolationForestDetector>(*this);

@@ -160,23 +160,19 @@ void KldDetector::save(persist::Encoder& enc) const {
   enc.u64(config_.bins);
   enc.f64(config_.significance);
   enc.f64(config_.epsilon);
-  enc.u8(config_.exclude_out_of_support ? 1 : 0);  // v3+
+  enc.u8(config_.exclude_out_of_support ? 1 : 0);
   histogram_->save(enc);
   enc.doubles(baseline_);
   enc.doubles(k_training_);
   enc.f64(threshold_);
 }
 
-void KldDetector::restore(persist::Decoder& dec,
-                          std::uint32_t format_version) {
+void KldDetector::restore(persist::Decoder& dec) {
   KldDetectorConfig config;
   config.bins = dec.count("kld bins", 1u << 20);
   config.significance = dec.f64();
   config.epsilon = dec.f64();
-  // v2 payloads predate the flag: restoring with clamping keeps the saved
-  // detector's scores bit-exact.
-  config.exclude_out_of_support =
-      format_version >= 3 ? dec.u8() != 0 : false;
+  config.exclude_out_of_support = dec.u8() != 0;
   validate_config(config);
 
   stats::Histogram histogram = stats::Histogram::load(dec);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/detector_plugin.h"
-#include "persist/checkpoint.h"
 #include "stats/histogram.h"
 
 namespace fdeta::core {
@@ -45,7 +44,7 @@ struct KldDetectorConfig {
   /// in-support readings only (an all-out-of-support week falls back to
   /// clamping; see Histogram::probabilities_into).  Training weeks are in
   /// support by construction, so thresholds are unaffected either way.  Set
-  /// false for the historical (pre-v3 checkpoint) clamping semantics.
+  /// false for the paper's plain clamping semantics.
   bool exclude_out_of_support = true;
 };
 
@@ -84,10 +83,7 @@ class KldDetector final : public ScoringDetector {
     return explain(week);
   }
   void save_state(persist::Encoder& enc) const override { save(enc); }
-  void restore_state(persist::Decoder& dec,
-                     std::uint32_t format_version) override {
-    restore(dec, format_version);
-  }
+  void restore_state(persist::Decoder& dec) override { restore(dec); }
   std::string config_fingerprint() const override;
   std::unique_ptr<ScoringDetector> clone() const override {
     return std::make_unique<KldDetector>(*this);
@@ -124,12 +120,7 @@ class KldDetector final : public ScoringDetector {
   void save(persist::Encoder& enc) const;
   /// Restores state saved by save(), replacing this detector's config and
   /// fit; scores bit-exactly match the detector that was saved.
-  /// `format_version` is the enclosing checkpoint's format version: v2
-  /// payloads predate the out-of-support flag and restore with it OFF, so a
-  /// detector saved by an older build keeps producing the exact scores it
-  /// was producing when saved.
-  void restore(persist::Decoder& dec,
-               std::uint32_t format_version = persist::kFormatVersion);
+  void restore(persist::Decoder& dec);
 
   /// Reassembles a fitted detector from already-decoded parts (the monitor's
   /// bulk Struct-of-Arrays checkpoint decodes whole fleets of detectors from

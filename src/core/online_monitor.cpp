@@ -1,6 +1,7 @@
 #include "core/online_monitor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <istream>
@@ -13,6 +14,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/binary_io.h"
 #include "persist/checkpoint.h"
 #include "stats/descriptive.h"
 
@@ -21,6 +23,19 @@ namespace fdeta::core {
 namespace {
 
 constexpr std::size_t kWindow = static_cast<std::size_t>(kSlotsPerWeek);
+
+// The missing-slot bitset: whole u64 words per consumer, the bits past
+// kWindow in the last word are padding and stay zero.
+constexpr std::size_t kMaskWords = (kWindow + 63) / 64;
+static_assert(kWindow % 64 != 0);
+constexpr std::uint64_t kMaskPadding = ~std::uint64_t{0} << (kWindow % 64);
+
+// Bytes every consumer owns in the monitor's state section at the least:
+// its id, stride and cooldown counters (u32) and training mean (f64).
+constexpr std::size_t kStateBytesPerConsumer = 4 + 4 + 4 + 8;
+// An encoded AlertEvent: consumer index, id, slot, score, threshold,
+// direction.
+constexpr std::size_t kAlertBytes = 8 + 4 + 8 + 8 + 8 + 1;
 
 // Population-health histogram: linear reading-magnitude bins over the fleet's
 // primed sliding windows.  32 bins keeps the KLD estimate stable at modest
@@ -241,7 +256,7 @@ void OnlineMonitor::init_fleet(std::size_t count) {
   for (auto& detector : detectors_) detector = prototype->clone();
   ids_.assign(count, meter::ConsumerId{});
   windows_.assign(count * kWindow, 0.0);
-  missing_.assign(count * kWindow, 0);
+  missing_.assign(count * kMaskWords, 0);
   missing_in_window_.assign(count, 0);
   since_score_.assign(count, 0);
   cooldown_.assign(count, 0);
@@ -358,6 +373,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
   const std::size_t i = reading.consumer_index;
   const std::size_t base = i * kWindow;
   const std::size_t position = static_cast<std::size_t>(reading.slot) % kWindow;
+  std::uint64_t& mask = missing_[i * kMaskWords + position / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (position % 64);
 
   if (reading.missing) {
     // A dropped report carries no information: keep the last slot-aligned
@@ -367,8 +384,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
     // clocks advance on OBSERVED readings only - an outage must not eat a
     // consumer's cooldown or stride budget while nothing is being measured.
     readings_missing_->add();
-    if (!missing_[base + position]) {
-      missing_[base + position] = 1;
+    if (!(mask & bit)) {
+      mask |= bit;
       ++missing_in_window_[i];
     }
     return std::nullopt;
@@ -381,8 +398,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
   health_readings_.fetch_add(1, std::memory_order_relaxed);
 
   windows_[base + position] = reading.kw;
-  if (missing_[base + position]) {
-    missing_[base + position] = 0;
+  if (mask & bit) {
+    mask &= ~bit;
     --missing_in_window_[i];
   }
   if (cooldown_[i] > 0) {
@@ -536,8 +553,8 @@ void OnlineMonitor::save(std::ostream& out) const {
   enc.u64(config_.cooldown_slots);
   enc.f64(config_.max_missing_fraction);
   enc.u64(count);
-  // v4 detector block: the registry id of the (uniform) fleet.  "kld" keeps
-  // the v3 bulk Struct-of-Arrays encoding below; other families store one
+  // Detector block: the registry id of the (uniform) fleet.  "kld" fleets
+  // store bulk Struct-of-Arrays fields below; other families store one
   // shared config fingerprint plus per-consumer save_state payloads.
   enc.str(config_.detector);
 
@@ -576,12 +593,9 @@ void OnlineMonitor::save(std::ostream& out) const {
       enc.f64_array(
           static_cast<const KldDetector&>(*dp).training_divergences());
     }
-    std::vector<double> thresholds(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      thresholds[i] =
-          static_cast<const KldDetector&>(*detectors_[i]).threshold();
+    for (const auto& dp : detectors_) {
+      enc.f64(static_cast<const KldDetector&>(*dp).threshold());
     }
-    enc.f64_array(thresholds);
   } else if (count > 0) {
     const std::string fingerprint = detectors_.front()->config_fingerprint();
     for (const auto& d : detectors_) {
@@ -593,16 +607,12 @@ void OnlineMonitor::save(std::ostream& out) const {
     for (const auto& d : detectors_) d->save_state(enc);
   }
 
-  if (count > 0) {
-    // Fleet sliding-window state, one bulk array per field
-    // (missing_in_window_ is a derived popcount, recomputed on restore).
-    enc.u32_array(ids_);
-    enc.f64_array(windows_);
-    enc.u8_array(missing_);
-    enc.u32_array(since_score_);
-    enc.u32_array(cooldown_);
-    enc.f64_array(train_mean_);
-  }
+  // Per-consumer counters, one bulk array per field (missing_in_window_ is
+  // a derived popcount, recomputed on restore).
+  enc.u32_array(ids_);
+  enc.u32_array(since_score_);
+  enc.u32_array(cooldown_);
+  enc.f64_array(train_mean_);
 
   enc.u64(alerts_.size());
   for (const AlertEvent& a : alerts_) {
@@ -613,20 +623,24 @@ void OnlineMonitor::save(std::ostream& out) const {
     enc.f64(a.threshold);
     enc.u8(static_cast<std::uint8_t>(a.direction));
   }
-  // v6 feeder-hierarchy block, behind a presence flag: a monitor fitted
-  // without a topology keeps writing (and restoring) hierarchy-free state.
+  // Feeder-hierarchy block, behind a presence flag: a monitor fitted
+  // without a topology writes (and restores) hierarchy-free state.
   enc.u8(feeder_ != nullptr ? 1 : 0);
   if (feeder_ != nullptr) feeder_->save_state(enc);
-  persist::write_checkpoint(out, persist::Section::kOnlineMonitor,
-                            enc.bytes());
+
+  // Three sections: the small state, then the two bulk arrays written
+  // straight from the live fleet state.
+  persist::CheckpointWriter writer(out, persist::Section::kOnlineMonitor);
+  writer.write(enc.bytes());
+  writer.write(std::span<const double>(windows_));
+  writer.write(std::span<const std::uint64_t>(missing_));
 }
 
 void OnlineMonitor::restore(std::istream& in) {
   obs::TraceSpan span("monitor.restore", "monitor");
-  std::uint32_t version = persist::kFormatVersion;
-  const std::string payload =
-      persist::read_checkpoint(in, persist::Section::kOnlineMonitor, &version);
-  persist::Decoder dec(payload);
+  persist::CheckpointReader reader(in, persist::Section::kOnlineMonitor);
+  const std::string state = reader.read();
+  persist::Decoder dec(state);
 
   OnlineMonitorConfig config = config_;  // threads/metrics/shards survive
   config.stride = dec.count("stride", 1u << 20);
@@ -639,29 +653,17 @@ void OnlineMonitor::restore(std::istream& in) {
   }
 
   const std::size_t count = dec.count("monitor consumers", 100u << 20);
-  // v2/v3 checkpoints predate the detector-id block and are always "kld".
-  const std::string detector_id =
-      version >= 4 ? dec.str("detector id", 256) : std::string("kld");
+  // Nothing below is sized by `count` before this check: every consumer
+  // owns at least its counters in this section.
+  dec.require_fits("monitor consumers", count, kStateBytesPerConsumer);
+  const std::string detector_id = dec.str("detector id", 256);
   if (!is_registered_detector(detector_id)) {
     throw DataError("checkpoint: unknown detector id \"" + detector_id + "\"");
   }
   std::vector<std::unique_ptr<ScoringDetector>> detectors;
-  std::vector<meter::ConsumerId> ids;
-  std::vector<Kw> windows;
-  std::vector<unsigned char> missing;
-  std::vector<std::uint32_t> missing_in_window;
-  std::vector<std::uint32_t> since_score;
-  std::vector<std::uint32_t> cooldown;
-  std::vector<double> train_mean;
-
-  // Everything except the v2 interleaved layout reads a detector block
-  // first, then the bulk per-field fleet arrays.
-  const bool v2_interleaved = detector_id == "kld" && version < 3;
-  if (count > 0 && !v2_interleaved && detector_id == "kld") {
-    // v3+ Struct-of-Arrays: a uniform detector block followed by bulk
-    // per-field fleet arrays.  The byte-level decode is a handful of
-    // bounds-checked memcpys; only the per-consumer detector objects need
-    // rebuilding, and those rebuild in parallel.
+  if (count > 0 && detector_id == "kld") {
+    // The uniform detector block: bulk per-field arrays, then a parallel
+    // rebuild of the per-consumer detector objects.
     KldDetectorConfig kld;
     kld.bins = dec.count("kld bins", 1u << 20);
     kld.significance = dec.f64();
@@ -672,116 +674,58 @@ void OnlineMonitor::restore(std::istream& in) {
       throw DataError("checkpoint: kld training divergences missing");
     }
     const std::size_t edge_n = kld.bins + 1;
-    std::vector<double> edges_flat(count * edge_n);
-    dec.f64_array(edges_flat);
-    std::vector<double> baselines_flat(count * kld.bins);
-    dec.f64_array(baselines_flat);
-    std::vector<double> k_flat(count * train_weeks);
-    dec.f64_array(k_flat);
-    std::vector<double> thresholds(count);
-    dec.f64_array(thresholds);
+    const std::vector<double> edges_flat =
+        dec.f64_array("kld edges", count, edge_n);
+    const std::vector<double> baselines_flat =
+        dec.f64_array("kld baselines", count, kld.bins);
+    const std::vector<double> k_flat =
+        dec.f64_array("kld training divergences", count, train_weeks);
+    const std::vector<double> thresholds =
+        dec.f64_array("kld thresholds", count);
 
     detectors.resize(count);
     parallel_for(
         count,
         [&](std::size_t i) {
+          const auto slice = [i](const std::vector<double>& flat,
+                                 std::size_t width) {
+            const auto first =
+                flat.begin() + static_cast<std::ptrdiff_t>(i * width);
+            return std::vector<double>(
+                first, first + static_cast<std::ptrdiff_t>(width));
+          };
           detectors[i] = std::make_unique<KldDetector>(
               KldDetector::from_fitted_parts(
-                  kld,
-                  {edges_flat.begin() +
-                       static_cast<std::ptrdiff_t>(i * edge_n),
-                   edges_flat.begin() +
-                       static_cast<std::ptrdiff_t>((i + 1) * edge_n)},
-                  {baselines_flat.begin() +
-                       static_cast<std::ptrdiff_t>(i * kld.bins),
-                   baselines_flat.begin() +
-                       static_cast<std::ptrdiff_t>((i + 1) * kld.bins)},
-                  {k_flat.begin() +
-                       static_cast<std::ptrdiff_t>(i * train_weeks),
-                   k_flat.begin() +
-                       static_cast<std::ptrdiff_t>((i + 1) * train_weeks)},
-                  thresholds[i]));
+                  kld, slice(edges_flat, edge_n),
+                  slice(baselines_flat, kld.bins),
+                  slice(k_flat, train_weeks), thresholds[i]));
         },
         config_.threads);
-  } else if (count > 0 && !v2_interleaved) {
-    // v4 generic detector block: one shared config fingerprint, then each
+  } else if (count > 0) {
+    // Generic detector block: one shared config fingerprint, then each
     // consumer's self-describing save_state payload.
     const std::string fingerprint = dec.str("detector fingerprint", 1024);
     detectors.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       std::unique_ptr<ScoringDetector> detector =
           make_detector(detector_id, config.detector_options);
-      detector->restore_state(dec, version);
+      detector->restore_state(dec);
       if (detector->config_fingerprint() != fingerprint) {
         throw DataError("checkpoint: detector fingerprint mismatch");
       }
       detectors.push_back(std::move(detector));
     }
   }
-
-  if (count > 0 && !v2_interleaved) {
-    ids.resize(count);
-    dec.u32_array(ids);
-    windows.resize(count * kWindow);
-    dec.f64_array(windows);
-    missing.resize(count * kWindow);
-    dec.u8_array(missing);
-    since_score.resize(count);
-    dec.u32_array(since_score);
-    cooldown.resize(count);
-    dec.u32_array(cooldown);
-    train_mean.resize(count);
-    dec.f64_array(train_mean);
-
-    missing_in_window.assign(count, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint32_t gaps = 0;
-      for (std::size_t s = 0; s < kWindow; ++s) {
-        const unsigned char flag = missing[i * kWindow + s];
-        if (flag > 1) {
-          throw DataError("checkpoint: bad monitor missing flag");
-        }
-        gaps += flag;
-      }
-      missing_in_window[i] = gaps;
-    }
-  } else if (count > 0) {
-    // v2: per-consumer interleaved layout written by older builds.
-    detectors.reserve(count);
-    ids.reserve(count);
-    windows.resize(count * kWindow);
-    missing.resize(count * kWindow);
-    missing_in_window.assign(count, 0);
-    since_score.resize(count);
-    cooldown.resize(count);
-    train_mean.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto detector = std::make_unique<KldDetector>();
-      detector->restore(dec, version);
-      detectors.push_back(std::move(detector));
-      ids.push_back(dec.u32());
-      const std::vector<double> window =
-          dec.doubles("monitor window", 1u << 20);
-      if (window.size() != kWindow) {
-        throw DataError("checkpoint: monitor window is not one week");
-      }
-      std::copy(window.begin(), window.end(),
-                windows.begin() + static_cast<std::ptrdiff_t>(i * kWindow));
-      for (std::size_t s = 0; s < kWindow; ++s) {
-        const std::uint8_t flag = dec.u8();
-        if (flag > 1) throw DataError("checkpoint: bad monitor missing flag");
-        missing[i * kWindow + s] = flag;
-        missing_in_window[i] += flag;
-      }
-      since_score[i] =
-          static_cast<std::uint32_t>(dec.count("since_score", 1u << 20));
-      cooldown[i] =
-          static_cast<std::uint32_t>(dec.count("cooldown", 1u << 20));
-      train_mean[i] = dec.f64();
-    }
-  }
+  std::vector<meter::ConsumerId> ids = dec.u32_array("monitor ids", count);
+  std::vector<std::uint32_t> since_score =
+      dec.u32_array("monitor stride counters", count);
+  std::vector<std::uint32_t> cooldown =
+      dec.u32_array("monitor cooldown counters", count);
+  std::vector<double> train_mean =
+      dec.f64_array("monitor training means", count);
 
   const std::size_t alert_count = dec.count("alerts", 100u << 20);
+  dec.require_fits("alerts", alert_count, kAlertBytes);
   std::vector<AlertEvent> alerts;
   alerts.reserve(alert_count);
   for (std::size_t i = 0; i < alert_count; ++i) {
@@ -801,24 +745,39 @@ void OnlineMonitor::restore(std::istream& in) {
     a.direction = static_cast<AlertDirection>(direction);
     alerts.push_back(a);
   }
-  // v6 feeder-hierarchy block; pre-v6 checkpoints carry none (restore
-  // proceeds hierarchy-free; refit to regain the feeder layer).
   std::unique_ptr<hierarchy::FeederMonitor> feeder;
-  if (version >= 6) {
-    const std::uint8_t has_feeder = dec.u8();
-    if (has_feeder > 1) throw DataError("checkpoint: bad feeder flag");
-    if (has_feeder == 1) {
-      if (config_.topology == nullptr) {
-        throw DataError(
-            "checkpoint: feeder-hierarchy state present but the monitor has "
-            "no configured topology");
-      }
-      feeder = std::make_unique<hierarchy::FeederMonitor>(
-          *config_.topology, resolved_feeder_config());
-      feeder->restore_state(dec, version);
+  const std::uint8_t has_feeder = dec.u8();
+  if (has_feeder > 1) throw DataError("checkpoint: bad feeder flag");
+  if (has_feeder == 1) {
+    if (config_.topology == nullptr) {
+      throw DataError(
+          "checkpoint: feeder-hierarchy state present but the monitor has "
+          "no configured topology");
     }
+    feeder = std::make_unique<hierarchy::FeederMonitor>(
+        *config_.topology, resolved_feeder_config());
+    feeder->restore_state(dec);
   }
-  dec.require_exhausted("monitor model");
+  dec.require_exhausted("monitor state");
+
+  // The bulk sections, read straight into place; their lengths must match
+  // the decoded consumer count.
+  std::vector<Kw> windows;
+  reader.read(windows, count * kWindow);
+  std::vector<std::uint64_t> missing;
+  reader.read(missing, count * kMaskWords);
+  std::vector<std::uint32_t> missing_in_window(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* words = missing.data() + i * kMaskWords;
+    if ((words[kMaskWords - 1] & kMaskPadding) != 0) {
+      throw DataError("checkpoint: monitor missing mask sets a padding bit");
+    }
+    std::uint32_t gaps = 0;
+    for (std::size_t w = 0; w < kMaskWords; ++w) {
+      gaps += static_cast<std::uint32_t>(std::popcount(words[w]));
+    }
+    missing_in_window[i] = gaps;
+  }
 
   // Everything decoded cleanly; commit the restore atomically.
   config.detector = detector_id;

@@ -171,15 +171,12 @@ class OnlineMonitor {
   /// state, and the fit-related config (detector family, kld, stride,
   /// cooldown_slots; `threads`, `metrics` and `shards` keep their
   /// constructed values).  Subsequent ingest calls behave bit-identically to
-  /// the monitor that was saved.  Reads the v4 layout (a detector-id block;
-  /// "kld" fleets keep the v3 bulk Struct-of-Arrays detector encoding, other
-  /// families store a shared config fingerprint plus per-consumer
-  /// save_state payloads), the v3 Struct-of-Arrays layout (bulk array
-  /// blocks; the large-fleet warm start is a handful of memcpys plus a
-  /// parallel detector rebuild) and the v2 per-consumer interleaved layout
-  /// written by older builds (restored with out-of-support clamping,
-  /// preserving the saved scores bit-exactly).  Throws DataError on a
-  /// corrupted/truncated/version-mismatched file.
+  /// the monitor that was saved.  The file holds three sections (DESIGN.md
+  /// §9): the small state (config, detector block, per-consumer counters,
+  /// alerts, feeder block), then the sliding windows and the missing-slot
+  /// bitset, each read straight into place; the detector rebuild runs on
+  /// the shared pool.  Throws DataError on a corrupted, truncated or
+  /// version-mismatched file and leaves this monitor untouched.
   void restore(std::istream& in);
 
   /// The consumer's sliding week vector, indexed by slot-of-week (exposed
@@ -268,9 +265,12 @@ class OnlineMonitor {
   // for the order-insensitive plain KLD and breaks slot-aligned detectors
   // such as the price-conditioned KLD).
   std::vector<Kw> windows_;            // count x kSlotsPerWeek
-  /// Slot-of-week positions whose freshest value was never delivered
-  /// (parallel to windows_; cleared when a real reading arrives).
-  std::vector<unsigned char> missing_; // count x kSlotsPerWeek
+  /// Bitset of the slot-of-week positions whose freshest value was never
+  /// delivered (cleared when a real reading arrives): bit s % 64 of word
+  /// i*6 + s/64, the last word's top 48 bits always zero.  Each consumer
+  /// owns whole words: neighbours can live in different shards, and a
+  /// shared word would race under ingest_batch.
+  std::vector<std::uint64_t> missing_; // count x 6
   std::vector<std::uint32_t> missing_in_window_;  ///< popcount, O(1) gate
   std::vector<std::uint32_t> since_score_;
   std::vector<std::uint32_t> cooldown_;

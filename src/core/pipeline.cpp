@@ -10,6 +10,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/binary_io.h"
 #include "persist/checkpoint.h"
 #include "stats/descriptive.h"
 #include "stats/quantile.h"
@@ -122,10 +123,9 @@ void FdetaPipeline::save_model(std::ostream& out) const {
   enc.u64(config_.split.test_weeks);
   enc.f64(config_.direction_margin);
   enc.f64(config_.direction_floor_kw);
-  // v4 detector block: registry id, consumer count, one shared config
+  // Detector block: registry id, consumer count, one shared config
   // fingerprint (the fleet must be uniform), then each consumer's
-  // self-describing save_state payload.  For "kld" the per-consumer bytes
-  // are the v3 KldDetector::save layout unchanged.
+  // self-describing save_state payload.
   enc.str(config_.detector);
   enc.u64(detectors_.size());
   if (!detectors_.empty()) {
@@ -140,15 +140,15 @@ void FdetaPipeline::save_model(std::ostream& out) const {
     detectors_[i]->save_state(enc);
     meter::save_weekly_stats(train_stats_[i], enc);
   }
-  persist::write_checkpoint(out, persist::Section::kPipeline, enc.bytes());
+  persist::CheckpointWriter(out, persist::Section::kPipeline)
+      .write(enc.bytes());
 }
 
 void FdetaPipeline::load_model(std::istream& in) {
   obs::TraceSpan span("pipeline.load_model", "pipeline");
   feeder_.reset();  // refitted lazily against the restored split
-  std::uint32_t version = persist::kFormatVersion;
   const std::string payload =
-      persist::read_checkpoint(in, persist::Section::kPipeline, &version);
+      persist::CheckpointReader(in, persist::Section::kPipeline).read();
   persist::Decoder dec(payload);
 
   PipelineConfig config = config_;  // threads/metrics survive the restore
@@ -157,17 +157,16 @@ void FdetaPipeline::load_model(std::istream& in) {
   config.direction_margin = dec.f64();
   config.direction_floor_kw = dec.f64();
 
-  // v2/v3 checkpoints predate the detector block and are always "kld".
-  const std::string detector_id =
-      version >= 4 ? dec.str("detector id", 256) : std::string("kld");
+  const std::string detector_id = dec.str("detector id", 256);
   if (!is_registered_detector(detector_id)) {
     throw DataError("checkpoint: unknown detector id \"" + detector_id + "\"");
   }
   const std::size_t count = dec.count("consumers", 100u << 20);
+  // Every consumer owns at least its weekly-stats block (two empty
+  // sequences and four bounds), so this bounds the reservations below.
+  dec.require_fits("consumers", count, 6 * sizeof(double));
   std::string fingerprint;
-  if (version >= 4 && count > 0) {
-    fingerprint = dec.str("detector fingerprint", 1024);
-  }
+  if (count > 0) fingerprint = dec.str("detector fingerprint", 1024);
   std::vector<std::unique_ptr<ScoringDetector>> detectors;
   std::vector<meter::WeeklyStats> train_stats;
   detectors.reserve(count);
@@ -177,8 +176,8 @@ void FdetaPipeline::load_model(std::istream& in) {
     // the factory; every field is overwritten from the checkpoint.
     std::unique_ptr<ScoringDetector> detector =
         make_detector(detector_id, config.detector_options);
-    detector->restore_state(dec, version);
-    if (version >= 4 && detector->config_fingerprint() != fingerprint) {
+    detector->restore_state(dec);
+    if (detector->config_fingerprint() != fingerprint) {
       throw DataError("checkpoint: detector fingerprint mismatch");
     }
     detectors.push_back(std::move(detector));

@@ -218,8 +218,7 @@ void ReducedKldDetector::save_state(persist::Encoder& enc) const {
   enc.f64(threshold_);
 }
 
-void ReducedKldDetector::restore_state(persist::Decoder& dec,
-                                       std::uint32_t /*format_version*/) {
+void ReducedKldDetector::restore_state(persist::Decoder& dec) {
   ReducedKldDetectorConfig config;
   config.selected_slots = dec.count("kld-lite slots", kSlotsPerWeek);
   config.kld.bins = dec.count("kld-lite bins", 1u << 20);

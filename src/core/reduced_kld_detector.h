@@ -51,8 +51,7 @@ class ReducedKldDetector final : public ScoringDetector {
   KldExplanation raw_explain_week(std::span<const Kw> week,
                                   SlotIndex first_slot = 0) const override;
   void save_state(persist::Encoder& enc) const override;
-  void restore_state(persist::Decoder& dec,
-                     std::uint32_t format_version) override;
+  void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
   std::unique_ptr<ScoringDetector> clone() const override {
     return std::make_unique<ReducedKldDetector>(*this);

@@ -423,8 +423,7 @@ void FeederMonitor::save_state(persist::Encoder& enc) const {
   for (const NodeState& n : nodes_) n.detector->save_state(enc);
 }
 
-void FeederMonitor::restore_state(persist::Decoder& dec,
-                                  std::uint32_t format_version) {
+void FeederMonitor::restore_state(persist::Decoder& dec) {
   const std::string fingerprint = dec.str("hierarchy fingerprint", 1 << 10);
   if (fingerprint != config_fingerprint()) {
     throw DataError("FeederMonitor: checkpoint fingerprint mismatch: " +
@@ -439,11 +438,12 @@ void FeederMonitor::restore_state(persist::Decoder& dec,
     throw DataError("FeederMonitor: checkpoint node count does not match "
                     "the topology");
   }
-  std::vector<std::uint32_t> ids(node_count);
-  std::vector<double> baselines(node_count), sigmas(node_count);
-  dec.u32_array(ids);
-  dec.f64_array(baselines);
-  dec.f64_array(sigmas);
+  const std::vector<std::uint32_t> ids =
+      dec.u32_array("hierarchy node ids", node_count);
+  const std::vector<double> baselines =
+      dec.f64_array("hierarchy baselines", node_count);
+  const std::vector<double> sigmas =
+      dec.f64_array("hierarchy deviations", node_count);
   for (std::size_t n = 0; n < node_count; ++n) {
     if (static_cast<grid::NodeId>(ids[n]) != nodes_[n].node) {
       throw DataError("FeederMonitor: checkpoint scored-node ids do not "
@@ -455,15 +455,15 @@ void FeederMonitor::restore_state(persist::Decoder& dec,
   if (consumer_count != topology_->consumer_count()) {
     throw DataError("FeederMonitor: checkpoint consumer count mismatch");
   }
-  std::vector<double> train_means(consumer_count);
-  dec.f64_array(train_means);
+  std::vector<double> train_means =
+      dec.f64_array("hierarchy training means", consumer_count);
   const std::string detector_fingerprint =
       dec.str("hierarchy detector fingerprint", 1 << 10);
   std::vector<std::unique_ptr<core::ScoringDetector>> detectors(node_count);
   for (std::size_t n = 0; n < node_count; ++n) {
     detectors[n] =
         core::make_detector(detector_id, config_.detector_options);
-    detectors[n]->restore_state(dec, format_version);
+    detectors[n]->restore_state(dec);
     if (detectors[n]->config_fingerprint() != detector_fingerprint) {
       throw DataError("FeederMonitor: restored detector fingerprint "
                       "mismatch");

@@ -204,7 +204,7 @@ class FeederMonitor {
   /// Restores save_state() bytes against the SAME topology (scored-node ids
   /// are validated); throws DataError on any mismatch.  Subsequent
   /// evaluations are bit-identical to the monitor that was saved.
-  void restore_state(persist::Decoder& dec, std::uint32_t format_version);
+  void restore_state(persist::Decoder& dec);
 
   /// Deterministic config + per-node fingerprint summary (checkpoint
   /// cross-check).

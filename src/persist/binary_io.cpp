@@ -6,6 +6,15 @@
 
 namespace fdeta::persist {
 
+namespace {
+
+/// a * b <= limit, without computing a possibly overflowing product.
+bool product_fits(std::size_t a, std::size_t b, std::size_t limit) {
+  return a == 0 || b <= limit / a;
+}
+
+}  // namespace
+
 void Encoder::u32(std::uint32_t v) {
   for (int shift = 0; shift < 32; shift += 8) {
     buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
@@ -20,7 +29,7 @@ void Encoder::u64(std::uint64_t v) {
 
 void Encoder::doubles(std::span<const double> values) {
   u64(values.size());
-  for (double v : values) f64(v);
+  f64_array(values);
 }
 
 void Encoder::str(std::string_view value) {
@@ -46,15 +55,11 @@ void Encoder::u32_array(std::span<const std::uint32_t> values) {
   }
 }
 
-void Encoder::u8_array(std::span<const unsigned char> values) {
-  buf_.append(reinterpret_cast<const char*>(values.data()), values.size());
-}
-
 void Decoder::need(std::size_t n) const {
-  if (bytes_.size() - pos_ < n) {
-    throw DataError("checkpoint: truncated payload (wanted " +
+  if (remaining() < n) {
+    throw DataError("checkpoint: truncated section (wanted " +
                     std::to_string(n) + " bytes, " +
-                    std::to_string(bytes_.size() - pos_) + " left)");
+                    std::to_string(remaining()) + " left)");
   }
 }
 
@@ -94,11 +99,7 @@ std::size_t Decoder::count(std::string_view what, std::size_t max_count) {
 
 std::vector<double> Decoder::doubles(std::string_view what,
                                      std::size_t max_count) {
-  const std::size_t n = count(what, max_count);
-  need(n * sizeof(double));
-  std::vector<double> out(n);
-  for (auto& v : out) v = f64();
-  return out;
+  return f64_array(what, count(what, max_count));
 }
 
 std::string Decoder::str(std::string_view what, std::size_t max_len) {
@@ -109,19 +110,35 @@ std::string Decoder::str(std::string_view what, std::size_t max_len) {
   return out;
 }
 
-void Decoder::f64_array(std::span<double> out) {
-  need(out.size() * sizeof(double));
+void Decoder::require_fits(std::string_view what, std::size_t count,
+                           std::size_t width) const {
+  if (!product_fits(count, width, remaining())) {
+    throw DataError("checkpoint: " + std::string(what) + " count " +
+                    std::to_string(count) + " needs more than the " +
+                    std::to_string(remaining()) + " bytes left");
+  }
+}
+
+std::vector<double> Decoder::f64_array(std::string_view what,
+                                       std::size_t count, std::size_t width) {
+  if (count == 0) return {};
+  // count * width * 8 <= remaining, in two overflow-safe steps.
+  require_fits(what, width, sizeof(double));
+  require_fits(what, count, width * sizeof(double));
+  std::vector<double> out(count * width);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), bytes_.data() + pos_,
-                out.size() * sizeof(double));
+    std::memcpy(out.data(), bytes_.data() + pos_, out.size() * sizeof(double));
     pos_ += out.size() * sizeof(double);
   } else {
     for (auto& v : out) v = f64();
   }
+  return out;
 }
 
-void Decoder::u32_array(std::span<std::uint32_t> out) {
-  need(out.size() * sizeof(std::uint32_t));
+std::vector<std::uint32_t> Decoder::u32_array(std::string_view what,
+                                              std::size_t count) {
+  require_fits(what, count, sizeof(std::uint32_t));
+  std::vector<std::uint32_t> out(count);
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), bytes_.data() + pos_,
                 out.size() * sizeof(std::uint32_t));
@@ -129,29 +146,14 @@ void Decoder::u32_array(std::span<std::uint32_t> out) {
   } else {
     for (auto& v : out) v = u32();
   }
-}
-
-void Decoder::u8_array(std::span<unsigned char> out) {
-  need(out.size());
-  std::memcpy(out.data(), bytes_.data() + pos_, out.size());
-  pos_ += out.size();
+  return out;
 }
 
 void Decoder::require_exhausted(std::string_view what) const {
-  if (pos_ != bytes_.size()) {
+  if (remaining() != 0) {
     throw DataError("checkpoint: " + std::string(what) + " left " +
-                    std::to_string(bytes_.size() - pos_) +
-                    " undecoded payload bytes");
+                    std::to_string(remaining()) + " undecoded section bytes");
   }
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 }  // namespace fdeta::persist

@@ -1,15 +1,17 @@
 // Endian-stable binary encoding primitives for model checkpoints.
 //
 // Fitted pipeline state (histogram edges, baseline distributions, training
-// KLD vectors, thresholds, monitor windows) must restore bit-exactly on any
+// KLD vectors, thresholds, monitor counters) must restore bit-exactly on any
 // host, so every integer is written byte-by-byte least-significant-first and
 // every double travels as the little-endian bytes of its IEEE-754 bit
 // pattern - the in-memory representation never leaks into the format.
 //
-// Encoder appends to an in-memory buffer (the checkpoint framing in
-// checkpoint.h checksums and writes it in one piece); Decoder walks a byte
-// view with bounds checks and throws DataError on any overrun, so a
-// truncated or corrupted payload can never read uninitialised memory.
+// Encoder appends the small state of a checkpoint to an in-memory buffer
+// (checkpoint.h frames it as one section; bulk arrays bypass it entirely).
+// Decoder walks a byte view with bounds checks and throws DataError on any
+// overrun, so a truncated or corrupted section can never read uninitialised
+// memory - and checks every element count against the bytes left BEFORE it
+// allocates, so a corrupted count can never drive a large allocation.
 #pragma once
 
 #include <bit>
@@ -32,18 +34,16 @@ class Encoder {
   /// Element count (u64) followed by each element as f64.
   void doubles(std::span<const double> values);
   /// Byte length (u64) followed by the raw bytes (detector ids and config
-  /// fingerprints in v4 checkpoints).
+  /// fingerprints).
   void str(std::string_view value);
 
-  /// Bulk raw arrays WITHOUT a leading count: the caller's schema fixes the
-  /// element count (e.g. consumers x slots-per-week), so the decoder can
-  /// read the whole block in one bounds-checked memcpy instead of a
-  /// per-element loop - the difference between a multi-second and a
-  /// sub-second million-consumer warm start.  On a little-endian host the
-  /// append IS a memcpy; the big-endian fallback keeps the format stable.
+  /// Raw arrays WITHOUT a leading count: the caller's schema fixes the
+  /// element count (e.g. consumers x bins), so the decoder reads the whole
+  /// block in one bounds-checked memcpy instead of a per-element loop.  On a
+  /// little-endian host the append IS a memcpy; the big-endian fallback
+  /// keeps the format stable.
   void f64_array(std::span<const double> values);
   void u32_array(std::span<const std::uint32_t> values);
-  void u8_array(std::span<const unsigned char> values);
 
   const std::string& bytes() const { return buf_; }
 
@@ -62,23 +62,30 @@ class Decoder {
   double f64() { return std::bit_cast<double>(u64()); }
 
   /// Reads a u64 count and validates it against `max_count` (a structural
-  /// sanity bound - a corrupted length must not drive a multi-gigabyte
-  /// allocation) and against the bytes actually remaining.
+  /// sanity bound on config-sized values such as bins or stride).
   std::size_t count(std::string_view what, std::size_t max_count);
-  /// Reads a doubles() sequence.
+  /// Reads a doubles() sequence (count bounded by `max_count` and by the
+  /// bytes left, before allocating).
   std::vector<double> doubles(std::string_view what, std::size_t max_count);
   /// Reads a str() sequence; `max_len` bounds the byte length.
   std::string str(std::string_view what, std::size_t max_len);
 
-  /// Bulk reads of the countless Encoder::*_array blocks; `out.size()`
-  /// elements are consumed (bounds-checked up front, single memcpy on
-  /// little-endian hosts).
-  void f64_array(std::span<double> out);
-  void u32_array(std::span<std::uint32_t> out);
-  void u8_array(std::span<unsigned char> out);
+  /// Throws DataError unless `count` items of at least `width` bytes each
+  /// fit in the bytes left (overflow-safe).  Call it with a count read from
+  /// the checkpoint before sizing anything by that count.
+  void require_fits(std::string_view what, std::size_t count,
+                    std::size_t width) const;
+
+  /// Reads a countless Encoder::*_array block of `count` x `width`
+  /// elements, checked against the bytes left before anything is allocated
+  /// (one memcpy on little-endian hosts).
+  std::vector<double> f64_array(std::string_view what, std::size_t count,
+                                std::size_t width = 1);
+  std::vector<std::uint32_t> u32_array(std::string_view what,
+                                       std::size_t count);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
-  /// Throws DataError if any payload bytes were left unread (a section that
+  /// Throws DataError if any section bytes were left unread (a section that
   /// decodes "successfully" but short is as corrupt as a truncated one).
   void require_exhausted(std::string_view what) const;
 
@@ -88,9 +95,5 @@ class Decoder {
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };
-
-/// FNV-1a 64-bit checksum over a byte string (the header checksum of
-/// checkpoint.h; detects truncation and bit rot, not adversarial tampering).
-std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace fdeta::persist

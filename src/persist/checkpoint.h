@@ -3,69 +3,52 @@
 // The paper fits each detector once on the M x 336 training week-matrix and
 // then scores new weeks indefinitely; a fleet head-end therefore fits
 // offline (`fdeta fit --save-model`) and serving restores the fitted state
-// in milliseconds (`fdeta detect --model`) instead of refitting from raw
-// readings on every process start.
+// (`fdeta detect --model`) instead of refitting from raw readings on every
+// process start.  A restore should cost about one read of the fitted state.
 //
-// File layout (all integers little-endian; see binary_io.h):
+// File layout, format v7 (all integers little-endian; see binary_io.h):
 //
 //   offset  size  field
 //        0     8  magic "FDETAMDL"
 //        8     4  format version (kFormatVersion)
-//       12     4  section id (what model the payload holds)
-//       16     8  payload size in bytes
-//       24     8  FNV-1a 64 checksum of the payload bytes
-//       32     -  payload (section-specific; encoded via persist::Encoder)
+//       12     4  section id (what model the file holds)
+//       16     -  sections, back to back, each:
+//                   8  byte length n
+//                   n  bytes: an Encoder payload, or a bulk array of
+//                      little-endian 8-byte words
+//                   8  section_checksum(bytes)
 //
-// Compatibility policy: the version is bumped on ANY payload layout change.
-// Writers always emit kFormatVersion; readers accept the window
-// [kMinReadVersion, kFormatVersion] and surface the actual version so each
-// section decoder can pick the matching layout (v2 checkpoints written by
-// older builds restore bit-exactly - a refit is cheap, but a fleet refit of
-// a million consumers is not). Anything outside the window is rejected
-// outright; there is no in-place migration of the bytes themselves. Readers
-// validate magic -> version -> section -> size -> checksum in that order,
-// then require the section decoder to consume the payload exactly.
-// Conventions follow src/grid/serialize.*: free save/load functions,
-// DataError on every structural violation.
+// The owner fixes how many sections it writes and what each holds
+// (DESIGN.md §9).  A bulk section is hashed and written straight from the
+// caller's live array, and read straight into the caller's destination
+// vector, a chunk at a time: no encoder buffer, payload copy or second pass
+// in between.
+//
+// Readers accept exactly kFormatVersion: refitting is the migration.  They
+// validate magic -> version -> section id, then per section length ->
+// bytes -> checksum.  A reader never allocates more than one read chunk
+// ahead of the bytes the stream has delivered, unless the stream reports
+// (std::streambuf::in_avail) that the whole section is already there.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
-
-#include "persist/binary_io.h"
+#include <vector>
 
 namespace fdeta::persist {
 
-inline constexpr std::string_view kMagic = "FDETAMDL";
-// v2: OnlineMonitor payload gained the per-consumer missing mask and the
-// coverage-gate threshold.
-// v3: KLD detector payloads carry the out-of-support binning flag, and the
-// OnlineMonitor payload switched to the Struct-of-Arrays fleet layout
-// (uniform detector config + bulk per-field arrays) so a large-fleet warm
-// start is bulk reads instead of a per-consumer decode pass.
-// v4: pipeline and monitor payloads lead their detector block with the
-// registry id of the detector family (core/detector_registry.h), so a
-// checkpoint can hold any registered ScoringDetector; "kld" fleets keep the
-// v3 bulk Struct-of-Arrays layout, other families add a uniform config
-// fingerprint followed by consecutive per-consumer save_state payloads.
-// v2/v3 payloads carry no id and decode as "kld".
-// v5: score-calibration state.  "ckld" payloads append the training weeks'
-// scalar margins (the calibration reference); "iforest" payloads carry the
-// contamination knob after the significance.  The other families rebuild
-// their calibration from state persisted since v2 (training divergences +
-// threshold + significance).  Pre-v5 ckld payloads calibrate anchored at
-// the margin threshold alone - same flags, coarser sub-threshold scores.
-// v6: the OnlineMonitor payload ends with a feeder-hierarchy block behind a
-// presence flag (per-node detector fleet, rolling baselines, deviations,
-// consumer training means; see grid/hierarchy/feeder_monitor.h).  Pre-v6
-// payloads restore with no hierarchy state.
-inline constexpr std::uint32_t kFormatVersion = 6;
-/// Oldest version this build still reads (see the per-section decoders).
-inline constexpr std::uint32_t kMinReadVersion = 2;
+class SectionHash;  // the incremental section_checksum (checkpoint.cpp)
 
-/// What fitted model a checkpoint holds. A reader asks for the section it
+inline constexpr std::string_view kMagic = "FDETAMDL";
+/// Bumped on ANY layout change of the frame or of an owner's sections.
+inline constexpr std::uint32_t kFormatVersion = 7;
+/// Oldest version this build reads: only the current one.
+inline constexpr std::uint32_t kMinReadVersion = kFormatVersion;
+
+/// What fitted model a checkpoint holds. A reader asks for the section id it
 /// expects; a pipeline checkpoint can never be restored into a monitor.
 enum class Section : std::uint32_t {
   kPipeline = 1,       ///< FdetaPipeline (detectors + weekly stats)
@@ -74,23 +57,60 @@ enum class Section : std::uint32_t {
 
 const char* to_string(Section section);
 
-/// Writes header + checksummed payload; throws DataError on stream failure.
-void write_checkpoint(std::ostream& out, Section section,
-                      std::string_view payload);
+/// The section checksum.  Four lanes consume the bytes as little-endian u64
+/// words (word k feeds lane k mod 4), each step h = (h ^ w) * P;
+/// h ^= h >> 32.  A step is a bijection of the lane state and of the word,
+/// so changing any single word - the zero-padded tail word included - always
+/// changes the result.  The lanes, the tail word and the byte length are
+/// folded together at the end.  Detects truncation and bit rot, not
+/// adversarial tampering.
+std::uint64_t section_checksum(std::string_view bytes);
 
-/// Reads and validates a checkpoint written by write_checkpoint, returning
-/// the payload bytes. Accepts format versions in
-/// [kMinReadVersion, kFormatVersion] and stores the file's actual version
-/// through `version` (when non-null) so the caller can decode the matching
-/// payload layout. Throws DataError on bad magic, an out-of-window version,
-/// section mismatch, truncation, or checksum failure.
-std::string read_checkpoint(std::istream& in, Section expected_section,
-                            std::uint32_t* version = nullptr);
+/// Writes a checkpoint: the header on construction, then one section per
+/// write() call.  Throws DataError on stream failure.
+class CheckpointWriter {
+ public:
+  CheckpointWriter(std::ostream& out, Section section);
 
-/// Convenience file wrappers (binary mode; DataError on open failure).
-void save_checkpoint_file(const std::string& path, Section section,
-                          std::string_view payload);
-std::string load_checkpoint_file(const std::string& path,
-                                 Section expected_section);
+  /// One section holding `bytes` (an Encoder payload).
+  void write(std::string_view bytes);
+  /// One bulk section, hashed and written straight from `values`.
+  void write(std::span<const double> values);
+  void write(std::span<const std::uint64_t> values);
+
+ private:
+  template <class T>
+  void write_words(std::span<const T> values);
+  void put_u64(std::uint64_t v);
+
+  std::ostream& out_;
+};
+
+/// Reads a checkpoint written by CheckpointWriter, section by section, in
+/// the order they were written.  Throws DataError on bad magic, any version
+/// but kFormatVersion, a section id mismatch, truncation, a section length
+/// that disagrees with the caller's counts, or a checksum mismatch.
+class CheckpointReader {
+ public:
+  CheckpointReader(std::istream& in, Section expected_section);
+
+  /// The next section's bytes (an Encoder payload), checksum verified.
+  std::string read();
+  /// Reads the next section straight into `out`, resized to `count`
+  /// elements; the section must hold exactly that many words.
+  void read(std::vector<double>& out, std::size_t count);
+  void read(std::vector<std::uint64_t>& out, std::size_t count);
+
+ private:
+  template <class T>
+  void read_words(std::vector<T>& out, std::size_t count);
+  template <class Buffer>
+  void read_body(Buffer& out, std::size_t bytes, SectionHash& hash);
+  std::uint64_t get_u64(const char* what);
+  void verify(const SectionHash& hash, std::uint64_t length);
+
+  std::istream& in_;
+  std::size_t index_ = 0;  ///< sections read so far (for error messages)
+};
 
 }  // namespace fdeta::persist

@@ -3,7 +3,7 @@
 // decision threshold 1 - significance, while flag decisions remain exactly
 // the family-native raw comparison.  Covers the ScoreCalibration map itself
 // (monotonicity, flag equivalence, degenerate references) and the
-// persistence story (v5 round trips, pre-v5 payload fallbacks).
+// checkpoint round trip of the calibration state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "core/conditioned_kld_detector.h"
 #include "core/detector_plugin.h"
 #include "core/detector_registry.h"
-#include "core/isolation_forest_detector.h"
 #include "persist/binary_io.h"
-#include "persist/checkpoint.h"
 #include "tests/attack_test_helpers.h"
 
 namespace fdeta::core {
@@ -77,7 +74,7 @@ TEST(ScoreCalibration, FlagEquivalenceIsExactAtTheThreshold) {
 }
 
 TEST(ScoreCalibration, ThresholdAnchoredFallbackIsUsableWithoutReference) {
-  const auto cal = ScoreCalibration::threshold_anchored(0.0, 0.05);
+  const auto cal = ScoreCalibration::from_reference({}, 0.0, 0.05);
   EXPECT_DOUBLE_EQ(cal.decision_threshold(), 0.95);
   // Still a monotone map onto [0,1] with the exact flag equivalence.
   double prev = 0.0;
@@ -206,7 +203,7 @@ TEST_P(CalibrationContract, SaveRestoreSavePreservesCalibratedScores) {
 
   auto restored = make();
   persist::Decoder dec(bytes);
-  restored->restore_state(dec, persist::kFormatVersion);
+  restored->restore_state(dec);
   dec.require_exhausted("calibration contract payload");
 
   EXPECT_EQ(save_bytes(*restored), bytes);
@@ -228,75 +225,6 @@ std::string calibration_name(
 INSTANTIATE_TEST_SUITE_P(Registry, CalibrationContract,
                          ::testing::ValuesIn(registered_detector_names()),
                          calibration_name);
-
-// ---------------------------------------------------------------------------
-// Pre-v5 payload compatibility.  v5 appended the ckld training margins as
-// the final doubles() block and inserted the iforest contamination knob
-// after its significance; older payloads are reconstructed here byte-for-
-// byte from a current save and must still restore.
-
-TEST(CalibrationCompat, CkldV4PayloadRestoresWithAnchoredCalibration) {
-  const auto f = testutil::make_fixture(1337);
-  ConditionedKldDetector fitted;
-  fitted.fit(f.train());
-
-  persist::Encoder enc;
-  fitted.save(enc);
-  std::string v5 = enc.bytes();
-  // A v4 payload is the v5 payload without the trailing margins block
-  // (u64 count + one f64 per training week).
-  const std::size_t margins_bytes =
-      8 + 8 * fitted.training_margins().size();
-  ASSERT_GT(v5.size(), margins_bytes);
-  const std::string v4 = v5.substr(0, v5.size() - margins_bytes);
-
-  ConditionedKldDetector restored;
-  persist::Decoder dec(v4);
-  restored.restore(dec, 4);
-  dec.require_exhausted("ckld v4 payload");
-
-  // Anchored calibration: same uniform threshold, same flag decisions -
-  // only the sub-threshold score resolution differs from the v5 restore.
-  EXPECT_EQ(restored.decision_threshold(), fitted.decision_threshold());
-  for (std::size_t w = 0; w < 4; ++w) {
-    const auto week = f.split.test_week(f.series, w);
-    EXPECT_EQ(restored.flag_week(week), fitted.flag_week(week)) << w;
-    const double score = restored.score_week(week);
-    EXPECT_GE(score, 0.0);
-    EXPECT_LE(score, 1.0);
-  }
-  std::vector<Kw> attacked(f.clean_week().begin(), f.clean_week().end());
-  for (auto& v : attacked) v *= 0.25;
-  EXPECT_EQ(restored.flag_week(attacked), fitted.flag_week(attacked));
-}
-
-TEST(CalibrationCompat, IforestV4PayloadRestoresWithDefaultContamination) {
-  const auto f = testutil::make_fixture(4242);
-  IsolationForestDetector fitted;  // default contamination == the v4 fallback
-  fitted.fit(f.train());
-
-  persist::Encoder enc;
-  fitted.save_state(enc);
-  std::string v5 = enc.bytes();
-  // Layout: trees u64 | sample_size u64 | significance f64 | contamination
-  // f64 (v5+) | ... - drop the 8 contamination bytes at offset 24.
-  ASSERT_GT(v5.size(), 32u);
-  const std::string v4 = v5.substr(0, 24) + v5.substr(32);
-
-  IsolationForestDetector restored;
-  persist::Decoder dec(v4);
-  restored.restore_state(dec, 4);
-  dec.require_exhausted("iforest v4 payload");
-
-  // The v4 reader falls back to the default contamination, which is what
-  // the fitted instance used - so everything restores bit-identically.
-  EXPECT_EQ(restored.decision_threshold(), fitted.decision_threshold());
-  for (std::size_t w = 0; w < 4; ++w) {
-    const auto week = f.split.test_week(f.series, w);
-    EXPECT_EQ(restored.score_week(week), fitted.score_week(week)) << w;
-    EXPECT_EQ(restored.flag_week(week), fitted.flag_week(week)) << w;
-  }
-}
 
 }  // namespace
 }  // namespace fdeta::core

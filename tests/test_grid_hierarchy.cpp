@@ -219,7 +219,7 @@ TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
 
   hierarchy::FeederMonitor restored(topology, quiet_config(&metrics));
   persist::Decoder dec(enc.bytes());
-  restored.restore_state(dec, persist::kFormatVersion);
+  restored.restore_state(dec);
   ASSERT_TRUE(restored.fitted());
 
   // Same evaluation bytes...
@@ -247,7 +247,7 @@ TEST(FeederMonitor, RestoreRejectsMismatchedConfig) {
   other.collusion_share = 0.5;
   hierarchy::FeederMonitor mismatched(topology, other);
   persist::Decoder dec(enc.bytes());
-  EXPECT_THROW(mismatched.restore_state(dec, persist::kFormatVersion),
+  EXPECT_THROW(mismatched.restore_state(dec),
                DataError);
 }
 

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <set>
 #include <string>
@@ -160,10 +163,26 @@ TEST(Trace, ChromeJsonShapeAndCounts) {
 }
 
 TEST(Trace, PoolWorkersGetDistinctThreadIds) {
+  // The participating caller can drain 64 trivial tasks before a worker
+  // wakes, so the first task to start holds its thread on a latch until a
+  // second thread has entered the loop.  The wait is bounded, and skipped
+  // on single-core hosts, which legally run every task on one thread.
+  const bool multi_core = std::thread::hardware_concurrency() > 1;
+  std::mutex mutex;
+  std::condition_variable entered;
+  std::set<std::thread::id> threads;
   Tracer& tracer = Tracer::instance();
   tracer.enable();
-  parallel_for(64, [](std::size_t) {
+  parallel_for(64, [&](std::size_t) {
     TraceSpan span("trace.parallel", "test");
+    std::unique_lock lock(mutex);
+    const bool first = threads.empty();
+    threads.insert(std::this_thread::get_id());
+    entered.notify_all();
+    if (first && multi_core) {
+      entered.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return threads.size() >= 2; });
+    }
   });
   tracer.disable();
 
@@ -171,10 +190,7 @@ TEST(Trace, PoolWorkersGetDistinctThreadIds) {
   for (const auto& e : tracer.collect()) {
     if (std::string(e.name) == "trace.parallel") tids.insert(e.tid);
   }
-  // The caller participates too; with a multi-core pool at least two
-  // threads should have executed chunks.  (Single-core machines legally
-  // see one.)
-  EXPECT_GE(tids.size(), std::thread::hardware_concurrency() > 1 ? 2u : 1u);
+  EXPECT_GE(tids.size(), multi_core ? 2u : 1u);
 }
 
 TEST(Trace, PipelineMonitorAndPoolSpansAppear) {

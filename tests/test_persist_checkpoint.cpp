@@ -1,21 +1,29 @@
-// Tests of the model checkpoint layer: binary primitives, file framing,
-// bit-exact pipeline / monitor / detector round trips, rejection of
-// corrupted, truncated, version- and section-mismatched checkpoints, and
-// the epsilon-smoothing finiteness guarantees the format preserves.
+// Tests of the model checkpoint layer: binary primitives, the v7 section
+// frame and its checksum, bit-exact pipeline / monitor / detector round
+// trips, rejection of corrupted, truncated, version- and section-mismatched
+// checkpoints in bounded time and memory, and the epsilon-smoothing
+// finiteness guarantees the format preserves.
 #include "persist/checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/conditioned_kld_detector.h"
 #include "core/kld_detector.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
+#include "grid/topology.h"
 #include "meter/weekly_stats.h"
 #include "stats/descriptive.h"
 #include "obs/metrics.h"
@@ -77,29 +85,70 @@ TEST(BinaryIo, TruncationAndTrailingBytesThrow) {
   EXPECT_THROW(trailing.require_exhausted("payload"), DataError);
 }
 
-TEST(Checkpoint, FramingRoundTrip) {
+TEST(BinaryIo, ArrayCountsAreCheckedBeforeAllocating) {
   Encoder enc;
-  enc.u64(99);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_checkpoint(ss, Section::kPipeline, enc.bytes());
-  const std::string payload = read_checkpoint(ss, Section::kPipeline);
-  Decoder dec(payload);
-  EXPECT_EQ(dec.u64(), 99u);
+  enc.f64(1.0);
+  enc.f64(2.0);
+  Decoder dec(enc.bytes());
+  // 2^40 x 2^40 doubles overflows any product; the check must not.
+  EXPECT_THROW(dec.f64_array("huge", std::size_t{1} << 40,
+                             std::size_t{1} << 40),
+               DataError);
+  EXPECT_THROW(dec.f64_array("three", 3), DataError);
+  EXPECT_THROW(dec.require_fits("items", 3, 6), DataError);
+  EXPECT_NO_THROW(dec.require_fits("items", 2, 8));
+  EXPECT_EQ(dec.f64_array("pair", 1, 2), (std::vector<double>{1.0, 2.0}));
 }
 
 std::string framed_pipeline_payload() {
   Encoder enc;
   enc.u64(99);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_checkpoint(ss, Section::kPipeline, enc.bytes());
-  return ss.str();
+  std::ostringstream out(std::ios::binary);
+  CheckpointWriter(out, Section::kPipeline).write(enc.bytes());
+  return out.str();
+}
+
+TEST(Checkpoint, FramingRoundTrip) {
+  std::stringstream ss(framed_pipeline_payload(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+  const std::string payload = CheckpointReader(ss, Section::kPipeline).read();
+  Decoder dec(payload);
+  EXPECT_EQ(dec.u64(), 99u);
+  // Header (16) + length (8) + body (8) + checksum (8).
+  EXPECT_EQ(framed_pipeline_payload().size(), 40u);
+}
+
+TEST(Checkpoint, BulkSectionsRoundTripStraightIntoPlace) {
+  const std::vector<double> doubles{1.5, -0.0, 1e300, 42.0, 7.0};
+  const std::vector<std::uint64_t> words{0, ~std::uint64_t{0}, 12345};
+  std::ostringstream out(std::ios::binary);
+  CheckpointWriter writer(out, Section::kOnlineMonitor);
+  writer.write(std::span<const double>(doubles));
+  writer.write(std::span<const std::uint64_t>(words));
+  writer.write(std::span<const double>{});
+
+  std::istringstream in(out.str(), std::ios::binary);
+  CheckpointReader reader(in, Section::kOnlineMonitor);
+  std::vector<double> d;
+  std::vector<std::uint64_t> w;
+  std::vector<double> empty{3.0};
+  reader.read(d, doubles.size());
+  reader.read(w, words.size());
+  reader.read(empty, 0);
+  ASSERT_EQ(d.size(), doubles.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d[i]),
+              std::bit_cast<std::uint64_t>(doubles[i]));
+  }
+  EXPECT_EQ(w, words);
+  EXPECT_TRUE(empty.empty());
 }
 
 std::string expect_rejected(std::string bytes) {
   std::stringstream ss(std::move(bytes),
                        std::ios::in | std::ios::out | std::ios::binary);
   try {
-    read_checkpoint(ss, Section::kPipeline);
+    CheckpointReader(ss, Section::kPipeline).read();
   } catch (const DataError& e) {
     return e.what();
   }
@@ -120,34 +169,36 @@ TEST(Checkpoint, RejectsVersionMismatch) {
 }
 
 TEST(Checkpoint, RejectsVersionBelowReadWindow) {
-  // v1 predates the missing-mask payloads; it is below kMinReadVersion and
-  // must be rejected up front, not mis-decoded.
+  // Readers accept exactly the current version: a v6 file is rejected up
+  // front, with refitting named as the way forward.
+  static_assert(kMinReadVersion == kFormatVersion);
   auto bytes = framed_pipeline_payload();
-  bytes[8] = static_cast<char>(kMinReadVersion - 1);
-  EXPECT_NE(expect_rejected(bytes).find("version"), std::string::npos);
+  bytes[8] = static_cast<char>(kFormatVersion - 1);
+  const std::string error = expect_rejected(bytes);
+  EXPECT_NE(error.find("version"), std::string::npos);
+  EXPECT_NE(error.find("refit"), std::string::npos);
 }
 
 TEST(Checkpoint, SurfacesTheFileVersionToTheCaller) {
+  // The rejection names the version the file actually carries.
   auto bytes = framed_pipeline_payload();
-  bytes[8] = static_cast<char>(kMinReadVersion);
-  std::stringstream ss(std::move(bytes),
-                       std::ios::in | std::ios::out | std::ios::binary);
-  std::uint32_t version = 0;
-  read_checkpoint(ss, Section::kPipeline, &version);
-  EXPECT_EQ(version, kMinReadVersion);
+  bytes[8] = 6;
+  EXPECT_NE(expect_rejected(bytes).find("format version 6 unsupported"),
+            std::string::npos);
 }
 
 TEST(Checkpoint, RejectsWrongSection) {
   Encoder enc;
   enc.u64(99);
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_checkpoint(ss, Section::kOnlineMonitor, enc.bytes());
-  EXPECT_THROW(read_checkpoint(ss, Section::kPipeline), DataError);
+  CheckpointWriter(ss, Section::kOnlineMonitor).write(enc.bytes());
+  EXPECT_THROW({ CheckpointReader reader(ss, Section::kPipeline); },
+               DataError);
 }
 
 TEST(Checkpoint, RejectsCorruptedPayload) {
   auto bytes = framed_pipeline_payload();
-  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);  // payload bit flip
+  bytes[16 + 8] ^= 0x01;  // first body byte
   EXPECT_NE(expect_rejected(bytes).find("checksum"), std::string::npos);
 }
 
@@ -159,8 +210,47 @@ TEST(Checkpoint, RejectsTruncatedPayload) {
 
 TEST(Checkpoint, RejectsTruncatedHeader) {
   auto bytes = framed_pipeline_payload();
-  bytes.resize(16);
-  expect_rejected(bytes);
+  bytes.resize(12);
+  EXPECT_NE(expect_rejected(bytes).find("truncated header"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, ChecksumCatchesEverySingleWordChange) {
+  // A buffer with a 5-byte tail; every word, the tail word included, is
+  // hit by many seeded changes.  Each hashing step is a bijection of the
+  // lane state, so the guarantee is certainty, not probability.
+  std::mt19937_64 rng(2016);
+  std::string bytes(8 * 125 + 5, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng() & 0xFF);
+  const std::uint64_t reference = section_checksum(bytes);
+  const std::size_t words = (bytes.size() + 7) / 8;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string changed = bytes;
+    const std::size_t word = rng() % words;
+    const std::size_t width = std::min<std::size_t>(8, bytes.size() - 8 * word);
+    std::uint64_t delta = 0;
+    while (delta == 0) {
+      delta = width == 8 ? rng() : rng() & ((1ull << (8 * width)) - 1);
+    }
+    for (std::size_t b = 0; b < width; ++b) {
+      changed[8 * word + b] ^= static_cast<char>((delta >> (8 * b)) & 0xFF);
+    }
+    ASSERT_NE(section_checksum(changed), reference)
+        << "trial " << trial << " word " << word;
+  }
+  // The length is folded in: trailing zero bytes change the checksum.
+  EXPECT_NE(section_checksum(bytes + std::string(3, '\0')), reference);
+  EXPECT_NE(section_checksum(""), section_checksum(std::string(8, '\0')));
+}
+
+TEST(Checkpoint, HugeSectionLengthFailsWithoutAllocating) {
+  // A length field claiming 2^60 bytes on an 8-byte body: the reader may
+  // allocate at most one chunk ahead of what the stream delivered.
+  auto bytes = framed_pipeline_payload();
+  bytes[16 + 7] = 0x10;  // length u64 MSB
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_NE(expect_rejected(bytes).find("truncated"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 }  // namespace
@@ -305,9 +395,9 @@ TEST(MonitorCheckpoint, RestoreContinuesBitExactly) {
   }
 }
 
-// The v3 Struct-of-Arrays monitor payload must be a fixed point:
-// save -> restore -> save reproduces the file byte for byte (detector
-// rebuild, derived missing_in_window popcount and all).
+// The monitor checkpoint must be a fixed point: save -> restore -> save
+// reproduces the file byte for byte (detector rebuild, derived
+// missing_in_window popcount and all).
 TEST(MonitorCheckpoint, SaveRestoreSaveIsByteStable) {
   const auto dataset = datagen::small_dataset(5, 10, 19);
   const meter::TrainTestSplit split{.train_weeks = 8, .test_weeks = 2};
@@ -344,98 +434,6 @@ TEST(MonitorCheckpoint, SaveRestoreSaveIsByteStable) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// Backward compatibility: a hand-framed v2 checkpoint (the per-consumer
-// interleaved layout older builds wrote, no out-of-support flag) must
-// restore into exactly the state a modern fit with clamping semantics
-// produces - proven by re-saving and comparing against the reference's v3
-// bytes.
-TEST(MonitorCheckpoint, ReadsHandCraftedV2Layout) {
-  const auto dataset = datagen::small_dataset(4, 10, 13);
-  const meter::TrainTestSplit split{.train_weeks = 8, .test_weeks = 2};
-
-  KldDetectorConfig kld;
-  kld.bins = 10;
-  kld.significance = 0.10;
-  // v2 payloads predate the flag; the reference fit must use the clamping
-  // semantics the v2 reader restores.
-  kld.exclude_out_of_support = false;
-
-  persist::Encoder enc;
-  enc.u64(2);          // stride
-  enc.u64(10);         // cooldown_slots
-  enc.f64(0.25);       // max_missing_fraction
-  enc.u64(dataset.consumer_count());
-  for (std::size_t i = 0; i < dataset.consumer_count(); ++i) {
-    const auto& series = dataset.consumer(i);
-    const auto train = split.train(series);
-    KldDetector det(kld);
-    det.fit(train);
-    // Detector, v2 framing: config without the exclude byte.
-    enc.u64(kld.bins);
-    enc.f64(kld.significance);
-    enc.f64(kld.epsilon);
-    enc.doubles(det.histogram().edges());
-    enc.doubles(det.baseline_distribution());
-    enc.doubles(det.training_divergences());
-    enc.f64(det.threshold());
-    // Sliding-window state, interleaved per consumer.
-    enc.u32(series.id);
-    enc.doubles(std::span<const Kw>{train.end() - kSlotsPerWeek,
-                                    train.end()});
-    for (std::size_t s = 0; s < static_cast<std::size_t>(kSlotsPerWeek); ++s) {
-      enc.u8(0);  // missing mask
-    }
-    enc.u64(0);  // since_score
-    enc.u64(0);  // cooldown
-    enc.f64(stats::mean(train));
-  }
-  enc.u64(0);  // alerts
-
-  std::stringstream v2(std::ios::in | std::ios::out | std::ios::binary);
-  persist::write_checkpoint(v2, persist::Section::kOnlineMonitor,
-                            enc.bytes());
-  // write_checkpoint stamps the current version; rewrite the version u32 at
-  // offset 8 to 2.  The checksum covers only the payload, so the header
-  // patch leaves the file valid.
-  std::string bytes = v2.str();
-  bytes[8] = 2;
-  std::stringstream old(std::move(bytes),
-                        std::ios::in | std::ios::out | std::ios::binary);
-
-  obs::MetricsRegistry reg;
-  OnlineMonitorConfig config;
-  config.metrics = &reg;
-  OnlineMonitor restored(config);
-  restored.restore(old);
-  EXPECT_EQ(restored.consumer_count(), dataset.consumer_count());
-
-  OnlineMonitorConfig ref_config;
-  ref_config.kld = kld;
-  ref_config.stride = 2;
-  ref_config.cooldown_slots = 10;
-  ref_config.metrics = &reg;
-  OnlineMonitor reference(ref_config);
-  reference.fit(dataset, split);
-
-  std::stringstream from_v2(std::ios::in | std::ios::out | std::ios::binary);
-  std::stringstream from_fit(std::ios::in | std::ios::out | std::ios::binary);
-  restored.save(from_v2);
-  reference.save(from_fit);
-  EXPECT_EQ(from_v2.str(), from_fit.str());
-
-  // The restored monitor is live, not a museum piece: it keeps scoring.
-  const SlotIndex base = split.train_weeks * kSlotsPerWeek;
-  for (SlotIndex s = 0; s < 4; ++s) {
-    for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
-      const auto a =
-          restored.ingest(c, base + s, dataset.consumer(c).readings[base + s]);
-      const auto b =
-          reference.ingest(c, base + s, dataset.consumer(c).readings[base + s]);
-      EXPECT_EQ(a.has_value(), b.has_value());
-    }
-  }
-}
-
 TEST(MonitorCheckpoint, RejectsPipelineCheckpoint) {
   const auto dataset = datagen::small_dataset(3, 10, 7);
   obs::MetricsRegistry reg;
@@ -451,6 +449,276 @@ TEST(MonitorCheckpoint, RejectsPipelineCheckpoint) {
   mon_config.metrics = &reg;
   OnlineMonitor monitor(mon_config);
   EXPECT_THROW(monitor.restore(model), DataError);
+}
+
+// ---------------------------------------------------------------------------
+// The v7 frame against a small monitor with a feeder block: header, three
+// sections (state, windows, missing-slot bitset).
+
+struct SectionSpan {
+  std::size_t length_at;  ///< offset of the u64 length
+  std::size_t body_at;
+  std::size_t length;
+};
+
+std::vector<SectionSpan> sections_of(const std::string& file) {
+  std::vector<SectionSpan> out;
+  for (std::size_t at = 16; at + 8 <= file.size();) {
+    persist::Decoder dec(std::string_view(file).substr(at, 8));
+    const auto length = static_cast<std::size_t>(dec.u64());
+    out.push_back({at, at + 8, length});
+    at += 8 + length + 8;
+  }
+  return out;
+}
+
+/// Rewrites a section's checksum after its body was edited.
+void reseal(std::string& file, const SectionSpan& section) {
+  const std::uint64_t sum = persist::section_checksum(
+      std::string_view(file).substr(section.body_at, section.length));
+  for (std::size_t b = 0; b < 8; ++b) {
+    file[section.body_at + section.length + b] =
+        static_cast<char>((sum >> (8 * b)) & 0xFF);
+  }
+}
+
+class FramedMonitor : public ::testing::Test {
+ protected:
+  FramedMonitor() : topology_(make_topology()) {
+    OnlineMonitor live(config());
+    live.fit(dataset_, split_);
+    // Some missing slots, so the bitset is not all zero.
+    const SlotIndex base = split_.train_weeks * kSlotsPerWeek;
+    for (SlotIndex s = 0; s < 40; ++s) {
+      for (std::size_t c = 0; c < dataset_.consumer_count(); ++c) {
+        live.ingest(Reading{c, base + s,
+                            dataset_.consumer(c).readings[base + s],
+                            (s + c) % 7 == 0});
+      }
+    }
+    std::ostringstream out(std::ios::binary);
+    live.save(out);
+    bytes_ = out.str();
+  }
+
+  static grid::Topology make_topology() {
+    Rng rng(3);
+    return grid::Topology::random_radial(6, 3, rng, 0.02);
+  }
+
+  OnlineMonitorConfig config() {
+    OnlineMonitorConfig c;
+    c.kld = {.bins = 10, .significance = 0.10};
+    c.metrics = &reg_;
+    c.topology = &topology_;
+    return c;
+  }
+
+  /// Restores `file` into `target` and returns the DataError message.
+  static std::string rejection(OnlineMonitor& target, const std::string& file) {
+    std::istringstream in(file, std::ios::binary);
+    try {
+      target.restore(in);
+    } catch (const DataError& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "checkpoint was not rejected";
+    return {};
+  }
+
+  obs::MetricsRegistry reg_;
+  const meter::Dataset dataset_ = datagen::small_dataset(6, 10, 37);
+  const meter::TrainTestSplit split_{.train_weeks = 8, .test_weeks = 2};
+  const grid::Topology topology_;
+  std::string bytes_;
+};
+
+TEST_F(FramedMonitor, WritesThreeSectionsSizedByTheFleet) {
+  const auto sections = sections_of(bytes_);
+  ASSERT_EQ(sections.size(), 3u);
+  const std::size_t consumers = dataset_.consumer_count();
+  EXPECT_EQ(sections[1].length, consumers * kSlotsPerWeek * sizeof(double));
+  EXPECT_EQ(sections[2].length, consumers * 6 * sizeof(std::uint64_t));
+  EXPECT_EQ(sections[2].body_at + sections[2].length + 8, bytes_.size());
+
+  OnlineMonitor restored(config());
+  std::istringstream in(bytes_, std::ios::binary);
+  restored.restore(in);
+  ASSERT_NE(restored.feeder(), nullptr);
+  std::ostringstream again(std::ios::binary);
+  restored.save(again);
+  EXPECT_EQ(again.str(), bytes_);
+}
+
+TEST_F(FramedMonitor, EveryFlippedByteIsRejected) {
+  OnlineMonitor target(config());
+  for (std::size_t at = 0; at < bytes_.size(); ++at) {
+    std::string flipped = bytes_;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    rejection(target, flipped);
+    if (HasFailure()) {
+      ADD_FAILURE() << "flipped byte " << at << " of " << bytes_.size();
+      return;
+    }
+  }
+  // A failed restore leaves the target untouched and usable.
+  std::istringstream in(bytes_, std::ios::binary);
+  target.restore(in);
+  EXPECT_EQ(target.consumer_count(), dataset_.consumer_count());
+}
+
+TEST_F(FramedMonitor, TruncationInsideEachBulkSectionIsRejected) {
+  const auto sections = sections_of(bytes_);
+  ASSERT_EQ(sections.size(), 3u);
+  OnlineMonitor target(config());
+  for (const std::size_t s : {1u, 2u}) {
+    const SectionSpan& section = sections[s];
+    for (const std::size_t cut :
+         {section.length_at + 3, section.body_at + 1,
+          section.body_at + section.length / 2,
+          section.body_at + section.length + 5}) {
+      SCOPED_TRACE(::testing::Message() << "section " << s << " cut " << cut);
+      EXPECT_NE(rejection(target, bytes_.substr(0, cut)).find("truncated"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST_F(FramedMonitor, BulkSectionLengthMustMatchDecodedCounts) {
+  const auto sections = sections_of(bytes_);
+  ASSERT_EQ(sections.size(), 3u);
+  OnlineMonitor target(config());
+  for (const std::size_t s : {1u, 2u}) {
+    for (const int delta : {-8, 8}) {
+      std::string file = bytes_;
+      persist::Encoder length;
+      length.u64(sections[s].length + delta);
+      file.replace(sections[s].length_at, 8, length.bytes());
+      EXPECT_NE(rejection(target, file).find("decoded counts"),
+                std::string::npos)
+          << "section " << s << " delta " << delta;
+    }
+  }
+}
+
+TEST_F(FramedMonitor, RejectsNonzeroMaskPaddingBit) {
+  const auto sections = sections_of(bytes_);
+  ASSERT_EQ(sections.size(), 3u);
+  // Consumer 1's last mask word: bits 0..15 are slots 320..335, bit 16 is
+  // the first padding bit.
+  std::string file = bytes_;
+  const std::size_t word = sections[2].body_at + (6 + 5) * 8;
+  file[word + 2] = static_cast<char>(file[word + 2] | 0x01);
+  reseal(file, sections[2]);
+  OnlineMonitor target(config());
+  EXPECT_NE(rejection(target, file).find("padding bit"), std::string::npos);
+}
+
+/// Serves a string a few hundred bytes per underflow and never reports how
+/// much is left, as a pipe would.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string data) : data_(std::move(data)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= data_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(300, data_.size() - pos_);
+    char* p = data_.data() + pos_;
+    setg(p, p, p + n);
+    pos_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string data_;
+  std::size_t pos_ = 0;
+};
+
+TEST_F(FramedMonitor, RestoresFromStreamThatCannotReportItsSize) {
+  TrickleBuf buf(bytes_);
+  std::istream in(&buf);
+  OnlineMonitor restored(config());
+  restored.restore(in);
+  std::ostringstream again(std::ios::binary);
+  restored.save(again);
+  EXPECT_EQ(again.str(), bytes_);
+}
+
+TEST(Checkpoint, ReadsBulkSectionsFromStreamThatCannotReportItsSize) {
+  // Several read chunks' worth, assembled after the bytes arrived.
+  std::vector<double> values(300000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i) * 0.5;
+  }
+  std::ostringstream out(std::ios::binary);
+  persist::CheckpointWriter(out, persist::Section::kOnlineMonitor)
+      .write(std::span<const double>(values));
+  TrickleBuf buf(out.str());
+  std::istream in(&buf);
+  persist::CheckpointReader reader(in, persist::Section::kOnlineMonitor);
+  std::vector<double> back;
+  reader.read(back, values.size());
+  EXPECT_EQ(back, values);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded decoding: a small, checksum-valid file claiming a huge fleet must
+// fail with DataError before anything is sized by the claimed counts.
+
+/// A monitor checkpoint whose state section claims `count` kld consumers
+/// with `bins` bins, then `padding` zero bytes; empty bulk sections follow.
+std::string forged_monitor(std::uint64_t count, std::uint64_t bins,
+                           std::size_t padding) {
+  persist::Encoder enc;
+  enc.u64(4);      // stride
+  enc.u64(48);     // cooldown slots
+  enc.f64(0.25);   // max missing fraction
+  enc.u64(count);
+  enc.str("kld");
+  enc.u64(bins);
+  enc.f64(0.05);   // significance
+  enc.f64(1e-9);   // epsilon
+  enc.u8(1);       // exclude out of support
+  enc.u64(6);      // training weeks
+  for (std::size_t i = 0; i < padding; ++i) enc.u8(0);
+  std::ostringstream out(std::ios::binary);
+  persist::CheckpointWriter writer(out, persist::Section::kOnlineMonitor);
+  writer.write(enc.bytes());
+  writer.write(std::span<const double>{});
+  writer.write(std::span<const std::uint64_t>{});
+  return out.str();
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+void expect_fast_rejection(const std::string& file) {
+  obs::MetricsRegistry reg;
+  OnlineMonitorConfig config;
+  config.metrics = &reg;
+  OnlineMonitor monitor(config);
+  const long rss_before = peak_rss_kb();
+  const auto start = std::chrono::steady_clock::now();
+  std::istringstream in(file, std::ios::binary);
+  EXPECT_THROW(monitor.restore(in), DataError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  // Nothing was sized by the claimed counts: the peak RSS barely moves.
+  EXPECT_LT(peak_rss_kb() - rss_before, 16 * 1024);
+}
+
+TEST(MonitorCheckpoint, ClaimedMillionConsumerFleetFailsFast) {
+  expect_fast_rejection(forged_monitor(1'000'000, 10, 0));
+}
+
+TEST(MonitorCheckpoint, ClaimedHugeBinCountFailsWithDataError) {
+  expect_fast_rejection(forged_monitor(1'000'000, 1u << 20, 0));
+  // Enough section bytes for the consumer count, far too few for the edges.
+  expect_fast_rejection(forged_monitor(1000, 1u << 20, 64 * 1024));
 }
 
 TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {

@@ -14,7 +14,6 @@
 #include "grid/balance.h"
 #include "grid/investigate.h"
 #include "persist/binary_io.h"
-#include "persist/checkpoint.h"
 #include "pricing/billing.h"
 #include "tests/attack_test_helpers.h"
 
@@ -228,7 +227,7 @@ TEST_P(DetectorContract, SaveRestoreSaveIsByteStable) {
 
   auto restored = make();
   persist::Decoder dec(bytes);
-  restored->restore_state(dec, persist::kFormatVersion);
+  restored->restore_state(dec);
   dec.require_exhausted("detector contract payload");
 
   EXPECT_EQ(save_bytes(*restored), bytes) << "save/restore/save not stable";
