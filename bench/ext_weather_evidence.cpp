@@ -48,7 +48,7 @@ int main() {
 
   core::PipelineConfig config;
   config.split = split;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   core::FdetaPipeline pipeline(config);
   pipeline.fit(dataset);
 

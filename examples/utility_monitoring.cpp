@@ -74,7 +74,7 @@ int main() {
   // --- The utility runs the five-step pipeline.
   core::PipelineConfig config;
   config.split = split;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   core::FdetaPipeline pipeline(config);
   pipeline.fit(actual);  // training span is attack-free (Section VIII-A)
 

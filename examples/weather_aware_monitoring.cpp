@@ -65,7 +65,7 @@ int main() {
 
   core::PipelineConfig config;
   config.split = split;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   core::FdetaPipeline pipeline(config);
   pipeline.fit(actual);
 

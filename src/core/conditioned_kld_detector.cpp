@@ -258,8 +258,8 @@ const std::vector<double>& ConditionedKldDetector::training_margins() const {
   return training_margins_;
 }
 
-void ConditionedKldDetector::save(persist::Encoder& enc) const {
-  require(fitted_, "ConditionedKldDetector::save: fit() not called");
+void ConditionedKldDetector::save_state(persist::Encoder& enc) const {
+  require(fitted_, "ConditionedKldDetector::save_state: fit() not called");
   enc.u64(config_.groups);
   enc.u64(config_.bins);
   enc.f64(config_.significance);
@@ -277,7 +277,7 @@ void ConditionedKldDetector::save(persist::Encoder& enc) const {
   enc.doubles(training_margins_);
 }
 
-void ConditionedKldDetector::restore(persist::Decoder& dec) {
+void ConditionedKldDetector::restore_state(persist::Decoder& dec) {
   ConditionedKldDetectorConfig config;
   config.groups = dec.count("ckld groups", 1u << 16);
   config.bins = dec.count("ckld bins", 1u << 20);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,7 +58,6 @@ class ConditionedKldDetector final : public ScoringDetector {
   explicit ConditionedKldDetector(ConditionedKldDetectorConfig config = {});
 
   std::string_view name() const override { return "Conditioned KLD"; }
-  std::string_view id() const override { return "ckld"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;
@@ -82,12 +80,12 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// + its threshold.  explain() exposes the raw per-group headers.
   KldExplanation raw_explain_week(std::span<const Kw> week,
                                   SlotIndex first_slot = 0) const override;
-  void save_state(persist::Encoder& enc) const override { save(enc); }
-  void restore_state(persist::Decoder& dec) override { restore(dec); }
+  /// The slot->group function is saved as its evaluated table over the
+  /// kSlotsPerWeek slot-of-week positions (all fit/score paths reduce slots
+  /// mod week, so the table is the function's entire observable behaviour).
+  void save_state(persist::Encoder& enc) const override;
+  void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
-  std::unique_ptr<ScoringDetector> clone() const override {
-    return std::make_unique<ConditionedKldDetector>(*this);
-  }
 
   /// Per-group divergence scores for a week.
   std::vector<double> scores(std::span<const Kw> week) const;
@@ -102,15 +100,6 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// Per-group per-bin breakdowns: explanations[g].score equals
   /// scores(week)[g] and explanations[g].threshold equals thresholds()[g].
   std::vector<KldExplanation> explain(std::span<const Kw> week) const;
-
-  /// Serializes the fitted state for model checkpoints.  The slot->group
-  /// function is captured as its evaluated table over the kSlotsPerWeek
-  /// slot-of-week positions (all fit/score paths reduce slots mod week, so
-  /// the table is the function's entire observable behaviour).
-  void save(persist::Encoder& enc) const;
-  /// Restores state saved by save(); scores bit-exactly match the saved
-  /// detector.
-  void restore(persist::Decoder& dec);
 
  private:
   /// Readings of `week` falling into group `g`.

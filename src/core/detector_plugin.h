@@ -2,7 +2,7 @@
 //
 // Detector (detector.h) is the minimal fit/flag contract the evaluation
 // harness consumes.  ScoringDetector is the full plugin contract the serving
-// layers (FdetaPipeline, OnlineMonitor, the model checkpoints, the CLI's
+// layers (DetectorFleet and its owners, the model checkpoints, the CLI's
 // --detector flag) thread through:
 //
 //   - a scalar anomaly score per week plus a decision threshold (the flag
@@ -15,8 +15,8 @@
 //   - a per-bin explanation (families without a bin decomposition return the
 //     score/threshold header with no bins),
 //   - symmetric save_state/restore_state for checkpoints,
-//   - a registry id + config fingerprint, so a checkpoint names the family
-//     that wrote it and a fleet's uniformity is checkable in O(consumers).
+//   - a config fingerprint, so a fleet restore (detector_fleet.h) can check
+//     every member against the options the checkpoint names.
 //
 // Implementations must be usable concurrently from multiple threads after
 // fit() returns: every scoring entry point is const and may not mutate
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -120,10 +119,6 @@ class ScoreCalibration {
 
 class ScoringDetector : public Detector {
  public:
-  /// Registry id ("kld", "ckld", "kld-lite", "iforest"; see
-  /// detector_registry.h).  Stable across processes: checkpoints persist it.
-  virtual std::string_view id() const = 0;
-
   /// The family-native anomaly score of a week (divergence bits, a group
   /// margin, a forest score...).  `first_slot` is the week's absolute slot
   /// index (weeks are slot-aligned), needed by slot-of-week aware families.
@@ -185,19 +180,14 @@ class ScoringDetector : public Detector {
   virtual void restore_state(persist::Decoder& dec) = 0;
 
   /// Deterministic one-line config summary (id + every scoring-relevant
-  /// parameter).  Two fitted detectors with equal fingerprints are
-  /// interchangeable members of one uniform fleet; checkpoints persist it
-  /// as a cross-check.
+  /// parameter).  Two detectors with equal fingerprints are interchangeable
+  /// members of one fleet; a fleet restore checks every member against it.
   virtual std::string config_fingerprint() const = 0;
-
-  /// Deep copy, fitted state included (the fleet layers clone a configured
-  /// prototype per consumer before fit).
-  virtual std::unique_ptr<ScoringDetector> clone() const = 0;
 
  protected:
   /// Every family assigns this at the end of fit() and of a state restore
-  /// (copies and clones carry it along).  Until then score_week /
-  /// decision_threshold throw via ScoreCalibration's fitted check.
+  /// (copies carry it along).  Until then score_week / decision_threshold
+  /// throw via ScoreCalibration's fitted check.
   ScoreCalibration calibration_;
 };
 

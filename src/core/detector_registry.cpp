@@ -14,6 +14,43 @@ namespace {
 constexpr std::array<std::string_view, 4> kNames = {"kld", "ckld", "kld-lite",
                                                     "iforest"};
 
+std::unique_ptr<ScoringDetector> make_kld(const DetectorOptions& options) {
+  return std::make_unique<KldDetector>(options.kld);
+}
+
+std::unique_ptr<ScoringDetector> make_ckld(const DetectorOptions& options) {
+  ConditionedKldDetectorConfig config;
+  config.bins = options.kld.bins;
+  config.significance = options.kld.significance;
+  config.epsilon = options.kld.epsilon;
+  config.exclude_out_of_support = options.kld.exclude_out_of_support;
+  config.slot_group = tou_slot_groups(pricing::nightsaver());
+  config.groups = 2;
+  return std::make_unique<ConditionedKldDetector>(std::move(config));
+}
+
+std::unique_ptr<ScoringDetector> make_kld_lite(const DetectorOptions& options) {
+  ReducedKldDetectorConfig config;
+  config.selected_slots = options.reduced_slots;
+  config.kld = options.kld;
+  return std::make_unique<ReducedKldDetector>(config);
+}
+
+std::unique_ptr<ScoringDetector> make_iforest(const DetectorOptions& options) {
+  IsolationForestDetectorConfig config;
+  config.trees = options.iforest_trees;
+  config.sample_size = options.iforest_samples;
+  config.significance = options.kld.significance;
+  config.contamination = options.iforest_contamination;
+  config.seed = options.iforest_seed;
+  return std::make_unique<IsolationForestDetector>(config);
+}
+
+/// One factory per registered id, in kNames order.
+using Factory = std::unique_ptr<ScoringDetector> (*)(const DetectorOptions&);
+constexpr std::array<Factory, kNames.size()> kFactories = {
+    make_kld, make_ckld, make_kld_lite, make_iforest};
+
 constexpr std::string_view kOptionHelp =
     "  kld.bins=<n>                    histogram bins (default 10)\n"
     "  kld.significance=<a>            alpha in (0,1) for every family's\n"
@@ -140,33 +177,8 @@ void apply_detector_option(DetectorOptions& options, std::string_view spec) {
 
 std::unique_ptr<ScoringDetector> make_detector(std::string_view name,
                                                const DetectorOptions& options) {
-  if (name == "kld") {
-    return std::make_unique<KldDetector>(options.kld);
-  }
-  if (name == "ckld") {
-    ConditionedKldDetectorConfig config;
-    config.bins = options.kld.bins;
-    config.significance = options.kld.significance;
-    config.epsilon = options.kld.epsilon;
-    config.exclude_out_of_support = options.kld.exclude_out_of_support;
-    config.slot_group = tou_slot_groups(pricing::nightsaver());
-    config.groups = 2;
-    return std::make_unique<ConditionedKldDetector>(std::move(config));
-  }
-  if (name == "kld-lite") {
-    ReducedKldDetectorConfig config;
-    config.selected_slots = options.reduced_slots;
-    config.kld = options.kld;
-    return std::make_unique<ReducedKldDetector>(config);
-  }
-  if (name == "iforest") {
-    IsolationForestDetectorConfig config;
-    config.trees = options.iforest_trees;
-    config.sample_size = options.iforest_samples;
-    config.significance = options.kld.significance;
-    config.contamination = options.iforest_contamination;
-    config.seed = options.iforest_seed;
-    return std::make_unique<IsolationForestDetector>(config);
+  for (std::size_t f = 0; f < kNames.size(); ++f) {
+    if (kNames[f] == name) return kFactories[f](options);
   }
   throw std::invalid_argument("make_detector: unknown detector \"" +
                               std::string(name) + "\" (registered: " +

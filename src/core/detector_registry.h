@@ -1,7 +1,7 @@
 // The detector registry: string name -> ScoringDetector factory.
 //
-// Everything that owns a fleet of detectors (FdetaPipeline, OnlineMonitor,
-// the CLI's --detector flag, the benches) builds them through this one
+// Every fleet of detectors (core::DetectorFleet, behind FdetaPipeline,
+// OnlineMonitor and the feeder layer) builds its members through this one
 // factory, so adding a detector family means registering it here and it
 // shows up everywhere: the golden detector x attack matrix, the generic
 // contract suite in test_property_invariants, the shard-equivalence

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,7 +53,6 @@ class IsolationForestDetector final : public ScoringDetector {
   explicit IsolationForestDetector(IsolationForestDetectorConfig config = {});
 
   std::string_view name() const override { return "Isolation forest"; }
-  std::string_view id() const override { return "iforest"; }
   const IsolationForestDetectorConfig& config() const { return config_; }
   void fit(std::span<const Kw> training) override;
 
@@ -64,9 +62,6 @@ class IsolationForestDetector final : public ScoringDetector {
   void save_state(persist::Encoder& enc) const override;
   void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
-  std::unique_ptr<ScoringDetector> clone() const override {
-    return std::make_unique<IsolationForestDetector>(*this);
-  }
 
   /// Training-week scores (the threshold's quantile base).
   const std::vector<double>& training_scores() const;

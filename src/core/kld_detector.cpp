@@ -155,8 +155,8 @@ const std::vector<double>& KldDetector::baseline_distribution() const {
   return baseline_;
 }
 
-void KldDetector::save(persist::Encoder& enc) const {
-  require(histogram_.has_value(), "KldDetector::save: fit() not called");
+void KldDetector::save_state(persist::Encoder& enc) const {
+  require(histogram_.has_value(), "KldDetector::save_state: fit() not called");
   enc.u64(config_.bins);
   enc.f64(config_.significance);
   enc.f64(config_.epsilon);
@@ -167,18 +167,13 @@ void KldDetector::save(persist::Encoder& enc) const {
   enc.f64(threshold_);
 }
 
-void KldDetector::restore(persist::Decoder& dec) {
+void KldDetector::restore_state(persist::Decoder& dec) {
   KldDetectorConfig config;
   config.bins = dec.count("kld bins", 1u << 20);
   config.significance = dec.f64();
   config.epsilon = dec.f64();
   config.exclude_out_of_support = dec.u8() != 0;
-  validate_config(config);
-
   stats::Histogram histogram = stats::Histogram::load(dec);
-  if (histogram.bin_count() != config.bins) {
-    throw DataError("checkpoint: kld histogram bin count mismatch");
-  }
   std::vector<double> baseline = dec.doubles("kld baseline", 1u << 20);
   std::vector<double> k_training = dec.doubles("kld training K", 1u << 20);
   const double threshold = dec.f64();
@@ -192,7 +187,6 @@ KldDetector KldDetector::from_fitted_parts(KldDetectorConfig config,
                                            std::vector<double> baseline,
                                            std::vector<double> k_training,
                                            double threshold) {
-  validate_config(config);
   stats::Histogram histogram{std::move(edges)};
   if (histogram.bin_count() != config.bins) {
     throw DataError("checkpoint: kld histogram bin count mismatch");

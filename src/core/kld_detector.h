@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,7 +62,6 @@ class KldDetector final : public ScoringDetector {
   explicit KldDetector(KldDetectorConfig config = {});
 
   std::string_view name() const override { return "KLD"; }
-  std::string_view id() const override { return "kld"; }
   const KldDetectorConfig& config() const { return config_; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
@@ -82,12 +80,10 @@ class KldDetector final : public ScoringDetector {
     (void)first_slot;
     return explain(week);
   }
-  void save_state(persist::Encoder& enc) const override { save(enc); }
-  void restore_state(persist::Decoder& dec) override { restore(dec); }
+  /// Payload: config, frozen edges, baseline, training K_i, threshold.
+  void save_state(persist::Encoder& enc) const override;
+  void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
-  std::unique_ptr<ScoringDetector> clone() const override {
-    return std::make_unique<KldDetector>(*this);
-  }
 
   /// K_A: the divergence score of a week.  Finite for any input when
   /// config.epsilon > 0; with epsilon = 0 it is +infinity whenever the week
@@ -115,17 +111,10 @@ class KldDetector final : public ScoringDetector {
   const stats::Histogram& histogram() const;
   const std::vector<double>& baseline_distribution() const;
 
-  /// Serializes the fitted state (config, frozen edges, baseline, training
-  /// K_i, threshold) for model checkpoints; requires fit() to have run.
-  void save(persist::Encoder& enc) const;
-  /// Restores state saved by save(), replacing this detector's config and
-  /// fit; scores bit-exactly match the detector that was saved.
-  void restore(persist::Decoder& dec);
-
-  /// Reassembles a fitted detector from already-decoded parts (the monitor's
-  /// bulk Struct-of-Arrays checkpoint decodes whole fleets of detectors from
-  /// flat arrays; see OnlineMonitor::restore).  Validates exactly like
-  /// restore() and rebuilds the smoothed scoring baseline deterministically.
+  /// Reassembles a fitted detector from already-decoded parts (the "kld"
+  /// fleet checkpoint block decodes whole fleets of detectors from flat
+  /// arrays; see DetectorFleet::restore).  Validates like restore_state()
+  /// and rebuilds the smoothed scoring baseline deterministically.
   static KldDetector from_fitted_parts(KldDetectorConfig config,
                                        std::vector<double> edges,
                                        std::vector<double> baseline,

@@ -30,9 +30,6 @@ constexpr std::size_t kMaskWords = (kWindow + 63) / 64;
 static_assert(kWindow % 64 != 0);
 constexpr std::uint64_t kMaskPadding = ~std::uint64_t{0} << (kWindow % 64);
 
-// Bytes every consumer owns in the monitor's state section at the least:
-// its id, stride and cooldown counters (u32) and training mean (f64).
-constexpr std::size_t kStateBytesPerConsumer = 4 + 4 + 4 + 8;
 // An encoded AlertEvent: consumer index, id, slot, score, threshold,
 // direction.
 constexpr std::size_t kAlertBytes = 8 + 4 + 8 + 8 + 8 + 1;
@@ -111,7 +108,12 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
                                       : &obs::default_event_log();
 }
 
-void OnlineMonitor::init_shard_metrics() {
+void OnlineMonitor::init_shards(std::size_t count) {
+  const std::size_t hint = config_.threads != 0
+                               ? config_.threads
+                               : shared_pool().thread_count() + 1;
+  shard_count_ = resolve_shard_count(config_.shards, count, hint);
+  shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
   const std::size_t instrumented = std::min(shard_count_, kMaxShardSeries);
   shard_pending_.resize(instrumented);
   shard_highwater_.resize(instrumented);
@@ -247,13 +249,7 @@ void OnlineMonitor::emit_alert(const AlertEvent& event) const {
 }
 
 void OnlineMonitor::init_fleet(std::size_t count) {
-  DetectorOptions options = config_.detector_options;
-  options.kld = config_.kld;
-  const std::unique_ptr<ScoringDetector> prototype =
-      make_detector(config_.detector, options);
-  detectors_.clear();
-  detectors_.resize(count);
-  for (auto& detector : detectors_) detector = prototype->clone();
+  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count);
   ids_.assign(count, meter::ConsumerId{});
   windows_.assign(count * kWindow, 0.0);
   missing_.assign(count * kMaskWords, 0);
@@ -261,18 +257,13 @@ void OnlineMonitor::init_fleet(std::size_t count) {
   since_score_.assign(count, 0);
   cooldown_.assign(count, 0);
   train_mean_.assign(count, 0.0);
-  const std::size_t hint = config_.threads != 0
-                               ? config_.threads
-                               : shared_pool().thread_count() + 1;
-  shard_count_ = resolve_shard_count(config_.shards, count, hint);
-  shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
-  init_shard_metrics();
+  init_shards(count);
 }
 
 void OnlineMonitor::fit_one(std::size_t i, const meter::ConsumerSeries& series,
                             const meter::TrainTestSplit& split) {
   const auto train = split.train(series);
-  detectors_[i]->fit(train);
+  fleet_.fit(i, train);
   ids_[i] = series.id;
   // Prime with the last (trusted) training week.  Training spans start at a
   // week boundary, so the primed vector is slot-of-week aligned.
@@ -358,8 +349,8 @@ hierarchy::FeederReport OnlineMonitor::evaluate_feeders(SlotIndex slot) {
   // recently; the hierarchy layer only localizes the sub-threshold rest.
   // Windows and cooldowns are layout-invariant state, so this mask - and
   // the whole report - is byte-identical for any shard x thread layout.
-  std::vector<unsigned char> flagged(detectors_.size(), 0);
-  for (std::size_t i = 0; i < detectors_.size(); ++i) {
+  std::vector<unsigned char> flagged(fleet_.size(), 0);
+  for (std::size_t i = 0; i < fleet_.size(); ++i) {
     flagged[i] = cooldown_[i] > 0 ? 1 : 0;
   }
   return feeder_->evaluate_windows(
@@ -423,7 +414,7 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
   // vector scores as a week starting at slot-of-week 0.  Detectors keep the
   // hot path allocation-free internally (thread-local scratch).
   const std::span<const Kw> window{windows_.data() + base, kWindow};
-  const ScoringDetector& detector = *detectors_[i];
+  const ScoringDetector& detector = fleet_[i];
   const double score = detector.score_week(window, 0);
   const double threshold = detector.decision_threshold();
   if (score <= threshold) return std::nullopt;
@@ -547,65 +538,11 @@ std::vector<AlertEvent> OnlineMonitor::ingest_batch(
 void OnlineMonitor::save(std::ostream& out) const {
   obs::TraceSpan span("monitor.save", "monitor");
   require(fitted_, "OnlineMonitor::save: fit() not called");
-  const std::size_t count = detectors_.size();
   persist::Encoder enc;
   enc.u64(config_.stride);
   enc.u64(config_.cooldown_slots);
   enc.f64(config_.max_missing_fraction);
-  enc.u64(count);
-  // Detector block: the registry id of the (uniform) fleet.  "kld" fleets
-  // store bulk Struct-of-Arrays fields below; other families store one
-  // shared config fingerprint plus per-consumer save_state payloads.
-  enc.str(config_.detector);
-
-  if (count > 0 && config_.detector == "kld") {
-    // Uniform detector block: one fit gives every consumer the same config
-    // and training-week count, so the per-field arrays below need no
-    // per-consumer framing and restore as bulk reads.
-    const auto& front = static_cast<const KldDetector&>(*detectors_.front());
-    const KldDetectorConfig& kld = front.config();
-    const std::size_t train_weeks = front.training_divergences().size();
-    for (const auto& dp : detectors_) {
-      const auto& d = static_cast<const KldDetector&>(*dp);
-      require(d.config().bins == kld.bins &&
-                  d.config().significance == kld.significance &&
-                  d.config().epsilon == kld.epsilon &&
-                  d.config().exclude_out_of_support ==
-                      kld.exclude_out_of_support &&
-                  d.training_divergences().size() == train_weeks,
-              "OnlineMonitor::save: detector fleet is not uniform");
-    }
-    enc.u64(kld.bins);
-    enc.f64(kld.significance);
-    enc.f64(kld.epsilon);
-    enc.u8(kld.exclude_out_of_support ? 1 : 0);
-    enc.u64(train_weeks);
-    // Consecutive per-consumer appends produce the same bytes as one flat
-    // count x width array; the decoder reads each block in one memcpy.
-    for (const auto& dp : detectors_) {
-      enc.f64_array(static_cast<const KldDetector&>(*dp).histogram().edges());
-    }
-    for (const auto& dp : detectors_) {
-      enc.f64_array(
-          static_cast<const KldDetector&>(*dp).baseline_distribution());
-    }
-    for (const auto& dp : detectors_) {
-      enc.f64_array(
-          static_cast<const KldDetector&>(*dp).training_divergences());
-    }
-    for (const auto& dp : detectors_) {
-      enc.f64(static_cast<const KldDetector&>(*dp).threshold());
-    }
-  } else if (count > 0) {
-    const std::string fingerprint = detectors_.front()->config_fingerprint();
-    for (const auto& d : detectors_) {
-      require(d->id() == config_.detector &&
-                  d->config_fingerprint() == fingerprint,
-              "OnlineMonitor::save: detector fleet is not uniform");
-    }
-    enc.str(fingerprint);
-    for (const auto& d : detectors_) d->save_state(enc);
-  }
+  fleet_.save(enc);
 
   // Per-consumer counters, one bulk array per field (missing_in_window_ is
   // a derived popcount, recomputed on restore).
@@ -646,76 +583,14 @@ void OnlineMonitor::restore(std::istream& in) {
   config.stride = dec.count("stride", 1u << 20);
   config.cooldown_slots = dec.count("cooldown slots", 1u << 20);
   config.max_missing_fraction = dec.f64();
-  require(config.stride >= 1, "checkpoint: monitor stride must be >= 1");
+  if (config.stride == 0) throw DataError("checkpoint: monitor stride is 0");
   if (!(config.max_missing_fraction >= 0.0 &&
         config.max_missing_fraction <= 1.0)) {
     throw DataError("checkpoint: monitor max_missing_fraction out of [0,1]");
   }
 
-  const std::size_t count = dec.count("monitor consumers", 100u << 20);
-  // Nothing below is sized by `count` before this check: every consumer
-  // owns at least its counters in this section.
-  dec.require_fits("monitor consumers", count, kStateBytesPerConsumer);
-  const std::string detector_id = dec.str("detector id", 256);
-  if (!is_registered_detector(detector_id)) {
-    throw DataError("checkpoint: unknown detector id \"" + detector_id + "\"");
-  }
-  std::vector<std::unique_ptr<ScoringDetector>> detectors;
-  if (count > 0 && detector_id == "kld") {
-    // The uniform detector block: bulk per-field arrays, then a parallel
-    // rebuild of the per-consumer detector objects.
-    KldDetectorConfig kld;
-    kld.bins = dec.count("kld bins", 1u << 20);
-    kld.significance = dec.f64();
-    kld.epsilon = dec.f64();
-    kld.exclude_out_of_support = dec.u8() != 0;
-    const std::size_t train_weeks = dec.count("train weeks", 1u << 20);
-    if (train_weeks == 0) {
-      throw DataError("checkpoint: kld training divergences missing");
-    }
-    const std::size_t edge_n = kld.bins + 1;
-    const std::vector<double> edges_flat =
-        dec.f64_array("kld edges", count, edge_n);
-    const std::vector<double> baselines_flat =
-        dec.f64_array("kld baselines", count, kld.bins);
-    const std::vector<double> k_flat =
-        dec.f64_array("kld training divergences", count, train_weeks);
-    const std::vector<double> thresholds =
-        dec.f64_array("kld thresholds", count);
-
-    detectors.resize(count);
-    parallel_for(
-        count,
-        [&](std::size_t i) {
-          const auto slice = [i](const std::vector<double>& flat,
-                                 std::size_t width) {
-            const auto first =
-                flat.begin() + static_cast<std::ptrdiff_t>(i * width);
-            return std::vector<double>(
-                first, first + static_cast<std::ptrdiff_t>(width));
-          };
-          detectors[i] = std::make_unique<KldDetector>(
-              KldDetector::from_fitted_parts(
-                  kld, slice(edges_flat, edge_n),
-                  slice(baselines_flat, kld.bins),
-                  slice(k_flat, train_weeks), thresholds[i]));
-        },
-        config_.threads);
-  } else if (count > 0) {
-    // Generic detector block: one shared config fingerprint, then each
-    // consumer's self-describing save_state payload.
-    const std::string fingerprint = dec.str("detector fingerprint", 1024);
-    detectors.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::unique_ptr<ScoringDetector> detector =
-          make_detector(detector_id, config.detector_options);
-      detector->restore_state(dec);
-      if (detector->config_fingerprint() != fingerprint) {
-        throw DataError("checkpoint: detector fingerprint mismatch");
-      }
-      detectors.push_back(std::move(detector));
-    }
-  }
+  DetectorFleet fleet = DetectorFleet::restore(dec, config_.threads);
+  const std::size_t count = fleet.size();
   std::vector<meter::ConsumerId> ids = dec.u32_array("monitor ids", count);
   std::vector<std::uint32_t> since_score =
       dec.u32_array("monitor stride counters", count);
@@ -757,6 +632,8 @@ void OnlineMonitor::restore(std::istream& in) {
     feeder = std::make_unique<hierarchy::FeederMonitor>(
         *config_.topology, resolved_feeder_config());
     feeder->restore_state(dec);
+    config.feeder.detector = feeder->config().detector;
+    config.feeder.detector_options = feeder->config().detector_options;
   }
   dec.require_exhausted("monitor state");
 
@@ -780,12 +657,10 @@ void OnlineMonitor::restore(std::istream& in) {
   }
 
   // Everything decoded cleanly; commit the restore atomically.
-  config.detector = detector_id;
-  if (detector_id == "kld" && count > 0) {
-    config.kld = static_cast<const KldDetector&>(*detectors.front()).config();
-  }
+  config.detector = fleet.family();
+  config.detector_options = fleet.options();
   config_ = std::move(config);
-  detectors_ = std::move(detectors);
+  fleet_ = std::move(fleet);
   ids_ = std::move(ids);
   windows_ = std::move(windows);
   missing_ = std::move(missing);
@@ -793,12 +668,7 @@ void OnlineMonitor::restore(std::istream& in) {
   since_score_ = std::move(since_score);
   cooldown_ = std::move(cooldown);
   train_mean_ = std::move(train_mean);
-  const std::size_t hint = config_.threads != 0
-                               ? config_.threads
-                               : shared_pool().thread_count() + 1;
-  shard_count_ = resolve_shard_count(config_.shards, count, hint);
-  shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
-  init_shard_metrics();
+  init_shards(count);
   // Drift is measured against the population distribution at service start:
   // a restored monitor baselines on its restored sliding windows, exactly as
   // a freshly fitted one baselines on the primed training windows.

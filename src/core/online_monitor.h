@@ -34,8 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "core/detector_registry.h"
-#include "core/kld_detector.h"
+#include "core/detector_fleet.h"
 #include "core/time_to_detection.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "meter/dataset.h"
@@ -82,10 +81,8 @@ struct Reading {
 struct OnlineMonitorConfig {
   /// Registered detector family run per consumer (core/detector_registry.h).
   std::string detector = "kld";
-  KldDetectorConfig kld{};
-  /// Knobs for the non-default families; `kld` above stays authoritative
-  /// for the KLD histogram knobs (copied into detector_options.kld before
-  /// detectors are built).
+  /// Knobs for every family; `detector_options.kld` holds the KLD
+  /// histogram knobs (bins, significance, epsilon).
   DetectorOptions detector_options{};
   /// Rescore the sliding vector every `stride` readings (1 = every reading;
   /// 4 = every two hours) - an operator-tunable cost/latency trade.
@@ -168,22 +165,26 @@ class OnlineMonitor {
   void save(std::ostream& out) const;
 
   /// Restores a save() checkpoint, replacing this monitor's fit, window
-  /// state, and the fit-related config (detector family, kld, stride,
-  /// cooldown_slots; `threads`, `metrics` and `shards` keep their
-  /// constructed values).  Subsequent ingest calls behave bit-identically to
-  /// the monitor that was saved.  The file holds three sections (DESIGN.md
-  /// §9): the small state (config, detector block, per-consumer counters,
-  /// alerts, feeder block), then the sliding windows and the missing-slot
-  /// bitset, each read straight into place; the detector rebuild runs on
-  /// the shared pool.  Throws DataError on a corrupted, truncated or
-  /// version-mismatched file and leaves this monitor untouched.
+  /// state, and the fit-related config (detector family and options, the
+  /// feeder's too, stride, cooldown_slots, max_missing_fraction; `threads`,
+  /// `metrics` and `shards` keep their constructed values).  Subsequent
+  /// ingest calls behave bit-identically to the monitor that was saved.
+  /// The file holds three sections (DESIGN.md §9): the small state (config,
+  /// detector block, per-consumer counters, alerts, feeder block), then the
+  /// sliding windows and the missing-slot bitset, each read straight into
+  /// place; the "kld" detector rebuild runs on the shared pool.  Throws
+  /// DataError on a corrupted, truncated or version-mismatched file and
+  /// leaves this monitor untouched.
   void restore(std::istream& in);
 
   /// The consumer's sliding week vector, indexed by slot-of-week (exposed
   /// for diagnostics and alignment tests).
   std::span<const Kw> window(std::size_t consumer_index) const;
 
-  std::size_t consumer_count() const { return detectors_.size(); }
+  /// The active config (restore overwrites the fit-related fields).
+  const OnlineMonitorConfig& config() const { return config_; }
+
+  std::size_t consumer_count() const { return fleet_.size(); }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
   std::size_t shard_count() const { return shard_count_; }
@@ -216,15 +217,14 @@ class OnlineMonitor {
   /// the monitor's own values.
   hierarchy::FeederConfig resolved_feeder_config() const;
 
-  /// Sizes the Struct-of-Arrays fleet state and shard locks for `count`
-  /// consumers (everything zeroed; unfitted detectors cloned from a
-  /// registry-built prototype).
+  /// Sizes the Struct-of-Arrays fleet state and shards for `count`
+  /// consumers (everything zeroed; the detector fleet unfitted).
   void init_fleet(std::size_t count);
 
-  /// Resolves the per-shard health metric pointers for the current
-  /// shard_count_ (bounded cardinality: at most 64 instrumented slots;
-  /// larger fleets alias shard s onto slot s % 64).
-  void init_shard_metrics();
+  /// Sizes the shard layer for `count` consumers (shard_count_, locks) and
+  /// resolves the per-shard health metric pointers (bounded cardinality: at
+  /// most 64 instrumented slots; larger fleets alias shard s onto s % 64).
+  void init_shards(std::size_t count);
 
   /// Rebuilds the population-health baseline (linear reading-magnitude bins
   /// over the primed sliding windows) and zeroes the recent-window
@@ -252,7 +252,7 @@ class OnlineMonitor {
   void emit_alert(const AlertEvent& event) const;
 
   OnlineMonitorConfig config_;
-  std::vector<std::unique_ptr<ScoringDetector>> detectors_;
+  DetectorFleet fleet_;  // one detector per consumer
   std::vector<meter::ConsumerId> ids_;
 
   // Per-consumer sliding-window state, Struct-of-Arrays: one flat array per
@@ -305,7 +305,7 @@ class OnlineMonitor {
   obs::EventLog* events_ = nullptr;           // never null after construction
 
   // Per-shard health series ("monitor.shardNN.*"), resolved by
-  // init_shard_metrics(); at most 64 instrumented slots (shards alias via
+  // init_shards(); at most 64 instrumented slots (shards alias via
   // s % 64 past that - a fixed cardinality budget, never per-shard names
   // without bound).  Updated only on the batched ingest path.
   std::vector<obs::Gauge*> shard_pending_;

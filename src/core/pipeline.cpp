@@ -90,22 +90,14 @@ void FdetaPipeline::fit(const meter::Dataset& actual) {
   fitted_ = false;
   feeder_.reset();  // refitted lazily against the new training data
   const std::size_t count = actual.consumer_count();
-  // One unfitted prototype through the registry, cloned per consumer; the
-  // `kld` config block stays authoritative for the KLD histogram knobs.
-  DetectorOptions options = config_.detector_options;
-  options.kld = config_.kld;
-  const std::unique_ptr<ScoringDetector> prototype =
-      make_detector(config_.detector, options);
-  detectors_.clear();
-  detectors_.resize(count);
+  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count);
   train_stats_.assign(count, meter::WeeklyStats{});
   // Per-consumer fits are independent; run them on the shared pool.
   parallel_for(
       count,
       [&](std::size_t i) {
         const auto train = config_.split.train(actual.consumer(i));
-        detectors_[i] = prototype->clone();
-        detectors_[i]->fit(train);
+        fleet_.fit(i, train);
         train_stats_[i] = meter::weekly_stats(train);
       },
       config_.threads);
@@ -123,22 +115,9 @@ void FdetaPipeline::save_model(std::ostream& out) const {
   enc.u64(config_.split.test_weeks);
   enc.f64(config_.direction_margin);
   enc.f64(config_.direction_floor_kw);
-  // Detector block: registry id, consumer count, one shared config
-  // fingerprint (the fleet must be uniform), then each consumer's
-  // self-describing save_state payload.
-  enc.str(config_.detector);
-  enc.u64(detectors_.size());
-  if (!detectors_.empty()) {
-    const std::string fingerprint = detectors_.front()->config_fingerprint();
-    for (const auto& detector : detectors_) {
-      require(detector->config_fingerprint() == fingerprint,
-              "FdetaPipeline::save_model: detector fleet is not uniform");
-    }
-    enc.str(fingerprint);
-  }
-  for (std::size_t i = 0; i < detectors_.size(); ++i) {
-    detectors_[i]->save_state(enc);
-    meter::save_weekly_stats(train_stats_[i], enc);
+  fleet_.save(enc);
+  for (const meter::WeeklyStats& stats : train_stats_) {
+    meter::save_weekly_stats(stats, enc);
   }
   persist::CheckpointWriter(out, persist::Section::kPipeline)
       .write(enc.bytes());
@@ -156,42 +135,23 @@ void FdetaPipeline::load_model(std::istream& in) {
   config.split.test_weeks = dec.count("test weeks", 1u << 20);
   config.direction_margin = dec.f64();
   config.direction_floor_kw = dec.f64();
-
-  const std::string detector_id = dec.str("detector id", 256);
-  if (!is_registered_detector(detector_id)) {
-    throw DataError("checkpoint: unknown detector id \"" + detector_id + "\"");
-  }
-  const std::size_t count = dec.count("consumers", 100u << 20);
+  DetectorFleet fleet = DetectorFleet::restore(dec, config_.threads);
+  const std::size_t count = fleet.size();
   // Every consumer owns at least its weekly-stats block (two empty
-  // sequences and four bounds), so this bounds the reservations below.
+  // sequences and four bounds), so this bounds the reservation below.
   dec.require_fits("consumers", count, 6 * sizeof(double));
-  std::string fingerprint;
-  if (count > 0) fingerprint = dec.str("detector fingerprint", 1024);
-  std::vector<std::unique_ptr<ScoringDetector>> detectors;
   std::vector<meter::WeeklyStats> train_stats;
-  detectors.reserve(count);
   train_stats.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    // restore_state payloads are self-describing, so the options only seed
-    // the factory; every field is overwritten from the checkpoint.
-    std::unique_ptr<ScoringDetector> detector =
-        make_detector(detector_id, config.detector_options);
-    detector->restore_state(dec);
-    if (detector->config_fingerprint() != fingerprint) {
-      throw DataError("checkpoint: detector fingerprint mismatch");
-    }
-    detectors.push_back(std::move(detector));
     train_stats.push_back(meter::load_weekly_stats(dec));
   }
   dec.require_exhausted("pipeline model");
 
   // All consumers decoded cleanly; commit the restore atomically.
-  config.detector = detector_id;
-  if (detector_id == "kld" && count > 0) {
-    config.kld = static_cast<const KldDetector&>(*detectors.front()).config();
-  }
+  config.detector = fleet.family();
+  config.detector_options = fleet.options();
   config_ = std::move(config);
-  detectors_ = std::move(detectors);
+  fleet_ = std::move(fleet);
   train_stats_ = std::move(train_stats);
   fitted_ = true;
   consumers_restored_->add(count);
@@ -200,7 +160,7 @@ void FdetaPipeline::load_model(std::istream& in) {
                     .str("component", "pipeline")
                     .u64("consumers", count)
                     .u64("train_weeks", config_.split.train_weeks)
-                    .u64("bins", config_.kld.bins));
+                    .u64("bins", config_.detector_options.kld.bins));
 }
 
 PipelineReport FdetaPipeline::evaluate_week(
@@ -214,10 +174,10 @@ PipelineReport FdetaPipeline::evaluate_week(
     require(coverage->week_slots > 0,
             "FdetaPipeline: coverage week_slots must be positive");
   }
-  require(reported.consumer_count() == detectors_.size(),
+  require(reported.consumer_count() == fleet_.size(),
           "FdetaPipeline: reported dataset size mismatch");
   require(week < reported.week_count(), "FdetaPipeline: week out of range");
-  require(actual.consumer_count() == detectors_.size(),
+  require(actual.consumer_count() == fleet_.size(),
           "FdetaPipeline: actual dataset size mismatch");
   require(week < actual.week_count(),
           "FdetaPipeline: week out of range in actual dataset");
@@ -239,7 +199,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
         ConsumerVerdict verdict;
         verdict.id = series.id;
-        verdict.kld_threshold = detectors_[i]->decision_threshold();
+        verdict.kld_threshold = fleet_[i].decision_threshold();
 
         // Coverage gate: a week this lossy would be scored on imputed
         // values, and imputation looks exactly like under-reporting.
@@ -257,7 +217,7 @@ PipelineReport FdetaPipeline::evaluate_week(
         }
 
         verdict.kld_score =
-            detectors_[i]->score_week(week_readings, first_slot);  // step 2
+            fleet_[i].score_week(week_readings, first_slot);  // step 2
 
         if (verdict.kld_score > verdict.kld_threshold) {
           // Step 3: classify the anomaly direction by the week's mean
@@ -296,7 +256,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
           if (config_.explain) {
             verdict.explanation =
-                detectors_[i]->explain_week(week_readings, first_slot);
+                fleet_[i].explain_week(week_readings, first_slot);
           }
         }
         report.verdicts[i] = std::move(verdict);

@@ -14,9 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/detector_registry.h"
+#include "core/detector_fleet.h"
 #include "core/evidence.h"
-#include "core/kld_detector.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "grid/investigate.h"
 #include "grid/topology.h"
@@ -81,10 +80,8 @@ struct PipelineConfig {
   /// Registered detector family run per consumer (core/detector_registry.h);
   /// "kld" is the paper's eq.-(12) detector.
   std::string detector = "kld";
-  KldDetectorConfig kld{};
-  /// Knobs for the non-default families.  `kld` above stays authoritative
-  /// for the KLD histogram knobs: fit() copies it into
-  /// detector_options.kld before building detectors.
+  /// Knobs for every family; `detector_options.kld` holds the KLD
+  /// histogram knobs (bins, significance, epsilon).
   DetectorOptions detector_options{};
   /// Relative margin applied to the training weekly-mean quartiles when
   /// classifying the anomaly direction (step 3).
@@ -169,16 +166,17 @@ class FdetaPipeline {
   void save_model(std::ostream& out) const;
 
   /// Restores a save_model() checkpoint, replacing this pipeline's fit and
-  /// the fit-related config (split, detector family, kld, direction margins;
-  /// `threads` and `metrics` keep their constructed values).  evaluate_week() then yields
-  /// verdicts bit-identical to the pipeline that was saved.  Throws
+  /// the fit-related config (split, detector family and options, direction
+  /// margins; `threads` and `metrics` keep their constructed values).
+  /// evaluate_week() then yields verdicts bit-identical to the pipeline that
+  /// was saved.  The detector fleet restores on the shared pool.  Throws
   /// DataError on a corrupted, truncated, or version-mismatched checkpoint.
   void load_model(std::istream& in);
 
   /// The active config (load_model overwrites the fit-related fields).
   const PipelineConfig& config() const { return config_; }
 
-  std::size_t consumer_count() const { return detectors_.size(); }
+  std::size_t consumer_count() const { return fleet_.size(); }
 
  private:
   /// Builds + fits the feeder layer on first hierarchy-enabled evaluation
@@ -188,8 +186,8 @@ class FdetaPipeline {
                      const meter::Dataset& actual) const;
 
   PipelineConfig config_;
-  std::vector<std::unique_ptr<ScoringDetector>> detectors_;  // per consumer
-  std::vector<meter::WeeklyStats> train_stats_;              // per consumer
+  DetectorFleet fleet_;                          // per consumer
+  std::vector<meter::WeeklyStats> train_stats_;  // per consumer
   bool fitted_ = false;
   /// Lazy feeder-hierarchy layer; scoring caches live per node, and the
   /// rolling baselines advance week over week (mutable: evaluate_week stays

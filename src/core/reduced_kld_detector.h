@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +38,6 @@ class ReducedKldDetector final : public ScoringDetector {
   explicit ReducedKldDetector(ReducedKldDetectorConfig config = {});
 
   std::string_view name() const override { return "Reduced-input KLD"; }
-  std::string_view id() const override { return "kld-lite"; }
   const ReducedKldDetectorConfig& config() const { return config_; }
   void fit(std::span<const Kw> training) override;
 
@@ -53,9 +51,6 @@ class ReducedKldDetector final : public ScoringDetector {
   void save_state(persist::Encoder& enc) const override;
   void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
-  std::unique_ptr<ScoringDetector> clone() const override {
-    return std::make_unique<ReducedKldDetector>(*this);
-  }
 
   /// The selected slot-of-week positions, ascending (exposed for tests and
   /// the input-reduction sweep).

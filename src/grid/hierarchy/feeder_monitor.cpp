@@ -17,7 +17,6 @@ struct FeederMonitor::NodeState {
   grid::NodeId node = grid::kNoNode;
   int depth = 0;
   std::vector<std::size_t> members;  ///< dense consumer indices, ascending
-  std::unique_ptr<core::ScoringDetector> detector;
   /// Rolling baseline of the node's weekly-mean aggregate demand (kW);
   /// seeded from the training span, EWMA-updated on non-alerting weeks.
   double baseline_kw = 0.0;
@@ -68,8 +67,6 @@ FeederMonitor::FeederMonitor(const grid::Topology& topology,
   require(config_.min_consumers >= 1, "FeederMonitor: min_consumers >= 1");
   require(config_.baseline_beta >= 0.0 && config_.baseline_beta <= 1.0,
           "FeederMonitor: baseline_beta in [0, 1]");
-  // `kld` is authoritative for the histogram knobs, as in pipeline/monitor.
-  config_.detector_options.kld = config_.kld;
   obs::MetricsRegistry& registry =
       config_.metrics != nullptr ? *config_.metrics : obs::default_registry();
   weeks_evaluated_ = &registry.counter("hierarchy.weeks_evaluated");
@@ -165,13 +162,13 @@ void FeederMonitor::fit_impl(
   }
 
   // Per-node detector fit + baseline, parallel: nodes are independent.
+  fleet_ = core::DetectorFleet(config_.detector, config_.detector_options,
+                               nodes_.size());
   parallel_for(
       nodes_.size(),
       [&](std::size_t n) {
         NodeState& node = nodes_[n];
-        node.detector =
-            core::make_detector(config_.detector, config_.detector_options);
-        node.detector->fit(aggregate[n]);
+        fleet_.fit(n, aggregate[n]);
         std::vector<double> weekly_means(split.train_weeks, 0.0);
         for (std::size_t w = 0; w < split.train_weeks; ++w) {
           const std::span<const Kw> week(
@@ -279,8 +276,9 @@ FeederReport FeederMonitor::evaluate(
         s.node = node.node;
         s.depth = node.depth;
         s.consumers = node.members.size();
-        s.score = node.detector->score_week(agg);
-        s.threshold = node.detector->decision_threshold();
+        const core::ScoringDetector& detector = fleet_[n];
+        s.score = detector.score_week(agg);
+        s.threshold = detector.decision_threshold();
         if (balance_mode) {
           s.residual_kw = residuals->signed_kw(node.node);
           s.residual_gate_kw = config_.balance_tolerance_kw;
@@ -293,7 +291,7 @@ FeederReport FeederMonitor::evaluate(
         // Both gates: the distributional detector (calibrated, same [0, 1]
         // scale as consumer scores) AND a physical under-report residual -
         // the score alone would flag clean fleets at the significance rate.
-        s.flagged = node.detector->flag_week(agg) &&
+        s.flagged = detector.flag_week(agg) &&
                     s.residual_kw > s.residual_gate_kw;
       },
       config_.threads);
@@ -389,11 +387,10 @@ FeederReport FeederMonitor::evaluate(
 std::string FeederMonitor::config_fingerprint() const {
   char buf[224];
   std::snprintf(buf, sizeof(buf),
-                "hierarchy:%s nodes=%zu min_consumers=%zu sigma=%.17g "
+                "hierarchy nodes=%zu min_consumers=%zu sigma=%.17g "
                 "floor=%.17g balance=%.17g share=%.17g min_group=%zu "
                 "beta=%.17g",
-                config_.detector.c_str(), nodes_.size(),
-                config_.min_consumers, config_.residual_sigma,
+                nodes_.size(), config_.min_consumers, config_.residual_sigma,
                 config_.residual_floor_kw, config_.balance_tolerance_kw,
                 config_.collusion_share, config_.min_group,
                 config_.baseline_beta);
@@ -403,24 +400,12 @@ std::string FeederMonitor::config_fingerprint() const {
 void FeederMonitor::save_state(persist::Encoder& enc) const {
   require(fitted_, "FeederMonitor: nothing fitted to save");
   enc.str(config_fingerprint());
-  enc.str(config_.detector);
-  enc.u64(nodes_.size());
-  std::vector<std::uint32_t> ids;
-  std::vector<double> baselines, sigmas;
-  ids.reserve(nodes_.size());
-  for (const NodeState& n : nodes_) {
-    ids.push_back(static_cast<std::uint32_t>(n.node));
-    baselines.push_back(n.baseline_kw);
-    sigmas.push_back(n.sigma_kw);
-  }
-  enc.u32_array(ids);
-  enc.f64_array(baselines);
-  enc.f64_array(sigmas);
+  fleet_.save(enc);  // one detector per scored node
+  for (const NodeState& n : nodes_) enc.u32(static_cast<std::uint32_t>(n.node));
+  for (const NodeState& n : nodes_) enc.f64(n.baseline_kw);
+  for (const NodeState& n : nodes_) enc.f64(n.sigma_kw);
   enc.u64(consumer_train_mean_.size());
   enc.f64_array(consumer_train_mean_);
-  // Per-node detector payloads are self-framing (save_state contract).
-  enc.str(nodes_.front().detector->config_fingerprint());
-  for (const NodeState& n : nodes_) n.detector->save_state(enc);
 }
 
 void FeederMonitor::restore_state(persist::Decoder& dec) {
@@ -429,12 +414,10 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
     throw DataError("FeederMonitor: checkpoint fingerprint mismatch: " +
                     fingerprint + " vs " + config_fingerprint());
   }
-  const std::string detector_id = dec.str("hierarchy detector id", 64);
-  require(core::is_registered_detector(detector_id),
-          "FeederMonitor: checkpoint names an unregistered detector");
-  const std::size_t node_count =
-      dec.count("hierarchy node count", 1 << 20);
-  if (node_count != nodes_.size()) {
+  core::DetectorFleet fleet =
+      core::DetectorFleet::restore(dec, config_.threads);
+  const std::size_t node_count = nodes_.size();
+  if (fleet.size() != node_count) {
     throw DataError("FeederMonitor: checkpoint node count does not match "
                     "the topology");
   }
@@ -457,24 +440,13 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
   }
   std::vector<double> train_means =
       dec.f64_array("hierarchy training means", consumer_count);
-  const std::string detector_fingerprint =
-      dec.str("hierarchy detector fingerprint", 1 << 10);
-  std::vector<std::unique_ptr<core::ScoringDetector>> detectors(node_count);
-  for (std::size_t n = 0; n < node_count; ++n) {
-    detectors[n] =
-        core::make_detector(detector_id, config_.detector_options);
-    detectors[n]->restore_state(dec);
-    if (detectors[n]->config_fingerprint() != detector_fingerprint) {
-      throw DataError("FeederMonitor: restored detector fingerprint "
-                      "mismatch");
-    }
-  }
   // Commit only after the whole payload decoded.
-  config_.detector = detector_id;
+  config_.detector = fleet.family();
+  config_.detector_options = fleet.options();
+  fleet_ = std::move(fleet);
   for (std::size_t n = 0; n < node_count; ++n) {
     nodes_[n].baseline_kw = baselines[n];
     nodes_[n].sigma_kw = sigmas[n];
-    nodes_[n].detector = std::move(detectors[n]);
   }
   consumer_train_mean_ = std::move(train_means);
   fitted_ = true;

@@ -48,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "core/detector_registry.h"
+#include "core/detector_fleet.h"
 #include "grid/topology.h"
 #include "meter/dataset.h"
 
@@ -71,9 +71,8 @@ namespace fdeta::hierarchy {
 struct FeederConfig {
   /// Registered detector family scored per node (core/detector_registry.h).
   std::string detector = "kld";
-  core::KldDetectorConfig kld{};
-  /// Knobs for the non-default families; `kld` above stays authoritative
-  /// (copied into detector_options.kld before detectors are built).
+  /// Knobs for every family; `detector_options.kld` holds the KLD
+  /// histogram knobs (bins, significance, epsilon).
   core::DetectorOptions detector_options{};
   /// Internal nodes with fewer consumer descendants are not scored (a
   /// single-consumer "feeder" would just duplicate the per-consumer layer).
@@ -202,12 +201,14 @@ class FeederMonitor {
   void save_state(persist::Encoder& enc) const;
 
   /// Restores save_state() bytes against the SAME topology (scored-node ids
-  /// are validated); throws DataError on any mismatch.  Subsequent
-  /// evaluations are bit-identical to the monitor that was saved.
+  /// are validated) and hierarchy knobs; the detector family and options
+  /// come from the checkpoint.  Throws DataError on any mismatch.
+  /// Subsequent evaluations are bit-identical to the monitor that was saved.
   void restore_state(persist::Decoder& dec);
 
-  /// Deterministic config + per-node fingerprint summary (checkpoint
-  /// cross-check).
+  /// Deterministic summary of the scored-node count and the hierarchy
+  /// knobs (checkpoint cross-check; the detector fleet carries its own
+  /// family and options).
   std::string config_fingerprint() const;
 
  private:
@@ -237,6 +238,7 @@ class FeederMonitor {
   const grid::Topology* topology_;  // never null
   FeederConfig config_;
   std::vector<NodeState> nodes_;              // ascending node id
+  core::DetectorFleet fleet_;                 // one detector per node
   std::vector<double> consumer_train_mean_;   // per dense consumer index
   bool fitted_ = false;
 

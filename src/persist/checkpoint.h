@@ -6,7 +6,7 @@
 // (`fdeta detect --model`) instead of refitting from raw readings on every
 // process start.  A restore should cost about one read of the fitted state.
 //
-// File layout, format v7 (all integers little-endian; see binary_io.h):
+// File layout, format v8 (all integers little-endian; see binary_io.h):
 //
 //   offset  size  field
 //        0     8  magic "FDETAMDL"
@@ -19,10 +19,11 @@
 //                   8  section_checksum(bytes)
 //
 // The owner fixes how many sections it writes and what each holds
-// (DESIGN.md §9).  A bulk section is hashed and written straight from the
-// caller's live array, and read straight into the caller's destination
-// vector, a chunk at a time: no encoder buffer, payload copy or second pass
-// in between.
+// (DESIGN.md §9); every owner's detectors travel as one core::DetectorFleet
+// block inside its Encoder payload.  A bulk section is hashed and written
+// straight from the caller's live array, and read straight into the
+// caller's destination vector, a chunk at a time: no encoder buffer,
+// payload copy or second pass in between.
 //
 // Readers accept exactly kFormatVersion: refitting is the migration.  They
 // validate magic -> version -> section id, then per section length ->
@@ -44,14 +45,14 @@ class SectionHash;  // the incremental section_checksum (checkpoint.cpp)
 
 inline constexpr std::string_view kMagic = "FDETAMDL";
 /// Bumped on ANY layout change of the frame or of an owner's sections.
-inline constexpr std::uint32_t kFormatVersion = 7;
+inline constexpr std::uint32_t kFormatVersion = 8;
 /// Oldest version this build reads: only the current one.
 inline constexpr std::uint32_t kMinReadVersion = kFormatVersion;
 
 /// What fitted model a checkpoint holds. A reader asks for the section id it
 /// expects; a pipeline checkpoint can never be restored into a monitor.
 enum class Section : std::uint32_t {
-  kPipeline = 1,       ///< FdetaPipeline (detectors + weekly stats)
+  kPipeline = 1,       ///< FdetaPipeline (detector fleet + weekly stats)
   kOnlineMonitor = 2,  ///< OnlineMonitor (detectors + window state)
 };
 

@@ -295,7 +295,7 @@ TEST(NetworkChaos, FixedSeedRunIsByteIdenticalAcrossThreadCounts) {
     core::PipelineConfig pc;
     pc.split = meter::TrainTestSplit{.train_weeks = train_weeks,
                                      .test_weeks = 2};
-    pc.kld = {.bins = 10, .significance = 0.05};
+    pc.detector_options.kld = {.bins = 10, .significance = 0.05};
     pc.threads = threads;
     pc.metrics = &reg;
     pc.events = &events;
@@ -354,7 +354,7 @@ std::vector<WeekOutcome> judge(const meter::Dataset& actual,
 
   core::PipelineConfig pc;
   pc.split = meter::TrainTestSplit{.train_weeks = 8, .test_weeks = 2};
-  pc.kld = {.bins = 10, .significance = 0.05};
+  pc.detector_options.kld = {.bins = 10, .significance = 0.05};
   pc.metrics = &reg;
   core::FdetaPipeline pipeline(pc);
   pipeline.fit(actual);
@@ -445,7 +445,7 @@ TEST(MonitorChaos, StrideAndCooldownClocksIgnoreOutageReadings) {
   const meter::TrainTestSplit split{.train_weeks = 10, .test_weeks = 2};
   obs::MetricsRegistry reg;
   core::OnlineMonitorConfig config;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.stride = 4;
   config.cooldown_slots = 8;
   config.metrics = &reg;

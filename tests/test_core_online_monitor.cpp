@@ -21,7 +21,7 @@ class OnlineMonitorTest : public ::testing::Test {
     history_ = datagen::small_dataset(4, 30, 91);
     split_ = meter::TrainTestSplit{.train_weeks = 24, .test_weeks = 6};
     OnlineMonitorConfig config;
-    config.kld = {.bins = 10, .significance = 0.10};
+    config.detector_options.kld = {.bins = 10, .significance = 0.10};
     config.stride = 1;  // rescore on every reading for exact tests
     monitor_ = std::make_unique<OnlineMonitor>(config);
     monitor_->fit(history_, split_);
@@ -91,7 +91,7 @@ TEST_F(OnlineMonitorTest, CooldownSuppressesAlertFlood) {
 
 TEST_F(OnlineMonitorTest, StrideDelaysButDoesNotMissAlerts) {
   OnlineMonitorConfig config;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.stride = 16;
   OnlineMonitor coarse(config);
   coarse.fit(history_, split_);
@@ -169,7 +169,7 @@ TEST_F(OnlineMonitorTest, WindowStaysSlotAlignedAcrossWraparound) {
 
 TEST_F(OnlineMonitorTest, BatchIngestMatchesPerReadingIngest) {
   OnlineMonitorConfig config;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.stride = 1;
   OnlineMonitor single(config);
   single.fit(history_, split_);

@@ -21,7 +21,7 @@ class PipelineTest : public ::testing::Test {
   void SetUp() override {
     actual_ = datagen::small_dataset(12, 30, 31);
     config_.split = meter::TrainTestSplit{.train_weeks = 24, .test_weeks = 6};
-    config_.kld = {.bins = 10, .significance = 0.10};
+    config_.detector_options.kld = {.bins = 10, .significance = 0.10};
     pipeline_ = std::make_unique<FdetaPipeline>(config_);
     pipeline_->fit(actual_);
   }
@@ -218,7 +218,7 @@ TEST(PipelineDirectionFloor, NearZeroTrainingMeansFallBackToAnomaly) {
 
   PipelineConfig config;
   config.split = meter::TrainTestSplit{.train_weeks = 24, .test_weeks = 6};
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   FdetaPipeline pipeline(config);
   pipeline.fit(population);
 

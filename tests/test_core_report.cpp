@@ -19,7 +19,7 @@ class ReportTest : public ::testing::Test {
     split_ = meter::TrainTestSplit{.train_weeks = 24, .test_weeks = 6};
     PipelineConfig config;
     config.split = split_;
-    config.kld = {.bins = 10, .significance = 0.10};
+    config.detector_options.kld = {.bins = 10, .significance = 0.10};
     pipeline_ = std::make_unique<FdetaPipeline>(config);
     pipeline_->fit(actual_);
 

@@ -146,7 +146,8 @@ TEST(FeederMonitor, ScoresAreCalibratedLikeConsumerScores) {
   for (const auto& node : report.nodes) {
     EXPECT_GE(node.score, 0.0) << "node " << node.node;
     EXPECT_LE(node.score, 1.0) << "node " << node.node;
-    EXPECT_DOUBLE_EQ(node.threshold, 1.0 - config.kld.significance)
+    EXPECT_DOUBLE_EQ(node.threshold,
+                     1.0 - config.detector_options.kld.significance)
         << "node " << node.node;
   }
 }

@@ -85,7 +85,7 @@ TEST_F(EndToEndTest, PipelineFlagsBothEndsOfTheTheft) {
   const auto reported = transmit_with_attacks(2, 7);
   core::PipelineConfig config;
   config.split = split_;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   core::FdetaPipeline pipeline(config);
   pipeline.fit(actual_);
 

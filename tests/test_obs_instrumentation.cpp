@@ -68,7 +68,7 @@ std::vector<Reading> make_stream(const meter::Dataset& history,
 
 OnlineMonitorConfig monitor_config(obs::MetricsRegistry* reg) {
   OnlineMonitorConfig config;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.stride = 1;
   config.metrics = reg;
   return config;

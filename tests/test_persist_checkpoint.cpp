@@ -9,6 +9,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -19,10 +20,12 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/conditioned_kld_detector.h"
+#include "core/detector_fleet.h"
 #include "core/kld_detector.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
+#include "grid/hierarchy/feeder_monitor.h"
 #include "grid/topology.h"
 #include "meter/weekly_stats.h"
 #include "stats/descriptive.h"
@@ -169,7 +172,7 @@ TEST(Checkpoint, RejectsVersionMismatch) {
 }
 
 TEST(Checkpoint, RejectsVersionBelowReadWindow) {
-  // Readers accept exactly the current version: a v6 file is rejected up
+  // Readers accept exactly the current version: a v7 file is rejected up
   // front, with refitting named as the way forward.
   static_assert(kMinReadVersion == kFormatVersion);
   auto bytes = framed_pipeline_payload();
@@ -272,7 +275,7 @@ TEST(PipelineCheckpoint, RoundTripReproducesVerdictsAndCounters) {
 
   PipelineConfig config;
   config.split = meter::TrainTestSplit{.train_weeks = 24, .test_weeks = 4};
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.metrics = &cold_reg;
   FdetaPipeline cold(config);
   cold.fit(dataset);
@@ -288,7 +291,7 @@ TEST(PipelineCheckpoint, RoundTripReproducesVerdictsAndCounters) {
   EXPECT_EQ(warm.consumer_count(), cold.consumer_count());
   EXPECT_EQ(warm.config().split.train_weeks, 24u);
   EXPECT_EQ(warm.config().split.test_weeks, 4u);
-  EXPECT_EQ(warm.config().kld.significance, 0.10);
+  EXPECT_EQ(warm.config().detector_options.kld.significance, 0.10);
   EXPECT_EQ(warm_reg.snapshot().counter("pipeline.consumers_restored"), 10u);
 
   const EvidenceCalendar calendar;
@@ -508,7 +511,7 @@ class FramedMonitor : public ::testing::Test {
 
   OnlineMonitorConfig config() {
     OnlineMonitorConfig c;
-    c.kld = {.bins = 10, .significance = 0.10};
+    c.detector_options.kld = {.bins = 10, .significance = 0.10};
     c.metrics = &reg_;
     c.topology = &topology_;
     return c;
@@ -667,17 +670,19 @@ TEST(Checkpoint, ReadsBulkSectionsFromStreamThatCannotReportItsSize) {
 // fail with DataError before anything is sized by the claimed counts.
 
 /// A monitor checkpoint whose state section claims `count` kld consumers
-/// with `bins` bins, then `padding` zero bytes; empty bulk sections follow.
+/// with `bins` bins at `significance`, rescored every `stride` readings,
+/// then `padding` zero bytes; empty bulk sections follow.
 std::string forged_monitor(std::uint64_t count, std::uint64_t bins,
-                           std::size_t padding) {
+                           std::size_t padding, std::uint64_t stride = 4,
+                           double significance = 0.05) {
   persist::Encoder enc;
-  enc.u64(4);      // stride
+  enc.u64(stride);
   enc.u64(48);     // cooldown slots
   enc.f64(0.25);   // max missing fraction
   enc.u64(count);
   enc.str("kld");
   enc.u64(bins);
-  enc.f64(0.05);   // significance
+  enc.f64(significance);
   enc.f64(1e-9);   // epsilon
   enc.u8(1);       // exclude out of support
   enc.u64(6);      // training weeks
@@ -721,6 +726,156 @@ TEST(MonitorCheckpoint, ClaimedHugeBinCountFailsWithDataError) {
   expect_fast_rejection(forged_monitor(1000, 1u << 20, 64 * 1024));
 }
 
+// A checksum-valid file whose only defect is an out-of-range config must
+// fail as a malformed checkpoint (DataError), never as a bad call.
+
+/// The zero bytes that complete forged_monitor's state section for one
+/// consumer: edges, baseline, six training divergences, threshold, id,
+/// stride and cooldown counters, training mean, no alerts, no feeder block.
+std::size_t one_consumer_rest(std::uint64_t bins) {
+  return (bins + 1 + bins + 6 + 1) * 8 + 4 + 4 + 4 + 8 + 8 + 1;
+}
+
+std::string monitor_rejection(const std::string& file) {
+  obs::MetricsRegistry reg;
+  OnlineMonitorConfig config;
+  config.metrics = &reg;
+  OnlineMonitor monitor(config);
+  std::istringstream in(file, std::ios::binary);
+  try {
+    monitor.restore(in);
+  } catch (const DataError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "checkpoint was not rejected";
+  return {};
+}
+
+TEST(MonitorCheckpoint, OutOfRangeConfigsFailWithDataError) {
+  // Control: a valid config decodes the whole state section and trips only
+  // over the (empty) bulk sections.
+  EXPECT_NE(monitor_rejection(forged_monitor(1, 10, one_consumer_rest(10)))
+                .find("decoded counts"),
+            std::string::npos);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(monitor_rejection(forged_monitor(1, 10, one_consumer_rest(10), 0))
+                .find("stride"),
+            std::string::npos);
+  for (const auto& [bins, significance] :
+       {std::pair<std::uint64_t, double>{1, 0.05}, {10, 1.5}, {10, nan}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "bins=" << bins << " significance=" << significance);
+    EXPECT_EQ(monitor_rejection(forged_monitor(1, bins, one_consumer_rest(bins),
+                                               4, significance))
+                  .find("decoded counts"),
+              std::string::npos);
+  }
+}
+
+/// A complete one-consumer kld pipeline checkpoint: unit-spaced edges, a
+/// uniform baseline, four training weeks.
+std::string forged_pipeline(std::uint64_t bins, double significance) {
+  persist::Encoder enc;
+  enc.u64(8);      // train weeks
+  enc.u64(2);      // test weeks
+  enc.f64(0.0);    // direction margin
+  enc.f64(1e-6);   // direction floor
+  enc.u64(1);      // consumers
+  enc.str("kld");
+  enc.u64(bins);
+  enc.f64(significance);
+  enc.f64(1e-9);   // epsilon
+  enc.u8(1);       // exclude out of support
+  enc.u64(4);      // training weeks
+  for (std::uint64_t e = 0; e <= bins; ++e) enc.f64(static_cast<double>(e));
+  for (std::uint64_t b = 0; b < bins; ++b) {
+    enc.f64(1.0 / static_cast<double>(bins));
+  }
+  for (const double k : {0.1, 0.2, 0.3, 0.4}) enc.f64(k);
+  enc.f64(0.35);   // threshold
+  meter::save_weekly_stats({.means = {1.0, 2.0}, .variances = {0.5, 0.5}},
+                           enc);
+  std::ostringstream out(std::ios::binary);
+  persist::CheckpointWriter(out, persist::Section::kPipeline)
+      .write(enc.bytes());
+  return out.str();
+}
+
+TEST(PipelineCheckpoint, OutOfRangeConfigsFailWithDataError) {
+  obs::MetricsRegistry reg;
+  PipelineConfig config;
+  config.metrics = &reg;
+  FdetaPipeline pipeline(config);
+  {
+    std::istringstream in(forged_pipeline(10, 0.05), std::ios::binary);
+    pipeline.load_model(in);  // the control loads
+    EXPECT_EQ(pipeline.consumer_count(), 1u);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [bins, significance] :
+       {std::pair<std::uint64_t, double>{1, 0.05}, {10, 1.5}, {10, nan}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "bins=" << bins << " significance=" << significance);
+    std::istringstream in(forged_pipeline(bins, significance),
+                          std::ios::binary);
+    EXPECT_THROW(pipeline.load_model(in), DataError);
+  }
+}
+
+/// The block of a two-member fleet of `family` fitted at significance 0.10.
+std::string fleet_block(const std::string& family) {
+  const auto dataset = datagen::small_dataset(2, 8, 47);
+  DetectorOptions options;
+  options.kld.significance = 0.10;
+  DetectorFleet fleet(family, options, dataset.consumer_count());
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    fleet.fit(i, dataset.consumer(i).readings);
+  }
+  persist::Encoder enc;
+  fleet.save(enc);
+  return enc.bytes();
+}
+
+/// Overwrites the f64 at `offset` of an encoded block.
+void patch_f64(std::string& bytes, std::size_t offset, double value) {
+  persist::Encoder enc;
+  enc.f64(value);
+  bytes.replace(offset, 8, enc.bytes());
+}
+
+/// The DataError message restoring `bytes` throws.
+std::string fleet_rejection(const std::string& bytes) {
+  persist::Decoder dec(bytes);
+  try {
+    DetectorFleet::restore(dec, 0);
+  } catch (const DataError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "fleet block was not rejected";
+  return {};
+}
+
+TEST(DetectorFleetCheckpoint, MembersMustMatchTheStoredOptions) {
+  std::string bytes = fleet_block("ckld");
+  persist::Decoder dec(bytes);
+  const DetectorFleet fleet = DetectorFleet::restore(dec, 0);
+  dec.require_exhausted("fleet block");
+  EXPECT_EQ(fleet.family(), "ckld");
+  EXPECT_EQ(fleet.options().kld.significance, 0.10);
+  // Member count (8), the id (8 + 4), bins (8), then the significance.
+  patch_f64(bytes, 28, 0.05);
+  EXPECT_NE(fleet_rejection(bytes).find("fleet's options"), std::string::npos);
+}
+
+TEST(DetectorFleetCheckpoint, UnsortedKldEdgesFailWithDataError) {
+  std::string bytes = fleet_block("kld");
+  // Member count, id, config (8 + 8 + 8 + 1), training weeks: then the
+  // first member's edges, whose second edge drops below the first.
+  const std::size_t edges_at = 8 + 8 + 3 + 8 + 8 + 8 + 1 + 8;
+  patch_f64(bytes, edges_at + 8, -1e9);
+  EXPECT_NE(fleet_rejection(bytes).find("ascending"), std::string::npos);
+}
+
 TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
   const auto dataset = datagen::small_dataset(1, 12, 23);
   const auto& readings = dataset.consumer(0).readings;
@@ -731,10 +886,10 @@ TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
   fitted.fit(train);
 
   persist::Encoder enc;
-  fitted.save(enc);
+  fitted.save_state(enc);
   persist::Decoder dec(enc.bytes());
   ConditionedKldDetector restored;
-  restored.restore(dec);
+  restored.restore_state(dec);
   dec.require_exhausted("conditioned detector");
 
   const auto week = dataset.consumer(0).week(11);
@@ -800,6 +955,184 @@ TEST(EpsilonSmoothing, RejectsNegativeEpsilon) {
   conditioned.epsilon = -1.0;
   EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
 }
+
+// ---------------------------------------------------------------------------
+// Every registered family through every owner: the pipeline, and a monitor
+// whose topology adds the feeder block (its nodes run the same family).
+
+class FleetRoundTrip : public ::testing::TestWithParam<std::string_view> {
+ protected:
+  FleetRoundTrip() : topology_(make_topology()) {}
+
+  static grid::Topology make_topology() {
+    Rng rng(5);
+    return grid::Topology::random_radial(6, 3, rng, 0.02);
+  }
+
+  /// Non-default knobs for every family, so a restore that drops any of
+  /// them shows up in the saved bytes.
+  static DetectorOptions options() {
+    DetectorOptions o;
+    o.kld = {.bins = 12, .significance = 0.10};
+    o.reduced_slots = 24;
+    o.iforest_trees = 8;
+    o.iforest_samples = 16;
+    o.iforest_contamination = 0.10;
+    o.iforest_seed = 7;
+    return o;
+  }
+
+  PipelineConfig pipeline_config() {
+    PipelineConfig c;
+    c.split = split_;
+    c.detector = std::string(GetParam());
+    c.detector_options = options();
+    c.metrics = &reg_;
+    return c;
+  }
+
+  OnlineMonitorConfig monitor_config() {
+    OnlineMonitorConfig c;
+    c.detector = std::string(GetParam());
+    c.detector_options = options();
+    c.stride = 2;
+    c.cooldown_slots = 12;
+    c.metrics = &reg_;
+    c.topology = &topology_;
+    c.feeder.detector = c.detector;
+    c.feeder.detector_options = c.detector_options;
+    return c;
+  }
+
+  static std::string saved(const FdetaPipeline& pipeline) {
+    std::ostringstream out(std::ios::binary);
+    pipeline.save_model(out);
+    return out.str();
+  }
+
+  static std::string saved(const OnlineMonitor& monitor) {
+    std::ostringstream out(std::ios::binary);
+    monitor.save(out);
+    return out.str();
+  }
+
+  /// Feeds test-week slots [from, to) of every consumer.
+  void feed(OnlineMonitor& monitor, SlotIndex from, SlotIndex to) const {
+    const SlotIndex base = split_.train_weeks * kSlotsPerWeek;
+    for (SlotIndex s = from; s < to; ++s) {
+      for (std::size_t c = 0; c < data_.consumer_count(); ++c) {
+        monitor.ingest(Reading{c, base + s,
+                               data_.consumer(c).readings[base + s],
+                               (s + c) % 13 == 0});
+      }
+    }
+  }
+
+  obs::MetricsRegistry reg_;
+  const meter::Dataset data_ = datagen::small_dataset(6, 10, 41);
+  const meter::TrainTestSplit split_{.train_weeks = 8, .test_weeks = 2};
+  const grid::Topology topology_;
+};
+
+TEST_P(FleetRoundTrip, PipelineRestoresIntoADefaultPipeline) {
+  FdetaPipeline original(pipeline_config());
+  original.fit(data_);
+  const std::string bytes = saved(original);
+
+  PipelineConfig fresh;
+  fresh.metrics = &reg_;
+  FdetaPipeline restored(fresh);
+  std::istringstream in(bytes, std::ios::binary);
+  restored.load_model(in);
+  EXPECT_EQ(saved(restored), bytes);
+  EXPECT_EQ(restored.config().detector, GetParam());
+
+  const EvidenceCalendar calendar;
+  for (std::size_t w = split_.train_weeks; w < data_.week_count(); ++w) {
+    const auto a = original.evaluate_week(data_, data_, w, calendar);
+    const auto b = restored.evaluate_week(data_, data_, w, calendar);
+    ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
+    for (std::size_t c = 0; c < a.verdicts.size(); ++c) {
+      EXPECT_EQ(a.verdicts[c].status, b.verdicts[c].status);
+      EXPECT_EQ(a.verdicts[c].kld_score, b.verdicts[c].kld_score);
+      EXPECT_EQ(a.verdicts[c].kld_threshold, b.verdicts[c].kld_threshold);
+    }
+  }
+
+  // The restored config is the fitted one: refitting from it reproduces
+  // the checkpoint.
+  FdetaPipeline refit(restored.config());
+  refit.fit(data_);
+  EXPECT_EQ(saved(refit), bytes);
+}
+
+TEST_P(FleetRoundTrip, MonitorWithFeederRestoresIntoADefaultMonitor) {
+  OnlineMonitor original(monitor_config());
+  original.fit(data_, split_);
+  feed(original, 0, kSlotsPerWeek / 2);
+  const std::string bytes = saved(original);
+
+  OnlineMonitorConfig fresh;
+  fresh.metrics = &reg_;
+  fresh.topology = &topology_;
+  OnlineMonitor restored(fresh);
+  std::istringstream in(bytes, std::ios::binary);
+  restored.restore(in);
+  ASSERT_NE(restored.feeder(), nullptr);
+  EXPECT_EQ(saved(restored), bytes);
+
+  feed(original, kSlotsPerWeek / 2, kSlotsPerWeek);
+  feed(restored, kSlotsPerWeek / 2, kSlotsPerWeek);
+  ASSERT_FALSE(original.alerts().empty()) << "alert equivalence is vacuous";
+  ASSERT_EQ(restored.alerts().size(), original.alerts().size());
+  for (std::size_t i = 0; i < original.alerts().size(); ++i) {
+    const AlertEvent& a = original.alerts()[i];
+    const AlertEvent& b = restored.alerts()[i];
+    EXPECT_EQ(a.consumer_index, b.consumer_index);
+    EXPECT_EQ(a.slot, b.slot);
+    EXPECT_EQ(a.score, b.score);
+    EXPECT_EQ(a.threshold, b.threshold);
+    EXPECT_EQ(a.direction, b.direction);
+  }
+  const SlotIndex end = (split_.train_weeks + 1) * kSlotsPerWeek;
+  EXPECT_EQ(hierarchy::to_text(original.evaluate_feeders(end)),
+            hierarchy::to_text(restored.evaluate_feeders(end)));
+
+  // Refitting from the restored config (feeder family included) and
+  // replaying the same readings reproduces the checkpoint.
+  OnlineMonitor refit(restored.config());
+  refit.fit(data_, split_);
+  feed(refit, 0, kSlotsPerWeek / 2);
+  EXPECT_EQ(saved(refit), bytes);
+}
+
+TEST_P(FleetRoundTrip, EveryFlippedPipelineByteIsRejected) {
+  PipelineConfig config = pipeline_config();
+  FdetaPipeline original(config);
+  const meter::Dataset small = datagen::small_dataset(2, 10, 43);
+  original.fit(small);
+  const std::string bytes = saved(original);
+  FdetaPipeline target(config);
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    std::istringstream in(flipped, std::ios::binary);
+    EXPECT_THROW(target.load_model(in), DataError)
+        << "flipped byte " << at << " of " << bytes.size();
+    if (HasFailure()) return;
+  }
+}
+
+std::string family_name(
+    const ::testing::TestParamInfo<std::string_view>& info) {
+  std::string name(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, FleetRoundTrip,
+                         ::testing::ValuesIn(registered_detector_names()),
+                         family_name);
 
 }  // namespace
 }  // namespace fdeta::core

@@ -237,22 +237,6 @@ TEST_P(DetectorContract, SaveRestoreSaveIsByteStable) {
   EXPECT_EQ(restored->score_week(week, 0), original->score_week(week, 0));
 }
 
-// clone() carries the fitted state: a clone is indistinguishable from its
-// prototype, and cloning an unfitted prototype then fitting matches a direct
-// fit (the fleet layers rely on exactly this).
-TEST_P(DetectorContract, CloneCarriesFittedState) {
-  const auto f = testutil::make_fixture(777);
-  auto fitted = make();
-  fitted->fit(f.train());
-  const auto fitted_clone = fitted->clone();
-  EXPECT_EQ(save_bytes(*fitted_clone), save_bytes(*fitted));
-
-  auto prototype = make();
-  auto cloned_then_fit = prototype->clone();
-  cloned_then_fit->fit(f.train());
-  EXPECT_EQ(save_bytes(*cloned_then_fit), save_bytes(*fitted));
-}
-
 std::string contract_name(
     const ::testing::TestParamInfo<std::string_view>& info) {
   std::string name(info.param);

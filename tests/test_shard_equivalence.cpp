@@ -81,7 +81,7 @@ class ShardEquivalenceTest : public ::testing::Test {
       std::size_t shards, std::size_t threads, obs::MetricsRegistry* reg,
       obs::EventLog* events = nullptr) {
     core::OnlineMonitorConfig config;
-    config.kld = {.bins = 10, .significance = 0.10};
+    config.detector_options.kld = {.bins = 10, .significance = 0.10};
     config.stride = 1;
     config.cooldown_slots = 12;
     config.shards = shards;
@@ -169,7 +169,7 @@ TEST_F(ShardEquivalenceTest, FitStreamingMatchesFitBitExactly) {
 
   datagen::StreamingFleet fleet(datagen::scaled_config(12, 12, kSeed));
   core::OnlineMonitorConfig config;
-  config.kld = {.bins = 10, .significance = 0.10};
+  config.detector_options.kld = {.bins = 10, .significance = 0.10};
   config.stride = 1;
   config.cooldown_slots = 12;
   config.shards = 4;
@@ -207,7 +207,7 @@ TEST_F(ShardEquivalenceTest, FeederReportInvariantAcrossShardThreadLayouts) {
       obs::EventLog log;
       log.enable();
       core::OnlineMonitorConfig config;
-      config.kld = {.bins = 10, .significance = 0.10};
+      config.detector_options.kld = {.bins = 10, .significance = 0.10};
       config.stride = 1;
       config.cooldown_slots = 12;
       config.shards = shards;
@@ -266,7 +266,7 @@ class DetectorShardSweep : public ::testing::TestWithParam<std::string_view> {
                                            std::size_t threads) const {
     core::OnlineMonitorConfig config;
     config.detector = std::string(GetParam());
-    config.kld = {.bins = 10, .significance = 0.10};
+    config.detector_options.kld = {.bins = 10, .significance = 0.10};
     config.stride = 1;
     config.cooldown_slots = 12;
     config.shards = shards;

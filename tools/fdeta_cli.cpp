@@ -327,7 +327,6 @@ int cmd_fit(const Args& args) {
       meter::TrainTestSplit{.train_weeks = train_weeks,
                             .test_weeks = actual.week_count() - train_weeks};
   config.detector = detector;
-  config.kld = detector_options.kld;
   config.detector_options = detector_options;
   core::FdetaPipeline pipeline(config);
   pipeline.fit(actual);
@@ -339,8 +338,8 @@ int cmd_fit(const Args& args) {
   std::printf("fitted %zu consumers on %zu training weeks (detector=%s, "
               "B=%zu, alpha=%.0f%%), model -> %s\n",
               pipeline.consumer_count(), train_weeks,
-              config.detector.c_str(), config.kld.bins,
-              100.0 * config.kld.significance, path.c_str());
+              config.detector.c_str(), detector_options.kld.bins,
+              100.0 * detector_options.kld.significance, path.c_str());
   return 0;
 }
 
@@ -394,7 +393,7 @@ int cmd_detect(const Args& args) {
   core::FdetaPipeline pipeline(config);
   if (!model_path.empty()) {
     // Warm start: restore the fitted state saved by `fdeta fit`; the
-    // checkpoint carries the detector family, split and KLD parameters it
+    // checkpoint carries the detector family, split and detector options it
     // was fitted with.
     std::ifstream in(model_path, std::ios::binary);
     if (!in) throw DataError("detect: cannot open model " + model_path);
@@ -415,15 +414,15 @@ int cmd_detect(const Args& args) {
     config.split.test_weeks =
         reported.week_count() - config.split.train_weeks;
     config.detector = detector_from(args);
-    config.kld = detector_options.kld;
     config.detector_options = detector_options;
     config.explain = explain;
     pipeline = core::FdetaPipeline(config);
     pipeline.fit(baseline);
   }
   const std::size_t train_weeks = pipeline.config().split.train_weeks;
-  const double significance = pipeline.config().kld.significance;
-  const std::size_t bins = pipeline.config().kld.bins;
+  const double significance =
+      pipeline.config().detector_options.kld.significance;
+  const std::size_t bins = pipeline.config().detector_options.kld.bins;
   require(train_weeks < reported.week_count(),
           "detect: model training span exceeds the dataset horizon");
   const core::EvidenceCalendar calendar;  // no external evidence from CSV
@@ -584,7 +583,6 @@ int cmd_detect(const Args& args) {
   if (args.get_long("stream", 1) != 0) {
     core::OnlineMonitorConfig mconfig;
     mconfig.detector = pipeline.config().detector;
-    mconfig.kld = pipeline.config().kld;
     mconfig.detector_options = pipeline.config().detector_options;
     mconfig.max_missing_fraction = pipeline.config().max_missing_fraction;
     core::OnlineMonitor monitor(mconfig);
