@@ -62,8 +62,7 @@ int main() {
     plain.fit(train);
 
     core::ConditionedKldDetectorConfig cc;
-    cc.bins = 10;
-    cc.significance = 0.05;
+    cc.kld = {.bins = 10, .significance = 0.05};
     cc.groups = 3;
     cc.slot_group = core::rtp_slot_groups(rtp, weeks * kSlotsPerWeek, 3);
     core::ConditionedKldDetector conditioned(cc);

@@ -56,8 +56,7 @@ int main() {
       core::KldDetector kld({.bins = 10, .significance = 0.05});
       kld.fit(train);
       core::ConditionedKldDetectorConfig cc;
-      cc.bins = 10;
-      cc.significance = 0.05;
+      cc.kld = {.bins = 10, .significance = 0.05};
       cc.slot_group = core::tou_slot_groups(tou);
       core::ConditionedKldDetector ckld(cc);
       ckld.fit(train);

@@ -1,6 +1,7 @@
 #include "common/csv.h"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -30,7 +31,8 @@ double parse_double(std::string_view token, std::string_view context) {
   // Skip leading whitespace, which from_chars rejects.
   while (begin < end && (*begin == ' ' || *begin == '\t')) ++begin;
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
+  // from_chars also accepts "inf" and "nan", which no input may carry.
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
     throw DataError("failed to parse double '" + std::string(token) + "' in " +
                     std::string(context));
   }

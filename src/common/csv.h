@@ -16,7 +16,8 @@ namespace fdeta {
 /// here are purely numeric.
 std::vector<std::string> split_csv_line(std::string_view line, char delim = ',');
 
-/// Parses a string as double; throws DataError with context on failure.
+/// Parses a string as a finite double; throws DataError with context on
+/// failure and on "inf" or "nan".
 double parse_double(std::string_view token, std::string_view context);
 
 /// Parses a string as a non-negative integer; throws DataError on failure.

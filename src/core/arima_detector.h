@@ -33,7 +33,6 @@ class ArimaDetector final : public Detector {
  public:
   explicit ArimaDetector(ArimaDetectorConfig config = {});
 
-  std::string_view name() const override { return "ARIMA"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;

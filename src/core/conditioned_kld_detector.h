@@ -3,40 +3,30 @@
 // The Optimal Swap attack changes only the *temporal ordering* of readings,
 // so the unconditioned KLD detector is blind to it.  Conditioning splits the
 // X distribution into one distribution per price group (peak / off-peak for
-// TOU; price bands for RTP) and runs the eq.-(12) machinery within each
-// group.  A week is anomalous if ANY group's divergence exceeds that group's
-// training threshold.  The paper notes the same conditioning extends to
-// detecting Attack Class 4B under RTP.
+// TOU; price bands for RTP) and runs the eq.-(12) machinery - one KldModel -
+// within each group.  A week is anomalous if ANY group's divergence exceeds
+// that group's training threshold.  The paper notes the same conditioning
+// extends to detecting Attack Class 4B under RTP.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/detector_plugin.h"
 #include "core/kld_detector.h"
 #include "pricing/tariff.h"
-#include "stats/histogram.h"
-
-namespace fdeta::persist {
-class Encoder;
-class Decoder;
-}  // namespace fdeta::persist
 
 namespace fdeta::core {
 
 struct ConditionedKldDetectorConfig {
-  std::size_t bins = 10;
-  double significance = 0.05;
-  /// Per-group Laplace-style baseline smoothing, as KldDetectorConfig's
-  /// epsilon: keeps group scores finite when a scored week puts mass in a
-  /// bin empty across that group's training readings.  0 = paper-exact.
-  double epsilon = 1e-9;
-  /// As KldDetectorConfig::exclude_out_of_support, applied per price group:
-  /// scored readings outside a group's frozen training support are excluded
-  /// from that group's bin mass instead of clamped into the outer bins.
-  bool exclude_out_of_support = true;
+  /// Histogram / threshold knobs, as KldDetectorConfig, applied per price
+  /// group: epsilon keeps group scores finite when a scored week puts mass
+  /// in a bin empty across that group's training readings, and scored
+  /// readings outside a group's frozen training support are excluded from
+  /// that group's bin mass.
+  KldDetectorConfig kld{};
   /// Maps a slot-of-week [0, 336) to a price-group id [0, groups).
   /// Defaults (set by the constructor) to Nightsaver peak/off-peak.
   std::function<std::size_t(std::size_t)> slot_group;
@@ -55,20 +45,20 @@ std::function<std::size_t(std::size_t)> rtp_slot_groups(
 
 class ConditionedKldDetector final : public ScoringDetector {
  public:
+  /// Tabulates every group's slot-of-week positions once; throws
+  /// InvalidArgument if slot_group names a group outside [0, groups) or
+  /// leaves a group without slots.
   explicit ConditionedKldDetector(ConditionedKldDetectorConfig config = {});
 
-  std::string_view name() const override { return "Conditioned KLD"; }
   void fit(std::span<const Kw> training) override;
-  bool flag_week(std::span<const Kw> week,
-                 SlotIndex first_slot = 0) const override;
 
   // --- ScoringDetector plugin surface ------------------------------------
   /// The family-native scalar score is the worst per-group threshold margin,
   /// max_g(scores(week)[g] - thresholds()[g]), so raw_decision_threshold()
-  /// is 0 and the raw score > threshold decision reproduces flag_week's
-  /// "any group over its own threshold" rule exactly (for IEEE doubles,
-  /// a - b > 0 iff a > b).  The calibration reference is the training weeks'
-  /// margins on that same scale (persisted in checkpoints).
+  /// is 0 and the raw score > threshold decision is the "any group over its
+  /// own threshold" rule exactly (for IEEE doubles, a - b > 0 iff a > b).
+  /// The calibration reference is the training weeks' margins on that same
+  /// scale (persisted in checkpoints).
   double raw_score_week(std::span<const Kw> week,
                         SlotIndex first_slot = 0) const override;
   double raw_decision_threshold() const override { return 0.0; }
@@ -88,35 +78,31 @@ class ConditionedKldDetector final : public ScoringDetector {
   std::string config_fingerprint() const override;
 
   /// Per-group divergence scores for a week.
-  std::vector<double> scores(std::span<const Kw> week) const;
+  std::vector<double> scores(std::span<const Kw> week,
+                             SlotIndex first_slot = 0) const;
 
   /// Per-group thresholds.
-  const std::vector<double>& thresholds() const;
-
-  /// The training weeks' scalar margins (the calibration reference): one
-  /// max_g(K_i[g] - thresholds()[g]) per training week.
-  const std::vector<double>& training_margins() const;
+  std::vector<double> thresholds() const;
 
   /// Per-group per-bin breakdowns: explanations[g].score equals
   /// scores(week)[g] and explanations[g].threshold equals thresholds()[g].
-  std::vector<KldExplanation> explain(std::span<const Kw> week) const;
+  std::vector<KldExplanation> explain(std::span<const Kw> week,
+                                      SlotIndex first_slot = 0) const;
 
  private:
-  /// Readings of `week` falling into group `g`.
-  std::vector<double> group_values(std::span<const Kw> week,
-                                   std::size_t g) const;
-
-  /// Derives the smoothed scoring baseline for one group (see
-  /// KldDetector::rebuild_scoring_baseline).
-  std::vector<double> scoring_baseline(std::size_t g) const;
+  /// The fitted per-group models; throws InvalidArgument before fit().
+  const std::vector<KldModel>& models() const;
+  /// Installs fitted per-group models and training margins plus the
+  /// calibration over those margins.
+  void adopt(std::vector<KldModel> models, std::vector<double> margins);
+  /// Group g's divergence for a week, allocation-free.
+  double group_score(std::span<const Kw> week, SlotIndex first_slot,
+                     std::size_t g) const;
 
   ConditionedKldDetectorConfig config_;
-  std::vector<std::optional<stats::Histogram>> histograms_;  // per group
-  std::vector<std::vector<double>> baselines_;               // per group, raw
-  std::vector<std::vector<double>> scorings_;  // per group, smoothed
-  std::vector<double> thresholds_;             // per group
-  std::vector<double> training_margins_;       // per training week
-  bool fitted_ = false;
+  std::vector<std::vector<std::uint32_t>> positions_;  // per group, ascending
+  std::vector<KldModel> models_;           // per group; empty until fitted
+  std::vector<double> training_margins_;   // per training week
 };
 
 }  // namespace fdeta::core

@@ -30,7 +30,6 @@ class CusumDetector final : public Detector {
  public:
   explicit CusumDetector(CusumDetectorConfig config = {});
 
-  std::string_view name() const override { return "CUSUM"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;
@@ -57,7 +56,6 @@ class EwmaDetector final : public Detector {
  public:
   explicit EwmaDetector(EwmaDetectorConfig config = {});
 
-  std::string_view name() const override { return "EWMA"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "common/units.h"
 
@@ -17,8 +16,6 @@ namespace fdeta::core {
 class Detector {
  public:
   virtual ~Detector() = default;
-
-  virtual std::string_view name() const = 0;
 
   /// Trains the per-consumer model.  `training` must be a whole number of
   /// weeks of half-hour readings (the paper uses 60 weeks).

@@ -10,8 +10,9 @@ namespace fdeta::core {
 
 namespace {
 
-const KldDetector& as_kld(const std::unique_ptr<ScoringDetector>& member) {
-  return static_cast<const KldDetector&>(*member);
+/// The fitted model of a "kld" member.
+const KldModel& model(const std::unique_ptr<ScoringDetector>& member) {
+  return static_cast<const KldDetector&>(*member).model();
 }
 
 /// Row `i` of a flat count x width array.
@@ -57,16 +58,16 @@ void DetectorFleet::save(persist::Encoder& enc) const {
   // reads: consecutive per-member appends produce the same bytes as one
   // flat count x width array, which the decoder reads in one memcpy.
   const std::size_t train_weeks =
-      size() > 0 ? as_kld(members_[0]).training_divergences().size() : 0;
+      size() > 0 ? model(members_[0]).training_divergences().size() : 0;
   for (const auto& m : members_) {
-    require(as_kld(m).training_divergences().size() == train_weeks,
+    require(model(m).training_divergences().size() == train_weeks,
             "DetectorFleet::save: members differ in training weeks");
   }
   enc.u64(train_weeks);
-  for (auto& m : members_) enc.f64_array(as_kld(m).histogram().edges());
-  for (auto& m : members_) enc.f64_array(as_kld(m).baseline_distribution());
-  for (auto& m : members_) enc.f64_array(as_kld(m).training_divergences());
-  for (auto& m : members_) enc.f64(as_kld(m).threshold());
+  for (auto& m : members_) enc.f64_array(model(m).histogram().edges());
+  for (auto& m : members_) enc.f64_array(model(m).baseline());
+  for (auto& m : members_) enc.f64_array(model(m).training_divergences());
+  for (auto& m : members_) enc.f64(model(m).threshold());
 }
 
 DetectorFleet DetectorFleet::restore(persist::Decoder& dec,
@@ -124,9 +125,6 @@ void DetectorFleet::restore_kld(persist::Decoder& dec, std::size_t count,
                                 std::size_t threads) {
   const KldDetectorConfig& kld = options_.kld;
   const std::size_t train_weeks = dec.count("train weeks", 1u << 20);
-  if (count > 0 && train_weeks == 0) {
-    throw DataError("checkpoint: kld training divergences missing");
-  }
   const std::size_t edge_n = kld.bins + 1;
   const std::vector<double> edges = dec.f64_array("kld edges", count, edge_n);
   const std::vector<double> baselines =

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/conditioned_kld_detector.h"
@@ -20,10 +21,7 @@ std::unique_ptr<ScoringDetector> make_kld(const DetectorOptions& options) {
 
 std::unique_ptr<ScoringDetector> make_ckld(const DetectorOptions& options) {
   ConditionedKldDetectorConfig config;
-  config.bins = options.kld.bins;
-  config.significance = options.kld.significance;
-  config.epsilon = options.kld.epsilon;
-  config.exclude_out_of_support = options.kld.exclude_out_of_support;
+  config.kld = options.kld;
   config.slot_group = tou_slot_groups(pricing::nightsaver());
   config.groups = 2;
   return std::make_unique<ConditionedKldDetector>(std::move(config));
@@ -75,9 +73,10 @@ double parse_f64(std::string_view key, std::string_view text) {
   double value = 0.0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_option(std::string(key) + ": not a number: \"" + std::string(text) +
-               "\"");
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    bad_option(std::string(key) + ": not a finite number: \"" +
+               std::string(text) + "\"");
   }
   return value;
 }

@@ -123,12 +123,11 @@ ConsumerEvaluation evaluate_consumer(const meter::ConsumerSeries& series,
     kld10.fit(train);
 
     ConditionedKldDetectorConfig ckld_cfg5;
-    ckld_cfg5.bins = config.kld_bins;
-    ckld_cfg5.significance = 0.05;
+    ckld_cfg5.kld = {config.kld_bins, 0.05};
     ckld_cfg5.slot_group = tou_slot_groups(tou);
     ConditionedKldDetector ckld5(ckld_cfg5);
     ConditionedKldDetectorConfig ckld_cfg10 = ckld_cfg5;
-    ckld_cfg10.significance = 0.10;
+    ckld_cfg10.kld.significance = 0.10;
     ConditionedKldDetector ckld10(ckld_cfg10);
     ckld5.fit(train);
     ckld10.fit(train);

@@ -24,7 +24,6 @@ class IntegratedArimaDetector final : public Detector {
  public:
   explicit IntegratedArimaDetector(IntegratedArimaDetectorConfig config = {});
 
-  std::string_view name() const override { return "Integrated ARIMA"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;

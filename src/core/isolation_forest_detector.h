@@ -52,7 +52,6 @@ class IsolationForestDetector final : public ScoringDetector {
 
   explicit IsolationForestDetector(IsolationForestDetectorConfig config = {});
 
-  std::string_view name() const override { return "Isolation forest"; }
   const IsolationForestDetectorConfig& config() const { return config_; }
   void fit(std::span<const Kw> training) override;
 

@@ -1,5 +1,6 @@
 #include "core/kld_detector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -13,95 +14,111 @@ namespace fdeta::core {
 
 namespace {
 
-void validate_config(const KldDetectorConfig& config) {
-  require(config.bins >= 2, "KldDetector: need at least two bins");
-  require(config.significance > 0.0 && config.significance < 1.0,
-          "KldDetector: significance must be in (0,1)");
-  require(config.epsilon >= 0.0, "KldDetector: epsilon must be >= 0");
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 }  // namespace
 
-KldDetector::KldDetector(KldDetectorConfig config) : config_(config) {
-  validate_config(config_);
+void KldModel::validate(const KldDetectorConfig& config) {
+  require(config.bins >= 2, "KLD: need at least two bins");
+  require(config.significance > 0.0 && config.significance < 1.0,
+          "KLD: significance must be in (0,1)");
+  require(std::isfinite(config.epsilon) && config.epsilon >= 0.0,
+          "KLD: epsilon must be finite and >= 0");
 }
 
-void KldDetector::rebuild_scoring_baseline() {
-  if (config_.epsilon <= 0.0) {
+KldModel::KldModel(const KldDetectorConfig& config, stats::Histogram histogram,
+                   std::vector<double> baseline)
+    : histogram_(std::move(histogram)),
+      baseline_(std::move(baseline)),
+      exclude_out_of_support_(config.exclude_out_of_support) {
+  // Derived deterministically from the raw baseline, so a restored model
+  // scores bit-exactly like the fitted one.
+  if (config.epsilon <= 0.0) {
     scoring_ = baseline_;  // paper-exact: infinities on out-of-support mass
     return;
   }
   scoring_.resize(baseline_.size());
   const double norm =
-      1.0 + config_.epsilon * static_cast<double>(baseline_.size());
+      1.0 + config.epsilon * static_cast<double>(baseline_.size());
   for (std::size_t j = 0; j < baseline_.size(); ++j) {
-    scoring_[j] = (baseline_[j] + config_.epsilon) / norm;
+    scoring_[j] = (baseline_[j] + config.epsilon) / norm;
   }
 }
 
-void KldDetector::fit(std::span<const Kw> training) {
-  require(training.size() % kSlotsPerWeek == 0,
-          "KldDetector: training must be whole weeks");
-  const std::size_t weeks = training.size() / kSlotsPerWeek;
-  require(weeks >= 4, "KldDetector: need at least four training weeks");
+KldModel KldModel::fit(std::span<const double> rows, std::size_t width,
+                       const KldDetectorConfig& config) {
+  require(width > 0 && !rows.empty() && rows.size() % width == 0,
+          "KldModel::fit: need one or more rows of equal width");
+  // The X distribution over every row; edges frozen here.
+  stats::Histogram histogram(rows, config.bins);
+  std::vector<double> baseline = histogram.probabilities(rows);
+  KldModel model(config, std::move(histogram), std::move(baseline));
 
-  // X distribution over the full training matrix; edges frozen here.
-  histogram_.emplace(training, config_.bins);
-  baseline_ = histogram_->probabilities(training);
-  rebuild_scoring_baseline();
-
-  // K_i for every training week against the same edges (eq. 12).
-  k_training_.clear();
-  k_training_.reserve(weeks);
-  for (std::size_t w = 0; w < weeks; ++w) {
-    const std::span<const Kw> week{training.data() + w * kSlotsPerWeek,
-                                   static_cast<std::size_t>(kSlotsPerWeek)};
-    const auto p = histogram_->probabilities(week);
-    k_training_.push_back(stats::kl_divergence_bits(p, scoring_));
+  // K_i for every row against the same edges (eq. 12).  Training rows are
+  // in support by construction, so scoring them bins exactly like the
+  // paper's plain clamping.
+  std::vector<double> k(rows.size() / width);
+  std::vector<double> p(config.bins);
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    k[i] = model.score(rows.subspan(i * width, width), p);
   }
-  threshold_ = stats::quantile(k_training_, 1.0 - config_.significance);
-  calibration_ = ScoreCalibration::from_reference(k_training_, threshold_,
-                                                  config_.significance);
+  model.threshold_ = stats::quantile(k, 1.0 - config.significance);
+  model.k_training_ = std::move(k);
+  return model;
 }
 
-double KldDetector::score(std::span<const Kw> week) const {
-  KldScratch scratch;
-  return score(week, scratch);
+KldModel KldModel::from_parts(const KldDetectorConfig& config,
+                              std::vector<double> edges,
+                              std::vector<double> baseline,
+                              std::vector<double> k_training, double threshold,
+                              bool k_training_optional) {
+  if (edges.size() != config.bins + 1) {
+    throw DataError("checkpoint: kld histogram bin count mismatch");
+  }
+  if (!all_finite(edges) || !std::is_sorted(edges.begin(), edges.end())) {
+    throw DataError("checkpoint: kld edges must be finite and ascending");
+  }
+  if (baseline.size() != config.bins) {
+    throw DataError("checkpoint: kld baseline size mismatch");
+  }
+  if (!all_finite(baseline) ||
+      std::any_of(baseline.begin(), baseline.end(),
+                  [](double q) { return q < 0.0; })) {
+    throw DataError("checkpoint: kld baseline must be finite and >= 0");
+  }
+  if (k_training.empty() && !k_training_optional) {
+    throw DataError("checkpoint: kld training divergences missing");
+  }
+  if (!all_finite(k_training) || !std::isfinite(threshold)) {
+    throw DataError(
+        "checkpoint: kld training divergences and threshold must be finite");
+  }
+  KldModel model(config, stats::Histogram(std::move(edges)),
+                 std::move(baseline));
+  model.k_training_ = std::move(k_training);
+  model.threshold_ = threshold;
+  return model;
 }
 
-double KldDetector::raw_score_week(std::span<const Kw> week,
-                                   SlotIndex /*first_slot*/) const {
-  thread_local KldScratch scratch;  // keeps fleet hot paths allocation-free
-  return score(week, scratch);
+double KldModel::score(std::span<const double> values,
+                       std::span<double> p) const {
+  histogram_.probabilities_into(values, p, exclude_out_of_support_);
+  return stats::kl_divergence_bits(p, scoring_);
 }
 
-std::string KldDetector::config_fingerprint() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "kld(bins=%zu,sig=%.17g,eps=%.17g,oos=%d)",
-                config_.bins, config_.significance, config_.epsilon,
-                config_.exclude_out_of_support ? 1 : 0);
-  return buf;
-}
-
-double KldDetector::score(std::span<const Kw> week, KldScratch& scratch) const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  scratch.p.resize(config_.bins);
-  histogram_->probabilities_into(week, scratch.p,
-                                 config_.exclude_out_of_support);
-  return stats::kl_divergence_bits(scratch.p, scoring_);
-}
-
-KldExplanation KldDetector::explain(std::span<const Kw> week) const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  std::vector<double> p(config_.bins);
-  histogram_->probabilities_into(week, p, config_.exclude_out_of_support);
-  const std::vector<double>& edges = histogram_->edges();
+KldExplanation KldModel::explain(std::span<const double> values) const {
+  std::vector<double> p(scoring_.size());
+  histogram_.probabilities_into(values, p, exclude_out_of_support_);
+  const std::vector<double>& edges = histogram_.edges();
 
   KldExplanation out;
   out.threshold = threshold_;
   out.bins.reserve(p.size());
   // Mirror kl_divergence_bits term by term so the bits sum is bit-identical
-  // to score(week), clamp included.
+  // to score(values), clamp included.
   double total = 0.0;
   bool infinite = false;
   for (std::size_t j = 0; j < p.size(); ++j) {
@@ -130,41 +147,73 @@ KldExplanation KldDetector::explain(std::span<const Kw> week) const {
   return out;
 }
 
-bool KldDetector::flag_week(std::span<const Kw> week,
-                            SlotIndex /*first_slot*/) const {
-  return score(week) > threshold_;
+std::size_t training_weeks(std::span<const Kw> training) {
+  require(training.size() % kSlotsPerWeek == 0,
+          "KLD: training must be whole weeks");
+  const std::size_t weeks = training.size() / kSlotsPerWeek;
+  require(weeks >= 4, "KLD: need at least four training weeks");
+  return weeks;
 }
 
-double KldDetector::threshold() const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  return threshold_;
+void gather_slots(std::span<const Kw> week, SlotIndex first_slot,
+                  std::span<const std::uint32_t> positions,
+                  std::vector<double>& out) {
+  constexpr std::size_t width = kSlotsPerWeek;
+  if (week.size() != width) {
+    throw InvalidArgument("KLD: week must be kSlotsPerWeek readings");
+  }
+  const std::size_t offset = static_cast<std::size_t>(first_slot) % width;
+  for (const std::uint32_t s : positions) {
+    out.push_back(week[(s + width - offset) % width]);
+  }
 }
 
-const std::vector<double>& KldDetector::training_divergences() const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  return k_training_;
+KldDetector::KldDetector(KldDetectorConfig config) : config_(config) {
+  KldModel::validate(config_);
 }
 
-const stats::Histogram& KldDetector::histogram() const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  return *histogram_;
+void KldDetector::adopt(KldModel model) {
+  model_.emplace(std::move(model));
+  calibration_ = ScoreCalibration::from_reference(
+      model_->training_divergences(), model_->threshold(),
+      config_.significance);
 }
 
-const std::vector<double>& KldDetector::baseline_distribution() const {
-  require(histogram_.has_value(), "KldDetector: fit() not called");
-  return baseline_;
+void KldDetector::fit(std::span<const Kw> training) {
+  training_weeks(training);
+  adopt(KldModel::fit(training, kSlotsPerWeek, config_));
+}
+
+const KldModel& KldDetector::model() const {
+  if (!model_) throw InvalidArgument("KldDetector: fit() not called");
+  return *model_;
+}
+
+double KldDetector::raw_score_week(std::span<const Kw> week,
+                                   SlotIndex /*first_slot*/) const {
+  thread_local std::vector<double> p;  // keeps fleet hot paths allocation-free
+  p.resize(config_.bins);
+  return model().score(week, p);
+}
+
+std::string KldDetector::config_fingerprint() const {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "kld(bins=%zu,sig=%.17g,eps=%.17g,oos=%d)",
+                config_.bins, config_.significance, config_.epsilon,
+                config_.exclude_out_of_support ? 1 : 0);
+  return buf;
 }
 
 void KldDetector::save_state(persist::Encoder& enc) const {
-  require(histogram_.has_value(), "KldDetector::save_state: fit() not called");
+  const KldModel& m = model();
   enc.u64(config_.bins);
   enc.f64(config_.significance);
   enc.f64(config_.epsilon);
   enc.u8(config_.exclude_out_of_support ? 1 : 0);
-  histogram_->save(enc);
-  enc.doubles(baseline_);
-  enc.doubles(k_training_);
-  enc.f64(threshold_);
+  enc.doubles(m.histogram().edges());
+  enc.doubles(m.baseline());
+  enc.doubles(m.training_divergences());
+  enc.f64(m.threshold());
 }
 
 void KldDetector::restore_state(persist::Decoder& dec) {
@@ -173,12 +222,12 @@ void KldDetector::restore_state(persist::Decoder& dec) {
   config.significance = dec.f64();
   config.epsilon = dec.f64();
   config.exclude_out_of_support = dec.u8() != 0;
-  stats::Histogram histogram = stats::Histogram::load(dec);
+  std::vector<double> edges = dec.doubles("kld edges", 1u << 20);
   std::vector<double> baseline = dec.doubles("kld baseline", 1u << 20);
   std::vector<double> k_training = dec.doubles("kld training K", 1u << 20);
   const double threshold = dec.f64();
 
-  *this = from_fitted_parts(config, histogram.edges(), std::move(baseline),
+  *this = from_fitted_parts(config, std::move(edges), std::move(baseline),
                             std::move(k_training), threshold);
 }
 
@@ -187,29 +236,9 @@ KldDetector KldDetector::from_fitted_parts(KldDetectorConfig config,
                                            std::vector<double> baseline,
                                            std::vector<double> k_training,
                                            double threshold) {
-  stats::Histogram histogram{std::move(edges)};
-  if (histogram.bin_count() != config.bins) {
-    throw DataError("checkpoint: kld histogram bin count mismatch");
-  }
-  if (baseline.size() != config.bins) {
-    throw DataError("checkpoint: kld baseline size mismatch");
-  }
-  if (k_training.empty()) {
-    throw DataError("checkpoint: kld training divergences missing");
-  }
-
   KldDetector out(config);
-  out.histogram_.emplace(std::move(histogram));
-  out.baseline_ = std::move(baseline);
-  // The smoothed scoring copy is derived deterministically from the raw
-  // baseline, so recomputing it reproduces the saved detector bit-exactly.
-  out.rebuild_scoring_baseline();
-  out.k_training_ = std::move(k_training);
-  out.threshold_ = threshold;
-  // The calibration is a pure function of the persisted parts, so restored
-  // detectors calibrate bit-exactly like the detector that was saved.
-  out.calibration_ = ScoreCalibration::from_reference(
-      out.k_training_, out.threshold_, config.significance);
+  out.adopt(KldModel::from_parts(config, std::move(edges), std::move(baseline),
+                                 std::move(k_training), threshold));
   return out;
 }
 

@@ -11,6 +11,11 @@
 // Non-parametric by construction: no distributional assumption on the
 // consumption readings, which is what lets it catch the Integrated ARIMA
 // attack that individual-reading and mean/variance checks cannot.
+//
+// KldModel below is that computation, once.  The three histogram families
+// differ only in which readings of a week feed it: KldDetector runs one model
+// over the whole week, ReducedKldDetector ("kld-lite") one over its k
+// selected slots, ConditionedKldDetector ("ckld") one per price group.
 #pragma once
 
 #include <cstdint>
@@ -47,31 +52,92 @@ struct KldDetectorConfig {
   bool exclude_out_of_support = true;
 };
 
-/// Reusable per-thread scoring scratch: score(week, scratch) bins into this
-/// buffer instead of allocating a fresh distribution per call, which is what
-/// keeps the fleet scoring hot path allocation-free.
-struct KldScratch {
-  std::vector<double> p;
-};
-
 // KldBinContribution / KldExplanation live in detector_plugin.h (the plugin
 // interface's explanation vocabulary is the KLD families' bin breakdown).
+
+/// The fitted state of one eq.-(12) histogram: the frozen bin edges, the raw
+/// baseline p(X^(j)) and its epsilon-smoothed scoring copy, the training
+/// divergences K_i and the (1 - significance) threshold.
+class KldModel {
+ public:
+  /// The one KLD config check: throws InvalidArgument unless bins >= 2,
+  /// significance is in (0,1) and epsilon is finite and >= 0.
+  static void validate(const KldDetectorConfig& config);
+
+  /// Fits over M training rows of `width` readings each, row-major: edges
+  /// frozen over all M x width readings, K_i = score(row i), threshold the
+  /// (1 - significance) quantile of the K_i.  `config` must pass validate().
+  static KldModel fit(std::span<const double> rows, std::size_t width,
+                      const KldDetectorConfig& config);
+
+  /// Reassembles a fitted model from decoded parts; the smoothed scoring
+  /// copy is rebuilt, so it scores bit-exactly like the model that was
+  /// saved.  The one check of decoded parts: B + 1 finite ascending edges, B
+  /// finite baseline masses >= 0, finite K_i (at least one unless
+  /// `k_training_optional`) and a finite threshold; anything else throws
+  /// DataError.  `config` must pass validate().
+  static KldModel from_parts(const KldDetectorConfig& config,
+                             std::vector<double> edges,
+                             std::vector<double> baseline,
+                             std::vector<double> k_training, double threshold,
+                             bool k_training_optional = false);
+
+  /// K_A of `values`, binned into the caller's `p` (size B) without
+  /// allocating.  Finite for any input when epsilon > 0; with epsilon = 0 it
+  /// is +infinity whenever the values put mass where the training
+  /// distribution has none.
+  double score(std::span<const double> values, std::span<double> p) const;
+
+  /// Per-bin breakdown of score(values): terms accumulate in
+  /// kl_divergence_bits order, so the bits sum reproduces the score exactly.
+  /// The header carries the score and threshold().
+  KldExplanation explain(std::span<const double> values) const;
+
+  const stats::Histogram& histogram() const { return histogram_; }
+  /// The raw eq.-(12) p(X^(j)); epsilon smoothing applies only to the
+  /// internal scoring copy.
+  const std::vector<double>& baseline() const { return baseline_; }
+  /// K_i, the "KLD distribution" of Fig. 4b.
+  const std::vector<double>& training_divergences() const {
+    return k_training_;
+  }
+  double threshold() const { return threshold_; }
+
+ private:
+  KldModel(const KldDetectorConfig& config, stats::Histogram histogram,
+           std::vector<double> baseline);
+
+  stats::Histogram histogram_;
+  std::vector<double> baseline_;    // p(X^(j)), raw
+  std::vector<double> scoring_;     // epsilon-smoothed baseline used to score
+  std::vector<double> k_training_;  // K_i
+  double threshold_ = 0.0;
+  bool exclude_out_of_support_ = true;
+};
+
+/// The number of whole weeks in `training`; throws InvalidArgument unless
+/// it is a whole number of at least four weeks.
+std::size_t training_weeks(std::span<const Kw> training);
+
+/// Appends the readings at slot-of-week `positions` of a slot-aligned week
+/// of kSlotsPerWeek readings to `out`: the gather of the families that
+/// score part of a week.  week[i] holds absolute slot first_slot + i, so
+/// slot-of-week s lives at index (s - first_slot) mod kSlotsPerWeek.
+void gather_slots(std::span<const Kw> week, SlotIndex first_slot,
+                  std::span<const std::uint32_t> positions,
+                  std::vector<double>& out);
 
 class KldDetector final : public ScoringDetector {
  public:
   explicit KldDetector(KldDetectorConfig config = {});
 
-  std::string_view name() const override { return "KLD"; }
   const KldDetectorConfig& config() const { return config_; }
   void fit(std::span<const Kw> training) override;
-  bool flag_week(std::span<const Kw> week,
-                 SlotIndex first_slot = 0) const override;
 
   // --- ScoringDetector plugin surface ------------------------------------
-  /// score(week) through the plugin interface; keeps the fleet hot path
-  /// allocation-free via an internal thread-local scratch.  The calibration
-  /// reference is the training K_i distribution, so the base class's
-  /// score_week reports the week's anomaly quantile among them.
+  /// score(week) through the plugin interface, allocation-free.  The
+  /// calibration reference is the training K_i distribution, so the base
+  /// class's score_week reports the week's anomaly quantile among them.
   double raw_score_week(std::span<const Kw> week,
                         SlotIndex first_slot = 0) const override;
   double raw_decision_threshold() const override { return threshold(); }
@@ -85,36 +151,26 @@ class KldDetector final : public ScoringDetector {
   void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
 
-  /// K_A: the divergence score of a week.  Finite for any input when
-  /// config.epsilon > 0; with epsilon = 0 it is +infinity whenever the week
-  /// puts mass where the training distribution has none.
-  double score(std::span<const Kw> week) const;
-
-  /// Allocation-free score: identical result, binning into the caller's
-  /// scratch buffer (resized to B on first use).
-  double score(std::span<const Kw> week, KldScratch& scratch) const;
+  /// K_A: the divergence score of a week (any number of readings, scored in
+  /// place).
+  double score(std::span<const Kw> week) const { return raw_score_week(week); }
 
   /// Per-bin breakdown of score(week): which consumption bins drove the
-  /// divergence and by how many bits.  Accumulates terms in the same order
-  /// as kl_divergence_bits, so the bits sum reproduces score(week) exactly.
-  KldExplanation explain(std::span<const Kw> week) const;
+  /// divergence and by how many bits.
+  KldExplanation explain(std::span<const Kw> week) const {
+    return model().explain(week);
+  }
 
   /// The decision threshold (the (1-alpha) quantile of training K_i).
-  double threshold() const;
+  double threshold() const { return model().threshold(); }
 
-  /// Training-week divergences K_i (the "KLD distribution", Fig. 4b).
-  const std::vector<double>& training_divergences() const;
-
-  /// The frozen-edge histogram and the baseline X distribution (Fig. 4a).
-  /// The exposed baseline is the raw eq.-(12) p(X^(j)); epsilon smoothing
-  /// applies only to the internal scoring copy.
-  const stats::Histogram& histogram() const;
-  const std::vector<double>& baseline_distribution() const;
+  /// The fitted model: frozen histogram, baseline X distribution (Fig. 4a)
+  /// and training K_i (Fig. 4b).  Throws InvalidArgument before fit().
+  const KldModel& model() const;
 
   /// Reassembles a fitted detector from already-decoded parts (the "kld"
   /// fleet checkpoint block decodes whole fleets of detectors from flat
-  /// arrays; see DetectorFleet::restore).  Validates like restore_state()
-  /// and rebuilds the smoothed scoring baseline deterministically.
+  /// arrays; see DetectorFleet::restore), checked by KldModel::from_parts.
   static KldDetector from_fitted_parts(KldDetectorConfig config,
                                        std::vector<double> edges,
                                        std::vector<double> baseline,
@@ -122,14 +178,12 @@ class KldDetector final : public ScoringDetector {
                                        double threshold);
 
  private:
-  void rebuild_scoring_baseline();
+  /// Installs a fitted model and its calibration (a pure function of the
+  /// model, so restored detectors calibrate bit-exactly).
+  void adopt(KldModel model);
 
   KldDetectorConfig config_;
-  std::optional<stats::Histogram> histogram_;
-  std::vector<double> baseline_;   // p(X^(j)), raw
-  std::vector<double> scoring_;    // epsilon-smoothed baseline used to score
-  std::vector<double> k_training_; // K_i
-  double threshold_ = 0.0;
+  std::optional<KldModel> model_;
 };
 
 }  // namespace fdeta::core

@@ -26,7 +26,6 @@ class PcaDetector final : public Detector {
  public:
   explicit PcaDetector(PcaDetectorConfig config = {});
 
-  std::string_view name() const override { return "PCA"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;

@@ -26,7 +26,6 @@ class ProfileDetector final : public Detector {
  public:
   explicit ProfileDetector(ProfileDetectorConfig config = {});
 
-  std::string_view name() const override { return "Weekly profile"; }
   void fit(std::span<const Kw> training) override;
   bool flag_week(std::span<const Kw> week,
                  SlotIndex first_slot = 0) const override;

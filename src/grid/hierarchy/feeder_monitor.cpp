@@ -289,9 +289,10 @@ FeederReport FeederMonitor::evaluate(
               config_.residual_floor_kw);
         }
         // Both gates: the distributional detector (calibrated, same [0, 1]
-        // scale as consumer scores) AND a physical under-report residual -
-        // the score alone would flag clean fleets at the significance rate.
-        s.flagged = detector.flag_week(agg) &&
+        // scale as consumer scores; the calibration preserves the raw flag
+        // decision) AND a physical under-report residual - the score alone
+        // would flag clean fleets at the significance rate.
+        s.flagged = s.score > s.threshold &&
                     s.residual_kw > s.residual_gate_kw;
       },
       config_.threads);

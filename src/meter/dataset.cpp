@@ -73,10 +73,19 @@ Dataset Dataset::load_csv(std::istream& in) {
       throw DataError("Dataset::load_csv: expected 4 fields at line " +
                       std::to_string(i + 1));
     }
-    const auto id = static_cast<ConsumerId>(parse_long(fields[0], "consumer_id"));
-    const long type_raw = parse_long(fields[1], "type");
-    const auto slot = static_cast<std::size_t>(parse_long(fields[2], "slot"));
-    const double kw = parse_double(fields[3], "kw");
+    ConsumerId id = 0;
+    long type_raw = 0;
+    std::size_t slot = 0;
+    double kw = 0.0;
+    try {
+      id = static_cast<ConsumerId>(parse_long(fields[0], "consumer_id"));
+      type_raw = parse_long(fields[1], "type");
+      slot = static_cast<std::size_t>(parse_long(fields[2], "slot"));
+      kw = parse_double(fields[3], "kw");
+    } catch (const DataError& e) {
+      throw DataError(std::string("Dataset::load_csv: ") + e.what() +
+                      " at line " + std::to_string(i + 1));
+    }
 
     auto& series = by_id[id];
     series.id = id;

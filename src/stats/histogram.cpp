@@ -36,6 +36,11 @@ Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
 }
 
 void Histogram::init_grid() {
+  // A non-finite edge (an infinite reading in the reference, or a range
+  // wider than a double) would misbin every value silently.
+  require(std::all_of(edges_.begin(), edges_.end(),
+                      [](double e) { return std::isfinite(e); }),
+          "Histogram: edges must be finite");
   lo_ = edges_.front();
   // A guess grid assuming uniform widths; the fixup walk in bin_of makes the
   // result exact for non-uniform explicit edges too.  A zero-width histogram

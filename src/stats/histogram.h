@@ -25,10 +25,12 @@ class Histogram {
  public:
   /// Builds `bins` equal-width bins covering [min(reference), max(reference)].
   /// If the reference is constant, a degenerate single-point range is widened
-  /// by +/- 0.5 to stay usable.  Requires bins >= 1 and a non-empty sample.
+  /// by +/- 0.5 to stay usable.  Requires bins >= 1, a non-empty sample and
+  /// finite resulting edges.
   Histogram(std::span<const double> reference, std::size_t bins);
 
-  /// Constructs directly from explicit ascending edges (bins = edges-1).
+  /// Constructs directly from explicit finite ascending edges
+  /// (bins = edges-1).
   explicit Histogram(std::vector<double> edges);
 
   std::size_t bin_count() const { return edges_.size() - 1; }

@@ -54,6 +54,13 @@ TEST(ParseDouble, RejectsGarbage) {
   EXPECT_THROW(parse_double("", "test"), DataError);
 }
 
+TEST(ParseDouble, RejectsNonFiniteValues) {
+  // std::from_chars parses these; no reading, loss fraction or flag may.
+  for (const char* token : {"inf", "-inf", "nan", "infinity", "-NaN"}) {
+    EXPECT_THROW(parse_double(token, "test"), DataError) << token;
+  }
+}
+
 TEST(ParseLong, ParsesIntegers) {
   EXPECT_EQ(parse_long("42", "test"), 42);
   EXPECT_EQ(parse_long("-7", "test"), -7);

@@ -23,8 +23,7 @@ class ConditionedKldTest : public ::testing::Test {
     f_ = make_fixture();
     tou_ = pricing::nightsaver();
     ConditionedKldDetectorConfig cfg;
-    cfg.bins = 10;
-    cfg.significance = 0.05;
+    cfg.kld = {.bins = 10, .significance = 0.05};
     cfg.slot_group = tou_slot_groups(tou_);
     cfg.groups = 2;
     detector_ = std::make_unique<ConditionedKldDetector>(cfg);
@@ -101,10 +100,10 @@ TEST(RtpSlotGroups, BandsByQuantile) {
 
 TEST(ConditionedKld, ConfigValidation) {
   ConditionedKldDetectorConfig cfg;
-  cfg.bins = 1;
+  cfg.kld.bins = 1;
   EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
-  cfg.bins = 10;
-  cfg.significance = 2.0;
+  cfg.kld.bins = 10;
+  cfg.kld.significance = 2.0;
   EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
 }
 

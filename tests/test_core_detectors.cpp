@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "attack/arima_attack.h"
 #include "attack/integrated_arima_attack.h"
 #include "common/error.h"
 #include "core/arima_detector.h"
+#include "core/conditioned_kld_detector.h"
+#include "core/detector_registry.h"
 #include "core/integrated_arima_detector.h"
 #include "core/kld_detector.h"
 #include "core/pca_detector.h"
+#include "core/reduced_kld_detector.h"
 #include "datagen/generator.h"
 #include "tests/attack_test_helpers.h"
 
@@ -114,7 +119,7 @@ TEST_F(DetectorTest, KldScoreZeroForTrainingDistributionItself) {
 }
 
 TEST_F(DetectorTest, KldThresholdIsQuantileOfTrainingScores) {
-  const auto& k = kld_.training_divergences();
+  const auto& k = kld_.model().training_divergences();
   ASSERT_EQ(k.size(), f_.split.train_weeks);
   std::size_t above = 0;
   for (double v : k) {
@@ -165,6 +170,28 @@ TEST(KldDetector, ConfigValidation) {
                InvalidArgument);
   EXPECT_THROW(KldDetector({.bins = 10, .significance = 1.0}),
                InvalidArgument);
+}
+
+TEST(KldDetector, RejectsNonFiniteEpsilon) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(KldDetector({.epsilon = inf}), InvalidArgument);
+  ReducedKldDetectorConfig lite;
+  lite.kld.epsilon = inf;
+  EXPECT_THROW(ReducedKldDetector{lite}, InvalidArgument);
+  ConditionedKldDetectorConfig conditioned;
+  conditioned.kld.epsilon = inf;
+  EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
+}
+
+TEST(DetectorOptions, RejectNonFiniteNumbers) {
+  DetectorOptions options;
+  for (const char* spec : {"kld.epsilon=inf", "kld.epsilon=nan",
+                           "kld.significance=inf",
+                           "iforest.contamination=nan"}) {
+    EXPECT_THROW(apply_detector_option(options, spec), std::invalid_argument)
+        << spec;
+  }
+  EXPECT_EQ(options.kld.epsilon, KldDetectorConfig{}.epsilon);
 }
 
 TEST(KldDetector, RequiresWholeWeeks) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/conditioned_kld_detector.h"
+#include "core/detector_registry.h"
 #include "core/evidence.h"
 #include "core/kld_detector.h"
 #include "core/pipeline.h"
@@ -45,18 +46,23 @@ class ExplainTest : public ::testing::Test {
 };
 
 TEST_F(ExplainTest, BitsSumReproducesScoreExactly) {
-  KldDetector detector;
-  detector.fit(split_.train(dataset_.consumer(0)));
+  // Both single-model families: the whole week, and the k selected slots.
+  for (const std::string_view family : {"kld", "kld-lite"}) {
+    const auto detector = make_detector(family, {});
+    detector->fit(split_.train(dataset_.consumer(0)));
 
-  for (const double factor : {1.0, 0.25, 3.0}) {
-    const auto week = scaled_week(dataset_.consumer(0).week(12), factor);
-    const auto explanation = detector.explain(week);
-    const double score = detector.score(week);
-    EXPECT_EQ(explanation.score, score) << "factor " << factor;
-    // The acceptance contract: contributions sum to K_A within 1e-12.  The
-    // mirrored accumulation order makes this exact in practice.
-    EXPECT_NEAR(bits_sum(explanation), score, 1e-12) << "factor " << factor;
-    EXPECT_EQ(explanation.threshold, detector.threshold());
+    for (const double factor : {1.0, 0.25, 3.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << family << " factor " << factor);
+      const auto week = scaled_week(dataset_.consumer(0).week(12), factor);
+      const auto explanation = detector->raw_explain_week(week);
+      const double score = detector->raw_score_week(week);
+      EXPECT_EQ(explanation.score, score);
+      // The acceptance contract: contributions sum to K_A within 1e-12.  The
+      // mirrored accumulation order makes this exact in practice.
+      EXPECT_NEAR(bits_sum(explanation), score, 1e-12);
+      EXPECT_EQ(explanation.threshold, detector->raw_decision_threshold());
+    }
   }
 }
 
@@ -65,7 +71,7 @@ TEST_F(ExplainTest, BinsCarryHistogramEdgesAndMasses) {
   detector.fit(split_.train(dataset_.consumer(0)));
   const auto explanation = detector.explain(dataset_.consumer(0).week(12));
 
-  const auto& edges = detector.histogram().edges();
+  const auto& edges = detector.model().histogram().edges();
   ASSERT_EQ(explanation.bins.size(), detector.config().bins);
   ASSERT_EQ(edges.size(), explanation.bins.size() + 1);
   double p_total = 0.0;

@@ -4,11 +4,14 @@
 //
 // The GoldenMatrix test below pins the full quantitative matrix (flagged
 // counts per detector x attack over the seed sweep) to a golden file in
-// tests/golden/.  Regenerate after an intentional detector change with
-//   FDETA_REGEN_GOLDEN=1 ctest -R GoldenMatrix
-// and commit the updated CSV alongside the change that moved it.
+// tests/golden/, and GoldenPayloads pins every registered family's checkpoint
+// bytes, scores and explanations.  Regenerate after an intentional detector
+// change with
+//   FDETA_REGEN_GOLDEN=1 ctest -R 'Golden(Matrix|Payloads)'
+// and commit the updated files alongside the change that moved them.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -23,10 +26,16 @@
 #include "attack/optimal_swap.h"
 #include "core/arima_detector.h"
 #include "core/conditioned_kld_detector.h"
+#include "core/detector_fleet.h"
+#include "core/detector_registry.h"
 #include "core/integrated_arima_detector.h"
 #include "core/isolation_forest_detector.h"
 #include "core/kld_detector.h"
 #include "core/reduced_kld_detector.h"
+#include "datagen/generator.h"
+#include "meter/dataset.h"
+#include "persist/binary_io.h"
+#include "persist/checkpoint.h"
 #include "tests/attack_test_helpers.h"
 
 namespace fdeta::core {
@@ -42,8 +51,7 @@ class MatrixSweep : public ::testing::TestWithParam<std::uint64_t> {
     integrated_.fit(f_.train());
     kld_.fit(f_.train());
     ConditionedKldDetectorConfig cc;
-    cc.bins = 10;
-    cc.significance = 0.05;
+    cc.kld = {.bins = 10, .significance = 0.05};
     cc.slot_group = tou_slot_groups(pricing::nightsaver());
     ckld_ = std::make_unique<ConditionedKldDetector>(cc);
     ckld_->fit(f_.train());
@@ -122,9 +130,14 @@ constexpr std::uint64_t kGoldenSeeds[] = {101, 202, 303, 404, 505,
                                           606, 707, 808};
 constexpr double kLossRates[] = {0.0, 0.05, 0.15};
 
-std::string golden_path() {
-  return std::string(FDETA_SOURCE_DIR) +
-         "/tests/golden/detector_attack_matrix.csv";
+std::string golden_path(
+    const std::string& name = "detector_attack_matrix.csv") {
+  return std::string(FDETA_SOURCE_DIR) + "/tests/golden/" + name;
+}
+
+/// True when the run should rewrite the golden files instead of checking them.
+bool regenerating_golden() {
+  return std::getenv("FDETA_REGEN_GOLDEN") != nullptr;
 }
 
 // Drops each slot by the plan's deterministic per-slot decision and fills it
@@ -162,8 +175,7 @@ MatrixCells compute_matrix() {
     KldDetector kld({.bins = 10, .significance = 0.05});
     kld.fit(f.train());
     ConditionedKldDetectorConfig cc;
-    cc.bins = 10;
-    cc.significance = 0.05;
+    cc.kld = {.bins = 10, .significance = 0.05};
     cc.slot_group = tou_slot_groups(pricing::nightsaver());
     ConditionedKldDetector ckld(cc);
     ckld.fit(f.train());
@@ -273,7 +285,7 @@ TEST(GoldenMatrix, FlaggedCountsMatchGoldenFile) {
   const MatrixCells actual = compute_matrix();
   ASSERT_FALSE(actual.empty());
 
-  if (std::getenv("FDETA_REGEN_GOLDEN") != nullptr) {
+  if (regenerating_golden()) {
     MatrixCells previous;
     if (std::ifstream existing(golden_path()); existing.good()) {
       previous = parse_csv(existing);
@@ -336,6 +348,112 @@ TEST(GoldenMatrix, IsolationForestHasTeethAtZeroLoss) {
   ASSERT_NE(clean, golden.end());
   EXPECT_LE(clean->second.first * 4, clean->second.second)
       << "iforest false-positive rate on clean weeks exceeded 25%";
+}
+
+// ---------------------------------------------------------------------------
+// Golden payloads: every registered family's exact bytes and scores.  Each
+// family is fitted with default options on consumer 0 of a fixed dataset
+// (12 training weeks); the file records the checksum and length of its
+// save_state payload and of a 2-member DetectorFleet block (consumers 0 and
+// 1), its raw decision threshold, and for weeks 12-15 plus week 12 scaled
+// x0.25 and x3 the raw and calibrated scores and every explanation bin's
+// bits.  Doubles print %.17g, so any change of a single bit shows.
+
+/// %.17g: enough digits that any change of a single bit shows.
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string bytes_line(const std::string& what, const std::string& bytes) {
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(
+                    persist::section_checksum(bytes)));
+  return what + " bytes=" + std::to_string(bytes.size()) +
+         " checksum=" + checksum + "\n";
+}
+
+std::string compute_payloads() {
+  const meter::Dataset dataset = datagen::small_dataset(2, 16, 11);
+  const meter::TrainTestSplit split{.train_weeks = 12, .test_weeks = 4};
+  const DetectorOptions options;
+
+  std::string out;
+  for (const std::string_view name : registered_detector_names()) {
+    const std::string family(name);
+    out += "family " + family + "\n";
+    auto detector = make_detector(family, options);
+    detector->fit(split.train(dataset.consumer(0)));
+
+    persist::Encoder state;
+    detector->save_state(state);
+    out += bytes_line("save_state", state.bytes());
+    DetectorFleet fleet(family, options, 2);
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      fleet.fit(i, split.train(dataset.consumer(i)));
+    }
+    persist::Encoder block;
+    fleet.save(block);
+    out += bytes_line("fleet", block.bytes());
+    out += "raw_decision_threshold " +
+           exact(detector->raw_decision_threshold()) + "\n";
+
+    const auto score_line = [&](const std::string& label,
+                                std::span<const Kw> week, std::size_t w) {
+      const SlotIndex first_slot = w * static_cast<std::size_t>(kSlotsPerWeek);
+      const KldExplanation explanation =
+          detector->explain_week(week, first_slot);
+      out += label +
+             " raw=" + exact(detector->raw_score_week(week, first_slot)) +
+             " score=" + exact(detector->score_week(week, first_slot)) +
+             " explain=" + exact(explanation.raw_score) + " bits=";
+      for (std::size_t j = 0; j < explanation.bins.size(); ++j) {
+        out += (j == 0 ? "" : ",") + exact(explanation.bins[j].bits);
+      }
+      out += "\n";
+    };
+    for (std::size_t w = 12; w < 16; ++w) {
+      score_line("week" + std::to_string(w), dataset.consumer(0).week(w), w);
+    }
+    for (const double factor : {0.25, 3.0}) {
+      const auto week = dataset.consumer(0).week(12);
+      std::vector<Kw> scaled(week.begin(), week.end());
+      for (Kw& v : scaled) v *= factor;
+      score_line("week12x" + exact(factor), scaled, 12);
+    }
+  }
+  return out;
+}
+
+TEST(GoldenPayloads, BytesAndScoresMatchGoldenFile) {
+  const std::string path = golden_path("detector_payloads.txt");
+  const std::string actual = compute_payloads();
+
+  if (regenerating_golden()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " - regenerate with FDETA_REGEN_GOLDEN=1 ctest -R GoldenPayloads";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  std::istringstream want(golden.str());
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  for (int line = 1; std::getline(want, want_line); ++line) {
+    ASSERT_TRUE(std::getline(got, got_line)) << "output ends before line "
+                                             << line << ": " << want_line;
+    ASSERT_EQ(got_line, want_line) << "line " << line << " moved";
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "extra output: " << got_line;
 }
 
 }  // namespace

@@ -111,6 +111,20 @@ TEST(Dataset, LoadRejectsNonDenseSlots) {
   EXPECT_THROW(Dataset::load_csv(in), DataError);
 }
 
+TEST(Dataset, LoadRejectsNonFiniteReadingsNamingTheLine) {
+  for (const std::string kw : {"inf", "-inf", "nan"}) {
+    std::stringstream in("consumer_id,type,slot,kw\n1,0,0,1.0\n1,0,1," + kw +
+                         "\n");
+    try {
+      Dataset::load_csv(in);
+      ADD_FAILURE() << kw << " was accepted";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Dataset, SummarizeCounts) {
   std::vector<ConsumerSeries> all;
   auto a = make_series(1, 1, 1.0);

@@ -13,6 +13,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -772,9 +773,25 @@ TEST(MonitorCheckpoint, OutOfRangeConfigsFailWithDataError) {
   }
 }
 
-/// A complete one-consumer kld pipeline checkpoint: unit-spaced edges, a
-/// uniform baseline, four training weeks.
-std::string forged_pipeline(std::uint64_t bins, double significance) {
+/// The fitted parts of forged_pipeline's one kld member: unit-spaced edges,
+/// a uniform baseline, four training weeks.
+struct KldParts {
+  explicit KldParts(std::uint64_t bins) {
+    for (std::uint64_t e = 0; e <= bins; ++e) {
+      edges.push_back(static_cast<double>(e));
+    }
+    baseline.assign(bins, 1.0 / static_cast<double>(bins));
+  }
+
+  std::vector<double> edges;
+  std::vector<double> baseline;
+  std::vector<double> divergences{0.1, 0.2, 0.3, 0.4};
+  double threshold = 0.35;
+};
+
+/// A complete one-consumer kld pipeline checkpoint.
+std::string forged_pipeline(double significance, const KldParts& parts) {
+  const std::uint64_t bins = parts.baseline.size();
   persist::Encoder enc;
   enc.u64(8);      // train weeks
   enc.u64(2);      // test weeks
@@ -786,13 +803,11 @@ std::string forged_pipeline(std::uint64_t bins, double significance) {
   enc.f64(significance);
   enc.f64(1e-9);   // epsilon
   enc.u8(1);       // exclude out of support
-  enc.u64(4);      // training weeks
-  for (std::uint64_t e = 0; e <= bins; ++e) enc.f64(static_cast<double>(e));
-  for (std::uint64_t b = 0; b < bins; ++b) {
-    enc.f64(1.0 / static_cast<double>(bins));
-  }
-  for (const double k : {0.1, 0.2, 0.3, 0.4}) enc.f64(k);
-  enc.f64(0.35);   // threshold
+  enc.u64(parts.divergences.size());  // training weeks
+  enc.f64_array(parts.edges);
+  enc.f64_array(parts.baseline);
+  enc.f64_array(parts.divergences);
+  enc.f64(parts.threshold);
   meter::save_weekly_stats({.means = {1.0, 2.0}, .variances = {0.5, 0.5}},
                            enc);
   std::ostringstream out(std::ios::binary);
@@ -807,7 +822,8 @@ TEST(PipelineCheckpoint, OutOfRangeConfigsFailWithDataError) {
   config.metrics = &reg;
   FdetaPipeline pipeline(config);
   {
-    std::istringstream in(forged_pipeline(10, 0.05), std::ios::binary);
+    std::istringstream in(forged_pipeline(0.05, KldParts(10)),
+                          std::ios::binary);
     pipeline.load_model(in);  // the control loads
     EXPECT_EQ(pipeline.consumer_count(), 1u);
   }
@@ -816,8 +832,36 @@ TEST(PipelineCheckpoint, OutOfRangeConfigsFailWithDataError) {
        {std::pair<std::uint64_t, double>{1, 0.05}, {10, 1.5}, {10, nan}}) {
     SCOPED_TRACE(::testing::Message()
                  << "bins=" << bins << " significance=" << significance);
-    std::istringstream in(forged_pipeline(bins, significance),
+    std::istringstream in(forged_pipeline(significance, KldParts(bins)),
                           std::ios::binary);
+    EXPECT_THROW(pipeline.load_model(in), DataError);
+  }
+}
+
+TEST(PipelineCheckpoint, NonFiniteFittedPartsFailWithDataError) {
+  obs::MetricsRegistry reg;
+  PipelineConfig config;
+  config.metrics = &reg;
+  FdetaPipeline pipeline(config);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(KldParts&)>>>
+      forgeries = {
+          {"NaN threshold", [&](KldParts& p) { p.threshold = nan; }},
+          {"+inf threshold", [&](KldParts& p) { p.threshold = inf; }},
+          {"NaN first edge", [&](KldParts& p) { p.edges.front() = nan; }},
+          {"NaN middle edge", [&](KldParts& p) { p.edges[5] = nan; }},
+          {"+inf last edge", [&](KldParts& p) { p.edges.back() = inf; }},
+          {"NaN baseline", [&](KldParts& p) { p.baseline[3] = nan; }},
+          {"negative baseline", [&](KldParts& p) { p.baseline[3] = -5.0; }},
+          {"NaN training divergence",
+           [&](KldParts& p) { p.divergences[2] = nan; }},
+      };
+  for (const auto& [what, forge] : forgeries) {
+    SCOPED_TRACE(what);
+    KldParts parts(10);
+    forge(parts);
+    std::istringstream in(forged_pipeline(0.05, parts), std::ios::binary);
     EXPECT_THROW(pipeline.load_model(in), DataError);
   }
 }
@@ -874,6 +918,29 @@ TEST(DetectorFleetCheckpoint, UnsortedKldEdgesFailWithDataError) {
   const std::size_t edges_at = 8 + 8 + 3 + 8 + 8 + 8 + 1 + 8;
   patch_f64(bytes, edges_at + 8, -1e9);
   EXPECT_NE(fleet_rejection(bytes).find("ascending"), std::string::npos);
+}
+
+TEST(DetectorFleetCheckpoint, NonFiniteMemberThresholdsFailWithDataError) {
+  for (const std::string family : {"ckld", "kld-lite"}) {
+    SCOPED_TRACE(family);
+    std::string bytes = fleet_block(family);
+    persist::Decoder dec(bytes);
+    const DetectorFleet fleet = DetectorFleet::restore(dec, 0);
+    // The first member's (first group's) threshold, located by its bits.
+    const double threshold =
+        family == "ckld"
+            ? static_cast<const ConditionedKldDetector&>(fleet[0])
+                  .thresholds()[0]
+            : fleet[0].raw_decision_threshold();
+    persist::Encoder bits;
+    bits.f64(threshold);
+    const std::size_t at = bytes.find(bits.bytes());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.find(bits.bytes(), at + 1), std::string::npos)
+        << "the threshold's bits are not unique in the block";
+    patch_f64(bytes, at, std::numeric_limits<double>::quiet_NaN());
+    EXPECT_NE(fleet_rejection(bytes).find("finite"), std::string::npos);
+  }
 }
 
 TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
@@ -952,7 +1019,7 @@ TEST(EpsilonSmoothing, KeepsOutOfSupportScoresFinite) {
 TEST(EpsilonSmoothing, RejectsNegativeEpsilon) {
   EXPECT_THROW(KldDetector({.epsilon = -1e-9}), InvalidArgument);
   ConditionedKldDetectorConfig conditioned;
-  conditioned.epsilon = -1.0;
+  conditioned.kld.epsilon = -1.0;
   EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
 }
 

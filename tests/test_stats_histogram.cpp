@@ -268,6 +268,28 @@ TEST(Histogram, AllOutOfSupportFallsBackToClamping) {
   EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0), 1.0, 1e-12);
 }
 
+TEST(Histogram, RejectsNonFiniteEdges) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN compares false both ways, so it slips past an is_sorted check.
+  for (const std::vector<double>& edges :
+       {std::vector<double>{nan, 1.0, 2.0}, {0.0, nan, 2.0}, {0.0, 1.0, inf},
+        {-inf, 0.0, 1.0}}) {
+    EXPECT_THROW(Histogram{edges}, InvalidArgument);
+  }
+}
+
+TEST(Histogram, RejectsNonFiniteEdgesFromReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Histogram(std::vector<double>{0.0, 1.0, inf}, 4),
+               InvalidArgument);
+  EXPECT_THROW(Histogram(std::vector<double>{-inf, 0.0, 1.0}, 4),
+               InvalidArgument);
+  // A finite range wider than a double: the bin width overflows.
+  EXPECT_THROW(Histogram(std::vector<double>{-1e308, 1e308}, 4),
+               InvalidArgument);
+}
+
 TEST(Histogram, CountsIntoValidatesOutputSpan) {
   const Histogram h(std::vector<double>{0.0, 1.0}, 4);
   std::vector<std::size_t> wrong(3);
