@@ -39,4 +39,11 @@ inline void require(bool condition, const std::string& what) {
   if (!condition) throw InvalidArgument(what);
 }
 
+/// As above for a literal message, which becomes a string only when the
+/// check fails: a check that holds costs one branch, not a heap-allocated
+/// message, on the per-score paths.
+inline void require(bool condition, const char* what) {
+  if (!condition) throw InvalidArgument(what);
+}
+
 }  // namespace fdeta

@@ -59,18 +59,18 @@ ConditionedKldDetector::ConditionedKldDetector(
     config_.slot_group = tou_slot_groups(tou);
     config_.groups = 2;
   }
-  // Tabulated once, so scoring gathers each group's readings directly.
-  positions_.assign(config_.groups, {});
-  for (std::uint32_t s = 0; s < kSlotsPerWeek; ++s) {
+  // Tabulated once, so fit and scoring never call the std::function.
+  group_of_.resize(kSlotsPerWeek);
+  std::vector<std::size_t> slots(config_.groups, 0);
+  for (std::size_t s = 0; s < group_of_.size(); ++s) {
     const std::size_t g = config_.slot_group(s);
     require(g < config_.groups,
             "ConditionedKldDetector: slot group id out of range");
-    positions_[g].push_back(s);
+    group_of_[s] = static_cast<std::uint16_t>(g);
+    ++slots[g];
   }
-  for (const auto& positions : positions_) {
-    require(!positions.empty(),
-            "ConditionedKldDetector: a price group matched no slots");
-  }
+  require(std::find(slots.begin(), slots.end(), 0) == slots.end(),
+          "ConditionedKldDetector: a price group matched no slots");
 }
 
 const std::vector<KldModel>& ConditionedKldDetector::models() const {
@@ -86,13 +86,13 @@ void ConditionedKldDetector::fit(std::span<const Kw> training) {
   std::vector<KldModel> models;
   models.reserve(config_.groups);
   std::vector<double> rows;
-  for (const auto& positions : positions_) {
+  for (std::size_t g = 0; g < config_.groups; ++g) {
     // The group's readings of every training week, one row per week.
     rows.clear();
-    for (std::size_t w = 0; w < weeks; ++w) {
-      gather_slots(training.subspan(w * width, width), 0, positions, rows);
+    for (std::size_t t = 0; t < training.size(); ++t) {
+      if (group_of_[t % width] == g) rows.push_back(training[t]);
     }
-    models.push_back(KldModel::fit(rows, positions.size(), config_.kld));
+    models.push_back(KldModel::fit(rows, rows.size() / weeks, config_.kld));
   }
 
   // Each training week's scalar margin on the plugin scale: the calibration
@@ -115,35 +115,53 @@ void ConditionedKldDetector::adopt(std::vector<KldModel> models,
                                                   config_.kld.significance);
 }
 
-double ConditionedKldDetector::group_score(std::span<const Kw> week,
-                                           SlotIndex first_slot,
-                                           std::size_t g) const {
-  thread_local std::vector<double> values;
-  thread_local std::vector<double> p;
-  values.clear();
-  gather_slots(week, first_slot, positions_[g], values);
-  p.resize(config_.kld.bins);
-  return models_[g].score(values, p);
+void ConditionedKldDetector::count_week(
+    std::span<const Kw> week, SlotIndex first_slot,
+    std::span<std::uint16_t> counts) const {
+  const std::vector<KldModel>& m = models();
+  const std::size_t offset = week_offset(week, first_slot);
+  std::fill(counts.begin(), counts.end(), std::uint16_t{0});
+  for (std::size_t i = 0; i < week.size(); ++i) {
+    const std::size_t g = group_of_[(offset + i) % week.size()];
+    ++counts[g * m[g].count_words() + m[g].count_index(week[i])];
+  }
+}
+
+void ConditionedKldDetector::count_reading(std::span<std::uint16_t> counts,
+                                           std::size_t position, Kw value,
+                                           int delta) const {
+  const std::size_t g = group_of_[position];
+  const KldModel& m = models()[g];
+  counts[g * m.count_words() + m.count_index(value)] += delta;
+}
+
+double ConditionedKldDetector::raw_score_counts(
+    std::span<const std::uint16_t> counts) const {
+  const std::vector<KldModel>& m = models();
+  double worst = -std::numeric_limits<double>::infinity();
+  for (std::size_t g = 0; g < m.size(); ++g) {
+    worst = std::max(worst,
+                     m[g].score(group_counts(counts, g)) - m[g].threshold());
+  }
+  return worst;
 }
 
 std::vector<double> ConditionedKldDetector::scores(
     std::span<const Kw> week, SlotIndex first_slot) const {
+  const std::span<std::uint16_t> counts = count_scratch(count_words());
+  count_week(week, first_slot, counts);
   std::vector<double> out(models().size());
   for (std::size_t g = 0; g < out.size(); ++g) {
-    out[g] = group_score(week, first_slot, g);
+    out[g] = models_[g].score(group_counts(counts, g));
   }
   return out;
 }
 
 double ConditionedKldDetector::raw_score_week(std::span<const Kw> week,
                                               SlotIndex first_slot) const {
-  const std::vector<KldModel>& m = models();
-  double worst = -std::numeric_limits<double>::infinity();
-  for (std::size_t g = 0; g < m.size(); ++g) {
-    worst = std::max(worst,
-                     group_score(week, first_slot, g) - m[g].threshold());
-  }
-  return worst;
+  const std::span<std::uint16_t> counts = count_scratch(count_words());
+  count_week(week, first_slot, counts);
+  return raw_score_counts(counts);
 }
 
 KldExplanation ConditionedKldDetector::raw_explain_week(
@@ -168,13 +186,12 @@ KldExplanation ConditionedKldDetector::raw_explain_week(
 std::vector<KldExplanation> ConditionedKldDetector::explain(
     std::span<const Kw> week, SlotIndex first_slot) const {
   const std::vector<KldModel>& m = models();
+  std::vector<std::uint16_t> counts(count_words());
+  count_week(week, first_slot, counts);
   std::vector<KldExplanation> out;
   out.reserve(m.size());
-  std::vector<double> values;
   for (std::size_t g = 0; g < m.size(); ++g) {
-    values.clear();
-    gather_slots(week, first_slot, positions_[g], values);
-    out.push_back(m[g].explain(values));
+    out.push_back(m[g].explain(group_counts(counts, g)));
   }
   return out;
 }

@@ -62,6 +62,15 @@ class ConditionedKldDetector final : public ScoringDetector {
   double raw_score_week(std::span<const Kw> week,
                         SlotIndex first_slot = 0) const override;
   double raw_decision_threshold() const override { return 0.0; }
+  /// Counts are one block of KldModel::count_words() per price group, in
+  /// group order; a reading moves only its slot-of-week's group block.
+  std::size_t count_words() const override {
+    return models().size() * models().front().count_words();
+  }
+  void count_reading(std::span<std::uint16_t> counts, std::size_t position,
+                     Kw value, int delta) const override;
+  double raw_score_counts(
+      std::span<const std::uint16_t> counts) const override;
   /// The explanation of the worst-margin group (the one driving the score).
   /// The header is rebased to the scalar margin scale (score ==
   /// raw_score_week(week), threshold == raw_decision_threshold() == 0) per
@@ -95,12 +104,21 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// Installs fitted per-group models and training margins plus the
   /// calibration over those margins.
   void adopt(std::vector<KldModel> models, std::vector<double> margins);
-  /// Group g's divergence for a week, allocation-free.
-  double group_score(std::span<const Kw> week, SlotIndex first_slot,
-                     std::size_t g) const;
+  /// Counts every reading of a slot-aligned week into `counts`
+  /// (count_words() words, zeroed here).
+  void count_week(std::span<const Kw> week, SlotIndex first_slot,
+                  std::span<std::uint16_t> counts) const;
+  /// Group g's block of counts.
+  std::span<const std::uint16_t> group_counts(
+      std::span<const std::uint16_t> counts, std::size_t g) const {
+    const std::size_t words = models_[g].count_words();
+    return counts.subspan(g * words, words);
+  }
 
   ConditionedKldDetectorConfig config_;
-  std::vector<std::vector<std::uint32_t>> positions_;  // per group, ascending
+  /// Price group of each slot-of-week position, tabulated once (a group
+  /// needs at least one slot, so ids fit in 16 bits).
+  std::vector<std::uint16_t> group_of_;
   std::vector<KldModel> models_;           // per group; empty until fitted
   std::vector<double> training_margins_;   // per training week
 };

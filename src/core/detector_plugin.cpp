@@ -101,4 +101,15 @@ KldExplanation ScoringDetector::raw_explain_week(std::span<const Kw> week,
   return out;
 }
 
+void ScoringDetector::count_reading(std::span<std::uint16_t> /*counts*/,
+                                    std::size_t /*position*/, Kw /*value*/,
+                                    int /*delta*/) const {
+  throw InvalidArgument("ScoringDetector: family has no counted form");
+}
+
+double ScoringDetector::raw_score_counts(
+    std::span<const std::uint16_t> /*counts*/) const {
+  throw InvalidArgument("ScoringDetector: family has no counted form");
+}
+
 }  // namespace fdeta::core

@@ -16,7 +16,12 @@
 //     score/threshold header with no bins),
 //   - symmetric save_state/restore_state for checkpoints,
 //   - a config fingerprint, so a fleet restore (detector_fleet.h) can check
-//     every member against the options the checkpoint names.
+//     every member against the options the checkpoint names,
+//   - an optional count contract: families that see a week only through
+//     per-bin counts (the histogram families) let a caller keep a window's
+//     counts current one reading at a time and score the counts, so a
+//     sliding window rescore costs O(bins) instead of a re-bin of 336
+//     readings (OnlineMonitor's counted windows).
 //
 // Implementations must be usable concurrently from multiple threads after
 // fit() returns: every scoring entry point is const and may not mutate
@@ -169,6 +174,25 @@ class ScoringDetector : public Detector {
   /// eq.-(12) decomposition.
   virtual KldExplanation raw_explain_week(std::span<const Kw> week,
                                           SlotIndex first_slot = 0) const;
+
+  // --- Count contract ----------------------------------------------------
+  /// The number of u16 count words one week window needs; 0 (the default)
+  /// means the family has no counted form and callers score whole weeks.
+  /// Like the scoring members, the count members need a fitted detector.
+  virtual std::size_t count_words() const { return 0; }
+
+  /// Moves one reading at slot-of-week `position` (in [0, kSlotsPerWeek))
+  /// into (`delta` = +1) or out of (`delta` = -1) `counts`
+  /// (count_words() words).  Counting every reading of a slot-aligned week
+  /// in, from zeroed counts, is what raw_score_week does internally.
+  /// Throws InvalidArgument for a family without a counted form.
+  virtual void count_reading(std::span<std::uint16_t> counts,
+                             std::size_t position, Kw value, int delta) const;
+
+  /// The raw score of counted readings: bit-identical to raw_score_week of
+  /// the week whose readings the counts hold.  Throws InvalidArgument for a
+  /// family without a counted form.
+  virtual double raw_score_counts(std::span<const std::uint16_t> counts) const;
 
   /// Serializes the fitted state; requires fit() to have run.  Symmetric
   /// with restore_state: the byte stream carries its own framing, so

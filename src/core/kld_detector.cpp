@@ -61,9 +61,10 @@ KldModel KldModel::fit(std::span<const double> rows, std::size_t width,
   // in support by construction, so scoring them bins exactly like the
   // paper's plain clamping.
   std::vector<double> k(rows.size() / width);
-  std::vector<double> p(config.bins);
+  std::vector<std::uint16_t> counts(model.count_words());
   for (std::size_t i = 0; i < k.size(); ++i) {
-    k[i] = model.score(rows.subspan(i * width, width), p);
+    model.count(rows.subspan(i * width, width), counts);
+    k[i] = model.score(counts);
   }
   model.threshold_ = stats::quantile(k, 1.0 - config.significance);
   model.k_training_ = std::move(k);
@@ -103,15 +104,51 @@ KldModel KldModel::from_parts(const KldDetectorConfig& config,
   return model;
 }
 
-double KldModel::score(std::span<const double> values,
-                       std::span<double> p) const {
-  histogram_.probabilities_into(values, p, exclude_out_of_support_);
+void KldModel::count(std::span<const double> values,
+                     std::span<std::uint16_t> counts) const {
+  require(counts.size() == count_words(), "KLD: count span size");
+  require(values.size() <= std::numeric_limits<std::uint16_t>::max(),
+          "KLD: at most 65535 readings per counted window");
+  std::fill(counts.begin(), counts.end(), std::uint16_t{0});
+  for (const double v : values) ++counts[count_index(v)];
+}
+
+void KldModel::probabilities(std::span<const std::uint16_t> counts,
+                             std::span<double> p) const {
+  const std::size_t bins = scoring_.size();
+  require(counts.size() == count_words(), "KLD: count span size");
+  std::uint32_t total = 0;
+  for (std::size_t j = 0; j < bins; ++j) {
+    p[j] = counts[j];
+    total += counts[j];
+  }
+  if (!exclude_out_of_support_ || total == 0) {
+    // Clamping: readings below the support join the lowest bin, readings
+    // above it the highest - always without exclusion, and as the fallback
+    // for a week with no in-support mass to normalise over (the outer bins
+    // are then the only honest place for the mass, and the detector sees a
+    // maximally anomalous week rather than a divide-by-zero).
+    p[0] += counts[bins];
+    p[bins - 1] += counts[bins + 1];
+    total += counts[bins] + counts[bins + 1];
+  }
+  require(total > 0, "KLD: no readings counted");
+  // Integer counts are exact in a double, so p does not depend on the order
+  // the readings were counted in.
+  const double n = static_cast<double>(total);
+  for (double& x : p) x /= n;
+}
+
+double KldModel::score(std::span<const std::uint16_t> counts) const {
+  thread_local std::vector<double> p;  // keeps fleet hot paths allocation-free
+  p.resize(scoring_.size());
+  probabilities(counts, p);
   return stats::kl_divergence_bits(p, scoring_);
 }
 
-KldExplanation KldModel::explain(std::span<const double> values) const {
+KldExplanation KldModel::explain(std::span<const std::uint16_t> counts) const {
   std::vector<double> p(scoring_.size());
-  histogram_.probabilities_into(values, p, exclude_out_of_support_);
+  probabilities(counts, p);
   const std::vector<double>& edges = histogram_.edges();
 
   KldExplanation out;
@@ -155,17 +192,18 @@ std::size_t training_weeks(std::span<const Kw> training) {
   return weeks;
 }
 
-void gather_slots(std::span<const Kw> week, SlotIndex first_slot,
-                  std::span<const std::uint32_t> positions,
-                  std::vector<double>& out) {
+std::size_t week_offset(std::span<const Kw> week, SlotIndex first_slot) {
   constexpr std::size_t width = kSlotsPerWeek;
   if (week.size() != width) {
     throw InvalidArgument("KLD: week must be kSlotsPerWeek readings");
   }
-  const std::size_t offset = static_cast<std::size_t>(first_slot) % width;
-  for (const std::uint32_t s : positions) {
-    out.push_back(week[(s + width - offset) % width]);
-  }
+  return static_cast<std::size_t>(first_slot) % width;
+}
+
+std::span<std::uint16_t> count_scratch(std::size_t words) {
+  thread_local std::vector<std::uint16_t> scratch;
+  scratch.resize(words);
+  return scratch;
 }
 
 KldDetector::KldDetector(KldDetectorConfig config) : config_(config) {
@@ -191,9 +229,23 @@ const KldModel& KldDetector::model() const {
 
 double KldDetector::raw_score_week(std::span<const Kw> week,
                                    SlotIndex /*first_slot*/) const {
-  thread_local std::vector<double> p;  // keeps fleet hot paths allocation-free
-  p.resize(config_.bins);
-  return model().score(week, p);
+  const KldModel& m = model();
+  const std::span<std::uint16_t> counts = count_scratch(m.count_words());
+  m.count(week, counts);
+  return m.score(counts);
+}
+
+KldExplanation KldDetector::explain(std::span<const Kw> week) const {
+  const KldModel& m = model();
+  std::vector<std::uint16_t> counts(m.count_words());
+  m.count(week, counts);
+  return m.explain(counts);
+}
+
+void KldDetector::count_reading(std::span<std::uint16_t> counts,
+                                std::size_t /*position*/, Kw value,
+                                int delta) const {
+  counts[model().count_index(value)] += delta;
 }
 
 std::string KldDetector::config_fingerprint() const {

@@ -46,9 +46,9 @@ struct KldDetectorConfig {
   /// absurd reading no longer masquerades as legitimate lowest/highest-bin
   /// consumption mass, and the week distribution is normalised over the
   /// in-support readings only (an all-out-of-support week falls back to
-  /// clamping; see Histogram::probabilities_into).  Training weeks are in
-  /// support by construction, so thresholds are unaffected either way.  Set
-  /// false for the paper's plain clamping semantics.
+  /// clamping; see KldModel::score).  Training weeks are in support by
+  /// construction, so thresholds are unaffected either way.  Set false for
+  /// the paper's plain clamping semantics.
   bool exclude_out_of_support = true;
 };
 
@@ -82,16 +82,40 @@ class KldModel {
                              std::vector<double> k_training, double threshold,
                              bool k_training_optional = false);
 
-  /// K_A of `values`, binned into the caller's `p` (size B) without
-  /// allocating.  Finite for any input when epsilon > 0; with epsilon = 0 it
-  /// is +infinity whenever the values put mass where the training
-  /// distribution has none.
-  double score(std::span<const double> values, std::span<double> p) const;
+  /// Count words of one counted window: the B bin counts, then the number
+  /// of readings below and above the frozen support.  A scored week is seen
+  /// only through these counts, so a caller may count a window once and
+  /// keep it current one reading at a time.
+  std::size_t count_words() const { return scoring_.size() + 2; }
 
-  /// Per-bin breakdown of score(values): terms accumulate in
+  /// The count word a reading moves: its bin when inside the frozen support
+  /// [edges.front(), edges.back()] (NaN included, which bin_of puts in the
+  /// last bin), B below the support and B + 1 above it.
+  std::size_t count_index(double value) const {
+    const std::vector<double>& edges = histogram_.edges();
+    if (value < edges.front()) return scoring_.size();
+    if (value > edges.back()) return scoring_.size() + 1;
+    return histogram_.bin_of(value);
+  }
+
+  /// Zeroes `counts` (count_words() words) and counts `values` into it;
+  /// at most 65535 values.
+  void count(std::span<const double> values,
+             std::span<std::uint16_t> counts) const;
+
+  /// K_A of counted readings.  The week distribution p is the one
+  /// out-of-support rule: with exclude_out_of_support, the in-support bins
+  /// normalised over the in-support count - unless no reading is in
+  /// support, when (as without exclusion) every reading is clamped into the
+  /// outer bins and p is normalised over all of them.  Finite for any
+  /// counts when epsilon > 0; with epsilon = 0 it is +infinity whenever p
+  /// has mass where the training distribution has none.  Allocation-free.
+  double score(std::span<const std::uint16_t> counts) const;
+
+  /// Per-bin breakdown of score(counts): terms accumulate in
   /// kl_divergence_bits order, so the bits sum reproduces the score exactly.
   /// The header carries the score and threshold().
-  KldExplanation explain(std::span<const double> values) const;
+  KldExplanation explain(std::span<const std::uint16_t> counts) const;
 
   const stats::Histogram& histogram() const { return histogram_; }
   /// The raw eq.-(12) p(X^(j)); epsilon smoothing applies only to the
@@ -107,6 +131,11 @@ class KldModel {
   KldModel(const KldDetectorConfig& config, stats::Histogram histogram,
            std::vector<double> baseline);
 
+  /// p of eq. (12) from counts into `p` (B values), by the rule score()
+  /// documents.
+  void probabilities(std::span<const std::uint16_t> counts,
+                     std::span<double> p) const;
+
   stats::Histogram histogram_;
   std::vector<double> baseline_;    // p(X^(j)), raw
   std::vector<double> scoring_;     // epsilon-smoothed baseline used to score
@@ -119,13 +148,15 @@ class KldModel {
 /// it is a whole number of at least four weeks.
 std::size_t training_weeks(std::span<const Kw> training);
 
-/// Appends the readings at slot-of-week `positions` of a slot-aligned week
-/// of kSlotsPerWeek readings to `out`: the gather of the families that
-/// score part of a week.  week[i] holds absolute slot first_slot + i, so
-/// slot-of-week s lives at index (s - first_slot) mod kSlotsPerWeek.
-void gather_slots(std::span<const Kw> week, SlotIndex first_slot,
-                  std::span<const std::uint32_t> positions,
-                  std::vector<double>& out);
+/// The slot-of-week of week[0]: week[i] of a slot-aligned week holds
+/// slot-of-week (offset + i) mod kSlotsPerWeek.  Throws InvalidArgument
+/// unless `week` is kSlotsPerWeek readings (the families that count part of
+/// a week by slot-of-week).
+std::size_t week_offset(std::span<const Kw> week, SlotIndex first_slot);
+
+/// Per-thread count scratch of `words` words, contents unspecified: keeps
+/// whole-week scoring allocation-free.
+std::span<std::uint16_t> count_scratch(std::size_t words);
 
 class KldDetector final : public ScoringDetector {
  public:
@@ -146,20 +177,26 @@ class KldDetector final : public ScoringDetector {
     (void)first_slot;
     return explain(week);
   }
+  /// Every position counts: the plain KLD is order-insensitive.
+  std::size_t count_words() const override { return model().count_words(); }
+  void count_reading(std::span<std::uint16_t> counts, std::size_t position,
+                     Kw value, int delta) const override;
+  double raw_score_counts(
+      std::span<const std::uint16_t> counts) const override {
+    return model().score(counts);
+  }
   /// Payload: config, frozen edges, baseline, training K_i, threshold.
   void save_state(persist::Encoder& enc) const override;
   void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
 
-  /// K_A: the divergence score of a week (any number of readings, scored in
-  /// place).
+  /// K_A: the divergence score of a week (any number of readings up to
+  /// 65535).
   double score(std::span<const Kw> week) const { return raw_score_week(week); }
 
   /// Per-bin breakdown of score(week): which consumption bins drove the
   /// divergence and by how many bits.
-  KldExplanation explain(std::span<const Kw> week) const {
-    return model().explain(week);
-  }
+  KldExplanation explain(std::span<const Kw> week) const;
 
   /// The decision threshold (the (1-alpha) quantile of training K_i).
   double threshold() const { return model().threshold(); }

@@ -1,6 +1,7 @@
 #include "core/online_monitor.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -71,6 +72,18 @@ double smoothed_kld_bits(const std::uint64_t* recent,
 
 }  // namespace
 
+struct OnlineMonitor::Tally {
+  std::uint64_t ingested = 0;
+  std::uint64_t missing = 0;
+  std::uint64_t in_cooldown = 0;
+  std::uint64_t stride_skipped = 0;
+  std::uint64_t coverage_gated = 0;
+  std::uint64_t scored = 0;
+  std::uint64_t alerts_over = 0;
+  std::uint64_t alerts_under = 0;
+  std::array<std::uint64_t, kHealthBins> health{};  ///< ingested, by bin
+};
+
 const char* to_string(AlertDirection direction) {
   switch (direction) {
     case AlertDirection::kUnderReport: return "under-report";
@@ -92,6 +105,8 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
   readings_ingested_ = &registry.counter("monitor.readings_ingested");
   readings_missing_ = &registry.counter("monitor.readings_missing");
   readings_in_cooldown_ = &registry.counter("monitor.readings_in_cooldown");
+  readings_stride_skipped_ =
+      &registry.counter("monitor.readings_stride_skipped");
   scores_evaluated_ = &registry.counter("monitor.scores_evaluated");
   scores_coverage_gated_ =
       &registry.counter("monitor.scores_coverage_gated");
@@ -301,6 +316,7 @@ void OnlineMonitor::fit(const meter::Dataset& history,
         *config_.topology, resolved_feeder_config());
     feeder_->fit(history, split);
   }
+  reset_counted_windows();
   rebuild_health_baseline();
   fitted_ = true;
   consumers_fitted_->add(count);
@@ -336,6 +352,7 @@ void OnlineMonitor::fit_streaming(
         *config_.topology, resolved_feeder_config());
     feeder_->fit_streaming(count, source, split);
   }
+  reset_counted_windows();
   rebuild_health_baseline();
   fitted_ = true;
   consumers_fitted_->add(count);
@@ -360,7 +377,53 @@ hierarchy::FeederReport OnlineMonitor::evaluate_feeders(SlotIndex slot) {
       slot, flagged);
 }
 
-std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
+void OnlineMonitor::reset_counted_windows() {
+  count_words_ = fleet_.size() > 0 ? fleet_[0].count_words() : 0;
+  counts_.assign(fleet_.size() * count_words_, 0);
+  counted_.assign(fleet_.size(), 0);
+}
+
+std::span<const std::uint16_t> OnlineMonitor::counted_window(std::size_t i) {
+  const std::span<std::uint16_t> counts{counts_.data() + i * count_words_,
+                                        count_words_};
+  if (counted_[i] == 0) {
+    const ScoringDetector& detector = fleet_[i];
+    std::fill(counts.begin(), counts.end(), std::uint16_t{0});
+    for (std::size_t s = 0; s < kWindow; ++s) {
+      detector.count_reading(counts, s, windows_[i * kWindow + s], +1);
+    }
+    counted_[i] = 1;
+  }
+  return counts;
+}
+
+void OnlineMonitor::flush(const Tally& tally) {
+  const auto add = [](obs::Counter* counter, std::uint64_t n) {
+    if (n > 0) counter->add(n);
+  };
+  const std::uint64_t alerts = tally.alerts_over + tally.alerts_under;
+  add(readings_ingested_, tally.ingested);
+  add(readings_missing_, tally.missing);
+  add(readings_in_cooldown_, tally.in_cooldown);
+  add(readings_stride_skipped_, tally.stride_skipped);
+  add(scores_coverage_gated_, tally.coverage_gated);
+  add(scores_evaluated_, tally.scored);
+  add(alerts_raised_, alerts);
+  add(alerts_over_, tally.alerts_over);
+  add(alerts_under_, tally.alerts_under);
+  // Population-health accounting (bins shared across shards, so the counts
+  // are layout-invariant).
+  for (std::size_t b = 0; b < kHealthBins; ++b) {
+    if (tally.health[b] > 0) {
+      health_recent_[b].fetch_add(tally.health[b], std::memory_order_relaxed);
+    }
+  }
+  health_readings_.fetch_add(tally.ingested, std::memory_order_relaxed);
+  health_alerts_.fetch_add(alerts, std::memory_order_relaxed);
+}
+
+std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
+                                               Tally& tally) {
   const std::size_t i = reading.consumer_index;
   const std::size_t base = i * kWindow;
   const std::size_t position = static_cast<std::size_t>(reading.slot) % kWindow;
@@ -374,48 +437,59 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
     // stale, which feeds the coverage gate below.  The stride and cooldown
     // clocks advance on OBSERVED readings only - an outage must not eat a
     // consumer's cooldown or stride budget while nothing is being measured.
-    readings_missing_->add();
+    ++tally.missing;
     if (!(mask & bit)) {
       mask |= bit;
       ++missing_in_window_[i];
     }
     return std::nullopt;
   }
-  readings_ingested_->add();
-  // Population-health accounting: one relaxed increment per observed
-  // reading (bins shared across shards, so the counts are layout-invariant).
-  health_recent_[health_bin(reading.kw)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-  health_readings_.fetch_add(1, std::memory_order_relaxed);
+  ++tally.ingested;
+  ++tally.health[health_bin(reading.kw)];
 
-  windows_[base + position] = reading.kw;
+  Kw& stored = windows_[base + position];
+  if (counted_[i] != 0) {
+    // Keep the counted window current: the replaced reading moves out of
+    // the counts and the incoming one moves in.
+    const std::span<std::uint16_t> counts{counts_.data() + i * count_words_,
+                                          count_words_};
+    fleet_[i].count_reading(counts, position, stored, -1);
+    fleet_[i].count_reading(counts, position, reading.kw, +1);
+  }
+  stored = reading.kw;
   if (mask & bit) {
     mask &= ~bit;
     --missing_in_window_[i];
   }
   if (cooldown_[i] > 0) {
     --cooldown_[i];
-    readings_in_cooldown_->add();
+    ++tally.in_cooldown;
     return std::nullopt;
   }
-  if (++since_score_[i] < config_.stride) return std::nullopt;
+  if (++since_score_[i] < config_.stride) {
+    ++tally.stride_skipped;
+    return std::nullopt;
+  }
   since_score_[i] = 0;
 
   if (static_cast<double>(missing_in_window_[i]) >
       config_.max_missing_fraction * static_cast<double>(kWindow)) {
     // Too much of the sliding vector is a stale fill: scoring it would let
     // delivery loss masquerade as theft.  Skip until coverage recovers.
-    scores_coverage_gated_->add();
+    ++tally.coverage_gated;
     return std::nullopt;
   }
 
-  scores_evaluated_->add();
+  ++tally.scored;
   // windows_ is slot-of-week aligned (index s = slot-of-week s), so the
-  // vector scores as a week starting at slot-of-week 0.  Detectors keep the
-  // hot path allocation-free internally (thread-local scratch).
+  // vector scores as a week starting at slot-of-week 0; its counts score
+  // bit-identically.
   const std::span<const Kw> window{windows_.data() + base, kWindow};
   const ScoringDetector& detector = fleet_[i];
-  const double score = detector.score_week(window, 0);
+  const double score =
+      count_words_ > 0 ? detector.calibration().calibrate(
+                             detector.raw_score_counts(counted_window(i)))
+                       : detector.score_week(window, 0);
   const double threshold = detector.decision_threshold();
   if (score <= threshold) return std::nullopt;
 
@@ -423,10 +497,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading) {
   const AlertDirection direction = stats::mean(window) > train_mean_[i]
                                        ? AlertDirection::kOverReport
                                        : AlertDirection::kUnderReport;
-  alerts_raised_->add();
-  (direction == AlertDirection::kOverReport ? alerts_over_ : alerts_under_)
-      ->add();
-  health_alerts_.fetch_add(1, std::memory_order_relaxed);
+  ++(direction == AlertDirection::kOverReport ? tally.alerts_over
+                                              : tally.alerts_under);
   return AlertEvent{i, ids_[i], reading.slot, score, threshold, direction};
 }
 
@@ -441,11 +513,13 @@ std::optional<AlertEvent> OnlineMonitor::ingest(const Reading& reading) {
   require(reading.consumer_index < consumer_count(),
           "OnlineMonitor: consumer index out of range");
   std::optional<AlertEvent> event;
+  Tally tally;
   {
     std::lock_guard<std::mutex> lock(
         shard_locks_[shard_of(reading.consumer_index, shard_count_)]);
-    event = apply(reading);
+    event = apply(reading, tally);
   }
+  flush(tally);
   if (event) {
     std::lock_guard<std::mutex> lock(alerts_mutex_);
     alerts_.push_back(*event);
@@ -488,7 +562,8 @@ std::vector<AlertEvent> OnlineMonitor::ingest_batch(
         // acquisition (contention, not work); the depth gauges cover the
         // bucket this delivery parked on the shard.  One histogram
         // observation and three gauge stores per shard per batch - the
-        // per-reading loop below stays untouched.
+        // per-reading loop below stays untouched, and its counters land in
+        // one tally flush per shard.
         const std::size_t m = s % shard_pending_.size();
         const std::int64_t depth =
             static_cast<std::int64_t>(by_shard[s].size());
@@ -497,9 +572,11 @@ std::vector<AlertEvent> OnlineMonitor::ingest_batch(
         obs::ScopedTimer wait(*shard_lock_wait_[m]);
         std::lock_guard<std::mutex> lock(shard_locks_[s]);
         wait.stop();
+        Tally tally;
         for (const std::size_t r : by_shard[s]) {
-          raised[r] = apply(readings[r]);
+          raised[r] = apply(readings[r], tally);
         }
+        flush(tally);
         shard_applied_[s] += by_shard[s].size();
         shard_pending_[m]->set(0);
       },
@@ -669,6 +746,7 @@ void OnlineMonitor::restore(std::istream& in) {
   cooldown_ = std::move(cooldown);
   train_mean_ = std::move(train_mean);
   init_shards(count);
+  reset_counted_windows();
   // Drift is measured against the population distribution at service start:
   // a restored monitor baselines on its restored sliding windows, exactly as
   // a freshly fitted one baselines on the primed training windows.

@@ -17,10 +17,11 @@
 // sharding moves locks around, never results.  alerts()/window()/save()
 // still require no concurrent writer (quiesce feeds first).
 //
-// Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing
-// / in-cooldown, scores evaluated, alerts raised split by direction, fit and
-// per-batch latency histograms.  All counters are deterministic under a
-// fixed seed and identical between the ingest() and ingest_batch() paths.
+// Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing,
+// the fate of every ingested reading (in cooldown, stride-skipped, coverage
+// gated or scored), alerts raised split by direction, fit and per-batch
+// latency histograms.  All counters are deterministic under a fixed seed
+// and identical between the ingest() and ingest_batch() paths.
 #pragma once
 
 #include <atomic>
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "core/detector_fleet.h"
-#include "core/time_to_detection.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "meter/dataset.h"
 
@@ -241,11 +241,27 @@ class OnlineMonitor {
   void fit_one(std::size_t i, const meter::ConsumerSeries& series,
                const meter::TrainTestSplit& split);
 
-  /// Applies one reading to its consumer's state; does NOT touch alerts_
-  /// (callers append, preserving ingestion order across a parallel batch).
-  /// The caller must hold the consumer's shard lock.  Counter updates are
-  /// atomic, so concurrent calls for distinct shards keep the totals exact.
-  std::optional<AlertEvent> apply(const Reading& reading);
+  /// Plain per-call tallies of apply(), flushed into the shared counters
+  /// once per shard per batch (once per ingest() call).
+  struct Tally;
+
+  /// Applies one reading to its consumer's state, counting its fate in
+  /// `tally`; does NOT touch alerts_ (callers append, preserving ingestion
+  /// order across a parallel batch).  The caller must hold the consumer's
+  /// shard lock.
+  std::optional<AlertEvent> apply(const Reading& reading, Tally& tally);
+
+  /// Adds a tally to the shared counters and health accumulators (atomic,
+  /// so flushes from concurrent shards keep the totals exact).
+  void flush(const Tally& tally);
+
+  /// Sizes the counted windows for the fitted fleet, every consumer
+  /// uncounted (end of fit/fit_streaming/restore).
+  void reset_counted_windows();
+
+  /// Consumer i's counts, counted from its window on first use after
+  /// fit/restore (the caller holds its shard lock; requires count_words_).
+  std::span<const std::uint16_t> counted_window(std::size_t i);
 
   /// Emits an alert_raised event for `event` (no-op while the sink is
   /// disabled).  Called serially, in alerts() order.
@@ -275,6 +291,17 @@ class OnlineMonitor {
   std::vector<std::uint32_t> since_score_;
   std::vector<std::uint32_t> cooldown_;
   std::vector<double> train_mean_;  ///< training-span mean, alert direction
+  /// Counted windows (ScoringDetector's count contract): counts_[i*W ..
+  /// (i+1)*W) holds consumer i's window as its detector's W =
+  /// count_words_ count words, kept current one reading at a time once
+  /// counted_[i] is set, so a rescore scores O(bins) words instead of
+  /// re-binning 336 readings.  Derived state: never checkpointed, and
+  /// rebuilt lazily from windows_ on a consumer's first rescore after
+  /// fit/restore.  Families without a counted form (count_words_ == 0)
+  /// rescore the window itself.
+  std::size_t count_words_ = 0;
+  std::vector<std::uint16_t> counts_;   // count x count_words_
+  std::vector<std::uint8_t> counted_;   // count; 1 = counts_ row current
 
   // Shard layer: shard_of(i, shard_count_) owns consumer i's state above.
   std::size_t shard_count_ = 1;
@@ -294,6 +321,7 @@ class OnlineMonitor {
   obs::Counter* readings_ingested_ = nullptr;
   obs::Counter* readings_missing_ = nullptr;
   obs::Counter* readings_in_cooldown_ = nullptr;
+  obs::Counter* readings_stride_skipped_ = nullptr;
   obs::Counter* scores_evaluated_ = nullptr;
   obs::Counter* scores_coverage_gated_ = nullptr;
   obs::Counter* alerts_raised_ = nullptr;
@@ -317,8 +345,9 @@ class OnlineMonitor {
   std::vector<std::uint64_t> shard_applied_;
 
   // Population-health state (ROADMAP item 5 seed).  The baseline is frozen
-  // at fit/restore; the recent window accumulates in relaxed atomics on the
-  // hot path and is drained by refresh_health_gauges().
+  // at fit/restore; the recent window accumulates in relaxed atomics,
+  // flushed from the per-call tallies, and is drained by
+  // refresh_health_gauges().
   double health_bin_scale_ = 0.0;  ///< bins / max_kw (0 = not yet baselined)
   std::vector<std::uint64_t> health_baseline_counts_;
   std::uint64_t health_baseline_total_ = 0;

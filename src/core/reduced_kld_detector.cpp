@@ -20,6 +20,8 @@ ReducedKldDetector::ReducedKldDetector(ReducedKldDetectorConfig config)
 void ReducedKldDetector::adopt(std::vector<std::uint32_t> selected,
                                KldModel model) {
   selected_ = std::move(selected);
+  is_selected_.reset();
+  for (const std::uint32_t position : selected_) is_selected_.set(position);
   model_.emplace(std::move(model));
   calibration_ = ScoreCalibration::from_reference(
       model_->training_divergences(), model_->threshold(),
@@ -70,29 +72,44 @@ void ReducedKldDetector::fit(std::span<const Kw> training) {
   std::vector<double> reduced;
   reduced.reserve(weeks * selected.size());
   for (std::size_t w = 0; w < weeks; ++w) {
-    gather_slots(training.subspan(w * width, width), 0, selected, reduced);
+    for (const std::uint32_t s : selected) {
+      reduced.push_back(training[w * width + s]);
+    }
   }
   KldModel model = KldModel::fit(reduced, selected.size(), config_.kld);
   adopt(std::move(selected), std::move(model));
 }
 
+void ReducedKldDetector::count_week(std::span<const Kw> week,
+                                    SlotIndex first_slot,
+                                    std::span<std::uint16_t> counts) const {
+  const KldModel& m = model();
+  const std::size_t width = week.size();
+  const std::size_t offset = week_offset(week, first_slot);
+  std::fill(counts.begin(), counts.end(), std::uint16_t{0});
+  for (const std::uint32_t s : selected_) {
+    ++counts[m.count_index(week[(s + width - offset) % width])];
+  }
+}
+
+void ReducedKldDetector::count_reading(std::span<std::uint16_t> counts,
+                                       std::size_t position, Kw value,
+                                       int delta) const {
+  if (is_selected_[position]) counts[model().count_index(value)] += delta;
+}
+
 double ReducedKldDetector::raw_score_week(std::span<const Kw> week,
                                           SlotIndex first_slot) const {
-  const KldModel& m = model();
-  thread_local std::vector<double> values;
-  thread_local std::vector<double> p;
-  values.clear();
-  gather_slots(week, first_slot, selected_, values);
-  p.resize(config_.kld.bins);
-  return m.score(values, p);
+  const std::span<std::uint16_t> counts = count_scratch(count_words());
+  count_week(week, first_slot, counts);
+  return raw_score_counts(counts);
 }
 
 KldExplanation ReducedKldDetector::raw_explain_week(std::span<const Kw> week,
                                                     SlotIndex first_slot) const {
-  const KldModel& m = model();
-  std::vector<double> values;
-  gather_slots(week, first_slot, selected_, values);
-  return m.explain(values);
+  std::vector<std::uint16_t> counts(count_words());
+  count_week(week, first_slot, counts);
+  return model().explain(counts);
 }
 
 std::string ReducedKldDetector::config_fingerprint() const {

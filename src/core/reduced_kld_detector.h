@@ -13,6 +13,7 @@
 // recall/FPR at the paper's operating point; see EXPERIMENTS.md.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,6 +49,15 @@ class ReducedKldDetector final : public ScoringDetector {
   /// reproduces raw_score_week exactly.
   KldExplanation raw_explain_week(std::span<const Kw> week,
                                   SlotIndex first_slot = 0) const override;
+  /// Only the k selected positions count; a reading at any other position
+  /// leaves the counts unchanged.
+  std::size_t count_words() const override { return model().count_words(); }
+  void count_reading(std::span<std::uint16_t> counts, std::size_t position,
+                     Kw value, int delta) const override;
+  double raw_score_counts(
+      std::span<const std::uint16_t> counts) const override {
+    return model().score(counts);
+  }
   void save_state(persist::Encoder& enc) const override;
   void restore_state(persist::Decoder& dec) override;
   std::string config_fingerprint() const override;
@@ -56,9 +66,14 @@ class ReducedKldDetector final : public ScoringDetector {
   const KldModel& model() const;
   /// Installs the selection and its fitted model plus the calibration.
   void adopt(std::vector<std::uint32_t> selected, KldModel model);
+  /// Counts the selected readings of a slot-aligned week into `counts`
+  /// (count_words() words, zeroed here).
+  void count_week(std::span<const Kw> week, SlotIndex first_slot,
+                  std::span<std::uint16_t> counts) const;
 
   ReducedKldDetectorConfig config_;
   std::vector<std::uint32_t> selected_;  // ascending slot-of-week positions
+  std::bitset<kSlotsPerWeek> is_selected_;  // selected_ by position
   std::optional<KldModel> model_;        // over the selected readings
 };
 

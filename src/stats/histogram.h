@@ -8,6 +8,7 @@
 // detector still sees their probability mass.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -44,45 +45,16 @@ class Histogram {
   /// probability mass of out-of-range readings (attack vectors often sit
   /// outside the training range), but the clamp is silent - bin_of(v) == 0
   /// cannot tell "v was in the lowest training bin" from "v was below the
-  /// training support entirely".  Callers that need the distinction use
-  /// counts_into()/probabilities_into() with exclude_out_of_support, which
-  /// route out-of-support values to the underflow/overflow tallies instead
-  /// of inflating the outer bins' probability mass.
+  /// training support entirely".  Callers that need the distinction test
+  /// the value against edges().front()/back() first, as the KLD count step
+  /// (core::KldModel::count_index) does.
   ///
   /// O(1): an arithmetic index guess from the (uniform-width) edge grid,
   /// corrected by a short fixup walk, replaces the upper_bound binary
   /// search; the result is identical for every input, non-uniform explicit
-  /// edges and NaN included.
+  /// edges and NaN included.  Inline: it runs once per reading in every
+  /// detector's binning loop.
   std::size_t bin_of(double value) const;
-
-  /// Out-of-support accounting for one binning pass.
-  struct BinningStats {
-    std::size_t underflow = 0;   ///< values strictly below edges().front()
-    std::size_t overflow = 0;    ///< values strictly above edges().back()
-    std::size_t in_support = 0;  ///< values counted into the bins
-  };
-
-  /// Bins `sample` into `out` (size bin_count(), zeroed here) without
-  /// allocating - the fleet hot path.  With exclude_out_of_support, values
-  /// outside [edges().front(), edges().back()] are tallied in the returned
-  /// BinningStats and NOT counted into the outer bins (a negative or absurd
-  /// reading no longer masquerades as lowest-bin consumption mass, which
-  /// previously skewed KLD toward under-report alerts); with it false the
-  /// historical clamping semantics apply and in_support == sample.size().
-  BinningStats counts_into(std::span<const double> sample,
-                           std::span<std::size_t> out,
-                           bool exclude_out_of_support) const;
-
-  /// Relative frequencies into `out` (size bin_count()), normalised over
-  /// the in-support count when excluding so the distribution still sums to
-  /// 1.  Degenerate guard: when every value is out of support there is no
-  /// in-support mass to normalise, so the pass falls back to the clamping
-  /// semantics (the outer bins are then the only honest place for the mass,
-  /// and a detector still sees a maximally anomalous week rather than a
-  /// divide-by-zero).  Requires a non-empty sample.
-  BinningStats probabilities_into(std::span<const double> sample,
-                                  std::span<double> out,
-                                  bool exclude_out_of_support) const;
 
   /// Number of values in `sample` strictly below edges().front() - readings
   /// outside the training support that bin_of() clamps into bin 0.
@@ -111,5 +83,26 @@ class Histogram {
   double lo_ = 0.0;
   double inv_width_ = 0.0;
 };
+
+inline std::size_t Histogram::bin_of(double value) const {
+  // Semantics pinned to upper_bound (first edge strictly greater than value):
+  // bins are [e_j, e_{j+1}) except the last, which is closed on the right;
+  // below-range clamps to bin 0, above-range (and NaN, for which every
+  // comparison is false) to the last bin.
+  if (std::isnan(value)) return bin_count() - 1;
+  double guess = (value - lo_) * inv_width_;
+  // Clamp BEFORE the float->int cast: an out-of-range double->size_t cast is
+  // UB (UBSan float-cast-overflow), and `!(guess > 0)` also catches the NaN
+  // produced by 0 * inf on a zero-width histogram.
+  const double top = static_cast<double>(bin_count() - 1);
+  if (!(guess > 0.0)) guess = 0.0;
+  if (guess > top) guess = top;
+  std::size_t j = static_cast<std::size_t>(guess);
+  // Round-off (or non-uniform edges) can leave the guess off; walk to the
+  // exact bin.  For uniform edges this is at most one step.
+  while (j > 0 && value < edges_[j]) --j;
+  while (j + 1 < bin_count() && value >= edges_[j + 1]) ++j;
+  return j;
+}
 
 }  // namespace fdeta::stats

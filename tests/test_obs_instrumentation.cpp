@@ -123,9 +123,12 @@ TEST(ObsInstrumentation, IngestAndBatchProduceIdenticalSnapshots) {
   // their respective directions.
   EXPECT_GE(snap_one.counter("monitor.alerts_over_report"), 1u);
   EXPECT_GE(snap_one.counter("monitor.alerts_under_report"), 1u);
-  // Scores are evaluated for applied readings outside cooldown (stride 1).
+  // Every applied reading ends in one counted fate: scored, in cooldown,
+  // coverage-gated or skipped by the stride.
   EXPECT_EQ(snap_one.counter("monitor.scores_evaluated") +
-                snap_one.counter("monitor.readings_in_cooldown"),
+                snap_one.counter("monitor.readings_in_cooldown") +
+                snap_one.counter("monitor.scores_coverage_gated") +
+                snap_one.counter("monitor.readings_stride_skipped"),
             snap_one.counter("monitor.readings_ingested"));
 }
 
@@ -358,11 +361,12 @@ TEST(ObsInstrumentation, CoverageGateCountersReportToLocalRegistry) {
   EXPECT_EQ(mon_snap.counter("monitor.scores_coverage_gated"), 1u);
   EXPECT_EQ(mon_snap.counter("monitor.readings_missing"), lost);
   EXPECT_EQ(mon_snap.counter("monitor.scores_evaluated"), 0u);
-  // The gate identity at stride 1: every ingested reading is either scored,
-  // swallowed by cooldown, or gated on coverage.
+  // The fate identity: every ingested reading is either scored, swallowed
+  // by cooldown, gated on coverage, or skipped by the stride.
   EXPECT_EQ(mon_snap.counter("monitor.scores_evaluated") +
                 mon_snap.counter("monitor.readings_in_cooldown") +
-                mon_snap.counter("monitor.scores_coverage_gated"),
+                mon_snap.counter("monitor.scores_coverage_gated") +
+                mon_snap.counter("monitor.readings_stride_skipped"),
             mon_snap.counter("monitor.readings_ingested"));
 }
 

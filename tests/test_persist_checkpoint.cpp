@@ -350,52 +350,74 @@ TEST(PipelineCheckpoint, SaveRequiresFitAndLoadCommitsAtomically) {
 TEST(MonitorCheckpoint, RestoreContinuesBitExactly) {
   const auto dataset = datagen::small_dataset(6, 10, 17);
   const meter::TrainTestSplit split{.train_weeks = 8, .test_weeks = 2};
-  obs::MetricsRegistry reg_a, reg_b;
-
-  OnlineMonitorConfig config;
-  config.stride = 2;
-  config.cooldown_slots = 10;
-  config.metrics = &reg_a;
-  OnlineMonitor live(config);
-  live.fit(dataset, split);
-
-  // Stream half a week, checkpoint mid-stream (cooldown/stride counters in
-  // flight), then have a restored monitor consume the remainder.
   const SlotIndex base = split.train_weeks * kSlotsPerWeek;
+  const SlotIndex half = kSlotsPerWeek / 2;
+  // Consumer 2 under-reports all week, so alerts (and with them the scores
+  // of the restored monitor's lazily recounted windows) land on both sides
+  // of the checkpoint.
   const auto feed = [&](OnlineMonitor& m, SlotIndex from, SlotIndex to) {
     for (SlotIndex s = from; s < to; ++s) {
       for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
-        m.ingest(c, base + s, dataset.consumer(c).readings[base + s]);
+        const Kw kw = dataset.consumer(c).readings[base + s];
+        m.ingest(c, base + s, c == 2 ? 0.3 * kw : kw);
       }
     }
   };
-  feed(live, 0, kSlotsPerWeek / 2);
 
-  std::stringstream ckpt(std::ios::in | std::ios::out | std::ios::binary);
-  live.save(ckpt);
+  for (const char* family : {"kld", "ckld", "kld-lite"}) {
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << family << " stride=" << stride);
+      obs::MetricsRegistry reg_a, reg_b;
+      OnlineMonitorConfig config;
+      config.detector = family;
+      config.stride = stride;
+      config.cooldown_slots = 10;
+      config.metrics = &reg_a;
+      OnlineMonitor live(config);
+      live.fit(dataset, split);
 
-  OnlineMonitorConfig fresh_config;
-  fresh_config.metrics = &reg_b;
-  OnlineMonitor restored(fresh_config);
-  restored.restore(ckpt);
-  EXPECT_EQ(restored.consumer_count(), live.consumer_count());
-  EXPECT_EQ(reg_b.snapshot().counter("monitor.consumers_restored"), 6u);
+      // Stream half a week, checkpoint mid-stream (cooldown/stride counters
+      // in flight), then have a restored monitor consume the remainder.
+      feed(live, 0, half);
 
-  feed(live, kSlotsPerWeek / 2, kSlotsPerWeek);
-  feed(restored, kSlotsPerWeek / 2, kSlotsPerWeek);
+      std::stringstream ckpt(std::ios::in | std::ios::out | std::ios::binary);
+      live.save(ckpt);
 
-  ASSERT_EQ(restored.alerts().size(), live.alerts().size());
-  for (std::size_t i = 0; i < live.alerts().size(); ++i) {
-    EXPECT_EQ(restored.alerts()[i].consumer_index,
-              live.alerts()[i].consumer_index);
-    EXPECT_EQ(restored.alerts()[i].slot, live.alerts()[i].slot);
-    EXPECT_EQ(restored.alerts()[i].score, live.alerts()[i].score);
-    EXPECT_EQ(restored.alerts()[i].direction, live.alerts()[i].direction);
-  }
-  for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
-    const auto wa = live.window(c);
-    const auto wb = restored.window(c);
-    for (std::size_t s = 0; s < wa.size(); ++s) EXPECT_EQ(wa[s], wb[s]);
+      OnlineMonitorConfig fresh_config;
+      fresh_config.metrics = &reg_b;
+      OnlineMonitor restored(fresh_config);
+      restored.restore(ckpt);
+      EXPECT_EQ(restored.config().detector, family);
+      EXPECT_EQ(restored.consumer_count(), live.consumer_count());
+      EXPECT_EQ(reg_b.snapshot().counter("monitor.consumers_restored"), 6u);
+
+      feed(live, half, kSlotsPerWeek);
+      feed(restored, half, kSlotsPerWeek);
+
+      ASSERT_TRUE(std::any_of(live.alerts().begin(), live.alerts().end(),
+                              [&](const AlertEvent& a) {
+                                return a.slot >= base + half;
+                              }))
+          << "no alert after the checkpoint; the check would be vacuous";
+      ASSERT_EQ(restored.alerts().size(), live.alerts().size());
+      for (std::size_t i = 0; i < live.alerts().size(); ++i) {
+        EXPECT_EQ(restored.alerts()[i].consumer_index,
+                  live.alerts()[i].consumer_index);
+        EXPECT_EQ(restored.alerts()[i].slot, live.alerts()[i].slot);
+        EXPECT_EQ(restored.alerts()[i].score, live.alerts()[i].score);
+        EXPECT_EQ(restored.alerts()[i].direction, live.alerts()[i].direction);
+      }
+      for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
+        const auto wa = live.window(c);
+        const auto wb = restored.window(c);
+        for (std::size_t s = 0; s < wa.size(); ++s) EXPECT_EQ(wa[s], wb[s]);
+      }
+      std::stringstream a(std::ios::in | std::ios::out | std::ios::binary);
+      std::stringstream b(std::ios::in | std::ios::out | std::ios::binary);
+      live.save(a);
+      restored.save(b);
+      EXPECT_EQ(a.str(), b.str());
+    }
   }
 }
 

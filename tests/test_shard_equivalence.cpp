@@ -73,16 +73,36 @@ void expect_same_alerts(const std::vector<core::AlertEvent>& want,
   }
 }
 
+// The histogram families, whose monitor rescores run on counted windows,
+// each at every reading and at the default stride.
+struct MonitorRun {
+  const char* family;
+  std::size_t stride;
+};
+constexpr MonitorRun kMonitorRuns[] = {{"kld", 1},      {"kld", 4},
+                                       {"ckld", 1},     {"ckld", 4},
+                                       {"kld-lite", 1}, {"kld-lite", 4}};
+
+// Every ingested reading ends in exactly one counted fate.
+void expect_fates_add_up(const obs::MetricsSnapshot& snap) {
+  EXPECT_EQ(snap.counter("monitor.scores_evaluated") +
+                snap.counter("monitor.readings_in_cooldown") +
+                snap.counter("monitor.scores_coverage_gated") +
+                snap.counter("monitor.readings_stride_skipped"),
+            snap.counter("monitor.readings_ingested"));
+}
+
 class ShardEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override { data_ = datagen::small_dataset(12, 12, kSeed); }
 
   std::unique_ptr<core::OnlineMonitor> make_monitor(
       std::size_t shards, std::size_t threads, obs::MetricsRegistry* reg,
-      obs::EventLog* events = nullptr) {
+      obs::EventLog* events = nullptr, MonitorRun run = {"kld", 1}) {
     core::OnlineMonitorConfig config;
+    config.detector = run.family;
     config.detector_options.kld = {.bins = 10, .significance = 0.10};
-    config.stride = 1;
+    config.stride = run.stride;
     config.cooldown_slots = 12;
     config.shards = shards;
     config.threads = threads;
@@ -101,33 +121,40 @@ class ShardEquivalenceTest : public ::testing::Test {
 TEST_F(ShardEquivalenceTest, MonitorAnyShardCountMatchesSerialReference) {
   const auto readings = delivery_sequence(data_);
 
-  obs::MetricsRegistry ref_reg;
-  auto reference = make_monitor(1, 1, &ref_reg);
-  for (const auto& r : readings) reference->ingest(r);
-  ASSERT_FALSE(reference->alerts().empty())
-      << "sequence raised no alerts; the equivalence check would be vacuous";
-  const std::string ref_bytes = checkpoint_bytes(*reference);
+  for (const MonitorRun& run : kMonitorRuns) {
+    SCOPED_TRACE(::testing::Message()
+                 << run.family << " stride=" << run.stride);
+    obs::MetricsRegistry ref_reg;
+    auto reference = make_monitor(1, 1, &ref_reg, nullptr, run);
+    for (const auto& r : readings) reference->ingest(r);
+    ASSERT_FALSE(reference->alerts().empty())
+        << "sequence raised no alerts; the equivalence check would be vacuous";
+    const std::string ref_bytes = checkpoint_bytes(*reference);
+    const auto ref_snap = ref_reg.snapshot();
+    expect_fates_add_up(ref_snap);
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
-                                   std::size_t{8}, std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      obs::MetricsRegistry reg;
-      auto monitor = make_monitor(shards, threads, &reg);
-      const auto raised = monitor->ingest_batch(readings);
-      expect_same_alerts(reference->alerts(), monitor->alerts());
-      expect_same_alerts(reference->alerts(), raised);
-      EXPECT_EQ(ref_bytes, checkpoint_bytes(*monitor));
-      const auto ref_snap = ref_reg.snapshot();
-      const auto snap = reg.snapshot();
-      for (const char* counter :
-           {"monitor.readings_ingested", "monitor.readings_missing",
-            "monitor.readings_in_cooldown", "monitor.scores_evaluated",
-            "monitor.alerts_raised", "monitor.alerts_over_report",
-            "monitor.alerts_under_report"}) {
-        EXPECT_EQ(ref_snap.counter(counter), snap.counter(counter))
-            << counter;
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
+                                     std::size_t{8}, std::size_t{64}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shards=" << shards << " threads=" << threads);
+        obs::MetricsRegistry reg;
+        auto monitor = make_monitor(shards, threads, &reg, nullptr, run);
+        const auto raised = monitor->ingest_batch(readings);
+        expect_same_alerts(reference->alerts(), monitor->alerts());
+        expect_same_alerts(reference->alerts(), raised);
+        EXPECT_EQ(ref_bytes, checkpoint_bytes(*monitor));
+        const auto snap = reg.snapshot();
+        for (const char* counter :
+             {"monitor.readings_ingested", "monitor.readings_missing",
+              "monitor.readings_in_cooldown", "monitor.readings_stride_skipped",
+              "monitor.scores_coverage_gated", "monitor.scores_evaluated",
+              "monitor.alerts_raised", "monitor.alerts_over_report",
+              "monitor.alerts_under_report"}) {
+          EXPECT_EQ(ref_snap.counter(counter), snap.counter(counter))
+              << counter;
+        }
+        expect_fates_add_up(snap);
       }
     }
   }
@@ -139,23 +166,27 @@ TEST_F(ShardEquivalenceTest, MonitorAnyShardCountMatchesSerialReference) {
 TEST_F(ShardEquivalenceTest, MonitorEventLogBytesInvariantAcrossSharding) {
   const auto readings = delivery_sequence(data_);
 
-  std::string reference;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{5},
-                                   std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      obs::MetricsRegistry reg;
-      obs::EventLog log;
-      log.enable();
-      auto monitor = make_monitor(shards, threads, &reg, &log);
-      monitor->ingest_batch(readings);
-      const std::string got = log.to_jsonl();
-      ASSERT_FALSE(got.empty());
-      if (reference.empty()) {
-        reference = got;
-      } else {
-        EXPECT_EQ(reference, got);
+  for (const MonitorRun& run : kMonitorRuns) {
+    SCOPED_TRACE(::testing::Message()
+                 << run.family << " stride=" << run.stride);
+    std::string reference;
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{5},
+                                     std::size_t{64}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shards=" << shards << " threads=" << threads);
+        obs::MetricsRegistry reg;
+        obs::EventLog log;
+        log.enable();
+        auto monitor = make_monitor(shards, threads, &reg, &log, run);
+        monitor->ingest_batch(readings);
+        const std::string got = log.to_jsonl();
+        ASSERT_FALSE(got.empty());
+        if (reference.empty()) {
+          reference = got;
+        } else {
+          EXPECT_EQ(reference, got);
+        }
       }
     }
   }

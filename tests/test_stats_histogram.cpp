@@ -206,68 +206,6 @@ TEST(Histogram, BinOfSpecialValues) {
   EXPECT_EQ(h.bin_of(10.0), 9u);  // max closed on the right
 }
 
-TEST(Histogram, CountsIntoExcludesOutOfSupportMass) {
-  const Histogram h(std::vector<double>{0.0, 10.0}, 10);
-  const std::vector<double> sample{-3.0, -0.5, 0.5, 0.5, 5.5, 10.0, 12.0};
-  std::vector<std::size_t> bins(10);
-
-  const auto excl = h.counts_into(sample, bins, true);
-  EXPECT_EQ(excl.underflow, 2u);
-  EXPECT_EQ(excl.overflow, 1u);
-  EXPECT_EQ(excl.in_support, 4u);
-  // The out-of-support values must NOT surface as outer-bin counts: bin 0
-  // holds only the two genuine 0.5 readings, the last bin only the 10.0.
-  EXPECT_EQ(bins[0], 2u);
-  EXPECT_EQ(bins[9], 1u);
-  EXPECT_EQ(std::accumulate(bins.begin(), bins.end(), 0u), excl.in_support);
-
-  // With exclusion off the pass must reproduce the legacy counts() clamping
-  // bit for bit, while still reporting the tallies.
-  const auto clamp = h.counts_into(sample, bins, false);
-  EXPECT_EQ(clamp.underflow, 2u);
-  EXPECT_EQ(clamp.overflow, 1u);
-  EXPECT_EQ(clamp.in_support, sample.size());
-  const auto legacy = h.counts(sample);
-  ASSERT_EQ(legacy.size(), bins.size());
-  for (std::size_t j = 0; j < bins.size(); ++j) EXPECT_EQ(bins[j], legacy[j]);
-  EXPECT_EQ(bins[0], 4u);  // the clamp piles the underflow into bin 0
-}
-
-TEST(Histogram, ProbabilitiesIntoNormalisesOverInSupportMass) {
-  const Histogram h(std::vector<double>{0.0, 10.0}, 10);
-  const std::vector<double> sample{-3.0, 0.5, 0.5, 5.5, 99.0};
-  std::vector<double> p(10);
-
-  const auto stats = h.probabilities_into(sample, p, true);
-  EXPECT_EQ(stats.in_support, 3u);
-  // Normalised over the 3 in-support values, not the 5-element sample.
-  EXPECT_DOUBLE_EQ(p[0], 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(p[5], 1.0 / 3.0);
-  EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0), 1.0, 1e-12);
-
-  // exclude=false must be bit-identical to the legacy probabilities().
-  h.probabilities_into(sample, p, false);
-  const auto legacy = h.probabilities(sample);
-  for (std::size_t j = 0; j < p.size(); ++j) EXPECT_EQ(p[j], legacy[j]);
-}
-
-TEST(Histogram, AllOutOfSupportFallsBackToClamping) {
-  const Histogram h(std::vector<double>{0.0, 10.0}, 10);
-  // Every value outside the support: there is no in-support mass to
-  // normalise over, so the pass falls back to clamping - the detector sees
-  // a maximally anomalous week instead of a divide-by-zero - while the
-  // stats still show that the fallback fired (in_support == 0).
-  const std::vector<double> sample{-5.0, -1.0, 11.0, 40.0};
-  std::vector<double> p(10);
-  const auto stats = h.probabilities_into(sample, p, true);
-  EXPECT_EQ(stats.in_support, 0u);
-  EXPECT_EQ(stats.underflow, 2u);
-  EXPECT_EQ(stats.overflow, 2u);
-  EXPECT_DOUBLE_EQ(p[0], 0.5);
-  EXPECT_DOUBLE_EQ(p[9], 0.5);
-  EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0), 1.0, 1e-12);
-}
-
 TEST(Histogram, RejectsNonFiniteEdges) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -288,18 +226,6 @@ TEST(Histogram, RejectsNonFiniteEdgesFromReference) {
   // A finite range wider than a double: the bin width overflows.
   EXPECT_THROW(Histogram(std::vector<double>{-1e308, 1e308}, 4),
                InvalidArgument);
-}
-
-TEST(Histogram, CountsIntoValidatesOutputSpan) {
-  const Histogram h(std::vector<double>{0.0, 1.0}, 4);
-  std::vector<std::size_t> wrong(3);
-  std::vector<double> wrongp(3);
-  const std::vector<double> sample{0.5};
-  EXPECT_THROW(h.counts_into(sample, wrong, true), InvalidArgument);
-  EXPECT_THROW(h.probabilities_into(sample, wrongp, true), InvalidArgument);
-  const std::vector<double> empty;
-  std::vector<double> right(4);
-  EXPECT_THROW(h.probabilities_into(empty, right, true), InvalidArgument);
 }
 
 class HistogramBinSweep : public ::testing::TestWithParam<std::size_t> {};
