@@ -9,8 +9,8 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/integrated_arima_detector.h"
 #include "core/kld_detector.h"
+#include "eval/integrated_arima_detector.h"
 #include "pricing/billing.h"
 
 using namespace fdeta;

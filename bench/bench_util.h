@@ -11,9 +11,9 @@
 
 #include "attack/integrated_arima_attack.h"
 #include "common/env.h"
-#include "core/arima_detector.h"
-#include "core/evaluation.h"
 #include "datagen/generator.h"
+#include "eval/arima_detector.h"
+#include "eval/evaluation.h"
 #include "meter/dataset.h"
 #include "meter/weekly_stats.h"
 

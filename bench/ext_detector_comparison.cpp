@@ -12,11 +12,11 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/conditioned_kld_detector.h"
-#include "core/cusum_detector.h"
-#include "core/integrated_arima_detector.h"
 #include "core/kld_detector.h"
-#include "core/pca_detector.h"
-#include "core/profile_detector.h"
+#include "eval/cusum_detector.h"
+#include "eval/integrated_arima_detector.h"
+#include "eval/pca_detector.h"
+#include "eval/profile_detector.h"
 #include "pricing/billing.h"
 
 using namespace fdeta;

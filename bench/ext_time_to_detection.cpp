@@ -15,7 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/kld_detector.h"
-#include "core/time_to_detection.h"
+#include "eval/time_to_detection.h"
 #include "stats/quantile.h"
 
 using namespace fdeta;

@@ -14,7 +14,7 @@
 #include "attack/integrated_arima_attack.h"
 #include "attack/optimal_swap.h"
 #include "bench/bench_util.h"
-#include "core/arima_detector.h"
+#include "eval/arima_detector.h"
 #include "meter/weekly_stats.h"
 #include "pricing/billing.h"
 #include "stats/descriptive.h"

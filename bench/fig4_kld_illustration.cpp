@@ -13,8 +13,8 @@
 
 #include "attack/integrated_arima_attack.h"
 #include "bench/bench_util.h"
-#include "core/arima_detector.h"
 #include "core/kld_detector.h"
+#include "eval/arima_detector.h"
 #include "meter/weekly_stats.h"
 #include "stats/quantile.h"
 

@@ -5,10 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include "attack/integrated_arima_attack.h"
-#include "core/arima_detector.h"
 #include "core/kld_detector.h"
 #include "datagen/generator.h"
 #include "datagen/weather.h"
+#include "eval/arima_detector.h"
 #include "grid/investigate.h"
 #include "grid/losses.h"
 #include "market/clearing.h"

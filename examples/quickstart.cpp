@@ -8,10 +8,10 @@
 
 #include "attack/integrated_arima_attack.h"
 #include "common/rng.h"
-#include "core/arima_detector.h"
-#include "core/integrated_arima_detector.h"
 #include "core/kld_detector.h"
 #include "datagen/generator.h"
+#include "eval/arima_detector.h"
+#include "eval/integrated_arima_detector.h"
 #include "meter/weekly_stats.h"
 #include "pricing/billing.h"
 #include "pricing/tariff.h"

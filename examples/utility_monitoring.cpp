@@ -14,10 +14,10 @@
 #include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
 #include "core/pipeline.h"
-#include "core/report.h"
-#include "pricing/tariff.h"
 #include "datagen/generator.h"
+#include "eval/report.h"
 #include "meter/weekly_stats.h"
+#include "pricing/tariff.h"
 #include "timeseries/arima.h"
 
 using namespace fdeta;

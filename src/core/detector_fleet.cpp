@@ -45,10 +45,6 @@ void DetectorFleet::save(persist::Encoder& enc) const {
   enc.u8(options_.kld.exclude_out_of_support ? 1 : 0);
   if (family_ != "kld") {
     enc.u64(options_.reduced_slots);
-    enc.u64(options_.iforest_trees);
-    enc.u64(options_.iforest_samples);
-    enc.f64(options_.iforest_contamination);
-    enc.u64(options_.iforest_seed);
     // Payloads are self-framing (save_state contract): no member lengths.
     for (const auto& member : members_) member->save_state(enc);
     return;
@@ -85,13 +81,7 @@ DetectorFleet DetectorFleet::restore(persist::Decoder& dec,
   o.kld.epsilon = dec.f64();
   o.kld.exclude_out_of_support = dec.u8() != 0;
   const bool kld = fleet.family_ == "kld";
-  if (!kld) {
-    o.reduced_slots = dec.count("kld-lite slots", 1u << 20);
-    o.iforest_trees = dec.count("iforest trees", 1u << 20);
-    o.iforest_samples = dec.count("iforest samples", 1u << 20);
-    o.iforest_contamination = dec.f64();
-    o.iforest_seed = dec.u64();
-  }
+  if (!kld) o.reduced_slots = dec.count("kld-lite slots", 1u << 20);
   // The one place decoded detector configs are validated: the prototype
   // build checks the options, and the member rebuilds check each payload.
   // A precondition they break (a significance out of (0,1), unsorted edges)

@@ -26,13 +26,13 @@ ScoreCalibration ScoreCalibration::from_reference(std::vector<double> reference,
                                                   double raw_threshold,
                                                   double significance) {
   validate_significance(significance);
+  require(!reference.empty(), "ScoreCalibration: empty reference sample");
   std::sort(reference.begin(), reference.end());
   ScoreCalibration out;
   out.reference_ = std::move(reference);
   out.raw_threshold_ = raw_threshold;
   out.significance_ = significance;
-  out.threshold_position_ =
-      out.reference_.empty() ? 0.0 : out.position(raw_threshold);
+  out.threshold_position_ = out.position(raw_threshold);
   out.fitted_ = true;
   return out;
 }
@@ -59,10 +59,7 @@ double ScoreCalibration::calibrate(double raw) const {
     // reference position beyond the threshold's; the floor keeps the result
     // strictly above the decision threshold (flag preservation).
     double frac;
-    if (reference_.empty()) {
-      const double margin = raw - raw_threshold_;
-      frac = 1.0 - 1.0 / (1.0 + margin);  // squashes (0, inf] into (0, 1]
-    } else if (threshold_position_ >= 1.0) {
+    if (threshold_position_ >= 1.0) {
       frac = 1.0;  // threshold at/above the reference max: any excess is "1"
     } else {
       frac = (position(raw) - threshold_position_) /
@@ -75,10 +72,6 @@ double ScoreCalibration::calibrate(double raw) const {
   // At-or-under segment: [0, 1 - sig], hitting 1 - sig exactly at the raw
   // threshold.  Multiplying by base <= 1 cannot round above base, so the
   // result never crosses the decision threshold.
-  if (reference_.empty()) {
-    const double margin = raw_threshold_ - raw;  // >= 0
-    return base / (1.0 + margin);
-  }
   if (threshold_position_ <= 0.0) return 0.0;
   return base * std::min(1.0, position(raw) / threshold_position_);
 }
@@ -91,25 +84,6 @@ KldExplanation ScoringDetector::explain_week(std::span<const Kw> week,
   out.score = calibration_.calibrate(out.raw_score);
   out.threshold = calibration_.decision_threshold();
   return out;
-}
-
-KldExplanation ScoringDetector::raw_explain_week(std::span<const Kw> week,
-                                                 SlotIndex first_slot) const {
-  KldExplanation out;
-  out.score = raw_score_week(week, first_slot);
-  out.threshold = raw_decision_threshold();
-  return out;
-}
-
-void ScoringDetector::count_reading(std::span<std::uint16_t> /*counts*/,
-                                    std::size_t /*position*/, Kw /*value*/,
-                                    int /*delta*/) const {
-  throw InvalidArgument("ScoringDetector: family has no counted form");
-}
-
-double ScoringDetector::raw_score_counts(
-    std::span<const std::uint16_t> /*counts*/) const {
-  throw InvalidArgument("ScoringDetector: family has no counted form");
 }
 
 }  // namespace fdeta::core

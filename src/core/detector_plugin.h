@@ -12,16 +12,14 @@
 //     ScoreCalibration below) and decision_threshold() is uniformly
 //     1 - significance; each family's native score scale stays reachable
 //     through raw_score_week / raw_decision_threshold,
-//   - a per-bin explanation (families without a bin decomposition return the
-//     score/threshold header with no bins),
+//   - a per-bin explanation of every scored week,
 //   - symmetric save_state/restore_state for checkpoints,
 //   - a config fingerprint, so a fleet restore (detector_fleet.h) can check
 //     every member against the options the checkpoint names,
-//   - an optional count contract: families that see a week only through
-//     per-bin counts (the histogram families) let a caller keep a window's
-//     counts current one reading at a time and score the counts, so a
-//     sliding window rescore costs O(bins) instead of a re-bin of 336
-//     readings (OnlineMonitor's counted windows).
+//   - a count contract: every family sees a week only through per-bin
+//     counts, so a caller can keep a window's counts current one reading at
+//     a time and score the counts; a sliding window rescore costs O(bins)
+//     instead of a re-bin of 336 readings (OnlineMonitor's counted windows).
 //
 // Implementations must be usable concurrently from multiple threads after
 // fit() returns: every scoring entry point is const and may not mutate
@@ -55,10 +53,9 @@ struct KldBinContribution {
   double bits = 0.0;    ///< contribution to K_A; 0 when p == 0
 };
 
-/// A full per-bin breakdown of one scored week.  Invariant for the KLD
-/// families: the sum of bins[*].bits equals raw_score up to the same clamp
-/// kl_divergence_bits applies (tiny negative totals snap to 0).  Families
-/// without a bin decomposition leave `bins` empty.
+/// A full per-bin breakdown of one scored week.  Invariant: the sum of
+/// bins[*].bits equals raw_score up to the same clamp kl_divergence_bits
+/// applies (tiny negative totals snap to 0).
 struct KldExplanation {
   double score = 0.0;          ///< identical to score_week(week) (calibrated)
   double threshold = 0.0;      ///< identical to decision_threshold()
@@ -89,10 +86,8 @@ class ScoreCalibration {
 
   /// Calibration over a reference sample of raw scores (the family's
   /// training scores on the same scale raw_score_week reports).  The
-  /// reference is sorted internally.  An empty reference degrades to a
-  /// threshold-anchored map: the flag boundary stays exact and raw margins
-  /// squash monotonically into the two segments.  `significance` must be
-  /// in (0, 1).
+  /// reference is sorted internally.  Throws InvalidArgument on an empty
+  /// reference or a `significance` outside (0, 1).
   static ScoreCalibration from_reference(std::vector<double> reference,
                                          double raw_threshold,
                                          double significance);
@@ -102,7 +97,7 @@ class ScoreCalibration {
   double raw_threshold() const { return raw_threshold_; }
   /// The uniform calibrated decision threshold: 1 - significance.
   double decision_threshold() const { return 1.0 - significance_; }
-  /// The sorted reference sample (empty for a threshold-anchored map).
+  /// The sorted reference sample.
   const std::vector<double>& reference() const { return reference_; }
 
   /// The calibrated anomaly quantile of a raw score, in [0, 1].  NaN inputs
@@ -115,7 +110,7 @@ class ScoreCalibration {
   /// between adjacent order statistics).
   double position(double x) const;
 
-  std::vector<double> reference_;  // sorted ascending; empty = anchor only
+  std::vector<double> reference_;  // sorted ascending; non-empty once fitted
   double raw_threshold_ = 0.0;
   double significance_ = 0.05;
   double threshold_position_ = 0.0;  // cached position(raw_threshold_)
@@ -124,9 +119,9 @@ class ScoreCalibration {
 
 class ScoringDetector : public Detector {
  public:
-  /// The family-native anomaly score of a week (divergence bits, a group
-  /// margin, a forest score...).  `first_slot` is the week's absolute slot
-  /// index (weeks are slot-aligned), needed by slot-of-week aware families.
+  /// The family-native anomaly score of a week (divergence bits or a group
+  /// margin).  `first_slot` is the week's absolute slot index (weeks are
+  /// slot-aligned), needed by slot-of-week aware families.
   /// Finite for any input under the default configs.
   virtual double raw_score_week(std::span<const Kw> week,
                                 SlotIndex first_slot = 0) const = 0;
@@ -168,31 +163,29 @@ class ScoringDetector : public Detector {
   KldExplanation explain_week(std::span<const Kw> week,
                               SlotIndex first_slot = 0) const;
 
-  /// Family hook behind explain_week: score and threshold on the RAW scale
-  /// (explain_week rebases the header).  The default carries the raw score
-  /// and threshold with no bins; histogram families override with the full
-  /// eq.-(12) decomposition.
+  /// Family hook behind explain_week: the full eq.-(12) decomposition,
+  /// score and threshold on the RAW scale (explain_week rebases the
+  /// header).
   virtual KldExplanation raw_explain_week(std::span<const Kw> week,
-                                          SlotIndex first_slot = 0) const;
+                                          SlotIndex first_slot = 0) const = 0;
 
   // --- Count contract ----------------------------------------------------
-  /// The number of u16 count words one week window needs; 0 (the default)
-  /// means the family has no counted form and callers score whole weeks.
-  /// Like the scoring members, the count members need a fitted detector.
-  virtual std::size_t count_words() const { return 0; }
+  /// The number of u16 count words one week window needs (> 0).  Like the
+  /// scoring members, the count members need a fitted detector.
+  virtual std::size_t count_words() const = 0;
 
   /// Moves one reading at slot-of-week `position` (in [0, kSlotsPerWeek))
   /// into (`delta` = +1) or out of (`delta` = -1) `counts`
   /// (count_words() words).  Counting every reading of a slot-aligned week
   /// in, from zeroed counts, is what raw_score_week does internally.
-  /// Throws InvalidArgument for a family without a counted form.
   virtual void count_reading(std::span<std::uint16_t> counts,
-                             std::size_t position, Kw value, int delta) const;
+                             std::size_t position, Kw value,
+                             int delta) const = 0;
 
   /// The raw score of counted readings: bit-identical to raw_score_week of
-  /// the week whose readings the counts hold.  Throws InvalidArgument for a
-  /// family without a counted form.
-  virtual double raw_score_counts(std::span<const std::uint16_t> counts) const;
+  /// the week whose readings the counts hold.
+  virtual double raw_score_counts(
+      std::span<const std::uint16_t> counts) const = 0;
 
   /// Serializes the fitted state; requires fit() to have run.  Symmetric
   /// with restore_state: the byte stream carries its own framing, so

@@ -12,8 +12,7 @@ namespace fdeta::core {
 
 namespace {
 
-constexpr std::array<std::string_view, 4> kNames = {"kld", "ckld", "kld-lite",
-                                                    "iforest"};
+constexpr std::array<std::string_view, 3> kNames = {"kld", "ckld", "kld-lite"};
 
 std::unique_ptr<ScoringDetector> make_kld(const DetectorOptions& options) {
   return std::make_unique<KldDetector>(options.kld);
@@ -34,20 +33,10 @@ std::unique_ptr<ScoringDetector> make_kld_lite(const DetectorOptions& options) {
   return std::make_unique<ReducedKldDetector>(config);
 }
 
-std::unique_ptr<ScoringDetector> make_iforest(const DetectorOptions& options) {
-  IsolationForestDetectorConfig config;
-  config.trees = options.iforest_trees;
-  config.sample_size = options.iforest_samples;
-  config.significance = options.kld.significance;
-  config.contamination = options.iforest_contamination;
-  config.seed = options.iforest_seed;
-  return std::make_unique<IsolationForestDetector>(config);
-}
-
 /// One factory per registered id, in kNames order.
 using Factory = std::unique_ptr<ScoringDetector> (*)(const DetectorOptions&);
 constexpr std::array<Factory, kNames.size()> kFactories = {
-    make_kld, make_ckld, make_kld_lite, make_iforest};
+    make_kld, make_ckld, make_kld_lite};
 
 constexpr std::string_view kOptionHelp =
     "  kld.bins=<n>                    histogram bins (default 10)\n"
@@ -57,12 +46,7 @@ constexpr std::string_view kOptionHelp =
     "  kld.exclude_out_of_support=0|1  out-of-support reading handling\n"
     "                                  (default 1)\n"
     "  kld-lite.slots=<k>              slot-of-week positions kept (default "
-    "48)\n"
-    "  iforest.trees=<n>               trees per forest (default 64)\n"
-    "  iforest.samples=<n>             subsample size per tree (default 32)\n"
-    "  iforest.contamination=<c>       assumed anomalous training fraction\n"
-    "                                  in [0,1) (default 0.20)\n"
-    "  iforest.seed=<u64>              tree-building RNG seed";
+    "48)";
 
 [[noreturn]] void bad_option(const std::string& message) {
   throw std::invalid_argument("--detector-opt: " + message +
@@ -153,22 +137,6 @@ void apply_detector_option(DetectorOptions& options, std::string_view spec) {
       bad_option("kld-lite.slots: must be in [1, 336]");
     }
     options.reduced_slots = static_cast<std::size_t>(slots);
-  } else if (key == "iforest.trees") {
-    const std::uint64_t trees = parse_u64(key, value);
-    if (trees < 1) bad_option("iforest.trees: need at least one tree");
-    options.iforest_trees = static_cast<std::size_t>(trees);
-  } else if (key == "iforest.samples") {
-    const std::uint64_t samples = parse_u64(key, value);
-    if (samples < 2) bad_option("iforest.samples: need at least two");
-    options.iforest_samples = static_cast<std::size_t>(samples);
-  } else if (key == "iforest.contamination") {
-    const double contamination = parse_f64(key, value);
-    if (!(contamination >= 0.0 && contamination < 1.0)) {
-      bad_option("iforest.contamination: must be in [0,1)");
-    }
-    options.iforest_contamination = contamination;
-  } else if (key == "iforest.seed") {
-    options.iforest_seed = parse_u64(key, value);
   } else {
     bad_option("unknown key \"" + std::string(key) + "\"");
   }

@@ -17,7 +17,6 @@
 #include <string_view>
 
 #include "core/detector_plugin.h"
-#include "core/isolation_forest_detector.h"
 #include "core/kld_detector.h"
 #include "core/reduced_kld_detector.h"
 
@@ -32,14 +31,6 @@ struct DetectorOptions {
   KldDetectorConfig kld{};
   /// "kld-lite": slot-of-week positions kept per week.
   std::size_t reduced_slots = 48;
-  /// "iforest" knobs (significance comes from `kld.significance` so the
-  /// operating point stays uniform across the registry).
-  std::size_t iforest_trees = 64;
-  std::size_t iforest_samples = 32;
-  /// Assumed anomalous fraction of the training weeks; see
-  /// IsolationForestDetectorConfig::contamination.
-  double iforest_contamination = 0.20;
-  std::uint64_t iforest_seed = 0x150F07357ULL;
 };
 
 /// The registered detector ids, in canonical order.
@@ -53,10 +44,9 @@ std::string registered_detector_names_joined();
 
 /// Applies one `--detector-opt key=value` pair to `options`.  Keys are
 /// namespaced per family (`kld.bins`, `kld.significance`, `kld.epsilon`,
-/// `kld.exclude_out_of_support`, `kld-lite.slots`, `iforest.trees`,
-/// `iforest.samples`, `iforest.contamination`, `iforest.seed`); the kld.*
-/// keys also feed "ckld" and the histogram half of "kld-lite", mirroring
-/// how DetectorOptions fans out.  Throws std::invalid_argument naming the
+/// `kld.exclude_out_of_support`, `kld-lite.slots`); the kld.* keys also feed
+/// "ckld" and the histogram half of "kld-lite", mirroring how
+/// DetectorOptions fans out.  Throws std::invalid_argument naming the
 /// known keys on an unknown key, and on an unparsable or out-of-range value.
 void apply_detector_option(DetectorOptions& options, std::string_view spec);
 

@@ -481,19 +481,17 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
   }
 
   ++tally.scored;
-  // windows_ is slot-of-week aligned (index s = slot-of-week s), so the
-  // vector scores as a week starting at slot-of-week 0; its counts score
-  // bit-identically.
-  const std::span<const Kw> window{windows_.data() + base, kWindow};
+  // windows_ is slot-of-week aligned (index s = slot-of-week s), so its
+  // counts score bit-identically to the vector read as a week starting at
+  // slot-of-week 0.
   const ScoringDetector& detector = fleet_[i];
-  const double score =
-      count_words_ > 0 ? detector.calibration().calibrate(
-                             detector.raw_score_counts(counted_window(i)))
-                       : detector.score_week(window, 0);
+  const double score = detector.calibration().calibrate(
+      detector.raw_score_counts(counted_window(i)));
   const double threshold = detector.decision_threshold();
   if (score <= threshold) return std::nullopt;
 
   cooldown_[i] = static_cast<std::uint32_t>(config_.cooldown_slots);
+  const std::span<const Kw> window{windows_.data() + base, kWindow};
   const AlertDirection direction = stats::mean(window) > train_mean_[i]
                                        ? AlertDirection::kOverReport
                                        : AlertDirection::kUnderReport;

@@ -260,7 +260,7 @@ class OnlineMonitor {
   void reset_counted_windows();
 
   /// Consumer i's counts, counted from its window on first use after
-  /// fit/restore (the caller holds its shard lock; requires count_words_).
+  /// fit/restore (the caller holds its shard lock).
   std::span<const std::uint16_t> counted_window(std::size_t i);
 
   /// Emits an alert_raised event for `event` (no-op while the sink is
@@ -297,8 +297,7 @@ class OnlineMonitor {
   /// counted_[i] is set, so a rescore scores O(bins) words instead of
   /// re-binning 336 readings.  Derived state: never checkpointed, and
   /// rebuilt lazily from windows_ on a consumer's first rescore after
-  /// fit/restore.  Families without a counted form (count_words_ == 0)
-  /// rescore the window itself.
+  /// fit/restore.
   std::size_t count_words_ = 0;
   std::vector<std::uint16_t> counts_;   // count x count_words_
   std::vector<std::uint8_t> counted_;   // count; 1 = counts_ row current

@@ -2,7 +2,7 @@
 // score_week() as a calibrated anomaly quantile in [0,1] with the uniform
 // decision threshold 1 - significance, while flag decisions remain exactly
 // the family-native raw comparison.  Covers the ScoreCalibration map itself
-// (monotonicity, flag equivalence, degenerate references) and the
+// (monotonicity, flag equivalence, empty and infinite inputs) and the
 // checkpoint round trip of the calibration state.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/detector_plugin.h"
 #include "core/detector_registry.h"
 #include "persist/binary_io.h"
@@ -73,30 +74,22 @@ TEST(ScoreCalibration, FlagEquivalenceIsExactAtTheThreshold) {
   }
 }
 
-TEST(ScoreCalibration, ThresholdAnchoredFallbackIsUsableWithoutReference) {
-  const auto cal = ScoreCalibration::from_reference({}, 0.0, 0.05);
-  EXPECT_DOUBLE_EQ(cal.decision_threshold(), 0.95);
-  // Still a monotone map onto [0,1] with the exact flag equivalence.
-  double prev = 0.0;
-  for (double raw = -10.0; raw <= 10.0; raw += 0.25) {
-    const double c = cal.calibrate(raw);
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
-    EXPECT_GE(c, prev) << "raw " << raw;
-    EXPECT_EQ(raw > 0.0, c > cal.decision_threshold()) << "raw " << raw;
-    prev = c;
-  }
-  // Infinite margins must not produce NaN.
-  EXPECT_DOUBLE_EQ(
-      cal.calibrate(std::numeric_limits<double>::infinity()), 1.0);
-  EXPECT_DOUBLE_EQ(
-      cal.calibrate(-std::numeric_limits<double>::infinity()), 0.0);
+TEST(ScoreCalibration, RejectsEmptyReference) {
+  // Every family fits or restores a non-empty training reference, so an
+  // empty one is a caller bug, never a degraded map.
+  EXPECT_THROW(ScoreCalibration::from_reference({}, 0.0, 0.05),
+               InvalidArgument);
 }
 
 TEST(ScoreCalibration, NanRawScorePropagates) {
   const auto cal = ScoreCalibration::from_reference({1.0, 2.0, 3.0}, 2.5,
                                                     0.05);
   EXPECT_TRUE(std::isnan(cal.calibrate(std::nan(""))));
+  // Infinite raw scores land on the segment extremes, never on NaN.
+  EXPECT_DOUBLE_EQ(
+      cal.calibrate(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_DOUBLE_EQ(
+      cal.calibrate(-std::numeric_limits<double>::infinity()), 0.0);
 }
 
 // ---------------------------------------------------------------------------

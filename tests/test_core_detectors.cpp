@@ -1,23 +1,25 @@
 // Tests of the ARIMA, Integrated ARIMA, KLD and PCA detectors against clean
-// weeks and crafted attack weeks.
+// weeks and crafted attack weeks, and of the serving registry's names and
+// option keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attack/arima_attack.h"
 #include "attack/integrated_arima_attack.h"
 #include "common/error.h"
-#include "core/arima_detector.h"
 #include "core/conditioned_kld_detector.h"
 #include "core/detector_registry.h"
-#include "core/integrated_arima_detector.h"
 #include "core/kld_detector.h"
-#include "core/pca_detector.h"
 #include "core/reduced_kld_detector.h"
 #include "datagen/generator.h"
+#include "eval/arima_detector.h"
+#include "eval/integrated_arima_detector.h"
+#include "eval/pca_detector.h"
 #include "tests/attack_test_helpers.h"
 
 namespace fdeta::core {
@@ -185,13 +187,39 @@ TEST(KldDetector, RejectsNonFiniteEpsilon) {
 
 TEST(DetectorOptions, RejectNonFiniteNumbers) {
   DetectorOptions options;
-  for (const char* spec : {"kld.epsilon=inf", "kld.epsilon=nan",
-                           "kld.significance=inf",
-                           "iforest.contamination=nan"}) {
+  for (const char* spec :
+       {"kld.epsilon=inf", "kld.epsilon=nan", "kld.significance=inf"}) {
     EXPECT_THROW(apply_detector_option(options, spec), std::invalid_argument)
         << spec;
   }
   EXPECT_EQ(options.kld.epsilon, KldDetectorConfig{}.epsilon);
+}
+
+// The serving registry holds the three eq.-(12) families only: a retired
+// family name or option key fails fast, naming what is registered.
+TEST(Registry, RejectsUnregisteredFamiliesAndKeys) {
+  EXPECT_FALSE(is_registered_detector("iforest"));
+  try {
+    make_detector("iforest", {});
+    ADD_FAILURE() << "make_detector accepted \"iforest\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kld, ckld, kld-lite"),
+              std::string::npos)
+        << e.what();
+  }
+  DetectorOptions options;
+  for (const char* spec : {"iforest.trees=8", "iforest.samples=16",
+                           "iforest.contamination=0.1", "iforest.seed=7"}) {
+    try {
+      apply_detector_option(options, spec);
+      ADD_FAILURE() << "apply_detector_option accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+      EXPECT_NE(what.find("known keys:"), std::string::npos) << what;
+      EXPECT_NE(what.find("kld-lite.slots"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(KldDetector, RequiresWholeWeeks) {

@@ -1,6 +1,6 @@
 // End-to-end tests of the Section-VIII evaluation harness on a scaled-down
 // population: the qualitative shape of Tables II and III must hold.
-#include "core/evaluation.h"
+#include "eval/evaluation.h"
 
 #include <gtest/gtest.h>
 

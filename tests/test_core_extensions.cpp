@@ -12,8 +12,8 @@
 #include "attack/optimal_swap.h"
 #include "common/error.h"
 #include "core/kld_detector.h"
-#include "core/profile_detector.h"
-#include "core/time_to_detection.h"
+#include "eval/profile_detector.h"
+#include "eval/time_to_detection.h"
 #include "meter/measurement_error.h"
 #include "pricing/billing.h"
 #include "stats/descriptive.h"

@@ -8,8 +8,8 @@
 #include "attack/injector.h"
 #include "attack/integrated_arima_attack.h"
 #include "common/error.h"
-#include "core/arima_detector.h"
 #include "datagen/generator.h"
+#include "eval/arima_detector.h"
 #include "meter/weekly_stats.h"
 #include "timeseries/arima.h"
 

@@ -1,4 +1,4 @@
-#include "core/report.h"
+#include "eval/report.h"
 
 #include <gtest/gtest.h>
 

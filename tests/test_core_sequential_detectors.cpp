@@ -8,7 +8,7 @@
 #include "attack/arima_attack.h"
 #include "attack/integrated_arima_attack.h"
 #include "common/error.h"
-#include "core/cusum_detector.h"
+#include "eval/cusum_detector.h"
 #include "tests/attack_test_helpers.h"
 #include "timeseries/arima.h"
 

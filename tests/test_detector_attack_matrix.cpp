@@ -24,15 +24,15 @@
 #include "ami/faults.h"
 #include "attack/integrated_arima_attack.h"
 #include "attack/optimal_swap.h"
-#include "core/arima_detector.h"
 #include "core/conditioned_kld_detector.h"
 #include "core/detector_fleet.h"
 #include "core/detector_registry.h"
-#include "core/integrated_arima_detector.h"
-#include "core/isolation_forest_detector.h"
 #include "core/kld_detector.h"
 #include "core/reduced_kld_detector.h"
 #include "datagen/generator.h"
+#include "eval/arima_detector.h"
+#include "eval/integrated_arima_detector.h"
+#include "eval/isolation_forest_detector.h"
 #include "meter/dataset.h"
 #include "persist/binary_io.h"
 #include "persist/checkpoint.h"

@@ -6,9 +6,9 @@
 
 #include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
-#include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
+#include "eval/evaluation.h"
 #include "grid/topology.h"
 #include "meter/weekly_stats.h"
 #include "pricing/billing.h"

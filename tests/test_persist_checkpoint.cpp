@@ -175,7 +175,6 @@ TEST(Checkpoint, RejectsVersionMismatch) {
 TEST(Checkpoint, RejectsVersionBelowReadWindow) {
   // Readers accept exactly the current version: a v7 file is rejected up
   // front, with refitting named as the way forward.
-  static_assert(kMinReadVersion == kFormatVersion);
   auto bytes = framed_pipeline_payload();
   bytes[8] = static_cast<char>(kFormatVersion - 1);
   const std::string error = expect_rejected(bytes);
@@ -1064,10 +1063,6 @@ class FleetRoundTrip : public ::testing::TestWithParam<std::string_view> {
     DetectorOptions o;
     o.kld = {.bins = 12, .significance = 0.10};
     o.reduced_slots = 24;
-    o.iforest_trees = 8;
-    o.iforest_samples = 16;
-    o.iforest_contamination = 0.10;
-    o.iforest_seed = 7;
     return o;
   }
 

@@ -315,8 +315,7 @@ TEST_P(DetectorShardSweep, BatchedShardedIngestMatchesSerialReference) {
   reference.fit(data_, split());
   for (const auto& r : readings) reference.ingest(r);
   const std::string ref_bytes = checkpoint_bytes(reference);
-  // Every family - the isolation forest included, since its out-of-bag
-  // threshold fix - must fire on the 0.25 MITM scale.
+  // Every family must fire on the 0.25 MITM scale.
   ASSERT_FALSE(reference.alerts().empty())
       << "sequence raised no alerts; alert equivalence would be vacuous";
 

@@ -8,6 +8,11 @@ Absolute rates (consumers/sec, readings/sec) are recorded in the reports for
 the trajectory but never gated: they measure the machine as much as the
 code.  Improvements never fail the gate.
 
+The pool speedups only compare like with like when both reports ran the
+same pool width, so reports whose "pool_workers" differ are not compared:
+the gate prints both widths and exits 2 (exit 1 means a regression).  Pin
+the candidate's width with FDETA_THREADS to match the baseline's.
+
 With --append-history, the candidate report is additionally archived under
 bench/history/ keyed by the git revision recorded inside it, seeding the
 long-run perf trajectory (one JSON per revision; re-runs of the same
@@ -25,13 +30,14 @@ import os
 import sys
 
 
-def load_derived(path):
+def load_report(path):
+    """Returns (pool_workers, derived metrics) of a perf report."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     derived = doc.get("derived")
     if not isinstance(derived, dict) or not derived:
         sys.exit(f"{path}: no 'derived' metrics to compare")
-    return {
+    return doc.get("pool_workers"), {
         key: value
         for key, value in derived.items()
         if isinstance(value, (int, float))
@@ -86,8 +92,16 @@ def main():
     if args.append_history is not None:
         append_history(args.candidate, args.append_history)
 
-    base = load_derived(args.baseline)
-    cand = load_derived(args.candidate)
+    base_workers, base = load_report(args.baseline)
+    cand_workers, cand = load_report(args.candidate)
+    if base_workers != cand_workers:
+        print(
+            f"MISMATCH: pool_workers {base_workers} in {args.baseline} vs "
+            f"{cand_workers} in {args.candidate}; the reports measure "
+            f"different pool widths and are not compared (set FDETA_THREADS "
+            f"to the baseline's width)"
+        )
+        return 2
     keys = [k for k in args.keys.split(",") if k] or sorted(
         set(base) & set(cand)
     )

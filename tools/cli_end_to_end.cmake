@@ -1,5 +1,6 @@
 # Drives the fdeta CLI through a full generate/inject/detect/investigate
-# round trip; any non-zero exit fails the test.
+# round trip; any non-zero exit fails the test.  A retired detector family
+# must fail fast instead, naming the registered ones.
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${FDETA_CLI} ${ARGN}
@@ -21,3 +22,19 @@ run(topology --out topo.txt --consumers 6 --seed 5)
 run(investigate --topology topo.txt --baseline actual.csv --in reported.csv
     --week 24)
 run(evaluate --in actual.csv --train-weeks 24 --vectors 2)
+
+execute_process(COMMAND ${FDETA_CLI} detect --in reported.csv
+                        --train-weeks 24 --detector iforest
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(code EQUAL 0)
+  message(FATAL_ERROR "fdeta detect --detector iforest exited 0: ${out}")
+endif()
+string(FIND "${out}${err}" "registered: kld, ckld, kld-lite" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR
+          "fdeta detect --detector iforest did not list the registered "
+          "families: ${out}${err}")
+endif()

@@ -49,14 +49,14 @@
 #include "common/cli_args.h"
 #include "common/csv.h"
 #include "common/error.h"
-#include "core/arima_detector.h"
 #include "core/detector_registry.h"
-#include "core/integrated_arima_detector.h"
-#include "core/evaluation.h"
 #include "core/kld_detector.h"
 #include "core/online_monitor.h"
-#include "datagen/generator.h"
 #include "core/pipeline.h"
+#include "datagen/generator.h"
+#include "eval/arima_detector.h"
+#include "eval/evaluation.h"
+#include "eval/integrated_arima_detector.h"
 #include "grid/balance.h"
 #include "grid/investigate.h"
 #include "grid/serialize.h"
@@ -271,8 +271,8 @@ int cmd_evaluate(const Args& args) {
 /// Builds the per-family detector options: the dedicated --bins /
 /// --significance / --epsilon flags seed the shared kld block, then every
 /// --detector-opt key=value (repeatable) applies on top, so e.g.
-/// `--detector-opt iforest.contamination=0.1 --detector-opt kld.bins=12`
-/// tunes two families in one invocation.
+/// `--detector-opt kld-lite.slots=24 --detector-opt kld.bins=12` tunes two
+/// knobs in one invocation.
 core::DetectorOptions detector_options_from(const Args& args) {
   core::DetectorOptions options;
   options.kld.bins = static_cast<std::size_t>(args.get_long("bins", 10));
@@ -822,11 +822,11 @@ int usage() {
       "            (K siblings under the deepest shared transformer each\n"
       "             shave fraction X of the attacked week; no --consumer)\n"
       "  fit       --in F --save-model F [--train-weeks T]\n"
-      "            [--detector kld|ckld|kld-lite|iforest]\n"
+      "            [--detector kld|ckld|kld-lite]\n"
       "            [--significance A] [--bins B] [--epsilon E]\n"
       "            [--detector-opt key=value ...]\n"
       "  detect    --in F [--model F] [--baseline F] [--train-weeks T]\n"
-      "            [--detector kld|ckld|kld-lite|iforest]\n"
+      "            [--detector kld|ckld|kld-lite]\n"
       "            [--significance A] [--bins B] [--epsilon E]\n"
       "            [--detector-opt key=value ...]\n"
       "            [--explain] [--stream 0|1]\n"
