@@ -4,6 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "ami/faults.h"
+#include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
 #include "core/kld_detector.h"
 #include "datagen/generator.h"
@@ -13,6 +18,8 @@
 #include "grid/losses.h"
 #include "market/clearing.h"
 #include "meter/weekly_stats.h"
+#include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "stats/histogram.h"
 #include "stats/kl_divergence.h"
 #include "stats/truncated_normal.h"
@@ -216,6 +223,55 @@ void BM_TemperatureGeneration(benchmark::State& state) {
                           kSlotsPerWeek);
 }
 BENCHMARK(BM_TemperatureGeneration);
+
+// One slot through the AMI plane as the `stream` workload drives it: 4,000
+// meters, that workload's fault plan and NACK budget, one transmit(t, t + 1)
+// and the read-out of the slot from the head-end.  When the horizon runs
+// out, a fresh head-end and network start over outside the timed region.
+void BM_AmiTransmitSlot(benchmark::State& state) {
+  constexpr std::size_t kConsumers = 4000;
+  static const meter::Dataset dataset =
+      datagen::small_dataset(kConsumers, 1, 31);
+  ami::FaultPlanConfig faults;
+  faults.drop_rate = 0.02;
+  faults.duplicate_rate = 0.01;
+  faults.reorder_rate = 0.02;
+  faults.max_delay_slots = 4;
+  faults.corrupt_rate = 0.001;
+  faults.seed = 31;
+  obs::MetricsRegistry registry;
+  obs::EventLog events;
+  std::unique_ptr<ami::HeadEnd> head_end;
+  std::unique_ptr<ami::MeterNetwork> network;
+  const auto start_over = [&] {
+    head_end = std::make_unique<ami::HeadEnd>(kConsumers,
+                                              dataset.slot_count(), &registry);
+    network = std::make_unique<ami::MeterNetwork>(dataset, &registry, &events);
+    network->set_fault_plan(ami::FaultPlan(faults));
+    network->set_retransmit({.max_retries = 2, .backoff_base_slots = 1});
+  };
+  start_over();
+  std::vector<Kw> row(kConsumers);
+  SlotIndex t = 0;
+  for (auto _ : state) {
+    if (t == dataset.slot_count()) {
+      state.PauseTiming();
+      start_over();
+      t = 0;
+      state.ResumeTiming();
+    }
+    network->transmit(*head_end, t, t + 1);
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      row[c] = head_end->has_reading(c, t) ? head_end->reading(c, t) : 0.0;
+    }
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+    ++t;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kConsumers));
+}
+BENCHMARK(BM_AmiTransmitSlot)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,6 +1,6 @@
 #include "ami/faults.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -83,104 +83,23 @@ FaultPlanConfig parse_fault_plan(const std::string& spec) {
   return config;
 }
 
-FaultStage burst_outage_stage(std::size_t period_slots,
-                              std::size_t length_slots) {
-  require(period_slots > 0, "burst_outage_stage: period must be positive");
-  require(length_slots <= period_slots,
-          "burst_outage_stage: length must not exceed period");
-  return [period_slots, length_slots](DeliveryAttempt& attempt, Rng&) {
-    if (attempt.sent_at % period_slots < length_slots) attempt.dropped = true;
-  };
-}
-
-FaultStage drop_stage(double rate) {
-  require(rate >= 0.0 && rate <= 1.0, "drop_stage: rate out of [0,1]");
-  return [rate](DeliveryAttempt& attempt, Rng& rng) {
-    if (rng.uniform() < rate) attempt.dropped = true;
-  };
-}
-
-FaultStage corrupt_stage(double rate) {
-  require(rate >= 0.0 && rate <= 1.0, "corrupt_stage: rate out of [0,1]");
-  return [rate](DeliveryAttempt& attempt, Rng& rng) {
-    if (rng.uniform() >= rate) return;
-    attempt.corrupted = true;
-    // Three shapes of in-flight bit rot, all outside the legitimate domain
-    // (the generator clamps demand to >= 0), so the head-end quarantine can
-    // recognise every one of them.
-    switch (rng.below(3)) {
-      case 0:
-        attempt.report.kw = -(attempt.report.kw + 1.0);
-        break;
-      case 1:
-        attempt.report.kw = 1.0e9 * (1.0 + rng.uniform());
-        break;
-      default:
-        attempt.report.kw = std::numeric_limits<double>::quiet_NaN();
-        break;
-    }
-  };
-}
-
-FaultStage duplicate_stage(double rate) {
-  require(rate >= 0.0 && rate <= 1.0, "duplicate_stage: rate out of [0,1]");
-  return [rate](DeliveryAttempt& attempt, Rng& rng) {
-    if (rng.uniform() < rate) attempt.duplicates += 1;
-  };
-}
-
-FaultStage reorder_stage(double rate, std::size_t max_delay_slots) {
-  require(rate >= 0.0 && rate <= 1.0, "reorder_stage: rate out of [0,1]");
-  require(max_delay_slots > 0, "reorder_stage: max delay must be positive");
-  return [rate, max_delay_slots](DeliveryAttempt& attempt, Rng& rng) {
-    if (rng.uniform() < rate) {
-      attempt.delay_slots = 1 + static_cast<std::size_t>(
-                                    rng.below(max_delay_slots));
-    }
-  };
-}
-
-FaultStage interceptor_stage(Interceptor interceptor) {
-  require(static_cast<bool>(interceptor),
-          "interceptor_stage: empty interceptor");
-  return [interceptor = std::move(interceptor)](DeliveryAttempt& attempt,
-                                                Rng&) {
-    const auto out = interceptor(attempt.report);
-    if (!out.has_value()) {
-      attempt.dropped = true;
-      return;
-    }
-    attempt.report.consumer_index = out->consumer_index;
-    attempt.report.slot = out->slot;
-    attempt.report.kw = out->kw;
-  };
-}
-
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config) {
-  if (config_.burst_period_slots > 0 && config_.burst_length_slots > 0) {
-    stages_.push_back(burst_outage_stage(config_.burst_period_slots,
-                                         config_.burst_length_slots));
-  }
-  if (config_.drop_rate > 0.0) {
-    stages_.push_back(drop_stage(config_.drop_rate));
-  }
-  if (config_.corrupt_rate > 0.0) {
-    stages_.push_back(corrupt_stage(config_.corrupt_rate));
-  }
-  if (config_.duplicate_rate > 0.0) {
-    stages_.push_back(duplicate_stage(config_.duplicate_rate));
-  }
-  if (config_.reorder_rate > 0.0) {
-    require(config_.max_delay_slots > 0,
-            "FaultPlan: reorder enabled with zero max_delay_slots");
-    stages_.push_back(
-        reorder_stage(config_.reorder_rate, config_.max_delay_slots));
-  }
-}
-
-void FaultPlan::add_stage(FaultStage stage) {
-  require(static_cast<bool>(stage), "FaultPlan::add_stage: empty stage");
-  stages_.push_back(std::move(stage));
+  // Every field is checked whether or not its channel is on, so a bad rate
+  // set in code fails here instead of silently disabling its channel (the
+  // negated comparison also rejects NaN).
+  const auto check_rate = [](double rate, const char* name) {
+    require(rate >= 0.0 && rate <= 1.0,
+            std::string("FaultPlan: ") + name + " must be a rate in [0,1]");
+  };
+  check_rate(config_.drop_rate, "drop_rate");
+  check_rate(config_.duplicate_rate, "duplicate_rate");
+  check_rate(config_.reorder_rate, "reorder_rate");
+  check_rate(config_.corrupt_rate, "corrupt_rate");
+  require(config_.burst_period_slots == 0 ||
+              config_.burst_length_slots <= config_.burst_period_slots,
+          "FaultPlan: burst_length_slots must not exceed burst_period_slots");
+  require(config_.reorder_rate == 0.0 || config_.max_delay_slots > 0,
+          "FaultPlan: reorder enabled with zero max_delay_slots");
 }
 
 Rng FaultPlan::attempt_rng(const ReadingReport& report,
@@ -205,12 +124,41 @@ DeliveryAttempt FaultPlan::apply(const ReadingReport& report,
                                  std::uint32_t attempt) const {
   DeliveryAttempt out;
   out.report = report;
-  out.sent_at = sent_at;
-  out.attempt = attempt;
+  // Burst outage: a mesh-wide window on the logical clock, no draw.
+  if (config_.burst_period_slots > 0 &&
+      sent_at % config_.burst_period_slots < config_.burst_length_slots) {
+    out.dropped = true;
+    return out;
+  }
   Rng rng = attempt_rng(report, attempt);
-  for (const auto& stage : stages_) {
-    stage(out, rng);
-    if (out.dropped) break;
+  if (config_.drop_rate > 0.0 && rng.uniform() < config_.drop_rate) {
+    out.dropped = true;
+    return out;
+  }
+  if (config_.corrupt_rate > 0.0 && rng.uniform() < config_.corrupt_rate) {
+    out.corrupted = true;
+    // Three shapes of in-flight bit rot, all outside the legitimate domain
+    // (the generator clamps demand to >= 0), so the head-end quarantine can
+    // recognise every one of them.
+    switch (rng.below(3)) {
+      case 0:
+        out.report.kw = -(out.report.kw + 1.0);
+        break;
+      case 1:
+        out.report.kw = 1.0e9 * (1.0 + rng.uniform());
+        break;
+      default:
+        out.report.kw = std::numeric_limits<double>::quiet_NaN();
+        break;
+    }
+  }
+  if (config_.duplicate_rate > 0.0 &&
+      rng.uniform() < config_.duplicate_rate) {
+    out.duplicates = 1;
+  }
+  if (config_.reorder_rate > 0.0 && rng.uniform() < config_.reorder_rate) {
+    out.delay_slots =
+        1 + static_cast<std::size_t>(rng.below(config_.max_delay_slots));
   }
   return out;
 }
@@ -236,21 +184,39 @@ CollectedReport collect_reported(const HeadEnd& head_end,
           "collect_reported: consumer count mismatch");
   require(head_end.slot_count() == shape.slot_count(),
           "collect_reported: slot count mismatch");
+  const std::size_t consumers = shape.consumer_count();
+  const std::size_t horizon = shape.slot_count();
   const auto slots = static_cast<std::size_t>(kSlotsPerWeek);
   CollectedReport out;
-  out.missing.reserve(shape.consumer_count());
-  std::vector<meter::ConsumerSeries> series;
-  series.reserve(shape.consumer_count());
-  for (std::size_t c = 0; c < shape.consumer_count(); ++c) {
-    std::vector<char> mask;
-    std::vector<Kw> values = head_end.consumer_readings(c, mask);
-    // Fill gaps with the most recent accepted reading at the same
-    // slot-of-week position - the least surprising stand-in for detectors
-    // that are not coverage-aware.  Coverage-aware callers consult the mask
-    // and never score a gated week at all.
-    std::vector<Kw> last(slots, 0.0);
-    std::vector<char> seen(slots, 0);
-    for (std::size_t t = 0; t < values.size(); ++t) {
+  out.missing.assign(consumers, std::vector<char>(horizon, 0));
+  std::vector<meter::ConsumerSeries> series(consumers);
+  for (std::size_t c = 0; c < consumers; ++c) {
+    series[c].id = shape.consumer(c).id;
+    series[c].type = shape.consumer(c).type;
+    series[c].readings.assign(horizon, 0.0);
+  }
+  // One pass over the head-end's slot rows fills every series and mask.
+  for (SlotIndex t = 0; t < horizon; ++t) {
+    for (std::size_t c = 0; c < consumers; ++c) {
+      if (head_end.has_reading(c, t)) {
+        series[c].readings[t] = head_end.reading(c, t);
+      } else {
+        out.missing[c][t] = 1;
+      }
+    }
+  }
+  // Fill gaps with the most recent accepted reading at the same slot-of-week
+  // position - the least surprising stand-in for detectors that are not
+  // coverage-aware.  Coverage-aware callers consult the mask and never score
+  // a gated week at all.
+  std::vector<Kw> last(slots);
+  std::vector<char> seen(slots);
+  for (std::size_t c = 0; c < consumers; ++c) {
+    std::vector<Kw>& values = series[c].readings;
+    const std::vector<char>& mask = out.missing[c];
+    std::fill(last.begin(), last.end(), 0.0);
+    std::fill(seen.begin(), seen.end(), 0);
+    for (std::size_t t = 0; t < horizon; ++t) {
       const std::size_t column = t % slots;
       if (!mask[t]) {
         last[column] = values[t];
@@ -259,9 +225,6 @@ CollectedReport collect_reported(const HeadEnd& head_end,
         values[t] = last[column];
       }
     }
-    series.push_back({shape.consumer(c).id, shape.consumer(c).type,
-                      std::move(values)});
-    out.missing.push_back(std::move(mask));
   }
   out.dataset = meter::Dataset(std::move(series));
   return out;

@@ -40,10 +40,8 @@ HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
   values_.assign(consumers * slots, 0.0);
   received_.assign(consumers * slots, 0);
   sequences_.assign(consumers * slots, 0);
-  const std::size_t hint = config_.threads != 0
-                               ? config_.threads
-                               : shared_pool().thread_count() + 1;
-  shard_count_ = resolve_shard_count(config_.shards, consumers, hint);
+  shard_count_ = resolve_shard_count(config_.shards, consumers,
+                                     shared_pool().thread_count() + 1);
   shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
   obs::MetricsRegistry& registry =
       metrics != nullptr ? *metrics : obs::default_registry();
@@ -67,61 +65,88 @@ HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
     shard_lock_wait_[s] =
         &registry.histogram(shard_metric_name(s, "lock_wait_seconds"));
   }
-  shard_received_counts_.assign(shard_count_, 0);
+  shard_received_counts_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(shard_count_);
 }
 
-ReceiveOutcome HeadEnd::apply(const ReadingReport& report) {
+ReceiveOutcome HeadEnd::apply(const ReadingReport& report, Tally& tally) {
   // Every delivered message is accounted here, whatever its fate, so the
   // plane-level conservation identity received == sent - dropped holds.
-  reports_received_->add();
+  ++tally.received;
 
   if (!std::isfinite(report.kw) || report.kw < 0.0 ||
       report.kw > config_.max_plausible_kw) {
     // Corrupt or impossible value: never store it.  The slot stays missing,
     // so the NACK retransmit pass will ask for a clean copy.
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    quarantined_counter_->add();
+    ++tally.quarantined;
     return ReceiveOutcome::kQuarantined;
   }
 
-  const std::size_t cell = report.consumer_index * slots_ + report.slot;
+  const std::size_t cell = report.slot * consumers_ + report.consumer_index;
   char& seen = received_[cell];
   std::uint32_t& stored = sequences_[cell];
   if (seen) {
     if (report.sequence == stored) {
-      duplicates_.fetch_add(1, std::memory_order_relaxed);
-      duplicates_suppressed_->add();
+      ++tally.duplicates;
       return ReceiveOutcome::kDuplicate;
     }
     if (report.sequence < stored) {
       // A delayed copy of an older transmission must not clobber the
       // fresher reading (the stale-duplicate bug this path fixes).
-      stale_.fetch_add(1, std::memory_order_relaxed);
-      stale_rejected_->add();
+      ++tally.stale;
       return ReceiveOutcome::kStale;
     }
     values_[cell] = report.kw;
     stored = report.sequence;
-    reports_overwritten_->add();
+    ++tally.overwritten;
     return ReceiveOutcome::kAccepted;
   }
 
   values_[cell] = report.kw;
   stored = report.sequence;
   seen = 1;
-  const std::size_t left =
-      missing_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  missing_gauge_->set(static_cast<std::int64_t>(left));
+  ++tally.filled;
   return ReceiveOutcome::kAccepted;
+}
+
+void HeadEnd::publish(const Tally& tally) {
+  // Zero counts are skipped, so a single receive() touches only the
+  // counters its one outcome moves.
+  constexpr auto relaxed = std::memory_order_relaxed;
+  if (tally.received > 0) reports_received_->add(tally.received);
+  if (tally.overwritten > 0) reports_overwritten_->add(tally.overwritten);
+  if (tally.duplicates > 0) {
+    duplicates_suppressed_->add(tally.duplicates);
+    duplicates_.fetch_add(tally.duplicates, relaxed);
+  }
+  if (tally.stale > 0) {
+    stale_rejected_->add(tally.stale);
+    stale_.fetch_add(tally.stale, relaxed);
+  }
+  if (tally.quarantined > 0) {
+    quarantined_counter_->add(tally.quarantined);
+    quarantined_.fetch_add(tally.quarantined, relaxed);
+  }
+  if (tally.filled > 0) {
+    const std::size_t left =
+        missing_.fetch_sub(tally.filled, relaxed) - tally.filled;
+    missing_gauge_->set(static_cast<std::int64_t>(left));
+  }
 }
 
 ReceiveOutcome HeadEnd::receive(const ReadingReport& report) {
   require(report.consumer_index < consumers_,
           "HeadEnd::receive: consumer out of range");
   require(report.slot < slots_, "HeadEnd::receive: slot out of range");
-  std::lock_guard<std::mutex> lock(
-      shard_locks_[shard_of(report.consumer_index, shard_count_)]);
-  return apply(report);
+  Tally tally;
+  ReceiveOutcome outcome;
+  {
+    std::lock_guard<std::mutex> lock(
+        shard_locks_[shard_of(report.consumer_index, shard_count_)]);
+    outcome = apply(report, tally);
+  }
+  publish(tally);
+  return outcome;
 }
 
 std::vector<ReceiveOutcome> HeadEnd::receive_batch(
@@ -132,48 +157,59 @@ std::vector<ReceiveOutcome> HeadEnd::receive_batch(
     require(r.slot < slots_, "HeadEnd::receive: slot out of range");
   }
 
-  // Stable bucketing by shard keeps same-consumer reports in batch order,
-  // so outcomes and stored state match a serial receive() replay for any
-  // shard count x thread count (the sequence race is decided per consumer,
-  // never across consumers).
-  std::vector<std::vector<std::size_t>> by_shard(shard_count_);
-  for (auto& bucket : by_shard) {
-    bucket.reserve(reports.size() / shard_count_ + 1);
+  // Stable counting sort by shard into one index array: reports for the
+  // same consumer keep batch order, so outcomes and stored state match a
+  // serial receive() replay for any shard count (the sequence race is
+  // decided per consumer, never across consumers).  Shard s's bucket is
+  // order[bounds[s] .. bounds[s + 1]).
+  std::vector<std::size_t> bounds(shard_count_ + 1, 0);
+  for (const auto& r : reports) {
+    ++bounds[shard_of(r.consumer_index, shard_count_) + 1];
   }
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    by_shard[shard_of(reports[r].consumer_index, shard_count_)].push_back(r);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    bounds[s + 1] += bounds[s];
+  }
+  std::vector<std::size_t> order(reports.size());
+  {
+    std::vector<std::size_t> next(bounds.begin(), bounds.end() - 1);
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+      order[next[shard_of(reports[r].consumer_index, shard_count_)]++] = r;
+    }
   }
 
   std::vector<ReceiveOutcome> outcomes(reports.size(),
                                        ReceiveOutcome::kAccepted);
-  parallel_for(
-      shard_count_,
-      [&](std::size_t s) {
-        if (by_shard[s].empty()) return;
-        // Per-shard health: time the lock acquisition (contention only) and
-        // record the depth this delivery parked on the shard.  Constant work
-        // per shard per batch; the per-report loop is untouched.
-        const std::size_t m = s % shard_pending_.size();
-        const std::int64_t depth =
-            static_cast<std::int64_t>(by_shard[s].size());
-        shard_pending_[m]->set(depth);
-        shard_highwater_[m]->update_max(depth);
-        obs::ScopedTimer wait(*shard_lock_wait_[m]);
-        std::lock_guard<std::mutex> lock(shard_locks_[s]);
-        wait.stop();
-        for (const std::size_t r : by_shard[s]) {
-          outcomes[r] = apply(reports[r]);
-        }
-        shard_received_counts_[s] += by_shard[s].size();
-        shard_pending_[m]->set(0);
-      },
-      config_.threads);
+  Tally tally;
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    const std::size_t begin = bounds[s];
+    const std::size_t end = bounds[s + 1];
+    if (begin == end) continue;
+    // Per-shard health: time the lock acquisition (contention only) and
+    // record the depth this delivery parked on the shard.  Constant work
+    // per shard per batch; the per-report loop is untouched.
+    const std::size_t m = s % shard_pending_.size();
+    const auto depth = static_cast<std::int64_t>(end - begin);
+    shard_pending_[m]->set(depth);
+    shard_highwater_[m]->update_max(depth);
+    obs::ScopedTimer wait(*shard_lock_wait_[m]);
+    std::lock_guard<std::mutex> lock(shard_locks_[s]);
+    wait.stop();
+    for (std::size_t i = begin; i < end; ++i) {
+      outcomes[order[i]] = apply(reports[order[i]], tally);
+    }
+    shard_received_counts_[s].fetch_add(end - begin,
+                                        std::memory_order_relaxed);
+    shard_pending_[m]->set(0);
+  }
+  publish(tally);
 
   // Shard-imbalance gauge (max/mean cumulative load, x1000; 1000 =
-  // perfectly balanced).  The accumulators are quiescent after the barrier.
+  // perfectly balanced).
   std::uint64_t total = 0;
   std::uint64_t max_load = 0;
-  for (const std::uint64_t n : shard_received_counts_) {
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    const std::uint64_t n =
+        shard_received_counts_[s].load(std::memory_order_relaxed);
     total += n;
     max_load = std::max(max_load, n);
   }
@@ -189,33 +225,32 @@ std::vector<ReceiveOutcome> HeadEnd::receive_batch(
 bool HeadEnd::has_reading(std::size_t consumer, SlotIndex slot) const {
   require(consumer < consumers_, "HeadEnd::has_reading: out of range");
   require(slot < slots_, "HeadEnd::has_reading: slot out of range");
-  return received_[consumer * slots_ + slot] != 0;
+  return received_[slot * consumers_ + consumer] != 0;
 }
 
 Kw HeadEnd::reading(std::size_t consumer, SlotIndex slot) const {
   require(has_reading(consumer, slot), "HeadEnd::reading: missing reading");
-  return values_[consumer * slots_ + slot];
+  return values_[slot * consumers_ + consumer];
 }
 
 std::vector<Kw> HeadEnd::consumer_readings(std::size_t consumer) const {
   require(consumer < consumers_,
           "HeadEnd::consumer_readings: out of range");
-  const std::size_t base = consumer * slots_;
-  return {values_.begin() + static_cast<std::ptrdiff_t>(base),
-          values_.begin() + static_cast<std::ptrdiff_t>(base + slots_)};
+  std::vector<Kw> out(slots_);
+  for (std::size_t t = 0; t < slots_; ++t) {
+    out[t] = values_[t * consumers_ + consumer];
+  }
+  return out;
 }
 
 std::vector<Kw> HeadEnd::consumer_readings(
     std::size_t consumer, std::vector<char>& missing_mask) const {
-  require(consumer < consumers_,
-          "HeadEnd::consumer_readings: out of range");
-  const std::size_t base = consumer * slots_;
+  std::vector<Kw> out = consumer_readings(consumer);
   missing_mask.assign(slots_, 0);
   for (std::size_t t = 0; t < slots_; ++t) {
-    if (!received_[base + t]) missing_mask[t] = 1;
+    if (!received_[t * consumers_ + consumer]) missing_mask[t] = 1;
   }
-  return {values_.begin() + static_cast<std::ptrdiff_t>(base),
-          values_.begin() + static_cast<std::ptrdiff_t>(base + slots_)};
+  return out;
 }
 
 MeterNetwork::MeterNetwork(const meter::Dataset& actual,
@@ -248,6 +283,11 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
   obs::TraceSpan span("ami.transmit", "ami");
   require(first <= last && last <= actual_->slot_count(),
           "MeterNetwork::transmit: bad slot range");
+  const std::size_t consumers = actual_->consumer_count();
+  require(head_end.consumer_count() >= consumers &&
+              head_end.slot_count() >= last,
+          "MeterNetwork::transmit: head-end does not cover the dataset's "
+          "consumers and slots");
   const std::size_t sent_before = messages_sent_;
   const std::size_t tampered_before = messages_tampered_;
   const std::size_t dropped_before = messages_dropped_;
@@ -275,13 +315,36 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
       later);
   std::uint64_t enqueue_order = 0;
 
-  const auto deliver = [&](const ReadingReport& report, bool late) {
-    const ReceiveOutcome outcome = head_end.receive(report);
-    if (late && outcome == ReceiveOutcome::kAccepted) ++late_accepted_;
+  // Deliveries are staged in delivery order and handed to the head-end as
+  // one batch per slot row.  Every flush comes before the next read of
+  // head-end state (a NACK scan of a later row, or the delivery summary),
+  // and a report only changes the cell it names, so each report meets the
+  // same stored state - and gets the same outcome - as if it had been
+  // delivered alone.  The exception is an interceptor that moves a report
+  // to another consumer: a NACK scan may then read that cell before the
+  // moved report lands.  scale_interceptor and replace_interceptor never
+  // move reports.
+  staged_.clear();
+  staged_late_.clear();
+  const auto stage = [&](const ReadingReport& report, bool late) {
+    staged_.push_back(report);
+    staged_late_.push_back(late ? 1 : 0);
+  };
+  const auto flush = [&] {
+    if (staged_.empty()) return;
+    const std::vector<ReceiveOutcome> outcomes =
+        head_end.receive_batch(staged_);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (staged_late_[i] && outcomes[i] == ReceiveOutcome::kAccepted) {
+        ++late_accepted_;
+      }
+    }
+    staged_.clear();
+    staged_late_.clear();
   };
   const auto drain_due = [&](SlotIndex now) {
     while (!delayed.empty() && delayed.top().due <= now) {
-      deliver(delayed.top().report, /*late=*/true);
+      stage(delayed.top().report, /*late=*/true);
       delayed.pop();
     }
   };
@@ -308,7 +371,7 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
     }
     if (tampered) ++messages_tampered_;
     if (fault_plan_ == nullptr) {
-      deliver(report, /*late=*/false);
+      stage(report, /*late=*/false);
       return;
     }
     const DeliveryAttempt outcome = fault_plan_->apply(report, now, attempt);
@@ -321,15 +384,13 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
     // suppresses the extras.
     messages_sent_ += outcome.duplicates;
     const std::size_t copies = 1 + outcome.duplicates;
-    if (outcome.delay_slots > 0) {
-      for (std::size_t k = 0; k < copies; ++k) {
+    for (std::size_t k = 0; k < copies; ++k) {
+      if (outcome.delay_slots > 0) {
         delayed.push({now + outcome.delay_slots, enqueue_order++,
                       outcome.report});
+      } else {
+        stage(outcome.report, /*late=*/false);
       }
-      return;
-    }
-    for (std::size_t k = 0; k < copies; ++k) {
-      deliver(outcome.report, /*late=*/false);
     }
   };
 
@@ -338,35 +399,42 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
   // arrive after its own retransmission.
   for (SlotIndex t = first; t < last; ++t) {
     drain_due(t);
-    for (std::size_t c = 0; c < actual_->consumer_count(); ++c) {
+    for (std::size_t c = 0; c < consumers; ++c) {
       send(c, t, /*now=*/t, /*attempt=*/0);
     }
+    flush();
   }
 
   // NACK rounds: exponential backoff on the slot clock, then ask the
-  // head-end which slots are still missing and retransmit only those.
+  // head-end which slots are still missing and retransmit only those.  The
+  // scan walks slot rows; each consumer still retransmits its slots in
+  // ascending order, so per-consumer delivery order matches a
+  // consumer-major scan.
   SlotIndex now = last > first ? last - 1 : first;
   for (std::size_t round = 1; round <= retransmit_.max_retries; ++round) {
     now += static_cast<SlotIndex>(retransmit_.backoff_base_slots)
            << (round - 1);
     drain_due(now);
+    flush();
     bool any_missing = false;
-    for (std::size_t c = 0; c < actual_->consumer_count(); ++c) {
-      for (SlotIndex t = first; t < last; ++t) {
+    for (SlotIndex t = first; t < last; ++t) {
+      for (std::size_t c = 0; c < consumers; ++c) {
         if (head_end.has_reading(c, t)) continue;
         any_missing = true;
         ++messages_retried_;
         send(c, t, now, static_cast<std::uint32_t>(round));
       }
+      flush();
     }
     if (!any_missing) break;
   }
 
   // Final flush: everything still in flight lands now, late.
   while (!delayed.empty()) {
-    deliver(delayed.top().report, /*late=*/true);
+    stage(delayed.top().report, /*late=*/true);
     delayed.pop();
   }
+  flush();
 
   deliveries_counter_->add();
   sent_counter_->add(messages_sent_ - sent_before);

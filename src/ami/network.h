@@ -89,22 +89,25 @@ struct HeadEndConfig {
   /// concurrency knob: stored readings and tallies are identical for any
   /// value given the same delivery order.
   std::size_t shards = 0;
-  /// Parallelism cap for receive_batch() on the shared pool (0 = full pool
-  /// width, 1 = serial).
-  std::size_t threads = 0;
 };
 
 /// The utility-side collector.  Missing readings stay NaN-free: they are
 /// tracked explicitly so the balance layer can treat "no report" distinctly
 /// from "zero demand".
 ///
+/// Layout: the stored state is slot-major, one row of consumer_count()
+/// cells per slot (cell [t * consumers + c]), so one slot's deliveries, its
+/// NACK scan and its read-out each walk one contiguous row.
+///
 /// Thread-safety: per-consumer state is sharded (consistent hash of the
 /// consumer index) with one lock per shard, so concurrent receive() /
 /// receive_batch() calls from multiple collector feeds are safe and scale
-/// until feeds collide on a shard; tallies are atomic.  Readers
-/// (has_reading / reading / consumer_readings) are unsynchronised: quiesce
-/// the feeds before reading collected state (the transmit -> collect cycle
-/// already alternates phases).
+/// until feeds collide on a shard.  Each call counts its outcomes locally
+/// and publishes them to the atomic tallies and the registry once, after
+/// it has applied its reports.  Readers (has_reading / reading /
+/// consumer_readings) are unsynchronised and the tallies lag a call in
+/// flight: quiesce the feeds before reading collected state (the transmit
+/// -> collect cycle already alternates phases).
 class HeadEnd {
  public:
   HeadEnd(std::size_t consumers, std::size_t slots,
@@ -118,12 +121,13 @@ class HeadEnd {
   /// Thread-safe: takes the consumer's shard lock.
   ReceiveOutcome receive(const ReadingReport& report);
 
-  /// Ingests one delivery batch, processing shards in parallel on the
-  /// shared pool.  Reports for the same consumer apply in batch order
-  /// (stable shard bucketing), so the returned outcomes (index-aligned with
-  /// `reports`) and all stored state are identical to calling receive() once
-  /// per report in batch order - for any shard count x thread count.
-  /// Validates every index up front; on failure nothing is applied.
+  /// Ingests one delivery batch on the calling thread: one stable counting
+  /// sort buckets the reports by shard, and each bucket is applied under its
+  /// shard's lock.  Reports for the same consumer apply in batch order, so
+  /// the returned outcomes (index-aligned with `reports`) and all stored
+  /// state are identical to calling receive() once per report in batch
+  /// order - for any shard count.  Validates every index up front; on
+  /// failure nothing is applied.
   std::vector<ReceiveOutcome> receive_batch(
       std::span<const ReadingReport> reports);
 
@@ -136,7 +140,8 @@ class HeadEnd {
   bool has_reading(std::size_t consumer, SlotIndex slot) const;
   Kw reading(std::size_t consumer, SlotIndex slot) const;
 
-  /// Reported readings for one consumer (missing slots filled with 0).
+  /// Reported readings for one consumer (missing slots filled with 0),
+  /// gathered from its column of the slot rows.
   /// Prefer the mask overload below: a 0 here is indistinguishable from a
   /// dropped report, and downstream consumers must not impute demand.
   std::vector<Kw> consumer_readings(std::size_t consumer) const;
@@ -164,26 +169,42 @@ class HeadEnd {
   }
 
  private:
-  /// receive() body, minus locking; the caller holds the consumer's shard
-  /// lock.
-  ReceiveOutcome apply(const ReadingReport& report);
+  /// Outcome counts of one receive() / receive_batch() call, published once
+  /// per call.
+  struct Tally {
+    std::uint64_t received = 0;
+    std::uint64_t overwritten = 0;
+    std::uint64_t duplicates = 0;
+    std::uint64_t stale = 0;
+    std::uint64_t quarantined = 0;
+    std::uint64_t filled = 0;  ///< cells that stopped being missing
+  };
+
+  /// receive() body, minus locking and publishing; the caller holds the
+  /// consumer's shard lock.
+  ReceiveOutcome apply(const ReadingReport& report, Tally& tally);
+
+  /// Adds a call's tally to the atomics and the ami.* counters, and sets
+  /// ami.reports_missing if the call filled a cell.
+  void publish(const Tally& tally);
 
   std::size_t consumers_;
   std::size_t slots_;
   HeadEndConfig config_;
-  // Flat consumer-major arrays ([c * slots_ + t]): one allocation per field
-  // for the whole fleet instead of three vectors per consumer.
+  // Slot-major rows ([t * consumers_ + c]): one allocation per field for
+  // the whole horizon instead of three vectors per consumer.
   std::vector<Kw> values_;
   std::vector<char> received_;
   std::vector<std::uint32_t> sequences_;
 
-  // Shard layer: shard_of(c, shard_count_) owns consumer c's rows above.
+  // Shard layer: shard_of(c, shard_count_) owns consumer c's cells above.
   std::size_t shard_count_ = 1;
   std::unique_ptr<std::mutex[]> shard_locks_;
 
-  // Tallies are atomic so concurrent shards keep them exact (relaxed order:
-  // they are monotone counts, never used to synchronise state).
-  std::atomic<std::size_t> missing_{0};  // kept current by receive()
+  // Tallies are atomic so concurrent feeds keep them exact (relaxed order:
+  // they are monotone counts, never used to synchronise state).  Each call
+  // adds to them once.
+  std::atomic<std::size_t> missing_{0};
   std::atomic<std::size_t> quarantined_{0};
   std::atomic<std::size_t> duplicates_{0};
   std::atomic<std::size_t> stale_{0};
@@ -204,8 +225,9 @@ class HeadEnd {
   std::vector<obs::Gauge*> shard_highwater_;
   std::vector<obs::Histogram*> shard_lock_wait_;
   obs::Gauge* shard_imbalance_ = nullptr;
-  /// Cumulative reports applied per shard (guarded by that shard's lock).
-  std::vector<std::uint64_t> shard_received_counts_;
+  /// Cumulative reports applied per shard (atomic: a feed reads every
+  /// shard's count for the imbalance gauge while others apply).
+  std::unique_ptr<std::atomic<std::uint64_t>[]> shard_received_counts_;
 };
 
 /// NACK-driven repair budget for transmit(): after the initial pass the
@@ -241,7 +263,12 @@ class MeterNetwork {
   /// head-end: initial slot-major pass on the logical clock (delayed
   /// deliveries drain when due), then up to max_retries NACK rounds for
   /// slots the head-end still reports missing, then a final drain of the
-  /// delay queue.  Emits one delivery_summary event per call.
+  /// delay queue.  Deliveries reach the head-end through receive_batch(),
+  /// one batch per slot row (plus the delayed reports that came due), in
+  /// the order a report-by-report replay would deliver them.  Emits one
+  /// delivery_summary event per call.  Throws InvalidArgument before
+  /// sending anything if the range is bad or the head-end does not cover
+  /// the dataset's consumers and slots [0, last).
   void transmit(HeadEnd& head_end, SlotIndex first, SlotIndex last);
 
   std::size_t messages_sent() const { return messages_sent_; }
@@ -266,6 +293,11 @@ class MeterNetwork {
   std::size_t messages_dropped_ = 0;
   std::size_t messages_retried_ = 0;
   std::size_t late_accepted_ = 0;
+  /// Deliveries staged for the head-end's next receive_batch(), and whether
+  /// each came off the delay queue (for late_accepted).  Members only so
+  /// their capacity is reused across transmit() calls.
+  std::vector<ReadingReport> staged_;
+  std::vector<char> staged_late_;
 
   obs::Counter* sent_counter_ = nullptr;
   obs::Counter* tampered_counter_ = nullptr;

@@ -4,6 +4,8 @@
 
 #include "common/error.h"
 #include "datagen/generator.h"
+#include "obs/event_log.h"
+#include "obs/metrics.h"
 
 namespace fdeta::ami {
 namespace {
@@ -86,6 +88,35 @@ TEST_F(AmiTest, PartialRangeTransmission) {
   net.transmit(head_end, 0, 100);
   EXPECT_TRUE(head_end.has_reading(0, 99));
   EXPECT_FALSE(head_end.has_reading(0, 100));
+}
+
+// A head-end too small for the range must be rejected before anything is
+// sent: no report stored, no counter moved, no delivery_summary emitted.
+// (It used to throw from receive() mid-transmit, after storing part of a
+// slot.)
+TEST_F(AmiTest, TransmitRejectsShortHeadEndBeforeSending) {
+  const auto actual = datagen::small_dataset(4, 1, 9);
+  obs::MetricsRegistry reg;
+  obs::EventLog events;
+  events.enable();
+  MeterNetwork net(actual, &reg, &events);
+  HeadEnd narrow(3, actual.slot_count(), &reg);  // one consumer short
+  HeadEnd short_horizon(4, 100, &reg);
+  const auto before = reg.snapshot();
+
+  EXPECT_THROW(net.transmit(narrow, 0, actual.slot_count()),
+               InvalidArgument);
+  EXPECT_THROW(net.transmit(short_horizon, 0, 101), InvalidArgument);
+  EXPECT_EQ(net.messages_sent(), 0u);
+  EXPECT_TRUE(reg.snapshot().same_counts(before));
+  EXPECT_EQ(events.size(), 0u);
+  EXPECT_EQ(narrow.missing_count(), 3 * actual.slot_count());
+  EXPECT_FALSE(narrow.has_reading(0, 0));
+  EXPECT_EQ(short_horizon.missing_count(), 4u * 100u);
+
+  // A head-end that covers the range is fine, however long its horizon.
+  net.transmit(short_horizon, 0, 100);
+  EXPECT_EQ(short_horizon.missing_count(), 0u);
 }
 
 TEST_F(AmiTest, HeadEndValidatesIndices) {

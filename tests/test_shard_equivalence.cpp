@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ami/network.h"
@@ -403,8 +407,8 @@ INSTANTIATE_TEST_SUITE_P(Registry, DetectorShardSweep,
 
 // Head-end equivalence: one delivery tape with duplicates, stale replays,
 // and quarantine-worthy garbage must land on identical stored state and
-// tallies for every shard count x thread count, and receive_batch outcomes
-// must match a serial receive() replay index-for-index.
+// tallies for every shard count, and receive_batch outcomes must match a
+// serial receive() replay index-for-index.
 class HeadEndShardTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kConsumers = 10;
@@ -472,21 +476,128 @@ TEST_F(HeadEndShardTest, ReceiveBatchMatchesSerialForAnyShardCount) {
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
                                    std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      obs::MetricsRegistry reg;
-      ami::HeadEnd head_end(kConsumers, kSlots, &reg,
-                            {.shards = shards, .threads = threads});
-      const Collected got =
-          collect(head_end, head_end.receive_batch(reports));
-      EXPECT_EQ(want.outcomes, got.outcomes);
-      EXPECT_EQ(want.readings, got.readings);
-      EXPECT_EQ(want.masks, got.masks);
-      EXPECT_EQ(want.missing, got.missing);
-      EXPECT_EQ(want.quarantined, got.quarantined);
-      EXPECT_EQ(want.duplicates, got.duplicates);
-      EXPECT_EQ(want.stale, got.stale);
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    obs::MetricsRegistry reg;
+    ami::HeadEnd head_end(kConsumers, kSlots, &reg, {.shards = shards});
+    const Collected got = collect(head_end, head_end.receive_batch(reports));
+    EXPECT_EQ(want.outcomes, got.outcomes);
+    EXPECT_EQ(want.readings, got.readings);
+    EXPECT_EQ(want.masks, got.masks);
+    EXPECT_EQ(want.missing, got.missing);
+    EXPECT_EQ(want.quarantined, got.quarantined);
+    EXPECT_EQ(want.duplicates, got.duplicates);
+    EXPECT_EQ(want.stale, got.stale);
+  }
+}
+
+// The header promises that receive() and receive_batch() are safe from
+// several feeds at once.  Four threads push interleaved slices of one tape,
+// two in batches and two report by report, so the order in which a cell's
+// copies land - and how its rejects split into duplicate and stale - is up
+// to the scheduler.  Only the order-free facts are asserted: the highest
+// valid sequence wins every cell, the missing and quarantined counts are
+// exact, and every received report has exactly one outcome.
+TEST_F(HeadEndShardTest, ConcurrentFeedsKeepNewestSequence) {
+  constexpr double kMissing = -1.0;
+  std::vector<ami::ReadingReport> tape;
+  std::vector<Kw> want(kConsumers * kSlots, kMissing);
+  std::size_t garbage = 0;
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      const auto slot = static_cast<SlotIndex>(t);
+      const std::size_t key = c * kSlots + t;
+      if (key % 29 == 0) {  // only corrupt copies arrive: stays missing
+        tape.push_back({c, slot, -1.0, 1});
+        tape.push_back({c, slot, std::numeric_limits<double>::quiet_NaN(), 2});
+        garbage += 2;
+        continue;
+      }
+      // Distinct sequences 0..copies-1 with distinct values; every third
+      // copy is sent twice.
+      const auto copies = static_cast<std::uint32_t>(1 + key % 4);
+      for (std::uint32_t seq = 0; seq < copies; ++seq) {
+        const Kw kw = 0.25 + static_cast<double>(key) + 1000.0 * seq;
+        tape.push_back({c, slot, kw, seq});
+        if ((key + seq) % 3 == 0) tape.push_back({c, slot, kw, seq});
+        want[key] = kw;
+      }
+      if (key % 5 == 0) {  // a corrupt copy with a newer sequence never wins
+        tape.push_back({c, slot, 1.0e12, copies});
+        ++garbage;
+      }
+    }
+  }
+  std::size_t want_missing = 0;
+  for (const Kw kw : want) want_missing += kw == kMissing ? 1 : 0;
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{64}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    obs::MetricsRegistry reg;
+    ami::HeadEnd head_end(kConsumers, kSlots, &reg, {.shards = shards});
+    constexpr std::size_t kFeeds = 4;
+    constexpr std::size_t kBatch = 16;
+    // outcomes[feed][ReceiveOutcome]: each feed counts its own outcomes.
+    std::array<std::array<std::size_t, 4>, kFeeds> outcomes{};
+    std::vector<std::thread> feeds;
+    for (std::size_t f = 0; f < kFeeds; ++f) {
+      feeds.emplace_back([&, f] {
+        std::vector<ami::ReadingReport> slice;
+        for (std::size_t i = f; i < tape.size(); i += kFeeds) {
+          slice.push_back(tape[i]);
+        }
+        auto& counts = outcomes[f];
+        if (f % 2 == 0) {
+          const std::span<const ami::ReadingReport> all(slice);
+          for (std::size_t i = 0; i < all.size(); i += kBatch) {
+            const auto batch =
+                all.subspan(i, std::min(kBatch, all.size() - i));
+            for (const auto o : head_end.receive_batch(batch)) {
+              ++counts[static_cast<std::size_t>(o)];
+            }
+          }
+        } else {
+          for (const auto& r : slice) {
+            ++counts[static_cast<std::size_t>(head_end.receive(r))];
+          }
+        }
+      });
+    }
+    for (auto& feed : feeds) feed.join();
+
+    std::array<std::size_t, 4> total{};
+    for (const auto& counts : outcomes) {
+      for (std::size_t k = 0; k < total.size(); ++k) total[k] += counts[k];
+    }
+    const auto count_of = [&](ami::ReceiveOutcome o) {
+      return total[static_cast<std::size_t>(o)];
+    };
+    const std::size_t accepted = count_of(ami::ReceiveOutcome::kAccepted);
+    const std::size_t duplicate = count_of(ami::ReceiveOutcome::kDuplicate);
+    const std::size_t stale = count_of(ami::ReceiveOutcome::kStale);
+    const std::size_t quarantined =
+        count_of(ami::ReceiveOutcome::kQuarantined);
+    EXPECT_EQ(accepted + duplicate + stale + quarantined, tape.size());
+    EXPECT_EQ(quarantined, garbage);
+    EXPECT_EQ(head_end.quarantined_count(), garbage);
+    EXPECT_EQ(head_end.duplicates_suppressed(), duplicate);
+    EXPECT_EQ(head_end.stale_rejected(), stale);
+    EXPECT_EQ(head_end.missing_count(), want_missing);
+    const auto snapshot = reg.snapshot();
+    EXPECT_EQ(snapshot.counter("ami.reports_received"), tape.size());
+    // Every accepted report either filled a cell or overwrote an older one.
+    EXPECT_EQ(accepted, kConsumers * kSlots - want_missing +
+                            snapshot.counter("ami.reports_overwritten"));
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      for (std::size_t t = 0; t < kSlots; ++t) {
+        const Kw kw = want[c * kSlots + t];
+        const auto slot = static_cast<SlotIndex>(t);
+        ASSERT_EQ(head_end.has_reading(c, slot), kw != kMissing)
+            << "c=" << c << " t=" << t;
+        if (kw != kMissing) {
+          EXPECT_EQ(head_end.reading(c, slot), kw) << "c=" << c << " t=" << t;
+        }
+      }
     }
   }
 }
