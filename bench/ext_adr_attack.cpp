@@ -63,7 +63,6 @@ int main() {
 
     core::ConditionedKldDetectorConfig cc;
     cc.kld = {.bins = 10, .significance = 0.05};
-    cc.groups = 3;
     cc.slot_group = core::rtp_slot_groups(rtp, weeks * kSlotsPerWeek, 3);
     core::ConditionedKldDetector conditioned(cc);
     conditioned.fit(train);

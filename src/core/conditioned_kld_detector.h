@@ -9,9 +9,8 @@
 // extends to detecting Attack Class 4B under RTP.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "core/detector_plugin.h"
@@ -20,6 +19,20 @@
 
 namespace fdeta::core {
 
+/// A price calendar: the price-group id of each slot-of-week position.  Every
+/// fit and score reduces slots mod week, so these 336 ids are a calendar's
+/// whole behaviour.
+using SlotGroups = std::array<std::uint32_t, kSlotsPerWeek>;
+
+/// The calendar of a TOU schedule (group 0 = off-peak, group 1 = peak).
+SlotGroups tou_slot_groups(const pricing::TimeOfUse& tou);
+
+/// The calendar banding an RTP stream's prices into `bands` quantile bands
+/// over its first `slots` slots; slot-of-week s takes the band of slot
+/// s mod `slots`.
+SlotGroups rtp_slot_groups(const pricing::RealTimePricing& rtp,
+                           std::size_t slots, std::size_t bands);
+
 struct ConditionedKldDetectorConfig {
   /// Histogram / threshold knobs, as KldDetectorConfig, applied per price
   /// group: epsilon keeps group scores finite when a scored week puts mass
@@ -27,29 +40,20 @@ struct ConditionedKldDetectorConfig {
   /// readings outside a group's frozen training support are excluded from
   /// that group's bin mass.
   KldDetectorConfig kld{};
-  /// Maps a slot-of-week [0, 336) to a price-group id [0, groups).
-  /// Defaults (set by the constructor) to Nightsaver peak/off-peak.
-  std::function<std::size_t(std::size_t)> slot_group;
-  std::size_t groups = 2;
+  /// The price group of each slot-of-week position; the group count is the
+  /// largest id + 1.  Defaults to Nightsaver peak/off-peak.
+  SlotGroups slot_group = tou_slot_groups(pricing::nightsaver());
 };
-
-/// Builds a slot->group function from a TOU schedule (group 0 = off-peak,
-/// group 1 = peak).
-std::function<std::size_t(std::size_t)> tou_slot_groups(
-    const pricing::TimeOfUse& tou);
-
-/// Builds a slot->group function banding an RTP stream's prices into
-/// `bands` quantile bands over the first `slots` slots.
-std::function<std::size_t(std::size_t)> rtp_slot_groups(
-    const pricing::RealTimePricing& rtp, std::size_t slots, std::size_t bands);
 
 class ConditionedKldDetector final : public ScoringDetector {
  public:
-  /// Tabulates every group's slot-of-week positions once; throws
-  /// InvalidArgument if slot_group names a group outside [0, groups) or
-  /// leaves a group without slots.
+  /// Throws InvalidArgument unless slot_group names at least two groups
+  /// and every id up to its largest owns a slot.
   explicit ConditionedKldDetector(ConditionedKldDetectorConfig config = {});
 
+  const ConditionedKldDetectorConfig& config() const { return config_; }
+  /// The number of price groups: the largest slot_group id + 1.
+  std::size_t groups() const { return groups_; }
   void fit(std::span<const Kw> training) override;
 
   // --- ScoringDetector plugin surface ------------------------------------
@@ -79,12 +83,10 @@ class ConditionedKldDetector final : public ScoringDetector {
   /// + its threshold.  explain() exposes the raw per-group headers.
   KldExplanation raw_explain_week(std::span<const Kw> week,
                                   SlotIndex first_slot = 0) const override;
-  /// The slot->group function is saved as its evaluated table over the
-  /// kSlotsPerWeek slot-of-week positions (all fit/score paths reduce slots
-  /// mod week, so the table is the function's entire observable behaviour).
-  void save_state(persist::Encoder& enc) const override;
-  void restore_state(persist::Decoder& dec) override;
-  std::string config_fingerprint() const override;
+  /// One model per price group, in group order; the reference is the
+  /// training weeks' margins (the groups' K_i are not kept).
+  FittedParts fitted_parts() const override;
+  void restore_parts(const MemberRows& rows) override;
 
   /// Per-group divergence scores for a week.
   std::vector<double> scores(std::span<const Kw> week,
@@ -116,9 +118,7 @@ class ConditionedKldDetector final : public ScoringDetector {
   }
 
   ConditionedKldDetectorConfig config_;
-  /// Price group of each slot-of-week position, tabulated once (a group
-  /// needs at least one slot, so ids fit in 16 bits).
-  std::vector<std::uint16_t> group_of_;
+  std::size_t groups_ = 0;
   std::vector<KldModel> models_;           // per group; empty until fitted
   std::vector<double> training_margins_;   // per training week
 };

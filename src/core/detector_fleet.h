@@ -1,4 +1,4 @@
-// One registry family's fleet of detectors (ROADMAP item 2).
+// One registry family's fleet of detectors.
 //
 // The paper fits its KLD detector once per consumer and scores every new
 // week at the control center (Sections VII-A, VII-D).  FdetaPipeline and
@@ -6,7 +6,9 @@
 // per scored feeder node; each owns exactly one DetectorFleet for them.  The
 // fleet builds every member through make_detector(family, options), hands
 // members out by index for fitting and scoring, and writes and reads the one
-// checkpoint block all three owners share (DESIGN.md §9).
+// checkpoint block all three owners share (DESIGN.md §9).  It is the only
+// code that knows how a fitted detector is stored: a family exposes its
+// fitted parts and adopts decoded rows, nothing more.
 //
 // Members are ordinary ScoringDetector objects, so scoring a member costs
 // what scoring a bare detector costs.  Distinct members may be fitted
@@ -20,6 +22,11 @@
 #include <vector>
 
 #include "core/detector_registry.h"
+
+namespace fdeta::persist {
+class Decoder;
+class Encoder;
+}  // namespace fdeta::persist
 
 namespace fdeta::core {
 
@@ -47,22 +54,17 @@ class DetectorFleet {
   const DetectorOptions& options() const { return options_; }
 
   /// Writes the fleet's checkpoint block; every member must be fitted.
-  /// "kld" writes its config once, then one bulk array per fitted field;
-  /// the other families write the options once, then each member's
-  /// save_state payload.
+  /// The config once (and ckld's slot->group table), then one bulk array
+  /// per fitted field across all members.
   void save(persist::Encoder& enc) const;
 
-  /// Reads a save() block; the "kld" members are rebuilt on the shared pool
-  /// (`threads` caps the parallelism).  Every decoded config is validated
-  /// here, and each non-"kld" member must match the fingerprint of a
-  /// prototype built from the decoded options.  Throws DataError on any
-  /// malformed block.
+  /// Reads a save() block, rebuilding every member from its rows in one
+  /// pass on the shared pool (`threads` caps the parallelism).  Every
+  /// decoded config is validated here, and a ckld table must equal this
+  /// build's calendar.  Throws DataError on any malformed block.
   static DetectorFleet restore(persist::Decoder& dec, std::size_t threads);
 
  private:
-  void restore_kld(persist::Decoder& dec, std::size_t count,
-                   std::size_t threads);
-
   std::string family_ = "kld";
   DetectorOptions options_{};
   std::vector<std::unique_ptr<ScoringDetector>> members_;

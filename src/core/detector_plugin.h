@@ -1,4 +1,4 @@
-// The first-class detector plugin interface (ROADMAP item 2).
+// The detector plugin interface.
 //
 // Detector (detector.h) is the minimal fit/flag contract the evaluation
 // harness consumes.  ScoringDetector is the full plugin contract the serving
@@ -13,9 +13,8 @@
 //     1 - significance; each family's native score scale stays reachable
 //     through raw_score_week / raw_decision_threshold,
 //   - a per-bin explanation of every scored week,
-//   - symmetric save_state/restore_state for checkpoints,
-//   - a config fingerprint, so a fleet restore (detector_fleet.h) can check
-//     every member against the options the checkpoint names,
+//   - its fitted parts as views, and their adoption from decoded rows: the
+//     two hooks behind DetectorFleet's one checkpoint codec (detector_fleet.h),
 //   - a count contract: every family sees a week only through per-bin
 //     counts, so a caller can keep a window's counts current one reading at
 //     a time and score the counts; a sliding window rescore costs O(bins)
@@ -29,17 +28,14 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/detector.h"
 
-namespace fdeta::persist {
-class Decoder;
-class Encoder;
-}  // namespace fdeta::persist
-
 namespace fdeta::core {
+
+struct FittedParts;  // kld_detector.h
+struct MemberRows;   // kld_detector.h
 
 /// One bin's share of a week's K_A score: the p_j * log2(p_j / q_j) term of
 /// eq. (12), where p is the scored week's distribution and q the (smoothed)
@@ -187,22 +183,17 @@ class ScoringDetector : public Detector {
   virtual double raw_score_counts(
       std::span<const std::uint16_t> counts) const = 0;
 
-  /// Serializes the fitted state; requires fit() to have run.  Symmetric
-  /// with restore_state: the byte stream carries its own framing, so
-  /// consecutive per-consumer payloads need no length prefixes.
-  virtual void save_state(persist::Encoder& enc) const = 0;
+  // --- Checkpoint hooks (DetectorFleet is their one caller) --------------
+  /// The fitted state as views into this detector; requires fit().
+  virtual FittedParts fitted_parts() const = 0;
 
-  /// Restores state saved by save_state, replacing this detector's config
-  /// and fit; scores bit-exactly match the detector that was saved.
-  virtual void restore_state(persist::Decoder& dec) = 0;
-
-  /// Deterministic one-line config summary (id + every scoring-relevant
-  /// parameter).  Two detectors with equal fingerprints are interchangeable
-  /// members of one fleet; a fleet restore checks every member against it.
-  virtual std::string config_fingerprint() const = 0;
+  /// Adopts one member's decoded rows, checking every model through
+  /// KldModel::from_parts; scores then match the saved detector bit for bit.
+  /// Throws DataError on a malformed row.
+  virtual void restore_parts(const MemberRows& rows) = 0;
 
  protected:
-  /// Every family assigns this at the end of fit() and of a state restore
+  /// Every family assigns this at the end of fit() and of restore_parts()
   /// (copies carry it along).  Until then score_week / decision_threshold
   /// throw via ScoreCalibration's fitted check.
   ScoreCalibration calibration_;

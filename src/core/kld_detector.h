@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/detector_plugin.h"
@@ -144,6 +144,29 @@ class KldModel {
   bool exclude_out_of_support_ = true;
 };
 
+/// A fitted detector's stored state, as views into it: what
+/// DetectorFleet::save writes for every family (DESIGN.md section 9).
+struct FittedParts {
+  /// One model per price group: G of them, 1 for kld and kld-lite.
+  std::span<const KldModel> models{};
+  /// The calibration reference in fit order: K_i for kld and kld-lite, the
+  /// training margins for ckld.
+  std::span<const double> reference{};
+  /// kld-lite's selected slot-of-week positions; empty otherwise.
+  std::span<const std::uint32_t> positions{};
+};
+
+/// One member's rows of a decoded DetectorFleet block, as views: G rows of
+/// B + 1 edges, G rows of B baseline masses, the reference, G thresholds and
+/// the positions, laid out as FittedParts describes them.
+struct MemberRows {
+  std::span<const double> edges;
+  std::span<const double> baselines;
+  std::span<const double> reference;
+  std::span<const double> thresholds;
+  std::span<const std::uint32_t> positions;
+};
+
 /// The number of whole weeks in `training`; throws InvalidArgument unless
 /// it is a whole number of at least four weeks.
 std::size_t training_weeks(std::span<const Kw> training);
@@ -185,10 +208,8 @@ class KldDetector final : public ScoringDetector {
       std::span<const std::uint16_t> counts) const override {
     return model().score(counts);
   }
-  /// Payload: config, frozen edges, baseline, training K_i, threshold.
-  void save_state(persist::Encoder& enc) const override;
-  void restore_state(persist::Decoder& dec) override;
-  std::string config_fingerprint() const override;
+  FittedParts fitted_parts() const override;
+  void restore_parts(const MemberRows& rows) override;
 
   /// K_A: the divergence score of a week (any number of readings up to
   /// 65535).
@@ -204,15 +225,6 @@ class KldDetector final : public ScoringDetector {
   /// The fitted model: frozen histogram, baseline X distribution (Fig. 4a)
   /// and training K_i (Fig. 4b).  Throws InvalidArgument before fit().
   const KldModel& model() const;
-
-  /// Reassembles a fitted detector from already-decoded parts (the "kld"
-  /// fleet checkpoint block decodes whole fleets of detectors from flat
-  /// arrays; see DetectorFleet::restore), checked by KldModel::from_parts.
-  static KldDetector from_fitted_parts(KldDetectorConfig config,
-                                       std::vector<double> edges,
-                                       std::vector<double> baseline,
-                                       std::vector<double> k_training,
-                                       double threshold);
 
  private:
   /// Installs a fitted model and its calibration (a pure function of the

@@ -673,6 +673,7 @@ void OnlineMonitor::restore(std::istream& in) {
       dec.u32_array("monitor cooldown counters", count);
   std::vector<double> train_mean =
       dec.f64_array("monitor training means", count);
+  persist::require_finite("monitor training means", train_mean);
 
   const std::size_t alert_count = dec.count("alerts", 100u << 20);
   dec.require_fits("alerts", alert_count, kAlertBytes);

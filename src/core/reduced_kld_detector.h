@@ -16,7 +16,6 @@
 #include <bitset>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/detector_plugin.h"
@@ -58,9 +57,9 @@ class ReducedKldDetector final : public ScoringDetector {
       std::span<const std::uint16_t> counts) const override {
     return model().score(counts);
   }
-  void save_state(persist::Encoder& enc) const override;
-  void restore_state(persist::Decoder& dec) override;
-  std::string config_fingerprint() const override;
+  FittedParts fitted_parts() const override;
+  /// Also rejects positions outside the week or not strictly ascending.
+  void restore_parts(const MemberRows& rows) override;
 
  private:
   const KldModel& model() const;

@@ -428,6 +428,8 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
       dec.f64_array("hierarchy baselines", node_count);
   const std::vector<double> sigmas =
       dec.f64_array("hierarchy deviations", node_count);
+  persist::require_finite("hierarchy baselines", baselines);
+  persist::require_finite("hierarchy deviations", sigmas, true);
   for (std::size_t n = 0; n < node_count; ++n) {
     if (static_cast<grid::NodeId>(ids[n]) != nodes_[n].node) {
       throw DataError("FeederMonitor: checkpoint scored-node ids do not "
@@ -441,6 +443,7 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
   }
   std::vector<double> train_means =
       dec.f64_array("hierarchy training means", consumer_count);
+  persist::require_finite("hierarchy training means", train_means);
   // Commit only after the whole payload decoded.
   config_.detector = fleet.family();
   config_.detector_options = fleet.options();

@@ -50,6 +50,12 @@ WeeklyStats load_weekly_stats(persist::Decoder& dec) {
   out.mean_hi = dec.f64();
   out.var_lo = dec.f64();
   out.var_hi = dec.f64();
+  const double mean_bounds[] = {out.mean_lo, out.mean_hi};
+  const double var_bounds[] = {out.var_lo, out.var_hi};
+  persist::require_finite("weekly means", out.means);
+  persist::require_finite("weekly mean bounds", mean_bounds);
+  persist::require_finite("weekly variances", out.variances, true);
+  persist::require_finite("weekly variance bounds", var_bounds, true);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "persist/binary_io.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/error.h"
@@ -137,6 +138,7 @@ std::vector<double> Decoder::f64_array(std::string_view what,
 
 std::vector<std::uint32_t> Decoder::u32_array(std::string_view what,
                                               std::size_t count) {
+  if (count == 0) return {};
   require_fits(what, count, sizeof(std::uint32_t));
   std::vector<std::uint32_t> out(count);
   if constexpr (std::endian::native == std::endian::little) {
@@ -153,6 +155,16 @@ void Decoder::require_exhausted(std::string_view what) const {
   if (remaining() != 0) {
     throw DataError("checkpoint: " + std::string(what) + " left " +
                     std::to_string(remaining()) + " undecoded section bytes");
+  }
+}
+
+void require_finite(std::string_view what, std::span<const double> values,
+                    bool non_negative) {
+  for (const double v : values) {
+    if (!std::isfinite(v) || (non_negative && v < 0.0)) {
+      throw DataError("checkpoint: " + std::string(what) + " must be finite" +
+                      (non_negative ? " and >= 0" : ""));
+    }
   }
 }
 

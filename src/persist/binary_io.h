@@ -96,4 +96,9 @@ class Decoder {
   std::size_t pos_ = 0;
 };
 
+/// Throws DataError unless every decoded value is finite and, when
+/// `non_negative`, >= 0: a checksum-valid NaN is as malformed as a bad count.
+void require_finite(std::string_view what, std::span<const double> values,
+                    bool non_negative = false);
+
 }  // namespace fdeta::persist

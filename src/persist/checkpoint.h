@@ -6,7 +6,7 @@
 // (`fdeta detect --model`) instead of refitting from raw readings on every
 // process start.  A restore should cost about one read of the fitted state.
 //
-// File layout, format v9 (all integers little-endian; see binary_io.h):
+// File layout, format v10 (all integers little-endian; see binary_io.h):
 //
 //   offset  size  field
 //        0     8  magic "FDETAMDL"
@@ -20,11 +20,11 @@
 //
 // The owner fixes how many sections it writes and what each holds
 // (DESIGN.md §9); every owner's detectors travel as one core::DetectorFleet
-// block inside its Encoder payload (v9: the non-"kld" block stores the kld
-// config and kld-lite's slot count, nothing else, before its payloads).  A bulk section is hashed and written
-// straight from the caller's live array, and read straight into the
-// caller's destination vector, a chunk at a time: no encoder buffer,
-// payload copy or second pass in between.
+// block inside its Encoder payload (v10: every family stores its config
+// once, then one array per fitted field across all members).  A bulk
+// section is hashed and written straight from the caller's live array, and
+// read straight into the caller's destination vector, a chunk at a time: no
+// encoder buffer, payload copy or second pass in between.
 //
 // Readers accept exactly kFormatVersion: refitting is the migration.  They
 // validate magic -> version -> section id, then per section length ->
@@ -46,7 +46,7 @@ class SectionHash;  // the incremental section_checksum (checkpoint.cpp)
 
 inline constexpr std::string_view kMagic = "FDETAMDL";
 /// Bumped on ANY layout change of the frame or of an owner's sections.
-inline constexpr std::uint32_t kFormatVersion = 9;
+inline constexpr std::uint32_t kFormatVersion = 10;
 
 /// What fitted model a checkpoint holds. A reader asks for the section id it
 /// expects; a pipeline checkpoint can never be restored into a monitor.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "persist/binary_io.h"
 
 namespace fdeta::stats {
 
@@ -77,14 +76,6 @@ std::vector<double> Histogram::probabilities(
     out[j] = static_cast<double>(raw[j]) / n;
   }
   return out;
-}
-
-void Histogram::save(persist::Encoder& enc) const { enc.doubles(edges_); }
-
-Histogram Histogram::load(persist::Decoder& dec) {
-  // The explicit-edges constructor revalidates (>= 2 edges, ascending), so
-  // a corrupted edge array is rejected rather than silently misbinned.
-  return Histogram(dec.doubles("histogram edges", 1u << 20));
 }
 
 }  // namespace fdeta::stats

@@ -13,11 +13,6 @@
 #include <span>
 #include <vector>
 
-namespace fdeta::persist {
-class Encoder;
-class Decoder;
-}  // namespace fdeta::persist
-
 namespace fdeta::stats {
 
 /// A histogram with B equal-width bins whose edges were frozen from a
@@ -69,11 +64,6 @@ class Histogram {
   /// Relative frequencies per bin (counts / sample size).  This is the
   /// p(X^(j)) of eq. (12).  Requires a non-empty sample.
   std::vector<double> probabilities(std::span<const double> sample) const;
-
-  /// Serialization hooks for model checkpoints (persist/checkpoint.h): the
-  /// frozen edges are the histogram's entire state.
-  void save(persist::Encoder& enc) const;
-  static Histogram load(persist::Decoder& dec);
 
  private:
   void init_grid();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/detector_fleet.h"
 #include "core/detector_plugin.h"
 #include "core/detector_registry.h"
 #include "persist/binary_io.h"
@@ -101,9 +102,10 @@ class CalibrationContract : public ::testing::TestWithParam<std::string_view> {
     return make_detector(GetParam(), {});
   }
 
-  static std::string save_bytes(const ScoringDetector& d) {
+  /// The checkpoint block of `fleet`.
+  static std::string block(const DetectorFleet& fleet) {
     persist::Encoder enc;
-    d.save_state(enc);
+    fleet.save(enc);
     return enc.bytes();
   }
 };
@@ -190,20 +192,20 @@ TEST_P(CalibrationContract, ExplanationCarriesBothScales) {
 // just the raw ones) are bit-identical.
 TEST_P(CalibrationContract, SaveRestoreSavePreservesCalibratedScores) {
   const auto f = testutil::make_fixture(90210);
-  auto original = make();
-  original->fit(f.train());
-  const std::string bytes = save_bytes(*original);
+  DetectorFleet original(std::string(GetParam()), {}, 1);
+  original.fit(0, f.train());
+  const std::string bytes = block(original);
 
-  auto restored = make();
   persist::Decoder dec(bytes);
-  restored->restore_state(dec);
-  dec.require_exhausted("calibration contract payload");
+  const DetectorFleet restored = DetectorFleet::restore(dec, 0);
+  dec.require_exhausted("calibration contract block");
 
-  EXPECT_EQ(save_bytes(*restored), bytes);
-  EXPECT_EQ(restored->decision_threshold(), original->decision_threshold());
+  EXPECT_EQ(block(restored), bytes);
+  EXPECT_EQ(restored[0].decision_threshold(),
+            original[0].decision_threshold());
   for (std::size_t w = 0; w < 4; ++w) {
     const auto week = f.split.test_week(f.series, w);
-    EXPECT_EQ(restored->score_week(week), original->score_week(week))
+    EXPECT_EQ(restored[0].score_week(week), original[0].score_week(week))
         << "week " << w;
   }
 }

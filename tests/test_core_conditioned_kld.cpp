@@ -25,7 +25,6 @@ class ConditionedKldTest : public ::testing::Test {
     ConditionedKldDetectorConfig cfg;
     cfg.kld = {.bins = 10, .significance = 0.05};
     cfg.slot_group = tou_slot_groups(tou_);
-    cfg.groups = 2;
     detector_ = std::make_unique<ConditionedKldDetector>(cfg);
     detector_->fit(f_.train());
 
@@ -77,14 +76,12 @@ TEST_F(ConditionedKldTest, SwapInflatesBothGroupScores) {
 }
 
 TEST(TouSlotGroups, MatchesNightsaverCalendar) {
-  const auto groups = tou_slot_groups(pricing::nightsaver());
-  EXPECT_EQ(groups(0), 0u);    // midnight: off-peak
-  EXPECT_EQ(groups(17), 0u);   // 08:30
-  EXPECT_EQ(groups(18), 1u);   // 09:00: peak
-  EXPECT_EQ(groups(47), 1u);   // 23:30
-  EXPECT_EQ(groups(48), 0u);   // next day's midnight
-  // Wraps across the week.
-  EXPECT_EQ(groups(kSlotsPerWeek + 18), 1u);
+  const SlotGroups groups = tou_slot_groups(pricing::nightsaver());
+  EXPECT_EQ(groups[0], 0u);    // midnight: off-peak
+  EXPECT_EQ(groups[17], 0u);   // 08:30
+  EXPECT_EQ(groups[18], 1u);   // 09:00: peak
+  EXPECT_EQ(groups[47], 1u);   // 23:30
+  EXPECT_EQ(groups[48], 0u);   // next day's midnight
 }
 
 TEST(RtpSlotGroups, BandsByQuantile) {
@@ -92,10 +89,11 @@ TEST(RtpSlotGroups, BandsByQuantile) {
   std::vector<double> prices(96);
   for (std::size_t t = 0; t < 96; ++t) prices[t] = static_cast<double>(t);
   const pricing::RealTimePricing rtp(prices);
-  const auto groups = rtp_slot_groups(rtp, 96, 3);
-  EXPECT_EQ(groups(0), 0u);
-  EXPECT_EQ(groups(50), 1u);
-  EXPECT_EQ(groups(95), 2u);
+  const SlotGroups groups = rtp_slot_groups(rtp, 96, 3);
+  EXPECT_EQ(groups[0], 0u);
+  EXPECT_EQ(groups[50], 1u);
+  EXPECT_EQ(groups[95], 2u);
+  EXPECT_EQ(groups[96 + 50], 1u);  // slot-of-week s takes slot s mod 96
 }
 
 TEST(ConditionedKld, ConfigValidation) {
@@ -105,6 +103,13 @@ TEST(ConditionedKld, ConfigValidation) {
   cfg.kld.bins = 10;
   cfg.kld.significance = 2.0;
   EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  cfg.kld.significance = 0.05;
+  cfg.slot_group.fill(0);  // one group
+  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  cfg.slot_group[0] = 2;  // group 1 owns no slot
+  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  cfg.slot_group[1] = 1;
+  EXPECT_EQ(ConditionedKldDetector{cfg}.groups(), 3u);
 }
 
 TEST(ConditionedKld, DefaultsToNightsaverGroups) {

@@ -353,11 +353,11 @@ TEST(GoldenMatrix, IsolationForestHasTeethAtZeroLoss) {
 // ---------------------------------------------------------------------------
 // Golden payloads: every registered family's exact bytes and scores.  Each
 // family is fitted with default options on consumer 0 of a fixed dataset
-// (12 training weeks); the file records the checksum and length of its
-// save_state payload and of a 2-member DetectorFleet block (consumers 0 and
-// 1), its raw decision threshold, and for weeks 12-15 plus week 12 scaled
-// x0.25 and x3 the raw and calibrated scores and every explanation bin's
-// bits.  Doubles print %.17g, so any change of a single bit shows.
+// (12 training weeks); the file records the checksum and length of a
+// 2-member DetectorFleet block (consumers 0 and 1), its raw decision
+// threshold, and for weeks 12-15 plus week 12 scaled x0.25 and x3 the raw and
+// calibrated scores and every explanation bin's bits.  Doubles print %.17g,
+// so any change of a single bit shows.
 
 /// %.17g: enough digits that any change of a single bit shows.
 std::string exact(double v) {
@@ -387,9 +387,6 @@ std::string compute_payloads() {
     auto detector = make_detector(family, options);
     detector->fit(split.train(dataset.consumer(0)));
 
-    persist::Encoder state;
-    detector->save_state(state);
-    out += bytes_line("save_state", state.bytes());
     DetectorFleet fleet(family, options, 2);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       fleet.fit(i, split.train(dataset.consumer(i)));

@@ -17,6 +17,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -497,6 +498,13 @@ std::vector<SectionSpan> sections_of(const std::string& file) {
   return out;
 }
 
+/// Overwrites the f64 at `offset` of an encoded block.
+void patch_f64(std::string& bytes, std::size_t offset, double value) {
+  persist::Encoder enc;
+  enc.f64(value);
+  bytes.replace(offset, 8, enc.bytes());
+}
+
 /// Rewrites a section's checksum after its body was edited.
 void reseal(std::string& file, const SectionSpan& section) {
   const std::uint64_t sum = persist::section_checksum(
@@ -639,6 +647,37 @@ TEST_F(FramedMonitor, RejectsNonzeroMaskPaddingBit) {
   EXPECT_NE(rejection(target, file).find("padding bit"), std::string::npos);
 }
 
+TEST_F(FramedMonitor, NonFiniteFeederStateFailsWithDataError) {
+  const auto sections = sections_of(bytes_);
+  ASSERT_EQ(sections.size(), 3u);
+  OnlineMonitor target(config());
+  std::istringstream in(bytes_, std::ios::binary);
+  target.restore(in);
+  ASSERT_NE(target.feeder(), nullptr);
+  // The state section ends with the feeder block's node baselines and
+  // deviations, the consumer count, then the consumer training means.
+  const std::size_t nodes = target.feeder()->scored_node_count();
+  const std::size_t means_at = sections[0].body_at + sections[0].length -
+                               dataset_.consumer_count() * 8;
+  const std::size_t sigmas_at = means_at - 8 - nodes * 8;
+  const std::size_t baselines_at = sigmas_at - nodes * 8;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [what, at, value] :
+       {std::tuple<const char*, std::size_t, double>{
+            "consumer training mean", means_at + 8, nan},
+        {"consumer training mean", means_at, -inf},
+        {"node baseline", baselines_at, inf},
+        {"node deviation", sigmas_at + 8, nan},
+        {"node deviation", sigmas_at, -1.0}}) {
+    SCOPED_TRACE(::testing::Message() << what << " = " << value);
+    std::string file = bytes_;
+    patch_f64(file, at, value);
+    reseal(file, sections[0]);
+    EXPECT_NE(rejection(target, file).find("finite"), std::string::npos);
+  }
+}
+
 /// Serves a string a few hundred bytes per underflow and never reports how
 /// much is left, as a pipe would.
 class TrickleBuf : public std::streambuf {
@@ -748,6 +787,36 @@ TEST(MonitorCheckpoint, ClaimedHugeBinCountFailsWithDataError) {
   expect_fast_rejection(forged_monitor(1000, 1u << 20, 64 * 1024));
 }
 
+TEST(MonitorCheckpoint, NonFiniteTrainingMeansFailWithDataError) {
+  obs::MetricsRegistry reg;
+  OnlineMonitorConfig config;
+  config.metrics = &reg;
+  const meter::Dataset dataset = datagen::small_dataset(3, 10, 53);
+  const meter::TrainTestSplit split{.train_weeks = 8, .test_weeks = 2};
+  OnlineMonitor live(config);
+  live.fit(dataset, split);
+  std::ostringstream out(std::ios::binary);
+  live.save(out);
+  const std::string bytes = out.str();
+
+  // Consumer 1's training mean, located by its bits in the state section.
+  const SectionSpan state = sections_of(bytes)[0];
+  persist::Encoder bits;
+  bits.f64(stats::mean(split.train(dataset.consumer(1))));
+  const std::size_t at = bytes.find(bits.bytes(), state.body_at);
+  ASSERT_LT(at, state.body_at + state.length);
+  for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    std::string file = bytes;
+    patch_f64(file, at, value);
+    reseal(file, state);
+    OnlineMonitor target(config);
+    std::istringstream in(file, std::ios::binary);
+    EXPECT_THROW(target.restore(in), DataError) << value;
+  }
+}
+
 // A checksum-valid file whose only defect is an out-of-range config must
 // fail as a malformed checkpoint (DataError), never as a bad call.
 
@@ -811,7 +880,10 @@ struct KldParts {
 };
 
 /// A complete one-consumer kld pipeline checkpoint.
-std::string forged_pipeline(double significance, const KldParts& parts) {
+std::string forged_pipeline(
+    double significance, const KldParts& parts,
+    const meter::WeeklyStats& stats = {.means = {1.0, 2.0},
+                                       .variances = {0.5, 0.5}}) {
   const std::uint64_t bins = parts.baseline.size();
   persist::Encoder enc;
   enc.u64(8);      // train weeks
@@ -829,8 +901,7 @@ std::string forged_pipeline(double significance, const KldParts& parts) {
   enc.f64_array(parts.baseline);
   enc.f64_array(parts.divergences);
   enc.f64(parts.threshold);
-  meter::save_weekly_stats({.means = {1.0, 2.0}, .variances = {0.5, 0.5}},
-                           enc);
+  meter::save_weekly_stats(stats, enc);
   std::ostringstream out(std::ios::binary);
   persist::CheckpointWriter(out, persist::Section::kPipeline)
       .write(enc.bytes());
@@ -887,6 +958,35 @@ TEST(PipelineCheckpoint, NonFiniteFittedPartsFailWithDataError) {
   }
 }
 
+TEST(PipelineCheckpoint, NonFiniteWeeklyStatsFailWithDataError) {
+  obs::MetricsRegistry reg;
+  PipelineConfig config;
+  config.metrics = &reg;
+  FdetaPipeline pipeline(config);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Stats = meter::WeeklyStats;
+  const std::vector<std::pair<const char*, std::function<void(Stats&)>>>
+      forgeries = {
+          {"NaN weekly mean", [&](Stats& s) { s.means[1] = nan; }},
+          {"-inf weekly mean", [&](Stats& s) { s.means[0] = -inf; }},
+          {"NaN weekly variance", [&](Stats& s) { s.variances[0] = nan; }},
+          {"negative weekly variance",
+           [&](Stats& s) { s.variances[1] = -0.5; }},
+          {"NaN mean bound", [&](Stats& s) { s.mean_hi = nan; }},
+          {"+inf variance bound", [&](Stats& s) { s.var_hi = inf; }},
+          {"negative variance bound", [&](Stats& s) { s.var_lo = -1.0; }},
+      };
+  for (const auto& [what, forge] : forgeries) {
+    SCOPED_TRACE(what);
+    Stats stats{.means = {1.0, 2.0}, .variances = {0.5, 0.5}};
+    forge(stats);
+    std::istringstream in(forged_pipeline(0.05, KldParts(10), stats),
+                          std::ios::binary);
+    EXPECT_THROW(pipeline.load_model(in), DataError);
+  }
+}
+
 /// The block of a two-member fleet of `family` fitted at significance 0.10.
 std::string fleet_block(const std::string& family) {
   const auto dataset = datagen::small_dataset(2, 8, 47);
@@ -901,13 +1001,6 @@ std::string fleet_block(const std::string& family) {
   return enc.bytes();
 }
 
-/// Overwrites the f64 at `offset` of an encoded block.
-void patch_f64(std::string& bytes, std::size_t offset, double value) {
-  persist::Encoder enc;
-  enc.f64(value);
-  bytes.replace(offset, 8, enc.bytes());
-}
-
 /// The DataError message restoring `bytes` throws.
 std::string fleet_rejection(const std::string& bytes) {
   persist::Decoder dec(bytes);
@@ -918,18 +1011,6 @@ std::string fleet_rejection(const std::string& bytes) {
   }
   ADD_FAILURE() << "fleet block was not rejected";
   return {};
-}
-
-TEST(DetectorFleetCheckpoint, MembersMustMatchTheStoredOptions) {
-  std::string bytes = fleet_block("ckld");
-  persist::Decoder dec(bytes);
-  const DetectorFleet fleet = DetectorFleet::restore(dec, 0);
-  dec.require_exhausted("fleet block");
-  EXPECT_EQ(fleet.family(), "ckld");
-  EXPECT_EQ(fleet.options().kld.significance, 0.10);
-  // Member count (8), the id (8 + 4), bins (8), then the significance.
-  patch_f64(bytes, 28, 0.05);
-  EXPECT_NE(fleet_rejection(bytes).find("fleet's options"), std::string::npos);
 }
 
 TEST(DetectorFleetCheckpoint, UnsortedKldEdgesFailWithDataError) {
@@ -964,21 +1045,162 @@ TEST(DetectorFleetCheckpoint, NonFiniteMemberThresholdsFailWithDataError) {
   }
 }
 
+// The v10 block of every family: its layout, and a seeded mutation sweep
+// over it.  Every case must end in DataError or a clean parse; anything else
+// (another exception, a crash, a sanitizer report) fails.
+
+/// Where fleet_block(family) keeps its fitted doubles: edges, baselines,
+/// references and thresholds back to back from `at`, then kld-lite's two
+/// members' 48 u32 positions.
+struct FittedDoubles {
+  std::size_t at;
+  std::size_t count;
+};
+
+FittedDoubles fitted_doubles(const std::string& family, std::size_t size) {
+  // Member count, id, kld config, (reduced_slots, ckld table), train weeks.
+  std::size_t at = 8 + 8 + family.size() + 8 + 8 + 8 + 1 + 8;
+  if (family != "kld") at += 8;
+  if (family == "ckld") at += kSlotsPerWeek * 4;
+  const std::size_t positions = family == "kld-lite" ? 2 * 48 * 4 : 0;
+  return {at, (size - at - positions) / 8};
+}
+
+/// Restores `bytes` as a whole block, accepting DataError; any other
+/// exception escapes and fails the calling test.
+void restore_or_reject(const std::string& bytes) {
+  persist::Decoder dec(bytes);
+  try {
+    DetectorFleet::restore(dec, 0);
+    dec.require_exhausted("fleet block");
+  } catch (const DataError&) {
+  }
+}
+
+TEST(DetectorFleetCheckpoint, BlockStoresEachFieldOncePerMember) {
+  // 6 training weeks, default options: per member, G x (11 + 10 + 1) edge,
+  // baseline and threshold doubles, 6 reference doubles, k u32 positions.
+  const auto dataset = datagen::small_dataset(2, 6, 47);
+  for (const auto& [family, per_member] :
+       {std::pair<std::string, std::size_t>{"kld", 224},
+        {"ckld", 400},
+        {"kld-lite", 416}}) {
+    SCOPED_TRACE(family);
+    DetectorFleet fleet(family, {}, 2);
+    for (std::size_t i = 0; i < 2; ++i) {
+      fleet.fit(i, dataset.consumer(i).readings);
+    }
+    persist::Encoder enc;
+    fleet.save(enc);
+    const std::size_t header =
+        fitted_doubles(family, enc.bytes().size()).at;
+    EXPECT_EQ(enc.bytes().size(), header + 2 * per_member);
+  }
+}
+
+TEST(DetectorFleetCheckpoint, MutatedBlocksFailWithDataErrorOrParse) {
+  Rng rng(2016);
+  for (const std::string_view name : registered_detector_names()) {
+    const std::string family(name);
+    SCOPED_TRACE(family);
+    const std::string bytes = fleet_block(family);
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      for (const unsigned mask : {0xFFu, 1u << rng.below(8)}) {
+        std::string flipped = bytes;
+        flipped[at] = static_cast<char>(flipped[at] ^ mask);
+        restore_or_reject(flipped);
+      }
+      persist::Decoder truncated(std::string_view(bytes).substr(0, at));
+      EXPECT_THROW(DetectorFleet::restore(truncated, 0), DataError)
+          << "truncated at byte " << at << " of " << bytes.size();
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(DetectorFleetCheckpoint, NonFiniteFittedDoublesFailWithDataError) {
+  for (const std::string_view name : registered_detector_names()) {
+    const std::string family(name);
+    SCOPED_TRACE(family);
+    const std::string bytes = fleet_block(family);
+    const FittedDoubles doubles = fitted_doubles(family, bytes.size());
+    for (std::size_t k = 0; k < doubles.count; ++k) {
+      for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+        std::string planted = bytes;
+        patch_f64(planted, doubles.at + 8 * k, value);
+        EXPECT_NE(fleet_rejection(planted).find("finite"), std::string::npos)
+            << "fitted double " << k << " = " << value;
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(DetectorFleetCheckpoint, KldLitePositionsMustBeInRangeAndAscending) {
+  const std::string bytes = fleet_block("kld-lite");
+  const std::size_t positions_at = bytes.size() - 2 * 48 * 4;
+  const auto with_position = [&](std::size_t j, std::uint32_t value) {
+    persist::Encoder enc;
+    enc.u32(value);
+    std::string out = bytes;
+    out.replace(positions_at + 4 * j, 4, enc.bytes());
+    return out;
+  };
+  EXPECT_NE(fleet_rejection(with_position(47, kSlotsPerWeek))
+                .find("out of range"),
+            std::string::npos);
+  persist::Decoder first(std::string_view(bytes).substr(positions_at, 4));
+  EXPECT_NE(fleet_rejection(with_position(1, first.u32())).find("ascending"),
+            std::string::npos);
+}
+
+TEST(DetectorFleetCheckpoint, NonFiniteCkldMarginsFailWithDataError) {
+  // A ckld block's references are its training margins: they follow the
+  // edges and baselines (2 members x 2 groups x 21 doubles).
+  const std::string bytes = fleet_block("ckld");
+  const FittedDoubles doubles = fitted_doubles("ckld", bytes.size());
+  std::string planted = bytes;
+  patch_f64(planted, doubles.at + 8 * (2 * 2 * 21),
+            std::numeric_limits<double>::quiet_NaN());
+  EXPECT_NE(fleet_rejection(planted).find("margins"), std::string::npos);
+}
+
+TEST(DetectorFleetCheckpoint, CkldCalendarMustMatchThisBuild) {
+  std::string bytes = fleet_block("ckld");
+  {
+    persist::Decoder dec(bytes);
+    const DetectorFleet fleet = DetectorFleet::restore(dec, 0);
+    dec.require_exhausted("fleet block");
+    EXPECT_EQ(fleet.family(), "ckld");
+    EXPECT_EQ(fleet.options().kld.significance, 0.10);
+  }
+  // Member count, id, kld config, reduced_slots: then the table, whose slot
+  // 0 (midnight, off-peak) moves to the peak group.
+  const std::size_t table_at = 8 + 8 + 4 + 8 + 8 + 8 + 1 + 8;
+  persist::Encoder peak;
+  peak.u32(1);
+  bytes.replace(table_at, 4, peak.bytes());
+  EXPECT_NE(fleet_rejection(bytes).find("calendar"), std::string::npos);
+}
+
 TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
   const auto dataset = datagen::small_dataset(1, 12, 23);
   const auto& readings = dataset.consumer(0).readings;
   const std::span<const Kw> train{readings.data(),
                                   10 * static_cast<std::size_t>(kSlotsPerWeek)};
 
-  ConditionedKldDetector fitted;
-  fitted.fit(train);
-
+  DetectorFleet fleet("ckld", {}, 1);
+  fleet.fit(0, train);
   persist::Encoder enc;
-  fitted.save_state(enc);
+  fleet.save(enc);
   persist::Decoder dec(enc.bytes());
-  ConditionedKldDetector restored;
-  restored.restore_state(dec);
+  const DetectorFleet back = DetectorFleet::restore(dec, 0);
   dec.require_exhausted("conditioned detector");
+
+  const auto& fitted = static_cast<const ConditionedKldDetector&>(fleet[0]);
+  const auto& restored = static_cast<const ConditionedKldDetector&>(back[0]);
 
   const auto week = dataset.consumer(0).week(11);
   const auto a = fitted.scores(week);

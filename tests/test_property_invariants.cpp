@@ -10,7 +10,7 @@
 
 #include "attack/propositions.h"
 #include "common/rng.h"
-#include "core/detector_registry.h"
+#include "core/detector_fleet.h"
 #include "grid/balance.h"
 #include "grid/investigate.h"
 #include "persist/binary_io.h"
@@ -150,28 +150,34 @@ class DetectorContract : public ::testing::TestWithParam<std::string_view> {
     return core::make_detector(GetParam(), {});
   }
 
-  static std::string save_bytes(const core::ScoringDetector& d) {
+  /// A one-member fleet of the family, fitted on `training`.
+  core::DetectorFleet fitted(std::span<const Kw> training) const {
+    core::DetectorFleet fleet(std::string(GetParam()), {}, 1);
+    fleet.fit(0, training);
+    return fleet;
+  }
+
+  /// The fleet's checkpoint block.
+  static std::string block(const core::DetectorFleet& fleet) {
     persist::Encoder enc;
-    d.save_state(enc);
+    fleet.save(enc);
     return enc.bytes();
   }
 };
 
 // Two independently built + fitted instances of the same family agree on
-// everything observable: fingerprint, threshold, and scores (the registry
+// everything observable: stored bytes, threshold, and scores (the registry
 // seeds any internal randomness deterministically).
 TEST_P(DetectorContract, FitAndScoreAreDeterministic) {
   const auto f = testutil::make_fixture(4242);
-  auto a = make();
-  auto b = make();
-  a->fit(f.train());
-  b->fit(f.train());
-  EXPECT_EQ(a->config_fingerprint(), b->config_fingerprint());
-  EXPECT_EQ(a->decision_threshold(), b->decision_threshold());
+  const core::DetectorFleet a = fitted(f.train());
+  const core::DetectorFleet b = fitted(f.train());
+  EXPECT_EQ(block(a), block(b));
+  EXPECT_EQ(a[0].decision_threshold(), b[0].decision_threshold());
   for (std::size_t w = 0; w < 4; ++w) {
     const auto week = f.split.test_week(f.series, w);
     const SlotIndex first = (12 + w) * static_cast<std::size_t>(kSlotsPerWeek);
-    EXPECT_EQ(a->score_week(week, first), b->score_week(week, first))
+    EXPECT_EQ(a[0].score_week(week, first), b[0].score_week(week, first))
         << "test week " << w;
   }
 }
@@ -181,20 +187,20 @@ TEST_P(DetectorContract, FitAndScoreAreDeterministic) {
 // state mutation on the hot path).
 TEST_P(DetectorContract, ScoringIsPure) {
   const auto f = testutil::make_fixture(999);
-  auto d = make();
-  d->fit(f.train());
-  const std::string before = save_bytes(*d);
+  const core::DetectorFleet fleet = fitted(f.train());
+  const core::ScoringDetector& d = fleet[0];
+  const std::string before = block(fleet);
   const auto week = f.clean_week();
-  const double first = d->score_week(week, 0);
-  const auto explanation = d->explain_week(week, 0);
-  const bool flagged = d->flag_week(week, 0);
+  const double first = d.score_week(week, 0);
+  const auto explanation = d.explain_week(week, 0);
+  const bool flagged = d.flag_week(week, 0);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(d->score_week(week, 0), first) << "call " << i;
+    EXPECT_EQ(d.score_week(week, 0), first) << "call " << i;
   }
   EXPECT_EQ(explanation.score, first);
-  EXPECT_EQ(explanation.threshold, d->decision_threshold());
-  EXPECT_EQ(flagged, first > d->decision_threshold());
-  EXPECT_EQ(save_bytes(*d), before)
+  EXPECT_EQ(explanation.threshold, d.decision_threshold());
+  EXPECT_EQ(flagged, first > d.decision_threshold());
+  EXPECT_EQ(block(fleet), before)
       << "scoring mutated serialized detector state";
 }
 
@@ -221,20 +227,18 @@ TEST_P(DetectorContract, FiniteScoresOnDegenerateBaseline) {
 // bit-exactly like the original (the checkpoint layer depends on both).
 TEST_P(DetectorContract, SaveRestoreSaveIsByteStable) {
   const auto f = testutil::make_fixture(31337);
-  auto original = make();
-  original->fit(f.train());
-  const std::string bytes = save_bytes(*original);
+  const core::DetectorFleet original = fitted(f.train());
+  const std::string bytes = block(original);
 
-  auto restored = make();
   persist::Decoder dec(bytes);
-  restored->restore_state(dec);
-  dec.require_exhausted("detector contract payload");
+  const core::DetectorFleet restored = core::DetectorFleet::restore(dec, 0);
+  dec.require_exhausted("detector contract block");
 
-  EXPECT_EQ(save_bytes(*restored), bytes) << "save/restore/save not stable";
-  EXPECT_EQ(restored->config_fingerprint(), original->config_fingerprint());
-  EXPECT_EQ(restored->decision_threshold(), original->decision_threshold());
+  EXPECT_EQ(block(restored), bytes) << "save/restore/save not stable";
+  EXPECT_EQ(restored[0].decision_threshold(),
+            original[0].decision_threshold());
   const auto week = f.clean_week();
-  EXPECT_EQ(restored->score_week(week, 0), original->score_week(week, 0));
+  EXPECT_EQ(restored[0].score_week(week, 0), original[0].score_week(week, 0));
 }
 
 std::string contract_name(

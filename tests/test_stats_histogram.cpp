@@ -10,7 +10,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "persist/binary_io.h"
 
 namespace fdeta::stats {
 namespace {
@@ -121,31 +120,6 @@ TEST(Histogram, FrozenEdgesSharedAcrossSamples) {
   EXPECT_DOUBLE_EQ(p[3], 0.5);
   EXPECT_DOUBLE_EQ(p[1], 0.0);
   EXPECT_DOUBLE_EQ(p[2], 0.0);
-}
-
-TEST(Histogram, SaveLoadRoundTripsEdges) {
-  Rng rng(3);
-  std::vector<double> ref(500);
-  for (auto& v : ref) v = rng.normal();
-  const Histogram h(ref, 10);
-
-  persist::Encoder enc;
-  h.save(enc);
-  persist::Decoder dec(enc.bytes());
-  const Histogram back = Histogram::load(dec);
-  dec.require_exhausted("histogram");
-
-  ASSERT_EQ(back.edges().size(), h.edges().size());
-  for (std::size_t i = 0; i < h.edges().size(); ++i) {
-    EXPECT_EQ(back.edges()[i], h.edges()[i]);  // bit-exact
-  }
-}
-
-TEST(Histogram, LoadRejectsCorruptEdges) {
-  persist::Encoder enc;
-  enc.doubles(std::vector<double>{1.0, 0.0});  // descending
-  persist::Decoder dec(enc.bytes());
-  EXPECT_THROW(Histogram::load(dec), InvalidArgument);
 }
 
 // The documented bin_of contract, spelled out as code: index of the last
