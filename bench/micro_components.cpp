@@ -4,12 +4,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ami/faults.h"
 #include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
+#include "common/thread_pool.h"
+#include "core/detector_fleet.h"
 #include "core/kld_detector.h"
 #include "datagen/generator.h"
 #include "datagen/weather.h"
@@ -20,6 +26,7 @@
 #include "meter/weekly_stats.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "persist/binary_io.h"
 #include "stats/histogram.h"
 #include "stats/kl_divergence.h"
 #include "stats/truncated_normal.h"
@@ -272,6 +279,87 @@ void BM_AmiTransmitSlot(benchmark::State& state) {
                           static_cast<std::int64_t>(kConsumers));
 }
 BENCHMARK(BM_AmiTransmitSlot)->Unit(benchmark::kMicrosecond);
+
+// The detector block of a warm restart, per registered family: a
+// DetectorFleet of 4,000 members fitted on 6 training weeks with default
+// options, saved and restored through the fleet's public API only.  The
+// restore runs on the shared pool (FDETA_THREADS sets its width); time per
+// member is the iteration time / 4,000.  Counters: block bytes per member,
+// and the restored fleet's heap bytes per member (glibc mallinfo2).
+constexpr std::size_t kFleetMembers = 4000;
+
+const core::DetectorFleet& fitted_fleet(const std::string& family) {
+  static std::map<std::string, core::DetectorFleet> fleets;
+  if (!fleets.contains(family)) {
+    const meter::Dataset dataset =
+        datagen::small_dataset(kFleetMembers, 6, 41);
+    core::DetectorFleet fleet(family, {}, kFleetMembers);
+    parallel_for(kFleetMembers, [&](std::size_t i) {
+      fleet.fit(i, dataset.consumer(i).readings);
+    });
+    fleets.emplace(family, std::move(fleet));
+  }
+  return fleets.at(family);
+}
+
+std::string fleet_block(const std::string& family) {
+  persist::Encoder enc;
+  fitted_fleet(family).save(enc);
+  return enc.bytes();
+}
+
+void BM_FleetSave(benchmark::State& state, const std::string& family) {
+  const core::DetectorFleet& fleet = fitted_fleet(family);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    persist::Encoder enc;
+    fleet.save(enc);
+    bytes = enc.bytes().size();
+    benchmark::DoNotOptimize(enc.bytes().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFleetMembers));
+  state.counters["block_B_per_member"] =
+      static_cast<double>(bytes) / kFleetMembers;
+}
+BENCHMARK_CAPTURE(BM_FleetSave, kld, std::string("kld"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FleetSave, ckld, std::string("ckld"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FleetSave, kld_lite, std::string("kld-lite"))
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FleetRestore(benchmark::State& state, const std::string& family) {
+  const std::string block = fleet_block(family);
+  double heap = 0.0;
+  {
+    const std::size_t before = mallinfo2().uordblks;
+    persist::Decoder dec(block);
+    const core::DetectorFleet fleet = core::DetectorFleet::restore(dec, 0);
+    heap = static_cast<double>(mallinfo2().uordblks - before);
+  }
+  for (auto _ : state) {
+    persist::Decoder dec(block);
+    core::DetectorFleet fleet = core::DetectorFleet::restore(dec, 0);
+    state.PauseTiming();
+    fleet = {};  // freed outside the timed region
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFleetMembers));
+  state.counters["block_B_per_member"] =
+      static_cast<double>(block.size()) / kFleetMembers;
+  state.counters["heap_B_per_member"] = heap / kFleetMembers;
+}
+BENCHMARK_CAPTURE(BM_FleetRestore, kld, std::string("kld"))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_FleetRestore, ckld, std::string("ckld"))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_FleetRestore, kld_lite, std::string("kld-lite"))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 
