@@ -173,12 +173,14 @@ void parallel_for(std::size_t count,
 
   // After the caller's own run() the work is fully claimed (or cancelled);
   // wait only for helpers still executing claimed chunks.  Helpers that the
-  // pool schedules later find nothing to claim and exit via `state` alone.
+  // pool schedules later find nothing to claim and exit via `state` alone,
+  // so the error moves out of `state`: the exception is then released on
+  // this thread, never by a late helper dropping the last `state`.
   std::exception_ptr error;
   {
     std::unique_lock lock(state->mutex);
     state->drained.wait(lock, [&] { return state->active == 0; });
-    error = state->error;
+    error = std::move(state->error);
   }
   if (error) std::rethrow_exception(error);
 }
