@@ -16,6 +16,7 @@
 #include "core/kld_detector.h"
 #include "eval/arima_detector.h"
 #include "meter/weekly_stats.h"
+#include "stats/histogram.h"
 #include "stats/quantile.h"
 
 using namespace fdeta;
@@ -41,8 +42,8 @@ int main() {
   const auto attack_week = attack::integrated_arima_attack_vector(
       arima.model(), history, wstats, kSlotsPerWeek, rng, cfg);
 
-  const auto& hist = kld.model().histogram();
-  const auto& x_dist = kld.model().baseline();
+  const stats::Histogram hist({kld.edges().begin(), kld.edges().end()});
+  const auto x_dist = kld.baseline();
   const auto x1 = series.week(0);
   const auto x1_dist = hist.probabilities(x1);
   const auto attack_dist = hist.probabilities(attack_week);
@@ -55,7 +56,7 @@ int main() {
                 hist.edges()[j + 1], x_dist[j], x1_dist[j], attack_dist[j]);
   }
 
-  const auto& k = kld.model().training_divergences();
+  const auto k = kld.training_divergences();
   const double p90 = stats::percentile(k, 90.0);
   const double p95 = stats::percentile(k, 95.0);
   const double k_attack = kld.score(attack_week);

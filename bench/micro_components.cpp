@@ -293,7 +293,7 @@ const core::DetectorFleet& fitted_fleet(const std::string& family) {
   if (!fleets.contains(family)) {
     const meter::Dataset dataset =
         datagen::small_dataset(kFleetMembers, 6, 41);
-    core::DetectorFleet fleet(family, {}, kFleetMembers);
+    core::DetectorFleet fleet(family, {}, kFleetMembers, 6);
     parallel_for(kFleetMembers, [&](std::size_t i) {
       fleet.fit(i, dataset.consumer(i).readings);
     });

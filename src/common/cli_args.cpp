@@ -43,6 +43,18 @@ long CliArgs::get_long(const std::string& key, long fallback) const {
   return it == values_.end() ? fallback : parse_long(it->second, "--" + key);
 }
 
+std::size_t CliArgs::get_count(const std::string& key,
+                               std::size_t fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const long value = parse_long(it->second, "--" + key);
+  if (value < 0) {
+    throw DataError("--" + key + " must be a non-negative count, got " +
+                    it->second);
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback

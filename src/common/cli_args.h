@@ -2,6 +2,7 @@
 // downstream tools embedding the library.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,10 @@ class CliArgs {
 
   /// Integer value (DataError on a malformed number), or `fallback`.
   long get_long(const std::string& key, long fallback) const;
+
+  /// A count: a non-negative integer value, or `fallback`.  DataError
+  /// naming the flag on a negative or malformed value.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
 
   /// Double value (DataError on a malformed number), or `fallback`.
   double get_double(const std::string& key, double fallback) const;

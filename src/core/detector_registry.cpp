@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/conditioned_kld_detector.h"
-
 namespace fdeta::core {
 
 namespace {
@@ -115,7 +113,10 @@ void apply_detector_option(DetectorOptions& options, std::string_view spec) {
 
   if (key == "kld.bins") {
     const std::uint64_t bins = parse_u64(key, value);
-    if (bins < 2) bad_option("kld.bins: need at least two bins");
+    if (bins < 2 || bins > kMaxKldBins) {
+      bad_option("kld.bins: must be in [2, " + std::to_string(kMaxKldBins) +
+                 "]");
+    }
     options.kld.bins = static_cast<std::size_t>(bins);
   } else if (key == "kld.significance") {
     const double sig = parse_f64(key, value);

@@ -1,14 +1,15 @@
-// The detector registry: string name -> ScoringDetector factory.
+// The detector registry: the one list of family names.
 //
 // Every fleet of detectors (core::DetectorFleet, behind FdetaPipeline,
-// OnlineMonitor and the feeder layer) builds its members through this one
-// factory, so adding a detector family means registering it here and it
-// shows up everywhere: the golden detector x attack matrix, the generic
-// contract suite in test_property_invariants, the shard-equivalence
-// differential tests, and the per-detector bench throughput gates.
+// OnlineMonitor and the feeder layer) resolves its family here, and
+// make_detector builds the standalone family classes by the same names, so
+// a registered family shows up everywhere: the golden detector x attack
+// matrix, the generic contract suite in test_property_invariants, the
+// shard-equivalence differential tests, and the per-detector bench
+// throughput gates.
 //
-// Kept separate from detector_plugin.h: the registry must include every
-// concrete family's config, and the families include detector_plugin.h.
+// Last in the header order (configs, fleet, family classes, registry): it
+// names every family class.
 #pragma once
 
 #include <memory>
@@ -16,24 +17,14 @@
 #include <string>
 #include <string_view>
 
-#include "core/detector_plugin.h"
+#include "core/conditioned_kld_detector.h"
 #include "core/kld_detector.h"
 #include "core/reduced_kld_detector.h"
 
 namespace fdeta::core {
 
-/// Knobs for every registered family, bundled so pipeline/monitor configs
-/// can carry one value whatever detector they run.  `kld` feeds "kld",
-/// "ckld" (bins/significance/epsilon/out-of-support carry over; grouping is
-/// the Nightsaver peak/off-peak calendar) and the histogram half of
-/// "kld-lite".
-struct DetectorOptions {
-  KldDetectorConfig kld{};
-  /// "kld-lite": slot-of-week positions kept per week.
-  std::size_t reduced_slots = 48;
-};
-
-/// The registered detector ids, in canonical order.
+/// The registered detector ids, in canonical order (DetectorFleet's family
+/// routing follows it).
 std::span<const std::string_view> registered_detector_names();
 
 /// True if `name` is a registered detector id.
@@ -47,7 +38,8 @@ std::string registered_detector_names_joined();
 /// `kld.exclude_out_of_support`, `kld-lite.slots`); the kld.* keys also feed
 /// "ckld" and the histogram half of "kld-lite", mirroring how
 /// DetectorOptions fans out.  Throws std::invalid_argument naming the
-/// known keys on an unknown key, and on an unparsable or out-of-range value.
+/// known keys on an unknown key, and on an unparsable or out-of-range value
+/// (the ranges validate_kld_config and the kld-lite family check).
 void apply_detector_option(DetectorOptions& options, std::string_view spec);
 
 /// The keys apply_detector_option understands, one per line with the

@@ -263,8 +263,9 @@ void OnlineMonitor::emit_alert(const AlertEvent& event) const {
           .str("direction", to_string(event.direction)));
 }
 
-void OnlineMonitor::init_fleet(std::size_t count) {
-  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count);
+void OnlineMonitor::init_fleet(std::size_t count, std::size_t weeks) {
+  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count,
+                         weeks);
   ids_.assign(count, meter::ConsumerId{});
   windows_.assign(count * kWindow, 0.0);
   missing_.assign(count * kMaskWords, 0);
@@ -306,7 +307,7 @@ void OnlineMonitor::fit(const meter::Dataset& history,
   feeder_.reset();
 
   const std::size_t count = history.consumer_count();
-  init_fleet(count);
+  init_fleet(count, split.train_weeks);
   // Per-consumer fits are independent; run them on the shared pool.
   parallel_for(
       count, [&](std::size_t i) { fit_one(i, history.consumer(i), split); },
@@ -333,7 +334,7 @@ void OnlineMonitor::fit_streaming(
   alerts_.clear();
   feeder_.reset();
 
-  init_fleet(count);
+  init_fleet(count, split.train_weeks);
   // Each iteration materialises exactly one consumer's series, fits, and
   // drops it: peak memory is the fitted state plus `threads` series, never
   // the fleet's full history.
@@ -378,7 +379,7 @@ hierarchy::FeederReport OnlineMonitor::evaluate_feeders(SlotIndex slot) {
 }
 
 void OnlineMonitor::reset_counted_windows() {
-  count_words_ = fleet_.size() > 0 ? fleet_[0].count_words() : 0;
+  count_words_ = fleet_.count_words();
   counts_.assign(fleet_.size() * count_words_, 0);
   counted_.assign(fleet_.size(), 0);
 }
@@ -387,11 +388,8 @@ std::span<const std::uint16_t> OnlineMonitor::counted_window(std::size_t i) {
   const std::span<std::uint16_t> counts{counts_.data() + i * count_words_,
                                         count_words_};
   if (counted_[i] == 0) {
-    const ScoringDetector& detector = fleet_[i];
-    std::fill(counts.begin(), counts.end(), std::uint16_t{0});
-    for (std::size_t s = 0; s < kWindow; ++s) {
-      detector.count_reading(counts, s, windows_[i * kWindow + s], +1);
-    }
+    // windows_ index s holds slot-of-week s: a week from slot-of-week 0.
+    fleet_.count_week(i, {windows_.data() + i * kWindow, kWindow}, 0, counts);
     counted_[i] = 1;
   }
   return counts;
@@ -453,8 +451,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
     // the counts and the incoming one moves in.
     const std::span<std::uint16_t> counts{counts_.data() + i * count_words_,
                                           count_words_};
-    fleet_[i].count_reading(counts, position, stored, -1);
-    fleet_[i].count_reading(counts, position, reading.kw, +1);
+    fleet_.count_reading(i, counts, position, stored, -1);
+    fleet_.count_reading(i, counts, position, reading.kw, +1);
   }
   stored = reading.kw;
   if (mask & bit) {
@@ -484,10 +482,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
   // windows_ is slot-of-week aligned (index s = slot-of-week s), so its
   // counts score bit-identically to the vector read as a week starting at
   // slot-of-week 0.
-  const ScoringDetector& detector = fleet_[i];
-  const double score = detector.calibration().calibrate(
-      detector.raw_score_counts(counted_window(i)));
-  const double threshold = detector.decision_threshold();
+  const double score = fleet_.score_counts(i, counted_window(i));
+  const double threshold = fleet_.decision_threshold();
   if (score <= threshold) return std::nullopt;
 
   cooldown_[i] = static_cast<std::uint32_t>(config_.cooldown_slots);

@@ -218,8 +218,9 @@ class OnlineMonitor {
   hierarchy::FeederConfig resolved_feeder_config() const;
 
   /// Sizes the Struct-of-Arrays fleet state and shards for `count`
-  /// consumers (everything zeroed; the detector fleet unfitted).
-  void init_fleet(std::size_t count);
+  /// consumers (everything zeroed; the detector fleet unfitted, sized for
+  /// `weeks` training weeks).
+  void init_fleet(std::size_t count, std::size_t weeks);
 
   /// Sizes the shard layer for `count` consumers (shard_count_, locks) and
   /// resolves the per-shard health metric pointers (bounded cardinality: at
@@ -291,7 +292,7 @@ class OnlineMonitor {
   std::vector<std::uint32_t> since_score_;
   std::vector<std::uint32_t> cooldown_;
   std::vector<double> train_mean_;  ///< training-span mean, alert direction
-  /// Counted windows (ScoringDetector's count contract): counts_[i*W ..
+  /// Counted windows (DetectorFleet's count contract): counts_[i*W ..
   /// (i+1)*W) holds consumer i's window as its detector's W =
   /// count_words_ count words, kept current one reading at a time once
   /// counted_[i] is set, so a rescore scores O(bins) words instead of

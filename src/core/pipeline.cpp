@@ -90,7 +90,8 @@ void FdetaPipeline::fit(const meter::Dataset& actual) {
   fitted_ = false;
   feeder_.reset();  // refitted lazily against the new training data
   const std::size_t count = actual.consumer_count();
-  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count);
+  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count,
+                         config_.split.train_weeks);
   train_stats_.assign(count, meter::WeeklyStats{});
   // Per-consumer fits are independent; run them on the shared pool.
   parallel_for(
@@ -199,7 +200,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
         ConsumerVerdict verdict;
         verdict.id = series.id;
-        verdict.kld_threshold = fleet_[i].decision_threshold();
+        verdict.kld_threshold = fleet_.decision_threshold();
 
         // Coverage gate: a week this lossy would be scored on imputed
         // values, and imputation looks exactly like under-reporting.
@@ -217,7 +218,7 @@ PipelineReport FdetaPipeline::evaluate_week(
         }
 
         verdict.kld_score =
-            fleet_[i].score_week(week_readings, first_slot);  // step 2
+            fleet_.score_week(i, week_readings, first_slot);  // step 2
 
         if (verdict.kld_score > verdict.kld_threshold) {
           // Step 3: classify the anomaly direction by the week's mean
@@ -256,7 +257,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
           if (config_.explain) {
             verdict.explanation =
-                fleet_[i].explain_week(week_readings, first_slot);
+                fleet_.explain_week(i, week_readings, first_slot);
           }
         }
         report.verdicts[i] = std::move(verdict);

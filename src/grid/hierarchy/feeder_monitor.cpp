@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
+#include "core/detector_registry.h"
 #include "grid/hierarchy/residuals.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -163,7 +164,7 @@ void FeederMonitor::fit_impl(
 
   // Per-node detector fit + baseline, parallel: nodes are independent.
   fleet_ = core::DetectorFleet(config_.detector, config_.detector_options,
-                               nodes_.size());
+                               nodes_.size(), split.train_weeks);
   parallel_for(
       nodes_.size(),
       [&](std::size_t n) {
@@ -276,9 +277,8 @@ FeederReport FeederMonitor::evaluate(
         s.node = node.node;
         s.depth = node.depth;
         s.consumers = node.members.size();
-        const core::ScoringDetector& detector = fleet_[n];
-        s.score = detector.score_week(agg);
-        s.threshold = detector.decision_threshold();
+        s.score = fleet_.score_week(n, agg);
+        s.threshold = fleet_.decision_threshold();
         if (balance_mode) {
           s.residual_kw = residuals->signed_kw(node.node);
           s.residual_gate_kw = config_.balance_tolerance_kw;

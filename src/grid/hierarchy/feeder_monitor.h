@@ -10,9 +10,10 @@
 // For every scored node (internal nodes with at least `min_consumers`
 // consumer descendants) the FeederMonitor keeps:
 //
-//   - a ScoringDetector from the registry, fitted on the node's aggregate
-//     training demand.  Reusing ScoringDetector + ScoreCalibration puts
-//     feeder scores on the SAME calibrated [0, 1] scale as consumer scores,
+//   - a detector of the registry family, a row of the node fleet, fitted on
+//     the node's aggregate training demand.  Reusing the consumers'
+//     DetectorFleet arithmetic puts feeder scores on the SAME calibrated
+//     [0, 1] scale as consumer scores,
 //     so one threshold (1 - significance) reads across both layers;
 //   - a physical under-report residual in kW that gates alerts (the
 //     calibrated score alone would false-positive at the significance rate

@@ -24,40 +24,23 @@ Histogram::Histogram(std::span<const double> reference, std::size_t bins) {
     edges_[j] = lo + width * static_cast<double>(j);
   }
   edges_.back() = hi;  // avoid round-off excluding the max
-  init_grid();
+  check_edges();
 }
 
 Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
   require(edges_.size() >= 2, "Histogram: need at least two edges");
   require(std::is_sorted(edges_.begin(), edges_.end()),
           "Histogram: edges must be ascending");
-  init_grid();
+  check_edges();
 }
 
-void Histogram::init_grid() {
+void Histogram::check_edges() {
   // A non-finite edge (an infinite reading in the reference, or a range
   // wider than a double) would misbin every value silently.
   require(std::all_of(edges_.begin(), edges_.end(),
                       [](double e) { return std::isfinite(e); }),
           "Histogram: edges must be finite");
-  lo_ = edges_.front();
-  // A guess grid assuming uniform widths; the fixup walk in bin_of makes the
-  // result exact for non-uniform explicit edges too.  A zero-width histogram
-  // (all edges equal) yields an infinite inv_width_, which the NaN/negative
-  // clamp below absorbs.
-  inv_width_ = static_cast<double>(bin_count()) / (edges_.back() - lo_);
-}
-
-std::size_t Histogram::underflow_count(std::span<const double> sample) const {
-  std::size_t n = 0;
-  for (double v : sample) n += v < edges_.front() ? 1 : 0;
-  return n;
-}
-
-std::size_t Histogram::overflow_count(std::span<const double> sample) const {
-  std::size_t n = 0;
-  for (double v : sample) n += v > edges_.back() ? 1 : 0;
-  return n;
+  scale_ = bin_scale(edges_);
 }
 
 std::vector<std::size_t> Histogram::counts(std::span<const double> sample) const {

@@ -1,13 +1,16 @@
 // The score-calibration contract: every registered family reports
 // score_week() as a calibrated anomaly quantile in [0,1] with the uniform
 // decision threshold 1 - significance, while flag decisions remain exactly
-// the family-native raw comparison.  Covers the ScoreCalibration map itself
-// (monotonicity, flag equivalence, empty and infinite inputs) and the
-// checkpoint round trip of the calibration state.
+// the family-native raw comparison.  Covers the calibrated_score map itself
+// (monotonicity, flag equivalence, empty and infinite inputs, and its
+// independence of the reference's order) and the checkpoint round trip of
+// the calibration state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -15,7 +18,6 @@
 
 #include "common/error.h"
 #include "core/detector_fleet.h"
-#include "core/detector_plugin.h"
 #include "core/detector_registry.h"
 #include "persist/binary_io.h"
 #include "tests/attack_test_helpers.h"
@@ -24,13 +26,21 @@ namespace fdeta::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ScoreCalibration in isolation.
+// calibrated_score in isolation.
+
+/// calibrated_score over a fixed reference, threshold and significance.
+struct Calibration {
+  std::vector<double> reference;
+  double raw_threshold;
+  double significance;
+  double calibrate(double raw) const {
+    return calibrated_score(reference, raw_threshold, significance, raw);
+  }
+};
 
 TEST(ScoreCalibration, ThresholdMapsToBaseAndReferenceSpansUnitInterval) {
-  const std::vector<double> reference{0.1, 0.2, 0.3, 0.4, 0.5,
-                                      0.6, 0.7, 0.8, 0.9, 1.0};
-  const auto cal = ScoreCalibration::from_reference(reference, 0.9, 0.05);
-  EXPECT_DOUBLE_EQ(cal.decision_threshold(), 0.95);
+  const Calibration cal{
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, 0.9, 0.05};
   // At or below the raw threshold the calibrated score stays at or below
   // the decision threshold; strictly above it lands strictly above.
   EXPECT_LE(cal.calibrate(0.9), 0.95);
@@ -44,9 +54,9 @@ TEST(ScoreCalibration, ThresholdMapsToBaseAndReferenceSpansUnitInterval) {
 }
 
 TEST(ScoreCalibration, MonotoneInRawScore) {
-  const std::vector<double> reference{0.3, 1.1, 1.2, 2.0, 2.4,
-                                      3.3, 3.4, 4.1, 5.0, 7.5};
-  const auto cal = ScoreCalibration::from_reference(reference, 4.5, 0.05);
+  const Calibration cal{{0.3, 1.1, 1.2, 2.0, 2.4, 3.3, 3.4, 4.1, 5.0, 7.5},
+                        4.5,
+                        0.05};
   double prev = -std::numeric_limits<double>::infinity();
   double prev_cal = 0.0;
   for (double raw = -1.0; raw <= 9.0; raw += 0.01) {
@@ -62,9 +72,8 @@ TEST(ScoreCalibration, MonotoneInRawScore) {
 }
 
 TEST(ScoreCalibration, FlagEquivalenceIsExactAtTheThreshold) {
-  const std::vector<double> reference{1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto cal = ScoreCalibration::from_reference(reference, 3.5, 0.10);
-  const double decision = cal.decision_threshold();
+  const Calibration cal{{1.0, 2.0, 3.0, 4.0, 5.0}, 3.5, 0.10};
+  const double decision = 0.90;
   // raw > raw_threshold  <=>  calibrated > decision threshold, including
   // exactly-at-threshold and the smallest representable step above it.
   EXPECT_LE(cal.calibrate(3.5), decision);
@@ -78,19 +87,75 @@ TEST(ScoreCalibration, FlagEquivalenceIsExactAtTheThreshold) {
 TEST(ScoreCalibration, RejectsEmptyReference) {
   // Every family fits or restores a non-empty training reference, so an
   // empty one is a caller bug, never a degraded map.
-  EXPECT_THROW(ScoreCalibration::from_reference({}, 0.0, 0.05),
-               InvalidArgument);
+  EXPECT_THROW(calibrated_score({}, 0.0, 0.05, 1.0), InvalidArgument);
 }
 
 TEST(ScoreCalibration, NanRawScorePropagates) {
-  const auto cal = ScoreCalibration::from_reference({1.0, 2.0, 3.0}, 2.5,
-                                                    0.05);
+  const Calibration cal{{1.0, 2.0, 3.0}, 2.5, 0.05};
   EXPECT_TRUE(std::isnan(cal.calibrate(std::nan(""))));
   // Infinite raw scores land on the segment extremes, never on NaN.
   EXPECT_DOUBLE_EQ(
       cal.calibrate(std::numeric_limits<double>::infinity()), 1.0);
   EXPECT_DOUBLE_EQ(
       cal.calibrate(-std::numeric_limits<double>::infinity()), 0.0);
+}
+
+// The calibration spelled out over a SORTED reference: the position of x
+// is the left inverse of quantile_sorted through upper_bound.
+double sorted_position(const std::vector<double>& r, double x) {
+  if (x <= r.front()) return 0.0;
+  if (x >= r.back()) return 1.0;
+  const auto j = static_cast<std::size_t>(
+      std::upper_bound(r.begin(), r.end(), x) - r.begin() - 1);
+  return (static_cast<double>(j) + (x - r[j]) / (r[j + 1] - r[j])) /
+         static_cast<double>(r.size() - 1);
+}
+
+double sorted_calibrate(const std::vector<double>& r, double threshold,
+                        double sig, double raw) {
+  if (std::isnan(raw)) return raw;
+  const double at = sorted_position(r, threshold);
+  if (raw > threshold) {
+    const double frac =
+        at >= 1.0 ? 1.0 : (sorted_position(r, raw) - at) / (1.0 - at);
+    return std::min(1.0,
+                    1.0 - sig + sig * std::min(1.0, std::max(frac, 1e-9)));
+  }
+  if (at <= 0.0) return 0.0;
+  return (1.0 - sig) * std::min(1.0, sorted_position(r, raw) / at);
+}
+
+// calibrated_score reads the reference in fit order, in one pass, and lands
+// on exactly the bits of the sorted-reference map: for a shuffled reference
+// with ties and both signed zeros, at every threshold, for raw scores at,
+// next to and between the reference values and at +-infinity.
+TEST(ScoreCalibration, FitOrderPassMatchesTheSortedReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> fit_order{0.25, -0.0, 2.0, 0.0, -1.5, 0.25, 0.0};
+  std::vector<double> sorted = fit_order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> raws{-inf, -2.0, inf, 5.0};
+  for (const double r : sorted) {
+    raws.insert(raws.end(),
+                {r, std::nextafter(r, -inf), std::nextafter(r, inf), r + 0.1});
+  }
+  for (const double threshold : {-1.5, -0.0, 0.1, 0.25, 2.0, 3.0}) {
+    for (const double raw : raws) {
+      const double want = sorted_calibrate(sorted, threshold, 0.05, raw);
+      const double got = calibrated_score(fit_order, threshold, 0.05, raw);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "threshold " << threshold << " raw " << raw << ": " << got
+          << " vs " << want;
+    }
+  }
+  // A constant reference.
+  const std::vector<double> flat(4, 0.5);
+  for (const double raw : {0.0, 0.5, 0.75}) {
+    EXPECT_EQ(calibrated_score(flat, 0.5, 0.10, raw),
+              sorted_calibrate(flat, 0.5, 0.10, raw))
+        << raw;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,14 +221,11 @@ TEST_P(CalibrationContract, CalibrationMonotoneOverRawAxis) {
   const auto f = testutil::make_fixture(808);
   auto d = make();
   d->fit(f.train());
-  const ScoreCalibration& cal = d->calibration();
-  ASSERT_TRUE(cal.fitted());
-
-  const double lo = cal.raw_threshold() - 2.0;
-  const double hi = cal.raw_threshold() + 2.0;
-  double prev = cal.calibrate(lo);
+  const double lo = d->raw_decision_threshold() - 2.0;
+  const double hi = d->raw_decision_threshold() + 2.0;
+  double prev = d->calibrate(lo);
   for (double raw = lo; raw <= hi; raw += 1e-3) {
-    const double c = cal.calibrate(raw);
+    const double c = d->calibrate(raw);
     EXPECT_GE(c, prev) << "raw " << raw;
     prev = c;
   }
@@ -183,8 +245,7 @@ TEST_P(CalibrationContract, ExplanationCarriesBothScales) {
   EXPECT_EQ(explanation.threshold, d->decision_threshold());
   EXPECT_EQ(explanation.raw_score, d->raw_score_week(attacked));
   EXPECT_EQ(explanation.raw_threshold, d->raw_decision_threshold());
-  EXPECT_EQ(explanation.score, d->calibration().calibrate(
-                                   explanation.raw_score));
+  EXPECT_EQ(explanation.score, d->calibrate(explanation.raw_score));
 }
 
 // Calibration state survives the checkpoint round trip: save -> restore ->
@@ -192,7 +253,8 @@ TEST_P(CalibrationContract, ExplanationCarriesBothScales) {
 // just the raw ones) are bit-identical.
 TEST_P(CalibrationContract, SaveRestoreSavePreservesCalibratedScores) {
   const auto f = testutil::make_fixture(90210);
-  DetectorFleet original(std::string(GetParam()), {}, 1);
+  DetectorFleet original(std::string(GetParam()), {}, 1,
+                         f.split.train_weeks);
   original.fit(0, f.train());
   const std::string bytes = block(original);
 
@@ -201,11 +263,10 @@ TEST_P(CalibrationContract, SaveRestoreSavePreservesCalibratedScores) {
   dec.require_exhausted("calibration contract block");
 
   EXPECT_EQ(block(restored), bytes);
-  EXPECT_EQ(restored[0].decision_threshold(),
-            original[0].decision_threshold());
+  EXPECT_EQ(restored.decision_threshold(), original.decision_threshold());
   for (std::size_t w = 0; w < 4; ++w) {
     const auto week = f.split.test_week(f.series, w);
-    EXPECT_EQ(restored[0].score_week(week), original[0].score_week(week))
+    EXPECT_EQ(restored.score_week(0, week), original.score_week(0, week))
         << "week " << w;
   }
 }

@@ -60,6 +60,22 @@ TEST(CliArgs, NumericParsingErrors) {
   EXPECT_THROW(args.get_double("n", 0.0), DataError);
 }
 
+TEST(CliArgs, CountsRejectNegativeAndMalformedValues) {
+  const auto args = parse({"--n", "12", "--neg", "-1", "--bad", "3x"});
+  EXPECT_EQ(args.get_count("n", 0), 12u);
+  EXPECT_EQ(args.get_count("absent", 7), 7u);
+  for (const char* flag : {"neg", "bad"}) {
+    try {
+      args.get_count(flag, 0);
+      ADD_FAILURE() << "--" << flag << " accepted";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CliArgs, DoubleValues) {
   const auto args = parse({"--tol", "0.125"});
   EXPECT_DOUBLE_EQ(args.get_double("tol", 0.0), 0.125);

@@ -3,7 +3,7 @@
 // kept current one reading at a time must score bit-identically to
 // raw_score_week of the same window - for every family, every binning
 // branch of the count step, and both out-of-support rules.  The KldCountStep
-// cases pin that rule itself on a hand-built model.
+// cases pin that rule itself on a hand-built one-member fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "core/detector_registry.h"
 #include "core/kld_detector.h"
 #include "datagen/generator.h"
+#include "persist/binary_io.h"
 #include "stats/histogram.h"
 
 namespace fdeta::core {
@@ -28,36 +29,59 @@ namespace {
 
 constexpr std::size_t kWeek = kSlotsPerWeek;
 
-// Ten unit-width bins over [0, 10] and a uniform baseline.
-KldModel unit_model(bool exclude_out_of_support) {
-  KldDetectorConfig config;
-  config.exclude_out_of_support = exclude_out_of_support;
+// A one-member kld fleet of ten unit-width bins over [0, 10] and a uniform
+// baseline, restored from a hand-built checkpoint block.
+DetectorFleet unit_fleet(bool exclude_out_of_support) {
+  const KldDetectorConfig config;
   std::vector<double> edges(11);
   std::iota(edges.begin(), edges.end(), 0.0);
-  return KldModel::from_parts(config, edges, std::vector<double>(10, 0.1),
-                              {0.1}, 0.5);
+  persist::Encoder enc;
+  enc.u64(1);  // members
+  enc.str("kld");
+  enc.u64(config.bins);
+  enc.f64(config.significance);
+  enc.f64(config.epsilon);
+  enc.u8(exclude_out_of_support ? 1 : 0);
+  enc.u32_array({});  // no calendar
+  enc.u64(1);         // training weeks
+  enc.f64_array(edges);
+  enc.f64_array(std::vector<double>(10, 0.1));
+  enc.f64_array(std::vector<double>{0.1});  // K_i
+  enc.f64(0.5);                             // threshold
+  persist::Decoder dec(enc.bytes());
+  DetectorFleet fleet = DetectorFleet::restore(dec, 0);
+  dec.require_exhausted("unit fleet");
+  return fleet;
 }
 
-std::vector<std::uint16_t> counted(const KldModel& model,
+std::vector<std::uint16_t> counted(const DetectorFleet& fleet,
                                    const std::vector<double>& sample) {
-  std::vector<std::uint16_t> counts(model.count_words());
-  model.count(sample, counts);
+  std::vector<std::uint16_t> counts(fleet.count_words());
+  fleet.count_week(0, sample, 0, counts);
   return counts;
 }
 
-std::vector<double> week_mass(const KldModel& model,
-                              const std::vector<std::uint16_t>& counts) {
+std::vector<double> week_mass(const DetectorFleet& fleet,
+                              const std::vector<double>& sample) {
   std::vector<double> p;
-  for (const KldBinContribution& bin : model.explain(counts).bins) {
+  for (const KldBinContribution& bin :
+       fleet.raw_explain_week(0, sample).bins) {
     p.push_back(bin.p);
   }
   return p;
 }
 
+/// The plain histogram probabilities of `sample` over the fleet's edges.
+std::vector<double> clamped_mass(const DetectorFleet& fleet,
+                                 const std::vector<double>& sample) {
+  const stats::Histogram plain({fleet.edges(0).begin(), fleet.edges(0).end()});
+  return plain.probabilities(sample);
+}
+
 TEST(KldCountStep, ExcludesOutOfSupportMass) {
-  const KldModel model = unit_model(true);
+  const DetectorFleet fleet = unit_fleet(true);
   const std::vector<double> sample{-3.0, -0.5, 0.5, 0.5, 5.5, 10.0, 12.0};
-  const auto counts = counted(model, sample);
+  const auto counts = counted(fleet, sample);
   ASSERT_EQ(counts.size(), 12u);
   // The B bins, then the readings below and above the support.
   EXPECT_EQ(counts[10], 2u);
@@ -71,9 +95,9 @@ TEST(KldCountStep, ExcludesOutOfSupportMass) {
 
   // Without exclusion the same counts clamp into the outer bins,
   // reproducing the plain histogram probabilities bit for bit.
-  const KldModel clamping = unit_model(false);
-  const auto p = week_mass(clamping, counted(clamping, sample));
-  const auto legacy = clamping.histogram().probabilities(sample);
+  const DetectorFleet clamping = unit_fleet(false);
+  const auto p = week_mass(clamping, sample);
+  const auto legacy = clamped_mass(clamping, sample);
   ASSERT_EQ(p.size(), legacy.size());
   for (std::size_t j = 0; j < p.size(); ++j) EXPECT_EQ(p[j], legacy[j]) << j;
   EXPECT_EQ(p[0], 4.0 / 7.0);  // the clamp piles the underflow into bin 0
@@ -81,16 +105,16 @@ TEST(KldCountStep, ExcludesOutOfSupportMass) {
 
 TEST(KldCountStep, NormalisesOverInSupportMass) {
   const std::vector<double> sample{-3.0, 0.5, 0.5, 5.5, 99.0};
-  const KldModel model = unit_model(true);
-  const auto p = week_mass(model, counted(model, sample));
+  const DetectorFleet fleet = unit_fleet(true);
+  const auto p = week_mass(fleet, sample);
   // Normalised over the 3 in-support values, not the 5-element sample.
   EXPECT_DOUBLE_EQ(p[0], 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(p[5], 1.0 / 3.0);
   EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0), 1.0, 1e-12);
 
-  const KldModel clamping = unit_model(false);
-  const auto clamped = week_mass(clamping, counted(clamping, sample));
-  const auto legacy = clamping.histogram().probabilities(sample);
+  const DetectorFleet clamping = unit_fleet(false);
+  const auto clamped = week_mass(clamping, sample);
+  const auto legacy = clamped_mass(clamping, sample);
   for (std::size_t j = 0; j < clamped.size(); ++j) {
     EXPECT_EQ(clamped[j], legacy[j]) << j;
   }
@@ -101,31 +125,31 @@ TEST(KldCountStep, AllOutOfSupportFallsBackToClamping) {
   // normalise over, so the score falls back to clamping - the detector sees
   // a maximally anomalous week instead of a divide-by-zero - while the
   // counts still show that the fallback fired (no in-support reading).
-  const KldModel model = unit_model(true);
+  const DetectorFleet fleet = unit_fleet(true);
   const std::vector<double> sample{-5.0, -1.0, 11.0, 40.0};
-  const auto counts = counted(model, sample);
+  const auto counts = counted(fleet, sample);
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end() - 2, 0u), 0u);
   EXPECT_EQ(counts[10], 2u);
   EXPECT_EQ(counts[11], 2u);
-  const auto p = week_mass(model, counts);
+  const auto p = week_mass(fleet, sample);
   EXPECT_DOUBLE_EQ(p[0], 0.5);
   EXPECT_DOUBLE_EQ(p[9], 0.5);
   EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0), 1.0, 1e-12);
-  EXPECT_TRUE(std::isfinite(model.score(counts)));
+  EXPECT_TRUE(std::isfinite(fleet.raw_score_counts(0, counts)));
 }
 
 TEST(KldCountStep, ValidatesCountSpan) {
-  const KldModel model = unit_model(true);
+  const DetectorFleet fleet = unit_fleet(true);
   const std::vector<double> sample{0.5};
-  std::vector<std::uint16_t> wrong(model.count_words() - 1);
-  EXPECT_THROW(model.count(sample, wrong), InvalidArgument);
-  EXPECT_THROW(model.score(wrong), InvalidArgument);
+  std::vector<std::uint16_t> wrong(fleet.count_words() - 1);
+  EXPECT_THROW(fleet.count_week(0, sample, 0, wrong), InvalidArgument);
+  EXPECT_THROW(fleet.raw_score_counts(0, wrong), InvalidArgument);
   // Counts with no reading in them have no distribution to score.
-  const std::vector<std::uint16_t> empty(model.count_words(), 0);
-  EXPECT_THROW(model.score(empty), InvalidArgument);
+  const std::vector<std::uint16_t> empty(fleet.count_words(), 0);
+  EXPECT_THROW(fleet.raw_score_counts(0, empty), InvalidArgument);
   // A u16 count word holds at most 65535 readings.
-  std::vector<std::uint16_t> right(model.count_words());
-  EXPECT_THROW(model.count(std::vector<double>(65536, 0.5), right),
+  std::vector<std::uint16_t> right(fleet.count_words());
+  EXPECT_THROW(fleet.count_week(0, std::vector<double>(65536, 0.5), 0, right),
                InvalidArgument);
 }
 

@@ -121,7 +121,7 @@ TEST_F(DetectorTest, KldScoreZeroForTrainingDistributionItself) {
 }
 
 TEST_F(DetectorTest, KldThresholdIsQuantileOfTrainingScores) {
-  const auto& k = kld_.model().training_divergences();
+  const auto k = kld_.training_divergences();
   ASSERT_EQ(k.size(), f_.split.train_weeks);
   std::size_t above = 0;
   for (double v : k) {
@@ -174,6 +174,30 @@ TEST(KldDetector, ConfigValidation) {
                InvalidArgument);
 }
 
+// One bins bound for fit and restore: a config the checkpoint decoder would
+// refuse to restore is refused at construction, for every family.
+TEST(KldDetector, BinsAboveTheRestoreBoundAreRejected) {
+  const KldDetectorConfig kld{.bins = kMaxKldBins + 1};
+  EXPECT_THROW(KldDetector{kld}, InvalidArgument);
+  ReducedKldDetectorConfig lite;
+  lite.kld = kld;
+  EXPECT_THROW(ReducedKldDetector{lite}, InvalidArgument);
+  ConditionedKldDetectorConfig conditioned;
+  conditioned.kld = kld;
+  EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
+  EXPECT_THROW(DetectorFleet("kld", {.kld = kld}, 1, 4), InvalidArgument);
+  EXPECT_NO_THROW(KldDetector({.bins = kMaxKldBins}));
+}
+
+TEST(DetectorOptions, BinsAboveTheRestoreBoundAreRejected) {
+  DetectorOptions options;
+  EXPECT_THROW(apply_detector_option(options, "kld.bins=1048577"),
+               std::invalid_argument);
+  EXPECT_EQ(options.kld.bins, KldDetectorConfig{}.bins);
+  apply_detector_option(options, "kld.bins=1048576");
+  EXPECT_EQ(options.kld.bins, kMaxKldBins);
+}
+
 TEST(KldDetector, RejectsNonFiniteEpsilon) {
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(KldDetector({.epsilon = inf}), InvalidArgument);
@@ -207,6 +231,7 @@ TEST(Registry, RejectsUnregisteredFamiliesAndKeys) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_THROW(DetectorFleet("iforest", {}, 1, 4), std::invalid_argument);
   DetectorOptions options;
   for (const char* spec : {"iforest.trees=8", "iforest.samples=16",
                            "iforest.contamination=0.1", "iforest.seed=7"}) {

@@ -71,7 +71,7 @@ TEST_F(ExplainTest, BinsCarryHistogramEdgesAndMasses) {
   detector.fit(split_.train(dataset_.consumer(0)));
   const auto explanation = detector.explain(dataset_.consumer(0).week(12));
 
-  const auto& edges = detector.model().histogram().edges();
+  const auto edges = detector.edges();
   ASSERT_EQ(explanation.bins.size(), detector.config().bins);
   ASSERT_EQ(edges.size(), explanation.bins.size() + 1);
   double p_total = 0.0;

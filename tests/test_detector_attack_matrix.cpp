@@ -387,7 +387,7 @@ std::string compute_payloads() {
     auto detector = make_detector(family, options);
     detector->fit(split.train(dataset.consumer(0)));
 
-    DetectorFleet fleet(family, options, 2);
+    DetectorFleet fleet(family, options, 2, split.train_weeks);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       fleet.fit(i, split.train(dataset.consumer(i)));
     }

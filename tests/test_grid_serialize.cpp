@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -72,6 +73,57 @@ TEST(Serialize, RejectsMalformedInput) {
   {
     std::stringstream in("internal 0 - 1\ninternal 0 - 1\n");  // two roots
     EXPECT_THROW(load_topology(in), DataError);
+  }
+  // Structural errors and out-of-range fields: each a DataError, never a
+  // Topology precondition failure or a silently narrowed value.
+  for (const char* text : {
+           // A parent out of range, and one that is a consumer.
+           "internal 0 - 1\nconsumer 1 7 1000\n",
+           "internal 0 - 1\nconsumer 1 0 1000\nloss 2 1 0.1\n",
+           // A negative loss fraction.
+           "internal 0 - 1\nloss 1 0 -0.5\n",
+           // Fields that a bare narrowing would wrap: parent 2^32 to the
+           // root, consumer id -1 to 2^32 - 1 and 2^32 + 5 to 5.
+           "internal 0 - 1\ninternal 1 4294967296 1\n",
+           "internal 0 - 1\nconsumer 1 0 -1\n",
+           "internal 0 - 1\nconsumer 1 0 4294967301\n",
+           // A metered flag that is neither 0 nor 1.
+           "internal 0 - 1\ninternal 1 0 7\n",
+       }) {
+    std::stringstream in(text);
+    try {
+      load_topology(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ROADMAP item 6's seed for topology files: every byte of a saved radial
+// feeder flipped (all bits, and one seeded bit) and every prefix of it must
+// load cleanly or fail with DataError - no other exception, no crash.
+TEST(Serialize, MutatedFilesFailWithDataErrorOrParse) {
+  Rng rng(2016);
+  std::stringstream saved;
+  save_topology(Topology::random_radial(12, 3, rng, 0.02), saved);
+  const std::string text = saved.str();
+  const auto load_or_reject = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    try {
+      load_topology(in);
+    } catch (const DataError&) {
+    }
+  };
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (const unsigned mask : {0xFFu, 1u << rng.below(8)}) {
+      std::string flipped = text;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      load_or_reject(flipped);
+    }
+    load_or_reject(text.substr(0, at));
+    if (HasFailure()) return;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "core/conditioned_kld_detector.h"
 #include "core/detector_fleet.h"
+#include "core/detector_registry.h"
 #include "core/kld_detector.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
@@ -992,7 +993,7 @@ std::string fleet_block(const std::string& family) {
   const auto dataset = datagen::small_dataset(2, 8, 47);
   DetectorOptions options;
   options.kld.significance = 0.10;
-  DetectorFleet fleet(family, options, dataset.consumer_count());
+  DetectorFleet fleet(family, options, dataset.consumer_count(), 8);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     fleet.fit(i, dataset.consumer(i).readings);
   }
@@ -1029,11 +1030,7 @@ TEST(DetectorFleetCheckpoint, NonFiniteMemberThresholdsFailWithDataError) {
     persist::Decoder dec(bytes);
     const DetectorFleet fleet = DetectorFleet::restore(dec, 0);
     // The first member's (first group's) threshold, located by its bits.
-    const double threshold =
-        family == "ckld"
-            ? static_cast<const ConditionedKldDetector&>(fleet[0])
-                  .thresholds()[0]
-            : fleet[0].raw_decision_threshold();
+    const double threshold = fleet.threshold(0);
     persist::Encoder bits;
     bits.f64(threshold);
     const std::size_t at = bytes.find(bits.bytes());
@@ -1086,7 +1083,7 @@ TEST(DetectorFleetCheckpoint, BlockStoresEachFieldOncePerMember) {
         {"ckld", 400},
         {"kld-lite", 416}}) {
     SCOPED_TRACE(family);
-    DetectorFleet fleet(family, {}, 2);
+    DetectorFleet fleet(family, {}, 2, 6);
     for (std::size_t i = 0; i < 2; ++i) {
       fleet.fit(i, dataset.consumer(i).readings);
     }
@@ -1191,7 +1188,7 @@ TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
   const std::span<const Kw> train{readings.data(),
                                   10 * static_cast<std::size_t>(kSlotsPerWeek)};
 
-  DetectorFleet fleet("ckld", {}, 1);
+  DetectorFleet fleet("ckld", {}, 1, 10);
   fleet.fit(0, train);
   persist::Encoder enc;
   fleet.save(enc);
@@ -1199,16 +1196,16 @@ TEST(ConditionedKldCheckpoint, RoundTripIsBitExact) {
   const DetectorFleet back = DetectorFleet::restore(dec, 0);
   dec.require_exhausted("conditioned detector");
 
-  const auto& fitted = static_cast<const ConditionedKldDetector&>(fleet[0]);
-  const auto& restored = static_cast<const ConditionedKldDetector&>(back[0]);
-
   const auto week = dataset.consumer(0).week(11);
-  const auto a = fitted.scores(week);
-  const auto b = restored.scores(week);
+  const auto a = fleet.group_scores(0, week);
+  const auto b = back.group_scores(0, week);
+  ASSERT_EQ(a.size(), 2u);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t g = 0; g < a.size(); ++g) EXPECT_EQ(a[g], b[g]);
-  EXPECT_EQ(fitted.thresholds(), restored.thresholds());
-  EXPECT_EQ(fitted.flag_week(week), restored.flag_week(week));
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    EXPECT_EQ(a[g], b[g]);
+    EXPECT_EQ(fleet.threshold(0, g), back.threshold(0, g));
+  }
+  EXPECT_EQ(fleet.raw_score_week(0, week), back.raw_score_week(0, week));
 }
 
 TEST(EpsilonSmoothing, MatchesPaperScoresOnInSupportWeeks) {

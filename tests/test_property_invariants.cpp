@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "attack/propositions.h"
 #include "common/rng.h"
 #include "core/detector_fleet.h"
+#include "core/detector_registry.h"
+#include "datagen/generator.h"
 #include "grid/balance.h"
 #include "grid/investigate.h"
 #include "persist/binary_io.h"
@@ -152,7 +156,8 @@ class DetectorContract : public ::testing::TestWithParam<std::string_view> {
 
   /// A one-member fleet of the family, fitted on `training`.
   core::DetectorFleet fitted(std::span<const Kw> training) const {
-    core::DetectorFleet fleet(std::string(GetParam()), {}, 1);
+    core::DetectorFleet fleet(std::string(GetParam()), {}, 1,
+                              core::training_weeks(training));
     fleet.fit(0, training);
     return fleet;
   }
@@ -173,11 +178,12 @@ TEST_P(DetectorContract, FitAndScoreAreDeterministic) {
   const core::DetectorFleet a = fitted(f.train());
   const core::DetectorFleet b = fitted(f.train());
   EXPECT_EQ(block(a), block(b));
-  EXPECT_EQ(a[0].decision_threshold(), b[0].decision_threshold());
+  EXPECT_EQ(a.decision_threshold(), b.decision_threshold());
+  EXPECT_EQ(a.raw_decision_threshold(0), b.raw_decision_threshold(0));
   for (std::size_t w = 0; w < 4; ++w) {
     const auto week = f.split.test_week(f.series, w);
     const SlotIndex first = (12 + w) * static_cast<std::size_t>(kSlotsPerWeek);
-    EXPECT_EQ(a[0].score_week(week, first), b[0].score_week(week, first))
+    EXPECT_EQ(a.score_week(0, week, first), b.score_week(0, week, first))
         << "test week " << w;
   }
 }
@@ -188,18 +194,18 @@ TEST_P(DetectorContract, FitAndScoreAreDeterministic) {
 TEST_P(DetectorContract, ScoringIsPure) {
   const auto f = testutil::make_fixture(999);
   const core::DetectorFleet fleet = fitted(f.train());
-  const core::ScoringDetector& d = fleet[0];
   const std::string before = block(fleet);
   const auto week = f.clean_week();
-  const double first = d.score_week(week, 0);
-  const auto explanation = d.explain_week(week, 0);
-  const bool flagged = d.flag_week(week, 0);
+  const double first = fleet.score_week(0, week, 0);
+  const auto explanation = fleet.explain_week(0, week, 0);
+  const bool flagged =
+      fleet.raw_score_week(0, week, 0) > fleet.raw_decision_threshold(0);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(d.score_week(week, 0), first) << "call " << i;
+    EXPECT_EQ(fleet.score_week(0, week, 0), first) << "call " << i;
   }
   EXPECT_EQ(explanation.score, first);
-  EXPECT_EQ(explanation.threshold, d.decision_threshold());
-  EXPECT_EQ(flagged, first > d.decision_threshold());
+  EXPECT_EQ(explanation.threshold, fleet.decision_threshold());
+  EXPECT_EQ(flagged, first > fleet.decision_threshold());
   EXPECT_EQ(block(fleet), before)
       << "scoring mutated serialized detector state";
 }
@@ -235,10 +241,86 @@ TEST_P(DetectorContract, SaveRestoreSaveIsByteStable) {
   dec.require_exhausted("detector contract block");
 
   EXPECT_EQ(block(restored), bytes) << "save/restore/save not stable";
-  EXPECT_EQ(restored[0].decision_threshold(),
-            original[0].decision_threshold());
+  EXPECT_EQ(restored.decision_threshold(), original.decision_threshold());
   const auto week = f.clean_week();
-  EXPECT_EQ(restored[0].score_week(week, 0), original[0].score_week(week, 0));
+  EXPECT_EQ(restored.score_week(0, week, 0), original.score_week(0, week, 0));
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Compares member i of `fleet` with the one-member fleet `solo` on `week`:
+/// every score and explanation bit, and the raw threshold.
+::testing::AssertionResult scores_like(const core::DetectorFleet& fleet,
+                                       std::size_t i,
+                                       const core::DetectorFleet& solo,
+                                       std::span<const Kw> week,
+                                       SlotIndex first_slot) {
+  std::vector<std::uint16_t> a(fleet.count_words());
+  std::vector<std::uint16_t> b(solo.count_words());
+  fleet.count_week(i, week, first_slot, a);
+  solo.count_week(0, week, first_slot, b);
+  const core::KldExplanation ea = fleet.explain_week(i, week, first_slot);
+  const core::KldExplanation eb = solo.explain_week(0, week, first_slot);
+  bool same = a == b && ea.bins.size() == eb.bins.size() &&
+              same_bits(fleet.score_week(i, week, first_slot),
+                        solo.score_week(0, week, first_slot)) &&
+              same_bits(fleet.raw_score_week(i, week, first_slot),
+                        solo.raw_score_week(0, week, first_slot)) &&
+              same_bits(fleet.score_counts(i, a), solo.score_counts(0, b)) &&
+              same_bits(fleet.raw_decision_threshold(i),
+                        solo.raw_decision_threshold(0)) &&
+              same_bits(ea.score, eb.score) &&
+              same_bits(ea.raw_score, eb.raw_score) &&
+              same_bits(ea.raw_threshold, eb.raw_threshold);
+  for (std::size_t j = 0; same && j < ea.bins.size(); ++j) {
+    same = same_bits(ea.bins[j].bits, eb.bins[j].bits) &&
+           same_bits(ea.bins[j].lower, eb.bins[j].lower) &&
+           same_bits(ea.bins[j].q, eb.bins[j].q);
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "member " << i << " scores " << fleet.raw_score_week(i, week,
+                                                                 first_slot)
+         << ", its solo fleet " << solo.raw_score_week(0, week, first_slot);
+}
+
+// Every member of a multi-member fleet reads its own rows: member i scores,
+// counts and explains bit-identically to a one-member fleet fitted on the
+// same consumer, before and after a save -> restore of the whole fleet.  A
+// wrong row offset for i > 0 (G > 1 groups for ckld, k positions for
+// kld-lite) shows here and nowhere else.
+TEST_P(DetectorContract, EveryMemberScoresLikeASoloFleet) {
+  constexpr std::size_t kMembers = 5;
+  const auto dataset = datagen::small_dataset(kMembers, 16, 7);
+  const meter::TrainTestSplit split{.train_weeks = 12, .test_weeks = 4};
+  core::DetectorFleet fleet(std::string(GetParam()), {}, kMembers,
+                            split.train_weeks);
+  std::vector<core::DetectorFleet> solos;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    fleet.fit(i, split.train(dataset.consumer(i)));
+    solos.push_back(fitted(split.train(dataset.consumer(i))));
+  }
+  const std::string bytes = block(fleet);
+  persist::Decoder dec(bytes);
+  const core::DetectorFleet restored = core::DetectorFleet::restore(dec, 0);
+  dec.require_exhausted("five-member fleet block");
+
+  for (const core::DetectorFleet* f :
+       std::vector<const core::DetectorFleet*>{&fleet, &restored}) {
+    SCOPED_TRACE(f == &fleet ? "fitted" : "restored");
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      for (std::size_t w = 0; w < split.test_weeks; ++w) {
+        const SlotIndex first = (split.train_weeks + w) *
+                                static_cast<std::size_t>(kSlotsPerWeek);
+        EXPECT_TRUE(scores_like(*f, i, solos[i],
+                                split.test_week(dataset.consumer(i), w),
+                                first))
+            << "test week " << w;
+      }
+    }
+  }
 }
 
 std::string contract_name(

@@ -54,18 +54,6 @@ TEST(Histogram, OutOfRangeClampsToOuterBins) {
   EXPECT_EQ(h.bin_of(999.0), 9u);
 }
 
-TEST(Histogram, UnderflowAndOverflowCounts) {
-  const std::vector<double> ref{0.0, 10.0};
-  const Histogram h(ref, 10);
-  // bin_of clamps silently; these counters are the only way to see how much
-  // of a sample fell outside the frozen support.
-  const std::vector<double> sample{-1.0, -0.5, 0.0, 5.0, 10.0, 11.0};
-  EXPECT_EQ(h.underflow_count(sample), 2u);
-  EXPECT_EQ(h.overflow_count(sample), 1u);
-  EXPECT_EQ(h.underflow_count(std::vector<double>{}), 0u);
-  EXPECT_EQ(h.overflow_count(std::vector<double>{}), 0u);
-}
-
 TEST(Histogram, CountsSumToSampleSize) {
   Rng rng(1);
   std::vector<double> ref(1000);

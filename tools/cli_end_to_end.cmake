@@ -38,3 +38,27 @@ if(found EQUAL -1)
           "fdeta detect --detector iforest did not list the registered "
           "families: ${out}${err}")
 endif()
+
+# A negative count flag must fail fast, naming the flag, instead of wrapping
+# to ~2^64 (a crash, or a run that never ends: hence the TIMEOUT).
+function(expect_rejected flag)
+  execute_process(COMMAND ${FDETA_CLI} ${ARGN}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  TIMEOUT 60
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(code EQUAL 0 OR NOT code MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "fdeta ${ARGN} did not fail cleanly (${code}): "
+                        "${out}${err}")
+  endif()
+  string(FIND "${out}${err}" "${flag}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "fdeta ${ARGN} did not name ${flag}: ${out}${err}")
+  endif()
+endfunction()
+
+expect_rejected(--bins fit --in actual.csv --train-weeks 24 --bins -1
+                --save-model negative_bins.model)
+expect_rejected(--vectors evaluate --in actual.csv --train-weeks 24
+                --vectors -1)

@@ -87,9 +87,8 @@ void save(const meter::Dataset& dataset, const std::string& path) {
 
 int cmd_generate(const Args& args) {
   datagen::GeneratorConfig config;
-  const auto consumers =
-      static_cast<std::size_t>(args.get_long("consumers", 50));
-  config.weeks = static_cast<std::size_t>(args.get_long("weeks", 30));
+  const auto consumers = args.get_count("consumers", 50);
+  config.weeks = args.get_count("weeks", 30);
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 20160628));
   config.sme = std::max<std::size_t>(1, consumers * 36 / 500);
   config.unclassified = std::max<std::size_t>(1, consumers * 60 / 500);
@@ -139,8 +138,7 @@ int cmd_inject_collusion(const Args& args) {
   const long week_raw = args.get_long("week", -1);
   require(week_raw >= 0, "inject: --week is required");
   const auto week = static_cast<std::size_t>(week_raw);
-  const auto group_size =
-      static_cast<std::size_t>(args.get_long("group-size", 4));
+  const auto group_size = args.get_count("group-size", 4);
   const double shave = args.get_double("shave", 0.05);
 
   const auto scenario = attack::make_collusion_scenario(
@@ -178,8 +176,7 @@ int cmd_inject(const Args& args) {
   const long week_raw = args.get_long("week", -1);
   require(week_raw >= 0, "inject: --week is required");
   const auto week = static_cast<std::size_t>(week_raw);
-  const auto train_weeks =
-      static_cast<std::size_t>(args.get_long("train-weeks", 24));
+  const auto train_weeks = args.get_count("train-weeks", 24);
   const std::string kind = args.get("attack", "integrated-over");
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 7));
 
@@ -233,14 +230,12 @@ int cmd_evaluate(const Args& args) {
   // Runs the Tables II/III evaluation harness over a CSV dataset.
   const auto dataset = load(args.require_value("in"));
   core::EvaluationConfig config;
-  config.split.train_weeks =
-      static_cast<std::size_t>(args.get_long("train-weeks", 24));
+  config.split.train_weeks = args.get_count("train-weeks", 24);
   config.split.test_weeks =
       dataset.week_count() - config.split.train_weeks;
   require(dataset.week_count() > config.split.train_weeks + 1,
           "evaluate: horizon too short for the split");
-  config.attack_vectors =
-      static_cast<std::size_t>(args.get_long("vectors", 10));
+  config.attack_vectors = args.get_count("vectors", 10);
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 7));
 
   const auto result = core::run_evaluation(dataset, config);
@@ -269,15 +264,24 @@ int cmd_evaluate(const Args& args) {
 }
 
 /// Builds the per-family detector options: the dedicated --bins /
-/// --significance / --epsilon flags seed the shared kld block, then every
-/// --detector-opt key=value (repeatable) applies on top, so e.g.
+/// --significance / --epsilon flags are shorthands for their kld.* keys and
+/// seed the shared kld block, then every --detector-opt key=value
+/// (repeatable) applies on top, so e.g.
 /// `--detector-opt kld-lite.slots=24 --detector-opt kld.bins=12` tunes two
-/// knobs in one invocation.
+/// knobs in one invocation.  Every knob goes through apply_detector_option:
+/// one parser, one set of range checks.
 core::DetectorOptions detector_options_from(const Args& args) {
   core::DetectorOptions options;
-  options.kld.bins = static_cast<std::size_t>(args.get_long("bins", 10));
-  options.kld.significance = args.get_double("significance", 0.05);
-  options.kld.epsilon = args.get_double("epsilon", options.kld.epsilon);
+  if (args.has("bins")) {
+    core::apply_detector_option(
+        options, "kld.bins=" + std::to_string(args.get_count("bins", 0)));
+  }
+  for (const std::string knob : {"significance", "epsilon"}) {
+    if (args.has(knob)) {
+      core::apply_detector_option(options,
+                                  "kld." + knob + "=" + args.get(knob, ""));
+    }
+  }
   for (const std::string& spec : args.get_all("detector-opt")) {
     core::apply_detector_option(options, spec);
   }
@@ -317,8 +321,7 @@ int cmd_fit(const Args& args) {
   const core::DetectorOptions detector_options = detector_options_from(args);
 
   const auto actual = load(args.require_value("in"));
-  const auto train_weeks =
-      static_cast<std::size_t>(args.get_long("train-weeks", 24));
+  const auto train_weeks = args.get_count("train-weeks", 24);
   require(train_weeks < actual.week_count(),
           "fit: train-weeks exceeds the horizon");
 
@@ -407,7 +410,7 @@ int cmd_detect(const Args& args) {
     // Cold path: fit in-process on the baseline dataset.
     config.split = meter::TrainTestSplit{
         .train_weeks =
-            static_cast<std::size_t>(args.get_long("train-weeks", 24)),
+            args.get_count("train-weeks", 24),
         .test_weeks = 0};
     require(config.split.train_weeks < reported.week_count(),
             "detect: train-weeks exceeds the horizon");
@@ -447,10 +450,9 @@ int cmd_detect(const Args& args) {
     ami::HeadEnd head_end(reported.consumer_count(), reported.slot_count());
     ami::MeterNetwork network(reported);
     network.set_fault_plan(ami::FaultPlan(plan_config));
-    const auto retries =
-        static_cast<std::size_t>(args.get_long("retries", 0));
+    const auto retries = args.get_count("retries", 0);
     network.set_retransmit(
-        {retries, static_cast<std::size_t>(args.get_long("backoff", 1))});
+        {retries, args.get_count("backoff", 1)});
     // One delivery window per week, so each week gets its own NACK rounds.
     for (std::size_t w = 0; w < reported.week_count(); ++w) {
       network.transmit(head_end, w * kSlotsPerWeek, (w + 1) * kSlotsPerWeek);
@@ -706,9 +708,8 @@ int cmd_stats(const Args& args) {
 
 int cmd_topology(const Args& args) {
   // Build a random radial feeder for N consumers and write it to a file.
-  const auto consumers =
-      static_cast<std::size_t>(args.get_long("consumers", 50));
-  const auto fanout = static_cast<std::size_t>(args.get_long("fanout", 4));
+  const auto consumers = args.get_count("consumers", 50);
+  const auto fanout = args.get_count("fanout", 4);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 7));
   Rng rng(seed);
   const auto topology = grid::Topology::random_radial(
