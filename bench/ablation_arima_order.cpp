@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "pricing/billing.h"
 
@@ -56,7 +56,8 @@ int main() {
         acfg.order = c.order;
         core::ArimaDetector arima(acfg);
         arima.fit(train);
-        core::KldDetector kld({.bins = 10, .significance = 0.05});
+        core::FleetDetector kld("kld",
+                                {.kld = {.bins = 10, .significance = 0.05}});
         kld.fit(train);
 
         sigma[i] = std::sqrt(arima.model().sigma2());

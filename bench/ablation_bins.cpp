@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 
 using namespace fdeta;
 
@@ -36,7 +36,8 @@ int main() {
     std::size_t detected = 0, total_attacks = 0;
     std::size_t fps = 0, total_clean = 0;
     for (std::size_t i = 0; i < consumers; ++i) {
-      core::KldDetector kld({.bins = bins, .significance = 0.05});
+      core::FleetDetector kld("kld",
+                              {.kld = {.bins = bins, .significance = 0.05}});
       kld.fit(artifacts[i].train);
       for (const auto& v : artifacts[i].attack_vectors) {
         if (kld.flag_week(v)) ++detected;

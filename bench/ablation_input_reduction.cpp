@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/reduced_kld_detector.h"
+#include "eval/fleet_detector.h"
 
 using namespace fdeta;
 
@@ -43,10 +43,9 @@ int main() {
     std::size_t detected = 0, total_attacks = 0;
     std::size_t fps = 0, total_clean = 0;
     for (std::size_t i = 0; i < consumers; ++i) {
-      core::ReducedKldDetectorConfig config;
-      config.selected_slots = k;
-      config.kld = {.bins = 10, .significance = 0.05};
-      core::ReducedKldDetector lite(config);
+      core::FleetDetector lite(
+          "kld-lite",
+          {.kld = {.bins = 10, .significance = 0.05}, .reduced_slots = k});
       lite.fit(artifacts[i].train);
       for (const auto& v : artifacts[i].attack_vectors) {
         if (lite.flag_week(v)) ++detected;

@@ -12,7 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "meter/measurement_error.h"
 #include "pricing/billing.h"
 
@@ -52,7 +52,8 @@ int main() {
         const auto& series = measured.consumer(i);
         const auto artifacts =
             bench::make_artifacts(series, split, vectors, scale.seed);
-        core::KldDetector kld({.bins = 10, .significance = 0.05});
+        core::FleetDetector kld("kld",
+                                {.kld = {.bins = 10, .significance = 0.05}});
         kld.fit(artifacts.train);
         for (const auto& v : artifacts.attack_vectors) {
           if (kld.flag_week(v)) ++det[i];

@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 
 using namespace fdeta;
 
@@ -35,7 +35,8 @@ int main() {
     std::size_t detected = 0, total_attacks = 0;
     std::size_t fps = 0, total_clean = 0;
     for (std::size_t i = 0; i < consumers; ++i) {
-      core::KldDetector kld({.bins = 10, .significance = alpha});
+      core::FleetDetector kld("kld",
+                              {.kld = {.bins = 10, .significance = alpha}});
       kld.fit(artifacts[i].train);
       for (const auto& v : artifacts[i].attack_vectors) {
         if (kld.flag_week(v)) ++detected;

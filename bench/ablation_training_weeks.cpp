@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 
 using namespace fdeta;
 
@@ -39,7 +39,8 @@ int main() {
       const auto& full = artifacts[i].train;
       const std::span<const Kw> window{
           full.data() + (60 - weeks) * kSlotsPerWeek, weeks * kSlotsPerWeek};
-      core::KldDetector kld({.bins = 10, .significance = 0.05});
+      core::FleetDetector kld("kld",
+                              {.kld = {.bins = 10, .significance = 0.05}});
       kld.fit(window);
       for (const auto& v : artifacts[i].attack_vectors) {
         if (kld.flag_week(v)) ++detected;

@@ -12,8 +12,7 @@
 
 #include "attack/adr_attack.h"
 #include "bench/bench_util.h"
-#include "core/conditioned_kld_detector.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "pricing/billing.h"
 
 using namespace fdeta;
@@ -58,13 +57,14 @@ int main() {
     const auto& series = responsive.consumer(c);
     const auto train = split.train(series);
 
-    core::KldDetector plain({.bins = 10, .significance = 0.05});
+    core::FleetDetector plain("kld",
+                              {.kld = {.bins = 10, .significance = 0.05}});
     plain.fit(train);
 
     core::ConditionedKldDetectorConfig cc;
     cc.kld = {.bins = 10, .significance = 0.05};
     cc.slot_group = core::rtp_slot_groups(rtp, weeks * kSlotsPerWeek, 3);
-    core::ConditionedKldDetector conditioned(cc);
+    core::FleetDetector conditioned(cc);
     conditioned.fit(train);
 
     // Mallory cannot predict the victim's counterfactual response to the

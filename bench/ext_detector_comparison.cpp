@@ -11,9 +11,8 @@
 #include "attack/combined_attack.h"
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/conditioned_kld_detector.h"
-#include "core/kld_detector.h"
 #include "eval/cusum_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "eval/pca_detector.h"
 #include "eval/profile_detector.h"
@@ -53,12 +52,12 @@ int main() {
       arima.fit(train);
       core::IntegratedArimaDetector integrated;
       integrated.fit(train);
-      core::KldDetector kld({.bins = 10, .significance = 0.05});
+      // ckld's registry calendar is the Nightsaver schedule `tou`.
+      const core::DetectorOptions at5{
+          .kld = {.bins = 10, .significance = 0.05}};
+      core::FleetDetector kld("kld", at5);
       kld.fit(train);
-      core::ConditionedKldDetectorConfig cc;
-      cc.kld = {.bins = 10, .significance = 0.05};
-      cc.slot_group = core::tou_slot_groups(tou);
-      core::ConditionedKldDetector ckld(cc);
+      core::FleetDetector ckld("ckld", at5);
       ckld.fit(train);
       core::PcaDetector pca({.explained_fraction = 0.80, .significance = 0.05});
       pca.fit(train);

@@ -14,7 +14,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "core/detector_fleet.h"
 #include "grid/balance.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "stats/descriptive.h"
@@ -28,21 +28,28 @@ int main() {
   const meter::TrainTestSplit split{.train_weeks = 60, .test_weeks = 14};
   const std::size_t attacked_week = split.train_weeks;
 
-  // Pre-fit detectors and pre-generate per-consumer 1B vectors.
-  std::vector<core::KldDetector> detectors(
-      consumers, core::KldDetector({.bins = 10, .significance = 0.10}));
+  // Pre-fit detectors (one fleet member per consumer) and pre-generate
+  // per-consumer 1B vectors.
+  core::DetectorFleet detectors(
+      "kld", {.kld = {.bins = 10, .significance = 0.10}}, consumers,
+      split.train_weeks);
   std::vector<std::vector<Kw>> vectors(consumers);
   std::vector<char> usable(consumers, 1);
   parallel_for(consumers, [&](std::size_t i) {
     try {
       const auto artifacts = bench::make_artifacts(dataset.consumer(i), split,
                                                    /*vectors=*/1, scale.seed);
-      detectors[i].fit(artifacts.train);
+      detectors.fit(i, artifacts.train);
       vectors[i] = artifacts.attack_vectors.front();
     } catch (const std::exception&) {
       usable[i] = 0;
     }
   });
+  // Consumer i's week is anomalous: the kld flag rule on member i.
+  const auto flags = [&](std::size_t i, std::span<const Kw> week) {
+    return detectors.raw_score_week(i, week) >
+           detectors.raw_decision_threshold(i);
+  };
 
   const auto topology = grid::Topology::single_feeder(consumers, 0.0);
 
@@ -64,10 +71,8 @@ int main() {
 
     std::size_t detected = 0;
     for (const auto& inj : injections) {
-      if (detectors[inj.consumer_index].flag_week(
-              reported.consumer(inj.consumer_index).week(attacked_week))) {
-        ++detected;
-      }
+      const std::size_t i = inj.consumer_index;
+      if (flags(i, reported.consumer(i).week(attacked_week))) ++detected;
     }
 
     // Balance view at the attacked week (average demands).  Coordinated:
@@ -133,8 +138,7 @@ int main() {
     std::vector<unsigned char> flagged(consumers, 0);
     for (const std::size_t i : scenario.consumers) {
       if (!usable[i]) continue;
-      if (detectors[i].flag_week(
-              reported.consumer(i).week(attacked_week))) {
+      if (flags(i, reported.consumer(i).week(attacked_week))) {
         flagged[i] = 1;
         ++flagged_individually;
       }

@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/time_to_detection.h"
 #include "stats/quantile.h"
 
@@ -59,7 +59,8 @@ int main() {
       const auto& series = dataset.consumer(i);
       const auto artifacts = bench::make_artifacts(series, split,
                                                    /*vectors=*/1, scale.seed);
-      core::KldDetector kld({.bins = 10, .significance = 0.10});
+      core::FleetDetector kld("kld",
+                              {.kld = {.bins = 10, .significance = 0.10}});
       kld.fit(artifacts.train);
       // Trusted reference: the last training week.
       const std::span<const Kw> reference{

@@ -13,8 +13,8 @@
 
 #include "attack/integrated_arima_attack.h"
 #include "bench/bench_util.h"
-#include "core/kld_detector.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "meter/weekly_stats.h"
 #include "stats/histogram.h"
 #include "stats/quantile.h"
@@ -28,8 +28,10 @@ int main() {
   const meter::TrainTestSplit split{.train_weeks = 60, .test_weeks = 14};
   const auto train = split.train(series);
 
-  core::KldDetector kld({.bins = 10, .significance = 0.05});
-  kld.fit(train);
+  core::FleetDetector detector("kld",
+                               {.kld = {.bins = 10, .significance = 0.05}});
+  detector.fit(train);
+  const core::DetectorFleet& kld = detector.fleet();  // member 0
 
   // Build the 1B attack week.
   core::ArimaDetector arima;
@@ -42,8 +44,8 @@ int main() {
   const auto attack_week = attack::integrated_arima_attack_vector(
       arima.model(), history, wstats, kSlotsPerWeek, rng, cfg);
 
-  const stats::Histogram hist({kld.edges().begin(), kld.edges().end()});
-  const auto x_dist = kld.baseline();
+  const stats::Histogram hist({kld.edges(0).begin(), kld.edges(0).end()});
+  const auto x_dist = kld.baseline(0);
   const auto x1 = series.week(0);
   const auto x1_dist = hist.probabilities(x1);
   const auto attack_dist = hist.probabilities(attack_week);
@@ -56,10 +58,10 @@ int main() {
                 hist.edges()[j + 1], x_dist[j], x1_dist[j], attack_dist[j]);
   }
 
-  const auto k = kld.training_divergences();
+  const auto k = kld.reference(0);
   const double p90 = stats::percentile(k, 90.0);
   const double p95 = stats::percentile(k, 95.0);
-  const double k_attack = kld.score(attack_week);
+  const double k_attack = kld.raw_score_week(0, attack_week);
 
   std::printf("\n# Fig. 4(b): KLD distribution over training weeks\n");
   std::printf("week,K_i\n");

@@ -16,10 +16,10 @@
 #include "attack/integrated_arima_attack.h"
 #include "common/thread_pool.h"
 #include "core/detector_fleet.h"
-#include "core/kld_detector.h"
 #include "datagen/generator.h"
 #include "datagen/weather.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "grid/investigate.h"
 #include "grid/losses.h"
 #include "market/clearing.h"
@@ -88,22 +88,24 @@ BENCHMARK(BM_ArimaRollingWeek);
 void BM_KldFit(benchmark::State& state) {
   const auto train = fixture_train();
   for (auto _ : state) {
-    core::KldDetector detector(
-        {.bins = static_cast<std::size_t>(state.range(0)),
-         .significance = 0.05});
+    core::FleetDetector detector(
+        "kld", {.kld = {.bins = static_cast<std::size_t>(state.range(0)),
+                        .significance = 0.05}});
     detector.fit(train);
-    benchmark::DoNotOptimize(detector.threshold());
+    benchmark::DoNotOptimize(detector.fleet().raw_decision_threshold(0));
   }
 }
 BENCHMARK(BM_KldFit)->Arg(10)->Arg(40);
 
 void BM_KldScoreWeek(benchmark::State& state) {
   const auto train = fixture_train();
-  core::KldDetector detector({.bins = 10, .significance = 0.05});
+  core::FleetDetector detector("kld",
+                               {.kld = {.bins = 10, .significance = 0.05}});
   detector.fit(train);
+  const core::DetectorFleet& kld = detector.fleet();
   const auto week = train.subspan(0, kSlotsPerWeek);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.score(week));
+    benchmark::DoNotOptimize(kld.raw_score_week(0, week));
   }
 }
 BENCHMARK(BM_KldScoreWeek);

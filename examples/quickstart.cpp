@@ -8,9 +8,9 @@
 
 #include "attack/integrated_arima_attack.h"
 #include "common/rng.h"
-#include "core/kld_detector.h"
 #include "datagen/generator.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "meter/weekly_stats.h"
 #include "pricing/billing.h"
@@ -37,7 +37,7 @@ int main() {
   arima.fit(train);
   core::IntegratedArimaDetector integrated;
   integrated.fit(train);
-  core::KldDetector kld({.bins = 10, .significance = 0.05});
+  core::FleetDetector kld("kld", {.kld = {.bins = 10, .significance = 0.05}});
   kld.fit(train);
 
   // Mallory (an insider on the AMI) over-reports this victim's next week
@@ -73,7 +73,11 @@ int main() {
               verdict(kld.flag_week(clean_week)),
               verdict(kld.flag_week(attack_week)));
 
+  // The fitted detector is member 0 of a one-member fleet.
+  const core::DetectorFleet& fitted = kld.fleet();
   std::printf("\nKLD score: clean %.3f vs attack %.3f (threshold %.3f)\n",
-              kld.score(clean_week), kld.score(attack_week), kld.threshold());
+              fitted.raw_score_week(0, clean_week),
+              fitted.raw_score_week(0, attack_week),
+              fitted.raw_decision_threshold(0));
   return 0;
 }

@@ -13,8 +13,9 @@
 // per price group.  core::DetectorFleet (detector_fleet.h) fits, scores,
 // explains and stores all three.
 //
-// Header order follows the dependencies: this file, then the fleet, then
-// the standalone family classes, then the registry.
+// Header order follows the dependencies: this file, then the fleet
+// (detector_fleet.h), then the registry (detector_registry.h), which needs
+// only this file.
 #pragma once
 
 #include <array>
@@ -91,24 +92,6 @@ struct ConditionedKldDetectorConfig {
   SlotGroups slot_group = tou_slot_groups(pricing::nightsaver());
 };
 
-/// The feature-reduced "lightweight" KLD detector, "kld-lite".
-/// *Lightweight LSTM Model for Energy Theft Detection via Input Data
-/// Reduction* (PAPERS.md) shows that aggressively reduced weekly inputs can
-/// hold a detector's operating point.  Fit selects the k slot-of-week
-/// positions with the highest training variance (ties break on the lower
-/// slot index, so selection is deterministic), and one histogram is fitted
-/// and scored over those k readings of every week: k binning operations per
-/// week instead of 336.  bench/ablation_input_reduction sweeps k against
-/// recall/FPR; see EXPERIMENTS.md.
-struct ReducedKldDetectorConfig {
-  /// k: slot-of-week positions kept per week (1..336; 336 = plain KLD over
-  /// a variance-reordered week).
-  std::size_t selected_slots = 48;
-  /// Histogram / threshold knobs, as KldDetectorConfig (epsilon smoothing
-  /// and out-of-support handling apply to the reduced distribution).
-  KldDetectorConfig kld{};
-};
-
 /// Knobs for every registered family, bundled so pipeline/monitor configs
 /// can carry one value whatever detector they run.  `kld` feeds "kld",
 /// "ckld" (bins/significance/epsilon/out-of-support carry over; grouping is
@@ -116,7 +99,13 @@ struct ReducedKldDetectorConfig {
 /// "kld-lite".
 struct DetectorOptions {
   KldDetectorConfig kld{};
-  /// "kld-lite": slot-of-week positions kept per week.
+  /// k of the feature-reduced "lightweight" KLD detector, "kld-lite":
+  /// slot-of-week positions kept per week (1..336).  *Lightweight LSTM Model
+  /// for Energy Theft Detection via Input Data Reduction* (PAPERS.md) shows
+  /// that reduced weekly inputs can hold a detector's operating point.  Fit
+  /// keeps the k positions of highest training variance (ties to the lower
+  /// slot) and scores one histogram over those k readings of every week;
+  /// bench/ablation_input_reduction sweeps k (EXPERIMENTS.md).
   std::size_t reduced_slots = 48;
 };
 

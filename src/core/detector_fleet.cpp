@@ -204,6 +204,39 @@ void validate_kld_config(const KldDetectorConfig& config) {
           "KLD: epsilon must be finite and >= 0");
 }
 
+SlotGroups tou_slot_groups(const pricing::TimeOfUse& tou) {
+  // TOU calendars repeat daily, so slot-of-week position fixes the price.
+  SlotGroups groups{};
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    groups[s] = tou.is_peak(s) ? 1 : 0;
+  }
+  return groups;
+}
+
+SlotGroups rtp_slot_groups(const pricing::RealTimePricing& rtp,
+                           std::size_t slots, std::size_t bands) {
+  require(bands >= 2, "rtp_slot_groups: need at least two bands");
+  require(slots >= bands, "rtp_slot_groups: too few slots");
+  std::vector<double> prices(slots);
+  for (std::size_t t = 0; t < slots; ++t) prices[t] = rtp.price(t);
+  std::vector<double> sorted = prices;
+  std::sort(sorted.begin(), sorted.end());
+
+  std::vector<double> cut(bands - 1);
+  for (std::size_t b = 1; b < bands; ++b) {
+    cut[b - 1] = stats::quantile_sorted(
+        sorted, static_cast<double>(b) / static_cast<double>(bands));
+  }
+  SlotGroups groups{};
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    const double price = prices[s % slots];
+    std::uint32_t g = 0;
+    while (g < cut.size() && price > cut[g]) ++g;
+    groups[s] = g;
+  }
+  return groups;
+}
+
 double calibrated_score(std::span<const double> reference,
                         double raw_threshold, double significance,
                         double raw) {
@@ -246,13 +279,13 @@ DetectorFleet::DetectorFleet(Kind kind, DetectorOptions options,
   validate_kld_config(options_.kld);
   if (kind_ == Kind::kKldLite) {
     require(options_.reduced_slots >= 1 && options_.reduced_slots <= kWeek,
-            "ReducedKldDetector: selected_slots must be in [1, 336]");
+            "kld-lite: slots must be in [1, 336]");
     slots_ = options_.reduced_slots;
   }
   if (kind_ == Kind::kCkld) {
     groups_ = *std::max_element(calendar_.begin(), calendar_.end()) +
               std::size_t{1};
-    require(groups_ >= 2, "ConditionedKldDetector: need >= 2 groups");
+    require(groups_ >= 2, "ckld: need >= 2 groups");
     // Every id up to the largest owns a slot iff groups_ distinct ids occur
     // (so at most 336 groups).
     std::bitset<kWeek> owned;
@@ -260,7 +293,7 @@ DetectorFleet::DetectorFleet(Kind kind, DetectorOptions options,
       if (g < owned.size()) owned.set(g);
     }
     require(owned.count() == groups_,
-            "ConditionedKldDetector: a price group matched no slots");
+            "ckld: a price group matched no slots");
   }
 }
 
@@ -280,17 +313,9 @@ DetectorFleet::DetectorFleet(std::string family, DetectorOptions options,
   reset(count, weeks);
 }
 
-DetectorFleet::DetectorFleet(const KldDetectorConfig& config)
-    : DetectorFleet(Kind::kKld, {.kld = config}, {}) {}
-
 DetectorFleet::DetectorFleet(const ConditionedKldDetectorConfig& config)
     : DetectorFleet(Kind::kCkld, {.kld = config.kld},
                     {config.slot_group.begin(), config.slot_group.end()}) {}
-
-DetectorFleet::DetectorFleet(const ReducedKldDetectorConfig& config)
-    : DetectorFleet(Kind::kKldLite,
-                    {.kld = config.kld, .reduced_slots = config.selected_slots},
-                    {}) {}
 
 void DetectorFleet::reset(std::size_t count, std::size_t weeks) {
   const std::size_t bins = options_.kld.bins;

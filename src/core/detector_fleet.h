@@ -4,9 +4,12 @@
 // week at the control center (Sections VII-A, VII-D).  FdetaPipeline and
 // OnlineMonitor run one detector per consumer, hierarchy::FeederMonitor one
 // per scored feeder node; each owns exactly one DetectorFleet for them, and
-// the standalone family classes (kld_detector.h and its siblings) hold a
-// one-member fleet.  So there is one storage and one arithmetic whether a
-// family serves one consumer or 34,000.
+// the evaluation harness's core::FleetDetector (eval/fleet_detector.h)
+// holds a one-member fleet.  So there is one storage and one arithmetic
+// whether a family serves one consumer or 34,000.
+//
+// Header order: detector_config.h, then this file, then the registry
+// (detector_registry.h), whose family names the constructor resolves.
 //
 // A member is a row index, not an object.  The fleet stores each fitted
 // field once, as one array across its members, exactly as its checkpoint
@@ -80,12 +83,10 @@ class DetectorFleet {
   DetectorFleet(std::string family, DetectorOptions options,
                 std::size_t count, std::size_t weeks);
 
-  /// Memberless fleets of one family's config, for the standalone family
-  /// classes; a ckld fleet may run any calendar (e.g. RTP bands).  Throw
-  /// InvalidArgument on a config the family rejects.
-  explicit DetectorFleet(const KldDetectorConfig& config);
+  /// A memberless ckld fleet on `config`'s calendar, which may be any
+  /// calendar (e.g. RTP bands), not only the registry's Nightsaver one.
+  /// Throws InvalidArgument on a config ckld rejects.
   explicit DetectorFleet(const ConditionedKldDetectorConfig& config);
-  explicit DetectorFleet(const ReducedKldDetectorConfig& config);
 
   /// Drops every fitted row and sizes the fleet for `count` members of
   /// `weeks` training weeks each.  Not safe concurrently with anything.

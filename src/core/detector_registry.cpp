@@ -11,29 +11,6 @@ namespace {
 
 constexpr std::array<std::string_view, 3> kNames = {"kld", "ckld", "kld-lite"};
 
-std::unique_ptr<ScoringDetector> make_kld(const DetectorOptions& options) {
-  return std::make_unique<KldDetector>(options.kld);
-}
-
-std::unique_ptr<ScoringDetector> make_ckld(const DetectorOptions& options) {
-  static const ConditionedKldDetectorConfig nightsaver;  // tabulated once
-  ConditionedKldDetectorConfig config = nightsaver;
-  config.kld = options.kld;
-  return std::make_unique<ConditionedKldDetector>(config);
-}
-
-std::unique_ptr<ScoringDetector> make_kld_lite(const DetectorOptions& options) {
-  ReducedKldDetectorConfig config;
-  config.selected_slots = options.reduced_slots;
-  config.kld = options.kld;
-  return std::make_unique<ReducedKldDetector>(config);
-}
-
-/// One factory per registered id, in kNames order.
-using Factory = std::unique_ptr<ScoringDetector> (*)(const DetectorOptions&);
-constexpr std::array<Factory, kNames.size()> kFactories = {
-    make_kld, make_ckld, make_kld_lite};
-
 constexpr std::string_view kOptionHelp =
     "  kld.bins=<n>                    histogram bins (default 10)\n"
     "  kld.significance=<a>            alpha in (0,1) for every family's\n"
@@ -139,16 +116,6 @@ void apply_detector_option(DetectorOptions& options, std::string_view spec) {
   } else {
     bad_option("unknown key \"" + std::string(key) + "\"");
   }
-}
-
-std::unique_ptr<ScoringDetector> make_detector(std::string_view name,
-                                               const DetectorOptions& options) {
-  for (std::size_t f = 0; f < kNames.size(); ++f) {
-    if (kNames[f] == name) return kFactories[f](options);
-  }
-  throw std::invalid_argument("make_detector: unknown detector \"" +
-                              std::string(name) + "\" (registered: " +
-                              registered_detector_names_joined() + ")");
 }
 
 }  // namespace fdeta::core

@@ -1,25 +1,21 @@
 // The detector registry: the one list of family names.
 //
 // Every fleet of detectors (core::DetectorFleet, behind FdetaPipeline,
-// OnlineMonitor and the feeder layer) resolves its family here, and
-// make_detector builds the standalone family classes by the same names, so
-// a registered family shows up everywhere: the golden detector x attack
-// matrix, the generic contract suite in test_property_invariants, the
-// shard-equivalence differential tests, and the per-detector bench
-// throughput gates.
+// OnlineMonitor, the feeder layer and the harness's FleetDetector) resolves
+// its family here, so a registered family shows up everywhere: the golden
+// detector x attack matrix, the generic contract suite in
+// test_property_invariants, the shard-equivalence differential tests, and
+// the per-detector bench throughput gates.
 //
-// Last in the header order (configs, fleet, family classes, registry): it
-// names every family class.
+// Header order: detector_config.h, the fleet, then this file, which needs
+// only the configs.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 
-#include "core/conditioned_kld_detector.h"
-#include "core/kld_detector.h"
-#include "core/reduced_kld_detector.h"
+#include "core/detector_config.h"
 
 namespace fdeta::core {
 
@@ -45,10 +41,5 @@ void apply_detector_option(DetectorOptions& options, std::string_view spec);
 /// The keys apply_detector_option understands, one per line with the
 /// default, for CLI usage text.
 std::string detector_option_help();
-
-/// Builds an unfitted detector of the named family.  Throws std::invalid_
-/// argument listing registered_detector_names() on an unknown name.
-std::unique_ptr<ScoringDetector> make_detector(std::string_view name,
-                                               const DetectorOptions& options);
 
 }  // namespace fdeta::core

@@ -52,7 +52,7 @@ struct ConsumerVerdict {
   VerdictStatus status = VerdictStatus::kNormal;
   /// Scalar score / decision threshold of the configured detector family
   /// (the eq.-(12) divergence in bits for "kld"; other families report
-  /// their own scalar, see core/detector_plugin.h).
+  /// their own scalar, see core/detector_fleet.h).
   double kld_score = 0.0;
   double kld_threshold = 0.0;
   std::optional<EvidenceEvent> excuse;

@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/detector.h"
+#include "eval/detector.h"
 #include "timeseries/arima.h"
 
 namespace fdeta::core {

@@ -13,7 +13,7 @@
 
 #include <optional>
 
-#include "core/detector.h"
+#include "eval/detector.h"
 #include "timeseries/seasonal.h"
 
 namespace fdeta::core {

@@ -1,10 +1,13 @@
-// The F-DETA detector interface.
+// The evaluation harness's detector interface.
 //
 // A detector is a centralized online algorithm at the utility's control
 // center (Section VII-A): it is trained per consumer on historic readings
-// and then judges each new week of *reported* readings.  Implementations
-// must be usable concurrently from multiple threads after fit() returns
-// (flag_week is const).
+// and then judges each new week of *reported* readings.  The Section-VIII
+// evaluation runs the paper's KLD families (FleetDetector, over a
+// one-member DetectorFleet) beside the ARIMA baselines and the extension
+// detectors through this one fit/flag contract; the serving layers hold
+// DetectorFleets directly.  Implementations must be usable concurrently
+// from multiple threads after fit() returns (flag_week is const).
 #pragma once
 
 #include <span>

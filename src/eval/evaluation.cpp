@@ -9,10 +9,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/conditioned_kld_detector.h"
-#include "core/kld_detector.h"
-#include "core/reduced_kld_detector.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "eval/isolation_forest_detector.h"
 #include "pricing/billing.h"
@@ -117,28 +115,25 @@ ConsumerEvaluation evaluate_consumer(const meter::ConsumerSeries& series,
     IntegratedArimaDetector integrated(integ_cfg);
     integrated.fit(train);
 
-    KldDetector kld5({config.kld_bins, 0.05});
-    KldDetector kld10({config.kld_bins, 0.10});
+    const DetectorOptions at5{.kld = {config.kld_bins, 0.05},
+                              .reduced_slots = config.reduced_slots};
+    DetectorOptions at10 = at5;
+    at10.kld.significance = 0.10;
+    FleetDetector kld5("kld", at5);
+    FleetDetector kld10("kld", at10);
     kld5.fit(train);
     kld10.fit(train);
 
-    ConditionedKldDetectorConfig ckld_cfg5;
-    ckld_cfg5.kld = {config.kld_bins, 0.05};
-    ckld_cfg5.slot_group = tou_slot_groups(tou);
-    ConditionedKldDetector ckld5(ckld_cfg5);
-    ConditionedKldDetectorConfig ckld_cfg10 = ckld_cfg5;
-    ckld_cfg10.kld.significance = 0.10;
-    ConditionedKldDetector ckld10(ckld_cfg10);
+    // ckld's registry calendar is the Nightsaver TOU schedule priced above.
+    FleetDetector ckld5("ckld", at5);
+    FleetDetector ckld10("ckld", at10);
     ckld5.fit(train);
     ckld10.fit(train);
 
     IsolationForestDetector iforest;
     iforest.fit(train);
 
-    ReducedKldDetectorConfig lite_cfg;
-    lite_cfg.selected_slots = config.reduced_slots;
-    lite_cfg.kld = KldDetectorConfig{config.kld_bins, 0.05};
-    ReducedKldDetector kld_lite(lite_cfg);
+    FleetDetector kld_lite("kld-lite", at5);
     kld_lite.fit(train);
 
     // --- Attacker state (replicated models, Section VIII-B1) -------------
@@ -238,9 +233,9 @@ ConsumerEvaluation evaluate_consumer(const meter::ConsumerSeries& series,
           &integrated;
       const bool swap_column = a == static_cast<std::size_t>(AttackKind::k3A3B);
       table[a].rows[static_cast<std::size_t>(DetectorKind::kKld5)] =
-          swap_column ? static_cast<const Detector*>(&ckld5) : &kld5;
+          swap_column ? &ckld5 : &kld5;
       table[a].rows[static_cast<std::size_t>(DetectorKind::kKld10)] =
-          swap_column ? static_cast<const Detector*>(&ckld10) : &kld10;
+          swap_column ? &ckld10 : &kld10;
       // The extension rows run as-is in every column: their 3A/3B rows
       // measure how the unconditioned variants fare against the swap.
       table[a].rows[static_cast<std::size_t>(DetectorKind::kIsolationForest)] =

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/detector.h"
+#include "eval/detector.h"
 
 namespace fdeta::core {
 

@@ -12,7 +12,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/detector.h"
+#include "eval/detector.h"
 #include "stats/pca.h"
 
 namespace fdeta::core {

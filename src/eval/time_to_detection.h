@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "core/detector.h"
+#include "eval/detector.h"
 
 namespace fdeta::core {
 

@@ -12,13 +12,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "core/detector_fleet.h"
 #include "core/detector_registry.h"
+#include "eval/fleet_detector.h"
 #include "persist/binary_io.h"
 #include "tests/attack_test_helpers.h"
 
@@ -163,8 +163,11 @@ TEST(ScoreCalibration, FitOrderPassMatchesTheSortedReference) {
 
 class CalibrationContract : public ::testing::TestWithParam<std::string_view> {
  protected:
-  std::unique_ptr<ScoringDetector> make() const {
-    return make_detector(GetParam(), {});
+  /// The family's detector at its default options, fitted on `f`.
+  FleetDetector fitted(const testutil::ConsumerFixture& f) const {
+    FleetDetector detector{std::string(GetParam())};
+    detector.fit(f.train());
+    return detector;
   }
 
   /// The checkpoint block of `fleet`.
@@ -179,13 +182,13 @@ class CalibrationContract : public ::testing::TestWithParam<std::string_view> {
 // uniform 1 - significance regardless of the family's native scale.
 TEST_P(CalibrationContract, ScoresAreQuantilesWithUniformThreshold) {
   const auto f = testutil::make_fixture(2026);
-  auto d = make();
-  d->fit(f.train());
-  EXPECT_DOUBLE_EQ(d->decision_threshold(), 0.95);  // default significance
+  const FleetDetector detector = fitted(f);
+  const DetectorFleet& d = detector.fleet();
+  EXPECT_DOUBLE_EQ(d.decision_threshold(), 0.95);  // default significance
 
   for (std::size_t w = 0; w < 4; ++w) {
     const auto week = f.split.test_week(f.series, w);
-    const double score = d->score_week(week);
+    const double score = d.score_week(0, week);
     EXPECT_GE(score, 0.0) << "week " << w;
     EXPECT_LE(score, 1.0) << "week " << w;
   }
@@ -195,8 +198,8 @@ TEST_P(CalibrationContract, ScoresAreQuantilesWithUniformThreshold) {
 // agrees with it bit-for-bit on clean AND attacked weeks.
 TEST_P(CalibrationContract, CalibratedFlagMatchesRawFlag) {
   const auto f = testutil::make_fixture(555);
-  auto d = make();
-  d->fit(f.train());
+  const FleetDetector detector = fitted(f);
+  const DetectorFleet& d = detector.fleet();
 
   std::vector<std::vector<Kw>> weeks;
   weeks.emplace_back(f.clean_week().begin(), f.clean_week().end());
@@ -206,11 +209,11 @@ TEST_P(CalibrationContract, CalibratedFlagMatchesRawFlag) {
     weeks.push_back(std::move(attacked));
   }
   for (std::size_t i = 0; i < weeks.size(); ++i) {
-    const bool flagged = d->flag_week(weeks[i]);
-    EXPECT_EQ(flagged, d->score_week(weeks[i]) > d->decision_threshold())
+    const bool flagged = detector.flag_week(weeks[i]);
+    EXPECT_EQ(flagged, d.score_week(0, weeks[i]) > d.decision_threshold())
         << "week variant " << i;
     EXPECT_EQ(flagged,
-              d->raw_score_week(weeks[i]) > d->raw_decision_threshold())
+              d.raw_score_week(0, weeks[i]) > d.raw_decision_threshold(0))
         << "week variant " << i;
   }
 }
@@ -219,13 +222,13 @@ TEST_P(CalibrationContract, CalibratedFlagMatchesRawFlag) {
 // a higher family-native score can never read as a lower anomaly quantile.
 TEST_P(CalibrationContract, CalibrationMonotoneOverRawAxis) {
   const auto f = testutil::make_fixture(808);
-  auto d = make();
-  d->fit(f.train());
-  const double lo = d->raw_decision_threshold() - 2.0;
-  const double hi = d->raw_decision_threshold() + 2.0;
-  double prev = d->calibrate(lo);
+  const FleetDetector detector = fitted(f);
+  const DetectorFleet& d = detector.fleet();
+  const double lo = d.raw_decision_threshold(0) - 2.0;
+  const double hi = d.raw_decision_threshold(0) + 2.0;
+  double prev = d.calibrate(0, lo);
   for (double raw = lo; raw <= hi; raw += 1e-3) {
-    const double c = d->calibrate(raw);
+    const double c = d.calibrate(0, raw);
     EXPECT_GE(c, prev) << "raw " << raw;
     prev = c;
   }
@@ -235,17 +238,17 @@ TEST_P(CalibrationContract, CalibrationMonotoneOverRawAxis) {
 // score_week/decision_threshold and the raw header feeds the calibration.
 TEST_P(CalibrationContract, ExplanationCarriesBothScales) {
   const auto f = testutil::make_fixture(321);
-  auto d = make();
-  d->fit(f.train());
+  const FleetDetector detector = fitted(f);
+  const DetectorFleet& d = detector.fleet();
   std::vector<Kw> attacked(f.clean_week().begin(), f.clean_week().end());
   for (auto& v : attacked) v *= 0.25;
 
-  const auto explanation = d->explain_week(attacked);
-  EXPECT_EQ(explanation.score, d->score_week(attacked));
-  EXPECT_EQ(explanation.threshold, d->decision_threshold());
-  EXPECT_EQ(explanation.raw_score, d->raw_score_week(attacked));
-  EXPECT_EQ(explanation.raw_threshold, d->raw_decision_threshold());
-  EXPECT_EQ(explanation.score, d->calibrate(explanation.raw_score));
+  const auto explanation = d.explain_week(0, attacked);
+  EXPECT_EQ(explanation.score, d.score_week(0, attacked));
+  EXPECT_EQ(explanation.threshold, d.decision_threshold());
+  EXPECT_EQ(explanation.raw_score, d.raw_score_week(0, attacked));
+  EXPECT_EQ(explanation.raw_threshold, d.raw_decision_threshold(0));
+  EXPECT_EQ(explanation.score, d.calibrate(0, explanation.raw_score));
 }
 
 // Calibration state survives the checkpoint round trip: save -> restore ->

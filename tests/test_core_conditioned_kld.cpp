@@ -1,14 +1,12 @@
 // Tests of the price-conditioned KLD detector - the paper's answer to the
 // Optimal Swap attack (Section VIII-F3).
-#include "core/conditioned_kld_detector.h"
-
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "attack/optimal_swap.h"
 #include "common/error.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "tests/attack_test_helpers.h"
 
 namespace fdeta::core {
@@ -21,26 +19,20 @@ class ConditionedKldTest : public ::testing::Test {
  protected:
   void SetUp() override {
     f_ = make_fixture();
-    tou_ = pricing::nightsaver();
-    ConditionedKldDetectorConfig cfg;
-    cfg.kld = {.bins = 10, .significance = 0.05};
-    cfg.slot_group = tou_slot_groups(tou_);
-    detector_ = std::make_unique<ConditionedKldDetector>(cfg);
-    detector_->fit(f_.train());
-
-    plain_ = std::make_unique<KldDetector>(
-        KldDetectorConfig{.bins = 10, .significance = 0.05});
-    plain_->fit(f_.train());
+    detector_.fit(f_.train());
+    plain_.fit(f_.train());
   }
 
   ConsumerFixture f_;
   pricing::TimeOfUse tou_ = pricing::nightsaver();
-  std::unique_ptr<ConditionedKldDetector> detector_;
-  std::unique_ptr<KldDetector> plain_;
+  FleetDetector detector_{ConditionedKldDetectorConfig{
+      .kld = {.bins = 10, .significance = 0.05},
+      .slot_group = tou_slot_groups(tou_)}};
+  FleetDetector plain_{"kld", {.kld = {.bins = 10, .significance = 0.05}}};
 };
 
 TEST_F(ConditionedKldTest, CleanWeekPasses) {
-  EXPECT_FALSE(detector_->flag_week(f_.clean_week()));
+  EXPECT_FALSE(detector_.flag_week(f_.clean_week()));
 }
 
 // The paper's central claim for Section VIII-F3: the swap attack is
@@ -51,24 +43,25 @@ TEST_F(ConditionedKldTest, CatchesOptimalSwapThatPlainKldMisses) {
       f_.clean_week(), tou_, 0, /*model=*/nullptr, {});
   ASSERT_FALSE(swap.swaps.empty());
 
-  EXPECT_FALSE(plain_->flag_week(swap.reported))
+  EXPECT_FALSE(plain_.flag_week(swap.reported))
       << "the swap must not change the unconditioned distribution";
-  EXPECT_TRUE(detector_->flag_week(swap.reported))
+  EXPECT_TRUE(detector_.flag_week(swap.reported))
       << "conditioning on price period must expose the swap";
 }
 
 TEST_F(ConditionedKldTest, ScoresPerGroup) {
-  const auto scores = detector_->scores(f_.clean_week());
+  const auto scores = detector_.fleet().group_scores(0, f_.clean_week());
   ASSERT_EQ(scores.size(), 2u);
-  ASSERT_EQ(detector_->thresholds().size(), 2u);
+  ASSERT_EQ(detector_.fleet().groups(), 2u);
   for (double s : scores) EXPECT_GE(s, 0.0);
 }
 
 TEST_F(ConditionedKldTest, SwapInflatesBothGroupScores) {
   const auto swap = attack::optimal_swap_attack(
       f_.clean_week(), tou_, 0, /*model=*/nullptr, {});
-  const auto clean_scores = detector_->scores(f_.clean_week());
-  const auto swap_scores = detector_->scores(swap.reported);
+  const DetectorFleet& fleet = detector_.fleet();
+  const auto clean_scores = fleet.group_scores(0, f_.clean_week());
+  const auto swap_scores = fleet.group_scores(0, swap.reported);
   // Off-peak group gains the big values, peak group loses them: both
   // conditional distributions shift.
   EXPECT_GT(swap_scores[0], clean_scores[0]);
@@ -99,24 +92,26 @@ TEST(RtpSlotGroups, BandsByQuantile) {
 TEST(ConditionedKld, ConfigValidation) {
   ConditionedKldDetectorConfig cfg;
   cfg.kld.bins = 1;
-  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  EXPECT_THROW(FleetDetector{cfg}, InvalidArgument);
   cfg.kld.bins = 10;
   cfg.kld.significance = 2.0;
-  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  EXPECT_THROW(FleetDetector{cfg}, InvalidArgument);
   cfg.kld.significance = 0.05;
   cfg.slot_group.fill(0);  // one group
-  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  EXPECT_THROW(DetectorFleet{cfg}, InvalidArgument);
+  EXPECT_THROW(FleetDetector{cfg}, InvalidArgument);
   cfg.slot_group[0] = 2;  // group 1 owns no slot
-  EXPECT_THROW(ConditionedKldDetector{cfg}, InvalidArgument);
+  EXPECT_THROW(DetectorFleet{cfg}, InvalidArgument);
+  EXPECT_THROW(FleetDetector{cfg}, InvalidArgument);
   cfg.slot_group[1] = 1;
-  EXPECT_EQ(ConditionedKldDetector{cfg}.groups(), 3u);
+  EXPECT_EQ(DetectorFleet{cfg}.groups(), 3u);
 }
 
 TEST(ConditionedKld, DefaultsToNightsaverGroups) {
-  ConditionedKldDetector detector;  // no slot_group provided
+  FleetDetector detector{ConditionedKldDetectorConfig{}};  // no slot_group
   const auto f = make_fixture(21);
   detector.fit(f.train());
-  EXPECT_EQ(detector.thresholds().size(), 2u);
+  EXPECT_EQ(detector.fleet().groups(), 2u);
 }
 
 }  // namespace

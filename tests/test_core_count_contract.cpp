@@ -1,4 +1,4 @@
-// The count contract of every registered family (detector_plugin.h): a week
+// The count contract of every registered family (detector_fleet.h): a week
 // is seen only through its per-bin counts, so a window counted once and
 // kept current one reading at a time must score bit-identically to
 // raw_score_week of the same window - for every family, every binning
@@ -11,15 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
-#include "core/conditioned_kld_detector.h"
+#include "core/detector_fleet.h"
 #include "core/detector_registry.h"
-#include "core/kld_detector.h"
 #include "datagen/generator.h"
 #include "persist/binary_io.h"
 #include "stats/histogram.h"
@@ -160,22 +158,12 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-// The frozen edges of every histogram a fitted member scores with.
-std::vector<std::vector<double>> member_edges(const ScoringDetector& detector,
-                                              std::span<const Kw> week) {
-  std::vector<KldExplanation> parts;
-  if (const auto* ckld =
-          dynamic_cast<const ConditionedKldDetector*>(&detector)) {
-    parts = ckld->explain(week);
-  } else {
-    parts.push_back(detector.explain_week(week));
-  }
+// The frozen edges of every histogram member 0 scores with.
+std::vector<std::vector<double>> member_edges(const DetectorFleet& fleet) {
   std::vector<std::vector<double>> out;
-  for (const KldExplanation& part : parts) {
-    std::vector<double> edges;
-    for (const KldBinContribution& bin : part.bins) edges.push_back(bin.lower);
-    edges.push_back(part.bins.back().upper);
-    out.push_back(std::move(edges));
+  for (std::size_t g = 0; g < fleet.groups(); ++g) {
+    const std::span<const double> edges = fleet.edges(0, g);
+    out.emplace_back(edges.begin(), edges.end());
   }
   return out;
 }
@@ -213,25 +201,24 @@ TEST_P(CountContract, CountedScoreMatchesWeekScoreAfterEveryReplacement) {
     DetectorOptions options;
     options.kld = {.bins = 10, .significance = 0.10};
     options.kld.exclude_out_of_support = exclude;
-    const std::unique_ptr<ScoringDetector> detector =
-        make_detector(GetParam(), options);
-    detector->fit(series.first(10 * kWeek));
+    DetectorFleet fleet(std::string(GetParam()), options, 1, 10);
+    fleet.fit(0, series.first(10 * kWeek));
 
     // window[s] holds slot-of-week s, as in OnlineMonitor.
     std::vector<Kw> window(series.begin() + 10 * kWeek, series.end());
-    std::vector<std::uint16_t> counts(detector->count_words(), 0);
+    std::vector<std::uint16_t> counts(fleet.count_words(), 0);
     ASSERT_GT(counts.size(), 0u);
     for (std::size_t s = 0; s < kWeek; ++s) {
-      detector->count_reading(counts, s, window[s], +1);
+      fleet.count_reading(0, counts, s, window[s], +1);
     }
     std::vector<Kw> rotated(kWeek);
     const auto matches = [&]() -> ::testing::AssertionResult {
-      const double counted_score = detector->raw_score_counts(counts);
-      const double at_zero = detector->raw_score_week(window, 0);
+      const double counted_score = fleet.raw_score_counts(0, counts);
+      const double at_zero = fleet.raw_score_week(0, window, 0);
       for (std::size_t i = 0; i < kWeek; ++i) {
         rotated[i] = window[(5 + i) % kWeek];
       }
-      const double at_five = detector->raw_score_week(rotated, 5);
+      const double at_five = fleet.raw_score_week(0, rotated, 5);
       if (same_bits(counted_score, at_zero) &&
           same_bits(counted_score, at_five)) {
         return ::testing::AssertionSuccess();
@@ -241,16 +228,15 @@ TEST_P(CountContract, CountedScoreMatchesWeekScoreAfterEveryReplacement) {
              << " (first_slot 0), " << at_five << " (first_slot 5)";
     };
     const auto replace = [&](std::size_t s, Kw value) {
-      detector->count_reading(counts, s, window[s], -1);
-      detector->count_reading(counts, s, value, +1);
+      fleet.count_reading(0, counts, s, window[s], -1);
+      fleet.count_reading(0, counts, s, value, +1);
       window[s] = value;
     };
     ASSERT_TRUE(matches());
 
     // Mixed windows: every round places each branch value somewhere, and
     // over the rounds every position sees every value.
-    const std::vector<double> values =
-        branch_values(member_edges(*detector, window));
+    const std::vector<double> values = branch_values(member_edges(fleet));
     for (std::size_t round = 0; round < values.size(); ++round) {
       for (std::size_t k = 0; k < kWeek; ++k) {
         const std::size_t s = (97 * k + 31 * round) % kWeek;
@@ -263,7 +249,7 @@ TEST_P(CountContract, CountedScoreMatchesWeekScoreAfterEveryReplacement) {
     // clamping fallback), then back inside it.
     double lowest = std::numeric_limits<double>::infinity();
     double highest = -lowest;
-    for (const auto& edges : member_edges(*detector, window)) {
+    for (const auto& edges : member_edges(fleet)) {
       lowest = std::min(lowest, edges.front());
       highest = std::max(highest, edges.back());
     }

@@ -1,23 +1,22 @@
 // Tests of the ARIMA, Integrated ARIMA, KLD and PCA detectors against clean
-// weeks and crafted attack weeks, and of the serving registry's names and
-// option keys.
+// weeks and crafted attack weeks, of the harness's FleetDetector adapter,
+// and of the serving registry's names and option keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/arima_attack.h"
 #include "attack/integrated_arima_attack.h"
 #include "common/error.h"
-#include "core/conditioned_kld_detector.h"
 #include "core/detector_registry.h"
-#include "core/kld_detector.h"
-#include "core/reduced_kld_detector.h"
 #include "datagen/generator.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "eval/pca_detector.h"
 #include "tests/attack_test_helpers.h"
@@ -40,7 +39,7 @@ class DetectorTest : public ::testing::Test {
   ConsumerFixture f_;
   ArimaDetector arima_;
   IntegratedArimaDetector integrated_;
-  KldDetector kld_{{.bins = 10, .significance = 0.05}};
+  FleetDetector kld_{"kld", {.kld = {.bins = 10, .significance = 0.05}}};
 };
 
 TEST_F(DetectorTest, CleanWeeksPassAllDetectors) {
@@ -94,8 +93,9 @@ TEST_F(DetectorTest, IntegratedAttackEvadesIntegratedButNotKld) {
   const auto v = attack::integrated_arima_attack_vector(
       arima_.model(), f_.history, f_.wstats, kSlotsPerWeek, rng, cfg);
   EXPECT_FALSE(integrated_.flag_week(v));
-  EXPECT_TRUE(kld_.flag_week(v)) << "KLD score " << kld_.score(v)
-                                 << " vs threshold " << kld_.threshold();
+  EXPECT_TRUE(kld_.flag_week(v))
+      << "KLD score " << kld_.fleet().raw_score_week(0, v) << " vs threshold "
+      << kld_.fleet().raw_decision_threshold(0);
 }
 
 TEST_F(DetectorTest, ViolationThresholdCalibratedAboveCleanWeeks) {
@@ -109,23 +109,71 @@ TEST_F(DetectorTest, ViolationThresholdCalibratedAboveCleanWeeks) {
 TEST_F(DetectorTest, DetectorsRequireFitBeforeUse) {
   ArimaDetector unfitted;
   EXPECT_THROW(unfitted.flag_week(f_.clean_week()), InvalidArgument);
-  KldDetector unfitted_kld;
-  EXPECT_THROW(unfitted_kld.score(f_.clean_week()), InvalidArgument);
+  for (const std::string_view family : registered_detector_names()) {
+    const FleetDetector unfitted_fleet{std::string(family)};
+    EXPECT_THROW(unfitted_fleet.flag_week(f_.clean_week()), InvalidArgument)
+        << family;
+    EXPECT_THROW(unfitted_fleet.fleet(), InvalidArgument) << family;
+  }
   IntegratedArimaDetector unfitted_int;
   EXPECT_THROW(unfitted_int.flag_week(f_.clean_week()), InvalidArgument);
 }
 
+// A refit that throws keeps the previous fit: every family's scores,
+// threshold and rows are unchanged bit for bit, whether the training is
+// rejected up front (not whole weeks, too few weeks) or only once fitting
+// has begun (an infinite reading makes the frozen bin edges non-finite).
+TEST_F(DetectorTest, FailedRefitKeepsThePreviousFit) {
+  const auto train = f_.train();
+  std::vector<Kw> infinite(train.begin(), train.end());
+  std::fill_n(infinite.begin(), kSlotsPerWeek,
+              std::numeric_limits<double>::infinity());
+  const std::vector<std::vector<Kw>> malformed = {
+      {train.begin(), train.end() - 1},
+      {train.begin(), train.begin() + 3 * kSlotsPerWeek},
+      infinite};
+  const auto week = f_.clean_week();
+  for (const std::string_view family : registered_detector_names()) {
+    FleetDetector detector{std::string(family)};
+    detector.fit(train);
+    const DetectorFleet before = detector.fleet();
+    for (const std::vector<Kw>& training : malformed) {
+      EXPECT_THROW(detector.fit(training), InvalidArgument) << family;
+      const DetectorFleet& after = detector.fleet();
+      ASSERT_EQ(after.size(), 1u) << family;
+      EXPECT_EQ(after.raw_score_week(0, week), before.raw_score_week(0, week))
+          << family;
+      EXPECT_EQ(after.score_week(0, week), before.score_week(0, week))
+          << family;
+      EXPECT_EQ(after.raw_decision_threshold(0),
+                before.raw_decision_threshold(0))
+          << family;
+      const auto same = [](std::span<const double> a,
+                           std::span<const double> b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+      };
+      for (std::size_t g = 0; g < after.groups(); ++g) {
+        EXPECT_TRUE(same(after.edges(0, g), before.edges(0, g))) << family;
+        EXPECT_TRUE(same(after.baseline(0, g), before.baseline(0, g)))
+            << family;
+      }
+      EXPECT_TRUE(same(after.reference(0), before.reference(0))) << family;
+    }
+  }
+}
+
 TEST_F(DetectorTest, KldScoreZeroForTrainingDistributionItself) {
   // A "week" drawn as the whole training set has the X distribution exactly.
-  EXPECT_NEAR(kld_.score(f_.train()), 0.0, 1e-9);
+  EXPECT_NEAR(kld_.fleet().raw_score_week(0, f_.train()), 0.0, 1e-9);
 }
 
 TEST_F(DetectorTest, KldThresholdIsQuantileOfTrainingScores) {
-  const auto k = kld_.training_divergences();
+  const DetectorFleet& kld = kld_.fleet();
+  const auto k = kld.reference(0);
   ASSERT_EQ(k.size(), f_.split.train_weeks);
   std::size_t above = 0;
   for (double v : k) {
-    if (v > kld_.threshold()) ++above;
+    if (v > kld.raw_decision_threshold(0)) ++above;
   }
   // At 5% significance over 12 weeks, at most one training week is above.
   EXPECT_LE(above, 1u);
@@ -141,12 +189,12 @@ TEST(KldDetector, HandComputedTinyCase) {
       training.push_back(t % 2 == 0 ? 1.0 : 3.0);  // 50/50 split
     }
   }
-  KldDetector detector({.bins = 2, .significance = 0.05});
+  FleetDetector detector("kld", {.kld = {.bins = 2, .significance = 0.05}});
   detector.fit(training);
   // Baseline: p = (0.5, 0.5).  A week entirely at 1.0: p = (1, 0).
   // K = 1 * log2(1/0.5) = 1 bit.
   const std::vector<Kw> week(336, 1.0);
-  EXPECT_NEAR(detector.score(week), 1.0, 1e-12);
+  EXPECT_NEAR(detector.fleet().raw_score_week(0, week), 1.0, 1e-12);
   // Training weeks match the baseline exactly: thresholds are ~0, so the
   // anomalous week must be flagged.
   EXPECT_TRUE(detector.flag_week(week));
@@ -154,39 +202,47 @@ TEST(KldDetector, HandComputedTinyCase) {
 
 TEST(KldDetector, MoreBinsRaiseResolution) {
   const auto f = make_fixture(7);
-  KldDetector coarse({.bins = 2, .significance = 0.05});
-  KldDetector fine({.bins = 40, .significance = 0.05});
+  FleetDetector coarse("kld", {.kld = {.bins = 2, .significance = 0.05}});
+  FleetDetector fine("kld", {.kld = {.bins = 40, .significance = 0.05}});
   coarse.fit(f.train());
   fine.fit(f.train());
   // A subtle shift attack: +25% everywhere.
   std::vector<Kw> shifted(f.clean_week().begin(), f.clean_week().end());
   for (double& v : shifted) v *= 1.25;
   // Finer binning gives at least as large a divergence.
-  EXPECT_GE(fine.score(shifted), coarse.score(shifted) - 1e-9);
+  EXPECT_GE(fine.fleet().raw_score_week(0, shifted),
+            coarse.fleet().raw_score_week(0, shifted) - 1e-9);
 }
 
 TEST(KldDetector, ConfigValidation) {
-  EXPECT_THROW(KldDetector({.bins = 1, .significance = 0.05}),
-               InvalidArgument);
-  EXPECT_THROW(KldDetector({.bins = 10, .significance = 0.0}),
-               InvalidArgument);
-  EXPECT_THROW(KldDetector({.bins = 10, .significance = 1.0}),
-               InvalidArgument);
+  for (const KldDetectorConfig kld : {
+           KldDetectorConfig{.bins = 1, .significance = 0.05},
+           KldDetectorConfig{.bins = 10, .significance = 0.0},
+           KldDetectorConfig{.bins = 10, .significance = 1.0}}) {
+    EXPECT_THROW(FleetDetector("kld", {.kld = kld}), InvalidArgument);
+    EXPECT_THROW(DetectorFleet("kld", {.kld = kld}, 1, 4), InvalidArgument);
+  }
+  for (const std::size_t slots : {0, kSlotsPerWeek + 1}) {
+    EXPECT_THROW(FleetDetector("kld-lite", {.reduced_slots = slots}),
+                 InvalidArgument);
+  }
 }
 
 // One bins bound for fit and restore: a config the checkpoint decoder would
 // refuse to restore is refused at construction, for every family.
 TEST(KldDetector, BinsAboveTheRestoreBoundAreRejected) {
   const KldDetectorConfig kld{.bins = kMaxKldBins + 1};
-  EXPECT_THROW(KldDetector{kld}, InvalidArgument);
-  ReducedKldDetectorConfig lite;
-  lite.kld = kld;
-  EXPECT_THROW(ReducedKldDetector{lite}, InvalidArgument);
-  ConditionedKldDetectorConfig conditioned;
-  conditioned.kld = kld;
-  EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
-  EXPECT_THROW(DetectorFleet("kld", {.kld = kld}, 1, 4), InvalidArgument);
-  EXPECT_NO_THROW(KldDetector({.bins = kMaxKldBins}));
+  for (const std::string_view family : registered_detector_names()) {
+    EXPECT_THROW(FleetDetector(std::string(family), {.kld = kld}),
+                 InvalidArgument)
+        << family;
+    EXPECT_THROW(DetectorFleet(std::string(family), {.kld = kld}, 1, 4),
+                 InvalidArgument)
+        << family;
+  }
+  EXPECT_THROW(FleetDetector(ConditionedKldDetectorConfig{.kld = kld}),
+               InvalidArgument);
+  EXPECT_NO_THROW(FleetDetector("kld", {.kld = {.bins = kMaxKldBins}}));
 }
 
 TEST(DetectorOptions, BinsAboveTheRestoreBoundAreRejected) {
@@ -199,14 +255,15 @@ TEST(DetectorOptions, BinsAboveTheRestoreBoundAreRejected) {
 }
 
 TEST(KldDetector, RejectsNonFiniteEpsilon) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(KldDetector({.epsilon = inf}), InvalidArgument);
-  ReducedKldDetectorConfig lite;
-  lite.kld.epsilon = inf;
-  EXPECT_THROW(ReducedKldDetector{lite}, InvalidArgument);
-  ConditionedKldDetectorConfig conditioned;
-  conditioned.kld.epsilon = inf;
-  EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
+  const KldDetectorConfig kld{
+      .epsilon = std::numeric_limits<double>::infinity()};
+  for (const std::string_view family : registered_detector_names()) {
+    EXPECT_THROW(FleetDetector(std::string(family), {.kld = kld}),
+                 InvalidArgument)
+        << family;
+  }
+  EXPECT_THROW(FleetDetector(ConditionedKldDetectorConfig{.kld = kld}),
+               InvalidArgument);
 }
 
 TEST(DetectorOptions, RejectNonFiniteNumbers) {
@@ -224,14 +281,14 @@ TEST(DetectorOptions, RejectNonFiniteNumbers) {
 TEST(Registry, RejectsUnregisteredFamiliesAndKeys) {
   EXPECT_FALSE(is_registered_detector("iforest"));
   try {
-    make_detector("iforest", {});
-    ADD_FAILURE() << "make_detector accepted \"iforest\"";
+    DetectorFleet("iforest", {}, 1, 4);
+    ADD_FAILURE() << "DetectorFleet accepted \"iforest\"";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("kld, ckld, kld-lite"),
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(DetectorFleet("iforest", {}, 1, 4), std::invalid_argument);
+  EXPECT_THROW(FleetDetector("iforest"), std::invalid_argument);
   DetectorOptions options;
   for (const char* spec : {"iforest.trees=8", "iforest.samples=16",
                            "iforest.contamination=0.1", "iforest.seed=7"}) {
@@ -248,7 +305,7 @@ TEST(Registry, RejectsUnregisteredFamiliesAndKeys) {
 }
 
 TEST(KldDetector, RequiresWholeWeeks) {
-  KldDetector d;
+  FleetDetector d("kld");
   EXPECT_THROW(d.fit(std::vector<Kw>(100, 1.0)), InvalidArgument);
 }
 

@@ -7,12 +7,12 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/conditioned_kld_detector.h"
-#include "core/detector_registry.h"
+#include "core/detector_fleet.h"
 #include "core/evidence.h"
-#include "core/kld_detector.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
 #include "meter/dataset.h"
@@ -48,31 +48,32 @@ class ExplainTest : public ::testing::Test {
 TEST_F(ExplainTest, BitsSumReproducesScoreExactly) {
   // Both single-model families: the whole week, and the k selected slots.
   for (const std::string_view family : {"kld", "kld-lite"}) {
-    const auto detector = make_detector(family, {});
-    detector->fit(split_.train(dataset_.consumer(0)));
+    DetectorFleet fleet(std::string(family), {}, 1, split_.train_weeks);
+    fleet.fit(0, split_.train(dataset_.consumer(0)));
 
     for (const double factor : {1.0, 0.25, 3.0}) {
       SCOPED_TRACE(::testing::Message()
                    << family << " factor " << factor);
       const auto week = scaled_week(dataset_.consumer(0).week(12), factor);
-      const auto explanation = detector->raw_explain_week(week);
-      const double score = detector->raw_score_week(week);
+      const auto explanation = fleet.raw_explain_week(0, week);
+      const double score = fleet.raw_score_week(0, week);
       EXPECT_EQ(explanation.score, score);
       // The acceptance contract: contributions sum to K_A within 1e-12.  The
       // mirrored accumulation order makes this exact in practice.
       EXPECT_NEAR(bits_sum(explanation), score, 1e-12);
-      EXPECT_EQ(explanation.threshold, detector->raw_decision_threshold());
+      EXPECT_EQ(explanation.threshold, fleet.raw_decision_threshold(0));
     }
   }
 }
 
 TEST_F(ExplainTest, BinsCarryHistogramEdgesAndMasses) {
-  KldDetector detector;
-  detector.fit(split_.train(dataset_.consumer(0)));
-  const auto explanation = detector.explain(dataset_.consumer(0).week(12));
+  DetectorFleet fleet("kld", {}, 1, split_.train_weeks);
+  fleet.fit(0, split_.train(dataset_.consumer(0)));
+  const auto explanation =
+      fleet.raw_explain_week(0, dataset_.consumer(0).week(12));
 
-  const auto edges = detector.edges();
-  ASSERT_EQ(explanation.bins.size(), detector.config().bins);
+  const auto edges = fleet.edges(0);
+  ASSERT_EQ(explanation.bins.size(), fleet.options().kld.bins);
   ASSERT_EQ(edges.size(), explanation.bins.size() + 1);
   double p_total = 0.0;
   for (std::size_t j = 0; j < explanation.bins.size(); ++j) {
@@ -91,14 +92,15 @@ TEST_F(ExplainTest, BinsCarryHistogramEdgesAndMasses) {
 }
 
 TEST_F(ExplainTest, EpsilonZeroOutOfSupportWeekIsInfinite) {
-  KldDetector detector(KldDetectorConfig{.epsilon = 0.0});
-  detector.fit(split_.train(dataset_.consumer(0)));
+  DetectorFleet fleet("kld", {.kld = {.epsilon = 0.0}}, 1,
+                      split_.train_weeks);
+  fleet.fit(0, split_.train(dataset_.consumer(0)));
   // Push every reading far above the training range: all mass lands in the
   // overflow-adjacent top bin, which the training weeks may never have
   // touched.  With epsilon = 0 that is a division by q = 0.
   const auto week = scaled_week(dataset_.consumer(0).week(12), 50.0);
-  const double score = detector.score(week);
-  const auto explanation = detector.explain(week);
+  const double score = fleet.raw_score_week(0, week);
+  const auto explanation = fleet.raw_explain_week(0, week);
   EXPECT_EQ(explanation.score, score);
   if (std::isinf(score)) {
     bool saw_infinite_bin = false;
@@ -110,20 +112,20 @@ TEST_F(ExplainTest, EpsilonZeroOutOfSupportWeekIsInfinite) {
 }
 
 TEST_F(ExplainTest, ConditionedExplanationsMatchGroupScores) {
-  ConditionedKldDetector detector;
-  detector.fit(split_.train(dataset_.consumer(0)));
+  DetectorFleet fleet("ckld", {}, 1, split_.train_weeks);
+  fleet.fit(0, split_.train(dataset_.consumer(0)));
 
   const auto week = scaled_week(dataset_.consumer(0).week(12), 0.25);
-  const auto scores = detector.scores(week);
-  const auto& thresholds = detector.thresholds();
-  const auto explanations = detector.explain(week);
+  const auto scores = fleet.group_scores(0, week);
+  const auto explanations = fleet.explain_groups(0, week);
   ASSERT_EQ(explanations.size(), scores.size());
-  ASSERT_EQ(explanations.size(), thresholds.size());
+  ASSERT_EQ(explanations.size(), fleet.groups());
   for (std::size_t g = 0; g < explanations.size(); ++g) {
     EXPECT_EQ(explanations[g].score, scores[g]) << "group " << g;
     EXPECT_NEAR(bits_sum(explanations[g]), scores[g], 1e-12)
         << "group " << g;
-    EXPECT_EQ(explanations[g].threshold, thresholds[g]) << "group " << g;
+    EXPECT_EQ(explanations[g].threshold, fleet.threshold(0, g))
+        << "group " << g;
   }
 }
 

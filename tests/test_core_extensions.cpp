@@ -11,7 +11,7 @@
 #include "attack/integrated_arima_attack.h"
 #include "attack/optimal_swap.h"
 #include "common/error.h"
-#include "core/kld_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/profile_detector.h"
 #include "eval/time_to_detection.h"
 #include "meter/measurement_error.h"
@@ -42,7 +42,7 @@ class ExtensionsTest : public ::testing::Test {
   }
 
   ConsumerFixture f_;
-  KldDetector kld_{{.bins = 10, .significance = 0.10}};
+  FleetDetector kld_{"kld", {.kld = {.bins = 10, .significance = 0.10}}};
   std::vector<Kw> reference_;
 };
 

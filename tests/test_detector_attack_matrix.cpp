@@ -24,13 +24,11 @@
 #include "ami/faults.h"
 #include "attack/integrated_arima_attack.h"
 #include "attack/optimal_swap.h"
-#include "core/conditioned_kld_detector.h"
 #include "core/detector_fleet.h"
 #include "core/detector_registry.h"
-#include "core/kld_detector.h"
-#include "core/reduced_kld_detector.h"
 #include "datagen/generator.h"
 #include "eval/arima_detector.h"
+#include "eval/fleet_detector.h"
 #include "eval/integrated_arima_detector.h"
 #include "eval/isolation_forest_detector.h"
 #include "meter/dataset.h"
@@ -50,11 +48,7 @@ class MatrixSweep : public ::testing::TestWithParam<std::uint64_t> {
     arima_.fit(f_.train());
     integrated_.fit(f_.train());
     kld_.fit(f_.train());
-    ConditionedKldDetectorConfig cc;
-    cc.kld = {.bins = 10, .significance = 0.05};
-    cc.slot_group = tou_slot_groups(pricing::nightsaver());
-    ckld_ = std::make_unique<ConditionedKldDetector>(cc);
-    ckld_->fit(f_.train());
+    ckld_.fit(f_.train());
   }
 
   std::vector<Kw> integrated_attack(bool over) {
@@ -68,8 +62,9 @@ class MatrixSweep : public ::testing::TestWithParam<std::uint64_t> {
   testutil::ConsumerFixture f_;
   ArimaDetector arima_;
   IntegratedArimaDetector integrated_;
-  KldDetector kld_{{.bins = 10, .significance = 0.05}};
-  std::unique_ptr<ConditionedKldDetector> ckld_;
+  // ckld's registry calendar is the Nightsaver TOU schedule.
+  FleetDetector kld_{"kld", {.kld = {.bins = 10, .significance = 0.05}}};
+  FleetDetector ckld_{"ckld", {.kld = {.bins = 10, .significance = 0.05}}};
 };
 
 // The two ARIMA-family detectors are circumvented by construction.
@@ -95,7 +90,7 @@ TEST_P(MatrixSweep, SwapBlindsPlainKldButNotConditioned) {
       f_.clean_week(), pricing::nightsaver(), 0, &f_.model, f_.history, cfg);
   if (swap.swaps.empty()) GTEST_SKIP() << "no profitable swaps";
   EXPECT_FALSE(kld_.flag_week(swap.reported));
-  EXPECT_TRUE(ckld_->flag_week(swap.reported));
+  EXPECT_TRUE(ckld_.flag_week(swap.reported));
   EXPECT_FALSE(arima_.flag_week(swap.reported));
 }
 
@@ -172,19 +167,15 @@ MatrixCells compute_matrix() {
     arima.fit(f.train());
     IntegratedArimaDetector integrated;
     integrated.fit(f.train());
-    KldDetector kld({.bins = 10, .significance = 0.05});
+    const DetectorOptions options{
+        .kld = {.bins = 10, .significance = 0.05}, .reduced_slots = 48};
+    FleetDetector kld("kld", options);
     kld.fit(f.train());
-    ConditionedKldDetectorConfig cc;
-    cc.kld = {.bins = 10, .significance = 0.05};
-    cc.slot_group = tou_slot_groups(pricing::nightsaver());
-    ConditionedKldDetector ckld(cc);
+    FleetDetector ckld("ckld", options);  // the Nightsaver calendar
     ckld.fit(f.train());
     IsolationForestDetector iforest;
     iforest.fit(f.train());
-    ReducedKldDetectorConfig lite_cfg;
-    lite_cfg.selected_slots = 48;
-    lite_cfg.kld = KldDetectorConfig{.bins = 10, .significance = 0.05};
-    ReducedKldDetector kld_lite(lite_cfg);
+    FleetDetector kld_lite("kld-lite", options);
     kld_lite.fit(f.train());
 
     std::map<std::string, std::vector<Kw>> attacks;
@@ -384,8 +375,8 @@ std::string compute_payloads() {
   for (const std::string_view name : registered_detector_names()) {
     const std::string family(name);
     out += "family " + family + "\n";
-    auto detector = make_detector(family, options);
-    detector->fit(split.train(dataset.consumer(0)));
+    DetectorFleet solo(family, options, 1, split.train_weeks);
+    solo.fit(0, split.train(dataset.consumer(0)));
 
     DetectorFleet fleet(family, options, 2, split.train_weeks);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -395,16 +386,16 @@ std::string compute_payloads() {
     fleet.save(block);
     out += bytes_line("fleet", block.bytes());
     out += "raw_decision_threshold " +
-           exact(detector->raw_decision_threshold()) + "\n";
+           exact(solo.raw_decision_threshold(0)) + "\n";
 
     const auto score_line = [&](const std::string& label,
                                 std::span<const Kw> week, std::size_t w) {
       const SlotIndex first_slot = w * static_cast<std::size_t>(kSlotsPerWeek);
       const KldExplanation explanation =
-          detector->explain_week(week, first_slot);
+          solo.explain_week(0, week, first_slot);
       out += label +
-             " raw=" + exact(detector->raw_score_week(week, first_slot)) +
-             " score=" + exact(detector->score_week(week, first_slot)) +
+             " raw=" + exact(solo.raw_score_week(0, week, first_slot)) +
+             " score=" + exact(solo.score_week(0, week, first_slot)) +
              " explain=" + exact(explanation.raw_score) + " bits=";
       for (std::size_t j = 0; j < explanation.bins.size(); ++j) {
         out += (j == 0 ? "" : ",") + exact(explanation.bins[j].bits);

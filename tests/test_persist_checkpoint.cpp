@@ -21,10 +21,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "core/conditioned_kld_detector.h"
 #include "core/detector_fleet.h"
 #include "core/detector_registry.h"
-#include "core/kld_detector.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
@@ -1214,21 +1212,26 @@ TEST(EpsilonSmoothing, MatchesPaperScoresOnInSupportWeeks) {
   const std::span<const Kw> train{readings.data(),
                                   10 * static_cast<std::size_t>(kSlotsPerWeek)};
 
-  KldDetector exact({.bins = 10, .significance = 0.05, .epsilon = 0.0});
-  KldDetector smoothed({.bins = 10, .significance = 0.05, .epsilon = 1e-9});
-  exact.fit(train);
-  smoothed.fit(train);
+  DetectorFleet exact(
+      "kld", {.kld = {.bins = 10, .significance = 0.05, .epsilon = 0.0}}, 1,
+      10);
+  DetectorFleet smoothed(
+      "kld", {.kld = {.bins = 10, .significance = 0.05, .epsilon = 1e-9}}, 1,
+      10);
+  exact.fit(0, train);
+  smoothed.fit(0, train);
 
   // Training weeks are in-support by construction: epsilon perturbs their
   // scores only at the smoothing-mass scale.
   for (std::size_t w = 0; w < 10; ++w) {
     const auto week = dataset.consumer(0).week(w);
-    const double a = exact.score(week);
-    const double b = smoothed.score(week);
+    const double a = exact.raw_score_week(0, week);
+    const double b = smoothed.raw_score_week(0, week);
     ASSERT_TRUE(std::isfinite(a));
     EXPECT_NEAR(a, b, 1e-6);
   }
-  EXPECT_NEAR(exact.threshold(), smoothed.threshold(), 1e-6);
+  EXPECT_NEAR(exact.raw_decision_threshold(0),
+              smoothed.raw_decision_threshold(0), 1e-6);
 }
 
 TEST(EpsilonSmoothing, KeepsOutOfSupportScoresFinite) {
@@ -1241,26 +1244,35 @@ TEST(EpsilonSmoothing, KeepsOutOfSupportScoresFinite) {
     train[s] = (s % 2 == 0) ? 1.0 + jitter : 10.0 - jitter;
   }
 
-  KldDetector exact({.bins = 10, .significance = 0.05, .epsilon = 0.0});
-  KldDetector smoothed({.bins = 10, .significance = 0.05, .epsilon = 1e-9});
-  exact.fit(train);
-  smoothed.fit(train);
+  DetectorFleet exact(
+      "kld", {.kld = {.bins = 10, .significance = 0.05, .epsilon = 0.0}}, 1,
+      10);
+  DetectorFleet smoothed(
+      "kld", {.kld = {.bins = 10, .significance = 0.05, .epsilon = 1e-9}}, 1,
+      10);
+  exact.fit(0, train);
+  smoothed.fit(0, train);
 
   // A flat 5.5 kW week lands entirely in an empty interior bin: the bare
   // eq.-(12) score saturates to infinity, the smoothed score stays finite
   // but far above threshold.
   std::vector<Kw> mid_week(static_cast<std::size_t>(kSlotsPerWeek), 5.5);
-  ASSERT_TRUE(std::isinf(exact.score(mid_week)));
-  const double s = smoothed.score(mid_week);
+  ASSERT_TRUE(std::isinf(exact.raw_score_week(0, mid_week)));
+  const double s = smoothed.raw_score_week(0, mid_week);
   EXPECT_TRUE(std::isfinite(s));
-  EXPECT_GT(s, smoothed.threshold());  // still a screaming anomaly
+  EXPECT_GT(s, smoothed.raw_decision_threshold(0));  // a screaming anomaly
 }
 
 TEST(EpsilonSmoothing, RejectsNegativeEpsilon) {
-  EXPECT_THROW(KldDetector({.epsilon = -1e-9}), InvalidArgument);
+  for (const std::string_view family : registered_detector_names()) {
+    EXPECT_THROW(DetectorFleet(std::string(family),
+                               {.kld = {.epsilon = -1e-9}}, 1, 4),
+                 InvalidArgument)
+        << family;
+  }
   ConditionedKldDetectorConfig conditioned;
   conditioned.kld.epsilon = -1.0;
-  EXPECT_THROW(ConditionedKldDetector{conditioned}, InvalidArgument);
+  EXPECT_THROW(DetectorFleet{conditioned}, InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

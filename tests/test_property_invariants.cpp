@@ -144,16 +144,12 @@ TEST_P(RandomGridSweep, BillingLinearity) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGridSweep, ::testing::Range(0, 15));
 
 // ---------------------------------------------------------------------------
-// Detector plugin contract: the promises detector_plugin.h makes, checked
+// Detector plugin contract: the promises detector_fleet.h makes, checked
 // against every family the registry can build.  A new detector that
 // registers itself is automatically held to the same bar.
 
 class DetectorContract : public ::testing::TestWithParam<std::string_view> {
  protected:
-  std::unique_ptr<core::ScoringDetector> make() const {
-    return core::make_detector(GetParam(), {});
-  }
-
   /// A one-member fleet of the family, fitted on `training`.
   core::DetectorFleet fitted(std::span<const Kw> training) const {
     core::DetectorFleet fleet(std::string(GetParam()), {}, 1,
@@ -216,17 +212,16 @@ TEST_P(DetectorContract, ScoringIsPure) {
 TEST_P(DetectorContract, FiniteScoresOnDegenerateBaseline) {
   const std::vector<Kw> train(12 * static_cast<std::size_t>(kSlotsPerWeek),
                               0.0);
-  auto d = make();
-  d->fit(train);
-  EXPECT_TRUE(std::isfinite(d->decision_threshold()));
+  const core::DetectorFleet d = fitted(train);
+  EXPECT_TRUE(std::isfinite(d.decision_threshold()));
 
   std::vector<Kw> week(kSlotsPerWeek, 0.0);
-  EXPECT_TRUE(std::isfinite(d->score_week(week, 0))) << "constant week";
+  EXPECT_TRUE(std::isfinite(d.score_week(0, week, 0))) << "constant week";
   std::fill(week.begin(), week.end(), 1.5);
-  EXPECT_TRUE(std::isfinite(d->score_week(week, 0))) << "positive week";
+  EXPECT_TRUE(std::isfinite(d.score_week(0, week, 0))) << "positive week";
   week.assign(kSlotsPerWeek, 0.0);
   week[100] = 40.0;
-  EXPECT_TRUE(std::isfinite(d->score_week(week, 0))) << "spiky week";
+  EXPECT_TRUE(std::isfinite(d.score_week(0, week, 0))) << "spiky week";
 }
 
 // save -> restore -> save is byte-stable and the restored detector scores

@@ -50,7 +50,6 @@
 #include "common/csv.h"
 #include "common/error.h"
 #include "core/detector_registry.h"
-#include "core/kld_detector.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
