@@ -1,6 +1,7 @@
 #include "ami/faults.h"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <utility>
 
@@ -24,18 +25,16 @@ double parse_rate(const std::string& key, const std::string& value) {
   return rate;
 }
 
+// from_chars takes no sign (std::stoull negates a leading '-', wrapping -1
+// to 2^64 - 1), no whitespace and no out-of-range value.
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long n = 0;
-  try {
-    n = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  require(pos == value.size() && !value.empty(),
+  std::uint64_t n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  require(ec == std::errc{} && ptr == end && !value.empty(),
           "parse_fault_plan: " + key + " must be a non-negative integer, "
               "got '" + value + "'");
-  return static_cast<std::uint64_t>(n);
+  return n;
 }
 
 }  // namespace

@@ -132,6 +132,11 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_plan("drop"), InvalidArgument);
   EXPECT_THROW(parse_fault_plan("burst-every=5,burst-len=6"),
                InvalidArgument);
+  // A negative count must not wrap to 2^64 - 1.
+  EXPECT_THROW(parse_fault_plan("delay=-1"), InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("burst-every=-1,burst-len=0"),
+               InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("seed=-1"), InvalidArgument);
 }
 
 // A bad rate set in code must fail at construction, also when it would
