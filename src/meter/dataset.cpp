@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 
@@ -73,30 +74,42 @@ Dataset Dataset::load_csv(std::istream& in) {
       throw DataError("Dataset::load_csv: expected 4 fields at line " +
                       std::to_string(i + 1));
     }
-    ConsumerId id = 0;
+    const std::string at_line = " at line " + std::to_string(i + 1);
+    long id_raw = 0;
     long type_raw = 0;
     std::size_t slot = 0;
     double kw = 0.0;
     try {
-      id = static_cast<ConsumerId>(parse_long(fields[0], "consumer_id"));
+      id_raw = parse_long(fields[0], "consumer_id");
       type_raw = parse_long(fields[1], "type");
       slot = static_cast<std::size_t>(parse_long(fields[2], "slot"));
       kw = parse_double(fields[3], "kw");
     } catch (const DataError& e) {
-      throw DataError(std::string("Dataset::load_csv: ") + e.what() +
-                      " at line " + std::to_string(i + 1));
+      throw DataError(std::string("Dataset::load_csv: ") + e.what() + at_line);
     }
+    // Narrowing an id outside ConsumerId's range would wrap it onto another
+    // consumer (-1 to 4294967295, 1000 + 2^32 to 1000).
+    if (id_raw < 0 || static_cast<unsigned long>(id_raw) >
+                          std::numeric_limits<ConsumerId>::max()) {
+      throw DataError("Dataset::load_csv: consumer_id " + fields[0] +
+                      " out of range" + at_line);
+    }
+    if (type_raw < 0 || type_raw > 2) {
+      throw DataError("Dataset::load_csv: bad type code" + at_line);
+    }
+    const auto id = static_cast<ConsumerId>(id_raw);
+    const auto type = static_cast<ConsumerType>(type_raw);
 
     auto& series = by_id[id];
-    series.id = id;
-    if (type_raw < 0 || type_raw > 2) {
-      throw DataError("Dataset::load_csv: bad type code at line " +
-                      std::to_string(i + 1));
+    if (!series.readings.empty() && series.type != type) {
+      throw DataError("Dataset::load_csv: type of consumer " +
+                      std::to_string(id) + " changes" + at_line);
     }
-    series.type = static_cast<ConsumerType>(type_raw);
+    series.id = id;
+    series.type = type;
     if (slot != series.readings.size()) {
       throw DataError("Dataset::load_csv: non-dense slots for consumer " +
-                      std::to_string(id));
+                      std::to_string(id) + at_line);
     }
     series.readings.push_back(kw);
   }

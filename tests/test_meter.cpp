@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -106,9 +107,45 @@ TEST(Dataset, CsvRoundTrip) {
   }
 }
 
+/// The DataError message of loading `rows` under the CSV header, or "" when
+/// the rows load.
+std::string load_error(const std::string& rows) {
+  std::stringstream in("consumer_id,type,slot,kw\n" + rows);
+  try {
+    Dataset::load_csv(in);
+  } catch (const DataError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Dataset, LoadRejectsNonDenseSlots) {
   std::stringstream in("consumer_id,type,slot,kw\n1,0,0,1.0\n1,0,2,1.0\n");
   EXPECT_THROW(Dataset::load_csv(in), DataError);
+  EXPECT_NE(load_error("1,0,0,1.0\n1,0,2,1.0\n").find("line 3"),
+            std::string::npos);
+}
+
+// An id outside ConsumerId's range must not wrap onto another consumer, and
+// one consumer's rows must agree on its type (not last-row-wins).
+TEST(Dataset, LoadRejectsOutOfRangeIdsAndTypeChangesNamingTheLine) {
+  struct Case {
+    std::string rows;
+    std::string names;  // the field the error names
+    std::string line;
+  };
+  for (const Case& c : {
+           Case{"-1,0,0,1.0\n", "consumer_id", "line 2"},
+           Case{"1000,0,0,1.0\n4294968296,0,1,1.0\n", "consumer_id", "line 3"},
+           Case{"1000,0,0,1.0\n99999999999999999999,0,1,1.0\n", "consumer_id",
+                "line 3"},
+           Case{"1,0,0,1.0\n1,2,1,1.0\n", "type", "line 3"}}) {
+    const std::string what = load_error(c.rows);
+    EXPECT_NE(what.find(c.names), std::string::npos) << c.rows << what;
+    EXPECT_NE(what.find(c.line), std::string::npos) << c.rows << what;
+  }
+  // The largest id loads.
+  EXPECT_EQ(load_error("4294967295,0,0,1.0\n"), "");
 }
 
 TEST(Dataset, LoadRejectsNonFiniteReadingsNamingTheLine) {
