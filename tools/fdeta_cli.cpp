@@ -49,6 +49,7 @@
 #include "common/cli_args.h"
 #include "common/csv.h"
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/detector_registry.h"
 #include "core/online_monitor.h"
 #include "core/pipeline.h"
@@ -897,6 +898,10 @@ void emit_metrics(const Args& args) {
 void emit_trace(const Args& args) {
   const std::string path = args.get("trace-out", "");
   if (path.empty()) return;
+  // parallel_for returns once every chunk is claimed, so a helper task the
+  // pool schedules later may not have run (and recorded its pool.task span)
+  // yet: drain the pool before recording stops.
+  shared_pool().wait_idle();
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.disable();
   std::ofstream out(path);
