@@ -133,6 +133,9 @@ TEST_F(DetectorTest, FailedRefitKeepsThePreviousFit) {
       {train.begin(), train.begin() + 3 * kSlotsPerWeek},
       infinite};
   const auto week = f_.clean_week();
+  const auto same = [](std::span<const double> a, std::span<const double> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
   for (const std::string_view family : registered_detector_names()) {
     FleetDetector detector{std::string(family)};
     detector.fit(train);
@@ -148,10 +151,6 @@ TEST_F(DetectorTest, FailedRefitKeepsThePreviousFit) {
       EXPECT_EQ(after.raw_decision_threshold(0),
                 before.raw_decision_threshold(0))
           << family;
-      const auto same = [](std::span<const double> a,
-                           std::span<const double> b) {
-        return std::equal(a.begin(), a.end(), b.begin(), b.end());
-      };
       for (std::size_t g = 0; g < after.groups(); ++g) {
         EXPECT_TRUE(same(after.edges(0, g), before.edges(0, g))) << family;
         EXPECT_TRUE(same(after.baseline(0, g), before.baseline(0, g)))
