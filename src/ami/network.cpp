@@ -1,34 +1,17 @@
 #include "ami/network.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <queue>
 #include <utility>
 
 #include "ami/faults.h"
 #include "common/error.h"
-#include "common/sharding.h"
 #include "common/thread_pool.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fdeta::ami {
-
-namespace {
-
-// Per-shard metric-name cardinality budget (matches the monitor's): at most
-// 64 "ami.shardNN" series; wider fleets alias onto s % 64.
-constexpr std::size_t kMaxShardSeries = 64;
-
-std::string shard_metric_name(std::size_t slot, const char* what) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "ami.shard%02zu.%s", slot, what);
-  return buf;
-}
-
-}  // namespace
 
 HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
                  obs::MetricsRegistry* metrics, HeadEndConfig config)
@@ -40,11 +23,10 @@ HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
   values_.assign(consumers * slots, 0.0);
   received_.assign(consumers * slots, 0);
   sequences_.assign(consumers * slots, 0);
-  shard_count_ = resolve_shard_count(config_.shards, consumers,
-                                     shared_pool().thread_count() + 1);
-  shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
   obs::MetricsRegistry& registry =
       metrics != nullptr ? *metrics : obs::default_registry();
+  shards_ = ShardLayer(config_.shards, consumers,
+                       shared_pool().thread_count() + 1, registry, "ami");
   reports_received_ = &registry.counter("ami.reports_received");
   reports_overwritten_ = &registry.counter("ami.reports_overwritten");
   duplicates_suppressed_ = &registry.counter("ami.duplicates_suppressed");
@@ -52,21 +34,6 @@ HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
   quarantined_counter_ = &registry.counter("ami.reports_quarantined");
   missing_gauge_ = &registry.gauge("ami.reports_missing");
   missing_gauge_->set(static_cast<std::int64_t>(missing_count()));
-  shard_imbalance_ = &registry.gauge("ami.shard_imbalance_milli");
-  const std::size_t instrumented = std::min(shard_count_, kMaxShardSeries);
-  shard_pending_.resize(instrumented);
-  shard_highwater_.resize(instrumented);
-  shard_lock_wait_.resize(instrumented);
-  for (std::size_t s = 0; s < instrumented; ++s) {
-    shard_pending_[s] =
-        &registry.gauge(shard_metric_name(s, "pending_depth"));
-    shard_highwater_[s] =
-        &registry.gauge(shard_metric_name(s, "pending_highwater"));
-    shard_lock_wait_[s] =
-        &registry.histogram(shard_metric_name(s, "lock_wait_seconds"));
-  }
-  shard_received_counts_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(shard_count_);
 }
 
 ReceiveOutcome HeadEnd::apply(const ReadingReport& report, Tally& tally) {
@@ -141,8 +108,7 @@ ReceiveOutcome HeadEnd::receive(const ReadingReport& report) {
   Tally tally;
   ReceiveOutcome outcome;
   {
-    std::lock_guard<std::mutex> lock(
-        shard_locks_[shard_of(report.consumer_index, shard_count_)]);
+    std::lock_guard<std::mutex> lock(shards_.lock_of(report.consumer_index));
     outcome = apply(report, tally);
   }
   publish(tally);
@@ -157,68 +123,23 @@ std::vector<ReceiveOutcome> HeadEnd::receive_batch(
     require(r.slot < slots_, "HeadEnd::receive: slot out of range");
   }
 
-  // Stable counting sort by shard into one index array: reports for the
-  // same consumer keep batch order, so outcomes and stored state match a
-  // serial receive() replay for any shard count (the sequence race is
-  // decided per consumer, never across consumers).  Shard s's bucket is
-  // order[bounds[s] .. bounds[s + 1]).
-  std::vector<std::size_t> bounds(shard_count_ + 1, 0);
-  for (const auto& r : reports) {
-    ++bounds[shard_of(r.consumer_index, shard_count_) + 1];
-  }
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    bounds[s + 1] += bounds[s];
-  }
-  std::vector<std::size_t> order(reports.size());
-  {
-    std::vector<std::size_t> next(bounds.begin(), bounds.end() - 1);
-    for (std::size_t r = 0; r < reports.size(); ++r) {
-      order[next[shard_of(reports[r].consumer_index, shard_count_)]++] = r;
-    }
-  }
-
+  // The sequence race is decided per consumer, never across consumers, so
+  // applying by shard matches a serial receive() replay.  One thread: the
+  // rows are slot-major, so shards applied in parallel would write
+  // interleaved cells of the same cache lines; run in turn, the shards can
+  // share one tally.
   std::vector<ReceiveOutcome> outcomes(reports.size(),
                                        ReceiveOutcome::kAccepted);
   Tally tally;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    const std::size_t begin = bounds[s];
-    const std::size_t end = bounds[s + 1];
-    if (begin == end) continue;
-    // Per-shard health: time the lock acquisition (contention only) and
-    // record the depth this delivery parked on the shard.  Constant work
-    // per shard per batch; the per-report loop is untouched.
-    const std::size_t m = s % shard_pending_.size();
-    const auto depth = static_cast<std::int64_t>(end - begin);
-    shard_pending_[m]->set(depth);
-    shard_highwater_[m]->update_max(depth);
-    obs::ScopedTimer wait(*shard_lock_wait_[m]);
-    std::lock_guard<std::mutex> lock(shard_locks_[s]);
-    wait.stop();
-    for (std::size_t i = begin; i < end; ++i) {
-      outcomes[order[i]] = apply(reports[order[i]], tally);
-    }
-    shard_received_counts_[s].fetch_add(end - begin,
-                                        std::memory_order_relaxed);
-    shard_pending_[m]->set(0);
-  }
+  shards_.apply_batch(
+      reports,
+      [&](std::span<const std::size_t> positions) {
+        for (const std::size_t r : positions) {
+          outcomes[r] = apply(reports[r], tally);
+        }
+      },
+      /*threads=*/1);
   publish(tally);
-
-  // Shard-imbalance gauge (max/mean cumulative load, x1000; 1000 =
-  // perfectly balanced).
-  std::uint64_t total = 0;
-  std::uint64_t max_load = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    const std::uint64_t n =
-        shard_received_counts_[s].load(std::memory_order_relaxed);
-    total += n;
-    max_load = std::max(max_load, n);
-  }
-  if (total > 0) {
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(shard_count_);
-    shard_imbalance_->set(
-        std::llround(1000.0 * static_cast<double>(max_load) / mean));
-  }
   return outcomes;
 }
 

@@ -31,11 +31,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/sharding.h"
 #include "common/units.h"
 #include "meter/dataset.h"
 
@@ -44,7 +44,6 @@ namespace obs {
 class Counter;
 class EventLog;
 class Gauge;
-class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 }  // namespace fdeta
@@ -135,7 +134,7 @@ class HeadEnd {
   std::size_t slot_count() const { return slots_; }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
-  std::size_t shard_count() const { return shard_count_; }
+  std::size_t shard_count() const { return shards_.count(); }
 
   bool has_reading(std::size_t consumer, SlotIndex slot) const;
   Kw reading(std::size_t consumer, SlotIndex slot) const;
@@ -197,9 +196,9 @@ class HeadEnd {
   std::vector<char> received_;
   std::vector<std::uint32_t> sequences_;
 
-  // Shard layer: shard_of(c, shard_count_) owns consumer c's cells above.
-  std::size_t shard_count_ = 1;
-  std::unique_ptr<std::mutex[]> shard_locks_;
+  // Shard layer: shard_of(c, shard_count()) owns consumer c's cells above.
+  // Its per-shard health series are "ami.shardNN.*".
+  ShardLayer shards_;
 
   // Tallies are atomic so concurrent feeds keep them exact (relaxed order:
   // they are monotone counts, never used to synchronise state).  Each call
@@ -215,19 +214,6 @@ class HeadEnd {
   obs::Counter* stale_rejected_ = nullptr;
   obs::Counter* quarantined_counter_ = nullptr;
   obs::Gauge* missing_gauge_ = nullptr;
-
-  // Per-shard health series ("ami.shardNN.*"): lock-wait latency, batch
-  // depth and high-water per shard, plus a max/mean load-imbalance gauge.
-  // Bounded cardinality (at most 64 instrumented slots; wider fleets alias
-  // via s % 64); updated only on the batched receive path, one histogram
-  // observation and three gauge stores per shard per batch.
-  std::vector<obs::Gauge*> shard_pending_;
-  std::vector<obs::Gauge*> shard_highwater_;
-  std::vector<obs::Histogram*> shard_lock_wait_;
-  obs::Gauge* shard_imbalance_ = nullptr;
-  /// Cumulative reports applied per shard (atomic: a feed reads every
-  /// shard's count for the imbalance gauge while others apply).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> shard_received_counts_;
 };
 
 /// NACK-driven repair budget for transmit(): after the initial pass the

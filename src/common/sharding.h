@@ -1,25 +1,40 @@
-// Consistent consumer -> shard mapping for the fleet hot path.
+// Consistent consumer -> shard mapping and the one shard layer of the
+// fleet hot path.
 //
 // HeadEnd and OnlineMonitor split their per-consumer state into N
 // independent shards so concurrent ingest feeds never contend on one
-// mutex (ROADMAP item 1: the single-mutex ceiling).  The mapping must be
-// a pure function of the consumer index - never of shard load, insertion
-// order, or thread schedule - so that any (shard count x thread count)
-// combination touches the same per-consumer state in the same per-consumer
-// order and the determinism guarantees of the event log survive sharding.
+// mutex (DESIGN.md §12: per-shard locking, not per-structure).  The mapping
+// must be a pure function of the consumer index - never of shard load,
+// insertion order, or thread schedule - so that any (shard count x thread
+// count) combination touches the same per-consumer state in the same
+// per-consumer order and the determinism guarantees of the event log
+// survive sharding.  Both owners hold one ShardLayer: the shard count, the
+// locks, the per-shard health series and the batch path live here once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <vector>
 
 namespace fdeta {
+
+namespace obs {
+class Gauge;
+class Histogram;
+class MetricsRegistry;
+}  // namespace obs
 
 /// Shard owning `consumer_index`.  SplitMix64 finalizer over the index:
 /// platform-independent, stable across runs, and uniform even for the
 /// sequential indices a fleet actually uses (a bare `index % shards` would
 /// stripe neighbouring meters across shards, which is fine for load but
-/// poor for the feeder-subtree sharding ROADMAP item 3 wants to move to -
-/// the hash keeps the mapping opaque so callers never grow to depend on
+/// poor for the feeder-subtree sharding DESIGN.md §14 anticipates - the
+/// hash keeps the mapping opaque so callers never grow to depend on
 /// adjacency).
 inline std::size_t shard_of(std::size_t consumer_index,
                             std::size_t shard_count) {
@@ -48,5 +63,64 @@ inline std::size_t resolve_shard_count(std::size_t requested,
   if (shards == 0) shards = 1;
   return shards;
 }
+
+/// A component's shard layer: shard_of(c, count()) owns consumer c's state,
+/// behind that shard's lock.  It keeps the component's per-shard health
+/// series ("<component>.shardNN.{pending_depth,pending_highwater,
+/// lock_wait_seconds}"; at most 64 of each, wider layers alias shard s onto
+/// s % 64) and its "<component>.shard_imbalance_milli" gauge (max over mean
+/// cumulative per-shard load, x1000).  lock_of() and apply_batch() are safe
+/// from concurrent feeds; the load counts are relaxed atomics.
+class ShardLayer {
+ public:
+  /// Unsized (an owner before fit): count() is 1, nothing else is usable.
+  ShardLayer() = default;
+  ShardLayer(std::size_t requested, std::size_t consumers,
+             std::size_t parallel_hint, obs::MetricsRegistry& registry,
+             const char* component);
+
+  std::size_t count() const { return count_; }
+
+  std::mutex& lock_of(std::size_t consumer) {
+    return locks_[shard_of(consumer, count_)];
+  }
+
+  /// Applies a batch shard by shard.  One stable counting sort groups the
+  /// positions of `items` by the shard of their consumer_index, so one
+  /// consumer's items keep batch order; then `apply(positions)` runs under
+  /// each non-empty shard's lock, on the shared pool with at most `threads`
+  /// shards at once (0 = full width, 1 = in shard order on the calling
+  /// thread).  Sets the depth gauges and times each lock wait, then updates
+  /// the imbalance gauge.
+  template <class Item>
+  void apply_batch(
+      std::span<const Item> items,
+      const std::function<void(std::span<const std::size_t>)>& apply,
+      std::size_t threads) {
+    std::vector<std::size_t> shard(items.size());
+    for (std::size_t p = 0; p < items.size(); ++p) {
+      shard[p] = shard_of(items[p].consumer_index, count_);
+    }
+    apply_by_shard(shard, apply, threads);
+  }
+
+ private:
+  void apply_by_shard(
+      std::span<const std::size_t> shard,
+      const std::function<void(std::span<const std::size_t>)>& apply,
+      std::size_t threads);
+
+  struct Series {
+    obs::Gauge* pending;
+    obs::Gauge* highwater;
+    obs::Histogram* lock_wait;
+  };
+
+  std::size_t count_ = 1;
+  std::unique_ptr<std::mutex[]> locks_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> applied_;  ///< per shard
+  std::vector<Series> series_;
+  obs::Gauge* imbalance_ = nullptr;
+};
 
 }  // namespace fdeta

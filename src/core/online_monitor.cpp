@@ -4,13 +4,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <utility>
 
 #include "common/error.h"
-#include "common/sharding.h"
 #include "common/thread_pool.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -39,17 +37,6 @@ constexpr std::size_t kAlertBytes = 8 + 4 + 8 + 8 + 8 + 1;
 // primed sliding windows.  32 bins keeps the KLD estimate stable at modest
 // window sizes while staying cheap to drain per refresh.
 constexpr std::size_t kHealthBins = 32;
-
-// Per-shard metric-name cardinality budget: at most this many "shardNN"
-// series per component; fleets sharded wider alias onto s % kMaxShardSeries.
-constexpr std::size_t kMaxShardSeries = 64;
-
-std::string shard_metric_name(const char* component, std::size_t slot,
-                              const char* what) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s.shard%02zu.%s", component, slot, what);
-  return buf;
-}
 
 // KL divergence, in bits, of the `recent` counts against the `baseline`
 // counts with +0.5 additive smoothing per bin (both sides), so empty bins
@@ -115,7 +102,6 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
   alerts_under_ = &registry.counter("monitor.alerts_under_report");
   fit_seconds_ = &registry.histogram("monitor.fit_seconds");
   batch_seconds_ = &registry.histogram("monitor.ingest_batch_seconds");
-  shard_imbalance_ = &registry.gauge("monitor.shard_imbalance_milli");
   drift_gauge_ = &registry.gauge("monitor.population_drift_milli_bits");
   burst_gauge_ = &registry.gauge("monitor.alert_burst_milli");
   registry_ = &registry;
@@ -124,24 +110,10 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
 }
 
 void OnlineMonitor::init_shards(std::size_t count) {
-  const std::size_t hint = config_.threads != 0
-                               ? config_.threads
-                               : shared_pool().thread_count() + 1;
-  shard_count_ = resolve_shard_count(config_.shards, count, hint);
-  shard_locks_ = std::make_unique<std::mutex[]>(shard_count_);
-  const std::size_t instrumented = std::min(shard_count_, kMaxShardSeries);
-  shard_pending_.resize(instrumented);
-  shard_highwater_.resize(instrumented);
-  shard_lock_wait_.resize(instrumented);
-  for (std::size_t s = 0; s < instrumented; ++s) {
-    shard_pending_[s] =
-        &registry_->gauge(shard_metric_name("monitor", s, "pending_depth"));
-    shard_highwater_[s] = &registry_->gauge(
-        shard_metric_name("monitor", s, "pending_highwater"));
-    shard_lock_wait_[s] = &registry_->histogram(
-        shard_metric_name("monitor", s, "lock_wait_seconds"));
-  }
-  shard_applied_.assign(shard_count_, 0);
+  shards_ = ShardLayer(config_.shards, count,
+                       config_.threads != 0 ? config_.threads
+                                            : shared_pool().thread_count() + 1,
+                       *registry_, "monitor");
 }
 
 std::size_t OnlineMonitor::health_bin(double v) const {
@@ -509,8 +481,7 @@ std::optional<AlertEvent> OnlineMonitor::ingest(const Reading& reading) {
   std::optional<AlertEvent> event;
   Tally tally;
   {
-    std::lock_guard<std::mutex> lock(
-        shard_locks_[shard_of(reading.consumer_index, shard_count_)]);
+    std::lock_guard<std::mutex> lock(shards_.lock_of(reading.consumer_index));
     event = apply(reading, tally);
   }
   flush(tally);
@@ -532,65 +503,24 @@ std::vector<AlertEvent> OnlineMonitor::ingest_batch(
   }
   obs::ScopedTimer timer(*batch_seconds_);
 
-  // Bucket the batch by shard, preserving arrival order inside each bucket
-  // (stable bucketing, so per-consumer order == batch order).  Shards own
-  // disjoint consumer state and proceed in parallel under their own lock;
-  // the (batch position -> alert) results are then merged back into arrival
-  // order, so the returned alerts, alerts(), the counters and the emitted
-  // events are byte-identical to a reading-by-reading ingest() replay for
-  // ANY shard count x thread count.
-  std::vector<std::vector<std::size_t>> by_shard(shard_count_);
-  for (auto& bucket : by_shard) {
-    bucket.reserve(readings.size() / shard_count_ + 1);
-  }
-  for (std::size_t r = 0; r < readings.size(); ++r) {
-    by_shard[shard_of(readings[r].consumer_index, shard_count_)].push_back(r);
-  }
-
+  // Shards own disjoint consumer state and run in parallel on the pool,
+  // each under its own lock, applying one consumer's readings in batch
+  // order; the (batch position -> alert) results are then merged back into
+  // arrival order, so the returned alerts, alerts(), the counters and the
+  // emitted events are byte-identical to a reading-by-reading ingest()
+  // replay for ANY shard count x thread count.  Each shard counts its
+  // readings' fates in one tally, flushed once per shard per batch.
   std::vector<std::optional<AlertEvent>> raised(readings.size());
-  parallel_for(
-      shard_count_,
-      [&](std::size_t s) {
-        if (by_shard[s].empty()) return;
-        // Per-shard health: the lock-wait histogram times only the
-        // acquisition (contention, not work); the depth gauges cover the
-        // bucket this delivery parked on the shard.  One histogram
-        // observation and three gauge stores per shard per batch - the
-        // per-reading loop below stays untouched, and its counters land in
-        // one tally flush per shard.
-        const std::size_t m = s % shard_pending_.size();
-        const std::int64_t depth =
-            static_cast<std::int64_t>(by_shard[s].size());
-        shard_pending_[m]->set(depth);
-        shard_highwater_[m]->update_max(depth);
-        obs::ScopedTimer wait(*shard_lock_wait_[m]);
-        std::lock_guard<std::mutex> lock(shard_locks_[s]);
-        wait.stop();
+  shards_.apply_batch(
+      readings,
+      [&](std::span<const std::size_t> positions) {
         Tally tally;
-        for (const std::size_t r : by_shard[s]) {
+        for (const std::size_t r : positions) {
           raised[r] = apply(readings[r], tally);
         }
         flush(tally);
-        shard_applied_[s] += by_shard[s].size();
-        shard_pending_[m]->set(0);
       },
       config_.threads);
-
-  // Shard-imbalance gauge: max over mean cumulative per-shard load, x1000
-  // (1000 = perfectly balanced).  Reads happen after the parallel_for
-  // barrier, so the plain-vector accumulators are quiescent here.
-  std::uint64_t total_applied = 0;
-  std::uint64_t max_applied = 0;
-  for (const std::uint64_t a : shard_applied_) {
-    total_applied += a;
-    max_applied = std::max(max_applied, a);
-  }
-  if (total_applied > 0) {
-    const double mean = static_cast<double>(total_applied) /
-                        static_cast<double>(shard_count_);
-    shard_imbalance_->set(
-        std::llround(1000.0 * static_cast<double>(max_applied) / mean));
-  }
 
   std::vector<AlertEvent> events;
   for (auto& event : raised) {

@@ -12,10 +12,11 @@
 // (consistent hash of the consumer index; common/sharding.h), each behind
 // its own mutex, so concurrent ingest()/ingest_batch() calls from multiple
 // head-end feeds are safe and scale until feeds collide on a shard.
-// Determinism: for a fixed reading order, scores / alerts / counters /
-// checkpoint bytes are identical for ANY shard count and thread count -
-// sharding moves locks around, never results.  alerts()/window()/save()
-// still require no concurrent writer (quiesce feeds first).
+// Everything else - fit(), fit_streaming(), save(), restore(), alerts(),
+// window(), evaluate_feeders() and refresh_health_gauges() - needs the
+// feeds quiesced.  Determinism: for a fixed reading order, scores / alerts
+// / counters / checkpoint bytes are identical for ANY shard count and
+// thread count - sharding moves locks around, never results.
 //
 // Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing,
 // the fate of every ingested reading (in cooldown, stride-skipped, coverage
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sharding.h"
 #include "core/detector_fleet.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "meter/dataset.h"
@@ -109,7 +111,7 @@ struct OnlineMonitorConfig {
   /// Emits alert_raised per alert (in alerts() order) and model_restored on
   /// restore().
   obs::EventLog* events = nullptr;
-  /// Optional feeder-hierarchy layer (ROADMAP item 3): when non-null, fit()
+  /// Optional feeder-hierarchy layer (DESIGN.md §14): when non-null, fit()
   /// also fits a hierarchy::FeederMonitor over this radial tree and
   /// evaluate_feeders() scores its internal nodes over the sliding windows.
   /// Must outlive the monitor; its consumer count must match the fleet.
@@ -187,7 +189,7 @@ class OnlineMonitor {
   std::size_t consumer_count() const { return fleet_.size(); }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
-  std::size_t shard_count() const { return shard_count_; }
+  std::size_t shard_count() const { return shards_.count(); }
 
   /// Recomputes the two fleet-health gauges from the readings ingested since
   /// the previous refresh: `monitor.population_drift_milli_bits` (KL
@@ -222,9 +224,7 @@ class OnlineMonitor {
   /// `weeks` training weeks).
   void init_fleet(std::size_t count, std::size_t weeks);
 
-  /// Sizes the shard layer for `count` consumers (shard_count_, locks) and
-  /// resolves the per-shard health metric pointers (bounded cardinality: at
-  /// most 64 instrumented slots; larger fleets alias shard s onto s % 64).
+  /// Sizes the shard layer for `count` consumers.
   void init_shards(std::size_t count);
 
   /// Rebuilds the population-health baseline (linear reading-magnitude bins
@@ -303,9 +303,9 @@ class OnlineMonitor {
   std::vector<std::uint16_t> counts_;   // count x count_words_
   std::vector<std::uint8_t> counted_;   // count; 1 = counts_ row current
 
-  // Shard layer: shard_of(i, shard_count_) owns consumer i's state above.
-  std::size_t shard_count_ = 1;
-  std::unique_ptr<std::mutex[]> shard_locks_;
+  // Shard layer: shard_of(i, shard_count()) owns consumer i's state above.
+  // Its per-shard health series are "monitor.shardNN.*".
+  ShardLayer shards_;
   mutable std::mutex alerts_mutex_;  // guards alerts_ + serialised emission
 
   std::vector<AlertEvent> alerts_;
@@ -332,19 +332,7 @@ class OnlineMonitor {
   obs::MetricsRegistry* registry_ = nullptr;  // never null after construction
   obs::EventLog* events_ = nullptr;           // never null after construction
 
-  // Per-shard health series ("monitor.shardNN.*"), resolved by
-  // init_shards(); at most 64 instrumented slots (shards alias via
-  // s % 64 past that - a fixed cardinality budget, never per-shard names
-  // without bound).  Updated only on the batched ingest path.
-  std::vector<obs::Gauge*> shard_pending_;
-  std::vector<obs::Gauge*> shard_highwater_;
-  std::vector<obs::Histogram*> shard_lock_wait_;
-  obs::Gauge* shard_imbalance_ = nullptr;
-  /// Cumulative readings applied per shard (guarded by that shard's lock;
-  /// summed after the batch barrier for the imbalance gauge).
-  std::vector<std::uint64_t> shard_applied_;
-
-  // Population-health state (ROADMAP item 5 seed).  The baseline is frozen
+  // Population-health state (DESIGN.md §8).  The baseline is frozen
   // at fit/restore; the recent window accumulates in relaxed atomics,
   // flushed from the per-call tallies, and is drained by
   // refresh_health_gauges().

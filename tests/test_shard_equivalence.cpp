@@ -87,6 +87,15 @@ constexpr MonitorRun kMonitorRuns[] = {{"kld", 1},      {"kld", 4},
                                        {"ckld", 1},     {"ckld", 4},
                                        {"kld-lite", 1}, {"kld-lite", 4}};
 
+// The monitor's deterministic counters: the ingest tallies, every fate and
+// the alerts by direction.
+constexpr const char* kMonitorCounters[] = {
+    "monitor.readings_ingested",       "monitor.readings_missing",
+    "monitor.readings_in_cooldown",    "monitor.readings_stride_skipped",
+    "monitor.scores_coverage_gated",   "monitor.scores_evaluated",
+    "monitor.alerts_raised",           "monitor.alerts_over_report",
+    "monitor.alerts_under_report"};
+
 // Every ingested reading ends in exactly one counted fate.
 void expect_fates_add_up(const obs::MetricsSnapshot& snap) {
   EXPECT_EQ(snap.counter("monitor.scores_evaluated") +
@@ -149,12 +158,7 @@ TEST_F(ShardEquivalenceTest, MonitorAnyShardCountMatchesSerialReference) {
         expect_same_alerts(reference->alerts(), raised);
         EXPECT_EQ(ref_bytes, checkpoint_bytes(*monitor));
         const auto snap = reg.snapshot();
-        for (const char* counter :
-             {"monitor.readings_ingested", "monitor.readings_missing",
-              "monitor.readings_in_cooldown", "monitor.readings_stride_skipped",
-              "monitor.scores_coverage_gated", "monitor.scores_evaluated",
-              "monitor.alerts_raised", "monitor.alerts_over_report",
-              "monitor.alerts_under_report"}) {
+        for (const char* counter : kMonitorCounters) {
           EXPECT_EQ(ref_snap.counter(counter), snap.counter(counter))
               << counter;
         }
@@ -193,6 +197,74 @@ TEST_F(ShardEquivalenceTest, MonitorEventLogBytesInvariantAcrossSharding) {
         }
       }
     }
+  }
+}
+
+// The header promises that ingest() and ingest_batch() are safe from
+// several feeds at once.  Four feeds own disjoint consumer sets (consumer c
+// belongs to feed c % 4): two deliver one slot's readings per ingest_batch
+// (fanning out on the shared pool), two deliver reading by reading.  Each
+// consumer still sees its readings in sequence order, so its window, its
+// alerts and the fate counters must match the serial one-shard replay
+// exactly; only how different consumers' alerts interleave in alerts() is
+// up to the scheduler.
+class MonitorShardTest : public ShardEquivalenceTest {};
+
+TEST_F(MonitorShardTest, ConcurrentFeedsMatchSerialReference) {
+  const auto readings = delivery_sequence(data_);
+  obs::MetricsRegistry ref_reg;
+  auto reference = make_monitor(1, 1, &ref_reg);
+  for (const auto& r : readings) reference->ingest(r);
+  ASSERT_FALSE(reference->alerts().empty());
+  const auto ref_snap = ref_reg.snapshot();
+  const auto alerts_of = [](const std::vector<core::AlertEvent>& alerts,
+                            std::size_t consumer) {
+    std::vector<core::AlertEvent> out;
+    for (const auto& a : alerts) {
+      if (a.consumer_index == consumer) out.push_back(a);
+    }
+    return out;
+  };
+
+  constexpr std::size_t kFeeds = 4;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{64}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    obs::MetricsRegistry reg;
+    auto monitor = make_monitor(shards, 0, &reg);
+    std::vector<std::thread> feeds;
+    for (std::size_t f = 0; f < kFeeds; ++f) {
+      feeds.emplace_back([&, f] {
+        std::vector<core::Reading> slice;
+        for (const auto& r : readings) {
+          if (r.consumer_index % kFeeds == f) slice.push_back(r);
+        }
+        if (f % 2 == 0) {
+          const std::span<const core::Reading> all(slice);
+          for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
+            while (j < all.size() && all[j].slot == all[i].slot) ++j;
+            monitor->ingest_batch(all.subspan(i, j - i));
+          }
+        } else {
+          for (const auto& r : slice) monitor->ingest(r);
+        }
+      });
+    }
+    for (auto& feed : feeds) feed.join();
+
+    for (std::size_t c = 0; c < data_.consumer_count(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "consumer " << c);
+      const auto want = reference->window(c);
+      const auto got = monitor->window(c);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()));
+      expect_same_alerts(alerts_of(reference->alerts(), c),
+                         alerts_of(monitor->alerts(), c));
+    }
+    const auto snap = reg.snapshot();
+    for (const char* counter : kMonitorCounters) {
+      EXPECT_EQ(ref_snap.counter(counter), snap.counter(counter)) << counter;
+    }
+    expect_fates_add_up(snap);
   }
 }
 
