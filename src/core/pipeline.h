@@ -112,7 +112,7 @@ struct PipelineConfig {
   /// index order, regardless of `threads`), model_restored on load_model(),
   /// and investigation_step during step 5.
   obs::EventLog* events = nullptr;
-  /// Feeder-hierarchy layer (ROADMAP item 3): when set AND evaluate_week is
+  /// Feeder-hierarchy layer (DESIGN.md §14): when set AND evaluate_week is
   /// given a topology, a hierarchy::FeederMonitor is lazily fitted on the
   /// training span and scores every internal node after step 5.  Feeder
   /// events are appended strictly AFTER the per-consumer and investigation

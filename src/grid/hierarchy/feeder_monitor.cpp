@@ -186,17 +186,6 @@ void FeederMonitor::fit_impl(
 }
 
 FeederReport FeederMonitor::evaluate_week(
-    const meter::Dataset& reported, std::size_t week,
-    std::span<const unsigned char> consumer_flagged) {
-  require(reported.consumer_count() == topology_->consumer_count(),
-          "FeederMonitor: reported fleet does not match topology");
-  return evaluate(
-      [&](std::size_t i) { return reported.consumer(i).week(week); },
-      /*actual_week_of=*/nullptr, week,
-      week * static_cast<std::size_t>(kSlotsPerWeek), consumer_flagged);
-}
-
-FeederReport FeederMonitor::evaluate_week(
     const meter::Dataset& actual, const meter::Dataset& reported,
     std::size_t week, std::span<const unsigned char> consumer_flagged) {
   require(reported.consumer_count() == topology_->consumer_count(),

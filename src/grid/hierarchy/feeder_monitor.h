@@ -1,4 +1,4 @@
-// Feeder-level hierarchical verification (ROADMAP item 3).
+// Feeder-level hierarchical verification (DESIGN.md §14).
 //
 // Per-consumer detectors are structurally blind to collusion: k siblings
 // under one transformer can each shave a sub-threshold sliver, and no
@@ -23,10 +23,10 @@
 //         the node's NodeResiduals signed imbalance, actual minus reported,
 //         which is exactly zero on clean fleets regardless of seasonal
 //         drift; the gate is the meter-error bound balance_tolerance_kw;
-//       * streaming mode (no ground truth - the OnlineMonitor path): a
-//         rolling EWMA baseline of the node's weekly-mean aggregate minus
-//         this week's mean, gated by max(residual_sigma * training
-//         deviation, residual_floor_kw).
+//       * streaming mode (evaluate_windows, no ground truth - the
+//         OnlineMonitor path): a rolling EWMA baseline of the node's
+//         weekly-mean aggregate minus this week's mean, gated by
+//         max(residual_sigma * training deviation, residual_floor_kw).
 //
 // A week alerts a node when BOTH the detector flags the aggregate AND the
 // under-report residual clears its gate.  Flagged nodes are then localized
@@ -162,29 +162,25 @@ class FeederMonitor {
       const std::function<meter::ConsumerSeries(std::size_t)>& source,
       const meter::TrainTestSplit& split);
 
-  /// Scores week `week` of the reported dataset at every scored node
-  /// (streaming mode: rolling-baseline residuals).  `consumer_flagged` (when
+  /// Balance-mode evaluation: scores week `week` of the reported dataset at
+  /// every scored node, the physical residual being the node's signed
+  /// NodeResiduals imbalance between the trusted `actual` week and the
+  /// `reported` week (zero on clean fleets by construction), gated by
+  /// balance_tolerance_kw.  This is the pipeline path, where feeder balance
+  /// meters measure real flow (paper eq. 5/6).  `consumer_flagged` (when
   /// non-empty: one byte per consumer, non-zero = the per-consumer layer
   /// flagged it this week) excludes already-localized consumers from
   /// collusion groups.  Emits feeder_alert_raised / collusion_suspected
   /// events in node order.  Updates rolling baselines.
   FeederReport evaluate_week(
-      const meter::Dataset& reported, std::size_t week,
-      std::span<const unsigned char> consumer_flagged = {});
-
-  /// Balance-mode evaluation: as above, but the physical residual is the
-  /// node's signed NodeResiduals imbalance between the trusted `actual` week
-  /// and the `reported` week (zero on clean fleets by construction), gated
-  /// by balance_tolerance_kw.  This is the pipeline path, where feeder
-  /// balance meters measure real flow (paper eq. 5/6).
-  FeederReport evaluate_week(
       const meter::Dataset& actual, const meter::Dataset& reported,
       std::size_t week, std::span<const unsigned char> consumer_flagged = {});
 
-  /// Monitor-path evaluation over slot-aligned sliding windows: `week_of(i)`
-  /// returns consumer i's current week vector (slot-of-week indexed, 336
-  /// slots); `slot` stamps the report/events.  Same scoring, gating,
-  /// localization and baseline update as evaluate_week.
+  /// Streaming-mode evaluation over the monitor's slot-aligned sliding
+  /// windows: `week_of(i)` returns consumer i's current week vector
+  /// (slot-of-week indexed, 336 slots); `slot` stamps the report/events.
+  /// The residual is the rolling-baseline one; scoring, localization,
+  /// events and the baseline update are evaluate_week's.
   FeederReport evaluate_windows(
       const std::function<std::span<const Kw>(std::size_t)>& week_of,
       SlotIndex slot, std::span<const unsigned char> consumer_flagged = {});

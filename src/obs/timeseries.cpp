@@ -1,9 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.h"
@@ -65,24 +68,44 @@ std::uint64_t delta_u64(std::uint64_t now, std::uint64_t before) {
 }
 
 /// Finds `"key":` at object-key position (preceded by '{' or ',') and
-/// returns the raw number token after it.  Metric names always carry a
-/// '.', so plain keys like "slot" cannot collide with map entries.
-std::optional<double> find_number(std::string_view line,
-                                  std::string_view key) {
+/// returns the raw value token after it, up to the next ',' or '}' and
+/// without surrounding blanks.  Metric names always carry a '.', so plain
+/// keys like "slot" cannot collide with map entries.
+std::optional<std::string_view> find_value(std::string_view line,
+                                           std::string_view key) {
   const std::string needle = "\"" + std::string(key) + "\":";
   std::size_t pos = 0;
   while ((pos = line.find(needle, pos)) != std::string_view::npos) {
     if (pos > 0 && (line[pos - 1] == '{' || line[pos - 1] == ',')) {
-      const std::size_t start = pos + needle.size();
-      char* end = nullptr;
-      const std::string token(line.substr(start, 64));
-      const double v = std::strtod(token.c_str(), &end);
-      if (end == token.c_str()) return std::nullopt;
-      return v;
+      std::string_view token = line.substr(pos + needle.size());
+      token = token.substr(0, token.find_first_of(",}"));
+      const std::size_t first = token.find_first_not_of(" \t");
+      if (first == std::string_view::npos) return token.substr(0, 0);
+      return token.substr(first, token.find_last_not_of(" \t") + 1 - first);
     }
     pos += needle.size();
   }
   return std::nullopt;
+}
+
+/// `key`'s value in `line` as a T: a decimal integer in T's range for the
+/// integer fields (no sign on the unsigned ones), a finite decimal for the
+/// rates.  An absent key yields `fallback`; a malformed value throws
+/// DataError.
+template <typename T>
+T parse_value(std::string_view line, std::string_view key, T fallback) {
+  const auto token = find_value(line, key);
+  if (!token.has_value()) return fallback;
+  T value{};
+  const char* end = token->data() + token->size();
+  const auto [ptr, ec] = std::from_chars(token->data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw DataError("series frame: malformed \"" + std::string(key) +
+                    "\" value '" + std::string(token->substr(0, 32)) + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -369,31 +392,28 @@ std::string scoreboard_line(const SeriesFrame& frame) {
 }
 
 std::optional<SeriesFrame> parse_series_frame(std::string_view line) {
-  const auto frame_no = find_number(line, "frame");
-  const auto slot = find_number(line, "slot");
-  if (!frame_no.has_value() || !slot.has_value()) return std::nullopt;
+  if (!find_value(line, "frame").has_value() ||
+      !find_value(line, "slot").has_value()) {
+    return std::nullopt;
+  }
+  using U64 = std::uint64_t;
+  using I64 = std::int64_t;
   SeriesFrame frame;
-  frame.index = static_cast<std::uint64_t>(*frame_no);
-  frame.slot = static_cast<std::uint64_t>(*slot);
-  const auto scalar = [&](std::string_view key, double fallback) {
-    const auto v = find_number(line, key);
-    return v.has_value() ? *v : fallback;
-  };
-  frame.slots_delta =
-      static_cast<std::uint64_t>(scalar("slots_delta", 0.0));
-  frame.readings_per_slot = scalar("readings_per_slot", 0.0);
-  frame.alerts_per_hour = scalar("alerts_per_hour", 0.0);
-  frame.coverage_gated_fraction = scalar("coverage_gated_fraction", 0.0);
-  frame.drift_milli_bits =
-      static_cast<std::int64_t>(scalar("drift_milli_bits", 0.0));
-  frame.burst_milli = static_cast<std::int64_t>(scalar("burst_milli", 0.0));
-  frame.uptime_seconds = scalar("uptime_seconds", 0.0);
-  frame.wall_delta_seconds = scalar("wall_delta_seconds", 0.0);
-  frame.readings_per_sec = scalar("readings_per_sec", 0.0);
-  frame.p95_ingest_seconds = scalar("p95_ingest_seconds", 0.0);
-  frame.worst_shard = static_cast<std::int64_t>(scalar("worst_shard", -1.0));
-  frame.worst_shard_depth =
-      static_cast<std::int64_t>(scalar("worst_shard_depth", 0.0));
+  frame.index = parse_value<U64>(line, "frame", 0);
+  frame.slot = parse_value<U64>(line, "slot", 0);
+  frame.slots_delta = parse_value<U64>(line, "slots_delta", 0);
+  frame.readings_per_slot = parse_value(line, "readings_per_slot", 0.0);
+  frame.alerts_per_hour = parse_value(line, "alerts_per_hour", 0.0);
+  frame.coverage_gated_fraction =
+      parse_value(line, "coverage_gated_fraction", 0.0);
+  frame.drift_milli_bits = parse_value<I64>(line, "drift_milli_bits", 0);
+  frame.burst_milli = parse_value<I64>(line, "burst_milli", 0);
+  frame.uptime_seconds = parse_value(line, "uptime_seconds", 0.0);
+  frame.wall_delta_seconds = parse_value(line, "wall_delta_seconds", 0.0);
+  frame.readings_per_sec = parse_value(line, "readings_per_sec", 0.0);
+  frame.p95_ingest_seconds = parse_value(line, "p95_ingest_seconds", 0.0);
+  frame.worst_shard = parse_value<I64>(line, "worst_shard", -1);
+  frame.worst_shard_depth = parse_value<I64>(line, "worst_shard_depth", 0);
   return frame;
 }
 

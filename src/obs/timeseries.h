@@ -176,8 +176,10 @@ std::string scoreboard_line(const SeriesFrame& frame);
 
 /// Parses the scalar summary fields of one to_json() line back into a
 /// frame (the counter/gauge maps are not reconstructed - the scoreboard
-/// does not need them).  Returns nullopt for a line that is not a series
-/// frame.
+/// does not need them).  Returns nullopt for a line without "frame" and
+/// "slot" keys (not a series frame).  Throws DataError when a frame's value
+/// is malformed: the integer fields must be decimal integers in their
+/// field's range (no sign on the unsigned ones), the rates finite decimals.
 std::optional<SeriesFrame> parse_series_frame(std::string_view line);
 
 }  // namespace fdeta::obs

@@ -1,4 +1,4 @@
-// Feeder-level hierarchical verification (ROADMAP item 3), pinned by
+// Feeder-level hierarchical verification (DESIGN.md §14), pinned by
 // topology-randomized properties:
 //
 //   - conservation: a node's signed balance residual equals the sum of its

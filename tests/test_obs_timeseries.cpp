@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -320,6 +321,41 @@ TEST(Scoreboard, ParseRoundTripsScalarFields) {
   EXPECT_EQ(scoreboard_line(frame), scoreboard_line(*parsed));
   EXPECT_FALSE(parse_series_frame("not a frame").has_value());
   EXPECT_FALSE(parse_series_frame("{\"meta\": 1}").has_value());
+}
+
+// `fdeta stats` reads files it did not write: a frame line's value must be a
+// number of its field's type, or the line throws; it is never cast into
+// range.
+TEST(Scoreboard, MalformedFrameValuesThrow) {
+  for (const char* line : {
+           R"({"frame":-1,"slot":1})",
+           R"({"frame":0x10,"slot":1})",
+           R"({"frame":1,"slot":1e300})",
+           R"({"frame":1,"slot":18446744073709551616})",
+           R"({"frame":1,"slot":"4200"})",
+           R"({"frame":,"slot":1})",
+           R"({"frame":1,"slot":1,"slots_delta":nan})",
+           R"({"frame":1,"slot":1,"rates":{"readings_per_slot":inf}})",
+           R"({"frame":1,"slot":1,"rates":{"alerts_per_hour":1e999}})",
+           R"({"frame":1,"slot":1,"rates":{"drift_milli_bits":-1e30}})",
+           R"({"frame":1,"slot":1,"rates":{"burst_milli":)"
+           R"(9223372036854775808}})",
+           R"({"frame":1,"slot":1,"env":{"worst_shard":1.5}})",
+           R"({"frame":-1,"slot":1e300,"slots_delta":nan,"rates":{)"
+           R"("readings_per_slot":inf,"drift_milli_bits":-1e30}})",
+       }) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW(parse_series_frame(line), DataError);
+  }
+  // Without both "frame" and "slot" a line is still not a frame at all.
+  EXPECT_FALSE(parse_series_frame(R"({"frame":-1})").has_value());
+  // The fields' extremes parse exactly.
+  const auto edge = parse_series_frame(
+      R"({"frame":18446744073709551615,"slot":0,)"
+      R"("rates":{"drift_milli_bits":-9223372036854775808}})");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->index, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(edge->drift_milli_bits, std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Scoreboard, DetOnlyFrameStillRenders) {

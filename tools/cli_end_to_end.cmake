@@ -62,3 +62,7 @@ expect_rejected(--bins fit --in actual.csv --train-weeks 24 --bins -1
                 --save-model negative_bins.model)
 expect_rejected(--vectors evaluate --in actual.csv --train-weeks 24
                 --vectors -1)
+# A negative loss rate must be rejected like one above 1, not silently run
+# without the fault plane.
+expect_rejected(--loss-rate detect --in actual.csv --train-weeks 24
+                --loss-rate -0.5)

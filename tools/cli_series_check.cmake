@@ -104,6 +104,21 @@ if(NOT run_stdout MATCHES "worst-shard")
                       "${run_stdout}")
 endif()
 
+# A frame line with a malformed value must fail, naming its line, instead of
+# being cast into range (a frame of -1 used to print as 2^64 - 1).
+file(WRITE ${WORK_DIR}/bad_series.jsonl
+     "{\"meta\":1}\n{\"frame\":-1,\"slot\":1e300,\"slots_delta\":nan,"
+     "\"rates\":{\"readings_per_slot\":inf,\"drift_milli_bits\":-1e30}}\n")
+execute_process(COMMAND ${FDETA_CLI} stats --in bad_series.jsonl
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE bad_stdout
+                ERROR_VARIABLE bad_stderr)
+if(code EQUAL 0 OR NOT bad_stderr MATCHES "stats: line 2: ")
+  message(FATAL_ERROR "fdeta stats did not reject line 2 of a malformed "
+                      "series (${code}):\n${bad_stdout}${bad_stderr}")
+endif()
+
 # The Prometheus exposition: build info first, then HELP/TYPE'd families
 # with cumulative histogram buckets.
 file(READ ${WORK_DIR}/metrics.prom prom_text)

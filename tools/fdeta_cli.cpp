@@ -436,14 +436,13 @@ int cmd_detect(const Args& args) {
   // enables the NACK retransmit pass; --seed pins the fault decisions.
   const std::string plan_spec = args.get("fault-plan", "");
   const double loss_rate = args.get_double("loss-rate", 0.0);
+  require(loss_rate >= 0.0 && loss_rate <= 1.0,
+          "detect: --loss-rate out of [0,1]");
   std::optional<ami::CollectedReport> collected;
   if (!plan_spec.empty() || loss_rate > 0.0) {
     ami::FaultPlanConfig plan_config;
     if (!plan_spec.empty()) plan_config = ami::parse_fault_plan(plan_spec);
-    if (loss_rate > 0.0) {
-      require(loss_rate <= 1.0, "detect: --loss-rate out of [0,1]");
-      plan_config.drop_rate = loss_rate;
-    }
+    if (loss_rate > 0.0) plan_config.drop_rate = loss_rate;
     plan_config.seed = static_cast<std::uint64_t>(
         args.get_long("seed", static_cast<long>(plan_config.seed)));
 
@@ -687,10 +686,18 @@ int cmd_stats(const Args& args) {
   std::printf("%s\n", obs::scoreboard_header().c_str());
   std::size_t frames = 0;
   std::size_t skipped = 0;
+  std::size_t line_no = 0;
   std::string line;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) continue;
-    const auto frame = obs::parse_series_frame(line);
+    std::optional<obs::SeriesFrame> frame;
+    try {
+      frame = obs::parse_series_frame(line);
+    } catch (const DataError& e) {
+      throw DataError("stats: line " + std::to_string(line_no) + ": " +
+                      e.what());
+    }
     if (!frame) {
       ++skipped;
       continue;
