@@ -30,6 +30,7 @@
 #include "attack/collusion.h"
 #include "attack/injector.h"
 #include "common/error.h"
+#include "core/online_monitor.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
 #include "grid/hierarchy/feeder_monitor.h"
@@ -484,6 +485,88 @@ TEST(GoldenCollusion, MatrixMatchesGoldenFile) {
   EXPECT_EQ(want.str(), to_csv(cells))
       << "collusion matrix moved; if intentional, regenerate with "
          "FDETA_REGEN_GOLDEN=1 ctest -R GoldenCollusion";
+}
+
+// ---------------------------------------------------------------------------
+// Golden streaming-mode reports: OnlineMonitor::evaluate_feeders has no
+// ground truth, so its numbers (the residual sigma / floor gate, the EWMA
+// baseline, the training-mean collusion test) are pinned here, one to_text
+// report per test week, to tests/golden/streaming_feeder.txt.  Regenerate
+// after an intentional change with
+//   FDETA_REGEN_GOLDEN=1 ctest -R GoldenStreamingFeeder
+
+std::string streaming_golden_path() {
+  return std::string(FDETA_SOURCE_DIR) + "/tests/golden/streaming_feeder.txt";
+}
+
+TEST(GoldenStreamingFeeder, WeeklyReportsMatchGoldenFile) {
+  constexpr std::uint64_t kSeed = 11;
+  const auto topology = make_topology(kSeed);
+  const auto actual = datagen::small_dataset(kConsumers, kWeeks, kSeed);
+  const auto scenario = attack::make_collusion_scenario(
+      topology, actual, 4, /*shave_fraction=*/0.03, kAttackWeek);
+  const auto reported = attack::apply_injections(actual, scenario.injections);
+
+  obs::MetricsRegistry metrics;
+  obs::EventLog events;  // disabled: the reports are the artifact
+  core::OnlineMonitorConfig config;
+  config.metrics = &metrics;
+  config.events = &events;
+  config.topology = &topology;
+  core::OnlineMonitor monitor(config);
+  monitor.fit(actual, split());
+
+  // One slot-major batch per test week, scored on the week's last slot.
+  std::string text;
+  std::vector<std::size_t> alerts;
+  std::size_t groups = 0;
+  std::vector<core::Reading> batch;
+  for (std::size_t w = kTrainWeeks; w < kWeeks; ++w) {
+    const SlotIndex first = w * static_cast<std::size_t>(kSlotsPerWeek);
+    const SlotIndex end = first + static_cast<std::size_t>(kSlotsPerWeek);
+    batch.clear();
+    for (SlotIndex t = first; t < end; ++t) {
+      for (std::size_t c = 0; c < kConsumers; ++c) {
+        batch.push_back({c, t, reported.consumer(c).readings[t]});
+      }
+    }
+    monitor.ingest_batch(batch);
+    const hierarchy::FeederReport report = monitor.evaluate_feeders(end - 1);
+    alerts.push_back(report.alert_count());
+    groups += report.collusion.size();
+    text += hierarchy::to_text(report);
+  }
+
+  // A regeneration must not bless a silent or a stuck layer: some week
+  // alerts and localizes a group, and a later week is silent again.
+  std::size_t total_alerts = 0;
+  bool silent_after_alert = false;
+  for (std::size_t w = 0; w < alerts.size(); ++w) {
+    total_alerts += alerts[w];
+    if (w > 0 && alerts[w] == 0 && alerts[w - 1] > 0) {
+      silent_after_alert = true;
+    }
+  }
+  EXPECT_GT(total_alerts, 0u);
+  EXPECT_GT(groups, 0u);
+  EXPECT_TRUE(silent_after_alert);
+
+  if (std::getenv("FDETA_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(streaming_golden_path());
+    ASSERT_TRUE(out.good()) << "cannot write " << streaming_golden_path();
+    out << text;
+    GTEST_SKIP() << "regenerated " << streaming_golden_path();
+  }
+
+  std::ifstream in(streaming_golden_path());
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << streaming_golden_path()
+      << "; run FDETA_REGEN_GOLDEN=1 ctest -R GoldenStreamingFeeder";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(want.str(), text)
+      << "streaming feeder reports moved; if intentional, regenerate with "
+         "FDETA_REGEN_GOLDEN=1 ctest -R GoldenStreamingFeeder";
 }
 
 // ---------------------------------------------------------------------------
