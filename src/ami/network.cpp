@@ -1,6 +1,7 @@
 #include "ami/network.h"
 
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -15,17 +16,13 @@ namespace fdeta::ami {
 
 HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
                  obs::MetricsRegistry* metrics, HeadEndConfig config)
-    : consumers_(consumers), slots_(slots), config_(config),
-      missing_(consumers * slots) {
-  require(std::isfinite(config_.max_plausible_kw) &&
-              config_.max_plausible_kw > 0.0,
-          "HeadEnd: max_plausible_kw must be positive and finite");
+    : consumers_(consumers), slots_(slots), missing_(consumers * slots) {
   values_.assign(consumers * slots, 0.0);
   received_.assign(consumers * slots, 0);
   sequences_.assign(consumers * slots, 0);
   obs::MetricsRegistry& registry =
       metrics != nullptr ? *metrics : obs::default_registry();
-  shards_ = ShardLayer(config_.shards, consumers,
+  shards_ = ShardLayer(config.shards, consumers,
                        shared_pool().thread_count() + 1, registry, "ami");
   reports_received_ = &registry.counter("ami.reports_received");
   reports_overwritten_ = &registry.counter("ami.reports_overwritten");
@@ -42,7 +39,7 @@ ReceiveOutcome HeadEnd::apply(const ReadingReport& report, Tally& tally) {
   ++tally.received;
 
   if (!std::isfinite(report.kw) || report.kw < 0.0 ||
-      report.kw > config_.max_plausible_kw) {
+      report.kw > kMaxPlausibleKw) {
     // Corrupt or impossible value: never store it.  The slot stays missing,
     // so the NACK retransmit pass will ask for a clean copy.
     ++tally.quarantined;
@@ -194,8 +191,24 @@ void MeterNetwork::set_fault_plan(FaultPlan plan) {
 }
 
 void MeterNetwork::set_retransmit(RetransmitPolicy policy) {
-  require(policy.max_retries == 0 || policy.backoff_base_slots > 0,
-          "MeterNetwork::set_retransmit: backoff base must be positive");
+  if (policy.max_retries > 0) {
+    require(policy.backoff_base_slots > 0,
+            "MeterNetwork::set_retransmit: backoff base must be positive");
+    // transmit() advances its slot clock by backoff << (round - 1) per
+    // round, backoff * (2^retries - 1) in all.  That sum must stay within a
+    // quarter of the clock's range, leaving room for the horizon and the
+    // fault plan's delays; checked without overflow (the bound also keeps
+    // every shift below the word width).
+    constexpr SlotIndex kMaxBackoffSlots =
+        std::numeric_limits<SlotIndex>::max() / 4;
+    const bool fits =
+        policy.max_retries < std::numeric_limits<SlotIndex>::digits - 1 &&
+        policy.backoff_base_slots <=
+            kMaxBackoffSlots / ((SlotIndex{1} << policy.max_retries) - 1);
+    require(fits,
+            "MeterNetwork::set_retransmit: the retries' cumulative backoff, "
+            "backoff * (2^retries - 1), overflows the slot clock");
+  }
   retransmit_ = policy;
 }
 

@@ -76,13 +76,14 @@ enum class ReceiveOutcome : std::uint8_t {
   kQuarantined,  ///< non-finite / out-of-range value; never stored
 };
 
-/// Ingest-hardening knobs for the head-end.
+/// Reports above this (or negative, or non-finite) are quarantined: the slot
+/// stays missing so the retransmit pass can repair it with a clean copy.
+/// Legitimate demand is non-negative by construction (the generator clamps
+/// at 0), so the bound only rejects impossible values.
+inline constexpr Kw kMaxPlausibleKw = 1.0e6;
+
+/// How the head-end splits its per-consumer state.
 struct HeadEndConfig {
-  /// Reports above this (or negative, or non-finite) are quarantined: the
-  /// slot stays missing so the retransmit pass can repair it with a clean
-  /// copy.  Legitimate demand is non-negative by construction (the
-  /// generator clamps at 0), so the default only rejects impossible values.
-  double max_plausible_kw = 1.0e6;
   /// Independent per-consumer state shards, each behind its own lock (0 =
   /// auto-size from the parallelism; see common/sharding.h).  Purely a
   /// concurrency knob: stored readings and tallies are identical for any
@@ -189,7 +190,6 @@ class HeadEnd {
 
   std::size_t consumers_;
   std::size_t slots_;
-  HeadEndConfig config_;
   // Slot-major rows ([t * consumers_ + c]): one allocation per field for
   // the whole horizon instead of three vectors per consumer.
   std::vector<Kw> values_;
@@ -220,6 +220,8 @@ class HeadEnd {
 /// network asks the head-end which slots are still missing and retransmits
 /// them, up to `max_retries` rounds, waiting `backoff_base_slots << round`
 /// logical slots between rounds (exponential backoff on the slot clock).
+/// The whole wait, backoff_base_slots * (2^max_retries - 1), must not exceed
+/// a quarter of the slot clock's range (set_retransmit checks).
 struct RetransmitPolicy {
   std::size_t max_retries = 0;  ///< 0 = fire-and-forget (legacy behaviour)
   std::size_t backoff_base_slots = 1;
@@ -242,7 +244,9 @@ class MeterNetwork {
   /// after the interceptor chain.
   void set_fault_plan(FaultPlan plan);
 
-  /// Configures the NACK-driven retransmit pass.
+  /// Configures the NACK-driven retransmit pass.  Throws InvalidArgument
+  /// for a zero backoff with retries, or a whole wait past the slot clock's
+  /// bound (RetransmitPolicy).
   void set_retransmit(RetransmitPolicy policy);
 
   /// Transmits all consumers' readings for slots [first, last) to the

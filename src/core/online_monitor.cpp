@@ -260,14 +260,11 @@ void OnlineMonitor::fit_one(std::size_t i, const meter::ConsumerSeries& series,
   train_mean_[i] = stats::mean(train);
 }
 
-hierarchy::FeederConfig OnlineMonitor::resolved_feeder_config() const {
-  // The hierarchy layer shares the monitor's pool cap and telemetry/event
-  // sinks unless the caller pinned its own.
-  hierarchy::FeederConfig cfg = config_.feeder;
-  if (cfg.threads == 0) cfg.threads = config_.threads;
-  if (cfg.metrics == nullptr) cfg.metrics = config_.metrics;
-  if (cfg.events == nullptr) cfg.events = config_.events;
-  return cfg;
+std::unique_ptr<hierarchy::FeederMonitor> OnlineMonitor::make_feeder() const {
+  return std::make_unique<hierarchy::FeederMonitor>(
+      *config_.topology, hierarchy::FeederConfig{.threads = config_.threads,
+                                                 .metrics = config_.metrics,
+                                                 .events = config_.events});
 }
 
 void OnlineMonitor::fit(const meter::Dataset& history,
@@ -285,8 +282,7 @@ void OnlineMonitor::fit(const meter::Dataset& history,
       count, [&](std::size_t i) { fit_one(i, history.consumer(i), split); },
       config_.threads);
   if (config_.topology != nullptr) {
-    feeder_ = std::make_unique<hierarchy::FeederMonitor>(
-        *config_.topology, resolved_feeder_config());
+    feeder_ = make_feeder();
     feeder_->fit(history, split);
   }
   reset_counted_windows();
@@ -321,8 +317,7 @@ void OnlineMonitor::fit_streaming(
     // A second (serial) pass over the source: the feeder layer accumulates
     // per-node aggregates in ascending consumer order, producing state
     // bit-identical to the in-memory fit() path.
-    feeder_ = std::make_unique<hierarchy::FeederMonitor>(
-        *config_.topology, resolved_feeder_config());
+    feeder_ = make_feeder();
     feeder_->fit_streaming(count, source, split);
   }
   reset_counted_windows();
@@ -631,11 +626,8 @@ void OnlineMonitor::restore(std::istream& in) {
           "checkpoint: feeder-hierarchy state present but the monitor has "
           "no configured topology");
     }
-    feeder = std::make_unique<hierarchy::FeederMonitor>(
-        *config_.topology, resolved_feeder_config());
+    feeder = make_feeder();
     feeder->restore_state(dec);
-    config.feeder.detector = feeder->config().detector;
-    config.feeder.detector_options = feeder->config().detector_options;
   }
   dec.require_exhausted("monitor state");
 

@@ -114,11 +114,9 @@ struct OnlineMonitorConfig {
   /// Optional feeder-hierarchy layer (DESIGN.md §14): when non-null, fit()
   /// also fits a hierarchy::FeederMonitor over this radial tree and
   /// evaluate_feeders() scores its internal nodes over the sliding windows.
-  /// Must outlive the monitor; its consumer count must match the fleet.
+  /// Must outlive the monitor; its consumer count must match the fleet.  The
+  /// feeder layer shares `threads`, `metrics` and `events`.
   const grid::Topology* topology = nullptr;
-  /// Hierarchy knobs; `threads`/`metrics`/`events` inherit the monitor's
-  /// values when left at their defaults.
-  hierarchy::FeederConfig feeder{};
 };
 
 class OnlineMonitor {
@@ -167,10 +165,10 @@ class OnlineMonitor {
   void save(std::ostream& out) const;
 
   /// Restores a save() checkpoint, replacing this monitor's fit, window
-  /// state, and the fit-related config (detector family and options, the
-  /// feeder's too, stride, cooldown_slots, max_missing_fraction; `threads`,
-  /// `metrics` and `shards` keep their constructed values).  Subsequent
-  /// ingest calls behave bit-identically to the monitor that was saved.
+  /// state, and the fit-related config (detector family and options, stride,
+  /// cooldown_slots, max_missing_fraction; `threads`, `metrics` and `shards`
+  /// keep their constructed values).  Subsequent ingest calls behave
+  /// bit-identically to the monitor that was saved.
   /// The file holds three sections (DESIGN.md §9): the small state (config,
   /// detector block, per-consumer counters, alerts, feeder block), then the
   /// sliding windows and the missing-slot bitset, each read straight into
@@ -215,9 +213,9 @@ class OnlineMonitor {
   const hierarchy::FeederMonitor* feeder() const { return feeder_.get(); }
 
  private:
-  /// The hierarchy config with `threads`/`metrics`/`events` defaulted from
-  /// the monitor's own values.
-  hierarchy::FeederConfig resolved_feeder_config() const;
+  /// A feeder layer over config_.topology sharing the monitor's pool cap
+  /// and sinks (unfitted).
+  std::unique_ptr<hierarchy::FeederMonitor> make_feeder() const;
 
   /// Sizes the Struct-of-Arrays fleet state and shards for `count`
   /// consumers (everything zeroed; the detector fleet unfitted, sized for

@@ -19,6 +19,13 @@ namespace fdeta::core {
 
 namespace {
 
+/// Floor (kW) under which the training quartile means are too close to zero
+/// to judge an anomaly's direction: the lower band collapses to ~0 for such
+/// consumers, so under-reporting could never be classified.  Below the floor
+/// the verdict falls back to kSuspectedAnomaly instead of silently
+/// mislabeling.
+constexpr double kDirectionFloorKw = 1e-6;
+
 /// The alert's reporting direction as forensics vocabulary: a suspected
 /// attacker under-reports their own meter, a suspected victim's meter
 /// over-reports to absorb a neighbour's theft (Propositions 1 and 2).
@@ -92,14 +99,16 @@ void FdetaPipeline::fit(const meter::Dataset& actual) {
   const std::size_t count = actual.consumer_count();
   fleet_ = DetectorFleet(config_.detector, config_.detector_options, count,
                          config_.split.train_weeks);
-  train_stats_.assign(count, meter::WeeklyStats{});
+  quartiles_.assign(2 * count, 0.0);
   // Per-consumer fits are independent; run them on the shared pool.
   parallel_for(
       count,
       [&](std::size_t i) {
         const auto train = config_.split.train(actual.consumer(i));
         fleet_.fit(i, train);
-        train_stats_[i] = meter::weekly_stats(train);
+        const std::vector<double> means = meter::weekly_stats(train).means;
+        quartiles_[2 * i] = stats::quantile(means, 0.25);
+        quartiles_[2 * i + 1] = stats::quantile(means, 0.75);
       },
       config_.threads);
   fitted_ = true;
@@ -114,12 +123,8 @@ void FdetaPipeline::save_model(std::ostream& out) const {
   persist::Encoder enc;
   enc.u64(config_.split.train_weeks);
   enc.u64(config_.split.test_weeks);
-  enc.f64(config_.direction_margin);
-  enc.f64(config_.direction_floor_kw);
   fleet_.save(enc);
-  for (const meter::WeeklyStats& stats : train_stats_) {
-    meter::save_weekly_stats(stats, enc);
-  }
+  enc.f64_array(quartiles_);
   persist::CheckpointWriter(out, persist::Section::kPipeline)
       .write(enc.bytes());
 }
@@ -134,26 +139,24 @@ void FdetaPipeline::load_model(std::istream& in) {
   PipelineConfig config = config_;  // threads/metrics survive the restore
   config.split.train_weeks = dec.count("train weeks", 1u << 20);
   config.split.test_weeks = dec.count("test weeks", 1u << 20);
-  config.direction_margin = dec.f64();
-  config.direction_floor_kw = dec.f64();
   DetectorFleet fleet = DetectorFleet::restore(dec, config_.threads);
   const std::size_t count = fleet.size();
-  // Every consumer owns at least its weekly-stats block (two empty
-  // sequences and four bounds), so this bounds the reservation below.
-  dec.require_fits("consumers", count, 6 * sizeof(double));
-  std::vector<meter::WeeklyStats> train_stats;
-  train_stats.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    train_stats.push_back(meter::load_weekly_stats(dec));
-  }
+  std::vector<double> quartiles =
+      dec.f64_array("pipeline quartiles", count, 2);
   dec.require_exhausted("pipeline model");
+  persist::require_finite("pipeline quartiles", quartiles);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!(quartiles[2 * i] <= quartiles[2 * i + 1])) {
+      throw DataError("checkpoint: pipeline quartiles out of order");
+    }
+  }
 
   // All consumers decoded cleanly; commit the restore atomically.
   config.detector = fleet.family();
   config.detector_options = fleet.options();
   config_ = std::move(config);
   fleet_ = std::move(fleet);
-  train_stats_ = std::move(train_stats);
+  quartiles_ = std::move(quartiles);
   fitted_ = true;
   consumers_restored_->add(count);
   events_->emit("model_restored",
@@ -228,25 +231,19 @@ PipelineReport FdetaPipeline::evaluate_week(
           // mean sits in the top quartile reads as over-reporting (victim),
           // bottom quartile as under-reporting (attacker).
           const double m = stats::mean(week_readings);
-          const auto& ts = train_stats_[i];
-          const double q75 = stats::quantile(ts.means, 0.75);
-          const double q25 = stats::quantile(ts.means, 0.25);
-          if (q25 < config_.direction_floor_kw ||
-              q75 < config_.direction_floor_kw) {
+          const double q25 = quartiles_[2 * i];
+          const double q75 = quartiles_[2 * i + 1];
+          if (q25 < kDirectionFloorKw || q75 < kDirectionFloorKw) {
             // Quartile means ~0 (vacant property, dead meter): the lower
             // band collapses to 0 and no week could ever read as
             // under-reporting, so direction is indeterminate.
             verdict.status = VerdictStatus::kSuspectedAnomaly;
+          } else if (m > q75) {
+            verdict.status = VerdictStatus::kSuspectedVictim;
+          } else if (m < q25) {
+            verdict.status = VerdictStatus::kSuspectedAttacker;
           } else {
-            const double hi = q75 * (1.0 + config_.direction_margin);
-            const double lo = q25 * (1.0 - config_.direction_margin);
-            if (m > hi) {
-              verdict.status = VerdictStatus::kSuspectedVictim;
-            } else if (m < lo) {
-              verdict.status = VerdictStatus::kSuspectedAttacker;
-            } else {
-              verdict.status = VerdictStatus::kSuspectedAnomaly;
-            }
+            verdict.status = VerdictStatus::kSuspectedAnomaly;
           }
 
           // Step 4: external evidence can excuse the anomaly.
@@ -395,11 +392,10 @@ void FdetaPipeline::ensure_feeder(const grid::Topology& topology,
             "FdetaPipeline: topology changed between hierarchy evaluations");
     return;
   }
-  hierarchy::FeederConfig cfg = config_.feeder;
-  if (cfg.threads == 0) cfg.threads = config_.threads;
-  if (cfg.metrics == nullptr) cfg.metrics = config_.metrics;
-  if (cfg.events == nullptr) cfg.events = config_.events;
-  feeder_ = std::make_unique<hierarchy::FeederMonitor>(topology, cfg);
+  feeder_ = std::make_unique<hierarchy::FeederMonitor>(
+      topology, hierarchy::FeederConfig{.threads = config_.threads,
+                                        .metrics = config_.metrics,
+                                        .events = config_.events});
   feeder_->fit(actual, config_.split);
 }
 

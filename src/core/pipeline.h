@@ -20,7 +20,6 @@
 #include "grid/investigate.h"
 #include "grid/topology.h"
 #include "meter/dataset.h"
-#include "meter/weekly_stats.h"
 
 namespace fdeta {
 namespace obs {
@@ -83,15 +82,6 @@ struct PipelineConfig {
   /// Knobs for every family; `detector_options.kld` holds the KLD
   /// histogram knobs (bins, significance, epsilon).
   DetectorOptions detector_options{};
-  /// Relative margin applied to the training weekly-mean quartiles when
-  /// classifying the anomaly direction (step 3).
-  double direction_margin = 0.0;
-  /// Absolute floor (kW) under which the training quartile means are too
-  /// close to zero to judge an anomaly's direction: `q25 * (1 - margin)`
-  /// collapses to ~0 for such consumers, so under-reporting could never be
-  /// classified.  Below the floor the verdict falls back to
-  /// kSuspectedAnomaly instead of silently mislabeling.
-  double direction_floor_kw = 1e-6;
   /// Coverage gate: when evaluate_week is given a WeekCoverage, a consumer
   /// whose missing-slot fraction for the week exceeds this threshold is
   /// returned as kInsufficientData (with an alert_excused event) instead of
@@ -118,10 +108,8 @@ struct PipelineConfig {
   /// events are appended strictly AFTER the per-consumer and investigation
   /// events, so enabling the hierarchy never perturbs the existing log - it
   /// only adds feeder_alert_raised / collusion_suspected lines at the end.
+  /// The feeder layer shares `threads`, `metrics` and `events`.
   bool hierarchy = false;
-  /// Hierarchy knobs; `threads`/`metrics`/`events` inherit the pipeline's
-  /// values when left at their defaults.
-  hierarchy::FeederConfig feeder{};
 };
 
 struct PipelineReport {
@@ -159,15 +147,15 @@ class FdetaPipeline {
                                const grid::Topology* topology = nullptr,
                                const WeekCoverage* coverage = nullptr) const;
 
-  /// Serializes the fitted state (split, direction parameters, every
-  /// consumer's detector and training weekly stats) as a checkpoint
+  /// Serializes the fitted state (split, every consumer's detector and the
+  /// quartiles of its training weekly means) as a checkpoint
   /// (persist/checkpoint.h), so a head-end can fit once offline and serving
   /// processes warm-start in milliseconds.  Requires fit() to have run.
   void save_model(std::ostream& out) const;
 
   /// Restores a save_model() checkpoint, replacing this pipeline's fit and
-  /// the fit-related config (split, detector family and options, direction
-  /// margins; `threads` and `metrics` keep their constructed values).
+  /// the fit-related config (split, detector family and options; `threads`
+  /// and `metrics` keep their constructed values).
   /// evaluate_week() then yields verdicts bit-identical to the pipeline that
   /// was saved.  The detector fleet restores on the shared pool.  Throws
   /// DataError on a corrupted, truncated, or version-mismatched checkpoint.
@@ -186,8 +174,10 @@ class FdetaPipeline {
                      const meter::Dataset& actual) const;
 
   PipelineConfig config_;
-  DetectorFleet fleet_;                          // per consumer
-  std::vector<meter::WeeklyStats> train_stats_;  // per consumer
+  DetectorFleet fleet_;  // per consumer
+  /// Step 3's direction bands: consumer i's training weekly-mean quartiles,
+  /// q25 at [2i] and q75 at [2i + 1].
+  std::vector<double> quartiles_;
   bool fitted_ = false;
   /// Lazy feeder-hierarchy layer; scoring caches live per node, and the
   /// rolling baselines advance week over week (mutable: evaluate_week stays

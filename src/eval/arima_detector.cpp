@@ -64,18 +64,6 @@ std::size_t ArimaDetector::violation_count(std::span<const Kw> week) const {
   return count;
 }
 
-std::optional<SlotIndex> ArimaDetector::first_violation(
-    std::span<const Kw> week) const {
-  require(model_.has_value(), "ArimaDetector: fit() not called");
-  ts::RollingForecaster forecaster = model_->forecaster(history_tail_);
-  for (std::size_t t = 0; t < week.size(); ++t) {
-    const ts::Forecast f = forecaster.next();
-    if (!f.contains(week[t], config_.z)) return t;
-    forecaster.observe(week[t]);
-  }
-  return std::nullopt;
-}
-
 bool ArimaDetector::flag_week(std::span<const Kw> week,
                               SlotIndex /*first_slot*/) const {
   return violation_count(week) > violation_threshold_;

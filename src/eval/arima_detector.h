@@ -40,9 +40,6 @@ class ArimaDetector final : public Detector {
   /// Number of readings in the week that fall outside the rolling CI.
   std::size_t violation_count(std::span<const Kw> week) const;
 
-  /// First slot within the week whose reading falls outside the CI, if any.
-  std::optional<SlotIndex> first_violation(std::span<const Kw> week) const;
-
   /// The calibrated weekly violation-count threshold.
   std::size_t violation_threshold() const { return violation_threshold_; }
 

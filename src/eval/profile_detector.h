@@ -32,7 +32,6 @@ class ProfileDetector final : public Detector {
 
   /// Number of readings in the week deviating beyond z sigmas.
   std::size_t deviant_count(std::span<const Kw> week) const;
-  std::size_t deviant_threshold() const { return threshold_; }
 
  private:
   ProfileDetectorConfig config_;

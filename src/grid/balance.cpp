@@ -24,6 +24,8 @@ BalanceOutcome run_balance_checks(
     double tolerance_kw) {
   require(actual.size() == reported.size(),
           "run_balance_checks: actual/reported size mismatch");
+  require(std::isfinite(tolerance_kw) && tolerance_kw >= 0.0,
+          "run_balance_checks: tolerance must be finite and >= 0");
 
   // Eq. (5) both sides in one walk: physics (actual flows) vs the utility's
   // reconstruction (reported readings plus calculated losses).
@@ -54,6 +56,8 @@ bool simplified_balance_check(const Topology& topology, NodeId node,
                               double tolerance_kw) {
   require(actual.size() == reported.size(),
           "simplified_balance_check: size mismatch");
+  require(std::isfinite(tolerance_kw) && tolerance_kw >= 0.0,
+          "simplified_balance_check: tolerance must be finite and >= 0");
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t c : topology.consumers_under(node)) {
     rhs += actual[c];

@@ -45,7 +45,9 @@ struct BalanceOutcome {
 /// of theft.  Losses are derived from the *actual* flows (the physics), while
 /// the utility's loss estimate in eq. (5) is derived from reported flows -
 /// the tolerance absorbs that gap plus metering error (the +/-0.5% accuracy
-/// of [11]).
+/// of [11]).  Every tolerance-taking check here and in investigate.h throws
+/// InvalidArgument for a negative or non-finite tolerance: a negative one
+/// fails every balanced node and accuses honest consumers.
 BalanceOutcome run_balance_checks(
     const Topology& topology, std::span<const Kw> actual,
     std::span<const Kw> reported,

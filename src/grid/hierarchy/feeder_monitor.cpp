@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "core/detector_registry.h"
 #include "grid/hierarchy/residuals.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -13,6 +12,34 @@
 #include "stats/descriptive.h"
 
 namespace fdeta::hierarchy {
+
+namespace {
+
+/// Internal nodes with fewer consumer descendants are not scored (a
+/// single-consumer "feeder" would just duplicate the per-consumer layer).
+constexpr std::size_t kMinConsumers = 2;
+/// Streaming-mode physical gate: a node alerts only when its under-report
+/// residual (rolling baseline minus this week's aggregate mean) exceeds
+/// max(kResidualSigma * training deviation, kResidualFloorKw).
+constexpr double kResidualSigma = 4.0;
+constexpr double kResidualFloorKw = 1e-3;
+/// Balance-mode physical gate: with the trusted `actual` dataset in hand the
+/// residual is the node's signed balance imbalance (actual minus reported
+/// through the loss-adjusted tree walk), and a node alerts once it exceeds
+/// this meter-error bound (kW).
+constexpr double kBalanceToleranceKw = 0.02;
+/// A consumer joins a collusion group when its weekly mean sits more than
+/// this fraction below its training mean (and it was not individually
+/// flagged - those are already localized by the per-consumer layer).
+constexpr double kCollusionShare = 0.02;
+/// Smallest sibling group reported as collusion.
+constexpr std::size_t kMinGroup = 2;
+/// EWMA weight for the rolling baseline update on non-alerting weeks
+/// (alerting weeks never update the baseline: an attacker must not be able
+/// to walk the baseline down onto the shaved level).
+constexpr double kBaselineBeta = 0.125;
+
+}  // namespace
 
 struct FeederMonitor::NodeState {
   grid::NodeId node = grid::kNoNode;
@@ -62,12 +89,7 @@ std::string to_text(const FeederReport& report) {
 
 FeederMonitor::FeederMonitor(const grid::Topology& topology,
                              FeederConfig config)
-    : topology_(&topology), config_(std::move(config)) {
-  require(core::is_registered_detector(config_.detector),
-          "FeederMonitor: unknown detector family");
-  require(config_.min_consumers >= 1, "FeederMonitor: min_consumers >= 1");
-  require(config_.baseline_beta >= 0.0 && config_.baseline_beta <= 1.0,
-          "FeederMonitor: baseline_beta in [0, 1]");
+    : topology_(&topology), config_(config) {
   obs::MetricsRegistry& registry =
       config_.metrics != nullptr ? *config_.metrics : obs::default_registry();
   weeks_evaluated_ = &registry.counter("hierarchy.weeks_evaluated");
@@ -88,7 +110,7 @@ void FeederMonitor::resolve_nodes() {
     const grid::NodeId nid = static_cast<grid::NodeId>(id);
     if (topology_->node(nid).kind != grid::NodeKind::kInternal) continue;
     std::vector<std::size_t> members = topology_->consumers_under(nid);
-    if (members.size() < config_.min_consumers) continue;
+    if (members.size() < kMinConsumers) continue;
     std::sort(members.begin(), members.end());
     NodeState state;
     state.node = nid;
@@ -97,18 +119,11 @@ void FeederMonitor::resolve_nodes() {
     nodes_.push_back(std::move(state));
   }
   require(!nodes_.empty(),
-          "FeederMonitor: topology has no internal node with min_consumers "
+          "FeederMonitor: topology has no internal node with two or more "
           "consumer descendants");
 }
 
 std::size_t FeederMonitor::scored_node_count() const { return nodes_.size(); }
-
-std::vector<grid::NodeId> FeederMonitor::scored_nodes() const {
-  std::vector<grid::NodeId> ids;
-  ids.reserve(nodes_.size());
-  for (const NodeState& n : nodes_) ids.push_back(n.node);
-  return ids;
-}
 
 void FeederMonitor::fit(const meter::Dataset& actual,
                         const meter::TrainTestSplit& split) {
@@ -163,8 +178,8 @@ void FeederMonitor::fit_impl(
   }
 
   // Per-node detector fit + baseline, parallel: nodes are independent.
-  fleet_ = core::DetectorFleet(config_.detector, config_.detector_options,
-                               nodes_.size(), split.train_weeks);
+  fleet_ = core::DetectorFleet("kld", core::DetectorOptions{}, nodes_.size(),
+                               split.train_weeks);
   parallel_for(
       nodes_.size(),
       [&](std::size_t n) {
@@ -270,12 +285,11 @@ FeederReport FeederMonitor::evaluate(
         s.threshold = fleet_.decision_threshold();
         if (balance_mode) {
           s.residual_kw = residuals->signed_kw(node.node);
-          s.residual_gate_kw = config_.balance_tolerance_kw;
+          s.residual_gate_kw = kBalanceToleranceKw;
         } else {
           s.residual_kw = node.baseline_kw - node_week_mean[n];
-          s.residual_gate_kw = std::max(
-              config_.residual_sigma * node.sigma_kw,
-              config_.residual_floor_kw);
+          s.residual_gate_kw =
+              std::max(kResidualSigma * node.sigma_kw, kResidualFloorKw);
         }
         // Both gates: the distributional detector (calibrated, same [0, 1]
         // scale as consumer scores; the calibration preserves the raw flag
@@ -290,9 +304,8 @@ FeederReport FeederMonitor::evaluate(
   // walk a node's baseline down onto the shaved level.
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     if (report.nodes[n].flagged) continue;
-    nodes_[n].baseline_kw =
-        (1.0 - config_.baseline_beta) * nodes_[n].baseline_kw +
-        config_.baseline_beta * node_week_mean[n];
+    nodes_[n].baseline_kw = (1.0 - kBaselineBeta) * nodes_[n].baseline_kw +
+                             kBaselineBeta * node_week_mean[n];
   }
 
   // Localization: deepest flagged node first (ties: ascending id), each
@@ -322,11 +335,11 @@ FeederReport FeederMonitor::evaluate(
       const double reference =
           balance_mode ? consumer_actual_mean[i] : consumer_train_mean_[i];
       const double deficit = reference - consumer_week_mean[i];
-      if (deficit > config_.collusion_share * consumer_train_mean_[i]) {
+      if (deficit > kCollusionShare * consumer_train_mean_[i]) {
         group.consumers.push_back(i);
       }
     }
-    if (group.consumers.size() < config_.min_group) continue;
+    if (group.consumers.size() < kMinGroup) continue;
     for (std::size_t i : group.consumers) claimed[i] = 1;
     report.collusion.push_back(std::move(group));
   }
@@ -374,22 +387,8 @@ FeederReport FeederMonitor::evaluate(
   return report;
 }
 
-std::string FeederMonitor::config_fingerprint() const {
-  char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "hierarchy nodes=%zu min_consumers=%zu sigma=%.17g "
-                "floor=%.17g balance=%.17g share=%.17g min_group=%zu "
-                "beta=%.17g",
-                nodes_.size(), config_.min_consumers, config_.residual_sigma,
-                config_.residual_floor_kw, config_.balance_tolerance_kw,
-                config_.collusion_share, config_.min_group,
-                config_.baseline_beta);
-  return buf;
-}
-
 void FeederMonitor::save_state(persist::Encoder& enc) const {
   require(fitted_, "FeederMonitor: nothing fitted to save");
-  enc.str(config_fingerprint());
   fleet_.save(enc);  // one detector per scored node
   for (const NodeState& n : nodes_) enc.u32(static_cast<std::uint32_t>(n.node));
   for (const NodeState& n : nodes_) enc.f64(n.baseline_kw);
@@ -399,11 +398,6 @@ void FeederMonitor::save_state(persist::Encoder& enc) const {
 }
 
 void FeederMonitor::restore_state(persist::Decoder& dec) {
-  const std::string fingerprint = dec.str("hierarchy fingerprint", 1 << 10);
-  if (fingerprint != config_fingerprint()) {
-    throw DataError("FeederMonitor: checkpoint fingerprint mismatch: " +
-                    fingerprint + " vs " + config_fingerprint());
-  }
   core::DetectorFleet fleet =
       core::DetectorFleet::restore(dec, config_.threads);
   const std::size_t node_count = nodes_.size();
@@ -434,8 +428,6 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
       dec.f64_array("hierarchy training means", consumer_count);
   persist::require_finite("hierarchy training means", train_means);
   // Commit only after the whole payload decoded.
-  config_.detector = fleet.family();
-  config_.detector_options = fleet.options();
   fleet_ = std::move(fleet);
   for (std::size_t n = 0; n < node_count; ++n) {
     nodes_[n].baseline_kw = baselines[n];

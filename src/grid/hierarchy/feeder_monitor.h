@@ -7,14 +7,15 @@
 // closes the gap by scoring the *aggregate* demand at every internal node of
 // the radial tree with the same machinery the per-consumer layer uses.
 //
-// For every scored node (internal nodes with at least `min_consumers`
-// consumer descendants) the FeederMonitor keeps:
+// For every scored node (internal nodes with at least two consumer
+// descendants) the FeederMonitor keeps:
 //
-//   - a detector of the registry family, a row of the node fleet, fitted on
-//     the node's aggregate training demand.  Reusing the consumers'
-//     DetectorFleet arithmetic puts feeder scores on the SAME calibrated
-//     [0, 1] scale as consumer scores,
-//     so one threshold (1 - significance) reads across both layers;
+//   - a "kld" detector at default DetectorOptions, a row of the node fleet,
+//     fitted on the node's aggregate training demand.  Reusing the
+//     consumers' DetectorFleet arithmetic puts feeder scores on the SAME
+//     calibrated [0, 1] scale as consumer scores, so at the default
+//     significance one threshold (1 - significance) reads across both
+//     layers;
 //   - a physical under-report residual in kW that gates alerts (the
 //     calibrated score alone would false-positive at the significance rate
 //     on clean fleets).  The residual has two sources:
@@ -22,18 +23,19 @@
 //         the pipeline path, where feeder balance meters measure real flow):
 //         the node's NodeResiduals signed imbalance, actual minus reported,
 //         which is exactly zero on clean fleets regardless of seasonal
-//         drift; the gate is the meter-error bound balance_tolerance_kw;
+//         drift; the gate is a fixed meter-error bound;
 //       * streaming mode (evaluate_windows, no ground truth - the
 //         OnlineMonitor path): a rolling EWMA baseline of the node's
-//         weekly-mean aggregate minus this week's mean, gated by
-//         max(residual_sigma * training deviation, residual_floor_kw).
+//         weekly-mean aggregate minus this week's mean, gated by a multiple
+//         of the node's training deviation with an absolute floor.
 //
 // A week alerts a node when BOTH the detector flags the aggregate AND the
 // under-report residual clears its gate.  Flagged nodes are then localized
-// deepest-first: sibling consumers whose weekly mean sits `collusion_share`
-// below their reference (actual mean in balance mode, training mean in
-// streaming mode) - yet who were NOT individually flagged - form the
-// suspected colluding group.
+// deepest-first: sibling consumers whose weekly mean sits a fixed share of
+// their training mean below their reference (actual mean in balance mode,
+// training mean in streaming mode) - yet who were NOT individually flagged -
+// form the suspected colluding group.  The gates, the share and the
+// baseline weight are constants (feeder_monitor.cpp).
 //
 // Determinism contract: aggregates are accumulated in ascending consumer
 // index order and scored per node independently, so reports, events and
@@ -69,35 +71,8 @@ class Encoder;
 
 namespace fdeta::hierarchy {
 
+/// What a FeederMonitor takes from its owner (the pipeline or the monitor).
 struct FeederConfig {
-  /// Registered detector family scored per node (core/detector_registry.h).
-  std::string detector = "kld";
-  /// Knobs for every family; `detector_options.kld` holds the KLD
-  /// histogram knobs (bins, significance, epsilon).
-  core::DetectorOptions detector_options{};
-  /// Internal nodes with fewer consumer descendants are not scored (a
-  /// single-consumer "feeder" would just duplicate the per-consumer layer).
-  std::size_t min_consumers = 2;
-  /// Streaming-mode physical gate: a node alerts only when its under-report
-  /// residual (rolling baseline minus this week's aggregate mean) exceeds
-  /// max(residual_sigma * training-deviation, residual_floor_kw).
-  double residual_sigma = 4.0;
-  double residual_floor_kw = 1e-3;
-  /// Balance-mode physical gate: with the trusted `actual` dataset in hand
-  /// the residual is the node's signed balance imbalance (actual minus
-  /// reported through the loss-adjusted tree walk), and a node alerts once
-  /// it exceeds this meter-error bound (kW).
-  double balance_tolerance_kw = 0.02;
-  /// A consumer joins a collusion group when its weekly mean sits more than
-  /// this fraction below its training mean (and it was not individually
-  /// flagged - those are already localized by the per-consumer layer).
-  double collusion_share = 0.02;
-  /// Smallest sibling group reported as collusion.
-  std::size_t min_group = 2;
-  /// EWMA weight for the rolling baseline update on non-alerting weeks
-  /// (alerting weeks never update the baseline: an attacker must not be able
-  /// to walk the baseline down onto the shaved level).
-  double baseline_beta = 0.125;
   /// Parallelism cap on the shared pool (0 = full width, 1 = serial).
   std::size_t threads = 0;
   /// Telemetry sink ("hierarchy." prefix); null = obs::default_registry().
@@ -165,8 +140,8 @@ class FeederMonitor {
   /// Balance-mode evaluation: scores week `week` of the reported dataset at
   /// every scored node, the physical residual being the node's signed
   /// NodeResiduals imbalance between the trusted `actual` week and the
-  /// `reported` week (zero on clean fleets by construction), gated by
-  /// balance_tolerance_kw.  This is the pipeline path, where feeder balance
+  /// `reported` week (zero on clean fleets by construction), gated by a
+  /// fixed meter-error bound.  This is the pipeline path, where feeder balance
   /// meters measure real flow (paper eq. 5/6).  `consumer_flagged` (when
   /// non-empty: one byte per consumer, non-zero = the per-consumer layer
   /// flagged it this week) excludes already-localized consumers from
@@ -187,26 +162,19 @@ class FeederMonitor {
 
   bool fitted() const { return fitted_; }
   const grid::Topology& topology() const { return *topology_; }
-  const FeederConfig& config() const { return config_; }
   std::size_t scored_node_count() const;
-  /// Scored node ids, ascending.
-  std::vector<grid::NodeId> scored_nodes() const;
 
   /// Serializes the fitted per-node state (detectors, rolling baselines,
   /// deviations, consumer training means).  Symmetric with restore_state;
   /// requires fit() to have run.
   void save_state(persist::Encoder& enc) const;
 
-  /// Restores save_state() bytes against the SAME topology (scored-node ids
-  /// are validated) and hierarchy knobs; the detector family and options
-  /// come from the checkpoint.  Throws DataError on any mismatch.
-  /// Subsequent evaluations are bit-identical to the monitor that was saved.
+  /// Restores save_state() bytes against the SAME topology (the scored-node
+  /// count and ids and the consumer count are validated); the detector
+  /// family and options come from the checkpoint.  Throws DataError on any
+  /// mismatch or non-finite state.  Subsequent evaluations are bit-identical
+  /// to the monitor that was saved.
   void restore_state(persist::Decoder& dec);
-
-  /// Deterministic summary of the scored-node count and the hierarchy
-  /// knobs (checkpoint cross-check; the detector fleet carries its own
-  /// family and options).
-  std::string config_fingerprint() const;
 
  private:
   struct NodeState;

@@ -46,11 +46,6 @@ class NodeResiduals {
     return imbalance_kw(id) > tolerance_kw;
   }
 
-  /// Physical flow at every node (eq. 4 over actual consumer demand).
-  const std::vector<Kw>& actual_nodes() const { return actual_nodes_; }
-  /// Reconstructed flow at every node (eq. 4 over reported readings).
-  const std::vector<Kw>& reported_nodes() const { return reported_nodes_; }
-
  private:
   std::vector<Kw> actual_nodes_;
   std::vector<Kw> reported_nodes_;

@@ -170,6 +170,8 @@ InvestigationResult investigate_case2(const Topology& topology,
                                       obs::EventLog* events) {
   require(residuals.node_count() == topology.node_count(),
           "investigate_case2: residuals do not match topology");
+  require(std::isfinite(tolerance_kw) && tolerance_kw >= 0.0,
+          "investigate_case2: tolerance must be finite and >= 0");
   InvestigationResult result;
 
   // Root check first; if it passes there is nothing to investigate.
@@ -208,6 +210,8 @@ InvestigationResult investigate_exhaustive(const Topology& topology,
                                            double tolerance_kw) {
   require(actual.size() == reported.size(),
           "investigate_exhaustive: size mismatch");
+  require(std::isfinite(tolerance_kw) && tolerance_kw >= 0.0,
+          "investigate_exhaustive: tolerance must be finite and >= 0");
   InvestigationResult result;
   for (std::size_t i = 0; i < topology.consumer_count(); ++i) {
     ++result.checks_performed;

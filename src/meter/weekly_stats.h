@@ -12,11 +12,6 @@
 
 #include "common/units.h"
 
-namespace fdeta::persist {
-class Encoder;
-class Decoder;
-}  // namespace fdeta::persist
-
 namespace fdeta::meter {
 
 struct WeeklyStats {
@@ -32,9 +27,5 @@ struct WeeklyStats {
 /// Computes weekly stats over a span whose length is a whole number of
 /// weeks (>= 2 weeks required).
 WeeklyStats weekly_stats(std::span<const Kw> training);
-
-/// Serialization hooks for model checkpoints (persist/checkpoint.h).
-void save_weekly_stats(const WeeklyStats& stats, persist::Encoder& enc);
-WeeklyStats load_weekly_stats(persist::Decoder& dec);
 
 }  // namespace fdeta::meter

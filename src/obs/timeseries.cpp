@@ -168,7 +168,7 @@ std::string TimeSeriesStore::to_jsonl(bool include_env) const {
 }
 
 MetricsScraper::MetricsScraper(MetricsScraperConfig config)
-    : config_(config), store_(config.capacity) {
+    : config_(config) {
   require(config_.interval_slots > 0,
           "MetricsScraper: interval_slots must be positive");
 }
@@ -196,14 +196,6 @@ const SeriesFrame& MetricsScraper::scrape(std::uint64_t slot) {
   require(slot > last_slot_ || (!started_ && next_index_ == 0),
           "MetricsScraper: slot clock must advance between scrapes");
   return scrape_now(slot, slot - last_slot_);
-}
-
-const SeriesFrame* MetricsScraper::maybe_scrape_wall(double min_seconds) {
-  const double uptime = process_uptime_seconds();
-  if (next_index_ > 0 || started_) {
-    if (uptime - last_uptime_ < min_seconds) return nullptr;
-  }
-  return &scrape_now(last_slot_, /*slots_delta=*/0);
 }
 
 const SeriesFrame& MetricsScraper::scrape_now(std::uint64_t slot,

@@ -13,8 +13,7 @@
 // (uptime, latency-derived p95) or layout-scoped (per-shard series, pool
 // counters, shard-imbalance gauges) lives in a separate `env` block that
 // to_json()/to_jsonl() can exclude; is_layout_scoped_metric() is the single
-// classification rule.  Wall-clock mode (maybe_scrape_wall) exists for a
-// live service with no slot clock; its frames make no determinism promise.
+// classification rule.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +111,6 @@ struct MetricsScraperConfig {
   /// Slot-driven cadence: maybe_scrape(slot) fires once the slot clock has
   /// advanced at least this far past the previous frame.
   std::uint64_t interval_slots = 336;
-  /// Ring bound handed to the TimeSeriesStore.
-  std::size_t capacity = 4096;
 };
 
 /// Periodically snapshots a MetricsRegistry into delta frames.  Not
@@ -141,11 +138,6 @@ class MetricsScraper {
   /// `slot` must be past the previous frame's slot).
   const SeriesFrame& scrape(std::uint64_t slot);
 
-  /// Wall-clock mode for a live service with no slot clock: scrapes when at
-  /// least `min_seconds` of wall time passed since the previous frame.
-  /// Frames carry slots_delta = 0 and make no determinism promise.
-  const SeriesFrame* maybe_scrape_wall(double min_seconds);
-
   const TimeSeriesStore& store() const { return store_; }
   std::uint64_t interval_slots() const { return config_.interval_slots; }
 
@@ -153,7 +145,7 @@ class MetricsScraper {
   const SeriesFrame& scrape_now(std::uint64_t slot, std::uint64_t slots_delta);
 
   MetricsScraperConfig config_;
-  TimeSeriesStore store_;
+  TimeSeriesStore store_;  // the default bound, 4096 frames
   MetricsSnapshot last_;
   bool started_ = false;
   std::uint64_t last_slot_ = 0;

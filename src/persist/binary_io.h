@@ -33,8 +33,7 @@ class Encoder {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// Element count (u64) followed by each element as f64.
   void doubles(std::span<const double> values);
-  /// Byte length (u64) followed by the raw bytes (detector ids and config
-  /// fingerprints).
+  /// Byte length (u64) followed by the raw bytes (detector family ids).
   void str(std::string_view value);
 
   /// Raw arrays WITHOUT a leading count: the caller's schema fixes the

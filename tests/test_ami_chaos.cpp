@@ -312,6 +312,28 @@ TEST(NetworkChaos, RetransmitConvergesExactlyToLossFreeDataset) {
   EXPECT_GT(head_end.quarantined_count(), 0u);
 }
 
+// transmit() advances its slot clock by backoff * (2^retries - 1) over the
+// NACK rounds: a policy whose sum would not fit the clock (or whose last
+// shift would pass the word width) is rejected before anything is sent.
+TEST(NetworkChaos, RetransmitRejectsABackoffPastTheSlotClock) {
+  const auto actual = datagen::small_dataset(2, 2, 17);
+  obs::MetricsRegistry reg;
+  MeterNetwork network(actual, &reg);
+  const std::size_t big = std::size_t{1} << 62;
+  for (const RetransmitPolicy bad :
+       {RetransmitPolicy{70, 1}, RetransmitPolicy{64, 1},
+        RetransmitPolicy{63, 1}, RetransmitPolicy{3, big},
+        RetransmitPolicy{1, big}, RetransmitPolicy{2, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "retries=" << bad.max_retries
+                                      << " backoff=" << bad.backoff_base_slots);
+    EXPECT_THROW(network.set_retransmit(bad), InvalidArgument);
+  }
+  // The largest waits that still fit: 2^62 - 1 slots either way.
+  EXPECT_NO_THROW(network.set_retransmit({62, 1}));
+  EXPECT_NO_THROW(network.set_retransmit({1, big - 1}));
+  EXPECT_NO_THROW(network.set_retransmit({0, 0}));  // retries off
+}
+
 // Pins the plane's exact outcome for one seeded scenario with every channel
 // on (burst, drop, corrupt, duplicate, reorder), an under-reporting
 // interceptor and three NACK rounds, over transmit calls of 1 slot, 7 slots

@@ -12,13 +12,16 @@
 //   - hierarchy-on vs hierarchy-off differential: per-consumer verdicts and
 //     the PR 4 event log are byte-identical, the hierarchy only APPENDS
 //     feeder events;
-//   - checkpoint round-trips are byte-stable.
+//   - checkpoint round-trips are byte-stable, and a restore is checked
+//     against the topology it lands on.
 //
 // The GoldenCollusion test pins the k-siblings x loss-fraction detection
-// matrix (per-consumer kld vs feeder-level) to tests/golden/
-// collusion_matrix.csv.  Regenerate after an intentional change with
-//   FDETA_REGEN_GOLDEN=1 ctest -R GoldenCollusion
-// and commit the updated CSV alongside the change that moved it.
+// matrix (per-consumer kld vs feeder-level, balance mode) to tests/golden/
+// collusion_matrix.csv, and GoldenStreamingFeeder the monitor's weekly
+// streaming-mode reports to tests/golden/streaming_feeder.txt.  Regenerate
+// after an intentional change with
+//   FDETA_REGEN_GOLDEN=1 ctest -R 'GoldenCollusion|GoldenStreamingFeeder'
+// and commit the updated file alongside the change that moved it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -139,8 +142,7 @@ TEST(FeederMonitor, ScoresAreCalibratedLikeConsumerScores) {
   const auto topology = make_topology(9);
   const auto actual = datagen::small_dataset(kConsumers, kWeeks, 9);
   obs::MetricsRegistry metrics;
-  hierarchy::FeederConfig config = quiet_config(&metrics);
-  hierarchy::FeederMonitor monitor(topology, config);
+  hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
   monitor.fit(actual, split());
   const auto report = monitor.evaluate_week(actual, actual, kTrainWeeks);
   ASSERT_FALSE(report.nodes.empty());
@@ -148,7 +150,7 @@ TEST(FeederMonitor, ScoresAreCalibratedLikeConsumerScores) {
     EXPECT_GE(node.score, 0.0) << "node " << node.node;
     EXPECT_LE(node.score, 1.0) << "node " << node.node;
     EXPECT_DOUBLE_EQ(node.threshold,
-                     1.0 - config.detector_options.kld.significance)
+                     1.0 - core::DetectorOptions{}.kld.significance)
         << "node " << node.node;
   }
 }
@@ -236,7 +238,9 @@ TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
   EXPECT_EQ(again_a.bytes(), again_b.bytes());
 }
 
-TEST(FeederMonitor, RestoreRejectsMismatchedConfig) {
+// The checkpoint block is checked against the tree it is restored on: the
+// scored-node set, the consumer count, and that a tree exists at all.
+TEST(FeederMonitor, RestoreRejectsAnotherTopology) {
   const auto topology = make_topology(19);
   const auto actual = datagen::small_dataset(kConsumers, kWeeks, 19);
   obs::MetricsRegistry metrics;
@@ -245,12 +249,53 @@ TEST(FeederMonitor, RestoreRejectsMismatchedConfig) {
   persist::Encoder enc;
   monitor.save_state(enc);
 
-  hierarchy::FeederConfig other = quiet_config(&metrics);
-  other.collusion_share = 0.5;
-  hierarchy::FeederMonitor mismatched(topology, other);
-  persist::Decoder dec(enc.bytes());
-  EXPECT_THROW(mismatched.restore_state(dec),
-               DataError);
+  {
+    SCOPED_TRACE("another tree over the same consumers");
+    const auto other = make_topology(23);
+    hierarchy::FeederMonitor target(other, quiet_config(&metrics));
+    persist::Decoder dec(enc.bytes());
+    EXPECT_THROW(target.restore_state(dec), DataError);
+  }
+  {
+    SCOPED_TRACE("the same scored nodes over one more consumer");
+    // Two feeders under the root, consumers dealt alternately: node ids 0-2
+    // are scored whatever the consumer count.
+    const auto two_feeders = [](std::size_t consumers) {
+      grid::Topology t;
+      const grid::NodeId a = t.add_internal(t.root());
+      const grid::NodeId b = t.add_internal(t.root());
+      for (std::size_t i = 0; i < consumers; ++i) {
+        t.add_consumer(i % 2 == 0 ? a : b, static_cast<meter::ConsumerId>(i));
+      }
+      return t;
+    };
+    const auto four = two_feeders(4);
+    const auto five = two_feeders(5);
+    hierarchy::FeederMonitor fitted(four, quiet_config(&metrics));
+    fitted.fit(datagen::small_dataset(4, kWeeks, 19), split());
+    persist::Encoder block;
+    fitted.save_state(block);
+    hierarchy::FeederMonitor target(five, quiet_config(&metrics));
+    ASSERT_EQ(target.scored_node_count(), fitted.scored_node_count());
+    persist::Decoder dec(block.bytes());
+    EXPECT_THROW(target.restore_state(dec), DataError);
+  }
+  {
+    SCOPED_TRACE("a monitor with no topology");
+    obs::EventLog events;
+    core::OnlineMonitorConfig config;
+    config.metrics = &metrics;
+    config.events = &events;
+    config.topology = &topology;
+    core::OnlineMonitor source(config);
+    source.fit(actual, split());
+    std::ostringstream out(std::ios::binary);
+    source.save(out);
+    config.topology = nullptr;
+    core::OnlineMonitor target(config);
+    std::istringstream in(out.str(), std::ios::binary);
+    EXPECT_THROW(target.restore(in), DataError);
+  }
 }
 
 // ---------------------------------------------------------------------------

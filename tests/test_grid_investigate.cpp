@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace fdeta::grid {
@@ -100,6 +102,31 @@ TEST(InvestigateCase2, MultipleThievesAllLocalised) {
               result.suspects.end());
   EXPECT_TRUE(std::find(result.suspects.begin(), result.suspects.end(), 3u) !=
               result.suspects.end());
+}
+
+// A negative tolerance fails every balanced check and names honest meters;
+// a non-finite one decides nothing.  Every entry point rejects both.
+TEST(InvestigateTolerance, NegativeOrNonFiniteIsRejected) {
+  const auto t = three_level();
+  const std::vector<Kw> actual{1.0, 2.0, 3.0, 4.0};
+  const NodeId a = t.node(t.consumer_leaf(0)).parent;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-12, nan, inf}) {
+    SCOPED_TRACE(::testing::Message() << "tolerance=" << bad);
+    EXPECT_THROW(run_balance_checks(t, actual, actual, {}, bad),
+                 InvalidArgument);
+    EXPECT_THROW(investigate_case2(t, actual, actual, bad), InvalidArgument);
+    EXPECT_THROW(investigate_case2(
+                     t, NodeResiduals::compute(t, actual, actual), bad),
+                 InvalidArgument);
+    EXPECT_THROW(simplified_balance_check(t, a, actual, actual, bad),
+                 InvalidArgument);
+    EXPECT_THROW(investigate_exhaustive(t, actual, actual, bad),
+                 InvalidArgument);
+  }
+  // Zero is exact balance, still a valid tolerance.
+  EXPECT_TRUE(investigate_case2(t, actual, actual, 0.0).suspects.empty());
 }
 
 TEST(InvestigateExhaustive, CostIsAlwaysN) {

@@ -28,7 +28,6 @@
 #include "datagen/generator.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "grid/topology.h"
-#include "meter/weekly_stats.h"
 #include "stats/descriptive.h"
 #include "obs/metrics.h"
 #include "persist/binary_io.h"
@@ -173,12 +172,14 @@ TEST(Checkpoint, RejectsVersionMismatch) {
 }
 
 TEST(Checkpoint, RejectsVersionBelowReadWindow) {
-  // Readers accept exactly the current version: a v7 file is rejected up
-  // front, with refitting named as the way forward.
+  // Readers accept exactly the current version: a file one version older is
+  // rejected up front, naming its version, with refitting named as the way
+  // forward.
   auto bytes = framed_pipeline_payload();
   bytes[8] = static_cast<char>(kFormatVersion - 1);
   const std::string error = expect_rejected(bytes);
-  EXPECT_NE(error.find("version"), std::string::npos);
+  EXPECT_NE(error.find("format version " + std::to_string(kFormatVersion - 1)),
+            std::string::npos);
   EXPECT_NE(error.find("refit"), std::string::npos);
 }
 
@@ -879,16 +880,13 @@ struct KldParts {
 };
 
 /// A complete one-consumer kld pipeline checkpoint.
-std::string forged_pipeline(
-    double significance, const KldParts& parts,
-    const meter::WeeklyStats& stats = {.means = {1.0, 2.0},
-                                       .variances = {0.5, 0.5}}) {
+std::string forged_pipeline(double significance, const KldParts& parts,
+                            const std::vector<double>& quartiles = {1.25,
+                                                                    1.75}) {
   const std::uint64_t bins = parts.baseline.size();
   persist::Encoder enc;
   enc.u64(8);      // train weeks
   enc.u64(2);      // test weeks
-  enc.f64(0.0);    // direction margin
-  enc.f64(1e-6);   // direction floor
   enc.u64(1);      // consumers
   enc.str("kld");
   enc.u64(bins);
@@ -900,7 +898,7 @@ std::string forged_pipeline(
   enc.f64_array(parts.baseline);
   enc.f64_array(parts.divergences);
   enc.f64(parts.threshold);
-  meter::save_weekly_stats(stats, enc);
+  enc.f64_array(quartiles);  // q25, q75 of the training weekly means
   std::ostringstream out(std::ios::binary);
   persist::CheckpointWriter(out, persist::Section::kPipeline)
       .write(enc.bytes());
@@ -957,33 +955,32 @@ TEST(PipelineCheckpoint, NonFiniteFittedPartsFailWithDataError) {
   }
 }
 
-TEST(PipelineCheckpoint, NonFiniteWeeklyStatsFailWithDataError) {
+TEST(PipelineCheckpoint, MalformedQuartilesFailWithDataError) {
   obs::MetricsRegistry reg;
   PipelineConfig config;
   config.metrics = &reg;
   FdetaPipeline pipeline(config);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  using Stats = meter::WeeklyStats;
-  const std::vector<std::pair<const char*, std::function<void(Stats&)>>>
-      forgeries = {
-          {"NaN weekly mean", [&](Stats& s) { s.means[1] = nan; }},
-          {"-inf weekly mean", [&](Stats& s) { s.means[0] = -inf; }},
-          {"NaN weekly variance", [&](Stats& s) { s.variances[0] = nan; }},
-          {"negative weekly variance",
-           [&](Stats& s) { s.variances[1] = -0.5; }},
-          {"NaN mean bound", [&](Stats& s) { s.mean_hi = nan; }},
-          {"+inf variance bound", [&](Stats& s) { s.var_hi = inf; }},
-          {"negative variance bound", [&](Stats& s) { s.var_lo = -1.0; }},
-      };
-  for (const auto& [what, forge] : forgeries) {
+  const std::vector<std::pair<const char*, std::vector<double>>> forgeries = {
+      {"NaN lower quartile", {nan, 1.75}},
+      {"NaN upper quartile", {1.25, nan}},
+      {"-inf lower quartile", {-inf, 1.75}},
+      {"+inf upper quartile", {1.25, inf}},
+      {"lower above upper", {1.75, 1.25}},
+      {"one quartile short", {1.25}},
+      {"a third value", {1.25, 1.75, 2.0}},
+  };
+  for (const auto& [what, quartiles] : forgeries) {
     SCOPED_TRACE(what);
-    Stats stats{.means = {1.0, 2.0}, .variances = {0.5, 0.5}};
-    forge(stats);
-    std::istringstream in(forged_pipeline(0.05, KldParts(10), stats),
+    std::istringstream in(forged_pipeline(0.05, KldParts(10), quartiles),
                           std::ios::binary);
     EXPECT_THROW(pipeline.load_model(in), DataError);
   }
+  // Equal quartiles (a flat training history) are well formed.
+  std::istringstream in(forged_pipeline(0.05, KldParts(10), {1.5, 1.5}),
+                        std::ios::binary);
+  EXPECT_NO_THROW(pipeline.load_model(in));
 }
 
 /// The block of a two-member fleet of `family` fitted at significance 0.10.
@@ -1277,7 +1274,8 @@ TEST(EpsilonSmoothing, RejectsNegativeEpsilon) {
 
 // ---------------------------------------------------------------------------
 // Every registered family through every owner: the pipeline, and a monitor
-// whose topology adds the feeder block (its nodes run the same family).
+// whose topology adds the feeder block (its nodes run "kld" at default
+// options, whatever the consumer family).
 
 class FleetRoundTrip : public ::testing::TestWithParam<std::string_view> {
  protected:
@@ -1314,8 +1312,6 @@ class FleetRoundTrip : public ::testing::TestWithParam<std::string_view> {
     c.cooldown_slots = 12;
     c.metrics = &reg_;
     c.topology = &topology_;
-    c.feeder.detector = c.detector;
-    c.feeder.detector_options = c.detector_options;
     return c;
   }
 
@@ -1413,8 +1409,8 @@ TEST_P(FleetRoundTrip, MonitorWithFeederRestoresIntoADefaultMonitor) {
   EXPECT_EQ(hierarchy::to_text(original.evaluate_feeders(end)),
             hierarchy::to_text(restored.evaluate_feeders(end)));
 
-  // Refitting from the restored config (feeder family included) and
-  // replaying the same readings reproduces the checkpoint.
+  // Refitting from the restored config and replaying the same readings
+  // reproduces the checkpoint.
   OnlineMonitor refit(restored.config());
   refit.fit(data_, split_);
   feed(refit, 0, kSlotsPerWeek / 2);

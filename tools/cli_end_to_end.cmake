@@ -66,3 +66,14 @@ expect_rejected(--vectors evaluate --in actual.csv --train-weeks 24
 # without the fault plane.
 expect_rejected(--loss-rate detect --in actual.csv --train-weeks 24
                 --loss-rate -0.5)
+# A retry budget whose cumulative backoff, backoff * (2^retries - 1), does
+# not fit the slot clock must be rejected before anything is sent (70 rounds
+# shifted the backoff past 64 bits; a 2^62 backoff wrapped the clock).
+expect_rejected(--retries detect --in actual.csv --train-weeks 24
+                --loss-rate 1 --retries 70 --stream 0)
+expect_rejected(--retries detect --in actual.csv --train-weeks 24
+                --loss-rate 0.1 --retries 3 --backoff 4611686018427387904)
+# A negative tolerance fails every balanced check and accuses honest meters.
+expect_rejected(--tolerance investigate --topology topo.txt
+                --baseline actual.csv --in actual.csv --week 24
+                --tolerance -1)

@@ -449,9 +449,13 @@ int cmd_detect(const Args& args) {
     ami::HeadEnd head_end(reported.consumer_count(), reported.slot_count());
     ami::MeterNetwork network(reported);
     network.set_fault_plan(ami::FaultPlan(plan_config));
-    const auto retries = args.get_count("retries", 0);
-    network.set_retransmit(
-        {retries, args.get_count("backoff", 1)});
+    try {
+      network.set_retransmit(
+          {args.get_count("retries", 0), args.get_count("backoff", 1)});
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument(std::string("detect: --retries/--backoff: ") +
+                            e.what());
+    }
     // One delivery window per week, so each week gets its own NACK rounds.
     for (std::size_t w = 0; w < reported.week_count(); ++w) {
       network.transmit(head_end, w * kSlotsPerWeek, (w + 1) * kSlotsPerWeek);
@@ -768,6 +772,8 @@ int cmd_investigate(const Args& args) {
   }
 
   const double tolerance = args.get_double("tolerance", 1e-3);
+  require(std::isfinite(tolerance) && tolerance >= 0.0,
+          "investigate: --tolerance must be a finite kW >= 0");
   const std::string mode = args.get("mode", "case2");
   obs::EventLog& events = obs::default_event_log();
 
