@@ -195,11 +195,7 @@ const SeriesFrame* MetricsScraper::maybe_scrape(std::uint64_t slot) {
 const SeriesFrame& MetricsScraper::scrape(std::uint64_t slot) {
   require(slot > last_slot_ || (!started_ && next_index_ == 0),
           "MetricsScraper: slot clock must advance between scrapes");
-  return scrape_now(slot, slot - last_slot_);
-}
-
-const SeriesFrame& MetricsScraper::scrape_now(std::uint64_t slot,
-                                              std::uint64_t slots_delta) {
+  const std::uint64_t slots_delta = slot - last_slot_;
   const MetricsRegistry& registry =
       config_.registry != nullptr ? *config_.registry : default_registry();
   const MetricsSnapshot now = registry.snapshot();

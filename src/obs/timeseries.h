@@ -142,8 +142,6 @@ class MetricsScraper {
   std::uint64_t interval_slots() const { return config_.interval_slots; }
 
  private:
-  const SeriesFrame& scrape_now(std::uint64_t slot, std::uint64_t slots_delta);
-
   MetricsScraperConfig config_;
   TimeSeriesStore store_;  // the default bound, 4096 frames
   MetricsSnapshot last_;
