@@ -449,9 +449,10 @@ int cmd_detect(const Args& args) {
     ami::HeadEnd head_end(reported.consumer_count(), reported.slot_count());
     ami::MeterNetwork network(reported);
     network.set_fault_plan(ami::FaultPlan(plan_config));
+    const ami::RetransmitPolicy retransmit{args.get_count("retries", 0),
+                                           args.get_count("backoff", 1)};
     try {
-      network.set_retransmit(
-          {args.get_count("retries", 0), args.get_count("backoff", 1)});
+      network.set_retransmit(retransmit);
     } catch (const InvalidArgument& e) {
       throw InvalidArgument(std::string("detect: --retries/--backoff: ") +
                             e.what());
