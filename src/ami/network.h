@@ -99,8 +99,8 @@ struct HeadEndConfig {
 /// cells per slot (cell [t * consumers + c]), so one slot's deliveries, its
 /// NACK scan and its read-out each walk one contiguous row.
 ///
-/// Thread-safety: per-consumer state is sharded (consistent hash of the
-/// consumer index) with one lock per shard, so concurrent receive() /
+/// Thread-safety: per-consumer state is sharded (contiguous ranges of
+/// consumer indexes) with one lock per shard, so concurrent receive() /
 /// receive_batch() calls from multiple collector feeds are safe and scale
 /// until feeds collide on a shard.  Each call counts its outcomes locally
 /// and publishes them to the atomic tallies and the registry once, after
@@ -196,7 +196,8 @@ class HeadEnd {
   std::vector<char> received_;
   std::vector<std::uint32_t> sequences_;
 
-  // Shard layer: shard_of(c, shard_count()) owns consumer c's cells above.
+  // Shard layer: each shard owns a contiguous range of consumers' cells
+  // above.
   // Its per-shard health series are "ami.shardNN.*".
   ShardLayer shards_;
 

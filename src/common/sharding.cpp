@@ -14,6 +14,7 @@ ShardLayer::ShardLayer(std::size_t requested, std::size_t consumers,
                        std::size_t parallel_hint,
                        obs::MetricsRegistry& registry, const char* component)
     : count_(resolve_shard_count(requested, consumers, parallel_hint)),
+      consumers_(consumers),
       locks_(std::make_unique<std::mutex[]>(count_)),
       applied_(std::make_unique<std::atomic<std::uint64_t>[]>(count_)) {
   const auto name = [component](std::size_t s, const char* what) {

@@ -1,5 +1,5 @@
-// Consistent consumer -> shard mapping and the one shard layer of the
-// fleet hot path.
+// Contiguous consumer -> shard ranges and the one shard layer of the fleet
+// hot path.
 //
 // HeadEnd and OnlineMonitor split their per-consumer state into N
 // independent shards so concurrent ingest feeds never contend on one
@@ -29,25 +29,8 @@ class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 
-/// Shard owning `consumer_index`.  SplitMix64 finalizer over the index:
-/// platform-independent, stable across runs, and uniform even for the
-/// sequential indices a fleet actually uses (a bare `index % shards` would
-/// stripe neighbouring meters across shards, which is fine for load but
-/// poor for the feeder-subtree sharding DESIGN.md §14 anticipates - the
-/// hash keeps the mapping opaque so callers never grow to depend on
-/// adjacency).
-inline std::size_t shard_of(std::size_t consumer_index,
-                            std::size_t shard_count) {
-  std::uint64_t z =
-      static_cast<std::uint64_t>(consumer_index) + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  return static_cast<std::size_t>(z % static_cast<std::uint64_t>(shard_count));
-}
-
 /// Resolves a configured shard count: 0 = auto (4x the parallelism hint,
-/// capped at 64 - enough that random placement rarely collides, small
+/// capped at 64 - enough for the pool to even out uneven shards, few
 /// enough that per-shard scratch buffers stay cache-resident), and never
 /// more shards than consumers (a shard with no consumers is pure waste).
 inline std::size_t resolve_shard_count(std::size_t requested,
@@ -64,9 +47,20 @@ inline std::size_t resolve_shard_count(std::size_t requested,
   return shards;
 }
 
-/// A component's shard layer: shard_of(c, count()) owns consumer c's state,
-/// behind that shard's lock.  It keeps the component's per-shard health
-/// series ("<component>.shardNN.{pending_depth,pending_highwater,
+/// A component's shard layer: shard_of(c) owns consumer c's state, behind
+/// that shard's lock.  Shards are contiguous, balanced ranges of consumer
+/// indexes: with n consumers and k shards, consumer c belongs to shard
+/// floor(c * k / n), so each shard holds floor(n/k) or ceil(n/k)
+/// neighbouring consumers.  Ranges rather than a hash because the owners
+/// pack several consumers into each 64 B line of their per-consumer
+/// arrays: under ranges a line is written by two shards only where it
+/// straddles a boundary (at most k - 1 lines per array), so pool threads
+/// do not write each other's lines.  Ranges are also the first step
+/// towards the feeder-subtree sharding DESIGN.md §14 anticipates, where one
+/// shard's consumers sit under one feeder.
+///
+/// The layer keeps the component's per-shard health series
+/// ("<component>.shardNN.{pending_depth,pending_highwater,
 /// lock_wait_seconds}"; at most 64 of each, wider layers alias shard s onto
 /// s % 64) and its "<component>.shard_imbalance_milli" gauge (max over mean
 /// cumulative per-shard load, x1000).  lock_of() and apply_batch() are safe
@@ -81,8 +75,16 @@ class ShardLayer {
 
   std::size_t count() const { return count_; }
 
+  /// Shard owning `consumer` (< the consumer count the layer was built
+  /// for).  The product is taken in 128 bits, so it is exact for any
+  /// count <= consumers that resolve_shard_count allows.
+  std::size_t shard_of(std::size_t consumer) const {
+    return static_cast<std::size_t>(static_cast<unsigned __int128>(consumer) *
+                                    count_ / consumers_);
+  }
+
   std::mutex& lock_of(std::size_t consumer) {
-    return locks_[shard_of(consumer, count_)];
+    return locks_[shard_of(consumer)];
   }
 
   /// Applies a batch shard by shard.  One stable counting sort groups the
@@ -99,7 +101,7 @@ class ShardLayer {
       std::size_t threads) {
     std::vector<std::size_t> shard(items.size());
     for (std::size_t p = 0; p < items.size(); ++p) {
-      shard[p] = shard_of(items[p].consumer_index, count_);
+      shard[p] = shard_of(items[p].consumer_index);
     }
     apply_by_shard(shard, apply, threads);
   }
@@ -117,6 +119,7 @@ class ShardLayer {
   };
 
   std::size_t count_ = 1;
+  std::size_t consumers_ = 1;
   std::unique_ptr<std::mutex[]> locks_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> applied_;  ///< per shard
   std::vector<Series> series_;

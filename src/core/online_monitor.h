@@ -9,7 +9,7 @@
 //
 // Thread-safety: fit() and ingest_batch() parallelise internally on the
 // shared pool.  Per-consumer state is split into N independent shards
-// (consistent hash of the consumer index; common/sharding.h), each behind
+// (contiguous ranges of consumer indexes; common/sharding.h), each behind
 // its own mutex, so concurrent ingest()/ingest_batch() calls from multiple
 // head-end feeds are safe and scale until feeds collide on a shard.
 // Everything else - fit(), fit_streaming(), save(), restore(), alerts(),
@@ -301,7 +301,8 @@ class OnlineMonitor {
   std::vector<std::uint16_t> counts_;   // count x count_words_
   std::vector<std::uint8_t> counted_;   // count; 1 = counts_ row current
 
-  // Shard layer: shard_of(i, shard_count()) owns consumer i's state above.
+  // Shard layer: each shard owns a contiguous range of consumers' state
+  // above.
   // Its per-shard health series are "monitor.shardNN.*".
   ShardLayer shards_;
   mutable std::mutex alerts_mutex_;  // guards alerts_ + serialised emission

@@ -28,11 +28,6 @@ void Encoder::u64(std::uint64_t v) {
   }
 }
 
-void Encoder::doubles(std::span<const double> values) {
-  u64(values.size());
-  f64_array(values);
-}
-
 void Encoder::str(std::string_view value) {
   u64(value.size());
   buf_.append(value.data(), value.size());
@@ -96,11 +91,6 @@ std::size_t Decoder::count(std::string_view what, std::size_t max_count) {
                     " count " + std::to_string(n));
   }
   return static_cast<std::size_t>(n);
-}
-
-std::vector<double> Decoder::doubles(std::string_view what,
-                                     std::size_t max_count) {
-  return f64_array(what, count(what, max_count));
 }
 
 std::string Decoder::str(std::string_view what, std::size_t max_len) {

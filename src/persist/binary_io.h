@@ -31,8 +31,6 @@ class Encoder {
   void u64(std::uint64_t v);
   /// IEEE-754 bit pattern, little-endian (bit-exact round trip).
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  /// Element count (u64) followed by each element as f64.
-  void doubles(std::span<const double> values);
   /// Byte length (u64) followed by the raw bytes (detector family ids).
   void str(std::string_view value);
 
@@ -63,9 +61,6 @@ class Decoder {
   /// Reads a u64 count and validates it against `max_count` (a structural
   /// sanity bound on config-sized values such as bins or stride).
   std::size_t count(std::string_view what, std::size_t max_count);
-  /// Reads a doubles() sequence (count bounded by `max_count` and by the
-  /// bytes left, before allocating).
-  std::vector<double> doubles(std::string_view what, std::size_t max_count);
   /// Reads a str() sequence; `max_len` bounds the byte length.
   std::string str(std::string_view what, std::size_t max_len);
 

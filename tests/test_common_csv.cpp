@@ -110,6 +110,11 @@ TEST(Env, ReadsIntegerOrFallsBack) {
   EXPECT_EQ(env_size("FDETA_TEST_ENV_INT", 7), 42u);
   ::setenv("FDETA_TEST_ENV_INT", "not-a-number", 1);
   EXPECT_EQ(env_size("FDETA_TEST_ENV_INT", 7), 7u);
+  // Negative and out-of-range values fall back too, never to 2^64 - 1.
+  ::setenv("FDETA_TEST_ENV_INT", "-1", 1);
+  EXPECT_EQ(env_size("FDETA_TEST_ENV_INT", 7), 7u);
+  ::setenv("FDETA_TEST_ENV_INT", "18446744073709551616", 1);  // 2^64
+  EXPECT_EQ(env_size("FDETA_TEST_ENV_INT", 7), 7u);
   ::unsetenv("FDETA_TEST_ENV_INT");
   EXPECT_EQ(env_size("FDETA_TEST_ENV_INT", 7), 7u);
 }

@@ -62,19 +62,22 @@ TEST(BinaryIo, RoundTripsScalarsLittleEndian) {
 TEST(BinaryIo, DoublesRoundTripAndBoundsCheck) {
   Encoder enc;
   const std::vector<double> values{0.0, -0.0, 1e-300, 42.5};
-  enc.doubles(values);
+  enc.u64(values.size());
+  enc.f64_array(values);
 
+  // A count equal to max_count passes, and the doubles come back bit-exact.
   Decoder dec(enc.bytes());
-  const auto back = dec.doubles("values", 16);
+  const auto back = dec.f64_array("values", dec.count("values", values.size()));
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
               std::bit_cast<std::uint64_t>(values[i]));
   }
+  EXPECT_NO_THROW(dec.require_exhausted("values"));
 
-  // An implausible count must throw, not allocate.
+  // A count above max_count throws before anything is sized by it.
   Decoder dec2(enc.bytes());
-  EXPECT_THROW(dec2.doubles("values", 2), DataError);
+  EXPECT_THROW(dec2.count("values", values.size() - 1), DataError);
 }
 
 TEST(BinaryIo, TruncationAndTrailingBytesThrow) {

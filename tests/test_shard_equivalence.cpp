@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -18,6 +21,7 @@
 
 #include "ami/network.h"
 #include "common/error.h"
+#include "common/sharding.h"
 #include "core/detector_registry.h"
 #include "core/online_monitor.h"
 #include "datagen/generator.h"
@@ -694,6 +698,122 @@ TEST_F(HeadEndShardTest, ShardCountResolvesAndReports) {
   ami::HeadEnd auto_sized(kConsumers, kSlots, nullptr, {});
   EXPECT_GE(auto_sized.shard_count(), 1u);
   EXPECT_LE(auto_sized.shard_count(), kConsumers);
+}
+
+// The consumer -> shard map is contiguous, balanced ranges: shard_of never
+// decreases as the consumer index grows, every shard owns floor(n/k) or
+// ceil(n/k) consumers, and none is empty.  The layer allocates per shard,
+// not per consumer, so a huge fleet costs nothing here; its ranges are
+// found by bisection and checked at both ends.
+TEST(ShardLayerTest, ShardsAreContiguousBalancedRanges) {
+  struct Case {
+    std::size_t consumers;
+    std::size_t requested;      // 0 = auto
+    std::size_t parallel_hint;  // sizes the auto count
+  };
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const Case cases[] = {
+      {10, 1, 4},                         // k = 1
+      {10, 10, 4},                        // k = n
+      {1001, 7, 4},                       // n not divisible by k
+      {4000, 0, 4},                       // the stream fleet, auto k = 16
+      {std::size_t{1} << 40, 0, 4},       // large n, auto k = 16
+      {kMax, 0, 16},                      // c * k needs more than 64 bits
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << tc.consumers
+                                      << " requested=" << tc.requested);
+    obs::MetricsRegistry reg;
+    const ShardLayer layer(tc.requested, tc.consumers, tc.parallel_hint, reg,
+                           "test");
+    const std::size_t n = tc.consumers;
+    const std::size_t k = layer.count();
+    if (tc.requested != 0) {
+      EXPECT_EQ(k, tc.requested);
+    }
+    if (n <= 4000) {
+      for (std::size_t c = 1; c < n; ++c) {
+        ASSERT_LE(layer.shard_of(c - 1), layer.shard_of(c)) << "c=" << c;
+      }
+    }
+    // first[s]: the first consumer whose shard is at least s.
+    std::vector<std::size_t> first(k + 1, n);
+    for (std::size_t s = 0; s < k; ++s) {
+      std::size_t lo = 0;
+      std::size_t hi = n;
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (layer.shard_of(mid) < s) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      first[s] = lo;
+    }
+    EXPECT_EQ(first[0], 0u);
+    EXPECT_EQ(layer.shard_of(n - 1), k - 1);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::size_t size = first[s + 1] - first[s];
+      ASSERT_GT(size, 0u) << "shard " << s << " is empty";
+      EXPECT_GE(size, n / k) << "shard " << s;
+      EXPECT_LE(size, n / k + (n % k != 0 ? 1 : 0)) << "shard " << s;
+      EXPECT_EQ(layer.shard_of(first[s]), s);
+      EXPECT_EQ(layer.shard_of(first[s + 1] - 1), s);
+    }
+  }
+}
+
+// apply_batch hands each callback the positions of one shard only, in
+// batch order, whether the batch arrives in consumer order (what transmit
+// delivers) or shuffled with several items per consumer.
+TEST(ShardLayerTest, ApplyBatchGivesEachShardItsPositionsInBatchOrder) {
+  struct Item {
+    std::size_t consumer_index;
+  };
+  constexpr std::size_t kConsumers = 100;
+  std::vector<Item> ordered;
+  for (std::size_t c = 0; c < kConsumers; ++c) ordered.push_back({c});
+  std::vector<Item> shuffled;
+  for (int round = 0; round < 3; ++round) {
+    shuffled.insert(shuffled.end(), ordered.begin(), ordered.end());
+  }
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(kSeed));
+
+  for (const std::vector<Item>* batch : {&ordered, &shuffled}) {
+    SCOPED_TRACE(batch == &ordered ? "consumer order" : "shuffled");
+    obs::MetricsRegistry reg;
+    ShardLayer layer(7, kConsumers, 4, reg, "test");
+    std::mutex mutex;
+    std::vector<std::vector<std::size_t>> calls;
+    layer.apply_batch(
+        std::span<const Item>(*batch),
+        [&](std::span<const std::size_t> positions) {
+          std::lock_guard<std::mutex> lock(mutex);
+          calls.emplace_back(positions.begin(), positions.end());
+        },
+        /*threads=*/0);
+
+    ASSERT_EQ(calls.size(), layer.count());  // every shard owns an item
+    std::vector<char> shard_seen(layer.count(), 0);
+    std::vector<std::size_t> position_seen(batch->size(), 0);
+    for (const auto& call : calls) {
+      const std::size_t s =
+          layer.shard_of((*batch)[call.front()].consumer_index);
+      EXPECT_EQ(shard_seen[s]++, 0) << "shard " << s << " applied twice";
+      EXPECT_EQ(std::adjacent_find(call.begin(), call.end(),
+                                   std::greater_equal<>()),
+                call.end())
+          << "shard " << s << " positions out of batch order";
+      for (const std::size_t p : call) {
+        EXPECT_EQ(layer.shard_of((*batch)[p].consumer_index), s) << p;
+        ++position_seen[p];
+      }
+    }
+    for (std::size_t p = 0; p < batch->size(); ++p) {
+      EXPECT_EQ(position_seen[p], 1u) << p;
+    }
+  }
 }
 
 }  // namespace
