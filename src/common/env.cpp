@@ -1,6 +1,7 @@
 #include "common/env.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -24,7 +25,11 @@ double env_double(const std::string& name, double default_value) {
   if (raw == nullptr || *raw == '\0') return default_value;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return default_value;
+  // strtod also accepts "nan", "inf" and a minus sign; no caller reads a
+  // non-finite or negative value (each reads a budget), so those fall back.
+  if (end == raw || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    return default_value;
+  }
   return value;
 }
 

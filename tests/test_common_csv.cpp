@@ -122,8 +122,13 @@ TEST(Env, ReadsIntegerOrFallsBack) {
 TEST(Env, ReadsDoubleOrFallsBack) {
   ::setenv("FDETA_TEST_ENV_DBL", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("FDETA_TEST_ENV_DBL", 1.0), 2.5);
-  ::setenv("FDETA_TEST_ENV_DBL", "", 1);
-  EXPECT_DOUBLE_EQ(env_double("FDETA_TEST_ENV_DBL", 1.0), 1.0);
+  ::setenv("FDETA_TEST_ENV_DBL", "0", 1);
+  EXPECT_DOUBLE_EQ(env_double("FDETA_TEST_ENV_DBL", 1.0), 0.0);
+  for (const char* rejected : {"", "abc", "2.5x", "nan", "inf", "-inf",
+                               "-0.5", "1e999"}) {
+    ::setenv("FDETA_TEST_ENV_DBL", rejected, 1);
+    EXPECT_DOUBLE_EQ(env_double("FDETA_TEST_ENV_DBL", 1.0), 1.0) << rejected;
+  }
   ::unsetenv("FDETA_TEST_ENV_DBL");
 }
 
