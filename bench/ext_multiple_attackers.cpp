@@ -123,6 +123,11 @@ int main() {
   hierarchy::FeederMonitor feeder(radial, feeder_config);
   feeder.fit(dataset, split);
 
+  std::vector<double> actual_mean(consumers);
+  for (std::size_t i = 0; i < consumers; ++i) {
+    actual_mean[i] = stats::mean(dataset.consumer(i).week(attacked_week));
+  }
+
   std::printf("\nColluding sibling groups, %.0f%% shave each, week %zu\n\n",
               100.0 * 0.03, attacked_week);
   std::printf("%10s %18s %14s %10s %12s\n", "colluders", "flagged (KLD)",
@@ -145,7 +150,7 @@ int main() {
     }
 
     const auto report =
-        feeder.evaluate_week(dataset, reported, attacked_week, flagged);
+        feeder.evaluate_week(actual_mean, reported, attacked_week, flagged);
     std::size_t localized = 0;
     for (const auto& group : report.collusion) {
       for (const std::size_t member : group.consumers) {

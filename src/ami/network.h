@@ -76,12 +76,6 @@ enum class ReceiveOutcome : std::uint8_t {
   kQuarantined,  ///< non-finite / out-of-range value; never stored
 };
 
-/// Reports above this (or negative, or non-finite) are quarantined: the slot
-/// stays missing so the retransmit pass can repair it with a clean copy.
-/// Legitimate demand is non-negative by construction (the generator clamps
-/// at 0), so the bound only rejects impossible values.
-inline constexpr Kw kMaxPlausibleKw = 1.0e6;
-
 /// How the head-end splits its per-consumer state.
 struct HeadEndConfig {
   /// Independent per-consumer state shards, each behind its own lock (0 =

@@ -33,6 +33,13 @@ using Dollars = double;
 /// Price of energy, in dollars per kWh (lambda(t)).
 using DollarsPerKWh = double;
 
+/// Upper bound (kW) on a plausible single reading.  The head-end quarantines
+/// reports above it (or negative, or non-finite) so the retransmit pass can
+/// repair the slot; legitimate demand is non-negative by construction (the
+/// generator clamps at 0), so the bound only rejects impossible values.  The
+/// feeder layer rejects readings beyond it, which bounds its integer sums.
+inline constexpr Kw kMaxPlausibleKw = 1.0e6;
+
 /// Converts an average demand sustained for one polling period into energy.
 constexpr KWh slot_energy(Kw average_demand) {
   return average_demand * kHoursPerSlot;

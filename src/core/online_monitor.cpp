@@ -314,9 +314,9 @@ void OnlineMonitor::fit_streaming(
       },
       config_.threads);
   if (config_.topology != nullptr) {
-    // A second (serial) pass over the source: the feeder layer accumulates
-    // per-node aggregates in ascending consumer order, producing state
-    // bit-identical to the in-memory fit() path.
+    // A second pass over the source, once per consumer from pool tasks:
+    // the feeder layer's integer sums give state bit-identical to the
+    // in-memory fit() path whatever order the series arrive in.
     feeder_ = make_feeder();
     feeder_->fit_streaming(count, source, split);
   }

@@ -190,6 +190,9 @@ PipelineReport FdetaPipeline::evaluate_week(
 
   PipelineReport report;
   report.verdicts.resize(reported.consumer_count());
+  // Every consumer's reported week mean, taken while step 2 has the week in
+  // hand: step 3 judges direction by it and step 5 balances with it.
+  std::vector<Kw> reported_avg(reported.consumer_count());
 
   // Steps 2-4 are independent per consumer; KLD scoring is ~microseconds,
   // so schedule in chunks to amortise the work-counter contention.
@@ -200,6 +203,7 @@ PipelineReport FdetaPipeline::evaluate_week(
         const auto week_readings = series.week(week);
         const SlotIndex first_slot =
             week * static_cast<std::size_t>(kSlotsPerWeek);
+        reported_avg[i] = stats::mean(week_readings);
 
         ConsumerVerdict verdict;
         verdict.id = series.id;
@@ -230,7 +234,7 @@ PipelineReport FdetaPipeline::evaluate_week(
           // (upper/lower quartile), not the extremes: a flagged week whose
           // mean sits in the top quartile reads as over-reporting (victim),
           // bottom quartile as under-reporting (attacker).
-          const double m = stats::mean(week_readings);
+          const double m = reported_avg[i];
           const double q25 = quartiles_[2 * i];
           const double q75 = quartiles_[2 * i + 1];
           if (q25 < kDirectionFloorKw || q75 < kDirectionFloorKw) {
@@ -345,16 +349,15 @@ PipelineReport FdetaPipeline::evaluate_week(
 
   // Step 5: systematic investigation via the topology's balance checks,
   // using the attacked week's average demands.
+  std::vector<Kw> actual_avg;
   if (topology != nullptr) {
     require(topology->consumer_count() == reported.consumer_count(),
             "FdetaPipeline: topology consumer count mismatch");
-    std::vector<Kw> actual_avg(reported.consumer_count());
-    std::vector<Kw> reported_avg(reported.consumer_count());
+    actual_avg.resize(reported.consumer_count());
     parallel_for(
         reported.consumer_count(),
         [&](std::size_t i) {
           actual_avg[i] = stats::mean(actual.consumer(i).week(week));
-          reported_avg[i] = stats::mean(reported.consumer(i).week(week));
         },
         config_.threads, /*grain=*/32);
     report.investigation =
@@ -378,9 +381,9 @@ PipelineReport FdetaPipeline::evaluate_week(
                        ? 1
                        : 0;
     }
-    // Balance mode: the trusted `actual` dataset stands in for the feeder
+    // Balance mode: the trusted `actual` means stand in for the feeder
     // balance meters, so clean fleets have exactly-zero physical residuals.
-    report.feeder = feeder_->evaluate_week(actual, reported, week, flagged);
+    report.feeder = feeder_->evaluate_week(actual_avg, reported, week, flagged);
   }
   return report;
 }

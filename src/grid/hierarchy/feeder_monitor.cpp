@@ -1,7 +1,10 @@
 #include "grid/hierarchy/feeder_monitor.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -38,6 +41,39 @@ constexpr std::size_t kMinGroup = 2;
 /// (alerting weeks never update the baseline: an attacker must not be able
 /// to walk the baseline down onto the shaved level).
 constexpr double kBaselineBeta = 0.125;
+/// Aggregates sum readings as integer multiples of this quantum (kW), so a
+/// sum is exact in any order and a parent's row is exactly the sum of its
+/// kids'.  With at most kMaxConsumers readings of magnitude at most
+/// kMaxPlausibleKw (< 2^20 kW) each, a sum stays below 2^44 kW = 2^63
+/// quanta; sums up to 2^34 kW convert back to double exactly.
+constexpr double kQuantumKw = 0x1p-19;
+/// Largest fleet the integer sums are sized for (also the checkpoint cap).
+constexpr std::size_t kMaxConsumers = std::size_t{1} << 24;
+
+/// Adds `readings` to `row` in quanta, each rounded to the nearest quantum
+/// (halves away from zero).  A reading that is not finite or exceeds
+/// kMaxPlausibleKw in magnitude would break the sums' bound (and its cast
+/// would be undefined), so it throws DataError naming `consumer`.
+void add_quanta(std::int64_t* row, std::span<const Kw> readings,
+                std::size_t consumer) {
+  for (std::size_t t = 0; t < readings.size(); ++t) {
+    const double kw = readings[t];
+    if (!(std::abs(kw) <= kMaxPlausibleKw)) {
+      throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
+                      " has an implausible reading (" + std::to_string(kw) +
+                      " kW)");
+    }
+    row[t] += static_cast<std::int64_t>(kw * (1.0 / kQuantumKw) +
+                                        std::copysign(0.5, kw));
+  }
+}
+
+/// Converts a row of quanta back to kW (exact below 2^34 kW).
+void to_kw(const std::int64_t* row, std::span<Kw> out) {
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    out[t] = static_cast<double>(row[t]) * kQuantumKw;
+  }
+}
 
 }  // namespace
 
@@ -45,6 +81,11 @@ struct FeederMonitor::NodeState {
   grid::NodeId node = grid::kNoNode;
   int depth = 0;
   std::vector<std::size_t> members;  ///< dense consumer indices, ascending
+  /// Consumers whose nearest scored ancestor is this node, ascending.
+  std::vector<std::size_t> direct;
+  /// Scored nodes (nodes_ indices) whose nearest scored proper ancestor is
+  /// this node, ascending.
+  std::vector<std::size_t> kids;
   /// Rolling baseline of the node's weekly-mean aggregate demand (kW);
   /// seeded from the training span, EWMA-updated on non-alerting weeks.
   double baseline_kw = 0.0;
@@ -106,6 +147,10 @@ FeederMonitor::FeederMonitor(const grid::Topology& topology,
 FeederMonitor::~FeederMonitor() = default;
 
 void FeederMonitor::resolve_nodes() {
+  require(topology_->consumer_count() <= kMaxConsumers,
+          "FeederMonitor: more than 2^24 consumers");
+  constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> scored(topology_->node_count(), kUnscored);
   for (std::size_t id = 0; id < topology_->node_count(); ++id) {
     const grid::NodeId nid = static_cast<grid::NodeId>(id);
     if (topology_->node(nid).kind != grid::NodeKind::kInternal) continue;
@@ -116,11 +161,76 @@ void FeederMonitor::resolve_nodes() {
     state.node = nid;
     state.depth = topology_->depth(nid);
     state.members = std::move(members);
+    scored[id] = nodes_.size();
     nodes_.push_back(std::move(state));
   }
   require(!nodes_.empty(),
           "FeederMonitor: topology has no internal node with two or more "
           "consumer descendants");
+
+  // The root holds every consumer, so with any node scored it is scored
+  // too, and every walk up below ends on a scored node.
+  const auto nearest_scored_above = [&](grid::NodeId id) {
+    grid::NodeId up = topology_->node(id).parent;
+    while (scored[static_cast<std::size_t>(up)] == kUnscored) {
+      up = topology_->node(up).parent;
+    }
+    return scored[static_cast<std::size_t>(up)];
+  };
+  for (std::size_t i = 0; i < topology_->consumer_count(); ++i) {
+    const std::size_t n = nearest_scored_above(topology_->consumer_leaf(i));
+    nodes_[n].direct.push_back(i);
+  }
+  for (std::size_t n = 1; n < nodes_.size(); ++n) {  // nodes_[0] is the root
+    nodes_[nearest_scored_above(nodes_[n].node)].kids.push_back(n);
+  }
+
+  // Group nodes by height: 0 without kids, else one above the tallest kid,
+  // so a level needs only rows of lower levels.  A node's id exceeds its
+  // parent's (the topology only appends), so walking nodes_ backwards meets
+  // every kid before its parent.
+  std::vector<std::size_t> height(nodes_.size(), 0);
+  for (std::size_t n = nodes_.size(); n-- > 0;) {
+    for (const std::size_t k : nodes_[n].kids) {
+      height[n] = std::max(height[n], height[k] + 1);
+    }
+  }
+  by_height_.resize(nodes_.size());
+  std::iota(by_height_.begin(), by_height_.end(), std::size_t{0});
+  std::stable_sort(
+      by_height_.begin(), by_height_.end(),
+      [&](std::size_t a, std::size_t b) { return height[a] < height[b]; });
+  for (std::size_t p = 0; p < by_height_.size(); ++p) {
+    if (p + 1 == by_height_.size() ||
+        height[by_height_[p + 1]] != height[by_height_[p]]) {
+      level_end_.push_back(p + 1);
+    }
+  }
+}
+
+void FeederMonitor::sum_rows(
+    std::span<std::int64_t> rows, std::size_t width,
+    const std::function<void(std::size_t, std::int64_t*)>& add_consumer)
+    const {
+  // Each level reads only rows that lower levels completed, and each task
+  // writes only its own node's row.
+  std::size_t begin = 0;
+  for (const std::size_t end : level_end_) {
+    parallel_for(
+        end - begin,
+        [&](std::size_t k) {
+          const std::size_t n = by_height_[begin + k];
+          std::int64_t* row = rows.data() + n * width;
+          std::fill(row, row + width, std::int64_t{0});
+          for (const std::size_t i : nodes_[n].direct) add_consumer(i, row);
+          for (const std::size_t kid : nodes_[n].kids) {
+            const std::int64_t* from = rows.data() + kid * width;
+            for (std::size_t t = 0; t < width; ++t) row[t] += from[t];
+          }
+        },
+        config_.threads, /*grain=*/8);
+    begin = end;
+  }
 }
 
 std::size_t FeederMonitor::scored_node_count() const { return nodes_.size(); }
@@ -149,46 +259,36 @@ void FeederMonitor::fit_impl(
   const std::size_t train_slots =
       split.train_weeks * static_cast<std::size_t>(kSlotsPerWeek);
 
-  // Consumer -> scored-ancestor map, so the serial accumulation pass visits
-  // each consumer series exactly once (fit_streaming materialises them one
-  // at a time).
-  std::vector<std::vector<std::uint32_t>> node_of_consumer(count);
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    for (std::size_t i : nodes_[n].members) {
-      node_of_consumer[i].push_back(static_cast<std::uint32_t>(n));
-    }
-  }
-
-  // Serial, ascending-consumer accumulation: the per-node sum order is the
-  // ascending member order regardless of which fit path ran, so both paths
-  // produce bit-identical aggregates.
-  std::vector<std::vector<Kw>> aggregate(nodes_.size());
-  for (auto& a : aggregate) a.assign(train_slots, 0.0);
-  consumer_train_mean_.assign(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
+  // One flat array of scored-node rows: this lazy fit sets the peak memory
+  // of a pipeline's first hierarchy week, so no row per unscored node and
+  // no allocation per task.  Nothing moves until every reading passed.
+  std::vector<std::int64_t> rows(nodes_.size() * train_slots);
+  std::vector<double> train_mean(count, 0.0);
+  sum_rows(rows, train_slots, [&](std::size_t i, std::int64_t* row) {
     const meter::ConsumerSeries series = series_of(i);
     require(series.readings.size() >= train_slots,
             "FeederMonitor: series shorter than the training span");
     const std::span<const Kw> train = split.train(series);
-    consumer_train_mean_[i] = stats::mean(train);
-    for (std::uint32_t n : node_of_consumer[i]) {
-      std::vector<Kw>& a = aggregate[n];
-      for (std::size_t t = 0; t < train_slots; ++t) a[t] += train[t];
-    }
-  }
+    train_mean[i] = stats::mean(train);
+    add_quanta(row, train, i);
+  });
 
   // Per-node detector fit + baseline, parallel: nodes are independent.
   fleet_ = core::DetectorFleet("kld", core::DetectorOptions{}, nodes_.size(),
                                split.train_weeks);
+  consumer_train_mean_ = std::move(train_mean);
   parallel_for(
       nodes_.size(),
       [&](std::size_t n) {
+        thread_local std::vector<Kw> aggregate;  // one per pool thread
+        aggregate.resize(train_slots);
+        to_kw(rows.data() + n * train_slots, aggregate);
         NodeState& node = nodes_[n];
-        fleet_.fit(n, aggregate[n]);
+        fleet_.fit(n, aggregate);
         std::vector<double> weekly_means(split.train_weeks, 0.0);
         for (std::size_t w = 0; w < split.train_weeks; ++w) {
           const std::span<const Kw> week(
-              aggregate[n].data() + w * kSlotsPerWeek,
+              aggregate.data() + w * kSlotsPerWeek,
               static_cast<std::size_t>(kSlotsPerWeek));
           weekly_means[w] = stats::mean(week);
         }
@@ -201,32 +301,29 @@ void FeederMonitor::fit_impl(
 }
 
 FeederReport FeederMonitor::evaluate_week(
-    const meter::Dataset& actual, const meter::Dataset& reported,
+    std::span<const double> actual_mean, const meter::Dataset& reported,
     std::size_t week, std::span<const unsigned char> consumer_flagged) {
   require(reported.consumer_count() == topology_->consumer_count(),
           "FeederMonitor: reported fleet does not match topology");
-  require(actual.consumer_count() == reported.consumer_count(),
-          "FeederMonitor: actual/reported fleet sizes differ");
-  const std::function<std::span<const Kw>(std::size_t)> actual_week_of =
-      [&](std::size_t i) { return actual.consumer(i).week(week); };
+  require(actual_mean.size() == reported.consumer_count(),
+          "FeederMonitor: actual means do not match the reported fleet");
   return evaluate(
       [&](std::size_t i) { return reported.consumer(i).week(week); },
-      &actual_week_of, week, week * static_cast<std::size_t>(kSlotsPerWeek),
+      actual_mean, week, week * static_cast<std::size_t>(kSlotsPerWeek),
       consumer_flagged);
 }
 
 FeederReport FeederMonitor::evaluate_windows(
     const std::function<std::span<const Kw>(std::size_t)>& week_of,
     SlotIndex slot, std::span<const unsigned char> consumer_flagged) {
-  return evaluate(week_of, /*actual_week_of=*/nullptr,
+  return evaluate(week_of, /*actual_mean=*/{},
                   slot / static_cast<std::size_t>(kSlotsPerWeek), slot,
                   consumer_flagged);
 }
 
 FeederReport FeederMonitor::evaluate(
     const std::function<std::span<const Kw>(std::size_t)>& week_of,
-    const std::function<std::span<const Kw>(std::size_t)>* actual_week_of,
-    std::size_t week, SlotIndex slot,
+    std::span<const double> actual_mean, std::size_t week, SlotIndex slot,
     std::span<const unsigned char> consumer_flagged) {
   require(fitted_, "FeederMonitor: fit() has not run");
   require(consumer_flagged.empty() ||
@@ -239,28 +336,27 @@ FeederReport FeederMonitor::evaluate(
   report.slot = slot;
   report.nodes.resize(nodes_.size());
 
-  // Per-consumer weekly means feed the collusion-share test (and, in
-  // balance mode, the loss-adjusted NodeResiduals tree walk).
+  // One bottom-up pass reads each consumer-week once: into its nearest
+  // scored ancestor's row, and for its weekly mean, which feeds the
+  // collusion-share test (and, in balance mode, the loss-adjusted
+  // NodeResiduals tree walk).
+  constexpr std::size_t kWeek = kSlotsPerWeek;
   const std::size_t count = topology_->consumer_count();
-  const bool balance_mode = actual_week_of != nullptr;
+  const bool balance_mode = !actual_mean.empty();
+  week_rows_.resize(nodes_.size() * kWeek);
   std::vector<double> consumer_week_mean(count, 0.0);
-  std::vector<double> consumer_actual_mean(balance_mode ? count : 0, 0.0);
-  parallel_for(
-      count,
-      [&](std::size_t i) {
-        consumer_week_mean[i] = stats::mean(week_of(i));
-        if (balance_mode) {
-          consumer_actual_mean[i] = stats::mean((*actual_week_of)(i));
-        }
-      },
-      config_.threads, /*grain=*/32);
+  sum_rows(week_rows_, kWeek, [&](std::size_t i, std::int64_t* row) {
+    const std::span<const Kw> w = week_of(i);
+    consumer_week_mean[i] = stats::mean(w);
+    add_quanta(row, w, i);
+  });
 
   // Balance mode: one signed imbalance per tree node, actual minus reported
   // through the loss-adjusted walk.  Clean fleets give exactly zero at every
   // node, so seasonal drift can never false-positive the physical gate.
   std::optional<grid::NodeResiduals> residuals;
   if (balance_mode) {
-    residuals = grid::NodeResiduals::compute(*topology_, consumer_actual_mean,
+    residuals = grid::NodeResiduals::compute(*topology_, actual_mean,
                                              consumer_week_mean);
   }
 
@@ -271,11 +367,8 @@ FeederReport FeederMonitor::evaluate(
       nodes_.size(),
       [&](std::size_t n) {
         const NodeState& node = nodes_[n];
-        std::vector<Kw> agg(static_cast<std::size_t>(kSlotsPerWeek), 0.0);
-        for (std::size_t i : node.members) {
-          const std::span<const Kw> w = week_of(i);
-          for (std::size_t t = 0; t < agg.size(); ++t) agg[t] += w[t];
-        }
+        std::array<Kw, kWeek> agg;
+        to_kw(week_rows_.data() + n * kWeek, agg);
         node_week_mean[n] = stats::mean(agg);
         FeederNodeScore& s = report.nodes[n];
         s.node = node.node;
@@ -333,7 +426,7 @@ FeederReport FeederMonitor::evaluate(
       // (clean members have zero deficit by construction); streaming mode
       // falls back to the training mean.
       const double reference =
-          balance_mode ? consumer_actual_mean[i] : consumer_train_mean_[i];
+          balance_mode ? actual_mean[i] : consumer_train_mean_[i];
       const double deficit = reference - consumer_week_mean[i];
       if (deficit > kCollusionShare * consumer_train_mean_[i]) {
         group.consumers.push_back(i);
@@ -420,7 +513,7 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
     }
   }
   const std::size_t consumer_count =
-      dec.count("hierarchy consumer count", 1 << 24);
+      dec.count("hierarchy consumer count", kMaxConsumers);
   if (consumer_count != topology_->consumer_count()) {
     throw DataError("FeederMonitor: checkpoint consumer count mismatch");
   }

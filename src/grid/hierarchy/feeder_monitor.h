@@ -19,8 +19,8 @@
 //   - a physical under-report residual in kW that gates alerts (the
 //     calibrated score alone would false-positive at the significance rate
 //     on clean fleets).  The residual has two sources:
-//       * balance mode (evaluate_week with the trusted `actual` dataset -
-//         the pipeline path, where feeder balance meters measure real flow):
+//       * balance mode (evaluate_week with the trusted actual weekly means
+//         - the pipeline path, where feeder balance meters measure real flow):
 //         the node's NodeResiduals signed imbalance, actual minus reported,
 //         which is exactly zero on clean fleets regardless of seasonal
 //         drift; the gate is a fixed meter-error bound;
@@ -37,10 +37,15 @@
 // form the suspected colluding group.  The gates, the share and the
 // baseline weight are constants (feeder_monitor.cpp).
 //
-// Determinism contract: aggregates are accumulated in ascending consumer
-// index order and scored per node independently, so reports, events and
+// Aggregates are exact: each reading is rounded once to a fixed quantum
+// (2^-19 kW) and summed in 64-bit integers, and each scored node's sum is
+// its direct consumers' readings plus its scored children's sums, built
+// bottom up in one pass per call (O(consumers + scored nodes) week-adds).
+//
+// Determinism contract: integer sums do not depend on their order and nodes
+// are scored independently into fixed slots, so reports, events and
 // checkpoint bytes are byte-identical for any shard x thread layout and
-// identical between fit() and fit_streaming().
+// consumer numbering, and between fit() and fit_streaming().
 #pragma once
 
 #include <cstdint>
@@ -120,8 +125,9 @@ std::string to_text(const FeederReport& report);
 
 class FeederMonitor {
  public:
-  /// The topology must outlive the monitor.  Consumer dense indices in the
-  /// topology index the datasets/windows handed to fit/evaluate.
+  /// The topology must outlive the monitor and hold at most 2^24 consumers
+  /// (the integer sums' bound).  Consumer dense indices in the topology
+  /// index the datasets/windows handed to fit/evaluate.
   explicit FeederMonitor(const grid::Topology& topology,
                          FeederConfig config = {});
   ~FeederMonitor();
@@ -130,8 +136,9 @@ class FeederMonitor {
   /// `actual` (assumed attack-free, Section VIII-A).
   void fit(const meter::Dataset& actual, const meter::TrainTestSplit& split);
 
-  /// As fit(), materialising one consumer series at a time via `source`
-  /// (called serially, ascending index).  Bit-identical state to fit().
+  /// As fit(), materialising one consumer series at a time via `source`,
+  /// called once per consumer from pool tasks (so it must be safe
+  /// concurrently for distinct indices).  Bit-identical state to fit().
   void fit_streaming(
       std::size_t count,
       const std::function<meter::ConsumerSeries(std::size_t)>& source,
@@ -139,16 +146,19 @@ class FeederMonitor {
 
   /// Balance-mode evaluation: scores week `week` of the reported dataset at
   /// every scored node, the physical residual being the node's signed
-  /// NodeResiduals imbalance between the trusted `actual` week and the
-  /// `reported` week (zero on clean fleets by construction), gated by a
-  /// fixed meter-error bound.  This is the pipeline path, where feeder balance
-  /// meters measure real flow (paper eq. 5/6).  `consumer_flagged` (when
-  /// non-empty: one byte per consumer, non-zero = the per-consumer layer
-  /// flagged it this week) excludes already-localized consumers from
-  /// collusion groups.  Emits feeder_alert_raised / collusion_suspected
-  /// events in node order.  Updates rolling baselines.
+  /// NodeResiduals imbalance between the trusted actual demand (`actual_mean`:
+  /// each consumer's mean over the same week) and the reported week (zero on
+  /// clean fleets by construction), gated by a fixed meter-error bound.  This
+  /// is the pipeline path, where feeder balance meters measure real flow
+  /// (paper eq. 5/6).  `consumer_flagged` (when non-empty: one byte per
+  /// consumer, non-zero = the per-consumer layer flagged it this week)
+  /// excludes already-localized consumers from collusion groups.  Emits
+  /// feeder_alert_raised / collusion_suspected events in node order.
+  /// Updates rolling baselines.  A reported reading that is not finite or
+  /// exceeds kMaxPlausibleKw throws DataError before any state moves (as
+  /// does one in fit()'s training span or in an evaluate_windows() window).
   FeederReport evaluate_week(
-      const meter::Dataset& actual, const meter::Dataset& reported,
+      std::span<const double> actual_mean, const meter::Dataset& reported,
       std::size_t week, std::span<const unsigned char> consumer_flagged = {});
 
   /// Streaming-mode evaluation over the monitor's slot-aligned sliding
@@ -179,22 +189,29 @@ class FeederMonitor {
  private:
   struct NodeState;
 
-  /// Resolves the scored nodes (ascending id) and their member consumer
-  /// lists from the topology.
+  /// Resolves the scored nodes (ascending id), their member consumer lists,
+  /// their direct consumers and scored kids, and the bottom-up level order.
   void resolve_nodes();
 
-  /// Shared core of the evaluate paths.  `actual_week_of` non-null selects
+  /// Fills `rows` (one row of `width` quanta per scored node) bottom up, one
+  /// parallel pass per height level: a node's row is what
+  /// `add_consumer(i, row)` adds for each of its direct consumers plus its
+  /// kids' rows.  `add_consumer` runs once per consumer, from pool tasks.
+  void sum_rows(
+      std::span<std::int64_t> rows, std::size_t width,
+      const std::function<void(std::size_t, std::int64_t*)>& add_consumer)
+      const;
+
+  /// Shared core of the evaluate paths.  A non-empty `actual_mean` selects
   /// balance mode (NodeResiduals imbalance gates, actual-vs-reported
-  /// collusion deficits); null selects streaming mode (rolling baselines).
+  /// collusion deficits); empty selects streaming mode (rolling baselines).
   FeederReport evaluate(
       const std::function<std::span<const Kw>(std::size_t)>& week_of,
-      const std::function<std::span<const Kw>(std::size_t)>* actual_week_of,
-      std::size_t week, SlotIndex slot,
+      std::span<const double> actual_mean, std::size_t week, SlotIndex slot,
       std::span<const unsigned char> consumer_flagged);
 
-  /// Shared core of the two fit paths: `series_of(i)` is called serially in
-  /// ascending consumer order (so per-node aggregate sums are bit-identical
-  /// between fit() and fit_streaming()).
+  /// Shared core of the two fit paths: `series_of(i)` is called once per
+  /// consumer, from pool tasks.
   void fit_impl(
       std::size_t count,
       const std::function<meter::ConsumerSeries(std::size_t)>& series_of,
@@ -203,8 +220,11 @@ class FeederMonitor {
   const grid::Topology* topology_;  // never null
   FeederConfig config_;
   std::vector<NodeState> nodes_;              // ascending node id
+  std::vector<std::size_t> by_height_;        // nodes_ indices, bottom up
+  std::vector<std::size_t> level_end_;        // end of each level in it
   core::DetectorFleet fleet_;                 // one detector per node
   std::vector<double> consumer_train_mean_;   // per dense consumer index
+  std::vector<std::int64_t> week_rows_;       // evaluate scratch, sized once
   bool fitted_ = false;
 
   // Cached at construction; updates are lock-free (see obs/metrics.h).

@@ -13,7 +13,10 @@
 //     the PR 4 event log are byte-identical, the hierarchy only APPENDS
 //     feeder events;
 //   - checkpoint round-trips are byte-stable, and a restore is checked
-//     against the topology it lands on.
+//     against the topology it lands on;
+//   - a report does not depend on how the consumers are numbered (the
+//     aggregates are exact integer sums), and a reading those sums cannot
+//     hold is rejected before any state moves.
 //
 // The GoldenCollusion test pins the k-siblings x loss-fraction detection
 // matrix (per-consumer kld vs feeder-level, balance mode) to tests/golden/
@@ -24,8 +27,12 @@
 // and commit the updated file alongside the change that moved it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +49,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "persist/binary_io.h"
+#include "stats/descriptive.h"
 
 namespace fdeta {
 namespace {
@@ -58,6 +66,15 @@ meter::TrainTestSplit split() {
 grid::Topology make_topology(std::uint64_t seed, double loss = 0.02) {
   Rng rng(seed);
   return grid::Topology::random_radial(kConsumers, 4, rng, loss);
+}
+
+// Each consumer's mean over `week`: the trusted demand balance mode reads.
+std::vector<double> week_means(const meter::Dataset& data, std::size_t week) {
+  std::vector<double> means(data.consumer_count());
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    means[i] = stats::mean(data.consumer(i).week(week));
+  }
+  return means;
 }
 
 hierarchy::FeederConfig quiet_config(obs::MetricsRegistry* metrics,
@@ -131,7 +148,8 @@ TEST(FeederMonitor, CleanFleetRaisesNoFeederAlerts) {
     hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
     monitor.fit(actual, split());
     for (std::size_t w = kTrainWeeks; w < kWeeks; ++w) {
-      const auto report = monitor.evaluate_week(actual, actual, w);
+      const auto report =
+          monitor.evaluate_week(week_means(actual, w), actual, w);
       EXPECT_EQ(report.alert_count(), 0u) << "week " << w;
       EXPECT_TRUE(report.collusion.empty()) << "week " << w;
     }
@@ -144,7 +162,8 @@ TEST(FeederMonitor, ScoresAreCalibratedLikeConsumerScores) {
   obs::MetricsRegistry metrics;
   hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
   monitor.fit(actual, split());
-  const auto report = monitor.evaluate_week(actual, actual, kTrainWeeks);
+  const auto report = monitor.evaluate_week(
+      week_means(actual, kTrainWeeks), actual, kTrainWeeks);
   ASSERT_FALSE(report.nodes.empty());
   for (const auto& node : report.nodes) {
     EXPECT_GE(node.score, 0.0) << "node " << node.node;
@@ -174,7 +193,8 @@ TEST(FeederMonitor, CollusionDetectionMonotoneInGroupSize) {
     obs::MetricsRegistry metrics;
     hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
     monitor.fit(actual, split());
-    const auto report = monitor.evaluate_week(actual, reported, kAttackWeek);
+    const auto report = monitor.evaluate_week(
+        week_means(actual, kAttackWeek), reported, kAttackWeek);
 
     std::size_t localized = 0;
     for (const auto& group : report.collusion) {
@@ -208,6 +228,155 @@ TEST(FeederMonitor, FitStreamingMatchesFitBitExactly) {
   EXPECT_EQ(a.bytes(), b.bytes());
 }
 
+// Integer sums make a node's aggregate independent of the order its
+// consumers are numbered in: the same tree with its consumers attached in a
+// permuted order, over the matching permuted data, scores every node to the
+// same bits and localizes the same groups.
+TEST(FeederMonitor, ReportIgnoresConsumerNumbering) {
+  constexpr std::uint64_t kSeed = 11;
+  const auto topology = make_topology(kSeed);
+  const auto actual = datagen::small_dataset(kConsumers, kWeeks, kSeed);
+  const auto scenario = attack::make_collusion_scenario(
+      topology, actual, 4, /*shave_fraction=*/0.03, kAttackWeek);
+  const auto reported = attack::apply_injections(actual, scenario.injections);
+
+  // random_radial adds every internal and loss node before the consumers,
+  // so re-attaching the consumers last keeps every other node's id.
+  std::vector<std::size_t> perm(kConsumers);
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  Rng rng(kSeed);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  grid::Topology permuted;
+  for (std::size_t id = 1; id < topology.node_count(); ++id) {
+    const grid::Node& node = topology.node(static_cast<grid::NodeId>(id));
+    if (node.kind == grid::NodeKind::kInternal) {
+      permuted.add_internal(node.parent, node.has_balance_meter);
+    } else if (node.kind == grid::NodeKind::kLoss) {
+      permuted.add_loss(node.parent, node.loss_fraction);
+    }
+  }
+  const auto permute = [&](const meter::Dataset& data) {
+    std::vector<meter::ConsumerSeries> series;
+    for (const std::size_t i : perm) series.push_back(data.consumer(i));
+    return meter::Dataset(std::move(series));
+  };
+  for (const std::size_t i : perm) {
+    const grid::Node& leaf = topology.node(topology.consumer_leaf(i));
+    permuted.add_consumer(leaf.parent, leaf.consumer_id);
+  }
+  const auto permuted_actual = permute(actual);
+  const auto permuted_reported = permute(reported);
+
+  obs::MetricsRegistry metrics;
+  hierarchy::FeederMonitor a(topology, quiet_config(&metrics));
+  hierarchy::FeederMonitor b(permuted, quiet_config(&metrics));
+  a.fit(actual, split());
+  b.fit(permuted_actual, split());
+  std::size_t alerts = 0;
+  for (std::size_t w = kTrainWeeks; w < kWeeks; ++w) {
+    SCOPED_TRACE(::testing::Message() << "week " << w);
+    const SlotIndex slot =
+        (w + 1) * static_cast<std::size_t>(kSlotsPerWeek) - 1;
+    // Each consumer-week is read once per call, whatever its depth.
+    std::atomic<std::size_t> reads{0};
+    const auto want = a.evaluate_windows(
+        [&](std::size_t i) {
+          reads.fetch_add(1, std::memory_order_relaxed);
+          return reported.consumer(i).week(w);
+        },
+        slot);
+    EXPECT_EQ(reads.load(), kConsumers);
+    const auto got = b.evaluate_windows(
+        [&](std::size_t i) { return permuted_reported.consumer(i).week(w); },
+        slot);
+    ASSERT_EQ(want.nodes.size(), got.nodes.size());
+    for (std::size_t n = 0; n < want.nodes.size(); ++n) {
+      SCOPED_TRACE(::testing::Message() << "node " << want.nodes[n].node);
+      EXPECT_EQ(want.nodes[n].node, got.nodes[n].node);
+      EXPECT_EQ(want.nodes[n].score, got.nodes[n].score);
+      EXPECT_EQ(want.nodes[n].residual_kw, got.nodes[n].residual_kw);
+      EXPECT_EQ(want.nodes[n].residual_gate_kw,
+                got.nodes[n].residual_gate_kw);
+      EXPECT_EQ(want.nodes[n].flagged, got.nodes[n].flagged);
+    }
+    alerts += want.alert_count();
+    ASSERT_EQ(want.collusion.size(), got.collusion.size());
+    for (std::size_t g = 0; g < want.collusion.size(); ++g) {
+      std::vector<std::size_t> members;
+      for (const std::size_t j : got.collusion[g].consumers) {
+        members.push_back(perm[j]);
+      }
+      std::sort(members.begin(), members.end());
+      EXPECT_EQ(want.collusion[g].node, got.collusion[g].node);
+      EXPECT_EQ(want.collusion[g].consumers, members);
+    }
+  }
+  EXPECT_GT(alerts, 0u) << "no node alerted; the flags compared are vacuous";
+}
+
+// A reading the integer sums cannot hold (not finite, or beyond
+// kMaxPlausibleKw) is rejected with DataError from the training data, a
+// reported week and a streaming window alike, and a rejected call moves no
+// state: a clean evaluation afterwards matches a monitor that never saw one.
+TEST(FeederMonitor, ImplausibleReadingIsRejected) {
+  const auto topology = make_topology(29);
+  const auto actual = datagen::small_dataset(kConsumers, kWeeks, 29);
+  const auto means = week_means(actual, kAttackWeek);
+  const auto window_of = [](const meter::Dataset& data) {
+    return [&data](std::size_t i) {
+      return data.consumer(i).week(kAttackWeek);
+    };
+  };
+  const SlotIndex slot =
+      (kAttackWeek + 1) * static_cast<std::size_t>(kSlotsPerWeek) - 1;
+  obs::MetricsRegistry metrics;
+  hierarchy::FeederMonitor reference(topology, quiet_config(&metrics));
+  hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
+  reference.fit(actual, split());
+  monitor.fit(actual, split());
+
+  constexpr std::size_t kConsumer = 7;
+  const auto expect_rejected = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("consumer 7 "), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 2.0e6}) {
+    SCOPED_TRACE(::testing::Message() << "reading " << bad);
+    meter::Dataset poisoned_train = actual;
+    poisoned_train.consumer(kConsumer).readings[3] = bad;
+    hierarchy::FeederMonitor fresh(topology, quiet_config(&metrics));
+    expect_rejected([&] { fresh.fit(poisoned_train, split()); });
+    EXPECT_FALSE(fresh.fitted());
+    expect_rejected([&] { monitor.fit(poisoned_train, split()); });
+
+    meter::Dataset poisoned_week = actual;
+    poisoned_week.consumer(kConsumer)
+        .readings[kAttackWeek * static_cast<std::size_t>(kSlotsPerWeek) + 5] =
+        bad;
+    expect_rejected(
+        [&] { monitor.evaluate_week(means, poisoned_week, kAttackWeek); });
+    expect_rejected(
+        [&] { monitor.evaluate_windows(window_of(poisoned_week), slot); });
+  }
+
+  persist::Encoder want_state, got_state;
+  reference.save_state(want_state);
+  monitor.save_state(got_state);
+  EXPECT_EQ(want_state.bytes(), got_state.bytes());
+  EXPECT_EQ(
+      hierarchy::to_text(reference.evaluate_week(means, actual, kAttackWeek)),
+      hierarchy::to_text(monitor.evaluate_week(means, actual, kAttackWeek)));
+  EXPECT_EQ(
+      hierarchy::to_text(reference.evaluate_windows(window_of(actual), slot)),
+      hierarchy::to_text(monitor.evaluate_windows(window_of(actual), slot)));
+}
+
 TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
   const auto topology = make_topology(17);
   const auto actual = datagen::small_dataset(kConsumers, kWeeks, 17);
@@ -227,8 +396,9 @@ TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
   ASSERT_TRUE(restored.fitted());
 
   // Same evaluation bytes...
-  const auto want = monitor.evaluate_week(actual, reported, kAttackWeek);
-  const auto got = restored.evaluate_week(actual, reported, kAttackWeek);
+  const auto means = week_means(actual, kAttackWeek);
+  const auto want = monitor.evaluate_week(means, reported, kAttackWeek);
+  const auto got = restored.evaluate_week(means, reported, kAttackWeek);
   EXPECT_EQ(hierarchy::to_text(want), hierarchy::to_text(got));
   // ...and the re-saved state matches byte for byte (both monitors advanced
   // their baselines through the same week).
