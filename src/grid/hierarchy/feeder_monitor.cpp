@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -195,16 +194,9 @@ void FeederMonitor::resolve_nodes() {
       height[n] = std::max(height[n], height[k] + 1);
     }
   }
-  by_height_.resize(nodes_.size());
-  std::iota(by_height_.begin(), by_height_.end(), std::size_t{0});
-  std::stable_sort(
-      by_height_.begin(), by_height_.end(),
-      [&](std::size_t a, std::size_t b) { return height[a] < height[b]; });
-  for (std::size_t p = 0; p < by_height_.size(); ++p) {
-    if (p + 1 == by_height_.size() ||
-        height[by_height_[p + 1]] != height[by_height_[p]]) {
-      level_end_.push_back(p + 1);
-    }
+  levels_.resize(height[0] + 1);  // the root is the tallest
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    levels_[height[n]].push_back(n);
   }
 }
 
@@ -214,12 +206,11 @@ void FeederMonitor::sum_rows(
     const {
   // Each level reads only rows that lower levels completed, and each task
   // writes only its own node's row.
-  std::size_t begin = 0;
-  for (const std::size_t end : level_end_) {
+  for (const std::vector<std::size_t>& level : levels_) {
     parallel_for(
-        end - begin,
+        level.size(),
         [&](std::size_t k) {
-          const std::size_t n = by_height_[begin + k];
+          const std::size_t n = level[k];
           std::int64_t* row = rows.data() + n * width;
           std::fill(row, row + width, std::int64_t{0});
           for (const std::size_t i : nodes_[n].direct) add_consumer(i, row);
@@ -229,7 +220,6 @@ void FeederMonitor::sum_rows(
           }
         },
         config_.threads, /*grain=*/8);
-    begin = end;
   }
 }
 

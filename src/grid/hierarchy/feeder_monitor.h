@@ -220,8 +220,9 @@ class FeederMonitor {
   const grid::Topology* topology_;  // never null
   FeederConfig config_;
   std::vector<NodeState> nodes_;              // ascending node id
-  std::vector<std::size_t> by_height_;        // nodes_ indices, bottom up
-  std::vector<std::size_t> level_end_;        // end of each level in it
+  /// nodes_ indices grouped by height (0 without kids, else one above the
+  /// tallest kid), lowest first; each level ascending.
+  std::vector<std::vector<std::size_t>> levels_;
   core::DetectorFleet fleet_;                 // one detector per node
   std::vector<double> consumer_train_mean_;   // per dense consumer index
   std::vector<std::int64_t> week_rows_;       // evaluate scratch, sized once
