@@ -337,6 +337,7 @@ FeederReport FeederMonitor::evaluate(
   std::vector<double> consumer_week_mean(count, 0.0);
   sum_rows(week_rows_, kWeek, [&](std::size_t i, std::int64_t* row) {
     const std::span<const Kw> w = week_of(i);
+    require(w.size() == kWeek, "FeederMonitor: a week holds 336 readings");
     consumer_week_mean[i] = stats::mean(w);
     add_quanta(row, w, i);
   });

@@ -163,7 +163,8 @@ class FeederMonitor {
 
   /// Streaming-mode evaluation over the monitor's slot-aligned sliding
   /// windows: `week_of(i)` returns consumer i's current week vector
-  /// (slot-of-week indexed, 336 slots); `slot` stamps the report/events.
+  /// (slot-of-week indexed, 336 slots; another length throws
+  /// InvalidArgument); `slot` stamps the report/events.
   /// The residual is the rolling-baseline one; scoring, localization,
   /// events and the baseline update are evaluate_week's.
   FeederReport evaluate_windows(

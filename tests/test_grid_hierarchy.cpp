@@ -365,6 +365,14 @@ TEST(FeederMonitor, ImplausibleReadingIsRejected) {
         [&] { monitor.evaluate_windows(window_of(poisoned_week), slot); });
   }
 
+  // A window of the wrong length is refused, not read or written past.
+  EXPECT_THROW(monitor.evaluate_windows(
+                   [&](std::size_t i) {
+                     return actual.consumer(i).weeks(kAttackWeek, 2);
+                   },
+                   slot),
+               InvalidArgument);
+
   persist::Encoder want_state, got_state;
   reference.save_state(want_state);
   monitor.save_state(got_state);
