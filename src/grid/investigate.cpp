@@ -23,7 +23,7 @@ const char* to_string(InvestigationBranch branch) {
 namespace {
 
 /// Emits the recorded audit trail as investigation_step events.  Done once
-/// at the end (not per step) so the recursion stays event-log-agnostic.
+/// at the end (not per step) so the descent stays event-log-agnostic.
 void emit_steps(obs::EventLog* events, const char* mode,
                 const std::vector<InvestigationStep>& steps) {
   if (events == nullptr || !events->enabled()) return;
@@ -102,52 +102,67 @@ InvestigationResult investigate_case1(const Topology& topology,
 
 namespace {
 
-/// Recursive descent from a node whose check is known to fail.  Checks each
-/// internal child with the portable meter (one residual lookup), recursing
-/// only into failing ones; if no internal child fails, the divergence sits
-/// among the node's directly attached consumer leaves (to within measurement
-/// tolerance).
-void descend(const Topology& topology, NodeId node,
-             const NodeResiduals& residuals, double tolerance_kw, int depth,
-             int& best_depth, InvestigationResult& result) {
-  if (depth > best_depth) {
-    best_depth = depth;
-    result.localized_node = node;
-  }
-  bool any_failing_child = false;
-  for (NodeId c : topology.node(node).children) {
-    if (topology.node(c).kind != NodeKind::kInternal) continue;
-    ++result.checks_performed;
-    InvestigationStep step;
-    step.node = c;
-    step.depth = depth + 1;
-    step.imbalance_kw = residuals.imbalance_kw(c);
-    if (residuals.check_fails(c, tolerance_kw)) {
-      any_failing_child = true;
-      step.branch = InvestigationBranch::kDescend;
-      result.steps.push_back(step);
-      descend(topology, c, residuals, tolerance_kw, depth + 1, best_depth,
-              result);
-    } else {
-      step.branch = InvestigationBranch::kPruned;
-      result.steps.push_back(step);
+/// Depth-first descent from the root, whose check is known to fail.  At each
+/// node it checks every internal child with the portable meter (one
+/// residual lookup) and descends into each failing one as soon as it is
+/// checked; if no internal child fails, the divergence sits among the
+/// node's directly attached consumer leaves (to within measurement
+/// tolerance).  An explicit stack replaces recursion, so the depth of the
+/// tree is bounded by memory, not by the call stack; the steps come out in
+/// the order the recursion took them.
+void descend(const Topology& topology, const NodeResiduals& residuals,
+             double tolerance_kw, InvestigationResult& result) {
+  struct Frame {
+    NodeId node;
+    std::size_t next_child = 0;
+    bool any_failing_child = false;
+  };
+  std::vector<Frame> stack{{topology.root()}};
+  int best_depth = -1;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const Node& node = topology.node(frame.node);
+    const int depth = node.depth;
+    if (frame.next_child == 0 && depth > best_depth) {
+      best_depth = depth;
+      result.localized_node = frame.node;
     }
-  }
-  if (!any_failing_child) {
-    std::size_t added = 0;
-    for (NodeId c : topology.node(node).children) {
-      if (topology.node(c).kind == NodeKind::kConsumer) {
-        result.suspects.push_back(topology.node(c).consumer_index);
-        ++added;
+    if (frame.next_child < node.children.size()) {
+      const NodeId c = node.children[frame.next_child++];
+      if (topology.node(c).kind != NodeKind::kInternal) continue;
+      ++result.checks_performed;
+      InvestigationStep step;
+      step.node = c;
+      step.depth = depth + 1;
+      step.imbalance_kw = residuals.imbalance_kw(c);
+      if (residuals.check_fails(c, tolerance_kw)) {
+        frame.any_failing_child = true;
+        step.branch = InvestigationBranch::kDescend;
+        result.steps.push_back(step);
+        stack.push_back({c});  // invalidates `frame`
+      } else {
+        step.branch = InvestigationBranch::kPruned;
+        result.steps.push_back(step);
       }
+      continue;
     }
-    InvestigationStep step;
-    step.node = node;
-    step.depth = depth;
-    step.imbalance_kw = residuals.imbalance_kw(node);
-    step.branch = InvestigationBranch::kLeafSuspects;
-    step.suspects = added;
-    result.steps.push_back(step);
+    if (!frame.any_failing_child) {
+      std::size_t added = 0;
+      for (NodeId c : node.children) {
+        if (topology.node(c).kind == NodeKind::kConsumer) {
+          result.suspects.push_back(topology.node(c).consumer_index);
+          ++added;
+        }
+      }
+      InvestigationStep step;
+      step.node = frame.node;
+      step.depth = depth;
+      step.imbalance_kw = residuals.imbalance_kw(frame.node);
+      step.branch = InvestigationBranch::kLeafSuspects;
+      step.suspects = added;
+      result.steps.push_back(step);
+    }
+    stack.pop_back();
   }
 }
 
@@ -188,9 +203,7 @@ InvestigationResult investigate_case2(const Topology& topology,
   }
   root_step.branch = InvestigationBranch::kDescend;
   result.steps.push_back(root_step);
-  int best_depth = -1;
-  descend(topology, topology.root(), residuals, tolerance_kw, 0, best_depth,
-          result);
+  descend(topology, residuals, tolerance_kw, result);
   {
     InvestigationStep step;
     step.node = result.localized_node;

@@ -1,6 +1,7 @@
 #include "grid/topology.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -13,50 +14,42 @@ Topology::Topology() {
   nodes_.push_back(root);
 }
 
-void Topology::check_internal(NodeId parent) const {
+NodeId Topology::append(NodeId parent, Node n) {
   require(parent >= 0 && static_cast<std::size_t>(parent) < nodes_.size(),
           "Topology: parent out of range");
   require(nodes_[parent].kind == NodeKind::kInternal,
           "Topology: parent must be an internal node");
-}
-
-NodeId Topology::add_internal(NodeId parent, bool has_balance_meter) {
-  check_internal(parent);
-  Node n;
-  n.kind = NodeKind::kInternal;
   n.parent = parent;
-  n.has_balance_meter = has_balance_meter;
+  n.depth = nodes_[parent].depth + 1;
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(n);
+  nodes_.push_back(std::move(n));
   nodes_[parent].children.push_back(id);
   return id;
 }
 
+NodeId Topology::add_internal(NodeId parent, bool has_balance_meter) {
+  Node n;
+  n.kind = NodeKind::kInternal;
+  n.has_balance_meter = has_balance_meter;
+  return append(parent, std::move(n));
+}
+
 NodeId Topology::add_consumer(NodeId parent, meter::ConsumerId consumer_id) {
-  check_internal(parent);
   Node n;
   n.kind = NodeKind::kConsumer;
-  n.parent = parent;
   n.consumer_id = consumer_id;
   n.consumer_index = consumer_leaves_.size();
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(n);
-  nodes_[parent].children.push_back(id);
+  const NodeId id = append(parent, std::move(n));
   consumer_leaves_.push_back(id);
   return id;
 }
 
 NodeId Topology::add_loss(NodeId parent, double loss_fraction) {
-  check_internal(parent);
   require(loss_fraction >= 0.0, "Topology: negative loss fraction");
   Node n;
   n.kind = NodeKind::kLoss;
-  n.parent = parent;
   n.loss_fraction = loss_fraction;
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(n);
-  nodes_[parent].children.push_back(id);
-  return id;
+  return append(parent, std::move(n));
 }
 
 const Node& Topology::node(NodeId id) const {
@@ -88,14 +81,6 @@ std::vector<std::size_t> Topology::consumers_under(NodeId id) const {
   return out;
 }
 
-int Topology::depth(NodeId id) const {
-  int d = 0;
-  for (NodeId cur = id; node(cur).parent != kNoNode; cur = node(cur).parent) {
-    ++d;
-  }
-  return d;
-}
-
 std::vector<NodeId> Topology::path_to_root(NodeId id) const {
   std::vector<NodeId> path;
   for (NodeId cur = id;; cur = node(cur).parent) {
@@ -105,23 +90,24 @@ std::vector<NodeId> Topology::path_to_root(NodeId id) const {
   return path;
 }
 
-double Topology::subtree_demand(NodeId id, std::span<const Kw> consumer_demand,
-                                std::vector<Kw>& out) const {
-  const Node& n = nodes_[id];
-  switch (n.kind) {
-    case NodeKind::kConsumer:
+std::vector<Kw> Topology::node_demands(
+    std::span<const Kw> consumer_demand) const {
+  require(consumer_demand.size() == consumer_leaves_.size(),
+          "Topology::node_demands: demand vector size mismatch");
+  std::vector<Kw> out(nodes_.size(), 0.0);
+  // Children have larger ids than their parent, so walking the ids down
+  // finishes every subtree before its root: each internal node sums its
+  // children's demands in `children` order, as a recursive walk would.
+  for (std::size_t id = nodes_.size(); id-- > 0;) {
+    const Node& n = nodes_[id];
+    if (n.kind == NodeKind::kConsumer) {
       out[id] = consumer_demand[n.consumer_index];
-      return out[id];
-    case NodeKind::kLoss:
-      // Handled by the parent (depends on sibling demands).
-      return 0.0;
-    case NodeKind::kInternal: {
+    } else if (n.kind == NodeKind::kInternal) {
       double non_loss = 0.0;
       for (NodeId c : n.children) {
-        if (nodes_[c].kind != NodeKind::kLoss) {
-          non_loss += subtree_demand(c, consumer_demand, out);
-        }
+        if (nodes_[c].kind != NodeKind::kLoss) non_loss += out[c];
       }
+      // A loss leaf's demand depends on its siblings', so its parent sets it.
       double total = non_loss;
       for (NodeId c : n.children) {
         if (nodes_[c].kind == NodeKind::kLoss) {
@@ -130,18 +116,8 @@ double Topology::subtree_demand(NodeId id, std::span<const Kw> consumer_demand,
         }
       }
       out[id] = total;
-      return total;
     }
   }
-  return 0.0;
-}
-
-std::vector<Kw> Topology::node_demands(
-    std::span<const Kw> consumer_demand) const {
-  require(consumer_demand.size() == consumer_leaves_.size(),
-          "Topology::node_demands: demand vector size mismatch");
-  std::vector<Kw> out(nodes_.size(), 0.0);
-  subtree_demand(root(), consumer_demand, out);
   return out;
 }
 

@@ -23,6 +23,7 @@ enum class NodeKind : std::uint8_t { kInternal, kConsumer, kLoss };
 struct Node {
   NodeKind kind = NodeKind::kInternal;
   NodeId parent = kNoNode;
+  int depth = 0;                 ///< edges from the root (root = 0)
   std::vector<NodeId> children;  // internal nodes only
 
   // Consumer leaves:
@@ -37,7 +38,8 @@ struct Node {
 };
 
 /// Immutable-after-build tree.  Node 0 is always the root (the distribution
-/// substation that connects to the transmission grid).
+/// substation that connects to the transmission grid).  Nodes only append,
+/// under an existing parent, so a child's id always exceeds its parent's.
 class Topology {
  public:
   /// Starts a topology containing only the root node (with a balance meter:
@@ -63,11 +65,13 @@ class Topology {
   /// Node id of the consumer leaf with dense index `consumer_index`.
   NodeId consumer_leaf(std::size_t consumer_index) const;
 
-  /// Dense consumer indices of all consumer leaves in the subtree of `id`.
+  /// Dense consumer indices of all consumer leaves in the subtree of `id`,
+  /// ascending: one O(subtree) walk, for one-off queries.  A caller that
+  /// asks for every node's consumers reads grid::TreeIndex ranges instead.
   std::vector<std::size_t> consumers_under(NodeId id) const;
 
-  /// Depth of `id` (root = 0).
-  int depth(NodeId id) const;
+  /// Depth of `id` (root = 0), stored when the node was added: O(1).
+  int depth(NodeId id) const { return node(id).depth; }
 
   /// Path from `id` up to (and including) the root.
   std::vector<NodeId> path_to_root(NodeId id) const;
@@ -75,7 +79,8 @@ class Topology {
   /// Actual demand at every node given per-consumer actual demands (indexed
   /// by consumer_index).  Loss-leaf demands are computed as
   /// loss_fraction * (sum of sibling subtree demands); internal demands obey
-  /// eq. (4).  Returns one value per node.
+  /// eq. (4).  Returns one value per node; one loop over the ids, however
+  /// deep the tree.
   std::vector<Kw> node_demands(std::span<const Kw> consumer_demand) const;
 
   /// -- Builders ---------------------------------------------------------
@@ -93,9 +98,8 @@ class Topology {
                                 Rng& rng, double loss_fraction = 0.02);
 
  private:
-  void check_internal(NodeId parent) const;
-  double subtree_demand(NodeId id, std::span<const Kw> consumer_demand,
-                        std::vector<Kw>& out) const;
+  /// Checks that `parent` is an internal node and appends `n` under it.
+  NodeId append(NodeId parent, Node n);
 
   std::vector<Node> nodes_;
   std::vector<NodeId> consumer_leaves_;  // by dense consumer index

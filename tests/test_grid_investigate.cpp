@@ -129,6 +129,47 @@ TEST(InvestigateTolerance, NegativeOrNonFiniteIsRejected) {
   EXPECT_TRUE(investigate_case2(t, actual, actual, 0.0).suspects.empty());
 }
 
+// A chain deeper than any call stack: the demand walk and the descent are
+// loops, so a 200,000-node chain conserves demand at every node and the
+// portable meter follows it all the way down to the thief.
+TEST(InvestigateCase2, DeepChainLocalisesTheBottomNode) {
+  constexpr std::size_t kChain = 200000;
+  Topology t;
+  t.add_consumer(t.root(), 1000);  // honest, at the top
+  NodeId bottom = t.root();
+  for (std::size_t d = 0; d < kChain; ++d) {
+    bottom = t.add_internal(bottom, /*has_balance_meter=*/false);
+  }
+  t.add_consumer(bottom, 1001);  // the thief
+  t.add_consumer(bottom, 1002);
+  const std::vector<Kw> actual{1.0, 2.0, 3.0};
+  std::vector<Kw> reported = actual;
+  reported[1] = 0.5;
+
+  const std::vector<Kw> demand = t.node_demands(actual);
+  std::size_t unbalanced = 0;
+  for (std::size_t id = 0; id < t.node_count(); ++id) {
+    const Node& n = t.node(static_cast<NodeId>(id));
+    if (n.kind != NodeKind::kInternal) continue;
+    double children = 0.0;
+    for (const NodeId c : n.children) children += demand[c];
+    unbalanced += demand[id] == children ? 0 : 1;
+  }
+  EXPECT_EQ(unbalanced, 0u);
+  EXPECT_EQ(demand[t.root()], 6.0);
+  EXPECT_EQ(demand[bottom], 5.0);
+
+  const auto result = investigate_case2(t, actual, reported);
+  EXPECT_EQ(result.localized_node, bottom);
+  EXPECT_EQ(result.suspects, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(result.checks_performed, kChain + 1);
+  ASSERT_EQ(result.steps.size(), kChain + 3);
+  EXPECT_EQ(result.steps[kChain + 1].branch,
+            InvestigationBranch::kLeafSuspects);
+  EXPECT_EQ(result.steps.back().branch, InvestigationBranch::kLocalized);
+  EXPECT_EQ(result.steps.back().depth, static_cast<int>(kChain));
+}
+
 TEST(InvestigateExhaustive, CostIsAlwaysN) {
   const auto t = three_level();
   const std::vector<Kw> actual{1.0, 2.0, 3.0, 4.0};
