@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "grid/tree_index.h"
 
 namespace fdeta::attack {
 
@@ -20,16 +21,18 @@ CollusionScenario make_collusion_scenario(const grid::Topology& topology,
           "make_collusion_scenario: week out of range");
 
   // Deepest internal node with a big-enough sibling pool; ascending-id scan
-  // with strict > keeps the smallest id among ties.
+  // with strict > keeps the smallest id among ties.  One index makes the
+  // scan O(nodes) however deep the tree.
+  const grid::TreeIndex index(topology);
   grid::NodeId best = grid::kNoNode;
   int best_depth = -1;
   for (std::size_t id = 0; id < topology.node_count(); ++id) {
     const grid::NodeId nid = static_cast<grid::NodeId>(id);
-    if (topology.node(nid).kind != grid::NodeKind::kInternal) continue;
-    if (topology.consumers_under(nid).size() < group_size) continue;
-    const int depth = topology.depth(nid);
-    if (depth > best_depth) {
-      best_depth = depth;
+    const grid::Node& node = topology.node(nid);
+    if (node.kind != grid::NodeKind::kInternal) continue;
+    if (index.consumers_under(nid).size() < group_size) continue;
+    if (node.depth > best_depth) {
+      best_depth = node.depth;
       best = nid;
     }
   }
@@ -37,12 +40,13 @@ CollusionScenario make_collusion_scenario(const grid::Topology& topology,
           "make_collusion_scenario: no internal node has group_size "
           "consumer descendants");
 
+  // The node's first group_size consumers by dense index, ascending.
   CollusionScenario scenario;
   scenario.node = best;
-  std::vector<std::size_t> members = topology.consumers_under(best);
-  std::sort(members.begin(), members.end());
-  members.resize(group_size);
-  scenario.consumers = std::move(members);
+  const std::span<const std::size_t> pool = index.consumers_under(best);
+  scenario.consumers.resize(group_size);
+  std::partial_sort_copy(pool.begin(), pool.end(), scenario.consumers.begin(),
+                         scenario.consumers.end());
 
   scenario.injections.reserve(group_size);
   for (const std::size_t i : scenario.consumers) {

@@ -147,6 +147,10 @@ struct ParallelForState {
 
 }  // namespace
 
+std::size_t parallel_width(std::size_t threads) {
+  return threads != 0 ? threads : shared_pool().thread_count() + 1;
+}
+
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   std::size_t threads, std::size_t grain) {
@@ -155,8 +159,7 @@ void parallel_for(std::size_t count,
 
   ThreadPool& pool = shared_pool();
   const std::size_t chunks = (count + grain - 1) / grain;
-  const std::size_t limit = threads ? threads : pool.thread_count() + 1;
-  const std::size_t workers = std::min(limit, chunks);
+  const std::size_t workers = std::min(parallel_width(threads), chunks);
   if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);  // exceptions propagate
     return;

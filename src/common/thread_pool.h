@@ -95,6 +95,10 @@ class ThreadPool {
 /// stop paying per-call thread-spawn cost.
 ThreadPool& shared_pool();
 
+/// The parallelism parallel_for runs at for a `threads` cap: the cap
+/// itself, or for 0 the shared pool's width plus the calling thread.
+std::size_t parallel_width(std::size_t threads);
+
 /// Runs `body(i)` for i in [0, count) on the shared pool (or inline for tiny
 /// ranges).  Blocks until all iterations complete; the calling thread
 /// participates in the work, so nested calls cannot deadlock the pool.

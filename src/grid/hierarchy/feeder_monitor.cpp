@@ -42,12 +42,19 @@ constexpr std::size_t kMinGroup = 2;
 constexpr double kBaselineBeta = 0.125;
 /// Aggregates sum readings as integer multiples of this quantum (kW), so a
 /// sum is exact in any order and a parent's row is exactly the sum of its
-/// kids'.  With at most kMaxConsumers readings of magnitude at most
+/// children's.  With at most kMaxConsumers readings of magnitude at most
 /// kMaxPlausibleKw (< 2^20 kW) each, a sum stays below 2^44 kW = 2^63
 /// quanta; sums up to 2^34 kW convert back to double exactly.
 constexpr double kQuantumKw = 0x1p-19;
 /// Largest fleet the integer sums are sized for (also the checkpoint cap).
 constexpr std::size_t kMaxConsumers = std::size_t{1} << 24;
+/// The post-order pass cuts the tree into chunks of at most
+/// consumers / (kChunksPerWorker x pool width) consumers each: enough
+/// chunks to balance the pool, few nodes left above them for the serial
+/// scan.
+constexpr std::size_t kChunksPerWorker = 8;
+/// scored_ value of a tree node that is not scored.
+constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
 
 /// Adds `readings` to `row` in quanta, each rounded to the nearest quantum
 /// (halves away from zero).  A reading that is not finite or exceeds
@@ -74,17 +81,20 @@ void to_kw(const std::int64_t* row, std::span<Kw> out) {
   }
 }
 
+/// An entry of the post-order scan's stack: a consumer leaf waiting for its
+/// nearest scored ancestor, or a finished row waiting for its scored parent
+/// (held in the scan's own rows, or a chunk root's row).
+struct Pending {
+  enum Kind : std::uint8_t { kConsumer, kRow, kChunkRow };
+  std::size_t position;  ///< pre-order position of the leaf or node
+  Kind kind;
+  std::size_t index;  ///< consumer index, row of the scan, or chunk number
+};
+
 }  // namespace
 
 struct FeederMonitor::NodeState {
   grid::NodeId node = grid::kNoNode;
-  int depth = 0;
-  std::vector<std::size_t> members;  ///< dense consumer indices, ascending
-  /// Consumers whose nearest scored ancestor is this node, ascending.
-  std::vector<std::size_t> direct;
-  /// Scored nodes (nodes_ indices) whose nearest scored proper ancestor is
-  /// this node, ascending.
-  std::vector<std::size_t> kids;
   /// Rolling baseline of the node's weekly-mean aggregate demand (kW);
   /// seeded from the training span, EWMA-updated on non-alerting weeks.
   double baseline_kw = 0.0;
@@ -129,7 +139,7 @@ std::string to_text(const FeederReport& report) {
 
 FeederMonitor::FeederMonitor(const grid::Topology& topology,
                              FeederConfig config)
-    : topology_(&topology), config_(config) {
+    : topology_(&topology), config_(config), index_(topology) {
   obs::MetricsRegistry& registry =
       config_.metrics != nullptr ? *config_.metrics : obs::default_registry();
   weeks_evaluated_ = &registry.counter("hierarchy.weeks_evaluated");
@@ -146,81 +156,120 @@ FeederMonitor::FeederMonitor(const grid::Topology& topology,
 FeederMonitor::~FeederMonitor() = default;
 
 void FeederMonitor::resolve_nodes() {
-  require(topology_->consumer_count() <= kMaxConsumers,
+  const std::size_t consumers = topology_->consumer_count();
+  require(consumers <= kMaxConsumers,
           "FeederMonitor: more than 2^24 consumers");
-  constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> scored(topology_->node_count(), kUnscored);
+  scored_.assign(topology_->node_count(), kUnscored);
   for (std::size_t id = 0; id < topology_->node_count(); ++id) {
     const grid::NodeId nid = static_cast<grid::NodeId>(id);
     if (topology_->node(nid).kind != grid::NodeKind::kInternal) continue;
-    std::vector<std::size_t> members = topology_->consumers_under(nid);
-    if (members.size() < kMinConsumers) continue;
-    std::sort(members.begin(), members.end());
-    NodeState state;
-    state.node = nid;
-    state.depth = topology_->depth(nid);
-    state.members = std::move(members);
-    scored[id] = nodes_.size();
-    nodes_.push_back(std::move(state));
+    if (index_.consumers_under(nid).size() < kMinConsumers) continue;
+    scored_[id] = nodes_.size();
+    nodes_.push_back({.node = nid});
   }
   require(!nodes_.empty(),
           "FeederMonitor: topology has no internal node with two or more "
           "consumer descendants");
 
-  // The root holds every consumer, so with any node scored it is scored
-  // too, and every walk up below ends on a scored node.
-  const auto nearest_scored_above = [&](grid::NodeId id) {
-    grid::NodeId up = topology_->node(id).parent;
-    while (scored[static_cast<std::size_t>(up)] == kUnscored) {
-      up = topology_->node(up).parent;
+  // A scored node's parent holds at least its consumers, so it is scored
+  // too: the scored nodes are the root's side of the tree, and the chunk
+  // roots cut it below the nodes that hold more than `most` consumers.
+  const std::size_t split =
+      kChunksPerWorker * parallel_width(config_.threads);
+  const std::size_t most = (consumers + split - 1) / split;
+  for (std::size_t p = 0; p < index_.size();) {
+    const grid::NodeId id = index_.node_at(p);
+    if (scored_[static_cast<std::size_t>(id)] != kUnscored &&
+        index_.consumers_under(id).size() <= most) {
+      chunk_roots_.push_back(id);
+      p = index_.subtree_end(id);
+    } else {
+      ++p;
     }
-    return scored[static_cast<std::size_t>(up)];
-  };
-  for (std::size_t i = 0; i < topology_->consumer_count(); ++i) {
-    const std::size_t n = nearest_scored_above(topology_->consumer_leaf(i));
-    nodes_[n].direct.push_back(i);
-  }
-  for (std::size_t n = 1; n < nodes_.size(); ++n) {  // nodes_[0] is the root
-    nodes_[nearest_scored_above(nodes_[n].node)].kids.push_back(n);
-  }
-
-  // Group nodes by height: 0 without kids, else one above the tallest kid,
-  // so a level needs only rows of lower levels.  A node's id exceeds its
-  // parent's (the topology only appends), so walking nodes_ backwards meets
-  // every kid before its parent.
-  std::vector<std::size_t> height(nodes_.size(), 0);
-  for (std::size_t n = nodes_.size(); n-- > 0;) {
-    for (const std::size_t k : nodes_[n].kids) {
-      height[n] = std::max(height[n], height[k] + 1);
-    }
-  }
-  levels_.resize(height[0] + 1);  // the root is the tallest
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    levels_[height[n]].push_back(n);
   }
 }
 
-void FeederMonitor::sum_rows(
-    std::span<std::int64_t> rows, std::size_t width,
-    const std::function<void(std::size_t, std::int64_t*)>& add_consumer)
+void FeederMonitor::sum_post_order(
+    std::size_t width,
+    const std::function<void(std::size_t, std::int64_t*)>& add_consumer,
+    const std::function<void(std::size_t, const std::int64_t*)>& visit)
     const {
-  // Each level reads only rows that lower levels completed, and each task
-  // writes only its own node's row.
-  for (const std::vector<std::size_t>& level : levels_) {
-    parallel_for(
-        level.size(),
-        [&](std::size_t k) {
-          const std::size_t n = level[k];
-          std::int64_t* row = rows.data() + n * width;
-          std::fill(row, row + width, std::int64_t{0});
-          for (const std::size_t i : nodes_[n].direct) add_consumer(i, row);
-          for (const std::size_t kid : nodes_[n].kids) {
-            const std::int64_t* from = rows.data() + kid * width;
-            for (std::size_t t = 0; t < width; ++t) row[t] += from[t];
-          }
-        },
-        config_.threads, /*grain=*/8);
-  }
+  const std::size_t chunks = chunk_roots_.size();
+  std::vector<std::int64_t> chunk_rows(chunks * width);
+
+  // Scans pre-order positions [begin, end) backwards, so every child comes
+  // before its parent.  A consumer leaf waits on the stack; a scored node
+  // takes every entry inside its subtree, sums them into one row, visits
+  // it and leaves it on the stack for its own scored parent.  The rows on
+  // the stack are rows 0, 1, ... of `rows`, bottom to top, so a node sums
+  // into the lowest row it takes and no row is allocated per node.  A chunk
+  // scan (`chunk_row` set) ends with its root's row in row 0 and copies it
+  // out; the serial scan takes each chunk root's row instead of its
+  // subtree.
+  const auto scan = [&](std::size_t begin, std::size_t end,
+                        std::int64_t* chunk_row) {
+    std::vector<Pending> pending;
+    std::vector<std::int64_t> rows;
+    std::size_t rows_used = 0;
+    std::size_t next_chunk = chunk_row != nullptr ? 0 : chunks;
+    for (std::size_t p = end; p-- > begin;) {
+      if (next_chunk > 0 &&
+          p + 1 == index_.subtree_end(chunk_roots_[next_chunk - 1])) {
+        --next_chunk;
+        p = index_.position(chunk_roots_[next_chunk]);
+        pending.push_back({p, Pending::kChunkRow, next_chunk});
+        continue;
+      }
+      const grid::NodeId id = index_.node_at(p);
+      const grid::Node& node = topology_->node(id);
+      if (node.kind == grid::NodeKind::kConsumer) {
+        pending.push_back({p, Pending::kConsumer, node.consumer_index});
+        continue;
+      }
+      const std::size_t n = scored_[static_cast<std::size_t>(id)];
+      if (n == kUnscored) continue;
+      // The entries from `first` up lie in this node's subtree; the scan's
+      // rows among them are rows [r, rows_used).
+      const std::size_t subtree_end = index_.subtree_end(id);
+      std::size_t first = pending.size();
+      std::size_t r = rows_used;
+      while (first > 0 && pending[first - 1].position < subtree_end) {
+        if (pending[--first].kind == Pending::kRow) --r;
+      }
+      if (r == rows_used) {
+        rows.resize(std::max(rows.size(), (r + 1) * width));
+        std::fill_n(rows.data() + r * width, width, std::int64_t{0});
+      }
+      std::int64_t* row = rows.data() + r * width;
+      for (std::size_t e = first; e < pending.size(); ++e) {
+        const Pending& entry = pending[e];
+        if (entry.kind == Pending::kConsumer) {
+          add_consumer(entry.index, row);
+        } else if (entry.kind == Pending::kChunkRow || entry.index != r) {
+          const std::int64_t* from = (entry.kind == Pending::kRow
+                                          ? rows.data()
+                                          : chunk_rows.data()) +
+                                     entry.index * width;
+          for (std::size_t t = 0; t < width; ++t) row[t] += from[t];
+        }
+      }
+      pending.resize(first);
+      pending.push_back({p, Pending::kRow, r});
+      rows_used = r + 1;
+      visit(n, row);
+    }
+    if (chunk_row != nullptr) std::copy_n(rows.data(), width, chunk_row);
+  };
+
+  parallel_for(
+      chunks,
+      [&](std::size_t k) {
+        const grid::NodeId root = chunk_roots_[k];
+        scan(index_.position(root), index_.subtree_end(root),
+             chunk_rows.data() + k * width);
+      },
+      config_.threads);
+  scan(0, index_.size(), nullptr);
 }
 
 std::size_t FeederMonitor::scored_node_count() const { return nodes_.size(); }
@@ -249,32 +298,27 @@ void FeederMonitor::fit_impl(
   const std::size_t train_slots =
       split.train_weeks * static_cast<std::size_t>(kSlotsPerWeek);
 
-  // One flat array of scored-node rows: this lazy fit sets the peak memory
-  // of a pipeline's first hierarchy week, so no row per unscored node and
-  // no allocation per task.  Nothing moves until every reading passed.
-  std::vector<std::int64_t> rows(nodes_.size() * train_slots);
+  // Nothing is committed until every reading passed add_quanta's check.
+  core::DetectorFleet fleet("kld", core::DetectorOptions{}, nodes_.size(),
+                            split.train_weeks);
   std::vector<double> train_mean(count, 0.0);
-  sum_rows(rows, train_slots, [&](std::size_t i, std::int64_t* row) {
-    const meter::ConsumerSeries series = series_of(i);
-    require(series.readings.size() >= train_slots,
-            "FeederMonitor: series shorter than the training span");
-    const std::span<const Kw> train = split.train(series);
-    train_mean[i] = stats::mean(train);
-    add_quanta(row, train, i);
-  });
-
-  // Per-node detector fit + baseline, parallel: nodes are independent.
-  fleet_ = core::DetectorFleet("kld", core::DetectorOptions{}, nodes_.size(),
-                               split.train_weeks);
-  consumer_train_mean_ = std::move(train_mean);
-  parallel_for(
-      nodes_.size(),
-      [&](std::size_t n) {
+  std::vector<double> baseline(nodes_.size(), 0.0);
+  std::vector<double> sigma(nodes_.size(), 0.0);
+  sum_post_order(
+      train_slots,
+      [&](std::size_t i, std::int64_t* row) {
+        const meter::ConsumerSeries series = series_of(i);
+        require(series.readings.size() >= train_slots,
+                "FeederMonitor: series shorter than the training span");
+        const std::span<const Kw> train = split.train(series);
+        train_mean[i] = stats::mean(train);
+        add_quanta(row, train, i);
+      },
+      [&](std::size_t n, const std::int64_t* row) {
         thread_local std::vector<Kw> aggregate;  // one per pool thread
         aggregate.resize(train_slots);
-        to_kw(rows.data() + n * train_slots, aggregate);
-        NodeState& node = nodes_[n];
-        fleet_.fit(n, aggregate);
+        to_kw(row, aggregate);
+        fleet.fit(n, aggregate);
         std::vector<double> weekly_means(split.train_weeks, 0.0);
         for (std::size_t w = 0; w < split.train_weeks; ++w) {
           const std::span<const Kw> week(
@@ -282,11 +326,16 @@ void FeederMonitor::fit_impl(
               static_cast<std::size_t>(kSlotsPerWeek));
           weekly_means[w] = stats::mean(week);
         }
-        node.baseline_kw = stats::mean(weekly_means);
-        node.sigma_kw =
-            split.train_weeks >= 2 ? stats::stddev(weekly_means) : 0.0;
-      },
-      config_.threads);
+        baseline[n] = stats::mean(weekly_means);
+        sigma[n] = split.train_weeks >= 2 ? stats::stddev(weekly_means) : 0.0;
+      });
+
+  fleet_ = std::move(fleet);
+  consumer_train_mean_ = std::move(train_mean);
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    nodes_[n].baseline_kw = baseline[n];
+    nodes_[n].sigma_kw = sigma[n];
+  }
   fitted_ = true;
 }
 
@@ -326,21 +375,30 @@ FeederReport FeederMonitor::evaluate(
   report.slot = slot;
   report.nodes.resize(nodes_.size());
 
-  // One bottom-up pass reads each consumer-week once: into its nearest
+  // One post-order pass reads each consumer-week once: into its nearest
   // scored ancestor's row, and for its weekly mean, which feeds the
   // collusion-share test (and, in balance mode, the loss-adjusted
-  // NodeResiduals tree walk).
+  // NodeResiduals tree walk).  Nodes are scored into fixed slots as their
+  // rows finish, so the report is identical for any thread layout.
   constexpr std::size_t kWeek = kSlotsPerWeek;
   const std::size_t count = topology_->consumer_count();
   const bool balance_mode = !actual_mean.empty();
-  week_rows_.resize(nodes_.size() * kWeek);
   std::vector<double> consumer_week_mean(count, 0.0);
-  sum_rows(week_rows_, kWeek, [&](std::size_t i, std::int64_t* row) {
-    const std::span<const Kw> w = week_of(i);
-    require(w.size() == kWeek, "FeederMonitor: a week holds 336 readings");
-    consumer_week_mean[i] = stats::mean(w);
-    add_quanta(row, w, i);
-  });
+  std::vector<double> node_week_mean(nodes_.size(), 0.0);
+  sum_post_order(
+      kWeek,
+      [&](std::size_t i, std::int64_t* row) {
+        const std::span<const Kw> w = week_of(i);
+        require(w.size() == kWeek, "FeederMonitor: a week holds 336 readings");
+        consumer_week_mean[i] = stats::mean(w);
+        add_quanta(row, w, i);
+      },
+      [&](std::size_t n, const std::int64_t* row) {
+        std::array<Kw, kWeek> agg;
+        to_kw(row, agg);
+        node_week_mean[n] = stats::mean(agg);
+        report.nodes[n].score = fleet_.score_week(n, agg);
+      });
 
   // Balance mode: one signed imbalance per tree node, actual minus reported
   // through the loss-adjusted walk.  Clean fleets give exactly zero at every
@@ -351,65 +409,53 @@ FeederReport FeederMonitor::evaluate(
                                              consumer_week_mean);
   }
 
-  // Score every node independently (parallel; results land in fixed slots,
-  // so the report is identical for any thread layout).
-  std::vector<double> node_week_mean(nodes_.size(), 0.0);
-  parallel_for(
-      nodes_.size(),
-      [&](std::size_t n) {
-        const NodeState& node = nodes_[n];
-        std::array<Kw, kWeek> agg;
-        to_kw(week_rows_.data() + n * kWeek, agg);
-        node_week_mean[n] = stats::mean(agg);
-        FeederNodeScore& s = report.nodes[n];
-        s.node = node.node;
-        s.depth = node.depth;
-        s.consumers = node.members.size();
-        s.score = fleet_.score_week(n, agg);
-        s.threshold = fleet_.decision_threshold();
-        if (balance_mode) {
-          s.residual_kw = residuals->signed_kw(node.node);
-          s.residual_gate_kw = kBalanceToleranceKw;
-        } else {
-          s.residual_kw = node.baseline_kw - node_week_mean[n];
-          s.residual_gate_kw =
-              std::max(kResidualSigma * node.sigma_kw, kResidualFloorKw);
-        }
-        // Both gates: the distributional detector (calibrated, same [0, 1]
-        // scale as consumer scores; the calibration preserves the raw flag
-        // decision) AND a physical under-report residual - the score alone
-        // would flag clean fleets at the significance rate.
-        s.flagged = s.score > s.threshold &&
-                    s.residual_kw > s.residual_gate_kw;
-      },
-      config_.threads);
-
-  // Rolling baselines move only on non-alerting weeks, so colluders cannot
-  // walk a node's baseline down onto the shaved level.
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    if (report.nodes[n].flagged) continue;
-    nodes_[n].baseline_kw = (1.0 - kBaselineBeta) * nodes_[n].baseline_kw +
-                             kBaselineBeta * node_week_mean[n];
+    NodeState& node = nodes_[n];
+    FeederNodeScore& s = report.nodes[n];
+    s.node = node.node;
+    s.depth = topology_->depth(node.node);
+    s.consumers = index_.consumers_under(node.node).size();
+    s.threshold = fleet_.decision_threshold();
+    if (balance_mode) {
+      s.residual_kw = residuals->signed_kw(node.node);
+      s.residual_gate_kw = kBalanceToleranceKw;
+    } else {
+      s.residual_kw = node.baseline_kw - node_week_mean[n];
+      s.residual_gate_kw =
+          std::max(kResidualSigma * node.sigma_kw, kResidualFloorKw);
+    }
+    // Both gates: the distributional detector (calibrated, same [0, 1]
+    // scale as consumer scores; the calibration preserves the raw flag
+    // decision) AND a physical under-report residual - the score alone
+    // would flag clean fleets at the significance rate.
+    s.flagged = s.score > s.threshold && s.residual_kw > s.residual_gate_kw;
+    // Rolling baselines move only on non-alerting weeks, so colluders
+    // cannot walk a node's baseline down onto the shaved level.
+    if (!s.flagged) {
+      node.baseline_kw = (1.0 - kBaselineBeta) * node.baseline_kw +
+                         kBaselineBeta * node_week_mean[n];
+    }
   }
 
   // Localization: deepest flagged node first (ties: ascending id), each
   // consumer claimed by at most one group.  Members already flagged by the
   // per-consumer layer are excluded - the hierarchy exists to catch the
-  // sub-threshold remainder.
+  // sub-threshold remainder.  A node's consumers come in tree order, so each
+  // group is sorted before it is reported.
   std::vector<std::size_t> flagged_order;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     if (report.nodes[n].flagged) flagged_order.push_back(n);
   }
   std::stable_sort(flagged_order.begin(), flagged_order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return nodes_[a].depth > nodes_[b].depth;
+                     return report.nodes[a].depth > report.nodes[b].depth;
                    });
   std::vector<unsigned char> claimed(count, 0);
   for (std::size_t n : flagged_order) {
     CollusionGroup group;
     group.node = nodes_[n].node;
     group.residual_kw = report.nodes[n].residual_kw;
-    for (std::size_t i : nodes_[n].members) {
+    for (const std::size_t i : index_.consumers_under(nodes_[n].node)) {
       if (claimed[i]) continue;
       if (!consumer_flagged.empty() && consumer_flagged[i]) continue;
       if (consumer_train_mean_[i] <= 0.0) continue;
@@ -424,6 +470,7 @@ FeederReport FeederMonitor::evaluate(
       }
     }
     if (group.consumers.size() < kMinGroup) continue;
+    std::sort(group.consumers.begin(), group.consumers.end());
     for (std::size_t i : group.consumers) claimed[i] = 1;
     report.collusion.push_back(std::move(group));
   }

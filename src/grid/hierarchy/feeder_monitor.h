@@ -38,14 +38,21 @@
 // baseline weight are constants (feeder_monitor.cpp).
 //
 // Aggregates are exact: each reading is rounded once to a fixed quantum
-// (2^-19 kW) and summed in 64-bit integers, and each scored node's sum is
-// its direct consumers' readings plus its scored children's sums, built
-// bottom up in one pass per call (O(consumers + scored nodes) week-adds).
+// (2^-19 kW) and summed in 64-bit integers.  One post-order pass per call
+// (fit and both evaluate paths) sums each scored node's row from the
+// consumers and the finished rows of its subtree, reading each
+// consumer-week once (O(consumers + scored nodes) week-adds).  The pass
+// runs in chunks of whole subtrees, one pool task each, then serially over
+// the few nodes above the chunk roots.  A row lives only until its scored
+// parent has added it, so a task holds about depth x (fan-out - 1) rows,
+// plus one row per chunk root kept for the serial pass, never one per
+// scored node.
 //
-// Determinism contract: integer sums do not depend on their order and nodes
-// are scored independently into fixed slots, so reports, events and
-// checkpoint bytes are byte-identical for any shard x thread layout and
-// consumer numbering, and between fit() and fit_streaming().
+// Determinism contract: integer sums do not depend on their order or on
+// the chunking, and nodes are scored independently into fixed slots, so
+// reports, events and checkpoint bytes are byte-identical for any shard x
+// thread layout and consumer numbering, and between fit() and
+// fit_streaming().
 #pragma once
 
 #include <cstdint>
@@ -58,6 +65,7 @@
 
 #include "core/detector_fleet.h"
 #include "grid/topology.h"
+#include "grid/tree_index.h"
 #include "meter/dataset.h"
 
 namespace fdeta {
@@ -190,17 +198,21 @@ class FeederMonitor {
  private:
   struct NodeState;
 
-  /// Resolves the scored nodes (ascending id), their member consumer lists,
-  /// their direct consumers and scored kids, and the bottom-up level order.
+  /// Resolves the scored nodes (ascending id) and the chunk roots of the
+  /// post-order pass, in O(nodes).
   void resolve_nodes();
 
-  /// Fills `rows` (one row of `width` quanta per scored node) bottom up, one
-  /// parallel pass per height level: a node's row is what
-  /// `add_consumer(i, row)` adds for each of its direct consumers plus its
-  /// kids' rows.  `add_consumer` runs once per consumer, from pool tasks.
-  void sum_rows(
-      std::span<std::int64_t> rows, std::size_t width,
-      const std::function<void(std::size_t, std::int64_t*)>& add_consumer)
+  /// The post-order pass: sums every scored node's row of `width` quanta
+  /// (what `add_consumer(i, row)` adds for each consumer i of its subtree)
+  /// and hands it to `visit(n, row)`, n being the nodes_ index.  Chunk
+  /// roots' subtrees run as one pool task each, then one serial scan
+  /// finishes the nodes above them.  Each callback runs once per consumer
+  /// or scored node, from pool tasks, and a row is valid only during its
+  /// visit.
+  void sum_post_order(
+      std::size_t width,
+      const std::function<void(std::size_t, std::int64_t*)>& add_consumer,
+      const std::function<void(std::size_t, const std::int64_t*)>& visit)
       const;
 
   /// Shared core of the evaluate paths.  A non-empty `actual_mean` selects
@@ -220,13 +232,16 @@ class FeederMonitor {
 
   const grid::Topology* topology_;  // never null
   FeederConfig config_;
+  grid::TreeIndex index_;                     // of *topology_
   std::vector<NodeState> nodes_;              // ascending node id
-  /// nodes_ indices grouped by height (0 without kids, else one above the
-  /// tallest kid), lowest first; each level ascending.
-  std::vector<std::vector<std::size_t>> levels_;
+  /// nodes_ index of each tree node (by id); kUnscored for the rest.
+  std::vector<std::size_t> scored_;
+  /// The post-order pass's chunk roots, in pre-order: the highest scored
+  /// nodes holding at most consumers / (kChunksPerWorker x the pool width
+  /// for config_.threads) consumers, rounded up.
+  std::vector<grid::NodeId> chunk_roots_;
   core::DetectorFleet fleet_;                 // one detector per node
   std::vector<double> consumer_train_mean_;   // per dense consumer index
-  std::vector<std::int64_t> week_rows_;       // evaluate scratch, sized once
   bool fitted_ = false;
 
   // Cached at construction; updates are lock-free (see obs/metrics.h).

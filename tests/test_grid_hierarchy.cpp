@@ -385,6 +385,127 @@ TEST(FeederMonitor, ImplausibleReadingIsRejected) {
       hierarchy::to_text(monitor.evaluate_windows(window_of(actual), slot)));
 }
 
+// The post-order pass cuts the tree into chunks by pool width (one chunk
+// root per subtree of at most consumers / (8 x width) consumers), so the
+// layouts below sum through different chunk roots and serial passes.
+// Integer sums make every chunking give the same bits.  The tree is
+// unbalanced: a spine of 2,000 internal nodes, each with one consumer leaf,
+// and a random radial subtree hung off the middle of it.
+TEST(FeederMonitor, ChunkingDoesNotMoveABit) {
+  constexpr std::size_t kSpine = 2000;
+  constexpr std::size_t kHang = kSpine / 2;
+  constexpr std::size_t kSub = 200;
+  constexpr std::size_t kTrain = 4;
+  constexpr std::size_t kTest = 2;
+  const meter::TrainTestSplit short_split{.train_weeks = kTrain,
+                                          .test_weeks = kTest};
+  grid::Topology topology;
+  std::vector<grid::NodeId> spine;
+  meter::ConsumerId next_id = 1000;
+  for (grid::NodeId up = topology.root(); spine.size() < kSpine;) {
+    up = topology.add_internal(up);
+    topology.add_consumer(up, next_id++);
+    spine.push_back(up);
+  }
+  Rng rng(31);
+  const auto sub = grid::Topology::random_radial(kSub, 4, rng);
+  std::vector<grid::NodeId> graft(sub.node_count());
+  graft[0] = spine[kHang];
+  for (std::size_t id = 1; id < sub.node_count(); ++id) {
+    const grid::Node& node = sub.node(static_cast<grid::NodeId>(id));
+    const grid::NodeId parent = graft[static_cast<std::size_t>(node.parent)];
+    if (node.kind == grid::NodeKind::kInternal) {
+      graft[id] = topology.add_internal(parent, node.has_balance_meter);
+    } else if (node.kind == grid::NodeKind::kLoss) {
+      graft[id] = topology.add_loss(parent, node.loss_fraction);
+    } else {
+      graft[id] = topology.add_consumer(parent, next_id++);
+    }
+  }
+  const std::size_t consumers = topology.consumer_count();
+  ASSERT_EQ(consumers, kSpine + kSub);
+  const auto actual =
+      datagen::small_dataset(consumers, kTrain + kTest, /*seed=*/31);
+  const auto means = week_means(actual, kTrain);
+  const SlotIndex slot =
+      (kTrain + 1) * static_cast<std::size_t>(kSlotsPerWeek) - 1;
+
+  struct Run {
+    std::string fitted;               // save_state after fit
+    hierarchy::FeederReport balance;  // evaluate_week
+    std::string streaming;            // to_text of evaluate_windows
+    std::string evaluated;            // save_state after both
+  };
+  const auto run = [&](std::size_t threads) {
+    obs::MetricsRegistry metrics;
+    hierarchy::FeederConfig config = quiet_config(&metrics);
+    config.threads = threads;
+    hierarchy::FeederMonitor monitor(topology, config);
+    Run out;
+    monitor.fit(actual, short_split);
+    persist::Encoder fitted;
+    monitor.save_state(fitted);
+    out.fitted = fitted.bytes();
+    out.balance = monitor.evaluate_week(means, actual, kTrain);
+    out.streaming = hierarchy::to_text(monitor.evaluate_windows(
+        [&](std::size_t i) { return actual.consumer(i).week(kTrain); },
+        slot));
+    persist::Encoder evaluated;
+    monitor.save_state(evaluated);
+    out.evaluated = evaluated.bytes();
+    return out;
+  };
+  const Run serial = run(1);
+  // Every spine node but the last holds its own consumer and everything
+  // below it, the grafted subtree included above the hang point.
+  std::size_t checked = 0;
+  for (const hierarchy::FeederNodeScore& s : serial.balance.nodes) {
+    const auto at = std::find(spine.begin(), spine.end(), s.node);
+    if (at == spine.end()) continue;
+    const auto k = static_cast<std::size_t>(at - spine.begin());
+    EXPECT_EQ(s.consumers, kSpine - k + (k <= kHang ? kSub : 0))
+        << "spine node " << k;
+    ++checked;
+  }
+  EXPECT_EQ(checked, kSpine - 1);
+
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const Run got = run(threads);
+    EXPECT_EQ(serial.fitted, got.fitted);
+    EXPECT_EQ(hierarchy::to_text(serial.balance),
+              hierarchy::to_text(got.balance));
+    EXPECT_EQ(serial.streaming, got.streaming);
+    EXPECT_EQ(serial.evaluated, got.evaluated);
+  }
+}
+
+// Constructing a monitor on a 100,000-node chain over 3 consumers (every
+// chain node is scored) and picking its collusion node are O(nodes).  The
+// per-node subtree and depth walks they replaced were quadratic here, minutes
+// of work; ctest runs this under a 30 s TIMEOUT.  Nothing is fitted: that
+// would be 100,000 node fits.
+TEST(FeederMonitor, ChainResolvesInLinearTime) {
+  constexpr std::size_t kChain = 100000;
+  grid::Topology topology;
+  grid::NodeId bottom = topology.root();
+  for (std::size_t d = 0; d < kChain; ++d) {
+    bottom = topology.add_internal(bottom);
+  }
+  for (meter::ConsumerId id = 1000; id < 1003; ++id) {
+    topology.add_consumer(bottom, id);
+  }
+  obs::MetricsRegistry metrics;
+  const hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
+  EXPECT_EQ(monitor.scored_node_count(), kChain + 1);
+
+  const auto actual = datagen::small_dataset(3, 2, /*seed=*/5);
+  const auto scenario =
+      attack::make_collusion_scenario(topology, actual, 2, 0.05, 1);
+  EXPECT_EQ(scenario.node, bottom);
+  EXPECT_EQ(scenario.consumers, (std::vector<std::size_t>{0, 1}));
+}
+
 TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
   const auto topology = make_topology(17);
   const auto actual = datagen::small_dataset(kConsumers, kWeeks, 17);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "grid/tree_index.h"
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -129,6 +132,40 @@ TEST(Topology, RandomRadialDemandConservation) {
   const auto node_kw = t.node_demands(demand);
   // Zero losses: root demand equals total consumer demand.
   EXPECT_NEAR(node_kw[t.root()], total, 1e-9);
+}
+
+// The index's subtree and consumer ranges are the subtree walks: every
+// node's range holds exactly its descendants, children follow their parent
+// in `children` order, and its consumers are Topology::consumers_under's.
+TEST(TreeIndex, RangesAreSubtrees) {
+  for (const std::uint64_t seed : {1ull, 4ull, 9ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    const auto t = Topology::random_radial(60 + seed, 4, rng);
+    const TreeIndex index(t);
+    ASSERT_EQ(index.size(), t.node_count());
+    EXPECT_EQ(index.position(t.root()), 0u);
+    EXPECT_EQ(index.subtree_end(t.root()), t.node_count());
+    for (std::size_t id = 0; id < t.node_count(); ++id) {
+      const auto nid = static_cast<NodeId>(id);
+      const Node& n = t.node(nid);
+      EXPECT_EQ(index.node_at(index.position(nid)), nid);
+      // Children tile the parent's range, in order, right behind it.
+      std::size_t next = index.position(nid) + 1;
+      for (const NodeId c : n.children) {
+        EXPECT_EQ(index.position(c), next);
+        next = index.subtree_end(c);
+      }
+      EXPECT_EQ(next, index.subtree_end(nid));
+      std::vector<std::size_t> consumers(index.consumers_under(nid).begin(),
+                                         index.consumers_under(nid).end());
+      std::sort(consumers.begin(), consumers.end());
+      EXPECT_EQ(consumers, t.consumers_under(nid)) << "node " << nid;
+      if (n.parent != kNoNode) {
+        EXPECT_EQ(n.depth, t.node(n.parent).depth + 1);
+      }
+    }
+  }
 }
 
 }  // namespace
