@@ -62,6 +62,7 @@ double smoothed_kld_bits(const std::uint64_t* recent,
 struct OnlineMonitor::Tally {
   std::uint64_t ingested = 0;
   std::uint64_t missing = 0;
+  std::uint64_t implausible = 0;
   std::uint64_t in_cooldown = 0;
   std::uint64_t stride_skipped = 0;
   std::uint64_t coverage_gated = 0;
@@ -91,6 +92,7 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
   consumers_restored_ = &registry.counter("monitor.consumers_restored");
   readings_ingested_ = &registry.counter("monitor.readings_ingested");
   readings_missing_ = &registry.counter("monitor.readings_missing");
+  readings_implausible_ = &registry.counter("monitor.readings_implausible");
   readings_in_cooldown_ = &registry.counter("monitor.readings_in_cooldown");
   readings_stride_skipped_ =
       &registry.counter("monitor.readings_stride_skipped");
@@ -369,6 +371,7 @@ void OnlineMonitor::flush(const Tally& tally) {
   const std::uint64_t alerts = tally.alerts_over + tally.alerts_under;
   add(readings_ingested_, tally.ingested);
   add(readings_missing_, tally.missing);
+  add(readings_implausible_, tally.implausible);
   add(readings_in_cooldown_, tally.in_cooldown);
   add(readings_stride_skipped_, tally.stride_skipped);
   add(scores_coverage_gated_, tally.coverage_gated);
@@ -395,14 +398,20 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
   std::uint64_t& mask = missing_[i * kMaskWords + position / 64];
   const std::uint64_t bit = std::uint64_t{1} << (position % 64);
 
-  if (reading.missing) {
+  // A reading that is not finite or exceeds kMaxPlausibleKw is a broken
+  // meter, not a demand (the head-end's quarantine rule, applied here for
+  // callers that ingest directly): it is counted and then treated like a
+  // dropped one, so it never reaches a window, a score or a feeder sum.
+  const bool implausible =
+      !reading.missing && !(std::abs(reading.kw) <= kMaxPlausibleKw);
+  if (reading.missing || implausible) {
     // A dropped report carries no information: keep the last slot-aligned
     // value (do NOT impute 0 - a zero week is exactly what an under-report
     // attack looks like) and account for the gap.  The slot position goes
     // stale, which feeds the coverage gate below.  The stride and cooldown
     // clocks advance on OBSERVED readings only - an outage must not eat a
     // consumer's cooldown or stride budget while nothing is being measured.
-    ++tally.missing;
+    ++(implausible ? tally.implausible : tally.missing);
     if (!(mask & bit)) {
       mask |= bit;
       ++missing_in_window_[i];

@@ -18,11 +18,13 @@
 // / counters / checkpoint bytes are identical for ANY shard count and
 // thread count - sharding moves locks around, never results.
 //
-// Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing,
-// the fate of every ingested reading (in cooldown, stride-skipped, coverage
-// gated or scored), alerts raised split by direction, fit and per-batch
-// latency histograms.  All counters are deterministic under a fixed seed
-// and identical between the ingest() and ingest_batch() paths.
+// Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing
+// / implausible (not finite, or beyond kMaxPlausibleKw: kept out of the
+// window like a missing one), the fate of every ingested reading (in
+// cooldown, stride-skipped, coverage gated or scored), alerts raised split
+// by direction, fit and per-batch latency histograms.  All counters are
+// deterministic under a fixed seed and identical between the ingest() and
+// ingest_batch() paths.
 #pragma once
 
 #include <atomic>
@@ -144,7 +146,10 @@ class OnlineMonitor {
   std::optional<AlertEvent> ingest(std::size_t consumer_index, SlotIndex slot,
                                    Kw reading);
 
-  /// As above, honouring `reading.missing` (counted, never applied).
+  /// As above, honouring `reading.missing` (counted, never applied).  A
+  /// reading that is not finite or exceeds kMaxPlausibleKw in magnitude is
+  /// counted under monitor.readings_implausible and otherwise treated as
+  /// missing.
   std::optional<AlertEvent> ingest(const Reading& reading);
 
   /// Ingests a batch of readings (one head-end delivery), processing shards
@@ -319,6 +324,7 @@ class OnlineMonitor {
   obs::Counter* consumers_restored_ = nullptr;
   obs::Counter* readings_ingested_ = nullptr;
   obs::Counter* readings_missing_ = nullptr;
+  obs::Counter* readings_implausible_ = nullptr;
   obs::Counter* readings_in_cooldown_ = nullptr;
   obs::Counter* readings_stride_skipped_ = nullptr;
   obs::Counter* scores_evaluated_ = nullptr;

@@ -597,6 +597,65 @@ TEST(FeederMonitor, RestoreRejectsAnotherTopology) {
   }
 }
 
+// The monitor keeps a reading it cannot trust out of its windows: a NaN,
+// +inf or 2e6 kW reading ingested directly (the head-end would have
+// quarantined it) is counted under monitor.readings_implausible and treated
+// as missing, so the next feeder report is clean, the same as a monitor
+// that was told the slot was missing, instead of a DataError.
+TEST(OnlineMonitorFeeder, ImplausibleReadingIsCountedNotStored) {
+  const auto topology = make_topology(29);
+  const auto actual = datagen::small_dataset(kConsumers, kWeeks, 29);
+  constexpr std::size_t kConsumer = 5;
+  const SlotIndex first = kTrainWeeks * static_cast<std::size_t>(kSlotsPerWeek);
+  const SlotIndex end = first + static_cast<std::size_t>(kSlotsPerWeek);
+  const SlotIndex bad_slot = first + 100;
+
+  struct Run {
+    std::string report;
+    std::string state;
+    obs::MetricsSnapshot counters;
+  };
+  const auto run = [&](const core::Reading& replacement) {
+    obs::MetricsRegistry metrics;
+    obs::EventLog events;
+    core::OnlineMonitorConfig config;
+    config.metrics = &metrics;
+    config.events = &events;
+    config.topology = &topology;
+    core::OnlineMonitor monitor(config);
+    monitor.fit(actual, split());
+    std::vector<core::Reading> batch;
+    for (SlotIndex t = first; t < end; ++t) {
+      for (std::size_t c = 0; c < kConsumers; ++c) {
+        batch.push_back({c, t, actual.consumer(c).readings[t]});
+        if (c == kConsumer && t == bad_slot) batch.back() = replacement;
+      }
+    }
+    monitor.ingest_batch(batch);
+    Run out;
+    out.report = hierarchy::to_text(monitor.evaluate_feeders(end - 1));
+    std::ostringstream state(std::ios::binary);
+    monitor.save(state);
+    out.state = state.str();
+    out.counters = metrics.snapshot();
+    return out;
+  };
+  const Run missing = run({kConsumer, bad_slot, 0.0, /*missing=*/true});
+  EXPECT_EQ(missing.counters.counter("monitor.readings_implausible"), 0u);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 2.0e6}) {
+    SCOPED_TRACE(::testing::Message() << "reading " << bad);
+    const Run got = run({kConsumer, bad_slot, bad});
+    EXPECT_EQ(got.report, missing.report);
+    EXPECT_EQ(got.state, missing.state);
+    EXPECT_EQ(got.counters.counter("monitor.readings_implausible"), 1u);
+    EXPECT_EQ(got.counters.counter("monitor.readings_missing"),
+              missing.counters.counter("monitor.readings_missing") - 1);
+    EXPECT_EQ(got.counters.counter("monitor.readings_ingested"),
+              missing.counters.counter("monitor.readings_ingested"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential: the hierarchy only appends, never perturbs.
 

@@ -95,10 +95,10 @@ constexpr MonitorRun kMonitorRuns[] = {{"kld", 1},      {"kld", 4},
 // the alerts by direction.
 constexpr const char* kMonitorCounters[] = {
     "monitor.readings_ingested",       "monitor.readings_missing",
-    "monitor.readings_in_cooldown",    "monitor.readings_stride_skipped",
-    "monitor.scores_coverage_gated",   "monitor.scores_evaluated",
-    "monitor.alerts_raised",           "monitor.alerts_over_report",
-    "monitor.alerts_under_report"};
+    "monitor.readings_implausible",    "monitor.readings_in_cooldown",
+    "monitor.readings_stride_skipped", "monitor.scores_coverage_gated",
+    "monitor.scores_evaluated",        "monitor.alerts_raised",
+    "monitor.alerts_over_report",      "monitor.alerts_under_report"};
 
 // Every ingested reading ends in exactly one counted fate.
 void expect_fates_add_up(const obs::MetricsSnapshot& snap) {
@@ -136,7 +136,17 @@ class ShardEquivalenceTest : public ::testing::Test {
 // The serial per-reading path at shards=1 is the semantic reference; every
 // shard count and batch parallelism must reproduce it byte-for-byte.
 TEST_F(ShardEquivalenceTest, MonitorAnyShardCountMatchesSerialReference) {
-  const auto readings = delivery_sequence(data_);
+  // Plus a few readings no meter could report, which every layout must
+  // count as implausible and keep out of the windows alike.
+  auto readings = delivery_sequence(data_);
+  std::size_t implausible = 0;
+  for (std::size_t n = 40; n < readings.size(); n += 97) {
+    if (readings[n].missing) continue;
+    readings[n].kw = n % 2 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                : -2.0e6;
+    ++implausible;
+  }
+  ASSERT_GT(implausible, 0u);
 
   for (const MonitorRun& run : kMonitorRuns) {
     SCOPED_TRACE(::testing::Message()
@@ -149,6 +159,7 @@ TEST_F(ShardEquivalenceTest, MonitorAnyShardCountMatchesSerialReference) {
     const std::string ref_bytes = checkpoint_bytes(*reference);
     const auto ref_snap = ref_reg.snapshot();
     expect_fates_add_up(ref_snap);
+    EXPECT_EQ(ref_snap.counter("monitor.readings_implausible"), implausible);
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
                                      std::size_t{8}, std::size_t{64}}) {
