@@ -741,11 +741,13 @@ void run_degradation(std::size_t max_consumers, std::size_t weeks,
       plan.seed = seed;
       network.set_fault_plan(fdeta::ami::FaultPlan(plan));
       network.set_retransmit({retries, 1});
+      fdeta::ami::CollectedReport collected(dataset);
       for (std::size_t w = 0; w < weeks; ++w) {
-        network.transmit(head_end, w * kSlotsPerWeek,
-                         (w + 1) * kSlotsPerWeek);
+        const fdeta::SlotIndex first = w * kSlotsPerWeek;
+        network.transmit(head_end, first, first + kSlotsPerWeek);
+        fdeta::ami::collect_reported(head_end, first, first + kSlotsPerWeek,
+                                     collected);
       }
-      const auto collected = fdeta::ami::collect_reported(head_end, dataset);
 
       fdeta::core::WeekCoverage coverage;
       coverage.missing_slots = collected.week_missing(week);

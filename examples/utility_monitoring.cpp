@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "ami/faults.h"
 #include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
 #include "core/pipeline.h"
@@ -61,15 +62,9 @@ int main() {
               network.messages_sent(), network.messages_tampered());
 
   // Assemble the head-end's reported dataset D'.
-  std::vector<meter::ConsumerSeries> reported_series;
-  for (std::size_t c = 0; c < consumers; ++c) {
-    meter::ConsumerSeries s;
-    s.id = actual.consumer(c).id;
-    s.type = actual.consumer(c).type;
-    s.readings = head_end.consumer_readings(c);
-    reported_series.push_back(std::move(s));
-  }
-  const meter::Dataset reported(std::move(reported_series));
+  ami::CollectedReport collected(actual);
+  ami::collect_reported(head_end, 0, actual.slot_count(), collected);
+  const meter::Dataset& reported = collected.dataset;
 
   // --- The utility runs the five-step pipeline.
   core::PipelineConfig config;

@@ -1,6 +1,5 @@
 #include "ami/faults.h"
 
-#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <utility>
@@ -162,14 +161,26 @@ DeliveryAttempt FaultPlan::apply(const ReadingReport& report,
   return out;
 }
 
+CollectedReport::CollectedReport(const meter::Dataset& shape)
+    : missing(shape.consumer_count(),
+              std::vector<char>(shape.slot_count(), 1)) {
+  std::vector<meter::ConsumerSeries> series(shape.consumer_count());
+  for (std::size_t c = 0; c < series.size(); ++c) {
+    series[c].id = shape.consumer(c).id;
+    series[c].type = shape.consumer(c).type;
+    series[c].readings.assign(shape.slot_count(), 0.0);
+  }
+  dataset = meter::Dataset(std::move(series));
+}
+
 std::vector<std::uint32_t> CollectedReport::week_missing(
     std::size_t week) const {
   const auto slots = static_cast<std::size_t>(kSlotsPerWeek);
+  require((week + 1) * slots <= collected,
+          "CollectedReport::week_missing: week not collected");
   std::vector<std::uint32_t> counts(missing.size(), 0);
   for (std::size_t c = 0; c < missing.size(); ++c) {
     const auto& mask = missing[c];
-    require((week + 1) * slots <= mask.size(),
-            "CollectedReport::week_missing: week out of range");
     for (std::size_t s = 0; s < slots; ++s) {
       if (mask[week * slots + s]) ++counts[c];
     }
@@ -177,56 +188,31 @@ std::vector<std::uint32_t> CollectedReport::week_missing(
   return counts;
 }
 
-CollectedReport collect_reported(const HeadEnd& head_end,
-                                 const meter::Dataset& shape) {
-  require(head_end.consumer_count() == shape.consumer_count(),
+void collect_reported(const HeadEnd& head_end, SlotIndex first,
+                      SlotIndex last, CollectedReport& out) {
+  const std::size_t consumers = out.dataset.consumer_count();
+  require(head_end.consumer_count() == consumers,
           "collect_reported: consumer count mismatch");
-  require(head_end.slot_count() == shape.slot_count(),
+  require(head_end.slot_count() == out.dataset.slot_count(),
           "collect_reported: slot count mismatch");
-  const std::size_t consumers = shape.consumer_count();
-  const std::size_t horizon = shape.slot_count();
-  const auto slots = static_cast<std::size_t>(kSlotsPerWeek);
-  CollectedReport out;
-  out.missing.assign(consumers, std::vector<char>(horizon, 0));
-  std::vector<meter::ConsumerSeries> series(consumers);
-  for (std::size_t c = 0; c < consumers; ++c) {
-    series[c].id = shape.consumer(c).id;
-    series[c].type = shape.consumer(c).type;
-    series[c].readings.assign(horizon, 0.0);
-  }
-  // One pass over the head-end's slot rows fills every series and mask.
-  for (SlotIndex t = 0; t < horizon; ++t) {
+  require(first == out.collected && first <= last &&
+              last <= out.dataset.slot_count(),
+          "collect_reported: slots must be collected in order");
+  // A gap takes the collected cell one week back - the most recent
+  // accepted reading at the same slot-of-week position, the least
+  // surprising stand-in for detectors that are not coverage-aware.
+  // Coverage-aware callers consult the mask and never score a gated week.
+  const auto week = static_cast<SlotIndex>(kSlotsPerWeek);
+  for (SlotIndex t = first; t < last; ++t) {
     for (std::size_t c = 0; c < consumers; ++c) {
-      if (head_end.has_reading(c, t)) {
-        series[c].readings[t] = head_end.reading(c, t);
-      } else {
-        out.missing[c][t] = 1;
-      }
+      std::vector<Kw>& values = out.dataset.consumer(c).readings;
+      const bool has = head_end.has_reading(c, t);
+      values[t] = has ? head_end.reading(c, t)
+                      : (t >= week ? values[t - week] : 0.0);
+      out.missing[c][t] = has ? 0 : 1;
     }
   }
-  // Fill gaps with the most recent accepted reading at the same slot-of-week
-  // position - the least surprising stand-in for detectors that are not
-  // coverage-aware.  Coverage-aware callers consult the mask and never score
-  // a gated week at all.
-  std::vector<Kw> last(slots);
-  std::vector<char> seen(slots);
-  for (std::size_t c = 0; c < consumers; ++c) {
-    std::vector<Kw>& values = series[c].readings;
-    const std::vector<char>& mask = out.missing[c];
-    std::fill(last.begin(), last.end(), 0.0);
-    std::fill(seen.begin(), seen.end(), 0);
-    for (std::size_t t = 0; t < horizon; ++t) {
-      const std::size_t column = t % slots;
-      if (!mask[t]) {
-        last[column] = values[t];
-        seen[column] = 1;
-      } else if (seen[column]) {
-        values[t] = last[column];
-      }
-    }
-  }
-  out.dataset = meter::Dataset(std::move(series));
-  return out;
+  out.collected = last;
 }
 
 }  // namespace fdeta::ami

@@ -94,22 +94,36 @@ class FaultPlan {
 
 /// The head-end's collected view materialised for the batch pipeline:
 /// readings plus an explicit per-slot missing mask, so downstream consumers
-/// can gate on coverage instead of scoring imputed values.
+/// can gate on coverage instead of scoring imputed values.  Sized from the
+/// dataset up front and filled a slot range at a time by
+/// collect_reported(), so a caller collects each transmit's slots while the
+/// head-end still holds them.
 struct CollectedReport {
+  /// Shaped like `shape` (ids and types copied), with no slot collected:
+  /// every reading 0 and every slot missing.
+  explicit CollectedReport(const meter::Dataset& shape);
+
   /// Missing slots hold the last received reading at the same slot-of-week
   /// position (never an imputed zero); slots never observed at that position
   /// carry 0 and are only usable behind the coverage gate.
   meter::Dataset dataset;
   /// missing[consumer][slot] != 0 for every slot the head-end never accepted.
   std::vector<std::vector<char>> missing;
+  /// Slots [0, collected) are filled in.
+  SlotIndex collected = 0;
 
-  /// Per-consumer missing-slot counts for one week (coverage-gate input).
+  /// Per-consumer missing-slot counts for one collected week
+  /// (coverage-gate input).
   std::vector<std::uint32_t> week_missing(std::size_t week) const;
 };
 
-/// Reads the head-end back into a dataset shaped like `shape` (ids/types are
-/// copied from it; values come from the head-end).
-CollectedReport collect_reported(const HeadEnd& head_end,
-                                 const meter::Dataset& shape);
+/// Reads slots [first, last) of the head-end into `out`, which collects
+/// them in order: `first` must be out.collected, and the slots must still
+/// be held (transmit(first, last) leaves them so until the next transmit).
+/// A missing cell at slot t takes the collected cell at t - 336, or 0 in
+/// week 0: the last accepted reading at its slot-of-week, since a filled
+/// cell already carries that value forward.
+void collect_reported(const HeadEnd& head_end, SlotIndex first,
+                      SlotIndex last, CollectedReport& out);
 
 }  // namespace fdeta::ami

@@ -16,27 +16,61 @@ namespace fdeta::ami {
 
 HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
                  obs::MetricsRegistry* metrics, HeadEndConfig config)
-    : consumers_(consumers), slots_(slots), missing_(consumers * slots) {
-  values_.assign(consumers * slots, 0.0);
-  received_.assign(consumers * slots, 0);
-  sequences_.assign(consumers * slots, 0);
+    : consumers_(consumers),
+      slots_(slots),
+      rows_(std::make_unique<std::atomic<Cell*>[]>(slots)),
+      missing_(consumers * slots) {
   obs::MetricsRegistry& registry =
       metrics != nullptr ? *metrics : obs::default_registry();
   shards_ = ShardLayer(config.shards, consumers,
                        shared_pool().thread_count() + 1, registry, "ami");
   reports_received_ = &registry.counter("ami.reports_received");
   reports_overwritten_ = &registry.counter("ami.reports_overwritten");
+  reports_accepted_ = &registry.counter("ami.reports_accepted");
   duplicates_suppressed_ = &registry.counter("ami.duplicates_suppressed");
   stale_rejected_ = &registry.counter("ami.reports_stale_rejected");
   quarantined_counter_ = &registry.counter("ami.reports_quarantined");
+  too_late_counter_ = &registry.counter("ami.reports_too_late");
   missing_gauge_ = &registry.gauge("ami.reports_missing");
   missing_gauge_->set(static_cast<std::int64_t>(missing_count()));
+  slots_held_ = &registry.gauge("ami.slots_held");
+}
+
+HeadEnd::~HeadEnd() { close_before(slots_); }
+
+HeadEnd::Cell* HeadEnd::open_row(SlotIndex slot) {
+  std::lock_guard<std::mutex> lock(open_mutex_);
+  Cell* row = rows_[slot].load(std::memory_order_relaxed);
+  if (row == nullptr) {
+    row = new Cell[consumers_]();
+    rows_[slot].store(row, std::memory_order_release);
+    slots_held_->add(1);
+  }
+  return row;
+}
+
+void HeadEnd::close_before(SlotIndex first) {
+  require(first <= slots_, "HeadEnd::close_before: slot out of range");
+  for (; closed_ < first; ++closed_) {
+    Cell* row = rows_[closed_].exchange(nullptr, std::memory_order_relaxed);
+    if (row != nullptr) {
+      delete[] row;
+      slots_held_->add(-1);
+    }
+  }
 }
 
 ReceiveOutcome HeadEnd::apply(const ReadingReport& report, Tally& tally) {
   // Every delivered message is accounted here, whatever its fate, so the
   // plane-level conservation identity received == sent - dropped holds.
   ++tally.received;
+
+  if (report.slot < closed_) {
+    // The slot's row is gone: no transmit over it is still running, so
+    // this came from outside the plane's own delivery cycle.
+    ++tally.too_late;
+    return ReceiveOutcome::kTooLate;
+  }
 
   if (!std::isfinite(report.kw) || report.kw < 0.0 ||
       report.kw > kMaxPlausibleKw) {
@@ -46,29 +80,29 @@ ReceiveOutcome HeadEnd::apply(const ReadingReport& report, Tally& tally) {
     return ReceiveOutcome::kQuarantined;
   }
 
-  const std::size_t cell = report.slot * consumers_ + report.consumer_index;
-  char& seen = received_[cell];
-  std::uint32_t& stored = sequences_[cell];
-  if (seen) {
-    if (report.sequence == stored) {
+  Cell* row = rows_[report.slot].load(std::memory_order_acquire);
+  if (row == nullptr) row = open_row(report.slot);
+  Cell& cell = row[report.consumer_index];
+  if (cell.received) {
+    if (report.sequence == cell.sequence) {
       ++tally.duplicates;
       return ReceiveOutcome::kDuplicate;
     }
-    if (report.sequence < stored) {
+    if (report.sequence < cell.sequence) {
       // A delayed copy of an older transmission must not clobber the
       // fresher reading (the stale-duplicate bug this path fixes).
       ++tally.stale;
       return ReceiveOutcome::kStale;
     }
-    values_[cell] = report.kw;
-    stored = report.sequence;
+    cell.value = report.kw;
+    cell.sequence = report.sequence;
     ++tally.overwritten;
     return ReceiveOutcome::kAccepted;
   }
 
-  values_[cell] = report.kw;
-  stored = report.sequence;
-  seen = 1;
+  cell.value = report.kw;
+  cell.sequence = report.sequence;
+  cell.received = 1;
   ++tally.filled;
   return ReceiveOutcome::kAccepted;
 }
@@ -79,6 +113,11 @@ void HeadEnd::publish(const Tally& tally) {
   constexpr auto relaxed = std::memory_order_relaxed;
   if (tally.received > 0) reports_received_->add(tally.received);
   if (tally.overwritten > 0) reports_overwritten_->add(tally.overwritten);
+  const std::uint64_t accepted = tally.filled + tally.overwritten;
+  if (accepted > 0) {
+    reports_accepted_->add(accepted);
+    accepted_.fetch_add(accepted, relaxed);
+  }
   if (tally.duplicates > 0) {
     duplicates_suppressed_->add(tally.duplicates);
     duplicates_.fetch_add(tally.duplicates, relaxed);
@@ -90,6 +129,10 @@ void HeadEnd::publish(const Tally& tally) {
   if (tally.quarantined > 0) {
     quarantined_counter_->add(tally.quarantined);
     quarantined_.fetch_add(tally.quarantined, relaxed);
+  }
+  if (tally.too_late > 0) {
+    too_late_counter_->add(tally.too_late);
+    too_late_.fetch_add(tally.too_late, relaxed);
   }
   if (tally.filled > 0) {
     const std::size_t left =
@@ -137,37 +180,6 @@ std::vector<ReceiveOutcome> HeadEnd::receive_batch(
       /*threads=*/1);
   publish(tally);
   return outcomes;
-}
-
-bool HeadEnd::has_reading(std::size_t consumer, SlotIndex slot) const {
-  require(consumer < consumers_, "HeadEnd::has_reading: out of range");
-  require(slot < slots_, "HeadEnd::has_reading: slot out of range");
-  return received_[slot * consumers_ + consumer] != 0;
-}
-
-Kw HeadEnd::reading(std::size_t consumer, SlotIndex slot) const {
-  require(has_reading(consumer, slot), "HeadEnd::reading: missing reading");
-  return values_[slot * consumers_ + consumer];
-}
-
-std::vector<Kw> HeadEnd::consumer_readings(std::size_t consumer) const {
-  require(consumer < consumers_,
-          "HeadEnd::consumer_readings: out of range");
-  std::vector<Kw> out(slots_);
-  for (std::size_t t = 0; t < slots_; ++t) {
-    out[t] = values_[t * consumers_ + consumer];
-  }
-  return out;
-}
-
-std::vector<Kw> HeadEnd::consumer_readings(
-    std::size_t consumer, std::vector<char>& missing_mask) const {
-  std::vector<Kw> out = consumer_readings(consumer);
-  missing_mask.assign(slots_, 0);
-  for (std::size_t t = 0; t < slots_; ++t) {
-    if (!received_[t * consumers_ + consumer]) missing_mask[t] = 1;
-  }
-  return out;
 }
 
 MeterNetwork::MeterNetwork(const meter::Dataset& actual,
@@ -221,6 +233,11 @@ void MeterNetwork::transmit(HeadEnd& head_end, SlotIndex first,
               head_end.slot_count() >= last,
           "MeterNetwork::transmit: head-end does not cover the dataset's "
           "consumers and slots");
+  require(first >= head_end.closed_before(),
+          "MeterNetwork::transmit: the head-end has closed slots in range");
+  // Nothing for a slot below `first` is in flight: every earlier call
+  // drained its own delay queue and NACK rounds before returning.
+  head_end.close_before(first);
   const std::size_t sent_before = messages_sent_;
   const std::size_t tampered_before = messages_tampered_;
   const std::size_t dropped_before = messages_dropped_;

@@ -19,11 +19,12 @@
 // Telemetry (obs/metrics.h): per-delivery accounting of the reporting plane
 // - ami.messages_sent / ami.messages_tampered / ami.messages_dropped /
 // ami.deliveries / ami.retries / ami.late_accepted from the network side,
-// ami.reports_received / ami.reports_overwritten /
-// ami.duplicates_suppressed / ami.reports_stale_rejected /
-// ami.reports_quarantined and the ami.reports_missing gauge from the
-// head-end side.  Pass a MetricsRegistry to isolate an instance; null uses
-// the process-wide default registry.
+// ami.reports_received, ami.reports_overwritten, one counter per report
+// fate (ami.reports_accepted / ami.duplicates_suppressed /
+// ami.reports_stale_rejected / ami.reports_quarantined /
+// ami.reports_too_late), and the ami.reports_missing and ami.slots_held
+// gauges from the head-end side.  Pass a MetricsRegistry to isolate an
+// instance; null uses the process-wide default registry.
 #pragma once
 
 #include <atomic>
@@ -31,10 +32,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/error.h"
 #include "common/sharding.h"
 #include "common/units.h"
 #include "meter/dataset.h"
@@ -68,12 +71,15 @@ struct ReadingReport {
 using Interceptor =
     std::function<std::optional<ReadingReport>(const ReadingReport&)>;
 
-/// What the head-end did with one delivered report.
+/// What the head-end did with one delivered report.  Every report gets
+/// exactly one fate, so received = accepted + duplicate + stale +
+/// quarantined + too late.
 enum class ReceiveOutcome : std::uint8_t {
   kAccepted,     ///< stored (first report, or newer sequence overwrote)
   kDuplicate,    ///< same sequence already stored; suppressed
   kStale,        ///< older sequence than stored; rejected
   kQuarantined,  ///< non-finite / out-of-range value; never stored
+  kTooLate,      ///< its slot is closed (HeadEnd::close_before); dropped
 };
 
 /// How the head-end splits its per-consumer state.
@@ -89,29 +95,45 @@ struct HeadEndConfig {
 /// tracked explicitly so the balance layer can treat "no report" distinctly
 /// from "zero demand".
 ///
-/// Layout: the stored state is slot-major, one row of consumer_count()
-/// cells per slot (cell [t * consumers + c]), so one slot's deliveries, its
-/// NACK scan and its read-out each walk one contiguous row.
+/// Layout: cells exist only for open slots.  A slot's row - one cell (value,
+/// sequence, received flag) per consumer - opens with the first report for
+/// that slot and never moves; close_before() releases it.  The constructor
+/// allocates no cell, so the head-end holds consumer_count() x open slots:
+/// one row for a caller that transmits and reads one slot per call, a
+/// week's rows for one that transmits a week per call.  One slot's
+/// deliveries, its NACK scan and its read-out each walk one row.  A closed
+/// slot is gone for good: a report for it is kTooLate, and reading it
+/// throws.
 ///
 /// Thread-safety: per-consumer state is sharded (contiguous ranges of
 /// consumer indexes) with one lock per shard, so concurrent receive() /
 /// receive_batch() calls from multiple collector feeds are safe and scale
-/// until feeds collide on a shard.  Each call counts its outcomes locally
-/// and publishes them to the atomic tallies and the registry once, after
-/// it has applied its reports.  Readers (has_reading / reading /
-/// consumer_readings) are unsynchronised and the tallies lag a call in
-/// flight: quiesce the feeds before reading collected state (the transmit
-/// -> collect cycle already alternates phases).
+/// until feeds collide on a shard.  Opening a row is the one step that
+/// spans shards: the first report for a slot allocates its row under one
+/// mutex and publishes it through the slot's atomic row pointer, so feeds
+/// racing on a new slot open it once, and every other report pays one
+/// pointer load.  Each call counts its outcomes locally and publishes them
+/// to the atomic tallies and the registry once, after it has applied its
+/// reports.  Readers (has_reading / reading), close_before() and the
+/// tallies are unsynchronised with the feeds: quiesce the feeds before
+/// calling them (the transmit -> collect cycle already alternates phases).
 class HeadEnd {
  public:
+  /// `metrics` (null: the default registry) must outlive the head-end,
+  /// whose destructor takes its held rows off ami.slots_held.
   HeadEnd(std::size_t consumers, std::size_t slots,
           obs::MetricsRegistry* metrics = nullptr, HeadEndConfig config = {});
+  ~HeadEnd();
 
-  /// Ingests one report.  Newest-sequence-wins: a report whose sequence is
-  /// older than the stored one is rejected (kStale), an equal sequence is a
-  /// suppressed duplicate, and a corrupt/out-of-range value is quarantined
-  /// without touching the stored reading.  ami.reports_received counts every
-  /// call regardless of outcome (delivery-side conservation).
+  HeadEnd(const HeadEnd&) = delete;
+  HeadEnd& operator=(const HeadEnd&) = delete;
+
+  /// Ingests one report.  A report for a closed slot is kTooLate.
+  /// Otherwise newest-sequence-wins: a report whose sequence is older than
+  /// the stored one is rejected (kStale), an equal sequence is a suppressed
+  /// duplicate, and a corrupt/out-of-range value is quarantined without
+  /// touching the stored reading.  ami.reports_received counts every call
+  /// regardless of outcome (delivery-side conservation).
   /// Thread-safe: takes the consumer's shard lock.
   ReceiveOutcome receive(const ReadingReport& report);
 
@@ -125,33 +147,47 @@ class HeadEnd {
   std::vector<ReceiveOutcome> receive_batch(
       std::span<const ReadingReport> reports);
 
+  /// Closes every slot below `first` and releases its row.  A `first` at
+  /// or below closed_before() changes nothing.  Needs the feeds quiesced.
+  /// MeterNetwork::transmit(first, last) calls it before sending, so
+  /// [first, last) stays readable until the next transmit.
+  void close_before(SlotIndex first);
+
+  /// Slots below this one are closed (0 until close_before() moves it).
+  SlotIndex closed_before() const { return closed_; }
+
   std::size_t consumer_count() const { return consumers_; }
   std::size_t slot_count() const { return slots_; }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
   std::size_t shard_count() const { return shards_.count(); }
 
-  bool has_reading(std::size_t consumer, SlotIndex slot) const;
-  Kw reading(std::size_t consumer, SlotIndex slot) const;
+  /// Whether the cell holds an accepted report.  Throws InvalidArgument for
+  /// an index out of range or a closed slot.
+  bool has_reading(std::size_t consumer, SlotIndex slot) const {
+    const Cell* cell = cell_of(consumer, slot);
+    return cell != nullptr && cell->received != 0;
+  }
 
-  /// Reported readings for one consumer (missing slots filled with 0),
-  /// gathered from its column of the slot rows.
-  /// Prefer the mask overload below: a 0 here is indistinguishable from a
-  /// dropped report, and downstream consumers must not impute demand.
-  std::vector<Kw> consumer_readings(std::size_t consumer) const;
+  /// The accepted reading; throws InvalidArgument where has_reading() is
+  /// false or throws.
+  Kw reading(std::size_t consumer, SlotIndex slot) const {
+    const Cell* cell = cell_of(consumer, slot);
+    require(cell != nullptr && cell->received != 0,
+            "HeadEnd::reading: missing reading");
+    return cell->value;
+  }
 
-  /// As above, but also fills `missing_mask` (resized to slot_count()) with
-  /// 1 for every slot that never received a report, so callers can count
-  /// missing readings instead of imputing 0.
-  std::vector<Kw> consumer_readings(std::size_t consumer,
-                                    std::vector<char>& missing_mask) const;
-
-  /// Slots (over all consumers) that never received a report.  O(1).
+  /// Cells (over all consumers and the whole horizon) that never received
+  /// a report, closed slots included.  O(1).
   std::size_t missing_count() const {
     return missing_.load(std::memory_order_relaxed);
   }
 
-  /// Ingest-hardening tallies (also exported as ami.* counters).
+  /// Report fates (also exported as ami.* counters).
+  std::size_t accepted_count() const {
+    return accepted_.load(std::memory_order_relaxed);
+  }
   std::size_t quarantined_count() const {
     return quarantined_.load(std::memory_order_relaxed);
   }
@@ -161,18 +197,41 @@ class HeadEnd {
   std::size_t stale_rejected() const {
     return stale_.load(std::memory_order_relaxed);
   }
+  std::size_t too_late_count() const {
+    return too_late_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// One consumer's state for one open slot.
+  struct Cell {
+    Kw value = 0.0;
+    std::uint32_t sequence = 0;
+    char received = 0;
+  };
+
   /// Outcome counts of one receive() / receive_batch() call, published once
-  /// per call.
+  /// per call.  Accepted reports are `filled` + `overwritten`.
   struct Tally {
     std::uint64_t received = 0;
     std::uint64_t overwritten = 0;
     std::uint64_t duplicates = 0;
     std::uint64_t stale = 0;
     std::uint64_t quarantined = 0;
+    std::uint64_t too_late = 0;
     std::uint64_t filled = 0;  ///< cells that stopped being missing
   };
+
+  /// The cell of a held slot, or null if no report has opened its row.
+  const Cell* cell_of(std::size_t consumer, SlotIndex slot) const {
+    require(consumer < consumers_, "HeadEnd: consumer out of range");
+    require(slot >= closed_ && slot < slots_,
+            "HeadEnd: slot closed or out of range");
+    const Cell* row = rows_[slot].load(std::memory_order_acquire);
+    return row != nullptr ? row + consumer : nullptr;
+  }
+
+  /// Returns `slot`'s row, allocating and publishing it if no feed has yet.
+  Cell* open_row(SlotIndex slot);
 
   /// receive() body, minus locking and publishing; the caller holds the
   /// consumer's shard lock.
@@ -184,31 +243,38 @@ class HeadEnd {
 
   std::size_t consumers_;
   std::size_t slots_;
-  // Slot-major rows ([t * consumers_ + c]): one allocation per field for
-  // the whole horizon instead of three vectors per consumer.
-  std::vector<Kw> values_;
-  std::vector<char> received_;
-  std::vector<std::uint32_t> sequences_;
+  /// rows_[t] is slot t's row of consumers_ cells, or null while no report
+  /// has opened it and after it closed.  Owned here: released by
+  /// close_before() and the destructor.
+  std::unique_ptr<std::atomic<Cell*>[]> rows_;
+  /// Slots below closed_ are closed; written only with the feeds quiesced.
+  SlotIndex closed_ = 0;
+  /// Serialises feeds that race to open the same row.
+  std::mutex open_mutex_;
 
-  // Shard layer: each shard owns a contiguous range of consumers' cells
-  // above.
-  // Its per-shard health series are "ami.shardNN.*".
+  // Shard layer: each shard owns a contiguous range of consumers' cells in
+  // every row.  Its per-shard health series are "ami.shardNN.*".
   ShardLayer shards_;
 
   // Tallies are atomic so concurrent feeds keep them exact (relaxed order:
   // they are monotone counts, never used to synchronise state).  Each call
   // adds to them once.
   std::atomic<std::size_t> missing_{0};
+  std::atomic<std::size_t> accepted_{0};
   std::atomic<std::size_t> quarantined_{0};
   std::atomic<std::size_t> duplicates_{0};
   std::atomic<std::size_t> stale_{0};
+  std::atomic<std::size_t> too_late_{0};
 
   obs::Counter* reports_received_ = nullptr;
   obs::Counter* reports_overwritten_ = nullptr;
+  obs::Counter* reports_accepted_ = nullptr;
   obs::Counter* duplicates_suppressed_ = nullptr;
   obs::Counter* stale_rejected_ = nullptr;
   obs::Counter* quarantined_counter_ = nullptr;
+  obs::Counter* too_late_counter_ = nullptr;
   obs::Gauge* missing_gauge_ = nullptr;
+  obs::Gauge* slots_held_ = nullptr;  ///< +1 per row opened, -1 per closed
 };
 
 /// NACK-driven repair budget for transmit(): after the initial pass the
@@ -251,9 +317,13 @@ class MeterNetwork {
   /// delay queue.  Deliveries reach the head-end through receive_batch(),
   /// one batch per slot row (plus the delayed reports that came due), in
   /// the order a report-by-report replay would deliver them.  Emits one
-  /// delivery_summary event per call.  Throws InvalidArgument before
-  /// sending anything if the range is bad or the head-end does not cover
-  /// the dataset's consumers and slots [0, last).
+  /// delivery_summary event per call.  Before sending it closes the
+  /// head-end's slots below `first` (HeadEnd::close_before): nothing for
+  /// them is in flight, since every call drains its own delay queue and
+  /// NACK rounds, so [first, last) is readable until the next call.
+  /// Throws InvalidArgument before sending anything if the range is bad,
+  /// the head-end does not cover the dataset's consumers and slots
+  /// [0, last), or `first` lies below the head-end's closed_before().
   void transmit(HeadEnd& head_end, SlotIndex first, SlotIndex last);
 
   std::size_t messages_sent() const { return messages_sent_; }

@@ -72,9 +72,10 @@ struct AlertEvent {
 };
 
 /// One reported reading as delivered by the AMI head-end.  `missing` marks
-/// a slot the head-end never received (see HeadEnd::consumer_readings with
-/// a mask): it is counted, not imputed - the sliding window keeps its last
-/// slot-aligned value and no score is evaluated for it.
+/// a slot the head-end never received (HeadEnd::has_reading is false, or
+/// ami::CollectedReport's mask is set): it is counted, not imputed - the
+/// sliding window keeps its last slot-aligned value and no score is
+/// evaluated for it.
 struct Reading {
   std::size_t consumer_index = 0;
   SlotIndex slot = 0;  ///< absolute slot of the reading

@@ -24,7 +24,10 @@ TEST_F(AmiTest, HonestTransmissionDeliversEverything) {
   EXPECT_EQ(net.messages_tampered(), 0u);
   EXPECT_EQ(head_end.missing_count(), 0u);
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(head_end.consumer_readings(c), actual_.consumer(c).readings);
+    for (SlotIndex t = 0; t < actual_.slot_count(); ++t) {
+      EXPECT_EQ(head_end.reading(c, t), actual_.consumer(c).readings[t])
+          << "c=" << c << " t=" << t;
+    }
   }
 }
 
@@ -123,6 +126,19 @@ TEST_F(AmiTest, HeadEndValidatesIndices) {
   HeadEnd head_end(2, 10);
   EXPECT_THROW(head_end.receive(ReadingReport{5, 0, 1.0}), InvalidArgument);
   EXPECT_THROW(head_end.receive(ReadingReport{0, 10, 1.0}), InvalidArgument);
+  EXPECT_THROW(head_end.has_reading(2, 0), InvalidArgument);
+  EXPECT_THROW(head_end.has_reading(0, 10), InvalidArgument);
+
+  // A closed slot is gone: reading it throws, while the first held slot
+  // and a never-touched one still answer.
+  head_end.receive(ReadingReport{0, 4, 1.0});
+  head_end.close_before(4);
+  EXPECT_EQ(head_end.closed_before(), 4u);
+  EXPECT_THROW(head_end.has_reading(0, 3), InvalidArgument);
+  EXPECT_THROW(head_end.reading(0, 3), InvalidArgument);
+  EXPECT_TRUE(head_end.has_reading(0, 4));
+  EXPECT_FALSE(head_end.has_reading(1, 9));
+  EXPECT_THROW(head_end.close_before(11), InvalidArgument);
 }
 
 }  // namespace

@@ -10,8 +10,15 @@
 //  - one seeded all-channel scenario keeps its exact counts and missing
 //    cells, so the order in which the plane delivers cannot drift
 //    unnoticed;
+//  - every report the head-end receives ends in exactly one counted fate:
+//    received = accepted + duplicate + stale + quarantined + too late;
 //  - the head-end's final state is invariant under delivery order and
 //    duplication of the same report set (newest-sequence-wins);
+//  - a report for a slot a later transmit closed is too late, never
+//    stored, and the head-end holds only the rows its transmit calls leave
+//    open;
+//  - collecting slot ranges in order fills each gap with the last accepted
+//    reading at its slot-of-week, or 0 before the first;
 //  - a delayed copy of an older transmission can never clobber a fresher
 //    reading (the stale-duplicate regression);
 //  - transmit + retransmit with an ample retry budget converges EXACTLY to
@@ -21,9 +28,11 @@
 //    never as theft.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +49,25 @@
 
 namespace fdeta::ami {
 namespace {
+
+// The head-end's conservation identity, read from its counters.
+void expect_fates_add_up(const obs::MetricsSnapshot& snap) {
+  EXPECT_EQ(snap.counter("ami.reports_received"),
+            snap.counter("ami.reports_accepted") +
+                snap.counter("ami.duplicates_suppressed") +
+                snap.counter("ami.reports_stale_rejected") +
+                snap.counter("ami.reports_quarantined") +
+                snap.counter("ami.reports_too_late"));
+}
+
+// Transmits [first, last) and collects it before the next transmit closes
+// it.
+void transmit_and_collect(MeterNetwork& network, HeadEnd& head_end,
+                          SlotIndex first, SlotIndex last,
+                          CollectedReport& out) {
+  network.transmit(head_end, first, last);
+  collect_reported(head_end, first, last, out);
+}
 
 bool same_outcome(const DeliveryAttempt& a, const DeliveryAttempt& b) {
   const bool kw_equal =
@@ -200,8 +228,9 @@ TEST(HeadEndChaos, FinalStateInvariantUnderOrderAndDuplication) {
     for (const auto& r : batch) head_end.receive(r);
     std::vector<Kw> flat;
     for (std::size_t c = 0; c < kConsumers; ++c) {
-      const auto v = head_end.consumer_readings(c);
-      flat.insert(flat.end(), v.begin(), v.end());
+      for (SlotIndex t = 0; t < kSlots; ++t) {
+        flat.push_back(head_end.reading(c, t));
+      }
     }
     return flat;
   };
@@ -278,6 +307,150 @@ TEST(HeadEndChaos, QuarantineNeverStoresImpossibleValues) {
   EXPECT_DOUBLE_EQ(head_end.reading(0, 0), 1.25);
 }
 
+// A transmit closes every slot below its first: a report that still
+// arrives for one is too late - counted, never stored - and the slot can
+// no longer be read or transmitted again.
+TEST(HeadEndChaos, ClosedSlotReportIsTooLate) {
+  const auto actual = datagen::small_dataset(3, 1, 19);
+  obs::MetricsRegistry reg;
+  MeterNetwork network(actual, &reg);
+  HeadEnd head_end(actual.consumer_count(), actual.slot_count(), &reg);
+  network.transmit(head_end, 0, 8);
+  network.transmit(head_end, 8, 16);
+  EXPECT_EQ(head_end.closed_before(), 8u);
+  const std::size_t missing = head_end.missing_count();
+  const auto before = reg.snapshot();
+
+  EXPECT_EQ(head_end.receive({1, 3, 2.5, 99}), ReceiveOutcome::kTooLate);
+  const auto after = reg.snapshot();
+  EXPECT_EQ(head_end.too_late_count(), 1u);
+  EXPECT_EQ(after.counter("ami.reports_too_late"), 1u);
+  EXPECT_EQ(after.counter("ami.reports_accepted"),
+            before.counter("ami.reports_accepted"));
+  EXPECT_EQ(after.gauge("ami.slots_held"), before.gauge("ami.slots_held"));
+  EXPECT_EQ(head_end.missing_count(), missing);
+  EXPECT_THROW(head_end.has_reading(1, 3), InvalidArgument);
+  EXPECT_THROW(head_end.reading(1, 3), InvalidArgument);
+  expect_fates_add_up(after);
+
+  // Re-sending a closed range is refused before anything is sent, and the
+  // held slots stay readable.
+  const std::size_t sent = network.messages_sent();
+  EXPECT_THROW(network.transmit(head_end, 0, 8), InvalidArgument);
+  EXPECT_EQ(network.messages_sent(), sent);
+  EXPECT_TRUE(head_end.has_reading(1, 8));
+  EXPECT_DOUBLE_EQ(head_end.reading(1, 8), actual.consumer(1).readings[8]);
+}
+
+// The head-end holds only the rows its transmit calls leave open.  At the
+// benchmark stream's shape - 4,000 consumers, a 2,352-slot horizon, its
+// fault plan and 2 NACK rounds - a slot-at-a-time loop holds one row however
+// far it runs, and a transmit over a whole week holds the week's 336.
+TEST(HeadEndChaos, HeldRowsStayBounded) {
+  constexpr std::size_t kConsumers = 4000;
+  constexpr std::size_t kHorizon = 2352;
+  const auto actual = datagen::small_dataset(kConsumers, 2, 43);
+  obs::MetricsRegistry reg;
+  MeterNetwork network(actual, &reg);
+  HeadEnd head_end(kConsumers, kHorizon, &reg);
+  FaultPlanConfig fc;
+  fc.drop_rate = 0.02;
+  fc.duplicate_rate = 0.01;
+  fc.reorder_rate = 0.02;
+  fc.max_delay_slots = 4;
+  fc.corrupt_rate = 0.001;
+  fc.seed = 43;
+  network.set_fault_plan(FaultPlan(fc));
+  network.set_retransmit({.max_retries = 2, .backoff_base_slots = 1});
+  const obs::Gauge& held = reg.gauge("ami.slots_held");
+  EXPECT_EQ(held.value(), 0);  // the constructor allocates no row
+
+  std::size_t delivered = 0;
+  for (SlotIndex t = 0; t < 100; ++t) {
+    network.transmit(head_end, t, t + 1);
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      if (head_end.has_reading(c, t) &&
+          head_end.reading(c, t) == actual.consumer(c).readings[t]) {
+        ++delivered;
+      }
+    }
+    ASSERT_EQ(held.value(), 1) << "after slot " << t;
+  }
+  // Every cell of the horizon was either delivered intact or is missing.
+  EXPECT_EQ(delivered + head_end.missing_count(), kHorizon * kConsumers);
+
+  const auto week = static_cast<SlotIndex>(kSlotsPerWeek);
+  network.transmit(head_end, week, 2 * week);
+  EXPECT_EQ(held.value(), kSlotsPerWeek);
+  expect_fates_add_up(reg.snapshot());
+}
+
+// ---------------------------------------------------------------------------
+// Collection.
+
+// collect_reported fills a gap with the collected cell one week back, which
+// already carries the last accepted reading at that slot-of-week: the rule
+// a two-pass fill over the whole horizon gives.  Hand-picked cells are
+// dropped on the wire, and the slots are collected in ranges of 1, 7 and
+// the rest, each right after its transmit.
+TEST(CollectReported, GapFillCarriesTheSlotOfWeekForward) {
+  const auto actual = datagen::small_dataset(3, 3, 53);
+  const auto week = static_cast<SlotIndex>(kSlotsPerWeek);
+  using Cell = std::pair<std::size_t, SlotIndex>;
+  const std::vector<Cell> dropped = {
+      {0, 5},              // week 0: nothing to carry, so 0
+      {1, week + 20},      // weeks 1 and 2 at one slot-of-week: both
+      {1, 2 * week + 20},  // carry week 0's reading
+      {2, 40},             // first delivered in week 2: weeks 0 and 1
+      {2, week + 40},      // read 0
+  };
+  MeterNetwork network(actual);
+  network.add_interceptor(
+      [&](const ReadingReport& r) -> std::optional<ReadingReport> {
+        const Cell cell{r.consumer_index, r.slot};
+        if (std::find(dropped.begin(), dropped.end(), cell) !=
+            dropped.end()) {
+          return std::nullopt;
+        }
+        return r;
+      });
+  obs::MetricsRegistry reg;
+  HeadEnd head_end(actual.consumer_count(), actual.slot_count(), &reg);
+  CollectedReport collected(actual);
+  const SlotIndex slots = actual.slot_count();
+  transmit_and_collect(network, head_end, 0, 1, collected);
+  // Out of order is refused: slot 1 comes next.
+  EXPECT_THROW(collect_reported(head_end, 2, 8, collected), InvalidArgument);
+  transmit_and_collect(network, head_end, 1, 8, collected);
+  transmit_and_collect(network, head_end, 8, slots, collected);
+  EXPECT_EQ(collected.collected, slots);
+
+  const auto kw = [&](std::size_t c, SlotIndex t) {
+    return actual.consumer(c).readings[t];
+  };
+  std::vector<std::vector<Kw>> want_values(actual.consumer_count());
+  std::vector<std::vector<char>> want_missing(actual.consumer_count());
+  for (std::size_t c = 0; c < actual.consumer_count(); ++c) {
+    want_values[c] = actual.consumer(c).readings;
+    want_missing[c].assign(slots, 0);
+  }
+  want_values[0][5] = 0.0;
+  want_values[1][week + 20] = kw(1, 20);
+  want_values[1][2 * week + 20] = kw(1, 20);
+  want_values[2][40] = 0.0;
+  want_values[2][week + 40] = 0.0;
+  for (const auto& [c, t] : dropped) want_missing[c][t] = 1;
+
+  for (std::size_t c = 0; c < actual.consumer_count(); ++c) {
+    EXPECT_EQ(collected.dataset.consumer(c).readings, want_values[c])
+        << "consumer " << c;
+    EXPECT_EQ(collected.missing[c], want_missing[c]) << "consumer " << c;
+    EXPECT_EQ(collected.dataset.consumer(c).id, actual.consumer(c).id);
+  }
+  EXPECT_EQ(collected.week_missing(1), (std::vector<std::uint32_t>{0, 1, 1}));
+  EXPECT_EQ(head_end.missing_count(), dropped.size());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: network + fault plan + retransmit.
 
@@ -302,8 +475,10 @@ TEST(NetworkChaos, RetransmitConvergesExactlyToLossFreeDataset) {
 
   EXPECT_EQ(head_end.missing_count(), 0u);
   for (std::size_t c = 0; c < actual.consumer_count(); ++c) {
-    EXPECT_EQ(head_end.consumer_readings(c), actual.consumer(c).readings)
-        << "consumer " << c;
+    for (SlotIndex t = 0; t < actual.slot_count(); ++t) {
+      EXPECT_EQ(head_end.reading(c, t), actual.consumer(c).readings[t])
+          << "c=" << c << " t=" << t;
+    }
   }
   // The channels actually fired - this was not a quiet run.
   EXPECT_GT(network.messages_retried(), 0u);
@@ -340,7 +515,8 @@ TEST(NetworkChaos, RetransmitRejectsABackoffPastTheSlotClock) {
 // and the rest.  The tests above check convergence and layout identity; this
 // one fixes the order-sensitive counts too (late_accepted, and how rejected
 // copies split into stale and duplicate), so any change to the order in
-// which the plane delivers reports shows here.
+// which the plane delivers reports shows here.  Each call's cells are
+// checked right after it, while the head-end still holds them.
 TEST(NetworkChaos, PinnedSeededPlaneOutcome) {
   const auto actual = datagen::small_dataset(24, 3, 37);
   constexpr std::size_t kTapped = 5;
@@ -361,9 +537,26 @@ TEST(NetworkChaos, PinnedSeededPlaneOutcome) {
   network.set_fault_plan(FaultPlan(fc));
   network.set_retransmit({.max_retries = 3, .backoff_base_slots = 1});
   const SlotIndex slots = actual.slot_count();
-  network.transmit(head_end, 0, 1);
-  network.transmit(head_end, 1, 8);
-  network.transmit(head_end, 8, slots);
+  using Cell = std::pair<std::size_t, SlotIndex>;
+  std::vector<Cell> missing;
+  for (const auto& [first, last] : {std::pair<SlotIndex, SlotIndex>{0, 1},
+                                    {1, 8},
+                                    {8, slots}}) {
+    network.transmit(head_end, first, last);
+    for (std::size_t c = 0; c < actual.consumer_count(); ++c) {
+      for (SlotIndex t = first; t < last; ++t) {
+        if (!head_end.has_reading(c, t)) {
+          missing.emplace_back(c, t);
+          continue;
+        }
+        const Kw sent = actual.consumer(c).readings[t];
+        EXPECT_EQ(head_end.reading(c, t),
+                  c == kTapped ? sent * kFactor : sent)
+            << "c=" << c << " t=" << t;
+      }
+    }
+  }
+  std::sort(missing.begin(), missing.end());
 
   EXPECT_EQ(network.messages_sent(), 29809u);
   EXPECT_EQ(network.messages_tampered(), 1158u);
@@ -377,20 +570,9 @@ TEST(NetworkChaos, PinnedSeededPlaneOutcome) {
   const auto snapshot = reg.snapshot();
   EXPECT_EQ(snapshot.counter("ami.reports_received"), 26173u);
   EXPECT_EQ(snapshot.counter("ami.reports_overwritten"), 31u);
+  EXPECT_EQ(head_end.too_late_count(), 0u);
+  expect_fates_add_up(snapshot);
 
-  using Cell = std::pair<std::size_t, SlotIndex>;
-  std::vector<Cell> missing;
-  for (std::size_t c = 0; c < actual.consumer_count(); ++c) {
-    for (SlotIndex t = 0; t < slots; ++t) {
-      if (!head_end.has_reading(c, t)) {
-        missing.emplace_back(c, t);
-        continue;
-      }
-      const Kw sent = actual.consumer(c).readings[t];
-      EXPECT_EQ(head_end.reading(c, t), c == kTapped ? sent * kFactor : sent)
-          << "c=" << c << " t=" << t;
-    }
-  }
   const std::vector<Cell> expected_missing = {
       {0, 853},  {3, 97},   {12, 873}, {13, 0},
       {15, 439}, {15, 990}, {16, 213}, {18, 219}};
@@ -418,10 +600,11 @@ TEST(NetworkChaos, FixedSeedRunIsByteIdenticalAcrossThreadCounts) {
     fc.reorder_rate = 0.10;
     fc.seed = 5;
     network.set_fault_plan(FaultPlan(fc));
+    CollectedReport collected(actual);
     for (std::size_t w = 0; w < 10; ++w) {
-      network.transmit(head_end, w * kSlotsPerWeek, (w + 1) * kSlotsPerWeek);
+      transmit_and_collect(network, head_end, w * kSlotsPerWeek,
+                           (w + 1) * kSlotsPerWeek, collected);
     }
-    const auto collected = collect_reported(head_end, actual);
 
     core::PipelineConfig pc;
     pc.split = meter::TrainTestSplit{.train_weeks = train_weeks,
@@ -451,6 +634,8 @@ TEST(NetworkChaos, FixedSeedRunIsByteIdenticalAcrossThreadCounts) {
 
   const auto serial = run(1);
   const auto pooled = run(0);
+  expect_fates_add_up(serial.snapshot);
+  expect_fates_add_up(pooled.snapshot);
   EXPECT_EQ(serial.statuses, pooled.statuses);
   EXPECT_TRUE(serial.snapshot.same_counts(pooled.snapshot))
       << "serial:\n" << serial.snapshot.to_text()
@@ -478,10 +663,11 @@ std::vector<WeekOutcome> judge(const meter::Dataset& actual,
   if (faults != nullptr) network.set_fault_plan(FaultPlan(*faults));
   network.set_retransmit({.max_retries = retries, .backoff_base_slots = 1});
   const std::size_t weeks = actual.slot_count() / kSlotsPerWeek;
+  CollectedReport collected(actual);
   for (std::size_t w = 0; w < weeks; ++w) {
-    network.transmit(head_end, w * kSlotsPerWeek, (w + 1) * kSlotsPerWeek);
+    transmit_and_collect(network, head_end, w * kSlotsPerWeek,
+                         (w + 1) * kSlotsPerWeek, collected);
   }
-  const auto collected = collect_reported(head_end, actual);
 
   core::PipelineConfig pc;
   pc.split = meter::TrainTestSplit{.train_weeks = 8, .test_weeks = 2};

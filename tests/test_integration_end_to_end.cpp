@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "ami/faults.h"
 #include "ami/network.h"
 #include "attack/integrated_arima_attack.h"
 #include "core/pipeline.h"
@@ -52,13 +53,9 @@ class EndToEndTest : public ::testing::Test {
     ami::HeadEnd head_end(kConsumers, actual_.slot_count());
     network.transmit(head_end, 0, actual_.slot_count());
 
-    std::vector<meter::ConsumerSeries> series;
-    for (std::size_t c = 0; c < kConsumers; ++c) {
-      meter::ConsumerSeries s = actual_.consumer(c);
-      s.readings = head_end.consumer_readings(c);
-      series.push_back(std::move(s));
-    }
-    return meter::Dataset(std::move(series));
+    ami::CollectedReport collected(actual_);
+    ami::collect_reported(head_end, 0, actual_.slot_count(), collected);
+    return std::move(collected.dataset);
   }
 
   meter::Dataset actual_;

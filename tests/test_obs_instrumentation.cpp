@@ -255,11 +255,12 @@ TEST(ObsInstrumentation, AmiPlaneAccountingIdentities) {
             static_cast<std::int64_t>(head_end.missing_count()));
   EXPECT_EQ(head_end.missing_count(), slots / 2);
 
-  // The mask overload exposes exactly the dropped slots (no imputed zeros).
-  std::vector<char> mask;
-  const auto readings = head_end.consumer_readings(2, mask);
+  // The collected mask exposes exactly the dropped slots (no imputed
+  // zeros).
+  ami::CollectedReport collected(actual);
+  ami::collect_reported(head_end, 0, slots, collected);
+  const std::vector<char>& mask = collected.missing[2];
   ASSERT_EQ(mask.size(), slots);
-  ASSERT_EQ(readings.size(), slots);
   for (std::size_t t = 0; t < slots; ++t) {
     EXPECT_EQ(mask[t] != 0, t % 2 == 1) << "slot " << t;
     EXPECT_EQ(mask[t] == 0, head_end.has_reading(2, t)) << "slot " << t;

@@ -534,8 +534,15 @@ class HeadEndShardTest : public ::testing::Test {
     Collected out;
     out.outcomes = std::move(outcomes);
     for (std::size_t c = 0; c < kConsumers; ++c) {
-      std::vector<char> mask;
-      out.readings.push_back(head_end.consumer_readings(c, mask));
+      std::vector<Kw> readings(kSlots, 0.0);
+      std::vector<char> mask(kSlots, 1);
+      for (std::size_t t = 0; t < kSlots; ++t) {
+        const auto slot = static_cast<SlotIndex>(t);
+        if (!head_end.has_reading(c, slot)) continue;
+        readings[t] = head_end.reading(c, slot);
+        mask[t] = 0;
+      }
+      out.readings.push_back(std::move(readings));
       out.masks.push_back(std::move(mask));
     }
     out.missing = head_end.missing_count();
@@ -624,8 +631,11 @@ TEST_F(HeadEndShardTest, ConcurrentFeedsKeepNewestSequence) {
     ami::HeadEnd head_end(kConsumers, kSlots, &reg, {.shards = shards});
     constexpr std::size_t kFeeds = 4;
     constexpr std::size_t kBatch = 16;
-    // outcomes[feed][ReceiveOutcome]: each feed counts its own outcomes.
-    std::array<std::array<std::size_t, 4>, kFeeds> outcomes{};
+    // outcomes[feed][ReceiveOutcome]: each feed counts its own outcomes,
+    // one entry per fate.
+    constexpr std::size_t kFates =
+        static_cast<std::size_t>(ami::ReceiveOutcome::kTooLate) + 1;
+    std::array<std::array<std::size_t, kFates>, kFeeds> outcomes{};
     std::vector<std::thread> feeds;
     for (std::size_t f = 0; f < kFeeds; ++f) {
       feeds.emplace_back([&, f] {
@@ -652,7 +662,7 @@ TEST_F(HeadEndShardTest, ConcurrentFeedsKeepNewestSequence) {
     }
     for (auto& feed : feeds) feed.join();
 
-    std::array<std::size_t, 4> total{};
+    std::array<std::size_t, kFates> total{};
     for (const auto& counts : outcomes) {
       for (std::size_t k = 0; k < total.size(); ++k) total[k] += counts[k];
     }
@@ -664,8 +674,12 @@ TEST_F(HeadEndShardTest, ConcurrentFeedsKeepNewestSequence) {
     const std::size_t stale = count_of(ami::ReceiveOutcome::kStale);
     const std::size_t quarantined =
         count_of(ami::ReceiveOutcome::kQuarantined);
-    EXPECT_EQ(accepted + duplicate + stale + quarantined, tape.size());
+    const std::size_t too_late = count_of(ami::ReceiveOutcome::kTooLate);
+    EXPECT_EQ(accepted + duplicate + stale + quarantined + too_late,
+              tape.size());
+    EXPECT_EQ(too_late, 0u);  // nothing closes a slot here
     EXPECT_EQ(quarantined, garbage);
+    EXPECT_EQ(head_end.accepted_count(), accepted);
     EXPECT_EQ(head_end.quarantined_count(), garbage);
     EXPECT_EQ(head_end.duplicates_suppressed(), duplicate);
     EXPECT_EQ(head_end.stale_rejected(), stale);

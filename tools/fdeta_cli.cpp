@@ -457,11 +457,15 @@ int cmd_detect(const Args& args) {
       throw InvalidArgument(std::string("detect: --retries/--backoff: ") +
                             e.what());
     }
-    // One delivery window per week, so each week gets its own NACK rounds.
+    // One delivery window per week, so each week gets its own NACK rounds;
+    // each week is collected before the next transmit closes it.
+    collected.emplace(reported);
     for (std::size_t w = 0; w < reported.week_count(); ++w) {
-      network.transmit(head_end, w * kSlotsPerWeek, (w + 1) * kSlotsPerWeek);
+      const SlotIndex first = w * kSlotsPerWeek;
+      const SlotIndex last = first + kSlotsPerWeek;
+      network.transmit(head_end, first, last);
+      ami::collect_reported(head_end, first, last, *collected);
     }
-    collected = ami::collect_reported(head_end, reported);
     std::printf("chaos: sent=%zu dropped=%zu retries=%zu late=%zu "
                 "quarantined=%zu duplicates=%zu stale=%zu missing=%zu\n",
                 network.messages_sent(), network.messages_dropped(),
