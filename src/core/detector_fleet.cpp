@@ -121,10 +121,17 @@ struct DetectorFleet::Histogram {
   }
 
   /// Zeroes `counts` (B + 2 words) and counts `values` into them.
-  void count(std::span<const double> values,
-             std::span<std::uint16_t> counts) const {
+  /// Returns the values' sum, added in index order from 0.0 as stats::mean
+  /// adds them, so sum / values.size() is stats::mean(values) bit for bit.
+  double count(std::span<const double> values,
+               std::span<std::uint16_t> counts) const {
     std::fill(counts.begin(), counts.end(), std::uint16_t{0});
-    for (const double v : values) ++counts[word(v)];
+    double sum = 0.0;
+    for (const double v : values) {
+      ++counts[word(v)];
+      sum += v;
+    }
+    return sum;
   }
 
   /// K_A of counted readings (B + 2 words), in bits; with `bins`, also its
@@ -353,24 +360,36 @@ void DetectorFleet::fit(std::size_t i, std::span<const Kw> training) {
   // Fits group g's histogram over `rows` (one row of readings per training
   // week): edges frozen over all of them, K_i = the divergence of row i,
   // the threshold their (1 - significance) quantile.  Returns the K_i.
-  std::vector<std::uint16_t> counts(bins + 2);
+  // Each row is counted once: the rows' counts sum to the whole sample's,
+  // so the baseline is stats::Histogram::probabilities(rows) exactly.
+  const std::size_t words = bins + 2;
+  std::vector<std::uint16_t> counts;
+  std::vector<std::size_t> total(bins);
   const auto fit_group = [&](std::size_t g, std::span<const double> rows) {
     const stats::Histogram frozen(rows, bins);
-    const std::vector<double> baseline = frozen.probabilities(rows);
     const std::size_t at = i * groups_ + g;
     std::copy(frozen.edges().begin(), frozen.edges().end(),
               row(edges_, at, bins + 1).begin());
-    std::copy(baseline.begin(), baseline.end(),
-              row(baselines_, at, bins).begin());
     scales_[at] = stats::bin_scale(frozen.edges());
     const Histogram h = histogram(i, g);
-    // Training rows are in support by construction, so scoring them bins
-    // exactly like the paper's plain clamping.
+    // Training rows are in support by construction (the edges span them),
+    // so their count words are plain bins and words B, B + 1 stay 0.
     const std::size_t width = rows.size() / weeks;
+    counts.resize(weeks * words);
+    std::fill(total.begin(), total.end(), std::size_t{0});
+    for (std::size_t w = 0; w < weeks; ++w) {
+      const std::span<std::uint16_t> week_counts = row(counts, w, words);
+      h.count(rows.subspan(w * width, width), week_counts);
+      for (std::size_t j = 0; j < bins; ++j) total[j] += week_counts[j];
+    }
+    const std::span<double> baseline = row(baselines_, at, bins);
+    const double n = static_cast<double>(rows.size());
+    for (std::size_t j = 0; j < bins; ++j) {
+      baseline[j] = static_cast<double>(total[j]) / n;
+    }
     std::vector<double> k(weeks);
     for (std::size_t w = 0; w < weeks; ++w) {
-      h.count(rows.subspan(w * width, width), counts);
-      k[w] = h.divergence(counts);
+      k[w] = h.divergence(row(std::as_const(counts), w, words));
     }
     thresholds_[at] = stats::quantile(k, 1.0 - options_.kld.significance);
     return k;
@@ -447,9 +466,9 @@ void DetectorFleet::fit(std::size_t i, std::span<const Kw> training) {
   }
 }
 
-void DetectorFleet::count_week(std::size_t i, std::span<const Kw> week,
-                               SlotIndex first_slot,
-                               std::span<std::uint16_t> counts) const {
+double DetectorFleet::count_week(std::size_t i, std::span<const Kw> week,
+                                 SlotIndex first_slot,
+                                 std::span<std::uint16_t> counts) const {
   require(counts.size() == count_words(), "KLD: count span size");
   const std::size_t words = options_.kld.bins + 2;
   switch (kind_) {
@@ -457,29 +476,34 @@ void DetectorFleet::count_week(std::size_t i, std::span<const Kw> week,
       // Every reading counts: the plain KLD is order-insensitive.
       require(week.size() <= std::numeric_limits<std::uint16_t>::max(),
               "KLD: at most 65535 readings per counted window");
-      histogram(i).count(week, counts);
-      return;
+      return histogram(i).count(week, counts);
     case Kind::kKldLite: {
-      // Only the k selected positions count.
+      // Only the k selected positions count, but the sum takes every
+      // reading.
       const std::size_t offset = week_offset(week, first_slot);
       const Histogram h = histogram(i);
       std::fill(counts.begin(), counts.end(), std::uint16_t{0});
       for (const std::uint32_t s : row(positions_, i, slots_)) {
         ++counts[h.word(week[(s + kWeek - offset) % kWeek])];
       }
-      return;
+      double sum = 0.0;
+      for (const double v : week) sum += v;
+      return sum;
     }
     case Kind::kCkld: {
       // A reading moves only its slot-of-week's group block.
       const std::size_t offset = week_offset(week, first_slot);
       std::fill(counts.begin(), counts.end(), std::uint16_t{0});
+      double sum = 0.0;
       for (std::size_t t = 0; t < kWeek; ++t) {
         const std::size_t g = calendar_[(offset + t) % kWeek];
         ++counts[g * words + histogram(i, g).word(week[t])];
+        sum += week[t];
       }
-      return;
+      return sum;
     }
   }
+  return 0.0;  // unreachable: every Kind is handled above
 }
 
 void DetectorFleet::count_reading(std::size_t i,
@@ -535,8 +559,11 @@ double DetectorFleet::raw_score_week(std::size_t i, std::span<const Kw> week,
 }
 
 double DetectorFleet::score_week(std::size_t i, std::span<const Kw> week,
-                                 SlotIndex first_slot) const {
-  return calibrate(i, raw_score_week(i, week, first_slot));
+                                 SlotIndex first_slot, double* sum) const {
+  const std::span<std::uint16_t> counts = count_scratch(count_words());
+  const double total = count_week(i, week, first_slot, counts);
+  if (sum != nullptr) *sum = total;
+  return calibrate(i, raw_score_counts(i, counts));
 }
 
 std::vector<double> DetectorFleet::group_scores(std::size_t i,

@@ -119,9 +119,11 @@ class DetectorFleet {
   /// score exceeds it.
   double raw_decision_threshold(std::size_t i) const;
   /// The calibrated score of a week: calibrated_score over member i's
-  /// reference, comparable across families.
+  /// reference, comparable across families.  With `sum`, also stores what
+  /// count_week returns, so an owner that needs the week's mean takes it
+  /// from the same pass.
   double score_week(std::size_t i, std::span<const Kw> week,
-                    SlotIndex first_slot = 0) const;
+                    SlotIndex first_slot = 0, double* sum = nullptr) const;
   /// The uniform calibrated decision threshold: 1 - significance.
   double decision_threshold() const {
     return 1.0 - options_.kld.significance;
@@ -157,9 +159,13 @@ class DetectorFleet {
   /// G x (B + 2).
   std::size_t count_words() const { return groups_ * (options_.kld.bins + 2); }
   /// Zeroes `counts` and counts member i's readings of `week` into it: what
-  /// raw_score_week scores.
-  void count_week(std::size_t i, std::span<const Kw> week,
-                  SlotIndex first_slot, std::span<std::uint16_t> counts) const;
+  /// raw_score_week scores.  Returns the sum of every reading of `week`
+  /// (kld-lite's unselected slots included), added in index order from 0.0
+  /// as stats::mean adds them: sum / week.size() is stats::mean(week) bit
+  /// for bit.
+  double count_week(std::size_t i, std::span<const Kw> week,
+                    SlotIndex first_slot,
+                    std::span<std::uint16_t> counts) const;
   /// Moves one reading at slot-of-week `position` (in [0, kSlotsPerWeek))
   /// into (`delta` = +1) or out of (`delta` = -1) member i's `counts`; a
   /// kld-lite slot outside the member's selection leaves them unchanged.

@@ -190,8 +190,8 @@ PipelineReport FdetaPipeline::evaluate_week(
 
   PipelineReport report;
   report.verdicts.resize(reported.consumer_count());
-  // Every consumer's reported week mean, taken while step 2 has the week in
-  // hand: step 3 judges direction by it and step 5 balances with it.
+  // Every consumer's reported week mean, from step 2's count pass: step 3
+  // judges direction by it and step 5 balances with it.
   std::vector<Kw> reported_avg(reported.consumer_count());
 
   // Steps 2-4 are independent per consumer; KLD scoring is ~microseconds,
@@ -203,7 +203,6 @@ PipelineReport FdetaPipeline::evaluate_week(
         const auto week_readings = series.week(week);
         const SlotIndex first_slot =
             week * static_cast<std::size_t>(kSlotsPerWeek);
-        reported_avg[i] = stats::mean(week_readings);
 
         ConsumerVerdict verdict;
         verdict.id = series.id;
@@ -218,14 +217,19 @@ PipelineReport FdetaPipeline::evaluate_week(
               static_cast<double>(verdict.missing_slots) /
               static_cast<double>(coverage->week_slots);
           if (missing_fraction > config_.max_missing_fraction) {
+            // Not scored, but step 5 still balances with its mean.
+            reported_avg[i] = stats::mean(week_readings);
             verdict.status = VerdictStatus::kInsufficientData;
             report.verdicts[i] = std::move(verdict);
             return;
           }
         }
 
+        double week_sum = 0.0;
         verdict.kld_score =
-            fleet_.score_week(i, week_readings, first_slot);  // step 2
+            fleet_.score_week(i, week_readings, first_slot, &week_sum);  // 2
+        reported_avg[i] =
+            week_sum / static_cast<double>(week_readings.size());
 
         if (verdict.kld_score > verdict.kld_threshold) {
           // Step 3: classify the anomaly direction by the week's mean

@@ -57,21 +57,29 @@ constexpr std::size_t kChunksPerWorker = 8;
 constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
 
 /// Adds `readings` to `row` in quanta, each rounded to the nearest quantum
-/// (halves away from zero).  A reading that is not finite or exceeds
-/// kMaxPlausibleKw in magnitude would break the sums' bound (and its cast
-/// would be undefined), so it throws DataError naming `consumer`.
-void add_quanta(std::int64_t* row, std::span<const Kw> readings,
-                std::size_t consumer) {
+/// (halves away from zero), and returns the readings' sum, added in index
+/// order from 0.0 as stats::mean adds them.  A reading that is not finite
+/// or exceeds kMaxPlausibleKw in magnitude would break the sums' bound (and
+/// its cast would be undefined), so the whole span is checked first and
+/// such a reading throws DataError naming `consumer`.
+double add_quanta(std::int64_t* row, std::span<const Kw> readings,
+                  std::size_t consumer) {
+  const auto bad =
+      std::find_if(readings.begin(), readings.end(),
+                   [](double kw) { return !(std::abs(kw) <= kMaxPlausibleKw); });
+  if (bad != readings.end()) {
+    throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
+                    " has an implausible reading (" + std::to_string(*bad) +
+                    " kW)");
+  }
+  double sum = 0.0;
   for (std::size_t t = 0; t < readings.size(); ++t) {
     const double kw = readings[t];
-    if (!(std::abs(kw) <= kMaxPlausibleKw)) {
-      throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
-                      " has an implausible reading (" + std::to_string(kw) +
-                      " kW)");
-    }
     row[t] += static_cast<std::int64_t>(kw * (1.0 / kQuantumKw) +
                                         std::copysign(0.5, kw));
+    sum += kw;
   }
+  return sum;
 }
 
 /// Converts a row of quanta back to kW (exact below 2^34 kW).
@@ -311,8 +319,8 @@ void FeederMonitor::fit_impl(
         require(series.readings.size() >= train_slots,
                 "FeederMonitor: series shorter than the training span");
         const std::span<const Kw> train = split.train(series);
-        train_mean[i] = stats::mean(train);
-        add_quanta(row, train, i);
+        train_mean[i] =
+            add_quanta(row, train, i) / static_cast<double>(train.size());
       },
       [&](std::size_t n, const std::int64_t* row) {
         thread_local std::vector<Kw> aggregate;  // one per pool thread
@@ -390,14 +398,15 @@ FeederReport FeederMonitor::evaluate(
       [&](std::size_t i, std::int64_t* row) {
         const std::span<const Kw> w = week_of(i);
         require(w.size() == kWeek, "FeederMonitor: a week holds 336 readings");
-        consumer_week_mean[i] = stats::mean(w);
-        add_quanta(row, w, i);
+        consumer_week_mean[i] =
+            add_quanta(row, w, i) / static_cast<double>(kWeek);
       },
       [&](std::size_t n, const std::int64_t* row) {
         std::array<Kw, kWeek> agg;
         to_kw(row, agg);
-        node_week_mean[n] = stats::mean(agg);
-        report.nodes[n].score = fleet_.score_week(n, agg);
+        double sum = 0.0;
+        report.nodes[n].score = fleet_.score_week(n, agg, 0, &sum);
+        node_week_mean[n] = sum / static_cast<double>(kWeek);
       });
 
   // Balance mode: one signed imbalance per tree node, actual minus reported

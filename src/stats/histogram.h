@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,10 +37,13 @@ inline double bin_scale(std::span<const double> edges) {
 /// the value against edges.front()/back() first, as the KLD count step
 /// (core::DetectorFleet) does.
 ///
-/// O(1): an arithmetic index guess from the (uniform-width) edge grid,
-/// corrected by a short fixup walk, replaces the upper_bound binary
-/// search; the result is identical for every input, non-uniform explicit
-/// edges and NaN included.  Inline: it runs once per reading in every
+/// O(1): an arithmetic index guess from the (uniform-width) edge grid
+/// replaces the upper_bound binary search.  The guess is taken only where
+/// it is already the answer, edges[j] <= value < edges[j + 1], which is
+/// exactly where the fixup walk below would not move it; anywhere else
+/// (out of support, NaN, the last edge, a guess round-off left one bin
+/// off, non-uniform or equal edges) the walk runs.  So the result is the
+/// walk's for every input.  Inline: it runs once per reading in every
 /// detector's binning loop.
 inline std::size_t bin_of(std::span<const double> edges, double scale,
                           double value) {
@@ -48,15 +52,17 @@ inline std::size_t bin_of(std::span<const double> edges, double scale,
   // below-range clamps to bin 0, above-range (and NaN, for which every
   // comparison is false) to the last bin.
   const std::size_t bins = edges.size() - 1;
-  if (std::isnan(value)) return bins - 1;
   double guess = (value - edges.front()) * scale;
-  // Clamp BEFORE the float->int cast: an out-of-range double->size_t cast is
-  // UB (UBSan float-cast-overflow), and `!(guess > 0)` also catches the NaN
-  // produced by 0 * inf on a zero-width histogram.
+  // Clamp BEFORE the float->int cast: an out-of-range double->int cast is
+  // UB (UBSan float-cast-overflow), and `!(guess > 0)` also catches NaN
+  // (a NaN value, or 0 * inf on a zero-width histogram).  In [0, B - 1] the
+  // signed cast is exact and a single instruction.
   const double top = static_cast<double>(bins - 1);
   if (!(guess > 0.0)) guess = 0.0;
   if (guess > top) guess = top;
-  std::size_t j = static_cast<std::size_t>(guess);
+  std::size_t j = static_cast<std::size_t>(static_cast<std::int64_t>(guess));
+  if ((edges[j] <= value) & (value < edges[j + 1])) return j;
+  if (std::isnan(value)) return bins - 1;
   // Round-off (or non-uniform edges) can leave the guess off; walk to the
   // exact bin.  For uniform edges this is at most one step.
   while (j > 0 && value < edges[j]) --j;

@@ -3,10 +3,13 @@
 // kept current one reading at a time must score bit-identically to
 // raw_score_week of the same window - for every family, every binning
 // branch of the count step, and both out-of-support rules.  The KldCountStep
-// cases pin that rule itself on a hand-built one-member fleet.
+// cases pin that rule itself on a hand-built one-member fleet.  A whole-week
+// count also returns the week's sum, which its owners take their means
+// from (WholeWeekWordsAndSum, CountedMean).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,10 +19,15 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/detector_fleet.h"
 #include "core/detector_registry.h"
+#include "core/pipeline.h"
 #include "datagen/generator.h"
+#include "grid/investigate.h"
+#include "grid/topology.h"
 #include "persist/binary_io.h"
+#include "stats/descriptive.h"
 #include "stats/histogram.h"
 
 namespace fdeta::core {
@@ -261,6 +269,115 @@ TEST_P(CountContract, CountedScoreMatchesWeekScoreAfterEveryReplacement) {
       replace(s, series[s]);
       ASSERT_TRUE(matches()) << "back in support, slot " << s;
     }
+  }
+}
+
+// A whole-week count moves word B for a reading below its histogram's
+// support, B + 1 above it and B - 1 (the last bin) for NaN, and returns
+// the sum of every reading of the week in index order: divided by the
+// week's length it is stats::mean bit for bit, from count_week and from
+// score_week alike.
+TEST_P(CountContract, WholeWeekWordsAndSum) {
+  const auto data = datagen::small_dataset(1, 11, 4711);
+  const std::span<const Kw> series = data.consumer(0).readings;
+  DetectorFleet fleet(std::string(GetParam()), {}, 1, 10);
+  fleet.fit(0, series.first(10 * kWeek));
+  const std::size_t bins = fleet.options().kld.bins;
+  const std::size_t words = bins + 2;
+
+  const std::span<const Kw> week = series.subspan(10 * kWeek, kWeek);
+  std::vector<std::uint16_t> counts(fleet.count_words());
+  for (const SlotIndex first : {SlotIndex{0}, SlotIndex{5}}) {
+    const double sum = fleet.count_week(0, week, first, counts);
+    EXPECT_TRUE(same_bits(sum / static_cast<double>(kWeek), stats::mean(week)))
+        << "first_slot " << first;
+    double scored_sum = 0.0;
+    const double score = fleet.score_week(0, week, first, &scored_sum);
+    EXPECT_TRUE(same_bits(scored_sum, sum));
+    EXPECT_TRUE(same_bits(score, fleet.score_week(0, week, first)));
+  }
+
+  // Every slot out of support or NaN, cycling below / above / NaN.
+  double lowest = std::numeric_limits<double>::infinity();
+  double highest = -lowest;
+  for (const auto& edges : member_edges(fleet)) {
+    lowest = std::min(lowest, edges.front());
+    highest = std::max(highest, edges.back());
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::array<std::size_t, 3> word_of{bins, bins + 1, bins - 1};
+  std::vector<Kw> odd(kWeek);
+  std::vector<std::uint16_t> expected(fleet.count_words(), 0);
+  std::vector<std::uint16_t> probe(fleet.count_words());
+  for (std::size_t s = 0; s < kWeek; ++s) {
+    odd[s] = std::array<double, 3>{lowest - 1.0, highest + 1.0, nan}[s % 3];
+    // kld-lite counts only its selected slots: a slot counts iff moving a
+    // reading into it moves a word.
+    std::fill(probe.begin(), probe.end(), std::uint16_t{0});
+    fleet.count_reading(0, probe, s, 0.0, +1);
+    if (std::all_of(probe.begin(), probe.end(),
+                    [](std::uint16_t c) { return c == 0; })) {
+      continue;
+    }
+    const std::size_t g = fleet.groups() > 1 ? fleet.calendar()[s] : 0;
+    ++expected[g * words + word_of[s % 3]];
+  }
+  const double sum = fleet.count_week(0, odd, 0, counts);
+  EXPECT_EQ(counts, expected);
+  EXPECT_TRUE(std::isnan(sum));
+  for (std::size_t g = 0; g < fleet.groups(); ++g) {
+    for (const std::size_t w : word_of) {
+      EXPECT_GT(expected[g * words + w], 0) << "group " << g << " word " << w;
+    }
+  }
+}
+
+// The pipeline's step 5 balances every consumer's reported week mean: a
+// scored consumer's from step 2's count pass, a coverage-gated one's from
+// its own pass.  Both must be stats::mean's bits, which the investigation's
+// per-node imbalances expose; the gated consumer here is also the one
+// under-reporting, so the walk descends to it.
+TEST(CountedMean, PipelineBalancesWithStatsMeans) {
+  constexpr std::size_t kConsumers = 12;
+  constexpr std::size_t kJudged = 10;
+  const meter::Dataset actual = datagen::small_dataset(kConsumers, 11, 99);
+  meter::Dataset reported = actual;
+  std::vector<Kw>& theft = reported.consumer(3).readings;
+  for (std::size_t t = kJudged * kWeek; t < (kJudged + 1) * kWeek; ++t) {
+    theft[t] *= 0.6;
+  }
+  Rng rng(5);
+  const grid::Topology topology =
+      grid::Topology::random_radial(kConsumers, 3, rng, 0.02);
+
+  FdetaPipeline pipeline(
+      {.split = {.train_weeks = kJudged, .test_weeks = 1}});
+  pipeline.fit(actual);
+  WeekCoverage coverage;
+  coverage.missing_slots.assign(kConsumers, 0);
+  coverage.missing_slots[3] = 200;
+  const PipelineReport report = pipeline.evaluate_week(
+      actual, reported, kJudged, EvidenceCalendar{}, &topology, &coverage);
+  ASSERT_EQ(report.verdicts[3].status, VerdictStatus::kInsufficientData);
+  ASSERT_TRUE(report.investigation.has_value());
+
+  std::vector<Kw> actual_mean(kConsumers);
+  std::vector<Kw> reported_mean(kConsumers);
+  for (std::size_t i = 0; i < kConsumers; ++i) {
+    actual_mean[i] = stats::mean(actual.consumer(i).week(kJudged));
+    reported_mean[i] = stats::mean(reported.consumer(i).week(kJudged));
+  }
+  const grid::InvestigationResult want =
+      grid::investigate_case2(topology, actual_mean, reported_mean, 1e-6);
+  const grid::InvestigationResult& got = *report.investigation;
+  EXPECT_EQ(got.suspects, want.suspects);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  ASSERT_FALSE(want.steps.empty());
+  for (std::size_t k = 0; k < want.steps.size(); ++k) {
+    EXPECT_EQ(got.steps[k].node, want.steps[k].node);
+    EXPECT_TRUE(same_bits(got.steps[k].imbalance_kw,
+                          want.steps[k].imbalance_kw))
+        << "step " << k;
   }
 }
 

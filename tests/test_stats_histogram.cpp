@@ -126,6 +126,7 @@ std::size_t reference_bin(const std::vector<double>& edges, double value) {
 TEST(Histogram, BinOfMatchesUpperBoundReference) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
   const std::vector<std::vector<double>> edge_sets{
       // Uniform edges (the fit() path).
       {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0},
@@ -135,6 +136,18 @@ TEST(Histogram, BinOfMatchesUpperBoundReference) {
       // A duplicated edge: bin 1 is zero-width, values at exactly 1.0 must
       // land in bin 2 (first edge strictly greater than 1.0 is edges[3]).
       {0.0, 1.0, 1.0, 2.0},
+      // Equal adjacent edges in a run, at the bottom and at the top: a
+      // guess into a zero-width bin is never accepted, the walk leaves it.
+      {0.0, 1.0, 1.0, 1.0, 2.0},
+      {0.0, 0.0, 1.0},
+      {0.0, 1.0, 1.0},
+      // Rows of subnormal width: the slope overflows to infinity, so every
+      // guess clamps to an end and the walk finds the bin.
+      {0.0, tiny, 2 * tiny, 3 * tiny},
+      {tiny, 2 * tiny, 3 * tiny, 5 * tiny},
+      // A range so wide the slope is ~1e-300: a value just below the
+      // support gives a guess that underflows to -0.0 (checked below).
+      {0.0, 1e300, 2e300},
       // A zero-width histogram (inv_width_ is infinite).
       {2.0, 2.0}};
   for (const auto& edges : edge_sets) {
@@ -156,6 +169,36 @@ TEST(Histogram, BinOfMatchesUpperBoundReference) {
           << " v=" << v;
     }
   }
+
+  // The cases above that the guess alone would get wrong are really
+  // reached: the -0.0 guess just below a wide support...
+  const std::vector<double> wide{0.0, 1e300, 2e300};
+  const double below = std::nextafter(0.0, -inf);
+  const double underflow = (below - wide.front()) * bin_scale(wide);
+  EXPECT_TRUE(underflow == 0.0 && std::signbit(underflow));
+  EXPECT_EQ(Histogram(wide).bin_of(below), 0u);
+
+  // ...and guesses that round-off leaves one bin off, on the equal-width
+  // edges the reference constructor builds (the fit path).
+  const Histogram fitted(std::vector<double>{0.1, 0.7}, 10);
+  const std::vector<double>& e = fitted.edges();
+  std::size_t off_by_one = 0;
+  for (const double edge : e) {
+    for (const double v :
+         {edge, std::nextafter(edge, -inf), std::nextafter(edge, inf)}) {
+      const std::size_t want = reference_bin(e, v);
+      EXPECT_EQ(fitted.bin_of(v), want) << "v=" << v;
+      if (v < e.front() || v > e.back()) continue;
+      const double guess = std::min((v - e.front()) * bin_scale(e),
+                                    static_cast<double>(e.size() - 2));
+      const auto j = static_cast<std::size_t>(guess);
+      if (j != want) {
+        ++off_by_one;
+        EXPECT_TRUE(j + 1 == want || want + 1 == j) << "v=" << v;
+      }
+    }
+  }
+  EXPECT_GT(off_by_one, 0u);
 }
 
 TEST(Histogram, BinOfSpecialValues) {
