@@ -1,10 +1,26 @@
 #include "obs/event_log.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 
 namespace fdeta::obs {
+
+namespace {
+
+/// Appends std::to_chars(value, format...) to `out`, without a temporary
+/// string.  64 bytes hold any integer and any double at 17 significant
+/// digits with its sign and exponent.
+template <typename T, typename... Format>
+void append_chars(std::string& out, T value, Format... format) {
+  char buf[64];
+  const std::to_chars_result end =
+      std::to_chars(buf, buf + sizeof(buf), value, format...);
+  out.append(buf, end.ptr);
+}
+
+}  // namespace
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -46,13 +62,13 @@ EventFields& EventFields::str(std::string_view k, std::string_view value) {
 
 EventFields& EventFields::u64(std::string_view k, std::uint64_t value) {
   key(k);
-  body_ += std::to_string(value);
+  append_chars(body_, value);
   return *this;
 }
 
 EventFields& EventFields::i64(std::string_view k, std::int64_t value) {
   key(k);
-  body_ += std::to_string(value);
+  append_chars(body_, value);
   return *this;
 }
 
@@ -61,9 +77,8 @@ EventFields& EventFields::f64(std::string_view k, double value) {
     return str(k, value > 0.0 ? "inf" : (value < 0.0 ? "-inf" : "nan"));
   }
   key(k);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  body_ += buf;
+  // chars_format::general at precision 17 is printf's %.17g, byte for byte.
+  append_chars(body_, value, std::chars_format::general, 17);
   return *this;
 }
 
