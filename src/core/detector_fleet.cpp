@@ -389,7 +389,7 @@ void DetectorFleet::fit(std::size_t i, std::span<const Kw> training) {
     }
     std::vector<double> k(weeks);
     for (std::size_t w = 0; w < weeks; ++w) {
-      k[w] = h.divergence(row(std::as_const(counts), w, words));
+      k[w] = h.divergence(row(counts, w, words));
     }
     thresholds_[at] = stats::quantile(k, 1.0 - options_.kld.significance);
     return k;
