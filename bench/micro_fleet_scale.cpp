@@ -339,47 +339,56 @@ std::vector<ShardPoint> run_shard_scaling(std::size_t max_consumers,
       consumers, max_threads);
   std::printf("%7s %8s | %14s\n", "shards", "feeds", "readings/s");
 
+  // Best of three per point, each from a fresh restore, with the rounds
+  // interleaved across points: one point feeds a few thousand readings, a
+  // few milliseconds, which one scheduler hiccup can halve, and the derived
+  // ratio divides one point by another.
   std::vector<ShardPoint> points;
-  // Best of three per point, each from a fresh restore: one point feeds a
-  // few thousand readings, a few milliseconds, which one scheduler hiccup
-  // can halve.
-  const std::size_t rounds = 3;
+  std::vector<std::size_t> requested;  // shards asked of each point
   for (const std::size_t shards : {std::size_t{1}, std::size_t{64}}) {
     for (const std::size_t threads : thread_counts) {
-      fdeta::core::OnlineMonitorConfig config = base_config;
-      config.shards = shards;
-      double best_s = 1e300;
-      std::size_t shard_count = 0;
-      for (std::size_t r = 0; r < rounds; ++r) {
-        fdeta::core::OnlineMonitor monitor(config);
-        model.clear();
-        model.seekg(0);
-        monitor.restore(model);
-        shard_count = monitor.shard_count();
-
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<std::thread> feeds;
-        feeds.reserve(threads);
-        const std::size_t per = (consumers + threads - 1) / threads;
-        for (std::size_t f = 0; f < threads; ++f) {
-          feeds.emplace_back([&, f] {
-            const std::size_t begin = f * per;
-            const std::size_t end = std::min(consumers, begin + per);
-            for (std::size_t s = 0; s < slots; ++s) {
-              for (std::size_t c = begin; c < end; ++c) {
-                monitor.ingest(c, base + static_cast<fdeta::SlotIndex>(s),
-                               dataset.consumer(c).readings[base + s]);
-              }
-            }
-          });
-        }
-        for (std::thread& feed : feeds) feed.join();
-        best_s = std::min(best_s, seconds_since(start));
-      }
-      const double rate = static_cast<double>(consumers * slots) / best_s;
-      points.push_back({shard_count, threads, rate});
-      std::printf("%7zu %8zu | %14.0f\n", shard_count, threads, rate);
+      points.push_back({0, threads, 0.0});
+      requested.push_back(shards);
     }
+  }
+  std::vector<double> best_s(points.size(), 1e300);
+  const std::size_t rounds = 3;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      fdeta::core::OnlineMonitorConfig config = base_config;
+      config.shards = requested[k];
+      fdeta::core::OnlineMonitor monitor(config);
+      model.clear();
+      model.seekg(0);
+      monitor.restore(model);
+
+      const std::size_t threads = points[k].threads;
+      const auto start = std::chrono::steady_clock::now();
+      std::vector<std::thread> feeds;
+      feeds.reserve(threads);
+      const std::size_t per = (consumers + threads - 1) / threads;
+      for (std::size_t f = 0; f < threads; ++f) {
+        feeds.emplace_back([&, f] {
+          const std::size_t begin = f * per;
+          const std::size_t end = std::min(consumers, begin + per);
+          for (std::size_t s = 0; s < slots; ++s) {
+            for (std::size_t c = begin; c < end; ++c) {
+              monitor.ingest(c, base + static_cast<fdeta::SlotIndex>(s),
+                             dataset.consumer(c).readings[base + s]);
+            }
+          }
+        });
+      }
+      for (std::thread& feed : feeds) feed.join();
+      best_s[k] = std::min(best_s[k], seconds_since(start));
+      points[k].shards = monitor.shard_count();
+    }
+  }
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    points[k].readings_per_s =
+        static_cast<double>(consumers * slots) / best_s[k];
+    std::printf("%7zu %8zu | %14.0f\n", points[k].shards, points[k].threads,
+                points[k].readings_per_s);
   }
   return points;
 }
@@ -625,47 +634,49 @@ HierarchyOverhead run_hierarchy_overhead(std::size_t max_consumers,
   HierarchyOverhead out;
   out.consumers = consumers;
 
+  // Plain (index 0) and hierarchy (index 1) pipelines.
+  std::vector<fdeta::core::FdetaPipeline> pipelines;
+  pipelines.reserve(2);
   for (const bool hierarchy : {false, true}) {
     fdeta::core::PipelineConfig config;
     config.split = split;
     config.hierarchy = hierarchy;
     config.metrics = &reg;
-    fdeta::core::FdetaPipeline pipeline(config);
-    pipeline.fit(dataset);
+    pipelines.emplace_back(config);
+    pipelines.back().fit(dataset);
+  }
+  const std::array<const fdeta::grid::Topology*, 2> topo{nullptr, &topology};
+  // Warm once outside the clock: the first hierarchy sweep lazily fits
+  // the feeder monitor's per-node baselines and calibration.
+  pipelines[0].evaluate_week(dataset, dataset, weeks - 1, calendar, topo[0]);
+  const auto warm =
+      pipelines[1].evaluate_week(dataset, dataset, weeks - 1, calendar, topo[1]);
+  if (!warm.feeder.has_value()) std::abort();
+  out.nodes = warm.feeder->nodes.size();
 
-    const fdeta::grid::Topology* topo = hierarchy ? &topology : nullptr;
-    // Warm once outside the clock: the first hierarchy sweep lazily fits
-    // the feeder monitor's per-node baselines and calibration.
-    {
-      const auto report =
-          pipeline.evaluate_week(dataset, dataset, weeks - 1, calendar, topo);
-      if (hierarchy) {
-        if (!report.feeder.has_value()) std::abort();
-        out.nodes = report.feeder->nodes.size();
-      }
-    }
-
-    // Best-of-N batched sweeps (>= 30ms per sample), as in the detector
-    // stage: the derived ratio divides one rate by the other, so both
-    // sides need the same noise discipline.
-    const std::size_t rounds = 3;
-    double sweep_s = 1e300;
-    for (std::size_t r = 0; r < rounds; ++r) {
+  // Best-of-N batched sweeps (>= 30ms per sample) with the two sides'
+  // rounds interleaved, as in the detector stage: the derived ratio
+  // divides one rate by the other, so both sides need the same noise
+  // discipline and machine drift must hit both in every round.
+  const std::size_t rounds = 3;
+  std::array<double, 2> sweep_s{1e300, 1e300};
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t p = 0; p < 2; ++p) {
       std::size_t sweeps = 0;
       double elapsed = 0.0;
       const auto start = std::chrono::steady_clock::now();
       do {
-        const auto report = pipeline.evaluate_week(dataset, dataset,
-                                                   weeks - 1, calendar, topo);
+        const auto report = pipelines[p].evaluate_week(
+            dataset, dataset, weeks - 1, calendar, topo[p]);
         if (report.verdicts.size() != consumers) std::abort();
         ++sweeps;
         elapsed = seconds_since(start);
       } while (elapsed < 0.03);
-      sweep_s = std::min(sweep_s, elapsed / static_cast<double>(sweeps));
+      sweep_s[p] = std::min(sweep_s[p], elapsed / static_cast<double>(sweeps));
     }
-    (hierarchy ? out.feeder_consumers_per_s : out.plain_consumers_per_s) =
-        static_cast<double>(consumers) / sweep_s;
   }
+  out.plain_consumers_per_s = static_cast<double>(consumers) / sweep_s[0];
+  out.feeder_consumers_per_s = static_cast<double>(consumers) / sweep_s[1];
   out.ratio = out.feeder_consumers_per_s / out.plain_consumers_per_s;
 
   std::printf(
