@@ -121,16 +121,19 @@ double reference_fold_seconds(std::string_view bytes) {
 double thread_cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 // Untimed pool warm-up before the first timed stage.  A run's first pooled
 // stages could read ~1.0x speedups (the whole run got about one CPU's
-// worth).  Each round is one parallel_for of `width` tasks that each burn
-// kBurn of their own thread's CPU time; the round ran at full width when
-// its wall time stayed under 1.5 x kBurn, which time-slicing on fewer
-// CPUs cannot do.  kStreak such rounds in a row (a tenth of a second at
-// full width) end the warm-up; it gives up after 10 s.
+// worth).  Each round is one parallel_for of `width` tasks - the pool's
+// width, or the host's hardware threads if fewer (the default pool is one
+// wider than the host) - that each burn kBurn of their own thread's CPU
+// time; the round ran at full width when its wall time stayed under
+// 1.5 x kBurn, which time-slicing on fewer CPUs cannot do.  kStreak such
+// rounds in a row (a tenth of a second at full width) end the warm-up; it
+// gives up after 5 s.
 struct PoolWarmUp {
   std::size_t width = 0;
   std::size_t rounds = 0;
@@ -142,10 +145,12 @@ PoolWarmUp warm_pool() {
   constexpr double kBurn = 0.002;
   constexpr std::size_t kStreak = 50;
   PoolWarmUp out;
-  out.width = fdeta::parallel_width(0);
+  out.width = std::min<std::size_t>(
+      fdeta::parallel_width(0),
+      std::max(1u, std::thread::hardware_concurrency()));
   const auto start = std::chrono::steady_clock::now();
   std::size_t streak = 0;
-  while (streak < kStreak && seconds_since(start) < 10.0) {
+  while (streak < kStreak && seconds_since(start) < 5.0) {
     ++out.rounds;
     const auto round = std::chrono::steady_clock::now();
     fdeta::parallel_for(out.width, [](std::size_t) {
