@@ -61,9 +61,8 @@ inline std::size_t bin_of(std::span<const double> edges, double scale,
   if (!(guess > 0.0)) guess = 0.0;
   if (guess > top) guess = top;
   std::size_t j = static_cast<std::size_t>(static_cast<std::int64_t>(guess));
-  // The guess stands where the walk below would not move it.  `&`, not
-  // `&&`: one branch, taken for nearly every reading.
-  if ((edges[j] <= value) & (value < edges[j + 1])) return j;
+  // The guess stands where the walk below would not move it.
+  if (edges[j] <= value && value < edges[j + 1]) return j;
   if (std::isnan(value)) return bins - 1;
   // Round-off (or non-uniform edges) can leave the guess off; walk to the
   // exact bin.  For uniform edges this is at most one step.
