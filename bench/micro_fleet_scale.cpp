@@ -654,8 +654,8 @@ HierarchyOverhead run_hierarchy_overhead(std::size_t max_consumers,
   // Warm once outside the clock: the first hierarchy sweep lazily fits
   // the feeder monitor's per-node baselines and calibration.
   pipelines[0].evaluate_week(dataset, dataset, weeks - 1, calendar, topo[0]);
-  const auto warm =
-      pipelines[1].evaluate_week(dataset, dataset, weeks - 1, calendar, topo[1]);
+  const auto warm = pipelines[1].evaluate_week(dataset, dataset, weeks - 1,
+                                               calendar, topo[1]);
   if (!warm.feeder.has_value()) std::abort();
   out.nodes = warm.feeder->nodes.size();
 

@@ -225,9 +225,10 @@ PipelineReport FdetaPipeline::evaluate_week(
           }
         }
 
+        // Step 2; its count pass also sums the week for the mean.
         double week_sum = 0.0;
         verdict.kld_score =
-            fleet_.score_week(i, week_readings, first_slot, &week_sum);  // 2
+            fleet_.score_week(i, week_readings, first_slot, &week_sum);
         reported_avg[i] =
             week_sum / static_cast<double>(week_readings.size());
 

@@ -64,9 +64,9 @@ constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
 /// such a reading throws DataError naming `consumer`.
 double add_quanta(std::int64_t* row, std::span<const Kw> readings,
                   std::size_t consumer) {
-  const auto bad =
-      std::find_if(readings.begin(), readings.end(),
-                   [](double kw) { return !(std::abs(kw) <= kMaxPlausibleKw); });
+  const auto bad = std::find_if(
+      readings.begin(), readings.end(),
+      [](double kw) { return !(std::abs(kw) <= kMaxPlausibleKw); });
   if (bad != readings.end()) {
     throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
                     " has an implausible reading (" + std::to_string(*bad) +
