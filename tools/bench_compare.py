@@ -2,31 +2,25 @@
 """Gate a BENCH_*.json perf report against a committed baseline.
 
 Compares the machine-portable ratios under "derived" (same-run comparisons:
-pool speedups, shard contention, detector rates and restore times over a
-reference pass the bench runs beside them) and exits non-zero
-when the candidate regresses more than --tolerance below the baseline.
+the fit's pool speedup, shard contention, and sweep rates and restore times
+over a reference pass the bench runs beside them) and exits non-zero when
+the candidate regresses more than --tolerance below the baseline.
 Absolute rates (consumers/sec, readings/sec) are recorded in the reports for
 the trajectory but never gated: they measure the machine as much as the
 code.  Improvements never fail the gate.
-
-Given several candidate reports (runs of one tree), each derived ratio is
-gated on its median across them: a ratio that one run's process happened to
-measure low (a noisy neighbour on its core for the whole run) does not fail
-the gate, while a real regression moves every run.
 
 The pool speedups only compare like with like when both reports ran the
 same pool width, so reports whose "pool_workers" differ are not compared:
 the gate prints both widths and exits 2 (exit 1 means a regression).  Pin
 the candidate's width with FDETA_THREADS to match the baseline's.
 
-With --append-history, the first candidate report is additionally archived
-under bench/history/ keyed by the git revision recorded inside it, seeding
-the long-run perf trajectory (one JSON per revision; re-runs of the same
+With --append-history, the candidate report is additionally archived under
+bench/history/ keyed by the git revision recorded inside it, seeding the
+long-run perf trajectory (one JSON per revision; re-runs of the same
 revision overwrite, so the history holds the latest numbers per rev).
 
 Usage:
-    bench_compare.py BASELINE.json CANDIDATE.json [CANDIDATE.json ...]
-                     [--tolerance 0.20]
+    bench_compare.py BASELINE.json CANDIDATE.json [--tolerance 0.20]
                      [--keys fit_pool_speedup,warm_restore_vs_reference]
                      [--append-history [DIR]]
 """
@@ -34,7 +28,6 @@ Usage:
 import argparse
 import json
 import os
-import statistics
 import sys
 
 
@@ -73,12 +66,7 @@ def append_history(candidate_path, history_dir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
-    parser.add_argument(
-        "candidates",
-        nargs="+",
-        help="one or more reports of the candidate tree; each derived "
-        "ratio is gated on its median across them",
-    )
+    parser.add_argument("candidate")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -103,28 +91,18 @@ def main():
     args = parser.parse_args()
 
     if args.append_history is not None:
-        append_history(args.candidates[0], args.append_history)
+        append_history(args.candidate, args.append_history)
 
     base_workers, base = load_report(args.baseline)
-    runs = []
-    for path in args.candidates:
-        cand_workers, derived = load_report(path)
-        if base_workers != cand_workers:
-            print(
-                f"MISMATCH: pool_workers {base_workers} in {args.baseline} vs "
-                f"{cand_workers} in {path}; the reports measure different "
-                f"pool widths and are not compared (set FDETA_THREADS to the "
-                f"baseline's width)"
-            )
-            return 2
-        runs.append(derived)
-    # A key every candidate carries, at its median across them.
-    cand = {
-        key: statistics.median(run[key] for run in runs)
-        for key in set.intersection(*(set(run) for run in runs))
-    }
-    if len(runs) > 1:
-        print(f"candidate: per-ratio medians of {len(runs)} reports")
+    cand_workers, cand = load_report(args.candidate)
+    if base_workers != cand_workers:
+        print(
+            f"MISMATCH: pool_workers {base_workers} in {args.baseline} vs "
+            f"{cand_workers} in {args.candidate}; the reports measure "
+            f"different pool widths and are not compared (set FDETA_THREADS "
+            f"to the baseline's width)"
+        )
+        return 2
     keys = [k for k in args.keys.split(",") if k] or sorted(
         set(base) & set(cand)
     )
