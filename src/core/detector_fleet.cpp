@@ -552,18 +552,16 @@ double DetectorFleet::score_counts(
 }
 
 double DetectorFleet::raw_score_week(std::size_t i, std::span<const Kw> week,
-                                     SlotIndex first_slot) const {
+                                     SlotIndex first_slot, double* sum) const {
   const std::span<std::uint16_t> counts = count_scratch(count_words());
-  count_week(i, week, first_slot, counts);
+  const double total = count_week(i, week, first_slot, counts);
+  if (sum != nullptr) *sum = total;
   return raw_score_counts(i, counts);
 }
 
 double DetectorFleet::score_week(std::size_t i, std::span<const Kw> week,
                                  SlotIndex first_slot, double* sum) const {
-  const std::span<std::uint16_t> counts = count_scratch(count_words());
-  const double total = count_week(i, week, first_slot, counts);
-  if (sum != nullptr) *sum = total;
-  return calibrate(i, raw_score_counts(i, counts));
+  return calibrate(i, raw_score_week(i, week, first_slot, sum));
 }
 
 std::vector<double> DetectorFleet::group_scores(std::size_t i,

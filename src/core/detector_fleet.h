@@ -113,15 +113,15 @@ class DetectorFleet {
   /// The family-native score: the divergence in bits, or for ckld the worst
   /// group margin max_g(K_g - threshold_g), so ckld's raw threshold is 0
   /// and raw > threshold is its "any group over its own threshold" rule.
+  /// With `sum`, also stores what count_week returns, so an owner that
+  /// needs the week's mean takes it from the same pass.
   double raw_score_week(std::size_t i, std::span<const Kw> week,
-                        SlotIndex first_slot = 0) const;
+                        SlotIndex first_slot = 0, double* sum = nullptr) const;
   /// The family-native decision threshold: a week is anomalous iff its raw
   /// score exceeds it.
   double raw_decision_threshold(std::size_t i) const;
   /// The calibrated score of a week: calibrated_score over member i's
-  /// reference, comparable across families.  With `sum`, also stores what
-  /// count_week returns, so an owner that needs the week's mean takes it
-  /// from the same pass.
+  /// reference, comparable across families; `sum` as for raw_score_week.
   double score_week(std::size_t i, std::span<const Kw> week,
                     SlotIndex first_slot = 0, double* sum = nullptr) const;
   /// The uniform calibrated decision threshold: 1 - significance.

@@ -60,21 +60,17 @@ constexpr std::size_t kUnscored = static_cast<std::size_t>(-1);
 /// (halves away from zero), and returns the readings' sum, added in index
 /// order from 0.0 as stats::mean adds them.  A reading that is not finite
 /// or exceeds kMaxPlausibleKw in magnitude would break the sums' bound (and
-/// its cast would be undefined), so the whole span is checked first and
-/// such a reading throws DataError naming `consumer`.
+/// its cast would be undefined), so it throws DataError naming `consumer`.
 double add_quanta(std::int64_t* row, std::span<const Kw> readings,
                   std::size_t consumer) {
-  const auto bad = std::find_if(
-      readings.begin(), readings.end(),
-      [](double kw) { return !(std::abs(kw) <= kMaxPlausibleKw); });
-  if (bad != readings.end()) {
-    throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
-                    " has an implausible reading (" + std::to_string(*bad) +
-                    " kW)");
-  }
   double sum = 0.0;
   for (std::size_t t = 0; t < readings.size(); ++t) {
     const double kw = readings[t];
+    if (!(std::abs(kw) <= kMaxPlausibleKw)) {
+      throw DataError("FeederMonitor: consumer " + std::to_string(consumer) +
+                      " has an implausible reading (" + std::to_string(kw) +
+                      " kW)");
+    }
     row[t] += static_cast<std::int64_t>(kw * (1.0 / kQuantumKw) +
                                         std::copysign(0.5, kw));
     sum += kw;
