@@ -643,7 +643,7 @@ DetectorFamilies run_detector_families(std::size_t max_consumers,
 // hierarchy change that makes the weekly sweep more expensive fails CI,
 // while a faster detector kernel, which speeds up the plain sweep more
 // than the feeder layer, moves no row the wrong way.  The feeder / plain
-// ratio (the hierarchy tax) is still printed.
+// ratio (the hierarchy tax) is printed beside it.
 struct HierarchyOverhead {
   std::size_t consumers = 0;
   std::size_t nodes = 0;  // internal nodes scored by the feeder layer
