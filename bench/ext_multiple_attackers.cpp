@@ -123,9 +123,13 @@ int main() {
   hierarchy::FeederMonitor feeder(radial, feeder_config);
   feeder.fit(dataset, split);
 
+  // The attacked week's trusted means, and each consumer's training mean
+  // (the scale of the collusion test).
   std::vector<double> actual_mean(consumers);
+  std::vector<double> train_mean(consumers);
   for (std::size_t i = 0; i < consumers; ++i) {
     actual_mean[i] = stats::mean(dataset.consumer(i).week(attacked_week));
+    train_mean[i] = stats::mean(split.train(dataset.consumer(i)));
   }
 
   std::printf("\nColluding sibling groups, %.0f%% shave each, week %zu\n\n",
@@ -150,7 +154,8 @@ int main() {
     }
 
     const auto report =
-        feeder.evaluate_week(actual_mean, reported, attacked_week, flagged);
+        feeder.evaluate_week(actual_mean, reported, attacked_week, train_mean,
+                             flagged);
     std::size_t localized = 0;
     for (const auto& group : report.collusion) {
       for (const std::size_t member : group.consumers) {

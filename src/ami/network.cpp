@@ -22,8 +22,8 @@ HeadEnd::HeadEnd(std::size_t consumers, std::size_t slots,
       missing_(consumers * slots) {
   obs::MetricsRegistry& registry =
       metrics != nullptr ? *metrics : obs::default_registry();
-  shards_ = ShardLayer(config.shards, consumers,
-                       shared_pool().thread_count() + 1, registry, "ami");
+  shards_ = ShardLayer(config.shards, consumers, parallel_width(0), registry,
+                       "ami");
   reports_received_ = &registry.counter("ami.reports_received");
   reports_overwritten_ = &registry.counter("ami.reports_overwritten");
   reports_accepted_ = &registry.counter("ami.reports_accepted");

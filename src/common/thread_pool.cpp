@@ -12,7 +12,8 @@ namespace fdeta {
 
 ThreadPool::ThreadPool(std::size_t threads, obs::MetricsRegistry* metrics) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t cores = std::thread::hardware_concurrency();
+    threads = cores > 1 ? cores - 1 : 1;
   }
   // Resolve the metric handles before any worker exists so the workers only
   // ever touch initialized pointers.  (default_registry() outlives the
@@ -87,9 +88,9 @@ void ThreadPool::worker_loop() {
 
 ThreadPool& shared_pool() {
   // FDETA_THREADS pins the shared pool's width for the whole process
-  // (0/unset = hardware concurrency).  The chaos lane runs the same seeded
-  // scenario under FDETA_THREADS=1 and the default width and requires
-  // byte-identical event logs.
+  // (0/unset = one worker per core but the caller's).  The chaos lane runs
+  // the same seeded scenario under FDETA_THREADS=1 and the default width
+  // and requires byte-identical event logs.
   static ThreadPool pool(env_size("FDETA_THREADS", 0));
   return pool;
 }

@@ -35,7 +35,8 @@ class MetricsRegistry;
 /// exception instead.
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `threads` workers; 0 means one fewer than the hardware threads
+  /// (at least one), so the workers plus a calling thread fill the cores.
   /// Pool load telemetry (pool.tasks_submitted / pool.tasks_completed /
   /// pool.queue_depth_highwater) is reported to `metrics`, or to
   /// obs::default_registry() when null.
@@ -90,7 +91,8 @@ class ThreadPool {
   obs::Gauge* queue_highwater_ = nullptr;
 };
 
-/// The lazily-initialized process-wide pool (hardware_concurrency workers).
+/// The lazily-initialized process-wide pool (FDETA_THREADS workers, or
+/// ThreadPool's default of one per core but the caller's).
 /// All parallel_for calls and the fleet path share it, so tight bench loops
 /// stop paying per-call thread-spawn cost.
 ThreadPool& shared_pool();

@@ -1,9 +1,9 @@
 // One registry family's fitted detectors, stored as rows of flat arrays.
 //
 // The paper fits its KLD detector once per consumer and scores every new
-// week at the control center (Sections VII-A, VII-D).  FdetaPipeline and
-// OnlineMonitor run one detector per consumer, hierarchy::FeederMonitor one
-// per scored feeder node; each owns exactly one DetectorFleet for them, and
+// week at the control center (Sections VII-A, VII-D).  The consumer model
+// (core/consumer_model.h) holds one detector per consumer, and
+// hierarchy::FeederMonitor one per scored feeder node, each in one fleet;
 // the evaluation harness's core::FleetDetector (eval/fleet_detector.h)
 // holds a one-member fleet.  So there is one storage and one arithmetic
 // whether a family serves one consumer or 34,000.
@@ -98,6 +98,8 @@ class DetectorFleet {
   void fit(std::size_t i, std::span<const Kw> training);
 
   std::size_t size() const { return count_; }
+  /// W: the training weeks every member is fitted on (0 when memberless).
+  std::size_t weeks() const { return weeks_; }
   /// G: ckld's price groups, 1 for kld and kld-lite.
   std::size_t groups() const { return groups_; }
   const std::string& family() const { return family_; }

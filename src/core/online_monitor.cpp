@@ -111,13 +111,6 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config) : config_(config) {
                                       : &obs::default_event_log();
 }
 
-void OnlineMonitor::init_shards(std::size_t count) {
-  shards_ = ShardLayer(config_.shards, count,
-                       config_.threads != 0 ? config_.threads
-                                            : shared_pool().thread_count() + 1,
-                       *registry_, "monitor");
-}
-
 std::size_t OnlineMonitor::health_bin(double v) const {
   // Linear bins over [0, max_kw], upper-inclusive edges at max_kw * b / bins,
   // everything past max_kw merged into the top bin.  Arithmetic instead of a
@@ -237,31 +230,6 @@ void OnlineMonitor::emit_alert(const AlertEvent& event) const {
           .str("direction", to_string(event.direction)));
 }
 
-void OnlineMonitor::init_fleet(std::size_t count, std::size_t weeks) {
-  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count,
-                         weeks);
-  ids_.assign(count, meter::ConsumerId{});
-  windows_.assign(count * kWindow, 0.0);
-  missing_.assign(count * kMaskWords, 0);
-  missing_in_window_.assign(count, 0);
-  since_score_.assign(count, 0);
-  cooldown_.assign(count, 0);
-  train_mean_.assign(count, 0.0);
-  init_shards(count);
-}
-
-void OnlineMonitor::fit_one(std::size_t i, const meter::ConsumerSeries& series,
-                            const meter::TrainTestSplit& split) {
-  const auto train = split.train(series);
-  fleet_.fit(i, train);
-  ids_[i] = series.id;
-  // Prime with the last (trusted) training week.  Training spans start at a
-  // week boundary, so the primed vector is slot-of-week aligned.
-  std::copy(train.end() - kWindow, train.end(),
-            windows_.begin() + static_cast<std::ptrdiff_t>(i * kWindow));
-  train_mean_[i] = stats::mean(train);
-}
-
 std::unique_ptr<hierarchy::FeederMonitor> OnlineMonitor::make_feeder() const {
   return std::make_unique<hierarchy::FeederMonitor>(
       *config_.topology, hierarchy::FeederConfig{.threads = config_.threads,
@@ -273,24 +241,8 @@ void OnlineMonitor::fit(const meter::Dataset& history,
                         const meter::TrainTestSplit& split) {
   obs::TraceSpan span("monitor.fit", "monitor");
   obs::ScopedTimer timer(*fit_seconds_);
-  fitted_ = false;
-  alerts_.clear();
-  feeder_.reset();
-
-  const std::size_t count = history.consumer_count();
-  init_fleet(count, split.train_weeks);
-  // Per-consumer fits are independent; run them on the shared pool.
-  parallel_for(
-      count, [&](std::size_t i) { fit_one(i, history.consumer(i), split); },
-      config_.threads);
-  if (config_.topology != nullptr) {
-    feeder_ = make_feeder();
-    feeder_->fit(history, split);
-  }
-  reset_counted_windows();
-  rebuild_health_baseline();
-  fitted_ = true;
-  consumers_fitted_->add(count);
+  serve(nullptr, history.consumer_count(), meter::series_source(history),
+        split);
 }
 
 void OnlineMonitor::fit_streaming(
@@ -300,32 +252,78 @@ void OnlineMonitor::fit_streaming(
   obs::TraceSpan span("monitor.fit_streaming", "monitor");
   obs::ScopedTimer timer(*fit_seconds_);
   require(static_cast<bool>(source), "OnlineMonitor: null series source");
+  serve(nullptr, count,
+        [&](std::size_t i, meter::ConsumerSeries& scratch)
+            -> const meter::ConsumerSeries& { return scratch = source(i); },
+        split);
+}
+
+void OnlineMonitor::start(std::shared_ptr<const ConsumerModel> model,
+                          const meter::Dataset& history) {
+  obs::TraceSpan span("monitor.start", "monitor");
+  require(model != nullptr && model->fleet.size() == history.consumer_count(),
+          "OnlineMonitor::start: the model does not match the history");
+  const meter::TrainTestSplit split{.train_weeks = model->fleet.weeks(),
+                                    .test_weeks = 0};
+  serve(std::move(model), history.consumer_count(),
+        meter::series_source(history), split);
+}
+
+void OnlineMonitor::serve(std::shared_ptr<const ConsumerModel> model,
+                          std::size_t count, const meter::SeriesSource& source,
+                          const meter::TrainTestSplit& split) {
   fitted_ = false;
+  model_.reset();
   alerts_.clear();
   feeder_.reset();
-
-  init_fleet(count, split.train_weeks);
-  // Each iteration materialises exactly one consumer's series, fits, and
-  // drops it: peak memory is the fitted state plus `threads` series, never
-  // the fleet's full history.
-  parallel_for(
-      count,
-      [&](std::size_t i) {
-        const meter::ConsumerSeries series = source(i);
-        fit_one(i, series, split);
-      },
-      config_.threads);
-  if (config_.topology != nullptr) {
-    // A second pass over the source, once per consumer from pool tasks:
-    // the feeder layer's integer sums give state bit-identical to the
-    // in-memory fit() path whatever order the series arrive in.
-    feeder_ = make_feeder();
-    feeder_->fit_streaming(count, source, split);
+  ids_.assign(count, meter::ConsumerId{});
+  windows_.assign(count * kWindow, 0.0);
+  missing_.assign(count * kMaskWords, 0);
+  missing_in_window_.assign(count, 0);
+  since_score_.assign(count, 0);
+  cooldown_.assign(count, 0);
+  // Prime each window with the last (trusted) training week.  Training
+  // spans start at a week boundary, so the primed vector is slot-of-week
+  // aligned.
+  const auto prime = [&](std::size_t i, const meter::ConsumerSeries& series) {
+    const auto train = split.train(series);
+    ids_[i] = series.id;
+    std::copy(train.end() - kWindow, train.end(),
+              windows_.begin() + static_cast<std::ptrdiff_t>(i * kWindow));
+  };
+  if (model == nullptr) {  // the model's one pass hands each series over
+    model = ConsumerModel::fit(config_.detector, config_.detector_options,
+                               split, count, source, config_.threads, prime);
+    consumers_fitted_->add(count);
+  } else {
+    parallel_for(
+        count,
+        [&](std::size_t i) { meter::ConsumerSeries s; prime(i, source(i, s)); },
+        config_.threads);
   }
-  reset_counted_windows();
+  if (config_.topology != nullptr) {
+    // A second pass over the source: the feeder layer's integer sums give
+    // the same state whatever order the series arrive in.
+    feeder_ = make_feeder();
+    feeder_->fit(count, source, split);
+  }
+  open(std::move(model));
+}
+
+void OnlineMonitor::open(std::shared_ptr<const ConsumerModel> model) {
+  config_.detector = model->fleet.family();
+  config_.detector_options = model->fleet.options();
+  model_ = std::move(model);
+  const std::size_t count = model_->fleet.size();
+  shards_ = ShardLayer(config_.shards, count, parallel_width(config_.threads),
+                       *registry_, "monitor");
+  count_words_ = model_->fleet.count_words();
+  counts_.assign(count * count_words_, 0);
+  counted_.assign(count, 0);
+  // Drift is measured against the population distribution at service start:
+  // the primed training windows, or a restored monitor's restored ones.
   rebuild_health_baseline();
   fitted_ = true;
-  consumers_fitted_->add(count);
 }
 
 hierarchy::FeederReport OnlineMonitor::evaluate_feeders(SlotIndex slot) {
@@ -336,21 +334,15 @@ hierarchy::FeederReport OnlineMonitor::evaluate_feeders(SlotIndex slot) {
   // recently; the hierarchy layer only localizes the sub-threshold rest.
   // Windows and cooldowns are layout-invariant state, so this mask - and
   // the whole report - is byte-identical for any shard x thread layout.
-  std::vector<unsigned char> flagged(fleet_.size(), 0);
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
+  std::vector<unsigned char> flagged(consumer_count(), 0);
+  for (std::size_t i = 0; i < flagged.size(); ++i) {
     flagged[i] = cooldown_[i] > 0 ? 1 : 0;
   }
   return feeder_->evaluate_windows(
       [this](std::size_t i) {
         return std::span<const Kw>(windows_.data() + i * kWindow, kWindow);
       },
-      slot, flagged);
-}
-
-void OnlineMonitor::reset_counted_windows() {
-  count_words_ = fleet_.count_words();
-  counts_.assign(fleet_.size() * count_words_, 0);
-  counted_.assign(fleet_.size(), 0);
+      model_->train_mean, slot, flagged);
 }
 
 std::span<const std::uint16_t> OnlineMonitor::counted_window(std::size_t i) {
@@ -358,7 +350,8 @@ std::span<const std::uint16_t> OnlineMonitor::counted_window(std::size_t i) {
                                         count_words_};
   if (counted_[i] == 0) {
     // windows_ index s holds slot-of-week s: a week from slot-of-week 0.
-    fleet_.count_week(i, {windows_.data() + i * kWindow, kWindow}, 0, counts);
+    model_->fleet.count_week(i, {windows_.data() + i * kWindow, kWindow}, 0,
+                               counts);
     counted_[i] = 1;
   }
   return counts;
@@ -392,6 +385,7 @@ void OnlineMonitor::flush(const Tally& tally) {
 
 std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
                                                Tally& tally) {
+  const DetectorFleet& fleet = model_->fleet;
   const std::size_t i = reading.consumer_index;
   const std::size_t base = i * kWindow;
   const std::size_t position = static_cast<std::size_t>(reading.slot) % kWindow;
@@ -427,8 +421,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
     // the counts and the incoming one moves in.
     const std::span<std::uint16_t> counts{counts_.data() + i * count_words_,
                                           count_words_};
-    fleet_.count_reading(i, counts, position, stored, -1);
-    fleet_.count_reading(i, counts, position, reading.kw, +1);
+    fleet.count_reading(i, counts, position, stored, -1);
+    fleet.count_reading(i, counts, position, reading.kw, +1);
   }
   stored = reading.kw;
   if (mask & bit) {
@@ -458,13 +452,13 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
   // windows_ is slot-of-week aligned (index s = slot-of-week s), so its
   // counts score bit-identically to the vector read as a week starting at
   // slot-of-week 0.
-  const double score = fleet_.score_counts(i, counted_window(i));
-  const double threshold = fleet_.decision_threshold();
+  const double score = fleet.score_counts(i, counted_window(i));
+  const double threshold = fleet.decision_threshold();
   if (score <= threshold) return std::nullopt;
 
   cooldown_[i] = static_cast<std::uint32_t>(config_.cooldown_slots);
   const std::span<const Kw> window{windows_.data() + base, kWindow};
-  const AlertDirection direction = stats::mean(window) > train_mean_[i]
+  const AlertDirection direction = stats::mean(window) > model_->train_mean[i]
                                        ? AlertDirection::kOverReport
                                        : AlertDirection::kUnderReport;
   ++(direction == AlertDirection::kOverReport ? tally.alerts_over
@@ -547,14 +541,12 @@ void OnlineMonitor::save(std::ostream& out) const {
   enc.u64(config_.stride);
   enc.u64(config_.cooldown_slots);
   enc.f64(config_.max_missing_fraction);
-  fleet_.save(enc);
 
   // Per-consumer counters, one bulk array per field (missing_in_window_ is
   // a derived popcount, recomputed on restore).
   enc.u32_array(ids_);
   enc.u32_array(since_score_);
   enc.u32_array(cooldown_);
-  enc.f64_array(train_mean_);
 
   enc.u64(alerts_.size());
   for (const AlertEvent& a : alerts_) {
@@ -570,9 +562,10 @@ void OnlineMonitor::save(std::ostream& out) const {
   enc.u8(feeder_ != nullptr ? 1 : 0);
   if (feeder_ != nullptr) feeder_->save_state(enc);
 
-  // Three sections: the small state, then the two bulk arrays written
-  // straight from the live fleet state.
+  // Four sections: the consumer model, the serving state, then the two
+  // bulk arrays written straight from the live fleet state.
   persist::CheckpointWriter writer(out, persist::Section::kOnlineMonitor);
+  model_->save(writer);
   writer.write(enc.bytes());
   writer.write(std::span<const double>(windows_));
   writer.write(std::span<const std::uint64_t>(missing_));
@@ -581,6 +574,9 @@ void OnlineMonitor::save(std::ostream& out) const {
 void OnlineMonitor::restore(std::istream& in) {
   obs::TraceSpan span("monitor.restore", "monitor");
   persist::CheckpointReader reader(in, persist::Section::kOnlineMonitor);
+  std::shared_ptr<const ConsumerModel> model =
+      ConsumerModel::restore(reader, config_.threads);
+  const std::size_t count = model->fleet.size();
   const std::string state = reader.read();
   persist::Decoder dec(state);
 
@@ -594,16 +590,11 @@ void OnlineMonitor::restore(std::istream& in) {
     throw DataError("checkpoint: monitor max_missing_fraction out of [0,1]");
   }
 
-  DetectorFleet fleet = DetectorFleet::restore(dec, config_.threads);
-  const std::size_t count = fleet.size();
   std::vector<meter::ConsumerId> ids = dec.u32_array("monitor ids", count);
   std::vector<std::uint32_t> since_score =
       dec.u32_array("monitor stride counters", count);
   std::vector<std::uint32_t> cooldown =
       dec.u32_array("monitor cooldown counters", count);
-  std::vector<double> train_mean =
-      dec.f64_array("monitor training means", count);
-  persist::require_finite("monitor training means", train_mean);
 
   const std::size_t alert_count = dec.count("alerts", 100u << 20);
   dec.require_fits("alerts", alert_count, kAlertBytes);
@@ -635,6 +626,10 @@ void OnlineMonitor::restore(std::istream& in) {
           "checkpoint: feeder-hierarchy state present but the monitor has "
           "no configured topology");
     }
+    if (config_.topology->consumer_count() != count) {
+      throw DataError("checkpoint: model consumer count does not match the "
+                      "monitor's topology");
+    }
     feeder = make_feeder();
     feeder->restore_state(dec);
   }
@@ -660,26 +655,16 @@ void OnlineMonitor::restore(std::istream& in) {
   }
 
   // Everything decoded cleanly; commit the restore atomically.
-  config.detector = fleet.family();
-  config.detector_options = fleet.options();
   config_ = std::move(config);
-  fleet_ = std::move(fleet);
   ids_ = std::move(ids);
   windows_ = std::move(windows);
   missing_ = std::move(missing);
   missing_in_window_ = std::move(missing_in_window);
   since_score_ = std::move(since_score);
   cooldown_ = std::move(cooldown);
-  train_mean_ = std::move(train_mean);
-  init_shards(count);
-  reset_counted_windows();
-  // Drift is measured against the population distribution at service start:
-  // a restored monitor baselines on its restored sliding windows, exactly as
-  // a freshly fitted one baselines on the primed training windows.
-  rebuild_health_baseline();
   alerts_ = std::move(alerts);
   feeder_ = std::move(feeder);
-  fitted_ = true;
+  open(std::move(model));
   consumers_restored_->add(count);
   events_->emit("model_restored",
                 obs::EventFields{}

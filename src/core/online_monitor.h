@@ -12,10 +12,10 @@
 // (contiguous ranges of consumer indexes; common/sharding.h), each behind
 // its own mutex, so concurrent ingest()/ingest_batch() calls from multiple
 // head-end feeds are safe and scale until feeds collide on a shard.
-// Everything else - fit(), fit_streaming(), save(), restore(), alerts(),
-// window(), evaluate_feeders() and refresh_health_gauges() - needs the
-// feeds quiesced.  Determinism: for a fixed reading order, scores / alerts
-// / counters / checkpoint bytes are identical for ANY shard count and
+// Everything else - fit(), fit_streaming(), start(), save(), restore(),
+// alerts(), window(), evaluate_feeders() and refresh_health_gauges() - needs
+// the feeds quiesced.  Determinism: for a fixed reading order, scores /
+// alerts / counters / checkpoint bytes are identical for ANY shard count and
 // thread count - sharding moves locks around, never results.
 //
 // Telemetry (obs/metrics.h, "monitor." prefix): readings ingested / missing
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "common/sharding.h"
-#include "core/detector_fleet.h"
+#include "core/consumer_model.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "meter/dataset.h"
 
@@ -114,11 +114,11 @@ struct OnlineMonitorConfig {
   /// Emits alert_raised per alert (in alerts() order) and model_restored on
   /// restore().
   obs::EventLog* events = nullptr;
-  /// Optional feeder-hierarchy layer (DESIGN.md §14): when non-null, fit()
-  /// also fits a hierarchy::FeederMonitor over this radial tree and
-  /// evaluate_feeders() scores its internal nodes over the sliding windows.
-  /// Must outlive the monitor; its consumer count must match the fleet.  The
-  /// feeder layer shares `threads`, `metrics` and `events`.
+  /// Optional feeder-hierarchy layer (DESIGN.md §14): when non-null,
+  /// fit()/start() also fit a hierarchy::FeederMonitor over this radial tree
+  /// and evaluate_feeders() scores its internal nodes over the sliding
+  /// windows.  Must outlive the monitor; its consumer count must match the
+  /// fleet.  The feeder layer shares `threads`, `metrics` and `events`.
   const grid::Topology* topology = nullptr;
 };
 
@@ -126,8 +126,9 @@ class OnlineMonitor {
  public:
   explicit OnlineMonitor(OnlineMonitorConfig config = {});
 
-  /// Trains per-consumer detectors on the first `split.train_weeks` weeks of
-  /// `history` and primes each sliding vector with the last training week.
+  /// Fits the consumer model (core/consumer_model.h) on the first
+  /// `split.train_weeks` weeks of `history` in one pass, which also primes
+  /// each sliding vector with the last training week.
   void fit(const meter::Dataset& history, const meter::TrainTestSplit& split);
 
   /// As fit(), but materialises one consumer series at a time via `source`
@@ -140,6 +141,12 @@ class OnlineMonitor {
       std::size_t count,
       const std::function<meter::ConsumerSeries(std::size_t)>& source,
       const meter::TrainTestSplit& split);
+
+  /// As fit(), but serves an existing `model` (FdetaPipeline::model(), say)
+  /// instead of fitting one, taking its detector family and options;
+  /// `history` holds one series per model consumer.
+  void start(std::shared_ptr<const ConsumerModel> model,
+             const meter::Dataset& history);
 
   /// Ingests one reported reading; returns an alert when the consumer's
   /// sliding week vector crosses its threshold (subject to stride/cooldown).
@@ -165,20 +172,20 @@ class OnlineMonitor {
   /// All alerts raised so far, in ingestion order.
   const std::vector<AlertEvent>& alerts() const { return alerts_; }
 
-  /// Serializes the fitted monitor (detectors, sliding windows, stride /
+  /// Serializes the monitor (consumer model, sliding windows, stride /
   /// cooldown counters, alert log) as a checkpoint (persist/checkpoint.h).
   /// Requires fit() to have run.
   void save(std::ostream& out) const;
 
-  /// Restores a save() checkpoint, replacing this monitor's fit, window
+  /// Restores a save() checkpoint, replacing this monitor's model, window
   /// state, and the fit-related config (detector family and options, stride,
   /// cooldown_slots, max_missing_fraction; `threads`, `metrics` and `shards`
   /// keep their constructed values).  Subsequent ingest calls behave
   /// bit-identically to the monitor that was saved.
-  /// The file holds three sections (DESIGN.md §9): the small state (config,
-  /// detector block, per-consumer counters, alerts, feeder block), then the
-  /// sliding windows and the missing-slot bitset, each read straight into
-  /// place; the "kld" detector rebuild runs on the shared pool.  Throws
+  /// The file holds four sections (DESIGN.md §9): the consumer model, the
+  /// small state (config, per-consumer counters, alerts, feeder block), then
+  /// the sliding windows and the missing-slot bitset, each read straight
+  /// into place; the detector rebuild runs on the shared pool.  Throws
   /// DataError on a corrupted, truncated or version-mismatched file and
   /// leaves this monitor untouched.
   void restore(std::istream& in);
@@ -190,7 +197,7 @@ class OnlineMonitor {
   /// The active config (restore overwrites the fit-related fields).
   const OnlineMonitorConfig& config() const { return config_; }
 
-  std::size_t consumer_count() const { return fleet_.size(); }
+  std::size_t consumer_count() const { return ids_.size(); }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
   std::size_t shard_count() const { return shards_.count(); }
@@ -223,28 +230,27 @@ class OnlineMonitor {
   /// and sinks (unfitted).
   std::unique_ptr<hierarchy::FeederMonitor> make_feeder() const;
 
-  /// Sizes the Struct-of-Arrays fleet state and shards for `count`
-  /// consumers (everything zeroed; the detector fleet unfitted, sized for
-  /// `weeks` training weeks).
-  void init_fleet(std::size_t count, std::size_t weeks);
+  /// fit(), fit_streaming() and start(): sizes the serving state for
+  /// `count` consumers and primes each window from its series - fetched by
+  /// the model's one fit pass when `model` is null - then fits the feeder
+  /// layer, if any, over `source`.
+  void serve(std::shared_ptr<const ConsumerModel> model, std::size_t count,
+             const meter::SeriesSource& source,
+             const meter::TrainTestSplit& split);
 
-  /// Sizes the shard layer for `count` consumers.
-  void init_shards(std::size_t count);
+  /// Serves `model` (taking its detector config) from the windows in place:
+  /// sizes the shards and counted windows, every consumer uncounted, and
+  /// rebaselines population health.  The end of serve() and restore().
+  void open(std::shared_ptr<const ConsumerModel> model);
 
   /// Rebuilds the population-health baseline (linear reading-magnitude bins
   /// over the primed sliding windows) and zeroes the recent-window
-  /// accumulators.  Called at the end of fit/fit_streaming/restore, so drift
-  /// is always measured against the population distribution at service
-  /// start.
+  /// accumulators.  Called by open(), so drift is always measured against
+  /// the population distribution at service start.
   void rebuild_health_baseline();
 
   /// Bin index into the health histogram for one reading value.
   std::size_t health_bin(double v) const;
-
-  /// Fits consumer i's detector and primes its sliding window from `series`
-  /// (shared by fit() and fit_streaming(); safe concurrently for distinct i).
-  void fit_one(std::size_t i, const meter::ConsumerSeries& series,
-               const meter::TrainTestSplit& split);
 
   /// Plain per-call tallies of apply(), flushed into the shared counters
   /// once per shard per batch (once per ingest() call).
@@ -260,10 +266,6 @@ class OnlineMonitor {
   /// so flushes from concurrent shards keep the totals exact).
   void flush(const Tally& tally);
 
-  /// Sizes the counted windows for the fitted fleet, every consumer
-  /// uncounted (end of fit/fit_streaming/restore).
-  void reset_counted_windows();
-
   /// Consumer i's counts, counted from its window on first use after
   /// fit/restore (the caller holds its shard lock).
   std::span<const std::uint16_t> counted_window(std::size_t i);
@@ -273,7 +275,7 @@ class OnlineMonitor {
   void emit_alert(const AlertEvent& event) const;
 
   OnlineMonitorConfig config_;
-  DetectorFleet fleet_;  // one detector per consumer
+  std::shared_ptr<const ConsumerModel> model_;  // shared, read-only
   std::vector<meter::ConsumerId> ids_;
 
   // Per-consumer sliding-window state, Struct-of-Arrays: one flat array per
@@ -295,7 +297,6 @@ class OnlineMonitor {
   std::vector<std::uint32_t> missing_in_window_;  ///< popcount, O(1) gate
   std::vector<std::uint32_t> since_score_;
   std::vector<std::uint32_t> cooldown_;
-  std::vector<double> train_mean_;  ///< training-span mean, alert direction
   /// Counted windows (DetectorFleet's count contract): counts_[i*W ..
   /// (i+1)*W) holds consumer i's window as its detector's W =
   /// count_words_ count words, kept current one reading at a time once
@@ -316,8 +317,9 @@ class OnlineMonitor {
   std::vector<AlertEvent> alerts_;
   bool fitted_ = false;
 
-  /// Feeder-hierarchy layer; built by fit()/restore() when config_.topology
-  /// is set (and, for restore, the checkpoint carries a hierarchy block).
+  /// Feeder-hierarchy layer; built by serve()/restore() when
+  /// config_.topology is set (and, for restore, the checkpoint carries a
+  /// hierarchy block).
   std::unique_ptr<hierarchy::FeederMonitor> feeder_;
 
   // Cached at construction; updates are lock-free (see obs/metrics.h).

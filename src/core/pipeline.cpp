@@ -6,14 +6,12 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "meter/weekly_stats.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "persist/binary_io.h"
 #include "persist/checkpoint.h"
 #include "stats/descriptive.h"
-#include "stats/quantile.h"
 
 namespace fdeta::core {
 
@@ -94,24 +92,12 @@ FdetaPipeline::FdetaPipeline(PipelineConfig config) : config_(config) {
 void FdetaPipeline::fit(const meter::Dataset& actual) {
   obs::TraceSpan span("pipeline.fit", "pipeline");
   obs::ScopedTimer timer(*fit_seconds_);
-  fitted_ = false;
+  model_.reset();
   feeder_.reset();  // refitted lazily against the new training data
   const std::size_t count = actual.consumer_count();
-  fleet_ = DetectorFleet(config_.detector, config_.detector_options, count,
-                         config_.split.train_weeks);
-  quartiles_.assign(2 * count, 0.0);
-  // Per-consumer fits are independent; run them on the shared pool.
-  parallel_for(
-      count,
-      [&](std::size_t i) {
-        const auto train = config_.split.train(actual.consumer(i));
-        fleet_.fit(i, train);
-        const std::vector<double> means = meter::weekly_stats(train).means;
-        quartiles_[2 * i] = stats::quantile(means, 0.25);
-        quartiles_[2 * i + 1] = stats::quantile(means, 0.75);
-      },
-      config_.threads);
-  fitted_ = true;
+  model_ = ConsumerModel::fit(config_.detector, config_.detector_options,
+                              config_.split, count,
+                              meter::series_source(actual), config_.threads);
   consumers_fitted_->add(count);
   // Each detector fit recomputes its (1-alpha) quantile threshold.
   thresholds_recomputed_->add(count);
@@ -119,45 +105,33 @@ void FdetaPipeline::fit(const meter::Dataset& actual) {
 
 void FdetaPipeline::save_model(std::ostream& out) const {
   obs::TraceSpan span("pipeline.save_model", "pipeline");
-  require(fitted_, "FdetaPipeline::save_model: fit() not called");
-  persist::Encoder enc;
-  enc.u64(config_.split.train_weeks);
-  enc.u64(config_.split.test_weeks);
-  fleet_.save(enc);
-  enc.f64_array(quartiles_);
-  persist::CheckpointWriter(out, persist::Section::kPipeline)
-      .write(enc.bytes());
+  require(model_ != nullptr, "FdetaPipeline::save_model: fit() not called");
+  persist::CheckpointWriter writer(out, persist::Section::kPipeline);
+  model_->save(writer);
+  persist::Encoder split;  // the model holds the training weeks
+  split.u64(config_.split.test_weeks);
+  writer.write(split.bytes());
 }
 
 void FdetaPipeline::load_model(std::istream& in) {
   obs::TraceSpan span("pipeline.load_model", "pipeline");
-  feeder_.reset();  // refitted lazily against the restored split
-  const std::string payload =
-      persist::CheckpointReader(in, persist::Section::kPipeline).read();
-  persist::Decoder dec(payload);
-
+  persist::CheckpointReader reader(in, persist::Section::kPipeline);
+  std::shared_ptr<const ConsumerModel> model =
+      ConsumerModel::restore(reader, config_.threads);
+  const std::string split = reader.read();
+  persist::Decoder dec(split);
   PipelineConfig config = config_;  // threads/metrics survive the restore
-  config.split.train_weeks = dec.count("train weeks", 1u << 20);
-  config.split.test_weeks = dec.count("test weeks", 1u << 20);
-  DetectorFleet fleet = DetectorFleet::restore(dec, config_.threads);
-  const std::size_t count = fleet.size();
-  std::vector<double> quartiles =
-      dec.f64_array("pipeline quartiles", count, 2);
-  dec.require_exhausted("pipeline model");
-  persist::require_finite("pipeline quartiles", quartiles);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(quartiles[2 * i] <= quartiles[2 * i + 1])) {
-      throw DataError("checkpoint: pipeline quartiles out of order");
-    }
-  }
+  config.split = {.train_weeks = model->fleet.weeks(),
+                  .test_weeks = dec.count("test weeks", 1u << 20)};
+  dec.require_exhausted("pipeline split");
 
-  // All consumers decoded cleanly; commit the restore atomically.
-  config.detector = fleet.family();
-  config.detector_options = fleet.options();
+  // Everything decoded cleanly; commit the restore atomically.
+  config.detector = model->fleet.family();
+  config.detector_options = model->fleet.options();
   config_ = std::move(config);
-  fleet_ = std::move(fleet);
-  quartiles_ = std::move(quartiles);
-  fitted_ = true;
+  model_ = std::move(model);
+  feeder_.reset();  // refitted lazily against the restored split
+  const std::size_t count = model_->fleet.size();
   consumers_restored_->add(count);
   events_->emit("model_restored",
                 obs::EventFields{}
@@ -171,17 +145,19 @@ PipelineReport FdetaPipeline::evaluate_week(
     const meter::Dataset& actual, const meter::Dataset& reported,
     std::size_t week, const EvidenceCalendar& calendar,
     const grid::Topology* topology, const WeekCoverage* coverage) const {
-  require(fitted_, "FdetaPipeline: fit() not called");
+  require(model_ != nullptr, "FdetaPipeline: fit() not called");
   if (coverage != nullptr) {
     require(coverage->missing_slots.size() == reported.consumer_count(),
             "FdetaPipeline: coverage consumer count mismatch");
     require(coverage->week_slots > 0,
             "FdetaPipeline: coverage week_slots must be positive");
   }
-  require(reported.consumer_count() == fleet_.size(),
+  const ConsumerModel& model = *model_;
+  const DetectorFleet& fleet = model.fleet;
+  require(reported.consumer_count() == fleet.size(),
           "FdetaPipeline: reported dataset size mismatch");
   require(week < reported.week_count(), "FdetaPipeline: week out of range");
-  require(actual.consumer_count() == fleet_.size(),
+  require(actual.consumer_count() == fleet.size(),
           "FdetaPipeline: actual dataset size mismatch");
   require(week < actual.week_count(),
           "FdetaPipeline: week out of range in actual dataset");
@@ -206,7 +182,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
         ConsumerVerdict verdict;
         verdict.id = series.id;
-        verdict.kld_threshold = fleet_.decision_threshold();
+        verdict.kld_threshold = fleet.decision_threshold();
 
         // Coverage gate: a week this lossy would be scored on imputed
         // values, and imputation looks exactly like under-reporting.
@@ -228,7 +204,7 @@ PipelineReport FdetaPipeline::evaluate_week(
         // Step 2; its count pass also sums the week for the mean.
         double week_sum = 0.0;
         verdict.kld_score =
-            fleet_.score_week(i, week_readings, first_slot, &week_sum);
+            fleet.score_week(i, week_readings, first_slot, &week_sum);
         reported_avg[i] =
             week_sum / static_cast<double>(week_readings.size());
 
@@ -240,8 +216,8 @@ PipelineReport FdetaPipeline::evaluate_week(
           // mean sits in the top quartile reads as over-reporting (victim),
           // bottom quartile as under-reporting (attacker).
           const double m = reported_avg[i];
-          const double q25 = quartiles_[2 * i];
-          const double q75 = quartiles_[2 * i + 1];
+          const double q25 = model.quartiles[2 * i];
+          const double q75 = model.quartiles[2 * i + 1];
           if (q25 < kDirectionFloorKw || q75 < kDirectionFloorKw) {
             // Quartile means ~0 (vacant property, dead meter): the lower
             // band collapses to 0 and no week could ever read as
@@ -263,7 +239,7 @@ PipelineReport FdetaPipeline::evaluate_week(
 
           if (config_.explain) {
             verdict.explanation =
-                fleet_.explain_week(i, week_readings, first_slot);
+                fleet.explain_week(i, week_readings, first_slot);
           }
         }
         report.verdicts[i] = std::move(verdict);
@@ -388,7 +364,8 @@ PipelineReport FdetaPipeline::evaluate_week(
     }
     // Balance mode: the trusted `actual` means stand in for the feeder
     // balance meters, so clean fleets have exactly-zero physical residuals.
-    report.feeder = feeder_->evaluate_week(actual_avg, reported, week, flagged);
+    report.feeder = feeder_->evaluate_week(actual_avg, reported, week,
+                                           model.train_mean, flagged);
   }
   return report;
 }

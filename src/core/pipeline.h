@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/detector_fleet.h"
+#include "core/consumer_model.h"
 #include "core/evidence.h"
 #include "grid/hierarchy/feeder_monitor.h"
 #include "grid/investigate.h"
@@ -134,7 +134,7 @@ class FdetaPipeline {
  public:
   explicit FdetaPipeline(PipelineConfig config = {});
 
-  /// Step 1: fit per-consumer models on the training span of `actual`.
+  /// Step 1: fit the consumer model on the training span of `actual`.
   void fit(const meter::Dataset& actual);
 
   /// Steps 2-5.  `coverage`, when provided, gates step 2: consumers whose
@@ -147,8 +147,7 @@ class FdetaPipeline {
                                const grid::Topology* topology = nullptr,
                                const WeekCoverage* coverage = nullptr) const;
 
-  /// Serializes the fitted state (split, every consumer's detector and the
-  /// quartiles of its training weekly means) as a checkpoint
+  /// Serializes the fitted state (consumer model, split) as a checkpoint
   /// (persist/checkpoint.h), so a head-end can fit once offline and serving
   /// processes warm-start in milliseconds.  Requires fit() to have run.
   void save_model(std::ostream& out) const;
@@ -164,7 +163,12 @@ class FdetaPipeline {
   /// The active config (load_model overwrites the fit-related fields).
   const PipelineConfig& config() const { return config_; }
 
-  std::size_t consumer_count() const { return fleet_.size(); }
+  /// The fitted or restored consumer model (null before either).
+  const std::shared_ptr<const ConsumerModel>& model() const { return model_; }
+
+  std::size_t consumer_count() const {
+    return model_ ? model_->fleet.size() : 0;
+  }
 
  private:
   /// Builds + fits the feeder layer on first hierarchy-enabled evaluation
@@ -174,11 +178,7 @@ class FdetaPipeline {
                      const meter::Dataset& actual) const;
 
   PipelineConfig config_;
-  DetectorFleet fleet_;  // per consumer
-  /// Step 3's direction bands: consumer i's training weekly-mean quartiles,
-  /// q25 at [2i] and q75 at [2i + 1].
-  std::vector<double> quartiles_;
-  bool fitted_ = false;
+  std::shared_ptr<const ConsumerModel> model_;  // shared, read-only
   /// Lazy feeder-hierarchy layer; scoring caches live per node, and the
   /// rolling baselines advance week over week (mutable: evaluate_week stays
   /// const for the per-consumer layer it reports on).

@@ -280,22 +280,11 @@ std::size_t FeederMonitor::scored_node_count() const { return nodes_.size(); }
 
 void FeederMonitor::fit(const meter::Dataset& actual,
                         const meter::TrainTestSplit& split) {
-  fit_impl(
-      actual.consumer_count(),
-      [&](std::size_t i) { return actual.consumer(i); }, split);
+  fit(actual.consumer_count(), meter::series_source(actual), split);
 }
 
-void FeederMonitor::fit_streaming(
-    std::size_t count,
-    const std::function<meter::ConsumerSeries(std::size_t)>& source,
-    const meter::TrainTestSplit& split) {
-  fit_impl(count, source, split);
-}
-
-void FeederMonitor::fit_impl(
-    std::size_t count,
-    const std::function<meter::ConsumerSeries(std::size_t)>& series_of,
-    const meter::TrainTestSplit& split) {
+void FeederMonitor::fit(std::size_t count, const meter::SeriesSource& source,
+                        const meter::TrainTestSplit& split) {
   require(count == topology_->consumer_count(),
           "FeederMonitor: fleet size does not match topology");
   require(split.train_weeks >= 1, "FeederMonitor: train_weeks >= 1");
@@ -305,18 +294,16 @@ void FeederMonitor::fit_impl(
   // Nothing is committed until every reading passed add_quanta's check.
   core::DetectorFleet fleet("kld", core::DetectorOptions{}, nodes_.size(),
                             split.train_weeks);
-  std::vector<double> train_mean(count, 0.0);
   std::vector<double> baseline(nodes_.size(), 0.0);
   std::vector<double> sigma(nodes_.size(), 0.0);
   sum_post_order(
       train_slots,
       [&](std::size_t i, std::int64_t* row) {
-        const meter::ConsumerSeries series = series_of(i);
+        meter::ConsumerSeries scratch;
+        const meter::ConsumerSeries& series = source(i, scratch);
         require(series.readings.size() >= train_slots,
                 "FeederMonitor: series shorter than the training span");
-        const std::span<const Kw> train = split.train(series);
-        train_mean[i] =
-            add_quanta(row, train, i) / static_cast<double>(train.size());
+        add_quanta(row, split.train(series), i);
       },
       [&](std::size_t n, const std::int64_t* row) {
         thread_local std::vector<Kw> aggregate;  // one per pool thread
@@ -335,7 +322,6 @@ void FeederMonitor::fit_impl(
       });
 
   fleet_ = std::move(fleet);
-  consumer_train_mean_ = std::move(train_mean);
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     nodes_[n].baseline_kw = baseline[n];
     nodes_[n].sigma_kw = sigma[n];
@@ -345,30 +331,35 @@ void FeederMonitor::fit_impl(
 
 FeederReport FeederMonitor::evaluate_week(
     std::span<const double> actual_mean, const meter::Dataset& reported,
-    std::size_t week, std::span<const unsigned char> consumer_flagged) {
+    std::size_t week, std::span<const double> train_mean,
+    std::span<const unsigned char> consumer_flagged) {
   require(reported.consumer_count() == topology_->consumer_count(),
           "FeederMonitor: reported fleet does not match topology");
   require(actual_mean.size() == reported.consumer_count(),
           "FeederMonitor: actual means do not match the reported fleet");
   return evaluate(
       [&](std::size_t i) { return reported.consumer(i).week(week); },
-      actual_mean, week, week * static_cast<std::size_t>(kSlotsPerWeek),
-      consumer_flagged);
+      actual_mean, train_mean, week,
+      week * static_cast<std::size_t>(kSlotsPerWeek), consumer_flagged);
 }
 
 FeederReport FeederMonitor::evaluate_windows(
     const std::function<std::span<const Kw>(std::size_t)>& week_of,
-    SlotIndex slot, std::span<const unsigned char> consumer_flagged) {
-  return evaluate(week_of, /*actual_mean=*/{},
+    std::span<const double> train_mean, SlotIndex slot,
+    std::span<const unsigned char> consumer_flagged) {
+  return evaluate(week_of, /*actual_mean=*/{}, train_mean,
                   slot / static_cast<std::size_t>(kSlotsPerWeek), slot,
                   consumer_flagged);
 }
 
 FeederReport FeederMonitor::evaluate(
     const std::function<std::span<const Kw>(std::size_t)>& week_of,
-    std::span<const double> actual_mean, std::size_t week, SlotIndex slot,
+    std::span<const double> actual_mean, std::span<const double> train_mean,
+    std::size_t week, SlotIndex slot,
     std::span<const unsigned char> consumer_flagged) {
   require(fitted_, "FeederMonitor: fit() has not run");
+  require(train_mean.size() == topology_->consumer_count(),
+          "FeederMonitor: training means do not match topology");
   require(consumer_flagged.empty() ||
               consumer_flagged.size() == topology_->consumer_count(),
           "FeederMonitor: consumer_flagged size mismatch");
@@ -463,14 +454,13 @@ FeederReport FeederMonitor::evaluate(
     for (const std::size_t i : index_.consumers_under(nodes_[n].node)) {
       if (claimed[i]) continue;
       if (!consumer_flagged.empty() && consumer_flagged[i]) continue;
-      if (consumer_train_mean_[i] <= 0.0) continue;
+      if (train_mean[i] <= 0.0) continue;
       // Balance mode compares each member against its trusted actual mean
       // (clean members have zero deficit by construction); streaming mode
       // falls back to the training mean.
-      const double reference =
-          balance_mode ? actual_mean[i] : consumer_train_mean_[i];
+      const double reference = balance_mode ? actual_mean[i] : train_mean[i];
       const double deficit = reference - consumer_week_mean[i];
-      if (deficit > kCollusionShare * consumer_train_mean_[i]) {
+      if (deficit > kCollusionShare * train_mean[i]) {
         group.consumers.push_back(i);
       }
     }
@@ -529,8 +519,7 @@ void FeederMonitor::save_state(persist::Encoder& enc) const {
   for (const NodeState& n : nodes_) enc.u32(static_cast<std::uint32_t>(n.node));
   for (const NodeState& n : nodes_) enc.f64(n.baseline_kw);
   for (const NodeState& n : nodes_) enc.f64(n.sigma_kw);
-  enc.u64(consumer_train_mean_.size());
-  enc.f64_array(consumer_train_mean_);
+  enc.u64(topology_->consumer_count());
 }
 
 void FeederMonitor::restore_state(persist::Decoder& dec) {
@@ -560,16 +549,12 @@ void FeederMonitor::restore_state(persist::Decoder& dec) {
   if (consumer_count != topology_->consumer_count()) {
     throw DataError("FeederMonitor: checkpoint consumer count mismatch");
   }
-  std::vector<double> train_means =
-      dec.f64_array("hierarchy training means", consumer_count);
-  persist::require_finite("hierarchy training means", train_means);
   // Commit only after the whole payload decoded.
   fleet_ = std::move(fleet);
   for (std::size_t n = 0; n < node_count; ++n) {
     nodes_[n].baseline_kw = baselines[n];
     nodes_[n].sigma_kw = sigmas[n];
   }
-  consumer_train_mean_ = std::move(train_means);
   fitted_ = true;
 }
 

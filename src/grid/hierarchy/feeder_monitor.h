@@ -34,8 +34,9 @@
 // deepest-first: sibling consumers whose weekly mean sits a fixed share of
 // their training mean below their reference (actual mean in balance mode,
 // training mean in streaming mode) - yet who were NOT individually flagged -
-// form the suspected colluding group.  The gates, the share and the
-// baseline weight are constants (feeder_monitor.cpp).
+// form the suspected colluding group.  The training means are the owner's
+// (core/consumer_model.h), passed to each evaluation.  The gates, the share
+// and the baseline weight are constants (feeder_monitor.cpp).
 //
 // Aggregates are exact: each reading is rounded once to a fixed quantum
 // (2^-19 kW) and summed in 64-bit integers.  One post-order pass per call
@@ -51,8 +52,8 @@
 // Determinism contract: integer sums do not depend on their order or on
 // the chunking, and nodes are scored independently into fixed slots, so
 // reports, events and checkpoint bytes are byte-identical for any shard x
-// thread layout and consumer numbering, and between fit() and
-// fit_streaming().
+// thread layout and consumer numbering, and whatever series source the fit
+// reads.
 #pragma once
 
 #include <cstdint>
@@ -141,16 +142,11 @@ class FeederMonitor {
   ~FeederMonitor();
 
   /// Fits every scored node's detector and baseline on the training span of
-  /// `actual` (assumed attack-free, Section VIII-A).
+  /// `actual` (assumed attack-free, Section VIII-A), or of the `count`
+  /// series `source` yields, each fetched once from a pool task.
   void fit(const meter::Dataset& actual, const meter::TrainTestSplit& split);
-
-  /// As fit(), materialising one consumer series at a time via `source`,
-  /// called once per consumer from pool tasks (so it must be safe
-  /// concurrently for distinct indices).  Bit-identical state to fit().
-  void fit_streaming(
-      std::size_t count,
-      const std::function<meter::ConsumerSeries(std::size_t)>& source,
-      const meter::TrainTestSplit& split);
+  void fit(std::size_t count, const meter::SeriesSource& source,
+           const meter::TrainTestSplit& split);
 
   /// Balance-mode evaluation: scores week `week` of the reported dataset at
   /// every scored node, the physical residual being the node's signed
@@ -158,33 +154,36 @@ class FeederMonitor {
   /// each consumer's mean over the same week) and the reported week (zero on
   /// clean fleets by construction), gated by a fixed meter-error bound.  This
   /// is the pipeline path, where feeder balance meters measure real flow
-  /// (paper eq. 5/6).  `consumer_flagged` (when non-empty: one byte per
-  /// consumer, non-zero = the per-consumer layer flagged it this week)
-  /// excludes already-localized consumers from collusion groups.  Emits
+  /// (paper eq. 5/6).  `train_mean` holds each consumer's training mean.
+  /// `consumer_flagged` (when non-empty: one byte per consumer, non-zero =
+  /// the per-consumer layer flagged it this week) excludes
+  /// already-localized consumers from collusion groups.  Emits
   /// feeder_alert_raised / collusion_suspected events in node order.
   /// Updates rolling baselines.  A reported reading that is not finite or
   /// exceeds kMaxPlausibleKw throws DataError before any state moves (as
   /// does one in fit()'s training span or in an evaluate_windows() window).
   FeederReport evaluate_week(
       std::span<const double> actual_mean, const meter::Dataset& reported,
-      std::size_t week, std::span<const unsigned char> consumer_flagged = {});
+      std::size_t week, std::span<const double> train_mean,
+      std::span<const unsigned char> consumer_flagged = {});
 
   /// Streaming-mode evaluation over the monitor's slot-aligned sliding
   /// windows: `week_of(i)` returns consumer i's current week vector
   /// (slot-of-week indexed, 336 slots; another length throws
   /// InvalidArgument); `slot` stamps the report/events.
-  /// The residual is the rolling-baseline one; scoring, localization,
-  /// events and the baseline update are evaluate_week's.
+  /// The residual is the rolling-baseline one; `train_mean`, scoring,
+  /// localization, events and the baseline update are evaluate_week's.
   FeederReport evaluate_windows(
       const std::function<std::span<const Kw>(std::size_t)>& week_of,
-      SlotIndex slot, std::span<const unsigned char> consumer_flagged = {});
+      std::span<const double> train_mean, SlotIndex slot,
+      std::span<const unsigned char> consumer_flagged = {});
 
   bool fitted() const { return fitted_; }
   const grid::Topology& topology() const { return *topology_; }
   std::size_t scored_node_count() const;
 
   /// Serializes the fitted per-node state (detectors, rolling baselines,
-  /// deviations, consumer training means).  Symmetric with restore_state;
+  /// deviations) and the consumer count.  Symmetric with restore_state;
   /// requires fit() to have run.
   void save_state(persist::Encoder& enc) const;
 
@@ -220,15 +219,9 @@ class FeederMonitor {
   /// collusion deficits); empty selects streaming mode (rolling baselines).
   FeederReport evaluate(
       const std::function<std::span<const Kw>(std::size_t)>& week_of,
-      std::span<const double> actual_mean, std::size_t week, SlotIndex slot,
+      std::span<const double> actual_mean, std::span<const double> train_mean,
+      std::size_t week, SlotIndex slot,
       std::span<const unsigned char> consumer_flagged);
-
-  /// Shared core of the two fit paths: `series_of(i)` is called once per
-  /// consumer, from pool tasks.
-  void fit_impl(
-      std::size_t count,
-      const std::function<meter::ConsumerSeries(std::size_t)>& series_of,
-      const meter::TrainTestSplit& split);
 
   const grid::Topology* topology_;  // never null
   FeederConfig config_;
@@ -241,7 +234,6 @@ class FeederMonitor {
   /// for config_.threads) consumers, rounded up.
   std::vector<grid::NodeId> chunk_roots_;
   core::DetectorFleet fleet_;                 // one detector per node
-  std::vector<double> consumer_train_mean_;   // per dense consumer index
   bool fitted_ = false;
 
   // Cached at construction; updates are lock-free (see obs/metrics.h).

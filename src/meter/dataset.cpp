@@ -140,4 +140,10 @@ DatasetSummary summarize(const Dataset& dataset) {
   return s;
 }
 
+SeriesSource series_source(const Dataset& dataset) {
+  return [&dataset](std::size_t i, ConsumerSeries&) -> const ConsumerSeries& {
+    return dataset.consumer(i);
+  };
+}
+
 }  // namespace fdeta::meter

@@ -2,6 +2,7 @@
 // horizon, plus CSV import/export in a CER-like long format.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <vector>
@@ -59,5 +60,12 @@ struct DatasetSummary {
   double max_kw = 0.0;
 };
 DatasetSummary summarize(const Dataset& dataset);
+
+/// Consumer i's series for a fit pass (called from pool tasks): a reference
+/// into a held dataset, or `scratch` filled by a materialising source.
+using SeriesSource = std::function<const ConsumerSeries&(
+    std::size_t i, ConsumerSeries& scratch)>;
+/// Reads `dataset`'s series in place (no copy).
+SeriesSource series_source(const Dataset& dataset);
 
 }  // namespace fdeta::meter

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "common/env.h"
 
 namespace fdeta {
 namespace {
@@ -169,6 +173,16 @@ TEST(SharedPool, IsASingleLiveInstance) {
   a.submit([&counter] { counter.fetch_add(1); });
   a.wait_idle();
   EXPECT_EQ(counter.load(), 1);
+}
+
+// Unpinned, a default-width parallel_for runs one thread per core: the
+// shared pool's workers plus the calling thread, never nproc + 1.
+TEST(SharedPool, DefaultWidthIsOneThreadPerCore) {
+  if (env_size("FDETA_THREADS", 0) != 0) {
+    GTEST_SKIP() << "FDETA_THREADS pins the shared pool's width";
+  }
+  const std::size_t cores = std::thread::hardware_concurrency();
+  EXPECT_EQ(parallel_width(0), std::max<std::size_t>(2, cores));
 }
 
 }  // namespace

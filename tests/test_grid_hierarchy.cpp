@@ -77,6 +77,17 @@ std::vector<double> week_means(const meter::Dataset& data, std::size_t week) {
   return means;
 }
 
+// Each consumer's training-span mean: the consumer model's summary that the
+// feeder layer's collusion test reads (ConsumerModel::train_means).
+std::vector<double> train_means(const meter::Dataset& data,
+                                const meter::TrainTestSplit& s = split()) {
+  std::vector<double> means(data.consumer_count());
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    means[i] = stats::mean(s.train(data.consumer(i)));
+  }
+  return means;
+}
+
 hierarchy::FeederConfig quiet_config(obs::MetricsRegistry* metrics,
                                      obs::EventLog* events = nullptr) {
   hierarchy::FeederConfig config;
@@ -148,8 +159,8 @@ TEST(FeederMonitor, CleanFleetRaisesNoFeederAlerts) {
     hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
     monitor.fit(actual, split());
     for (std::size_t w = kTrainWeeks; w < kWeeks; ++w) {
-      const auto report =
-          monitor.evaluate_week(week_means(actual, w), actual, w);
+      const auto report = monitor.evaluate_week(week_means(actual, w), actual,
+                                                w, train_means(actual));
       EXPECT_EQ(report.alert_count(), 0u) << "week " << w;
       EXPECT_TRUE(report.collusion.empty()) << "week " << w;
     }
@@ -163,7 +174,8 @@ TEST(FeederMonitor, ScoresAreCalibratedLikeConsumerScores) {
   hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
   monitor.fit(actual, split());
   const auto report = monitor.evaluate_week(
-      week_means(actual, kTrainWeeks), actual, kTrainWeeks);
+      week_means(actual, kTrainWeeks), actual, kTrainWeeks,
+      train_means(actual));
   ASSERT_FALSE(report.nodes.empty());
   for (const auto& node : report.nodes) {
     EXPECT_GE(node.score, 0.0) << "node " << node.node;
@@ -194,7 +206,8 @@ TEST(FeederMonitor, CollusionDetectionMonotoneInGroupSize) {
     hierarchy::FeederMonitor monitor(topology, quiet_config(&metrics));
     monitor.fit(actual, split());
     const auto report = monitor.evaluate_week(
-        week_means(actual, kAttackWeek), reported, kAttackWeek);
+        week_means(actual, kAttackWeek), reported, kAttackWeek,
+        train_means(actual));
 
     std::size_t localized = 0;
     for (const auto& group : report.collusion) {
@@ -219,8 +232,13 @@ TEST(FeederMonitor, FitStreamingMatchesFitBitExactly) {
   hierarchy::FeederMonitor batch(topology, quiet_config(&metrics));
   batch.fit(actual, split());
   hierarchy::FeederMonitor streaming(topology, quiet_config(&metrics));
-  streaming.fit_streaming(
-      kConsumers, [&](std::size_t i) { return actual.consumer(i); }, split());
+  streaming.fit(
+      kConsumers,
+      [&](std::size_t i, meter::ConsumerSeries& scratch)
+          -> const meter::ConsumerSeries& {
+        return scratch = actual.consumer(i);  // a copy, as a source makes
+      },
+      split());
 
   persist::Encoder a, b;
   batch.save_state(a);
@@ -272,6 +290,8 @@ TEST(FeederMonitor, ReportIgnoresConsumerNumbering) {
   hierarchy::FeederMonitor b(permuted, quiet_config(&metrics));
   a.fit(actual, split());
   b.fit(permuted_actual, split());
+  const auto a_means = train_means(actual);
+  const auto b_means = train_means(permuted_actual);
   std::size_t alerts = 0;
   for (std::size_t w = kTrainWeeks; w < kWeeks; ++w) {
     SCOPED_TRACE(::testing::Message() << "week " << w);
@@ -284,11 +304,11 @@ TEST(FeederMonitor, ReportIgnoresConsumerNumbering) {
           reads.fetch_add(1, std::memory_order_relaxed);
           return reported.consumer(i).week(w);
         },
-        slot);
+        a_means, slot);
     EXPECT_EQ(reads.load(), kConsumers);
     const auto got = b.evaluate_windows(
         [&](std::size_t i) { return permuted_reported.consumer(i).week(w); },
-        slot);
+        b_means, slot);
     ASSERT_EQ(want.nodes.size(), got.nodes.size());
     for (std::size_t n = 0; n < want.nodes.size(); ++n) {
       SCOPED_TRACE(::testing::Message() << "node " << want.nodes[n].node);
@@ -322,6 +342,7 @@ TEST(FeederMonitor, ImplausibleReadingIsRejected) {
   const auto topology = make_topology(29);
   const auto actual = datagen::small_dataset(kConsumers, kWeeks, 29);
   const auto means = week_means(actual, kAttackWeek);
+  const auto trained = train_means(actual);
   const auto window_of = [](const meter::Dataset& data) {
     return [&data](std::size_t i) {
       return data.consumer(i).week(kAttackWeek);
@@ -359,10 +380,12 @@ TEST(FeederMonitor, ImplausibleReadingIsRejected) {
     poisoned_week.consumer(kConsumer)
         .readings[kAttackWeek * static_cast<std::size_t>(kSlotsPerWeek) + 5] =
         bad;
-    expect_rejected(
-        [&] { monitor.evaluate_week(means, poisoned_week, kAttackWeek); });
-    expect_rejected(
-        [&] { monitor.evaluate_windows(window_of(poisoned_week), slot); });
+    expect_rejected([&] {
+      monitor.evaluate_week(means, poisoned_week, kAttackWeek, trained);
+    });
+    expect_rejected([&] {
+      monitor.evaluate_windows(window_of(poisoned_week), trained, slot);
+    });
   }
 
   // A window of the wrong length is refused, not read or written past.
@@ -370,19 +393,21 @@ TEST(FeederMonitor, ImplausibleReadingIsRejected) {
                    [&](std::size_t i) {
                      return actual.consumer(i).weeks(kAttackWeek, 2);
                    },
-                   slot),
+                   trained, slot),
                InvalidArgument);
 
   persist::Encoder want_state, got_state;
   reference.save_state(want_state);
   monitor.save_state(got_state);
   EXPECT_EQ(want_state.bytes(), got_state.bytes());
-  EXPECT_EQ(
-      hierarchy::to_text(reference.evaluate_week(means, actual, kAttackWeek)),
-      hierarchy::to_text(monitor.evaluate_week(means, actual, kAttackWeek)));
-  EXPECT_EQ(
-      hierarchy::to_text(reference.evaluate_windows(window_of(actual), slot)),
-      hierarchy::to_text(monitor.evaluate_windows(window_of(actual), slot)));
+  EXPECT_EQ(hierarchy::to_text(
+                reference.evaluate_week(means, actual, kAttackWeek, trained)),
+            hierarchy::to_text(
+                monitor.evaluate_week(means, actual, kAttackWeek, trained)));
+  EXPECT_EQ(hierarchy::to_text(
+                reference.evaluate_windows(window_of(actual), trained, slot)),
+            hierarchy::to_text(
+                monitor.evaluate_windows(window_of(actual), trained, slot)));
 }
 
 // The post-order pass cuts the tree into chunks by pool width (one chunk
@@ -427,6 +452,7 @@ TEST(FeederMonitor, ChunkingDoesNotMoveABit) {
   const auto actual =
       datagen::small_dataset(consumers, kTrain + kTest, /*seed=*/31);
   const auto means = week_means(actual, kTrain);
+  const auto trained = train_means(actual, short_split);
   const SlotIndex slot =
       (kTrain + 1) * static_cast<std::size_t>(kSlotsPerWeek) - 1;
 
@@ -446,10 +472,10 @@ TEST(FeederMonitor, ChunkingDoesNotMoveABit) {
     persist::Encoder fitted;
     monitor.save_state(fitted);
     out.fitted = fitted.bytes();
-    out.balance = monitor.evaluate_week(means, actual, kTrain);
+    out.balance = monitor.evaluate_week(means, actual, kTrain, trained);
     out.streaming = hierarchy::to_text(monitor.evaluate_windows(
         [&](std::size_t i) { return actual.consumer(i).week(kTrain); },
-        slot));
+        trained, slot));
     persist::Encoder evaluated;
     monitor.save_state(evaluated);
     out.evaluated = evaluated.bytes();
@@ -526,8 +552,11 @@ TEST(FeederMonitor, CheckpointRoundTripIsByteStable) {
 
   // Same evaluation bytes...
   const auto means = week_means(actual, kAttackWeek);
-  const auto want = monitor.evaluate_week(means, reported, kAttackWeek);
-  const auto got = restored.evaluate_week(means, reported, kAttackWeek);
+  const auto trained = train_means(actual);
+  const auto want =
+      monitor.evaluate_week(means, reported, kAttackWeek, trained);
+  const auto got =
+      restored.evaluate_week(means, reported, kAttackWeek, trained);
   EXPECT_EQ(hierarchy::to_text(want), hierarchy::to_text(got));
   // ...and the re-saved state matches byte for byte (both monitors advanced
   // their baselines through the same week).

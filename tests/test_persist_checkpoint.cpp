@@ -1,8 +1,9 @@
-// Tests of the model checkpoint layer: binary primitives, the v7 section
-// frame and its checksum, bit-exact pipeline / monitor / detector round
-// trips, rejection of corrupted, truncated, version- and section-mismatched
-// checkpoints in bounded time and memory, and the epsilon-smoothing
-// finiteness guarantees the format preserves.
+// Tests of the model checkpoint layer: binary primitives, the section frame
+// and its checksum, bit-exact pipeline / monitor / detector round trips, the
+// one consumer-model codec both owners share, rejection of corrupted,
+// truncated, version- and section-mismatched checkpoints in bounded time and
+// memory, and the epsilon-smoothing finiteness guarantees the format
+// preserves.
 #include "persist/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -481,8 +482,8 @@ TEST(MonitorCheckpoint, RejectsPipelineCheckpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// The v7 frame against a small monitor with a feeder block: header, three
-// sections (state, windows, missing-slot bitset).
+// The v12 frame against a small monitor with a feeder block: header, four
+// sections (consumer model, serving state, windows, missing-slot bitset).
 
 struct SectionSpan {
   std::size_t length_at;  ///< offset of the u64 length
@@ -569,13 +570,13 @@ class FramedMonitor : public ::testing::Test {
   std::string bytes_;
 };
 
-TEST_F(FramedMonitor, WritesThreeSectionsSizedByTheFleet) {
+TEST_F(FramedMonitor, WritesFourSectionsSizedByTheFleet) {
   const auto sections = sections_of(bytes_);
-  ASSERT_EQ(sections.size(), 3u);
+  ASSERT_EQ(sections.size(), 4u);
   const std::size_t consumers = dataset_.consumer_count();
-  EXPECT_EQ(sections[1].length, consumers * kSlotsPerWeek * sizeof(double));
-  EXPECT_EQ(sections[2].length, consumers * 6 * sizeof(std::uint64_t));
-  EXPECT_EQ(sections[2].body_at + sections[2].length + 8, bytes_.size());
+  EXPECT_EQ(sections[2].length, consumers * kSlotsPerWeek * sizeof(double));
+  EXPECT_EQ(sections[3].length, consumers * 6 * sizeof(std::uint64_t));
+  EXPECT_EQ(sections[3].body_at + sections[3].length + 8, bytes_.size());
 
   OnlineMonitor restored(config());
   std::istringstream in(bytes_, std::ios::binary);
@@ -605,9 +606,9 @@ TEST_F(FramedMonitor, EveryFlippedByteIsRejected) {
 
 TEST_F(FramedMonitor, TruncationInsideEachBulkSectionIsRejected) {
   const auto sections = sections_of(bytes_);
-  ASSERT_EQ(sections.size(), 3u);
+  ASSERT_EQ(sections.size(), 4u);
   OnlineMonitor target(config());
-  for (const std::size_t s : {1u, 2u}) {
+  for (const std::size_t s : {2u, 3u}) {
     const SectionSpan& section = sections[s];
     for (const std::size_t cut :
          {section.length_at + 3, section.body_at + 1,
@@ -622,9 +623,9 @@ TEST_F(FramedMonitor, TruncationInsideEachBulkSectionIsRejected) {
 
 TEST_F(FramedMonitor, BulkSectionLengthMustMatchDecodedCounts) {
   const auto sections = sections_of(bytes_);
-  ASSERT_EQ(sections.size(), 3u);
+  ASSERT_EQ(sections.size(), 4u);
   OnlineMonitor target(config());
-  for (const std::size_t s : {1u, 2u}) {
+  for (const std::size_t s : {2u, 3u}) {
     for (const int delta : {-8, 8}) {
       std::string file = bytes_;
       persist::Encoder length;
@@ -639,44 +640,46 @@ TEST_F(FramedMonitor, BulkSectionLengthMustMatchDecodedCounts) {
 
 TEST_F(FramedMonitor, RejectsNonzeroMaskPaddingBit) {
   const auto sections = sections_of(bytes_);
-  ASSERT_EQ(sections.size(), 3u);
+  ASSERT_EQ(sections.size(), 4u);
   // Consumer 1's last mask word: bits 0..15 are slots 320..335, bit 16 is
   // the first padding bit.
   std::string file = bytes_;
-  const std::size_t word = sections[2].body_at + (6 + 5) * 8;
+  const std::size_t word = sections[3].body_at + (6 + 5) * 8;
   file[word + 2] = static_cast<char>(file[word + 2] | 0x01);
-  reseal(file, sections[2]);
+  reseal(file, sections[3]);
   OnlineMonitor target(config());
   EXPECT_NE(rejection(target, file).find("padding bit"), std::string::npos);
 }
 
 TEST_F(FramedMonitor, NonFiniteFeederStateFailsWithDataError) {
   const auto sections = sections_of(bytes_);
-  ASSERT_EQ(sections.size(), 3u);
+  ASSERT_EQ(sections.size(), 4u);
   OnlineMonitor target(config());
   std::istringstream in(bytes_, std::ios::binary);
   target.restore(in);
   ASSERT_NE(target.feeder(), nullptr);
-  // The state section ends with the feeder block's node baselines and
-  // deviations, the consumer count, then the consumer training means.
+  // The state section (1) ends with the feeder block's node baselines and
+  // deviations, then the consumer count; the consumer training means sit in
+  // the model section (0), before its count x 2 quartiles.
   const std::size_t nodes = target.feeder()->scored_node_count();
   const std::size_t means_at = sections[0].body_at + sections[0].length -
-                               dataset_.consumer_count() * 8;
-  const std::size_t sigmas_at = means_at - 8 - nodes * 8;
+                               dataset_.consumer_count() * 3 * 8;
+  const std::size_t sigmas_at =
+      sections[1].body_at + sections[1].length - 8 - nodes * 8;
   const std::size_t baselines_at = sigmas_at - nodes * 8;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const auto& [what, at, value] :
-       {std::tuple<const char*, std::size_t, double>{
-            "consumer training mean", means_at + 8, nan},
-        {"consumer training mean", means_at, -inf},
-        {"node baseline", baselines_at, inf},
-        {"node deviation", sigmas_at + 8, nan},
-        {"node deviation", sigmas_at, -1.0}}) {
+  for (const auto& [what, section, at, value] :
+       {std::tuple<const char*, std::size_t, std::size_t, double>{
+            "consumer training mean", 0, means_at + 8, nan},
+        {"consumer training mean", 0, means_at, -inf},
+        {"node baseline", 1, baselines_at, inf},
+        {"node deviation", 1, sigmas_at + 8, nan},
+        {"node deviation", 1, sigmas_at, -1.0}}) {
     SCOPED_TRACE(::testing::Message() << what << " = " << value);
     std::string file = bytes_;
     patch_f64(file, at, value);
-    reseal(file, sections[0]);
+    reseal(file, sections[section]);
     EXPECT_NE(rejection(target, file).find("finite"), std::string::npos);
   }
 }
@@ -733,27 +736,33 @@ TEST(Checkpoint, ReadsBulkSectionsFromStreamThatCannotReportItsSize) {
 // Bounded decoding: a small, checksum-valid file claiming a huge fleet must
 // fail with DataError before anything is sized by the claimed counts.
 
-/// A monitor checkpoint whose state section claims `count` kld consumers
-/// with `bins` bins at `significance`, rescored every `stride` readings,
-/// then `padding` zero bytes; empty bulk sections follow.
+/// A monitor checkpoint whose model section claims `count` kld consumers
+/// with `bins` bins at `significance`, then holds `padding` zero bytes; its
+/// state section, rescored every `stride` readings, completes a
+/// one-consumer fleet (zero counters, no alerts, no feeder block); empty
+/// bulk sections follow.
 std::string forged_monitor(std::uint64_t count, std::uint64_t bins,
                            std::size_t padding, std::uint64_t stride = 4,
                            double significance = 0.05) {
-  persist::Encoder enc;
-  enc.u64(stride);
-  enc.u64(48);     // cooldown slots
-  enc.f64(0.25);   // max missing fraction
-  enc.u64(count);
-  enc.str("kld");
-  enc.u64(bins);
-  enc.f64(significance);
-  enc.f64(1e-9);   // epsilon
-  enc.u8(1);       // exclude out of support
-  enc.u64(6);      // training weeks
-  for (std::size_t i = 0; i < padding; ++i) enc.u8(0);
+  persist::Encoder model;
+  model.u64(count);
+  model.str("kld");
+  model.u64(bins);
+  model.f64(significance);
+  model.f64(1e-9);   // epsilon
+  model.u8(1);       // exclude out of support
+  model.u64(6);      // training weeks
+  for (std::size_t i = 0; i < padding; ++i) model.u8(0);
+  persist::Encoder state;
+  state.u64(stride);
+  state.u64(48);     // cooldown slots
+  state.f64(0.25);   // max missing fraction
+  // One consumer's id, stride and cooldown counters, no alerts, no feeder.
+  for (std::size_t i = 0; i < 4 + 4 + 4 + 8 + 1; ++i) state.u8(0);
   std::ostringstream out(std::ios::binary);
   persist::CheckpointWriter writer(out, persist::Section::kOnlineMonitor);
-  writer.write(enc.bytes());
+  writer.write(model.bytes());
+  writer.write(state.bytes());
   writer.write(std::span<const double>{});
   writer.write(std::span<const std::uint64_t>{});
   return out.str();
@@ -802,18 +811,18 @@ TEST(MonitorCheckpoint, NonFiniteTrainingMeansFailWithDataError) {
   live.save(out);
   const std::string bytes = out.str();
 
-  // Consumer 1's training mean, located by its bits in the state section.
-  const SectionSpan state = sections_of(bytes)[0];
+  // Consumer 1's training mean, located by its bits in the model section.
+  const SectionSpan model = sections_of(bytes)[0];
   persist::Encoder bits;
   bits.f64(stats::mean(split.train(dataset.consumer(1))));
-  const std::size_t at = bytes.find(bits.bytes(), state.body_at);
-  ASSERT_LT(at, state.body_at + state.length);
+  const std::size_t at = bytes.find(bits.bytes(), model.body_at);
+  ASSERT_LT(at, model.body_at + model.length);
   for (const double value : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()}) {
     std::string file = bytes;
     patch_f64(file, at, value);
-    reseal(file, state);
+    reseal(file, model);
     OnlineMonitor target(config);
     std::istringstream in(file, std::ios::binary);
     EXPECT_THROW(target.restore(in), DataError) << value;
@@ -823,11 +832,11 @@ TEST(MonitorCheckpoint, NonFiniteTrainingMeansFailWithDataError) {
 // A checksum-valid file whose only defect is an out-of-range config must
 // fail as a malformed checkpoint (DataError), never as a bad call.
 
-/// The zero bytes that complete forged_monitor's state section for one
-/// consumer: edges, baseline, six training divergences, threshold, id,
-/// stride and cooldown counters, training mean, no alerts, no feeder block.
+/// The zero bytes that complete forged_monitor's model section for one
+/// consumer: edges, baseline, six training divergences, threshold, training
+/// mean and the two quartiles.
 std::size_t one_consumer_rest(std::uint64_t bins) {
-  return (bins + 1 + bins + 6 + 1) * 8 + 4 + 4 + 4 + 8 + 8 + 1;
+  return (bins + 1 + bins + 6 + 1) * 8 + 8 + 2 * 8;
 }
 
 std::string monitor_rejection(const std::string& file) {
@@ -846,8 +855,8 @@ std::string monitor_rejection(const std::string& file) {
 }
 
 TEST(MonitorCheckpoint, OutOfRangeConfigsFailWithDataError) {
-  // Control: a valid config decodes the whole state section and trips only
-  // over the (empty) bulk sections.
+  // Control: a valid config decodes the model and state sections whole and
+  // trips only over the (empty) bulk sections.
   EXPECT_NE(monitor_rejection(forged_monitor(1, 10, one_consumer_rest(10)))
                 .find("decoded counts"),
             std::string::npos);
@@ -882,29 +891,32 @@ struct KldParts {
   double threshold = 0.35;
 };
 
-/// A complete one-consumer kld pipeline checkpoint.
+/// A complete one-consumer kld pipeline checkpoint: the model section, then
+/// the split section.
 std::string forged_pipeline(double significance, const KldParts& parts,
                             const std::vector<double>& quartiles = {1.25,
                                                                     1.75}) {
   const std::uint64_t bins = parts.baseline.size();
-  persist::Encoder enc;
-  enc.u64(8);      // train weeks
-  enc.u64(2);      // test weeks
-  enc.u64(1);      // consumers
-  enc.str("kld");
-  enc.u64(bins);
-  enc.f64(significance);
-  enc.f64(1e-9);   // epsilon
-  enc.u8(1);       // exclude out of support
-  enc.u64(parts.divergences.size());  // training weeks
-  enc.f64_array(parts.edges);
-  enc.f64_array(parts.baseline);
-  enc.f64_array(parts.divergences);
-  enc.f64(parts.threshold);
-  enc.f64_array(quartiles);  // q25, q75 of the training weekly means
+  persist::Encoder model;
+  model.u64(1);      // consumers
+  model.str("kld");
+  model.u64(bins);
+  model.f64(significance);
+  model.f64(1e-9);   // epsilon
+  model.u8(1);       // exclude out of support
+  model.u64(parts.divergences.size());  // training weeks
+  model.f64_array(parts.edges);
+  model.f64_array(parts.baseline);
+  model.f64_array(parts.divergences);
+  model.f64(parts.threshold);
+  model.f64(1.5);    // training mean
+  model.f64_array(quartiles);  // q25, q75 of the training weekly means
+  persist::Encoder split;
+  split.u64(2);      // test weeks
   std::ostringstream out(std::ios::binary);
-  persist::CheckpointWriter(out, persist::Section::kPipeline)
-      .write(enc.bytes());
+  persist::CheckpointWriter writer(out, persist::Section::kPipeline);
+  writer.write(model.bytes());
+  writer.write(split.bytes());
   return out.str();
 }
 
@@ -1435,6 +1447,63 @@ TEST_P(FleetRoundTrip, EveryFlippedPipelineByteIsRejected) {
         << "flipped byte " << at << " of " << bytes.size();
     if (HasFailure()) return;
   }
+}
+
+// One codec: fitted on the same data, family and options, the pipeline file
+// and the monitor checkpoint open with the same consumer-model section.
+TEST_P(FleetRoundTrip, PipelineAndMonitorCarryTheSameModelBytes) {
+  FdetaPipeline pipeline(pipeline_config());
+  pipeline.fit(data_);
+  OnlineMonitor monitor(monitor_config());
+  monitor.fit(data_, split_);
+  const std::string pipeline_file = saved(pipeline);
+  const std::string monitor_file = saved(monitor);
+  const SectionSpan a = sections_of(pipeline_file)[0];
+  const SectionSpan b = sections_of(monitor_file)[0];
+  ASSERT_GT(a.length, 0u);
+  EXPECT_EQ(pipeline_file.substr(a.length_at, 8 + a.length + 8),
+            monitor_file.substr(b.length_at, 8 + b.length + 8));
+}
+
+// One fit: a monitor started from a pipeline's model and the same data
+// serves exactly like a monitor that fitted its own, alerts, feeder report
+// and checkpoint bytes alike.
+TEST_P(FleetRoundTrip, MonitorStartedFromAPipelineModelMatchesAFittedOne) {
+  FdetaPipeline pipeline(pipeline_config());
+  pipeline.fit(data_);
+  OnlineMonitorConfig config = monitor_config();
+  config.detector = "kld";  // start() takes the family from the model
+  config.detector_options = {};
+  OnlineMonitor started(config);
+  started.start(pipeline.model(), data_);
+  EXPECT_EQ(started.config().detector, GetParam());
+  OnlineMonitor fitted(monitor_config());
+  fitted.fit(data_, split_);
+  EXPECT_EQ(saved(started), saved(fitted));
+
+  feed(started, 0, kSlotsPerWeek);
+  feed(fitted, 0, kSlotsPerWeek);
+  ASSERT_FALSE(fitted.alerts().empty()) << "alert equivalence is vacuous";
+  ASSERT_EQ(started.alerts().size(), fitted.alerts().size());
+  for (std::size_t i = 0; i < fitted.alerts().size(); ++i) {
+    const AlertEvent& a = fitted.alerts()[i];
+    const AlertEvent& b = started.alerts()[i];
+    EXPECT_EQ(a.consumer_index, b.consumer_index);
+    EXPECT_EQ(a.consumer_id, b.consumer_id);
+    EXPECT_EQ(a.slot, b.slot);
+    EXPECT_EQ(a.score, b.score);
+    EXPECT_EQ(a.threshold, b.threshold);
+    EXPECT_EQ(a.direction, b.direction);
+  }
+  const SlotIndex end = (split_.train_weeks + 1) * kSlotsPerWeek;
+  EXPECT_EQ(hierarchy::to_text(started.evaluate_feeders(end)),
+            hierarchy::to_text(fitted.evaluate_feeders(end)));
+  EXPECT_EQ(saved(started), saved(fitted));
+
+  // The model fixes the fleet: other history is refused.
+  OnlineMonitor other(monitor_config());
+  EXPECT_THROW(other.start(pipeline.model(), datagen::small_dataset(5, 10, 41)),
+               InvalidArgument);
 }
 
 std::string family_name(

@@ -35,7 +35,7 @@ string(JSON events_kind ERROR_VARIABLE trace_error
 if(NOT events_kind STREQUAL "ARRAY")
   message(FATAL_ERROR "trace.json has no traceEvents array: ${trace_error}")
 endif()
-foreach(span pipeline.fit pipeline.evaluate_week monitor.fit
+foreach(span pipeline.fit pipeline.evaluate_week monitor.start
         monitor.ingest_batch pool.task)
   if(NOT trace_json MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace.json is missing span '${span}'")

@@ -16,9 +16,9 @@
 //   fdeta detect --in reported.csv --baseline actual.csv --train-weeks 24
 //
 // The fit/detect split is the warm-start serving path: a head-end fits once
-// offline and every serving process restores the fitted state from the
-// checkpoint in milliseconds instead of refitting from raw readings.
-// Without --model, detect falls back to fitting in-process.
+// offline and every serving process restores the consumer model from the
+// checkpoint in milliseconds; detect's weekly pipeline and its stream replay
+// both serve from it.  Without --model, detect fits that model in-process.
 //
 // Every subcommand accepts --metrics-out <file>: after a successful run the
 // process-wide metrics registry (pipeline/monitor/pool counters, latency
@@ -587,16 +587,15 @@ int cmd_detect(const Args& args) {
 
   // Streaming replay (disable with --stream 0): feed the same test span
   // through an OnlineMonitor reading by reading, as the control-center loop
-  // would see it from the head-end.  Alerts land in the event log and the
-  // monitor's spans in the trace, so one detect run exercises the full
+  // would see it from the head-end.  It serves from the pipeline's consumer
+  // model, fitted or restored once above.  Alerts land in the event log and
+  // the monitor's spans in the trace, so one detect run exercises the full
   // batch + online forensic surface.
   if (args.get_long("stream", 1) != 0) {
     core::OnlineMonitorConfig mconfig;
-    mconfig.detector = pipeline.config().detector;
-    mconfig.detector_options = pipeline.config().detector_options;
     mconfig.max_missing_fraction = pipeline.config().max_missing_fraction;
     core::OnlineMonitor monitor(mconfig);
-    monitor.fit(baseline, pipeline.config().split);
+    monitor.start(pipeline.model(), baseline);
 
     // Telemetry time series: --stats-interval N scrapes the registry every
     // N logical slots and prints one live scoreboard line per frame;
@@ -845,6 +844,7 @@ int usage() {
       "            [--significance A] [--bins B] [--epsilon E]\n"
       "            [--detector-opt key=value ...]\n"
       "  detect    --in F [--model F] [--baseline F] [--train-weeks T]\n"
+      "            (--model warms the weekly pass and the stream replay)\n"
       "            [--detector kld|ckld|kld-lite]\n"
       "            [--significance A] [--bins B] [--epsilon E]\n"
       "            [--detector-opt key=value ...]\n"
