@@ -17,6 +17,7 @@ std::shared_ptr<const ConsumerModel> ConsumerModel::fit(
         visit) {
   auto model = std::make_shared<ConsumerModel>();
   model->fleet = DetectorFleet(family, options, count, split.train_weeks);
+  model->ids.assign(count, 0);
   model->train_mean.assign(count, 0.0);
   model->quartiles.assign(2 * count, 0.0);
   parallel_for(
@@ -25,6 +26,7 @@ std::shared_ptr<const ConsumerModel> ConsumerModel::fit(
         meter::ConsumerSeries scratch;
         const meter::ConsumerSeries& series = source(i, scratch);
         const std::span<const Kw> train = split.train(series);
+        model->ids[i] = series.id;
         model->fleet.fit(i, train);
         model->train_mean[i] = stats::mean(train);
         std::vector<double> weekly(split.train_weeks);
@@ -43,6 +45,7 @@ std::shared_ptr<const ConsumerModel> ConsumerModel::fit(
 void ConsumerModel::save(persist::CheckpointWriter& writer) const {
   persist::Encoder enc;
   fleet.save(enc);
+  enc.u32_array(ids);
   enc.f64_array(train_mean);
   enc.f64_array(quartiles);
   writer.write(enc.bytes());
@@ -55,6 +58,7 @@ std::shared_ptr<const ConsumerModel> ConsumerModel::restore(
   auto model = std::make_shared<ConsumerModel>();
   model->fleet = DetectorFleet::restore(dec, threads);
   const std::size_t count = model->fleet.size();
+  model->ids = dec.u32_array("model consumer ids", count);
   model->train_mean = dec.f64_array("model training means", count);
   model->quartiles = dec.f64_array("model quartiles", count, 2);
   dec.require_exhausted("consumer model");
@@ -66,6 +70,18 @@ std::shared_ptr<const ConsumerModel> ConsumerModel::restore(
     }
   }
   return model;
+}
+
+void ConsumerModel::require_consumers(const meter::Dataset& data,
+                                      std::string_view what) const {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const meter::ConsumerId id = data.consumer(i).id;
+    if (id != ids[i]) {
+      throw DataError(std::string(what) + ": consumer " + std::to_string(i) +
+                      " is " + std::to_string(id) + ", the model's is " +
+                      std::to_string(ids[i]));
+    }
+  }
 }
 
 }  // namespace fdeta::core

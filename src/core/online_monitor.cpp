@@ -29,10 +29,6 @@ constexpr std::size_t kMaskWords = (kWindow + 63) / 64;
 static_assert(kWindow % 64 != 0);
 constexpr std::uint64_t kMaskPadding = ~std::uint64_t{0} << (kWindow % 64);
 
-// An encoded AlertEvent: consumer index, id, slot, score, threshold,
-// direction.
-constexpr std::size_t kAlertBytes = 8 + 4 + 8 + 8 + 8 + 1;
-
 // Population-health histogram: linear reading-magnitude bins over the fleet's
 // primed sliding windows.  32 bins keeps the KLD estimate stable at modest
 // window sizes while staying cheap to drain per refresh.
@@ -263,6 +259,7 @@ void OnlineMonitor::start(std::shared_ptr<const ConsumerModel> model,
   obs::TraceSpan span("monitor.start", "monitor");
   require(model != nullptr && model->fleet.size() == history.consumer_count(),
           "OnlineMonitor::start: the model does not match the history");
+  model->require_consumers(history, "OnlineMonitor::start: history");
   const meter::TrainTestSplit split{.train_weeks = model->fleet.weeks(),
                                     .test_weeks = 0};
   serve(std::move(model), history.consumer_count(),
@@ -276,7 +273,6 @@ void OnlineMonitor::serve(std::shared_ptr<const ConsumerModel> model,
   model_.reset();
   alerts_.clear();
   feeder_.reset();
-  ids_.assign(count, meter::ConsumerId{});
   windows_.assign(count * kWindow, 0.0);
   missing_.assign(count * kMaskWords, 0);
   missing_in_window_.assign(count, 0);
@@ -287,7 +283,6 @@ void OnlineMonitor::serve(std::shared_ptr<const ConsumerModel> model,
   // aligned.
   const auto prime = [&](std::size_t i, const meter::ConsumerSeries& series) {
     const auto train = split.train(series);
-    ids_[i] = series.id;
     std::copy(train.end() - kWindow, train.end(),
               windows_.begin() + static_cast<std::ptrdiff_t>(i * kWindow));
   };
@@ -463,7 +458,8 @@ std::optional<AlertEvent> OnlineMonitor::apply(const Reading& reading,
                                        : AlertDirection::kUnderReport;
   ++(direction == AlertDirection::kOverReport ? tally.alerts_over
                                               : tally.alerts_under);
-  return AlertEvent{i, ids_[i], reading.slot, score, threshold, direction};
+  return AlertEvent{i, model_->ids[i], reading.slot, score, threshold,
+                    direction};
 }
 
 std::optional<AlertEvent> OnlineMonitor::ingest(std::size_t consumer_index,
@@ -544,19 +540,9 @@ void OnlineMonitor::save(std::ostream& out) const {
 
   // Per-consumer counters, one bulk array per field (missing_in_window_ is
   // a derived popcount, recomputed on restore).
-  enc.u32_array(ids_);
   enc.u32_array(since_score_);
   enc.u32_array(cooldown_);
 
-  enc.u64(alerts_.size());
-  for (const AlertEvent& a : alerts_) {
-    enc.u64(a.consumer_index);
-    enc.u32(a.consumer_id);
-    enc.u64(a.slot);
-    enc.f64(a.score);
-    enc.f64(a.threshold);
-    enc.u8(static_cast<std::uint8_t>(a.direction));
-  }
   // Feeder-hierarchy block, behind a presence flag: a monitor fitted
   // without a topology writes (and restores) hierarchy-free state.
   enc.u8(feeder_ != nullptr ? 1 : 0);
@@ -590,33 +576,11 @@ void OnlineMonitor::restore(std::istream& in) {
     throw DataError("checkpoint: monitor max_missing_fraction out of [0,1]");
   }
 
-  std::vector<meter::ConsumerId> ids = dec.u32_array("monitor ids", count);
   std::vector<std::uint32_t> since_score =
       dec.u32_array("monitor stride counters", count);
   std::vector<std::uint32_t> cooldown =
       dec.u32_array("monitor cooldown counters", count);
 
-  const std::size_t alert_count = dec.count("alerts", 100u << 20);
-  dec.require_fits("alerts", alert_count, kAlertBytes);
-  std::vector<AlertEvent> alerts;
-  alerts.reserve(alert_count);
-  for (std::size_t i = 0; i < alert_count; ++i) {
-    AlertEvent a;
-    a.consumer_index = dec.count("alert consumer", 100u << 20);
-    if (a.consumer_index >= count) {
-      throw DataError("checkpoint: alert consumer index out of range");
-    }
-    a.consumer_id = dec.u32();
-    a.slot = static_cast<SlotIndex>(dec.u64());
-    a.score = dec.f64();
-    a.threshold = dec.f64();
-    const std::uint8_t direction = dec.u8();
-    if (direction > static_cast<std::uint8_t>(AlertDirection::kOverReport)) {
-      throw DataError("checkpoint: bad alert direction");
-    }
-    a.direction = static_cast<AlertDirection>(direction);
-    alerts.push_back(a);
-  }
   std::unique_ptr<hierarchy::FeederMonitor> feeder;
   const std::uint8_t has_feeder = dec.u8();
   if (has_feeder > 1) throw DataError("checkpoint: bad feeder flag");
@@ -656,21 +620,19 @@ void OnlineMonitor::restore(std::istream& in) {
 
   // Everything decoded cleanly; commit the restore atomically.
   config_ = std::move(config);
-  ids_ = std::move(ids);
   windows_ = std::move(windows);
   missing_ = std::move(missing);
   missing_in_window_ = std::move(missing_in_window);
   since_score_ = std::move(since_score);
   cooldown_ = std::move(cooldown);
-  alerts_ = std::move(alerts);
+  alerts_.clear();
   feeder_ = std::move(feeder);
   open(std::move(model));
   consumers_restored_->add(count);
   events_->emit("model_restored",
                 obs::EventFields{}
                     .str("component", "monitor")
-                    .u64("consumers", count)
-                    .u64("alerts_restored", alert_count));
+                    .u64("consumers", count));
 }
 
 std::span<const Kw> OnlineMonitor::window(std::size_t consumer_index) const {

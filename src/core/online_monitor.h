@@ -144,7 +144,8 @@ class OnlineMonitor {
 
   /// As fit(), but serves an existing `model` (FdetaPipeline::model(), say)
   /// instead of fitting one, taking its detector family and options;
-  /// `history` holds one series per model consumer.
+  /// `history` holds one series per model consumer, consumer i being the
+  /// model's consumer i (DataError otherwise, before any state changes).
   void start(std::shared_ptr<const ConsumerModel> model,
              const meter::Dataset& history);
 
@@ -169,12 +170,15 @@ class OnlineMonitor {
   /// Validates every consumer index up front; on failure nothing is applied.
   std::vector<AlertEvent> ingest_batch(std::span<const Reading> readings);
 
-  /// All alerts raised so far, in ingestion order.
+  /// The alerts this instance raised since it was fitted, started or
+  /// restored, in ingestion order (a checkpoint does not carry them: the
+  /// ingest calls return them and the event log records them).
   const std::vector<AlertEvent>& alerts() const { return alerts_; }
 
   /// Serializes the monitor (consumer model, sliding windows, stride /
-  /// cooldown counters, alert log) as a checkpoint (persist/checkpoint.h).
-  /// Requires fit() to have run.
+  /// cooldown counters, feeder block) as a checkpoint (persist/checkpoint.h)
+  /// whose size depends on the fleet and topology alone, never on how long
+  /// the monitor ran.  Requires fit() to have run.
   void save(std::ostream& out) const;
 
   /// Restores a save() checkpoint, replacing this monitor's model, window
@@ -183,11 +187,11 @@ class OnlineMonitor {
   /// keep their constructed values).  Subsequent ingest calls behave
   /// bit-identically to the monitor that was saved.
   /// The file holds four sections (DESIGN.md §9): the consumer model, the
-  /// small state (config, per-consumer counters, alerts, feeder block), then
-  /// the sliding windows and the missing-slot bitset, each read straight
-  /// into place; the detector rebuild runs on the shared pool.  Throws
-  /// DataError on a corrupted, truncated or version-mismatched file and
-  /// leaves this monitor untouched.
+  /// small state (config, per-consumer counters, feeder block), then the
+  /// sliding windows and the missing-slot bitset, each read straight into
+  /// place; the detector rebuild runs on the shared pool.  alerts() starts
+  /// empty.  Throws DataError on a corrupted, truncated or
+  /// version-mismatched file and leaves this monitor untouched.
   void restore(std::istream& in);
 
   /// The consumer's sliding week vector, indexed by slot-of-week (exposed
@@ -197,7 +201,7 @@ class OnlineMonitor {
   /// The active config (restore overwrites the fit-related fields).
   const OnlineMonitorConfig& config() const { return config_; }
 
-  std::size_t consumer_count() const { return ids_.size(); }
+  std::size_t consumer_count() const { return model_ ? model_->ids.size() : 0; }
 
   /// Resolved shard count (config.shards, or the auto-sized value).
   std::size_t shard_count() const { return shards_.count(); }
@@ -276,7 +280,6 @@ class OnlineMonitor {
 
   OnlineMonitorConfig config_;
   std::shared_ptr<const ConsumerModel> model_;  // shared, read-only
-  std::vector<meter::ConsumerId> ids_;
 
   // Per-consumer sliding-window state, Struct-of-Arrays: one flat array per
   // field, indexed consumer-major, so the binning / KLD hot loops stream

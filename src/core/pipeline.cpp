@@ -9,7 +9,6 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "persist/binary_io.h"
 #include "persist/checkpoint.h"
 #include "stats/descriptive.h"
 
@@ -108,9 +107,6 @@ void FdetaPipeline::save_model(std::ostream& out) const {
   require(model_ != nullptr, "FdetaPipeline::save_model: fit() not called");
   persist::CheckpointWriter writer(out, persist::Section::kPipeline);
   model_->save(writer);
-  persist::Encoder split;  // the model holds the training weeks
-  split.u64(config_.split.test_weeks);
-  writer.write(split.bytes());
 }
 
 void FdetaPipeline::load_model(std::istream& in) {
@@ -118,14 +114,10 @@ void FdetaPipeline::load_model(std::istream& in) {
   persist::CheckpointReader reader(in, persist::Section::kPipeline);
   std::shared_ptr<const ConsumerModel> model =
       ConsumerModel::restore(reader, config_.threads);
-  const std::string split = reader.read();
-  persist::Decoder dec(split);
-  PipelineConfig config = config_;  // threads/metrics survive the restore
-  config.split = {.train_weeks = model->fleet.weeks(),
-                  .test_weeks = dec.count("test weeks", 1u << 20)};
-  dec.require_exhausted("pipeline split");
 
   // Everything decoded cleanly; commit the restore atomically.
+  PipelineConfig config = config_;  // threads/metrics survive the restore
+  config.split = {.train_weeks = model->fleet.weeks(), .test_weeks = 0};
   config.detector = model->fleet.family();
   config.detector_options = model->fleet.options();
   config_ = std::move(config);
@@ -146,12 +138,9 @@ PipelineReport FdetaPipeline::evaluate_week(
     std::size_t week, const EvidenceCalendar& calendar,
     const grid::Topology* topology, const WeekCoverage* coverage) const {
   require(model_ != nullptr, "FdetaPipeline: fit() not called");
-  if (coverage != nullptr) {
-    require(coverage->missing_slots.size() == reported.consumer_count(),
-            "FdetaPipeline: coverage consumer count mismatch");
-    require(coverage->week_slots > 0,
-            "FdetaPipeline: coverage week_slots must be positive");
-  }
+  require(coverage == nullptr ||
+              coverage->missing_slots.size() == reported.consumer_count(),
+          "FdetaPipeline: coverage consumer count mismatch");
   const ConsumerModel& model = *model_;
   const DetectorFleet& fleet = model.fleet;
   require(reported.consumer_count() == fleet.size(),
@@ -161,6 +150,8 @@ PipelineReport FdetaPipeline::evaluate_week(
           "FdetaPipeline: actual dataset size mismatch");
   require(week < actual.week_count(),
           "FdetaPipeline: week out of range in actual dataset");
+  model.require_consumers(reported, "FdetaPipeline: reported dataset");
+  model.require_consumers(actual, "FdetaPipeline: actual dataset");
   obs::TraceSpan span("pipeline.evaluate_week", "pipeline");
   obs::ScopedTimer timer(*evaluate_seconds_);
 
@@ -191,7 +182,7 @@ PipelineReport FdetaPipeline::evaluate_week(
           verdict.missing_slots = coverage->missing_slots[i];
           const double missing_fraction =
               static_cast<double>(verdict.missing_slots) /
-              static_cast<double>(coverage->week_slots);
+              static_cast<double>(kSlotsPerWeek);
           if (missing_fraction > config_.max_missing_fraction) {
             // Not scored, but step 5 still balances with its mean.
             reported_avg[i] = stats::mean(week_readings);
@@ -283,8 +274,7 @@ PipelineReport FdetaPipeline::evaluate_week(
                           .u64("week", week)
                           .str("reason", "insufficient_coverage")
                           .u64("missing_slots", v.missing_slots)
-                          .u64("week_slots",
-                               coverage != nullptr ? coverage->week_slots : 0));
+                          .u64("week_slots", kSlotsPerWeek));
         continue;
       }
       if (v.status == VerdictStatus::kExcused) {

@@ -65,13 +65,12 @@ struct ConsumerVerdict {
 
 /// Per-consumer delivery coverage for one week, as reported by the AMI
 /// head-end (see ami::CollectedReport::week_missing).  Consumers whose
-/// missing fraction exceeds PipelineConfig::max_missing_fraction are not
-/// scored and receive VerdictStatus::kInsufficientData.
+/// missing fraction (of kSlotsPerWeek) exceeds
+/// PipelineConfig::max_missing_fraction are not scored and receive
+/// VerdictStatus::kInsufficientData.
 struct WeekCoverage {
   /// missing_slots[i] = slots of the week consumer i never reported.
   std::vector<std::uint32_t> missing_slots;
-  /// Total slots in the week (denominator of the missing fraction).
-  std::size_t week_slots = static_cast<std::size_t>(kSlotsPerWeek);
 };
 
 struct PipelineConfig {
@@ -139,7 +138,9 @@ class FdetaPipeline {
 
   /// Steps 2-5.  `coverage`, when provided, gates step 2: consumers whose
   /// missing-slot fraction exceeds config().max_missing_fraction get a
-  /// kInsufficientData verdict and are never scored.
+  /// kInsufficientData verdict and are never scored.  Throws DataError
+  /// before judging anyone when consumer i of `actual` or `reported` is not
+  /// the model's consumer i.
   PipelineReport evaluate_week(const meter::Dataset& actual,
                                const meter::Dataset& reported,
                                std::size_t week,
@@ -147,14 +148,15 @@ class FdetaPipeline {
                                const grid::Topology* topology = nullptr,
                                const WeekCoverage* coverage = nullptr) const;
 
-  /// Serializes the fitted state (consumer model, split) as a checkpoint
+  /// Serializes the fitted state, the consumer model alone, as a checkpoint
   /// (persist/checkpoint.h), so a head-end can fit once offline and serving
   /// processes warm-start in milliseconds.  Requires fit() to have run.
   void save_model(std::ostream& out) const;
 
   /// Restores a save_model() checkpoint, replacing this pipeline's fit and
-  /// the fit-related config (split, detector family and options; `threads`
-  /// and `metrics` keep their constructed values).
+  /// the fit-related config (detector family and options, and the split
+  /// {W, 0}, W the model's training weeks; `threads` and `metrics` keep
+  /// their constructed values).
   /// evaluate_week() then yields verdicts bit-identical to the pipeline that
   /// was saved.  The detector fleet restores on the shared pool.  Throws
   /// DataError on a corrupted, truncated, or version-mismatched checkpoint.

@@ -26,7 +26,7 @@
 
 namespace fdeta::obs {
 
-inline constexpr std::uint32_t kEventSchemaVersion = 1;
+inline constexpr std::uint32_t kEventSchemaVersion = 2;
 
 /// Escapes `s` for embedding inside a JSON string literal.
 std::string json_escape(std::string_view s);

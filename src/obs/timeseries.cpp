@@ -73,7 +73,9 @@ std::uint64_t delta_u64(std::uint64_t now, std::uint64_t before) {
 /// keys like "slot" cannot collide with map entries.
 std::optional<std::string_view> find_value(std::string_view line,
                                            std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   std::size_t pos = 0;
   while ((pos = line.find(needle, pos)) != std::string_view::npos) {
     if (pos > 0 && (line[pos - 1] == '{' || line[pos - 1] == ',')) {

@@ -6,7 +6,7 @@
 // (`fdeta detect --model`) instead of refitting from raw readings on every
 // process start.  A restore should cost about one read of the fitted state.
 //
-// File layout, format v12 (all integers little-endian; see binary_io.h):
+// File layout, format v13 (all integers little-endian; see binary_io.h):
 //
 //   offset  size  field
 //        0     8  magic "FDETAMDL"
@@ -19,13 +19,15 @@
 //                   8  section_checksum(bytes)
 //
 // The owner fixes how many sections it writes and what each holds
-// (DESIGN.md §9); both open with the same consumer-model section
-// (core/consumer_model.h), whose core::DetectorFleet block stores every
+// (DESIGN.md §9).  Both open with the same consumer-model section
+// (core/consumer_model.h): a core::DetectorFleet block, which stores every
 // family's config once, then one array per fitted field across all
-// members.  A bulk section is hashed and written straight from the
-// caller's live array, and read straight into the caller's destination
-// vector, a chunk at a time: no encoder buffer, payload copy or second pass
-// in between.
+// members, and then the consumer ids and training summaries.  A pipeline
+// file is that section alone; a monitor checkpoint adds its serving state
+// and two bulk sections, none of which grows with uptime.  A bulk section
+// is hashed and written straight from the caller's live array, and read
+// straight into the caller's destination vector, a chunk at a time: no
+// encoder buffer, payload copy or second pass in between.
 //
 // Readers accept exactly kFormatVersion: refitting is the migration.  They
 // validate magic -> version -> section id, then per section length ->
@@ -47,12 +49,12 @@ class SectionHash;  // the incremental section_checksum (checkpoint.cpp)
 
 inline constexpr std::string_view kMagic = "FDETAMDL";
 /// Bumped on ANY layout change of the frame or of an owner's sections.
-inline constexpr std::uint32_t kFormatVersion = 12;
+inline constexpr std::uint32_t kFormatVersion = 13;
 
 /// What fitted model a checkpoint holds. A reader asks for the section id it
 /// expects; a pipeline checkpoint can never be restored into a monitor.
 enum class Section : std::uint32_t {
-  kPipeline = 1,       ///< FdetaPipeline (consumer model + split)
+  kPipeline = 1,       ///< FdetaPipeline (the consumer model alone)
   kOnlineMonitor = 2,  ///< OnlineMonitor (consumer model + serving state)
 };
 

@@ -618,8 +618,7 @@ TEST(NetworkChaos, FixedSeedRunIsByteIdenticalAcrossThreadCounts) {
     const core::EvidenceCalendar calendar;
     std::vector<core::VerdictStatus> statuses;
     for (std::size_t week = train_weeks; week < 10; ++week) {
-      core::WeekCoverage coverage{collected.week_missing(week),
-                                  static_cast<std::size_t>(kSlotsPerWeek)};
+      core::WeekCoverage coverage{collected.week_missing(week)};
       const auto report = pipeline.evaluate_week(
           actual, collected.dataset, week, calendar, nullptr, &coverage);
       for (const auto& v : report.verdicts) statuses.push_back(v.status);
@@ -678,8 +677,7 @@ std::vector<WeekOutcome> judge(const meter::Dataset& actual,
   const core::EvidenceCalendar calendar;
   std::vector<WeekOutcome> out;
   for (std::size_t week = 8; week < weeks; ++week) {
-    core::WeekCoverage coverage{collected.week_missing(week),
-                                static_cast<std::size_t>(kSlotsPerWeek)};
+    core::WeekCoverage coverage{collected.week_missing(week)};
     out.push_back({pipeline
                        .evaluate_week(actual, collected.dataset, week,
                                       calendar, nullptr, &coverage)

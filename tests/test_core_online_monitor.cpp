@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "attack/integrated_arima_attack.h"
@@ -114,6 +115,30 @@ TEST_F(OnlineMonitorTest, ValidatesUsage) {
   const std::vector<Reading> bad{{.consumer_index = 99, .slot = 0, .kw = 1.0}};
   EXPECT_THROW(monitor_->ingest_batch(bad), InvalidArgument);
   EXPECT_THROW(unfitted.ingest_batch({}), InvalidArgument);
+}
+
+// start() serves a model on its own consumers only: a history whose
+// consumer i is not the model's consumer i is refused before any state
+// changes, naming the index and both ids.
+TEST_F(OnlineMonitorTest, StartRefusesHistoryOfOtherConsumers) {
+  const auto model = ConsumerModel::fit(
+      "kld", DetectorOptions{}, split_, history_.consumer_count(),
+      meter::series_source(history_), 0);
+  meter::Dataset renamed = history_;
+  renamed.consumer(3).id = 999;
+  std::string names = "consumer 3 is 999, the model's is ";
+  names += std::to_string(history_.consumer(3).id);
+  OnlineMonitor monitor;
+  try {
+    monitor.start(model, renamed);
+    ADD_FAILURE() << "a misaligned history was served";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(monitor.consumer_count(), 0u);
+  monitor.start(model, history_);
+  EXPECT_EQ(monitor.consumer_count(), history_.consumer_count());
 }
 
 TEST_F(OnlineMonitorTest, BatchValidationLeavesStateUntouched) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "attack/injector.h"
 #include "attack/integrated_arima_attack.h"
@@ -11,6 +12,8 @@
 #include "datagen/generator.h"
 #include "eval/arima_detector.h"
 #include "meter/weekly_stats.h"
+#include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "timeseries/arima.h"
 
 namespace fdeta::core {
@@ -170,6 +173,50 @@ TEST_F(PipelineTest, RejectsMismatchedActualDataset) {
   // Mismatched `reported` stays rejected too.
   EXPECT_THROW(pipeline_->evaluate_week(actual_, fewer_consumers, 24, calendar),
                InvalidArgument);
+}
+
+// Consumer i of the data must be the model's consumer i.  A renamed
+// consumer shifts every later index of a dataset ordered by id, so each
+// consumer would be judged by a neighbour's detector; the pipeline refuses
+// before judging anyone, whether it fitted the model or loaded it.
+TEST_F(PipelineTest, RejectsDataOfOtherConsumers) {
+  obs::MetricsRegistry registry;
+  obs::EventLog log;
+  PipelineConfig config = config_;
+  config.metrics = &registry;
+  config.events = &log;
+  FdetaPipeline cold(config);
+  cold.fit(actual_);
+  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  cold.save_model(file);
+  FdetaPipeline warm(config);
+  warm.load_model(file);
+  log.enable();
+
+  meter::Dataset renamed = actual_;
+  renamed.consumer(4).id = 999;
+  std::string names = "consumer 4 is 999, the model's is ";
+  names += std::to_string(actual_.consumer(4).id);
+  const EvidenceCalendar calendar;
+  for (const FdetaPipeline* pipeline : {&cold, &warm}) {
+    for (const bool in_reported : {true, false}) {
+      SCOPED_TRACE(in_reported ? "reported" : "actual");
+      try {
+        pipeline->evaluate_week(in_reported ? actual_ : renamed,
+                                in_reported ? renamed : actual_, 24,
+                                calendar);
+        ADD_FAILURE() << "misaligned data was judged";
+      } catch (const DataError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(names), std::string::npos) << what;
+        EXPECT_NE(what.find(in_reported ? "reported" : "actual"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+  EXPECT_EQ(registry.snapshot().counter("pipeline.verdicts"), 0u);
+  EXPECT_EQ(log.size(), 0u);
 }
 
 TEST_F(PipelineTest, SerialAndPooledEvaluationAgree) {

@@ -398,7 +398,8 @@ std::string compute_payloads() {
              " score=" + exact(solo.score_week(0, week, first_slot)) +
              " explain=" + exact(explanation.raw_score) + " bits=";
       for (std::size_t j = 0; j < explanation.bins.size(); ++j) {
-        out += (j == 0 ? "" : ",") + exact(explanation.bins[j].bits);
+        if (j > 0) out += ',';
+        out += exact(explanation.bins[j].bits);
       }
       out += "\n";
     };

@@ -59,16 +59,17 @@ TEST(EventLog, SequenceNumbersAndSchemaHeader) {
   log.emit("second");
   ASSERT_EQ(log.size(), 2u);
   const auto lines = log.lines();
-  EXPECT_EQ(lines[0],
-            "{\"schema\":1,\"seq\":1,\"event\":\"first\",\"x\":1}");
-  EXPECT_EQ(lines[1], "{\"schema\":1,\"seq\":2,\"event\":\"second\"}");
+  std::string schema = "{\"schema\":";
+  schema += std::to_string(kEventSchemaVersion);
+  EXPECT_EQ(lines[0], schema + ",\"seq\":1,\"event\":\"first\",\"x\":1}");
+  EXPECT_EQ(lines[1], schema + ",\"seq\":2,\"event\":\"second\"}");
   EXPECT_EQ(log.to_jsonl(), lines[0] + "\n" + lines[1] + "\n");
 
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   log.emit("after_clear");
   EXPECT_EQ(log.lines()[0],
-            "{\"schema\":1,\"seq\":1,\"event\":\"after_clear\"}");
+            schema + ",\"seq\":1,\"event\":\"after_clear\"}");
 }
 
 TEST(EventLog, DisabledIsNoOp) {

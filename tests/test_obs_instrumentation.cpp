@@ -328,7 +328,7 @@ TEST(ObsInstrumentation, CoverageGateCountersReportToLocalRegistry) {
   pc.metrics = &pipe_reg;
   FdetaPipeline pipeline(pc);
   pipeline.fit(actual);
-  WeekCoverage coverage{{200, 0, 0}, static_cast<std::size_t>(kSlotsPerWeek)};
+  WeekCoverage coverage{{200, 0, 0}};
   const auto report =
       pipeline.evaluate_week(actual, actual, 8, EvidenceCalendar{}, nullptr,
                              &coverage);

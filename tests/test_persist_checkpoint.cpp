@@ -295,7 +295,7 @@ TEST(PipelineCheckpoint, RoundTripReproducesVerdictsAndCounters) {
 
   EXPECT_EQ(warm.consumer_count(), cold.consumer_count());
   EXPECT_EQ(warm.config().split.train_weeks, 24u);
-  EXPECT_EQ(warm.config().split.test_weeks, 4u);
+  EXPECT_EQ(warm.config().split.test_weeks, 0u);  // the file holds no split
   EXPECT_EQ(warm.config().detector_options.kld.significance, 0.10);
   EXPECT_EQ(warm_reg.snapshot().counter("pipeline.consumers_restored"), 10u);
 
@@ -386,6 +386,7 @@ TEST(MonitorCheckpoint, RestoreContinuesBitExactly) {
 
       std::stringstream ckpt(std::ios::in | std::ios::out | std::ios::binary);
       live.save(ckpt);
+      const std::size_t saved_alerts = live.alerts().size();
 
       OnlineMonitorConfig fresh_config;
       fresh_config.metrics = &reg_b;
@@ -398,18 +399,22 @@ TEST(MonitorCheckpoint, RestoreContinuesBitExactly) {
       feed(live, half, kSlotsPerWeek);
       feed(restored, half, kSlotsPerWeek);
 
-      ASSERT_TRUE(std::any_of(live.alerts().begin(), live.alerts().end(),
-                              [&](const AlertEvent& a) {
-                                return a.slot >= base + half;
-                              }))
+      // The checkpoint carries no alert history: the restored monitor's
+      // alerts are exactly the ones the live one raised after the save.
+      const std::vector<AlertEvent> after(
+          live.alerts().begin() + static_cast<std::ptrdiff_t>(saved_alerts),
+          live.alerts().end());
+      ASSERT_FALSE(after.empty())
           << "no alert after the checkpoint; the check would be vacuous";
-      ASSERT_EQ(restored.alerts().size(), live.alerts().size());
-      for (std::size_t i = 0; i < live.alerts().size(); ++i) {
+      ASSERT_EQ(restored.alerts().size(), after.size());
+      for (std::size_t i = 0; i < after.size(); ++i) {
+        EXPECT_GE(after[i].slot, base + half);
         EXPECT_EQ(restored.alerts()[i].consumer_index,
-                  live.alerts()[i].consumer_index);
-        EXPECT_EQ(restored.alerts()[i].slot, live.alerts()[i].slot);
-        EXPECT_EQ(restored.alerts()[i].score, live.alerts()[i].score);
-        EXPECT_EQ(restored.alerts()[i].direction, live.alerts()[i].direction);
+                  after[i].consumer_index);
+        EXPECT_EQ(restored.alerts()[i].consumer_id, after[i].consumer_id);
+        EXPECT_EQ(restored.alerts()[i].slot, after[i].slot);
+        EXPECT_EQ(restored.alerts()[i].score, after[i].score);
+        EXPECT_EQ(restored.alerts()[i].direction, after[i].direction);
       }
       for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
         const auto wa = live.window(c);
@@ -464,6 +469,40 @@ TEST(MonitorCheckpoint, SaveRestoreSaveIsByteStable) {
   EXPECT_EQ(first.str(), second.str());
 }
 
+// Nothing in a checkpoint grows with uptime: saves after N and after 2N
+// ingested slots, with alerts raised in between, are the same size.
+TEST(MonitorCheckpoint, SizeDoesNotDependOnUptime) {
+  const auto dataset = datagen::small_dataset(6, 10, 17);
+  const meter::TrainTestSplit split{.train_weeks = 8, .test_weeks = 2};
+  obs::MetricsRegistry reg;
+  OnlineMonitorConfig config;
+  config.stride = 1;
+  config.cooldown_slots = 10;
+  config.metrics = &reg;
+  OnlineMonitor monitor(config);
+  monitor.fit(dataset, split);
+  const SlotIndex base = split.train_weeks * kSlotsPerWeek;
+  // Consumer 2 under-reports, so alerts keep coming.
+  const auto feed_and_save = [&](SlotIndex from, SlotIndex to) {
+    for (SlotIndex s = from; s < to; ++s) {
+      for (std::size_t c = 0; c < dataset.consumer_count(); ++c) {
+        const Kw kw = dataset.consumer(c).readings[base + s];
+        monitor.ingest(c, base + s, c == 2 ? 0.3 * kw : kw);
+      }
+    }
+    std::ostringstream out(std::ios::binary);
+    monitor.save(out);
+    return out.str().size();
+  };
+  const SlotIndex n = kSlotsPerWeek / 2;
+  const std::size_t after_n = feed_and_save(0, n);
+  const std::size_t alerts_at_n = monitor.alerts().size();
+  const std::size_t after_2n = feed_and_save(n, 2 * n);
+  ASSERT_GT(monitor.alerts().size(), alerts_at_n)
+      << "no alert between the saves; the check would be vacuous";
+  EXPECT_EQ(after_2n, after_n);
+}
+
 TEST(MonitorCheckpoint, RejectsPipelineCheckpoint) {
   const auto dataset = datagen::small_dataset(3, 10, 7);
   obs::MetricsRegistry reg;
@@ -482,7 +521,7 @@ TEST(MonitorCheckpoint, RejectsPipelineCheckpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// The v12 frame against a small monitor with a feeder block: header, four
+// The v13 frame against a small monitor with a feeder block: header, four
 // sections (consumer model, serving state, windows, missing-slot bitset).
 
 struct SectionSpan {
@@ -739,8 +778,8 @@ TEST(Checkpoint, ReadsBulkSectionsFromStreamThatCannotReportItsSize) {
 /// A monitor checkpoint whose model section claims `count` kld consumers
 /// with `bins` bins at `significance`, then holds `padding` zero bytes; its
 /// state section, rescored every `stride` readings, completes a
-/// one-consumer fleet (zero counters, no alerts, no feeder block); empty
-/// bulk sections follow.
+/// one-consumer fleet (zero counters, no feeder block); empty bulk sections
+/// follow.
 std::string forged_monitor(std::uint64_t count, std::uint64_t bins,
                            std::size_t padding, std::uint64_t stride = 4,
                            double significance = 0.05) {
@@ -757,8 +796,8 @@ std::string forged_monitor(std::uint64_t count, std::uint64_t bins,
   state.u64(stride);
   state.u64(48);     // cooldown slots
   state.f64(0.25);   // max missing fraction
-  // One consumer's id, stride and cooldown counters, no alerts, no feeder.
-  for (std::size_t i = 0; i < 4 + 4 + 4 + 8 + 1; ++i) state.u8(0);
+  // One consumer's stride and cooldown counters, no feeder.
+  for (std::size_t i = 0; i < 4 + 4 + 1; ++i) state.u8(0);
   std::ostringstream out(std::ios::binary);
   persist::CheckpointWriter writer(out, persist::Section::kOnlineMonitor);
   writer.write(model.bytes());
@@ -833,10 +872,10 @@ TEST(MonitorCheckpoint, NonFiniteTrainingMeansFailWithDataError) {
 // fail as a malformed checkpoint (DataError), never as a bad call.
 
 /// The zero bytes that complete forged_monitor's model section for one
-/// consumer: edges, baseline, six training divergences, threshold, training
-/// mean and the two quartiles.
+/// consumer: edges, baseline, six training divergences, threshold, id,
+/// training mean and the two quartiles.
 std::size_t one_consumer_rest(std::uint64_t bins) {
-  return (bins + 1 + bins + 6 + 1) * 8 + 8 + 2 * 8;
+  return (bins + 1 + bins + 6 + 1) * 8 + 4 + 8 + 2 * 8;
 }
 
 std::string monitor_rejection(const std::string& file) {
@@ -891,8 +930,8 @@ struct KldParts {
   double threshold = 0.35;
 };
 
-/// A complete one-consumer kld pipeline checkpoint: the model section, then
-/// the split section.
+/// A complete one-consumer kld pipeline checkpoint: the model section
+/// alone.
 std::string forged_pipeline(double significance, const KldParts& parts,
                             const std::vector<double>& quartiles = {1.25,
                                                                     1.75}) {
@@ -909,14 +948,12 @@ std::string forged_pipeline(double significance, const KldParts& parts,
   model.f64_array(parts.baseline);
   model.f64_array(parts.divergences);
   model.f64(parts.threshold);
+  model.u32(1000);   // consumer id
   model.f64(1.5);    // training mean
   model.f64_array(quartiles);  // q25, q75 of the training weekly means
-  persist::Encoder split;
-  split.u64(2);      // test weeks
   std::ostringstream out(std::ios::binary);
-  persist::CheckpointWriter writer(out, persist::Section::kPipeline);
-  writer.write(model.bytes());
-  writer.write(split.bytes());
+  persist::CheckpointWriter(out, persist::Section::kPipeline)
+      .write(model.bytes());
   return out.str();
 }
 
@@ -1342,13 +1379,15 @@ class FleetRoundTrip : public ::testing::TestWithParam<std::string_view> {
     return out.str();
   }
 
-  /// Feeds test-week slots [from, to) of every consumer.
-  void feed(OnlineMonitor& monitor, SlotIndex from, SlotIndex to) const {
+  /// Feeds test-week slots [from, to) of every consumer, consumer 0's
+  /// readings scaled by `shave`.
+  void feed(OnlineMonitor& monitor, SlotIndex from, SlotIndex to,
+            double shave = 1.0) const {
     const SlotIndex base = split_.train_weeks * kSlotsPerWeek;
     for (SlotIndex s = from; s < to; ++s) {
       for (std::size_t c = 0; c < data_.consumer_count(); ++c) {
-        monitor.ingest(Reading{c, base + s,
-                               data_.consumer(c).readings[base + s],
+        const Kw kw = data_.consumer(c).readings[base + s];
+        monitor.ingest(Reading{c, base + s, c == 0 ? shave * kw : kw,
                                (s + c) % 13 == 0});
       }
     }
@@ -1407,14 +1446,19 @@ TEST_P(FleetRoundTrip, MonitorWithFeederRestoresIntoADefaultMonitor) {
   ASSERT_NE(restored.feeder(), nullptr);
   EXPECT_EQ(saved(restored), bytes);
 
-  feed(original, kSlotsPerWeek / 2, kSlotsPerWeek);
-  feed(restored, kSlotsPerWeek / 2, kSlotsPerWeek);
-  ASSERT_FALSE(original.alerts().empty()) << "alert equivalence is vacuous";
-  ASSERT_EQ(restored.alerts().size(), original.alerts().size());
-  for (std::size_t i = 0; i < original.alerts().size(); ++i) {
-    const AlertEvent& a = original.alerts()[i];
+  // After the save consumer 0 under-reports, so both raise alerts, and the
+  // restored monitor raises exactly the original's post-save ones.
+  const std::size_t saved_alerts = original.alerts().size();
+  feed(original, kSlotsPerWeek / 2, kSlotsPerWeek, 0.3);
+  feed(restored, kSlotsPerWeek / 2, kSlotsPerWeek, 0.3);
+  ASSERT_GT(original.alerts().size(), saved_alerts)
+      << "alert equivalence is vacuous";
+  ASSERT_EQ(restored.alerts().size(), original.alerts().size() - saved_alerts);
+  for (std::size_t i = 0; i < restored.alerts().size(); ++i) {
+    const AlertEvent& a = original.alerts()[saved_alerts + i];
     const AlertEvent& b = restored.alerts()[i];
     EXPECT_EQ(a.consumer_index, b.consumer_index);
+    EXPECT_EQ(a.consumer_id, b.consumer_id);
     EXPECT_EQ(a.slot, b.slot);
     EXPECT_EQ(a.score, b.score);
     EXPECT_EQ(a.threshold, b.threshold);
@@ -1423,6 +1467,7 @@ TEST_P(FleetRoundTrip, MonitorWithFeederRestoresIntoADefaultMonitor) {
   const SlotIndex end = (split_.train_weeks + 1) * kSlotsPerWeek;
   EXPECT_EQ(hierarchy::to_text(original.evaluate_feeders(end)),
             hierarchy::to_text(restored.evaluate_feeders(end)));
+  EXPECT_EQ(saved(restored), saved(original));
 
   // Refitting from the restored config and replaying the same readings
   // reproduces the checkpoint.

@@ -77,3 +77,15 @@ expect_rejected(--retries detect --in actual.csv --train-weeks 24
 expect_rejected(--tolerance investigate --topology topo.txt
                 --baseline actual.csv --in actual.csv --week 24
                 --tolerance -1)
+# Consumer i of the data must be the model's consumer i.  Renaming one
+# consumer shifts every index of the id-ordered dataset, so without the
+# check each consumer would be judged by a neighbour's detector: detect must
+# refuse, naming the renamed consumer, for a saved model and for a baseline.
+file(READ ${WORK_DIR}/actual.csv actual_csv)
+string(REGEX REPLACE "\n1005," "\n999," renamed_csv "${actual_csv}")
+file(WRITE ${WORK_DIR}/renamed.csv "${renamed_csv}")
+run(fit --in actual.csv --train-weeks 24 --save-model actual.model)
+expect_rejected("consumer 0 is 999" detect --in renamed.csv
+                --model actual.model --stream 0)
+expect_rejected("consumer 0 is 999" detect --in renamed.csv
+                --baseline actual.csv --train-weeks 24 --stream 0)

@@ -43,6 +43,12 @@ foreach(span pipeline.fit pipeline.evaluate_week monitor.start
 endforeach()
 
 # -- (b) the event log ------------------------------------------------------
+# The schema number is read from its one definition, obs::kEventSchemaVersion.
+file(READ ${CMAKE_CURRENT_LIST_DIR}/../src/obs/event_log.h event_log_h)
+if(NOT event_log_h MATCHES "kEventSchemaVersion = ([0-9]+)")
+  message(FATAL_ERROR "no kEventSchemaVersion in src/obs/event_log.h")
+endif()
+set(schema ${CMAKE_MATCH_1})
 file(READ ${WORK_DIR}/events.jsonl events_jsonl)
 string(REGEX REPLACE "\n$" "" events_jsonl "${events_jsonl}")
 string(REPLACE "\n" ";" event_lines "${events_jsonl}")
@@ -57,7 +63,7 @@ foreach(line IN LISTS event_lines)
     message(FATAL_ERROR "bad JSONL line: ${line} (${line_error})")
   endif()
   math(EXPR seq "${seq} + 1")
-  if(NOT line MATCHES "^{\"schema\":1,\"seq\":${seq},\"event\":")
+  if(NOT line MATCHES "^{\"schema\":${schema},\"seq\":${seq},\"event\":")
     message(FATAL_ERROR "line ${seq} breaks the schema/seq header: ${line}")
   endif()
 endforeach()

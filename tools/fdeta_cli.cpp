@@ -356,9 +356,11 @@ int cmd_detect(const Args& args) {
   const core::DetectorOptions detector_options = detector_options_from(args);
 
   const auto reported = load(args.require_value("in"));
+  // The trusted history: --baseline when given, else --in itself (held once).
   const std::string baseline_path = args.get("baseline", "");
-  const auto baseline =
-      baseline_path.empty() ? reported : load(baseline_path);
+  std::optional<meter::Dataset> loaded;
+  if (!baseline_path.empty()) loaded = load(baseline_path);
+  const meter::Dataset& baseline = loaded ? *loaded : reported;
   const std::string model_path = args.get("model", "");
 
   require(baseline.consumer_count() == reported.consumer_count(),
@@ -681,7 +683,7 @@ int cmd_detect(const Args& args) {
       }
     }
     std::printf("stream: readings=%zu alerts=%zu over=%zu under=%zu\n",
-                readings, monitor.alerts().size(), over, under);
+                readings, over + under, over, under);
   }
   return 0;
 }
