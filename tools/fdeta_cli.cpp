@@ -19,6 +19,8 @@
 // offline and every serving process restores the consumer model from the
 // checkpoint in milliseconds; detect's weekly pipeline and its stream replay
 // both serve from it.  Without --model, detect fits that model in-process.
+// The model names its consumers: a dataset whose consumer ids differ from
+// the model's (one consumer renamed, say) is refused, not judged.
 //
 // Every subcommand accepts --metrics-out <file>: after a successful run the
 // process-wide metrics registry (pipeline/monitor/pool counters, latency
